@@ -1,8 +1,7 @@
 """Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
 
 The jitted path is used whenever numba imports cleanly; set
-``IC_MAPPER_NUMBA=0`` to force the numpy path (useful for debugging and
-for the benchmark in ``benchmarks/bench_kernels.py``, which times both).
+``IC_MAPPER_NUMBA=0`` to force the numpy path (useful for debugging).
 Both paths compute identical results up to floating-point rounding.
 """
 from __future__ import annotations

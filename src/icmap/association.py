@@ -67,25 +67,31 @@ def instance_chamfer(a: MapInstance, b: MapInstance, spacing: float = 1.0) -> fl
     return chamfer_distance(_dense_pts(a, spacing), _dense_pts(b, spacing))
 
 
-def _geo_dist(a: MapInstance, b: MapInstance, metric: str, spacing: float) -> float:
-    if metric == "ordered_l2":
-        p, q = a.points, b.points
-        n = min(len(p), len(q))
-        if len(p) != len(q):
-            p = resample_even(p, n) if len(p) != n else p
-            q = resample_even(q, n) if len(q) != n else q
-        return float(np.linalg.norm(p - q, axis=1).mean())
-    return instance_chamfer(a, b, spacing)
+def _ordered_l2(a: MapInstance, b: MapInstance) -> float:
+    p, q = a.points, b.points
+    n = min(len(p), len(q))
+    if len(p) != len(q):
+        p = resample_even(p, n) if len(p) != n else p
+        q = resample_even(q, n) if len(q) != n else q
+    return float(np.linalg.norm(p - q, axis=1).mean())
 
 
 def geometric_affinity(dets, tracks, tau: float, metric: str = "chamfer",
                        densify_spacing: float = 1.0) -> np.ndarray:
-    """exp(-distance/tau) for same-class pairs, 0 across classes."""
+    """exp(-distance/tau) for same-class pairs, 0 across classes.
+
+    The Chamfer metric densifies each instance once, not once per pair.
+    """
     h = np.zeros((len(dets), len(tracks)))
-    for i, d in enumerate(dets):
-        for j, t in enumerate(tracks):
-            if d.cls == t.cls:
-                h[i, j] = np.exp(-_geo_dist(d, t, metric, densify_spacing) / tau)
+    pairs = [(i, j) for i, d in enumerate(dets) for j, t in enumerate(tracks) if d.cls == t.cls]
+    if metric == "ordered_l2":
+        for i, j in pairs:
+            h[i, j] = np.exp(-_ordered_l2(dets[i], tracks[j]) / tau)
+        return h
+    dense_d = {i: _dense_pts(dets[i], densify_spacing) for i in sorted({i for i, _ in pairs})}
+    dense_t = {j: _dense_pts(tracks[j], densify_spacing) for j in sorted({j for _, j in pairs})}
+    for i, j in pairs:
+        h[i, j] = np.exp(-chamfer_distance(dense_d[i], dense_t[j]) / tau)
     return h
 
 

@@ -231,10 +231,6 @@ def _eval_one(task) -> dict:
         with open(trace_path, encoding="utf-8") as fh:
             trace = json.load(fh)
         pred_frames = trace_pred_frames(trace)
-        ap, mean_ap, det_counts = instance_ap(pred_frames, gt_frames, thresholds)
-        out["ap"] = ap
-        out["mean_ap"] = mean_ap
-        out["det_counts"] = det_counts
         out["mot"] = {
             cls: c.__dict__ for cls, c in clear_mot_counts(pred_frames, gt_frames, mot_gate).items()
         }

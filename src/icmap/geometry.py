@@ -79,14 +79,19 @@ def transform_points(pose: Pose2, points, direction: str = EGO_TO_WORLD) -> np.n
 
 
 def dedupe_points(points, eps: float = 1e-9) -> np.ndarray:
-    """Drop consecutive points closer than `eps`."""
+    """Drop every point within `eps` of its predecessor in the input.
+
+    Each point is compared with the input point just before it, not with
+    the last point kept: in a run of several sub-`eps` steps every point
+    after the first is dropped, even where the run as a whole spans more
+    than `eps`.
+    """
     pts = as_points(points)
     if len(pts) < 2:
         return pts
-    keep = [0]
-    for i in range(1, len(pts)):
-        if np.hypot(*(pts[i] - pts[keep[-1]])) > eps:
-            keep.append(i)
+    step = np.diff(pts, axis=0)
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.hypot(step[:, 0], step[:, 1]) > eps
     return pts[keep]
 
 
@@ -168,41 +173,36 @@ class Rect:
         )
 
 
-def _clip_segment_box(p, q, hl: float, hw: float):
-    """Liang-Barsky clip of segment p->q against [-hl, hl] x [-hw, hw].
+def _clip_segments_box(p, q, hl: float, hw: float):
+    """Liang-Barsky clip of the segments p[k]->q[k] against [-hl, hl] x [-hw, hw].
 
-    Returns (t0, t1, a, b) or None; a/b are clamped onto the box so crossing
-    points land exactly on the boundary.
+    Returns (keep, t0, t1, a, b): `keep` marks the segments that meet the
+    box, t0/t1 their entry and exit parameters, and a/b the entry and exit
+    points, clamped onto the box so crossing points land exactly on the
+    boundary. Entries of segments not kept are meaningless.
     """
     d = q - p
-    t0, t1 = 0.0, 1.0
-    for pc, qc in (
-        (-d[0], p[0] + hl),
-        (d[0], hl - p[0]),
-        (-d[1], p[1] + hw),
-        (d[1], hw - p[1]),
-    ):
-        if pc == 0.0:
-            if qc < 0.0:
-                return None
-            continue
-        t = qc / pc
-        if pc < 0.0:
-            if t > t1:
-                return None
-            if t > t0:
-                t0 = t
-        else:
-            if t < t0:
-                return None
-            if t < t1:
-                t1 = t
-    a = p + t0 * d
-    b = p + t1 * d
-    for v in (a, b):
-        v[0] = min(hl, max(-hl, v[0]))
-        v[1] = min(hw, max(-hw, v[1]))
-    return t0, t1, a, b
+    t0 = np.zeros(len(p))
+    t1 = np.ones(len(p))
+    keep = np.ones(len(p), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for pc, qc in (
+            (-d[:, 0], p[:, 0] + hl),
+            (d[:, 0], hl - p[:, 0]),
+            (-d[:, 1], p[:, 1] + hw),
+            (d[:, 1], hw - p[:, 1]),
+        ):
+            keep &= (pc != 0.0) | (qc >= 0.0)
+            t = qc / pc
+            t0 = np.where((pc < 0.0) & (t > t0), t, t0)
+            t1 = np.where((pc > 0.0) & (t < t1), t, t1)
+    # t0 only grows and t1 only shrinks, so a segment that leaves the box
+    # before entering it ends with t0 > t1 whichever plane decided it
+    keep &= t0 <= t1
+    lim = np.array([hl, hw])
+    a = np.clip(p + t0[:, None] * d, -lim, lim)
+    b = np.clip(p + t1[:, None] * d, -lim, lim)
+    return keep, t0, t1, a, b
 
 
 def clip_polyline_to_rect(points, rect: Rect, min_length: float = 0.0) -> list[np.ndarray]:
@@ -213,31 +213,20 @@ def clip_polyline_to_rect(points, rect: Rect, min_length: float = 0.0) -> list[n
     than `min_length` are dropped.
     """
     pts = transform_points(rect.center, dedupe_points(points), WORLD_TO_EGO)
-    hl, hw = rect.half_length, rect.half_width
+    if len(pts) < 2:
+        return []
+    keep, t0, t1, a, b = _clip_segments_box(pts[:-1], pts[1:], rect.half_length, rect.half_width)
+    # a kept segment continues the current piece when the previous segment
+    # was kept and left through its end, and this one enters at its start
+    joined = np.concatenate([[False], keep[:-1] & (t1[:-1] == 1.0)]) & (t0 == 0.0)
+    kept = np.flatnonzero(keep)
+    starts = np.flatnonzero(~joined[kept])
     pieces: list[np.ndarray] = []
-    cur: list[np.ndarray] | None = None
-
-    def close():
-        nonlocal cur
-        if cur is not None:
-            piece = dedupe_points(np.array(cur), 1e-12)
-            if len(piece) >= 2 and polyline_length(piece) > min_length:
-                pieces.append(transform_points(rect.center, piece, EGO_TO_WORLD))
-        cur = None
-
-    for i in range(len(pts) - 1):
-        res = _clip_segment_box(pts[i], pts[i + 1], hl, hw)
-        if res is None:
-            close()
-            continue
-        t0, t1, a, b = res
-        if t0 > 0.0 or cur is None:
-            close()
-            cur = [a]
-        cur.append(b)
-        if t1 < 1.0:
-            close()
-    close()
+    for lo, hi in zip(starts, [*starts[1:], len(kept)]):
+        seg = kept[lo:hi]
+        piece = dedupe_points(np.vstack([a[seg[:1]], b[seg]]), 1e-12)
+        if len(piece) >= 2 and polyline_length(piece) > min_length:
+            pieces.append(transform_points(rect.center, piece, EGO_TO_WORLD))
     return pieces
 
 

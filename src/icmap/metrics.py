@@ -63,29 +63,32 @@ def instance_ap(pred_frames, gt_frames, thresholds):
         n_gt = sum(1 for fr in gt_frames for g in fr if g.cls == cls)
         if n_gt == 0:
             continue
+        # per frame: scores in matching order and their pred x GT Chamfer
+        # distances, shared by every threshold
+        frames = []
+        for preds, gts in zip(pred_frames, gt_frames):
+            gts_c = [g for g in gts if g.cls == cls]
+            order = sorted(
+                (i for i, p in enumerate(preds) if p.cls == cls),
+                key=lambda i: (-preds[i].score, i),
+            )
+            dist = [[chamfer_distance(preds[i].points, g.points) for g in gts_c] for i in order]
+            frames.append(([preds[i].score for i in order], dist, len(gts_c)))
         per_thr = []
         counts[cls] = {}
         for thr in thresholds:
             records: list[tuple[float, bool]] = []
-            for preds, gts in zip(pred_frames, gt_frames):
-                gts_c = [g for g in gts if g.cls == cls]
-                used = [False] * len(gts_c)
-                order = sorted(
-                    (i for i, p in enumerate(preds) if p.cls == cls),
-                    key=lambda i: (-preds[i].score, i),
-                )
-                for i in order:
+            for scores, dist, n_gts in frames:
+                used = [False] * n_gts
+                for score, row in zip(scores, dist):
                     best_j, best_d = -1, np.inf
-                    for j, g in enumerate(gts_c):
-                        if used[j]:
-                            continue
-                        d = chamfer_distance(preds[i].points, g.points)
-                        if d < best_d:
+                    for j, d in enumerate(row):
+                        if not used[j] and d < best_d:
                             best_j, best_d = j, d
                     hit = best_j >= 0 and best_d < thr
                     if hit:
                         used[best_j] = True
-                    records.append((preds[i].score, hit))
+                    records.append((score, hit))
             tp = sum(1 for r in records if r[1])
             counts[cls][thr] = (tp, len(records) - tp, n_gt - tp)
             per_thr.append(_ap_from_records(records, n_gt))

@@ -32,8 +32,21 @@ class Disjoint:
 DISJOINT = Disjoint()
 
 
-def _cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+def _cross2(a, b):
+    """z-component of the cross product of 2-vectors stacked on the last axis."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _dot2(a, b):
+    """Dot product of 2-vectors stacked on the last axis."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _clamp01(t):
+    # clamp into [0, 1] mapping -0.0 to 0.0 (np.clip keeps -0.0), so that
+    # p + t*d never turns a 0.0 coordinate of p into -0.0
+    t = np.where(t > 0.0, t, 0.0)
+    return np.where(t < 1.0, t, 1.0)
 
 
 def polygon_area(ring) -> float:
@@ -50,15 +63,15 @@ def ensure_ccw(ring) -> np.ndarray:
     return r
 
 
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    d1 = p2 - p1
-    d2 = q2 - q1
+def _crossing_params(p1, d1, q1, d2):
+    """Denominator and parameters (t, u) where p1 + t*d1 meets q1 + u*d2.
+
+    All arguments broadcast; t and u are inf or nan where den == 0.
+    """
     den = _cross2(d1, d2)
-    if abs(den) < 1e-14:
-        return False
-    t = _cross2(q1 - p1, d2) / den
-    u = _cross2(q1 - p1, d1) / den
-    return 1e-9 < t < 1 - 1e-9 and 1e-9 < u < 1 - 1e-9
+    w = q1 - p1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return den, _cross2(w, d2) / den, _cross2(w, d1) / den
 
 
 def is_simple(ring) -> bool:
@@ -69,55 +82,55 @@ def is_simple(ring) -> bool:
         return False
     if np.hypot(*(r[0] - r[-1])) <= EPS:
         return False
-    for i in range(n):
-        p1, p2 = r[i], r[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            q1, q2 = r[j], r[(j + 1) % n]
-            if _segments_properly_intersect(p1, p2, q1, q2):
-                return False
-    return True
+    i, j = np.triu_indices(n, 1)
+    apart = ((j + 1) % n != i) & ((i + 1) % n != j)
+    i, j = i[apart], j[apart]
+    d = np.roll(r, -1, axis=0) - r
+    den, t, u = _crossing_params(r[i], d[i], r[j], d[j])
+    lo, hi = 1e-9, 1 - 1e-9
+    proper = (np.abs(den) >= 1e-14) & (lo < t) & (t < hi) & (lo < u) & (u < hi)
+    return not proper.any()
 
 
-def _point_segment_dist(pt, a, b) -> float:
-    d = b - a
-    den = float(d @ d)
-    if den == 0.0:
-        return float(np.hypot(*(pt - a)))
-    t = float((pt - a) @ d) / den
-    t = min(1.0, max(0.0, t))
-    return float(np.hypot(*(pt - (a + t * d))))
+def _point_edge_dist(pts, ring) -> np.ndarray:
+    """(len(pts), len(ring)) distances from each point to each edge of the
+    closed ring (edge k runs from ring[k] to ring[k + 1])."""
+    a = ring[None]
+    d = np.roll(ring, -1, axis=0)[None] - a
+    rel = pts[:, None] - a
+    den = _dot2(d, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _clamp01(np.where(den == 0.0, 0.0, _dot2(rel, d) / den))
+    off = pts[:, None] - (a + t[..., None] * d)
+    return np.hypot(off[..., 0], off[..., 1])
+
+
+def classify_points(pts, ring, eps: float = EPS) -> np.ndarray:
+    """Per point: +1 strictly inside, 0 on the boundary (within eps), -1 outside."""
+    pts = as_points(pts)
+    r = as_points(ring)
+    on = (_point_edge_dist(pts, r) <= eps).any(axis=1)
+    # even-odd crossing count of a ray towards +x; edge i runs from r[i - 1]
+    xi, yi = r[:, 0], r[:, 1]
+    xj, yj = np.roll(xi, 1), np.roll(yi, 1)
+    py = pts[:, 1:]
+    spans = (yi > py) != (yj > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xc = (xj - xi) * (py - yi) / (yj - yi) + xi
+    inside = np.count_nonzero(spans & (pts[:, :1] < xc), axis=1) % 2 == 1
+    return np.where(on, 0, np.where(inside, 1, -1))
 
 
 def classify_point(pt, ring, eps: float = EPS) -> int:
     """+1 strictly inside, 0 on the boundary (within eps), -1 outside."""
-    r = as_points(ring)
-    n = len(r)
-    for i in range(n):
-        if _point_segment_dist(pt, r[i], r[(i + 1) % n]) <= eps:
-            return 0
-    inside = False
-    j = n - 1
-    for i in range(n):
-        yi, yj = r[i, 1], r[j, 1]
-        if (yi > pt[1]) != (yj > pt[1]):
-            xc = (r[j, 0] - r[i, 0]) * (pt[1] - yi) / (yj - yi) + r[i, 0]
-            if pt[0] < xc:
-                inside = not inside
-        j = i
-    return 1 if inside else -1
+    return int(classify_points(np.reshape(pt, (1, 2)), ring, eps)[0])
 
 
 def _contained(a, b, eps: float = EPS) -> bool:
     """Every vertex and edge midpoint of `a` lies inside or on `b`."""
-    n = len(a)
-    for i in range(n):
-        if classify_point(a[i], b, eps) < 0:
-            return False
-        mid = 0.5 * (a[i] + a[(i + 1) % n])
-        if classify_point(mid, b, eps) < 0:
-            return False
+    mids = 0.5 * (a + np.roll(a, -1, axis=0))
+    if (classify_points(np.vstack([a, mids]), b, eps) < 0).any():
+        return False
     return polygon_area(a) <= polygon_area(b) + eps
 
 
@@ -131,52 +144,46 @@ def _collect_nodes(a, b, eps: float) -> list[np.ndarray]:
                 return
         nodes.append(np.asarray(pt, dtype=np.float64))
 
-    na, nb = len(a), len(b)
-    for i in range(na):
-        p1, p2 = a[i], a[(i + 1) % na]
-        d1 = p2 - p1
-        for j in range(nb):
-            q1, q2 = b[j], b[(j + 1) % nb]
-            d2 = q2 - q1
-            den = _cross2(d1, d2)
-            if abs(den) < 1e-14:
-                continue
-            t = _cross2(q1 - p1, d2) / den
-            u = _cross2(q1 - p1, d1) / den
-            if -eps <= t <= 1 + eps and -eps <= u <= 1 + eps:
-                add(p1 + min(1.0, max(0.0, t)) * d1)
+    da = np.roll(a, -1, axis=0) - a
+    db = np.roll(b, -1, axis=0) - b
+    den, t, u = _crossing_params(a[:, None], da[:, None], b[None], db[None])
+    hit = (np.abs(den) >= 1e-14) & (-eps <= t) & (t <= 1 + eps) & (-eps <= u) & (u <= 1 + eps)
+    i, j = np.nonzero(hit)  # row-major, so nodes keep the order of the edge-pair scan
+    for pt in a[i] + _clamp01(t[i, j])[:, None] * da[i]:
+        add(pt)
     for ring, other in ((a, b), (b, a)):
-        n, m = len(ring), len(other)
-        for i in range(n):
-            for j in range(m):
-                if _point_segment_dist(ring[i], other[j], other[(j + 1) % m]) <= eps:
-                    add(ring[i])
-                    break
+        for pt in ring[(_point_edge_dist(ring, other) <= eps).any(axis=1)]:
+            add(pt)
     return nodes
 
 
 def _split_edges(ring, nodes, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Directed sub-edges of `ring` split at every node lying on an edge."""
+    nodes = np.asarray(nodes, dtype=np.float64)
+    nxt = np.roll(ring, -1, axis=0)
+    d = nxt - ring
+    L2 = _dot2(d, d)
+    on = (_point_edge_dist(nodes, ring) <= eps).T  # (edge, node)
+    rel = nodes[None] - ring[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(L2[:, None] > 0, _dot2(rel, d[:, None]) / L2[:, None], 0.0)
+    to_q = nodes[None] - nxt[:, None]
+    gap = np.minimum(np.hypot(rel[..., 0], rel[..., 1]), np.hypot(to_q[..., 0], to_q[..., 1]))
+    cut = on & (((eps < t) & (t < 1 - eps)) | ((0 <= t) & (t <= 1) & (gap > 10 * eps)))
     edges = []
-    n = len(ring)
-    for i in range(n):
-        p, q = ring[i], ring[(i + 1) % n]
-        d = q - p
-        L2 = float(d @ d)
-        cuts = [(0.0, p), (1.0, q)]
-        for node in nodes:
-            if _point_segment_dist(node, p, q) <= eps:
-                t = float((node - p) @ d) / L2 if L2 > 0 else 0.0
-                if eps < t < 1 - eps or (0 <= t <= 1 and min(
-                    np.hypot(*(node - p)), np.hypot(*(node - q))
-                ) > 10 * eps):
-                    cuts.append((t, node))
-        cuts.sort(key=lambda c: c[0])
-        for k in range(len(cuts) - 1):
-            u, v = cuts[k][1], cuts[k + 1][1]
+    for i in range(len(ring)):
+        k = np.flatnonzero(cut[i])
+        # the ends first, so that a stable sort keeps them ahead of nodes at equal t
+        pts = np.vstack([ring[i], nxt[i], nodes[k]])
+        pts = pts[np.argsort(np.concatenate([[0.0, 1.0], t[i, k]]), kind="stable")]
+        for u, v in zip(pts[:-1], pts[1:]):
             if np.hypot(*(v - u)) > 10 * eps:
-                edges.append((np.asarray(u, float), np.asarray(v, float)))
+                edges.append((u, v))
     return edges
+
+
+def _midpoints(edges) -> np.ndarray:
+    return np.array([0.5 * (u + v) for u, v in edges]).reshape(-1, 2)
 
 
 def _key(pt) -> tuple[int, int]:
@@ -242,13 +249,11 @@ def polygon_union(a, b, eps: float = EPS):
     if not nodes:
         return DISJOINT
 
-    kept = []
-    for u, v in _split_edges(a, nodes, eps):
-        if classify_point(0.5 * (u + v), b, eps) <= 0:  # outside or on: keep
-            kept.append((u, v))
-    for u, v in _split_edges(b, nodes, eps):
-        if classify_point(0.5 * (u + v), a, eps) < 0:  # strictly outside only
-            kept.append((u, v))
+    edges_a = _split_edges(a, nodes, eps)
+    edges_b = _split_edges(b, nodes, eps)
+    # keep a's fragments outside or on b, and b's strictly outside a
+    kept = [e for e, c in zip(edges_a, classify_points(_midpoints(edges_a), b, eps)) if c <= 0]
+    kept += [e for e, c in zip(edges_b, classify_points(_midpoints(edges_b), a, eps)) if c < 0]
 
     loops = _stitch(kept)
     best = None

@@ -12,6 +12,7 @@ from icmap.geometry import (
     chamfer_distance,
     clip_polygon_to_rect,
     clip_polyline_to_rect,
+    dedupe_points,
     polyline_length,
     resample_even,
     transform_points,
@@ -128,6 +129,24 @@ class TestResample:
     def test_bad_count(self):
         with pytest.raises(InvalidSampleCount):
             resample_even([(0, 0), (1, 0)], 1)
+
+
+class TestDedupe:
+    def test_exact_duplicates_dropped(self):
+        pts = [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 1.0)]
+        assert np.array_equal(dedupe_points(pts), [(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)])
+
+    def test_empty_and_single_point(self):
+        assert dedupe_points([]).shape == (0, 2)
+        assert dedupe_points(np.zeros((0, 2))).shape == (0, 2)
+        assert np.array_equal(dedupe_points([(3.0, 4.0)]), [(3.0, 4.0)])
+
+    def test_sub_eps_run_compared_with_predecessor(self):
+        # every 0.6e-9 m step is within eps of its predecessor, so the whole
+        # run collapses onto its first point although it spans 1.8e-9 m;
+        # comparing with the last kept point would keep the 1.2e-9 m one
+        pts = np.array([[0.0, 0.0], [0.6e-9, 0.0], [1.2e-9, 0.0], [1.8e-9, 0.0], [1.0, 0.0]])
+        assert np.array_equal(dedupe_points(pts), [(0.0, 0.0), (1.0, 0.0)])
 
 
 def axis_rect(hl=5.0, hw=5.0, pose=Pose2(0, 0, 0)):
