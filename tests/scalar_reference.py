@@ -17,7 +17,7 @@ import numpy as np
 
 from icmap.errors import NonSimplePolygon
 from icmap.geometry import EGO_TO_WORLD, WORLD_TO_EGO, as_points, polyline_length, transform_points
-from icmap.polygon import DISJOINT, EPS, _stitch, polygon_area
+from icmap.polygon import DISJOINT, EPS, _stitch, ensure_ccw, polygon_area
 
 log = logging.getLogger(__name__)
 
@@ -103,13 +103,6 @@ def clip_polyline_to_rect(points, rect, min_length: float = 0.0) -> list[np.ndar
 
 def _cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
-
-
-def ensure_ccw(ring) -> np.ndarray:
-    r = as_points(ring)
-    if polygon_area(r) < 0:
-        r = r[::-1]
-    return r
 
 
 def _segments_properly_intersect(p1, p2, q1, q2) -> bool:

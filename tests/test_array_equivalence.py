@@ -19,9 +19,8 @@ from icmap.errors import NonSimplePolygon
 from icmap.geometry import Pose2, Rect, clip_polyline_to_rect
 from icmap.polygon import classify_point, classify_points, is_simple, polygon_union
 
-settings.register_profile("equivalence", max_examples=300, deadline=None, derandomize=True,
-                          database=None)
-settings.load_profile("equivalence")
+# derandomized, so that a run of the suite is reproducible
+equivalence = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 coord = st.integers(-24, 24).map(lambda k: k / 4)
 point = st.tuples(coord, coord)
@@ -70,6 +69,7 @@ def assert_same_union(got, want):
 
 
 class TestClipPolyline:
+    @equivalence
     @given(polyline, clip_box, st.sampled_from([0.0, 0.5]))
     def test_matches_loop_clip(self, pts, rect, min_length):
         got = clip_polyline_to_rect(pts, rect, min_length)
@@ -99,10 +99,12 @@ class TestClipPolyline:
 
 
 class TestPolygonPredicates:
+    @equivalence
     @given(ring)
     def test_is_simple_matches_loop(self, r):
         assert is_simple(r) == ref.is_simple(r)
 
+    @equivalence
     @given(polygon, st.lists(point, min_size=1, max_size=12))
     def test_classify_matches_loop(self, r, pts):
         pts = np.array(pts, float)
@@ -117,6 +119,7 @@ class TestPolygonPredicates:
 
 
 class TestUnion:
+    @equivalence
     @given(polygon, polygon)
     def test_matches_loop_union(self, a, b):
         assert_same_union(union_or_marker(polygon_union, a, b),
