@@ -77,6 +77,21 @@ def _parse_thresholds(text: str) -> list[float]:
     return vals
 
 
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid job count {text!r}; expected an integer"
+        ) from None
+    cap = os.cpu_count() or 1
+    if not 1 <= jobs <= cap:
+        raise argparse.ArgumentTypeError(
+            f"job count {jobs} out of range; expected 1 to {cap} (the CPU count)"
+        )
+    return jobs
+
+
 def load_config(path) -> dict[str, str]:
     """Parse a `key = value` config file; '#' starts a comment."""
     cfg: dict[str, str] = {}
@@ -369,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, help="generate this many scenes (seeds seed..seed+N-1)")
     p.add_argument("--out-dir", help="directory for --count output")
     p.add_argument("--range", type=_parse_range, help="perception range LxW, e.g. 100x50")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="run the tracking + merging pipeline over a scene")
@@ -389,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="AP thresholds in meters, e.g. 0.5,1.0,1.5")
     p.add_argument("--mot-gate", dest="mot_gate", type=float, default=DEFAULT_MOT_GATE)
     p.add_argument("--report", help="write the report as JSON here")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep-s", help="sweep the smoothing weight and report fit error")
@@ -398,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start:stop:step (default 0:2:0.1)")
     p.add_argument("--out", required=True, help="TSV table output")
     p.add_argument("--plot", help="SVG chart output")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
     add_pipeline_flags(p)
     p.set_defaults(func=cmd_sweep_s)
 

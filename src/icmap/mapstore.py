@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,14 +30,6 @@ MAP_FORMAT_VERSION = "1"
 class GlobalMap:
     scene_id: str = ""
     instances: dict[int, MapInstance] = field(default_factory=dict)
-    last_update: dict[int, int] = field(default_factory=dict)
-
-    def copy(self) -> "GlobalMap":
-        return GlobalMap(
-            self.scene_id,
-            {k: replace(v, points=v.points.copy()) for k, v in self.instances.items()},
-            dict(self.last_update),
-        )
 
 
 def sample_history(gmap: GlobalMap, patch: Rect, expand: float, ids, n_sample: int) -> dict[int, np.ndarray]:
@@ -81,15 +74,14 @@ def fuse_with_history(det: MapInstance, hist: np.ndarray | None, radius: float =
     return det.with_points(pts)
 
 
-def merge_instance(gmap: GlobalMap, det: MapInstance, fit_params: SmoothingFitParams,
-                   frame: int = 0) -> GlobalMap:
+def merge_instance(gmap: GlobalMap, det: MapInstance,
+                   fit_params: SmoothingFitParams) -> GlobalMap:
     """Merge one identified world-frame detection into the map (in place)."""
     if det.id is None:
         raise ValueError("merge_instance requires a detection with an ID")
     stored = gmap.instances.get(det.id)
     if stored is None:
         gmap.instances[det.id] = MapInstance(det.cls, det.points.copy(), id=det.id)
-        gmap.last_update[det.id] = frame
         return gmap
     if stored.cls != det.cls:
         raise ClassConflict(
@@ -106,7 +98,6 @@ def merge_instance(gmap: GlobalMap, det: MapInstance, fit_params: SmoothingFitPa
         else:
             merged = result
     gmap.instances[det.id] = MapInstance(det.cls, merged, id=det.id)
-    gmap.last_update[det.id] = frame
     return gmap
 
 
@@ -116,6 +107,33 @@ def _instance_to_json(inst: MapInstance) -> dict:
         "class": inst.cls,
         "points": [[float(x), float(y)] for x, y in inst.points],
     }
+
+
+# Python's json reads NaN, Infinity and out-of-range literals such as 1e999;
+# the loaders reject them here, naming the field, before any kernel sees them.
+
+def finite_array(value, where: str, error: type[Exception] = MapFormatError) -> np.ndarray:
+    """`value` as a float64 array; raises `error` naming `where` unless every
+    entry is a finite number."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise error(f"{where}: expected numbers") from None
+    if not np.isfinite(arr).all():
+        raise error(f"{where}: non-finite value (NaN or inf)")
+    return arr
+
+
+def finite_float(value, where: str, error: type[Exception] = MapFormatError) -> float:
+    """`value` as a float; raises `error` naming `where` unless it is a finite
+    number."""
+    try:
+        val = float(value)
+    except (TypeError, ValueError):
+        raise error(f"{where}: expected a number") from None
+    if not math.isfinite(val):
+        raise error(f"{where}: non-finite value (NaN or inf)")
+    return val
 
 
 def _instance_from_json(obj: dict, where: str) -> MapInstance:
@@ -128,7 +146,7 @@ def _instance_from_json(obj: dict, where: str) -> MapInstance:
     pts = obj["points"]
     if not isinstance(pts, list) or len(pts) < 2:
         raise MapFormatError(f"{where}: points must be a list of at least 2 [x, y] pairs")
-    return MapInstance(cls, np.asarray(pts, dtype=np.float64), id=int(obj["id"]))
+    return MapInstance(cls, finite_array(pts, f"{where}.points"), id=int(obj["id"]))
 
 
 def save_map(gmap: GlobalMap, path) -> None:
@@ -164,5 +182,4 @@ def load_map(path) -> GlobalMap:
         if inst.id in gmap.instances:
             raise MapFormatError(f"{path}: instances[{i}]: duplicate id {inst.id}")
         gmap.instances[inst.id] = inst
-        gmap.last_update[inst.id] = 0
     return gmap

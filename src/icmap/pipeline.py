@@ -68,7 +68,7 @@ def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
                 )
             outputs.append(det)
         for det in outputs:
-            merge_instance(gmap, det, params.fit, frame=frame.t)
+            merge_instance(gmap, det, params.fit)
         trace_frames.append(
             {
                 "t": frame.t,

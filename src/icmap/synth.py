@@ -22,7 +22,7 @@ from .geometry import (
     transform_points,
 )
 from .instance import BOUNDARY, CLASSES, DIVIDER, PED_CROSSING, MapInstance
-from .mapstore import GlobalMap
+from .mapstore import GlobalMap, finite_array, finite_float
 from .polygon import ensure_ccw, polygon_area
 
 SCENE_FORMAT_VERSION = "1"
@@ -168,7 +168,6 @@ def generate_scene(config: SceneConfig) -> tuple[GlobalMap, list[Pose2]]:
     def add(cls: str, pts: np.ndarray):
         nonlocal next_id
         gmap.instances[next_id] = MapInstance(cls, pts, id=next_id)
-        gmap.last_update[next_id] = 0
         next_id += 1
 
     add(BOUNDARY, _offset_polyline(center, headings, +half_road))
@@ -355,10 +354,11 @@ def _inst_parse(obj: dict, where: str, need_id: bool) -> MapInstance:
     emb = obj.get("embedding")
     return MapInstance(
         obj["class"],
-        np.asarray(obj["points"], dtype=np.float64),
-        score=float(obj.get("score", 1.0)),
+        finite_array(obj["points"], f"{where}.points", SceneFormatError),
+        score=finite_float(obj.get("score", 1.0), f"{where}.score", SceneFormatError),
         id=int(obj["id"]) if "id" in obj else None,
-        embedding=np.asarray(emb, dtype=np.float64) if emb is not None else None,
+        embedding=(finite_array(emb, f"{where}.embedding", SceneFormatError)
+                   if emb is not None else None),
     )
 
 
@@ -405,7 +405,6 @@ def read_scene(path) -> Scene:
     for i, obj in enumerate(doc["gt"].get("instances", [])):
         inst = _inst_parse(obj, f"{path}: gt.instances[{i}]", need_id=True)
         gt.instances[inst.id] = inst
-        gt.last_update[inst.id] = 0
     frames = []
     for fi, fobj in enumerate(doc["frames"]):
         where = f"{path}: frames[{fi}]"
@@ -417,7 +416,8 @@ def read_scene(path) -> Scene:
         for key in ("x", "y", "theta"):
             if key not in ep:
                 raise SceneFormatError(f"{where}: ego_pose missing {key!r}")
-        pose = Pose2(float(ep["x"]), float(ep["y"]), float(ep["theta"]))
+        pose = Pose2(*(finite_float(ep[key], f"{where}.ego_pose.{key}", SceneFormatError)
+                       for key in ("x", "y", "theta")))
         gt_local = [
             _inst_parse(o, f"{where}.gt_local[{k}]", need_id=True)
             for k, o in enumerate(fobj.get("gt_local", []))
@@ -427,5 +427,5 @@ def read_scene(path) -> Scene:
             for k, o in enumerate(fobj.get("detections", []))
         ]
         frames.append(Frame(int(fobj["t"]), pose, gt_local, dets))
-    rng = doc["range"]
+    rng = finite_array(doc["range"], f"{path}: range", SceneFormatError)
     return Scene(str(doc["scene_id"]), (float(rng[0]), float(rng[1])), gt, frames)

@@ -1,17 +1,18 @@
 """Per-point loop versions of the vectorised geometry primitives.
 
-These are the scalar implementations that `icmap.geometry` and
-`icmap.polygon` used before their loops became array code. The tests use
-them as oracles: the array code must return the same values. The arithmetic
-of every computed output coordinate is the same in both; only distances that
-are compared against an epsilon may differ in the last bit (a 2-vector
-`@` may use a fused multiply-add).
+These are the scalar implementations that `icmap.geometry`, `icmap.polygon`
+and `icmap._kernels` used before their loops became array code. The tests
+use them as oracles: the array code must return the same values. The
+arithmetic of every computed output coordinate is the same in both; only
+distances that are compared against an epsilon may differ in the last bit
+(a 2-vector `@` may use a fused multiply-add).
 
 `dedupe_points` here keeps the older "last kept point" rule; the library
 compares each point with its input predecessor, which differs only inside a
 run of several sub-eps steps.
 """
 import logging
+import math
 
 import numpy as np
 
@@ -31,6 +32,37 @@ def dedupe_points(points, eps: float = 1e-9) -> np.ndarray:
         if np.hypot(*(pts[i] - pts[keep[-1]])) > eps:
             keep.append(i)
     return pts[keep]
+
+
+# ---------------------------------------------------------------------------
+# kernels: nearest-neighbour mean distance and even-odd rasterization
+
+def nn_mean_dist(a, b) -> float:
+    """Brute force: every point of `a` against every point of `b`, summed
+    exactly (`math.fsum`)."""
+    a, b = as_points(a), as_points(b)
+    nearest = [math.sqrt(float(((b - p) ** 2).sum(axis=1).min())) for p in a]
+    return math.fsum(nearest) / len(a)
+
+
+def inside_mask(xs, ys, ring) -> np.ndarray:
+    """Even-odd containment of every (x, y) grid cell centre, one cell at a
+    time; the crossing abscissa uses the same arithmetic as the array code."""
+    xs, ys, ring = np.ravel(xs), np.ravel(ys), as_points(ring)
+    n = len(ring)
+    out = np.zeros((len(ys), len(xs)), dtype=bool)
+    for k in range(n):
+        x1, y1 = ring[k]
+        x2, y2 = ring[(k + 1) % n]
+        if y1 == y2:
+            continue
+        for iy, y in enumerate(ys):
+            if (y1 > y) != (y2 > y):
+                xc = (x2 - x1) * (y - y1) / (y2 - y1) + x1
+                for ix, x in enumerate(xs):
+                    if x < xc:
+                        out[iy, ix] = not out[iy, ix]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -94,6 +95,13 @@ class TestRunCmd:
         bad.write_text(json.dumps(doc))
         assert run_cli("run", bad, "--out-map", tmp_path / "m.json") == 1
 
+    def test_non_finite_detection_names_field(self, scene_path, tmp_path, capsys):
+        doc = json.loads(scene_path.read_text())
+        doc["frames"][4]["detections"][0]["points"][2][0] = float("inf")
+        scene_path.write_text(json.dumps(doc))
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "m.json") == 1
+        assert "frames[4].detections[0].points" in capsys.readouterr().err
+
 
 class TestEvalCmd:
     def test_perfect_pipeline(self, scene_path, tmp_path, capsys):
@@ -143,12 +151,24 @@ class TestEvalCmd:
             scenes.append(sp)
         report = tmp_path / "agg.json"
         code = run_cli("eval", "--scene", *scenes, "--pred-dir", pred_dir,
-                       "--mot", "--jobs", 2, "--report", report)
+                       "--mot", "--jobs", min(2, os.cpu_count()), "--report", report)
         assert code == 0
         doc = json.loads(report.read_text())
         assert doc["mAP"] == pytest.approx(1.0)
         assert doc["mCD"] < 0.1
         assert all(v == pytest.approx(1.0) for v in doc["mota"].values())
+
+    def test_non_finite_map_names_field(self, scene_path, tmp_path, capsys):
+        out_map = tmp_path / "m.json"
+        trace = tmp_path / "t.json"
+        run_cli("run", scene_path, "--out-map", out_map, "--trace", trace)
+        doc = json.loads(out_map.read_text())
+        doc["instances"][1]["points"][0][1] = float("nan")
+        out_map.write_text(json.dumps(doc))
+        code = run_cli("eval", "--scene", scene_path, "--pred-map", out_map, "--trace", trace,
+                       "--mot")
+        assert code == 1
+        assert "instances[1].points" in capsys.readouterr().err
 
 
 class TestSweepCmd:
@@ -225,3 +245,18 @@ class TestRenderCmd:
         run_cli("render", out_map, "--out", a)
         run_cli("render", out_map, "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -1, os.cpu_count() + 1])
+@pytest.mark.parametrize("command", [
+    ["synth", "--count", "2", "--out-dir", "out"],
+    ["eval", "--scene", "s.json", "--pred-dir", "pred"],
+    ["sweep-s", "s.json", "--out", "t.tsv"],
+])
+def test_jobs_out_of_range_usage_error(command, jobs, capsys, tmp_path, monkeypatch):
+    # rejected while parsing, before any pool starts: the named inputs need not exist
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, "--jobs", jobs)
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

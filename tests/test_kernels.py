@@ -1,57 +1,83 @@
-import os
-import subprocess
-import sys
+"""The kernels against the brute-force and scalar-loop oracles in
+tests/scalar_reference.py, and the Chamfer properties that follow from them.
 
-import numpy as np
-
-from icmap import _kernels
-
-
-def test_nn_mean_paths_agree():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = rng.uniform(-50, 50, (rng.integers(1, 200), 2))
-        b = rng.uniform(-50, 50, (rng.integers(1, 200), 2))
-        fast = _kernels.nn_mean_dist(a, b)
-        ref = _kernels._nn_mean_numpy(a, b)
-        assert abs(fast - ref) < 1e-9
-
-
-def test_inside_mask_paths_agree():
-    rng = np.random.default_rng(1)
-    ring = np.array([[0.0, 0.0], [4.0, 1.0], [5.0, 4.0], [2.0, 6.0], [-1.0, 3.0]])
-    xs = rng.uniform(-2, 6, 64)
-    ys = rng.uniform(-2, 7, 64)
-    fast = _kernels.inside_mask(xs, ys, ring)
-    ref = _kernels._inside_mask_numpy(np.asarray(xs), np.asarray(ys), ring)
-    assert np.array_equal(fast, ref)
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "import icmap._kernels as k; import sys; "
-        "sys.exit(0 if not k.NUMBA_ENABLED else 1)"
-    )
-    env = dict(os.environ, IC_MAPPER_NUMBA="0")
-    proc = subprocess.run([sys.executable, "-c", code], env=env)
-    assert proc.returncode == 0
-
-
-def test_numpy_path_produces_same_chamfer():
-    code = """
-import numpy as np
-from icmap.geometry import chamfer_distance
-rng = np.random.default_rng(7)
-p = rng.uniform(0, 10, (37, 2))
-q = rng.uniform(0, 10, (21, 2))
-print(repr(chamfer_distance(p, q)))
+`nn_mean_dist` broadcasts up to `BRUTE_FORCE_MAX_PAIRS` point pairs and
+queries a k-d tree above; the sizes below sit on both sides of that cutoff.
 """
-    outs = []
-    for flag in ("0", "1"):
-        env = dict(os.environ, IC_MAPPER_NUMBA=flag)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(float(proc.stdout.strip()))
-    assert abs(outs[0] - outs[1]) < 1e-12
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_reference as ref
+from icmap import _kernels
+from icmap._kernels import BRUTE_FORCE_MAX_PAIRS, inside_mask, nn_mean_dist
+from icmap.geometry import EGO_TO_WORLD, Pose2, chamfer_distance, transform_points
+
+# derandomized, so that a run of the suite is reproducible
+properties = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+SIZES = [(10, 10), (140, 142), (149, 151), (400, 600), (3000, 600)]
+
+
+def test_sizes_straddle_cutoff():
+    pairs = [n * m for n, m in SIZES]
+    assert min(pairs) <= BRUTE_FORCE_MAX_PAIRS < max(pairs)
+    assert sum(p <= BRUTE_FORCE_MAX_PAIRS for p in pairs) >= 2
+
+
+@pytest.mark.parametrize("n,m", SIZES, ids=[f"{n}x{m}" for n, m in SIZES])
+def test_nn_mean_dist_matches_brute_force(n, m):
+    rng = np.random.default_rng(n * 7919 + m)
+    a = rng.uniform(-50, 50, (n, 2))
+    b = rng.uniform(-50, 50, (m, 2))
+    assert abs(nn_mean_dist(a, b) - ref.nn_mean_dist(a, b)) <= 1e-12
+    assert abs(nn_mean_dist(b, a) - ref.nn_mean_dist(b, a)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,m", [(3, 5), (60, 60), (400, 600)])
+def test_broadcast_and_tree_return_same_bits(monkeypatch, n, m):
+    rng = np.random.default_rng(n + m)
+    a = rng.uniform(-50, 50, (n, 2))
+    b = np.vstack([rng.uniform(-50, 50, (m, 2)), a[:2]])  # exact ties at 0
+    monkeypatch.setattr(_kernels, "BRUTE_FORCE_MAX_PAIRS", 0)
+    tree = nn_mean_dist(a, b)
+    monkeypatch.setattr(_kernels, "BRUTE_FORCE_MAX_PAIRS", n * len(b))
+    assert nn_mean_dist(a, b) == tree
+
+
+coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+point_set = st.lists(st.tuples(coord, coord), min_size=1, max_size=200).map(
+    lambda p: np.array(p, float))
+
+
+@properties
+@given(point_set, point_set)
+def test_chamfer_symmetric(p, q):
+    assert chamfer_distance(p, q) == chamfer_distance(q, p)
+
+
+@properties
+@given(point_set, point_set, st.floats(-np.pi, np.pi), coord, coord)
+def test_chamfer_rigid_invariant(p, q, theta, tx, ty):
+    pose = Pose2(tx, ty, theta)
+    moved = chamfer_distance(transform_points(pose, p, EGO_TO_WORLD),
+                             transform_points(pose, q, EGO_TO_WORLD))
+    assert abs(moved - chamfer_distance(p, q)) <= 1e-9
+
+
+grid = st.integers(-24, 24).map(lambda k: k / 4)
+ring = st.lists(st.tuples(grid, grid), min_size=3, max_size=8).map(lambda p: np.array(p, float))
+# cell centres on the quarter-metre grid land on ring vertices and edges
+axis = st.one_of(
+    st.lists(grid, min_size=1, max_size=20),
+    st.lists(st.floats(-7, 7), min_size=1, max_size=20),
+).map(lambda v: np.array(v, float))
+
+
+@properties
+@given(axis, axis, ring)
+def test_inside_mask_matches_scalar_loop(xs, ys, r):
+    got = inside_mask(xs, ys, r)
+    assert got.shape == (len(ys), len(xs))
+    assert np.array_equal(got, ref.inside_mask(xs, ys, r))

@@ -31,7 +31,6 @@ def quad(x0, y0, w=4.0, h=8.0, id=0):
 def one_instance_map(inst):
     gmap = GlobalMap("t")
     gmap.instances[inst.id] = inst
-    gmap.last_update[inst.id] = 0
     return gmap
 
 
@@ -171,7 +170,6 @@ class TestMergeInstance:
         gmap = one_instance_map(line_inst(id=0))
         other = line_inst(y=5.0, id=1, cls="boundary")
         gmap.instances[1] = other
-        gmap.last_update[1] = 0
         merge_instance(gmap, line_inst(y=0.1, id=0), SmoothingFitParams())
         assert np.array_equal(gmap.instances[1].points, other.points)
 
@@ -196,7 +194,6 @@ class TestMapIO:
             else:
                 pts = rng.uniform(-100, 100, (rng.integers(2, 30), 2))
             gmap.instances[i] = MapInstance(cls, pts, id=i)
-            gmap.last_update[i] = 0
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         save_map(gmap, p1)
@@ -222,6 +219,18 @@ class TestMapIO:
         path.write_text(json.dumps({"format_version": "1", "scene_id": "x",
                                     "instances": [{"id": 0, "points": [[0, 0], [1, 1]]}]}))
         with pytest.raises(MapFormatError, match="class"):
+            load_map(path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
+    def test_non_finite_points_named(self, tmp_path, literal):
+        # json reads all three; 1e999 overflows to inf
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"format_version": "1", "scene_id": "x", "instances": ['
+            '{"id": 0, "class": "divider", "points": [[0, 0], [1, 1]]}, '
+            f'{{"id": 1, "class": "boundary", "points": [[0, 0], [1, {literal}]]}}]}}'
+        )
+        with pytest.raises(MapFormatError, match=r"instances\[1\]\.points"):
             load_map(path)
 
     def test_version_check(self, tmp_path):

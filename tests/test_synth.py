@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,31 @@ class TestSceneIO:
         del doc["frames"][7]["ego_pose"]
         path.write_text(json.dumps(doc))
         with pytest.raises(SceneFormatError, match=r"frames\[7\]"):
+            read_scene(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("range", "inf"),
+        ("gt.instances[2].points", "nan"),
+        ("frames[3].ego_pose.theta", "nan"),
+        ("frames[3].gt_local[0].points", "-inf"),
+        ("frames[3].detections[1].points", "nan"),
+        ("frames[3].detections[1].score", "nan"),
+        ("frames[3].detections[1].embedding", "inf"),
+    ])
+    def test_non_finite_names_field(self, tmp_path, field, value):
+        scene = make_scene(SceneConfig(noise=NoiseConfig(embedding_sigma=0.1), seed=2))
+        path = tmp_path / "s.json"
+        write_scene(scene, path)
+        doc = json.loads(path.read_text())
+        node = doc
+        for part in field.replace("]", "").replace("[", ".").split("."):
+            parent, key = node, int(part) if part.isdigit() else part
+            node = node[key]
+        while isinstance(node, list):  # the first number inside
+            parent, key, node = node, 0, node[0]
+        parent[key] = float(value)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SceneFormatError, match=re.escape(field)):
             read_scene(path)
 
     def test_version_mismatch(self, tmp_path):
