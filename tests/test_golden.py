@@ -1,4 +1,5 @@
-"""Golden gate: pinned end-to-end results of `icmap run` + `icmap eval --mot`.
+"""Golden gate: pinned end-to-end results of `icmap run` + `icmap eval --mot`
+(and, on merge_clean, `icmap sweep-s`).
 
 Three fixed scenes go through the command line exactly as a user runs them:
 the benchmark's merge_noisy and merge_clean configurations (3 lanes, 40
@@ -6,14 +7,17 @@ frames, s-curve road; the first with crossings, so polygon unions run) and a
 zero-noise straight road. Track IDs per frame, ID switches, TP/FP/FN counts
 and map point counts must match exactly; mAP, MOTA and mCD to 1e-9. A change
 meant to keep behaviour must keep these; a change meant to alter it updates
-them on purpose.
+them on purpose. The sweep table of merge_clean (one smoothing weight) is
+pinned as the exact text `sweep-s` writes, together with the number of
+detections attributed to each ground-truth polyline.
 """
 import json
 
 import pytest
 
 from icmap.cli import main
-from icmap.synth import NoiseConfig, SceneConfig, make_scene, write_scene
+from icmap.pipeline import scene_observations
+from icmap.synth import NoiseConfig, SceneConfig, make_scene, read_scene, write_scene
 
 from conftest import zero_noise_config
 
@@ -141,3 +145,20 @@ def test_float_metrics(outcome):
     assert report["mota"].keys() == gold["mota"].keys()
     for cls, mota in gold["mota"].items():
         assert report["mota"][cls] == pytest.approx(mota, abs=TOL)
+
+
+SWEEP_GOLDEN = {
+    "table": "s\tcd_divider\tcd_boundary\n1.000\t0.084508\t0.074869\n",
+    "observations": {"boundary": [40, 38], "divider": [38, 37]},
+}
+
+
+def test_sweep_table(tmp_path):
+    scene = tmp_path / "merge_clean.json"
+    write_scene(make_scene(SCENES["merge_clean"]), scene)
+    obs = scene_observations(read_scene(scene))
+    assert {cls: [len(o) for _, o in cases] for cls, cases in obs.items()} == \
+        SWEEP_GOLDEN["observations"]
+    out = tmp_path / "sweep.tsv"
+    assert main(["sweep-s", str(scene), "--s-grid", "1:1:1", "--out", str(out)]) == 0
+    assert out.read_text() == SWEEP_GOLDEN["table"]
