@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DuplicateId, MissingEmbedding, ShapeMismatch
 from .geometry import EGO_TO_WORLD, WORLD_TO_EGO, Pose2, chamfer_distance, densify, resample_even
-from .instance import MapInstance
+from .instance import MapInstance, chamfer_by_class
 
 
 @dataclass
@@ -80,18 +80,17 @@ def geometric_affinity(dets, tracks, tau: float, metric: str = "chamfer",
                        densify_spacing: float = 1.0) -> np.ndarray:
     """exp(-distance/tau) for same-class pairs, 0 across classes.
 
-    The Chamfer metric densifies each instance once, not once per pair.
+    The Chamfer metric densifies each instance once and scores each class
+    as one matrix.
     """
+    if metric != "ordered_l2":
+        dist = chamfer_by_class(dets, tracks, lambda inst: _dense_pts(inst, densify_spacing))
+        return np.exp(-dist / tau)
     h = np.zeros((len(dets), len(tracks)))
-    pairs = [(i, j) for i, d in enumerate(dets) for j, t in enumerate(tracks) if d.cls == t.cls]
-    if metric == "ordered_l2":
-        for i, j in pairs:
-            h[i, j] = np.exp(-_ordered_l2(dets[i], tracks[j]) / tau)
-        return h
-    dense_d = {i: _dense_pts(dets[i], densify_spacing) for i in sorted({i for i, _ in pairs})}
-    dense_t = {j: _dense_pts(tracks[j], densify_spacing) for j in sorted({j for _, j in pairs})}
-    for i, j in pairs:
-        h[i, j] = np.exp(-chamfer_distance(dense_d[i], dense_t[j]) / tau)
+    for i, d in enumerate(dets):
+        for j, t in enumerate(tracks):
+            if d.cls == t.cls:
+                h[i, j] = np.exp(-_ordered_l2(d, t) / tau)
     return h
 
 
@@ -226,14 +225,9 @@ def post_track_baseline(frames, poses, dist_threshold: float = 2.0) -> list[list
     next_id = 0
     for frame, pose in zip(frames, poses):
         world = [d.transformed(pose, EGO_TO_WORLD) for d in frame]
-        pairs = []
-        for i, d in enumerate(world):
-            for j, p in enumerate(prev):
-                if d.cls == p.cls:
-                    dist = instance_chamfer(d, p)
-                    if dist < dist_threshold:
-                        pairs.append((dist, i, j))
-        pairs.sort(key=lambda t: (t[0], t[1], t[2]))
+        cd = chamfer_by_class(world, prev, lambda inst: _dense_pts(inst, 1.0))
+        pairs = sorted((float(cd[i, j]), int(i), int(j))
+                       for i, j in zip(*np.nonzero(cd < dist_threshold)))
         used_i: set[int] = set()
         used_j: set[int] = set()
         ids: dict[int, int] = {}

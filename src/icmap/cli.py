@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from .metrics import (
     MotCounts,
     SMALL_THRESHOLDS,
     clear_mot_counts,
+    frame_distances,
     global_map_cd,
     instance_ap,
 )
@@ -107,18 +110,50 @@ def load_config(path) -> dict[str, str]:
     return cfg
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _cfg_get(cfg: dict, key: str, cast, default):
     if key not in cfg:
         return default
+    if cast is bool:
+        val = _BOOLS.get(cfg[key].strip().lower())
+        if val is None:
+            raise MapBuildError(
+                f"config key {key!r}: cannot parse {cfg[key]!r} as a boolean "
+                f"(expected 1/0, true/false, yes/no or on/off)"
+            )
+        return val
     try:
-        if cast is bool:
-            return cfg[key].strip().lower() in ("1", "true", "yes", "on")
         return cast(cfg[key])
     except ValueError:
         raise MapBuildError(f"config key {key!r}: cannot parse {cfg[key]!r}") from None
 
 
+def _field_names(*classes) -> set[str]:
+    return {f.name for cls in classes for f in fields(cls)}
+
+
+# config-file keys: the fields of the dataclasses they set, except where the
+# file spells a field differently (`range`, `fusion`)
+SCENE_KEYS = _field_names(SceneConfig, NoiseConfig) - {"range_lw", "noise"} | {"range"}
+PIPELINE_KEYS = (_field_names(PipelineParams, AssocConfig, SmoothingFitParams)
+                 - {"assoc", "fit", "fusion_enabled"} | {"fusion"})
+
+
+def _reject_unknown(cfg: dict, known: set[str]) -> None:
+    """Raise on the first key that the command does not read, naming the
+    nearest one it does."""
+    for key in cfg:
+        if key not in known:
+            near = difflib.get_close_matches(key, sorted(known), n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise MapBuildError(f"unknown config key {key!r}{hint}")
+
+
 def _scene_config(cfg: dict, args) -> SceneConfig:
+    _reject_unknown(cfg, SCENE_KEYS)
     noise = NoiseConfig(
         jitter_sigma=_cfg_get(cfg, "jitter_sigma", float, 0.0),
         dropout_prob=_cfg_get(cfg, "dropout_prob", float, 0.0),
@@ -151,6 +186,8 @@ def _scene_config(cfg: dict, args) -> SceneConfig:
 
 
 def _pipeline_params(cfg: dict, args) -> PipelineParams:
+    _reject_unknown(cfg, PIPELINE_KEYS)
+
     def flag(name, key, cast, default):
         v = getattr(args, name, None)
         return v if v is not None else _cfg_get(cfg, key, cast, default)
@@ -162,6 +199,7 @@ def _pipeline_params(cfg: dict, args) -> PipelineParams:
         w_feat=flag("w_feat", "w_feat", float, 0.3),
         max_age=flag("max_age", "max_age", int, 0),
         geo_metric=_cfg_get(cfg, "geo_metric", str, "chamfer"),
+        geo_densify=_cfg_get(cfg, "geo_densify", float, 1.0),
     )
     fit = SmoothingFitParams(
         s=flag("s", "s", float, 0.5),
@@ -246,11 +284,14 @@ def _eval_one(task) -> dict:
         with open(trace_path, encoding="utf-8") as fh:
             trace = json.load(fh)
         pred_frames = trace_pred_frames(trace)
-        out["mot"] = {
-            cls: c.__dict__ for cls, c in clear_mot_counts(pred_frames, gt_frames, mot_gate).items()
-        }
+        # one pred x GT Chamfer table per frame, read by CLEAR-MOT here and
+        # by AP once the scenes are pooled
+        dists = frame_distances(pred_frames, gt_frames)
+        mot = clear_mot_counts(pred_frames, gt_frames, mot_gate, dists)
+        out["mot"] = {cls: c.__dict__ for cls, c in mot.items()}
         out["pred_frames"] = pred_frames
         out["gt_frames"] = gt_frames
+        out["dists"] = dists
     return out
 
 
@@ -289,7 +330,9 @@ def cmd_eval(args) -> int:
         # AP pools frames across scenes; MOT counts are summed per scene
         pred_frames = [fr for res in results for fr in res["pred_frames"]]
         gt_frames = [fr for res in results for fr in res["gt_frames"]]
-        ap, mean_ap, det_counts = instance_ap(pred_frames, gt_frames, results[0]["thresholds"])
+        dists = [d for res in results for d in res["dists"]]
+        ap, mean_ap, det_counts = instance_ap(pred_frames, gt_frames, results[0]["thresholds"],
+                                              dists)
         report.ap = ap
         report.mean_ap = mean_ap
         report.det_counts = det_counts

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._kernels import chamfer_matrix
 from .geometry import Pose2, as_points, transform_points
 
 DIVIDER = "divider"
@@ -45,3 +46,21 @@ class MapInstance:
 
     def with_points(self, points) -> "MapInstance":
         return replace(self, points=as_points(points))
+
+
+def chamfer_by_class(a, b, points=lambda inst: inst.points) -> np.ndarray:
+    """(len(a), len(b)) Chamfer distances between same-class instances of
+    two lists, inf across classes.
+
+    `points` gives the point set an instance is compared by. Each class is
+    one `chamfer_matrix` call, whose entries have the bits of
+    `chamfer_distance`.
+    """
+    out = np.full((len(a), len(b)), np.inf)
+    for cls in CLASSES:
+        rows = [i for i, inst in enumerate(a) if inst.cls == cls]
+        cols = [j for j, inst in enumerate(b) if inst.cls == cls]
+        if rows and cols:
+            out[np.ix_(rows, cols)] = chamfer_matrix([points(a[i]) for i in rows],
+                                                     [points(b[j]) for j in cols])
+    return out

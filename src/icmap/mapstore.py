@@ -136,6 +136,25 @@ def finite_float(value, where: str, error: type[Exception] = MapFormatError) -> 
     return val
 
 
+def point_array(value, where: str, error: type[Exception] = MapFormatError) -> np.ndarray:
+    """`value` as an (N, 2) float64 array (N may be 0); raises `error` naming
+    `where` unless it is a list of finite [x, y] pairs."""
+    arr = finite_array(value, where, error)
+    if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+        raise error(f"{where}: expected a list of [x, y] pairs")
+    return arr
+
+
+def whole_int(value, where: str, error: type[Exception] = MapFormatError) -> int:
+    """`value` as an int; raises `error` naming `where` unless it is a whole
+    number (an integer, or a float such as 3.0; not NaN, inf, 1.5 or true)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{where}: expected an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise error(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _instance_from_json(obj: dict, where: str) -> MapInstance:
     for key in ("id", "class", "points"):
         if key not in obj:
@@ -146,7 +165,8 @@ def _instance_from_json(obj: dict, where: str) -> MapInstance:
     pts = obj["points"]
     if not isinstance(pts, list) or len(pts) < 2:
         raise MapFormatError(f"{where}: points must be a list of at least 2 [x, y] pairs")
-    return MapInstance(cls, finite_array(pts, f"{where}.points"), id=int(obj["id"]))
+    points = point_array(pts, f"{where}.points")
+    return MapInstance(cls, points, id=whole_int(obj["id"], f"{where}.id"))
 
 
 def save_map(gmap: GlobalMap, path) -> None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from ._kernels import chamfer_matrix
 from .geometry import chamfer_distance, densify
 from .instance import CLASSES
 from .mapstore import GlobalMap
@@ -45,14 +46,36 @@ def _ap_from_records(records: list[tuple[float, bool]], n_gt: int) -> float:
     return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
 
 
-def instance_ap(pred_frames, gt_frames, thresholds):
+def _frame_table(preds, gts) -> np.ndarray:
+    if not preds or not gts:
+        return np.full((len(preds), len(gts)), np.inf)
+    # eval instances are sparse (tens of points), so one call over all
+    # classes costs less than one call per class
+    dist = chamfer_matrix([p.points for p in preds], [g.points for g in gts])
+    same_class = np.array([p.cls for p in preds])[:, None] == np.array([g.cls for g in gts])
+    return np.where(same_class, dist, np.inf)
+
+
+def frame_distances(pred_frames, gt_frames) -> list[np.ndarray]:
+    """Per frame, the (predictions x GT) Chamfer distance matrix, inf across
+    classes: the one table that AP and CLEAR-MOT both read."""
+    if len(pred_frames) != len(gt_frames):
+        raise ValueError("prediction and GT streams must be frame-aligned")
+    return [_frame_table(preds, gts) for preds, gts in zip(pred_frames, gt_frames)]
+
+
+def instance_ap(pred_frames, gt_frames, thresholds, dists=None):
     """Per-class AP averaged over Chamfer thresholds, plus mAP.
 
     Matching is greedy in descending score within each frame: a prediction
     is a true positive when an unmatched same-class GT instance lies within
-    the threshold. Returns (ap per class, mAP, counts per class/threshold).
+    the threshold. `dists` is `frame_distances(pred_frames, gt_frames)`,
+    computed here when not given. Returns (ap per class, mAP, counts per
+    class/threshold).
     """
-    if len(pred_frames) != len(gt_frames):
+    if dists is None:
+        dists = frame_distances(pred_frames, gt_frames)
+    if not len(pred_frames) == len(gt_frames) == len(dists):
         raise ValueError("prediction and GT streams must be frame-aligned")
     classes = sorted(
         {g.cls for fr in gt_frames for g in fr} | {p.cls for fr in pred_frames for p in fr}
@@ -66,14 +89,14 @@ def instance_ap(pred_frames, gt_frames, thresholds):
         # per frame: scores in matching order and their pred x GT Chamfer
         # distances, shared by every threshold
         frames = []
-        for preds, gts in zip(pred_frames, gt_frames):
-            gts_c = [g for g in gts if g.cls == cls]
+        for preds, gts, dist in zip(pred_frames, gt_frames, dists):
+            cols = [j for j, g in enumerate(gts) if g.cls == cls]
             order = sorted(
                 (i for i, p in enumerate(preds) if p.cls == cls),
                 key=lambda i: (-preds[i].score, i),
             )
-            dist = [[chamfer_distance(preds[i].points, g.points) for g in gts_c] for i in order]
-            frames.append(([preds[i].score for i in order], dist, len(gts_c)))
+            rows = dist.take(order, 0).take(cols, 1).tolist()
+            frames.append(([preds[i].score for i in order], rows, len(cols)))
         per_thr = []
         counts[cls] = {}
         for thr in thresholds:
@@ -130,15 +153,19 @@ class MotCounts:
         return self.dist_sum / self.matches if self.matches else float("nan")
 
 
-def clear_mot_counts(pred_frames, gt_frames, match_threshold: float = DEFAULT_MOT_GATE):
+def clear_mot_counts(pred_frames, gt_frames, match_threshold: float = DEFAULT_MOT_GATE,
+                     dists=None):
     """CLEAR protocol counts per class over one frame-aligned scene.
 
     Previous-frame correspondences persist while still within the gate;
     the rest are matched per frame by Hungarian assignment on Chamfer
     distance. An ID switch is counted when a GT identity's matched
-    prediction ID differs from its last known one.
+    prediction ID differs from its last known one. `dists` is
+    `frame_distances(pred_frames, gt_frames)`, computed here when not given.
     """
-    if len(pred_frames) != len(gt_frames):
+    if dists is None:
+        dists = frame_distances(pred_frames, gt_frames)
+    if not len(pred_frames) == len(gt_frames) == len(dists):
         raise ValueError("prediction and GT streams must be frame-aligned")
     classes = sorted({g.cls for fr in gt_frames for g in fr})
     out: dict[str, MotCounts] = {}
@@ -146,17 +173,16 @@ def clear_mot_counts(pred_frames, gt_frames, match_threshold: float = DEFAULT_MO
         counts = MotCounts()
         last_match: dict[int, int] = {}
         corr: dict[int, int] = {}  # live correspondence gt id -> pred id
-        for preds_all, gts_all in zip(pred_frames, gt_frames):
-            gts = [g for g in gts_all if g.cls == cls]
-            preds = [p for p in preds_all if p.cls == cls]
+        for preds_all, gts_all, dist_all in zip(pred_frames, gt_frames, dists):
+            rows = [j for j, p in enumerate(preds_all) if p.cls == cls]
+            cols = [i for i, g in enumerate(gts_all) if g.cls == cls]
+            gts = [gts_all[i] for i in cols]
+            preds = [preds_all[j] for j in rows]
             counts.gt += len(gts)
             if not gts and not preds:
                 corr = {}
                 continue
-            dist = np.full((len(gts), len(preds)), np.inf)
-            for i, g in enumerate(gts):
-                for j, p in enumerate(preds):
-                    dist[i, j] = chamfer_distance(g.points, p.points)
+            dist = dist_all.take(rows, 0).take(cols, 1).T  # GT x predictions
             matched_g: set[int] = set()
             matched_p: set[int] = set()
             pairs: list[tuple[int, int]] = []

@@ -13,7 +13,7 @@ from .association import AssocConfig, TrackBuffer, associate_frame
 from .curvefit import SmoothingFitParams
 from .errors import OrderingError
 from .geometry import Rect
-from .instance import MapInstance
+from .instance import MapInstance, chamfer_by_class
 from .mapstore import GlobalMap, fuse_with_history, merge_instance, sample_history
 from .synth import Scene
 
@@ -129,7 +129,7 @@ def scene_observations(scene: Scene) -> dict:
     class (unambiguous at the noise levels used for sweeps); the result
     feeds curvefit.sweep_smoothing.
     """
-    from .geometry import EGO_TO_WORLD, chamfer_distance
+    from .geometry import EGO_TO_WORLD
 
     cases: dict[int, list] = {}
     ref: dict[int, MapInstance] = {}
@@ -146,19 +146,14 @@ def scene_observations(scene: Scene) -> dict:
         }
         if not gt_world:
             continue
-        for det in frame.detections:
-            if not det.is_polyline:
-                continue
-            world = det.transformed(frame.ego_pose, EGO_TO_WORLD)
-            best_id, best_d = None, np.inf
-            for gid, g in gt_world.items():
-                if g.cls != det.cls:
-                    continue
-                d = chamfer_distance(world.points, g.points)
-                if d < best_d:
-                    best_id, best_d = gid, d
-            if best_id is not None and best_d < 5.0:
-                cases[best_id].append(world.points)
+        dets = [d.transformed(frame.ego_pose, EGO_TO_WORLD)
+                for d in frame.detections if d.is_polyline]
+        gt_ids = list(gt_world)
+        dist = chamfer_by_class(dets, list(gt_world.values()))
+        for det, row in zip(dets, dist):
+            best = int(np.argmin(row))  # first of equals, inf when no same-class GT
+            if row[best] < 5.0:
+                cases[gt_ids[best]].append(det.points)
     out: dict[str, list] = {}
     for gid, obs in cases.items():
         if obs:

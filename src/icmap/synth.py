@@ -22,7 +22,7 @@ from .geometry import (
     transform_points,
 )
 from .instance import BOUNDARY, CLASSES, DIVIDER, PED_CROSSING, MapInstance
-from .mapstore import GlobalMap, finite_array, finite_float
+from .mapstore import GlobalMap, finite_array, finite_float, point_array, whole_int
 from .polygon import ensure_ccw, polygon_area
 
 SCENE_FORMAT_VERSION = "1"
@@ -354,9 +354,9 @@ def _inst_parse(obj: dict, where: str, need_id: bool) -> MapInstance:
     emb = obj.get("embedding")
     return MapInstance(
         obj["class"],
-        finite_array(obj["points"], f"{where}.points", SceneFormatError),
+        point_array(obj["points"], f"{where}.points", SceneFormatError),
         score=finite_float(obj.get("score", 1.0), f"{where}.score", SceneFormatError),
-        id=int(obj["id"]) if "id" in obj else None,
+        id=whole_int(obj["id"], f"{where}.id", SceneFormatError) if "id" in obj else None,
         embedding=(finite_array(emb, f"{where}.embedding", SceneFormatError)
                    if emb is not None else None),
     )
@@ -426,6 +426,7 @@ def read_scene(path) -> Scene:
             _inst_parse(o, f"{where}.detections[{k}]", need_id=False)
             for k, o in enumerate(fobj.get("detections", []))
         ]
-        frames.append(Frame(int(fobj["t"]), pose, gt_local, dets))
+        t = whole_int(fobj["t"], f"{where}.t", SceneFormatError)
+        frames.append(Frame(t, pose, gt_local, dets))
     rng = finite_array(doc["range"], f"{path}: range", SceneFormatError)
     return Scene(str(doc["scene_id"]), (float(rng[0]), float(rng[1])), gt, frames)

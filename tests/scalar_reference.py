@@ -1,7 +1,11 @@
-"""Per-point loop versions of the vectorised geometry primitives.
+"""Per-point loop versions of the vectorised geometry primitives, and
+per-pair loop versions of the code that now reads batched Chamfer matrices.
 
 These are the scalar implementations that `icmap.geometry`, `icmap.polygon`
-and `icmap._kernels` used before their loops became array code. The tests
+and `icmap._kernels` used before their loops became array code, and the
+versions of `instance_ap`, `clear_mot_counts`, `geometric_affinity`,
+`post_track_baseline` and `scene_observations` that called
+`chamfer_distance` once per same-class pair. The tests
 use them as oracles: the array code must return the same values. The
 arithmetic of every computed output coordinate is the same in both; only
 distances that are compared against an epsilon may differ in the last bit
@@ -13,11 +17,16 @@ run of several sub-eps steps.
 """
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
+from icmap.association import _dense_pts, instance_chamfer
 from icmap.errors import NonSimplePolygon
-from icmap.geometry import EGO_TO_WORLD, WORLD_TO_EGO, as_points, polyline_length, transform_points
+from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, as_points, chamfer_distance,
+                            polyline_length, transform_points)
+from icmap.metrics import DEFAULT_MOT_GATE, MotCounts, _ap_from_records
 from icmap.polygon import DISJOINT, EPS, _stitch, ensure_ccw, polygon_area
 
 log = logging.getLogger(__name__)
@@ -295,3 +304,175 @@ def polygon_union(a, b, eps: float = EPS):
         return (a if abs(polygon_area(a)) >= abs(polygon_area(b)) else b).copy()
     ring = dedupe_points(best, eps)
     return ensure_ccw(ring)
+
+
+# ---------------------------------------------------------------------------
+# per-pair Chamfer loops: one `chamfer_distance` call per same-class pair
+
+def geometric_affinity(dets, tracks, tau: float, densify_spacing: float = 1.0) -> np.ndarray:
+    h = np.zeros((len(dets), len(tracks)))
+    pairs = [(i, j) for i, d in enumerate(dets) for j, t in enumerate(tracks) if d.cls == t.cls]
+    dense_d = {i: _dense_pts(dets[i], densify_spacing) for i in sorted({i for i, _ in pairs})}
+    dense_t = {j: _dense_pts(tracks[j], densify_spacing) for j in sorted({j for _, j in pairs})}
+    for i, j in pairs:
+        h[i, j] = np.exp(-chamfer_distance(dense_d[i], dense_t[j]) / tau)
+    return h
+
+
+def post_track_baseline(frames, poses, dist_threshold: float = 2.0):
+    out = []
+    prev = []
+    next_id = 0
+    for frame, pose in zip(frames, poses):
+        world = [d.transformed(pose, EGO_TO_WORLD) for d in frame]
+        pairs = []
+        for i, d in enumerate(world):
+            for j, p in enumerate(prev):
+                if d.cls == p.cls:
+                    dist = instance_chamfer(d, p)
+                    if dist < dist_threshold:
+                        pairs.append((dist, i, j))
+        pairs.sort(key=lambda t: (t[0], t[1], t[2]))
+        used_i, used_j, ids = set(), set(), {}
+        for dist, i, j in pairs:
+            if i in used_i or j in used_j:
+                continue
+            used_i.add(i)
+            used_j.add(j)
+            ids[i] = prev[j].id
+        labeled = []
+        for i, d in enumerate(world):
+            if i in ids:
+                labeled.append(replace(d, id=ids[i]))
+            else:
+                labeled.append(replace(d, id=next_id))
+                next_id += 1
+        out.append(labeled)
+        prev = labeled
+    return out
+
+
+def scene_observations(scene) -> dict:
+    cases, ref = {}, {}
+    for inst_id in sorted(scene.gt.instances):
+        inst = scene.gt.instances[inst_id]
+        if inst.is_polyline:
+            ref[inst_id] = inst
+            cases[inst_id] = []
+    for frame in scene.frames:
+        gt_world = {
+            g.id: g.transformed(frame.ego_pose, EGO_TO_WORLD)
+            for g in frame.gt_local
+            if g.is_polyline
+        }
+        if not gt_world:
+            continue
+        for det in frame.detections:
+            if not det.is_polyline:
+                continue
+            world = det.transformed(frame.ego_pose, EGO_TO_WORLD)
+            best_id, best_d = None, np.inf
+            for gid, g in gt_world.items():
+                if g.cls != det.cls:
+                    continue
+                d = chamfer_distance(world.points, g.points)
+                if d < best_d:
+                    best_id, best_d = gid, d
+            if best_id is not None and best_d < 5.0:
+                cases[best_id].append(world.points)
+    out = {}
+    for gid, obs in cases.items():
+        if obs:
+            out.setdefault(ref[gid].cls, []).append((ref[gid].points, obs))
+    return out
+
+
+def instance_ap(pred_frames, gt_frames, thresholds):
+    classes = sorted(
+        {g.cls for fr in gt_frames for g in fr} | {p.cls for fr in pred_frames for p in fr}
+    )
+    ap, counts = {}, {}
+    for cls in classes:
+        n_gt = sum(1 for fr in gt_frames for g in fr if g.cls == cls)
+        if n_gt == 0:
+            continue
+        frames = []
+        for preds, gts in zip(pred_frames, gt_frames):
+            gts_c = [g for g in gts if g.cls == cls]
+            order = sorted(
+                (i for i, p in enumerate(preds) if p.cls == cls),
+                key=lambda i: (-preds[i].score, i),
+            )
+            dist = [[chamfer_distance(preds[i].points, g.points) for g in gts_c] for i in order]
+            frames.append(([preds[i].score for i in order], dist, len(gts_c)))
+        per_thr = []
+        counts[cls] = {}
+        for thr in thresholds:
+            records = []
+            for scores, dist, n_gts in frames:
+                used = [False] * n_gts
+                for score, row in zip(scores, dist):
+                    best_j, best_d = -1, np.inf
+                    for j, d in enumerate(row):
+                        if not used[j] and d < best_d:
+                            best_j, best_d = j, d
+                    hit = best_j >= 0 and best_d < thr
+                    if hit:
+                        used[best_j] = True
+                    records.append((score, hit))
+            tp = sum(1 for r in records if r[1])
+            counts[cls][thr] = (tp, len(records) - tp, n_gt - tp)
+            per_thr.append(_ap_from_records(records, n_gt))
+        ap[cls] = float(np.mean(per_thr))
+    mean_ap = float(np.mean([ap[c] for c in ap])) if ap else float("nan")
+    return ap, mean_ap, counts
+
+
+def clear_mot_counts(pred_frames, gt_frames, match_threshold: float = DEFAULT_MOT_GATE):
+    classes = sorted({g.cls for fr in gt_frames for g in fr})
+    out = {}
+    for cls in classes:
+        counts = MotCounts()
+        last_match, corr = {}, {}
+        for preds_all, gts_all in zip(pred_frames, gt_frames):
+            gts = [g for g in gts_all if g.cls == cls]
+            preds = [p for p in preds_all if p.cls == cls]
+            counts.gt += len(gts)
+            if not gts and not preds:
+                corr = {}
+                continue
+            dist = np.full((len(gts), len(preds)), np.inf)
+            for i, g in enumerate(gts):
+                for j, p in enumerate(preds):
+                    dist[i, j] = chamfer_distance(g.points, p.points)
+            matched_g, matched_p, pairs = set(), set(), []
+            pred_by_id = {p.id: j for j, p in enumerate(preds)}
+            for i, g in enumerate(gts):
+                j = pred_by_id.get(corr.get(g.id))
+                if j is not None and j not in matched_p and dist[i, j] < match_threshold:
+                    pairs.append((i, j))
+                    matched_g.add(i)
+                    matched_p.add(j)
+            free_g = [i for i in range(len(gts)) if i not in matched_g]
+            free_p = [j for j in range(len(preds)) if j not in matched_p]
+            if free_g and free_p:
+                sub = dist[np.ix_(free_g, free_p)]
+                cost = np.where(sub < match_threshold, sub, 1e9)
+                rows, cols = linear_sum_assignment(cost)
+                for r, c in zip(rows, cols):
+                    if sub[r, c] < match_threshold:
+                        pairs.append((free_g[r], free_p[c]))
+            corr = {}
+            for i, j in pairs:
+                g, p = gts[i], preds[j]
+                prev = last_match.get(g.id)
+                if prev is not None and prev != p.id:
+                    counts.id_switches += 1
+                last_match[g.id] = p.id
+                corr[g.id] = p.id
+                counts.matches += 1
+                counts.dist_sum += float(dist[i, j])
+            counts.fn += len(gts) - len(pairs)
+            counts.fp += len(preds) - len(pairs)
+        out[cls] = counts
+    return out

@@ -103,6 +103,79 @@ class TestRunCmd:
         assert "frames[4].detections[0].points" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field", ["frames[4].t", "frames[4].gt_local[0].id",
+                                       "frames[4].detections[0].points"])
+    def test_malformed_field_named(self, scene_path, tmp_path, capsys, field):
+        doc = json.loads(scene_path.read_text())
+        frame = doc["frames"][4]
+        if field.endswith(".t"):
+            frame["t"] = float("nan")
+        elif field.endswith(".id"):
+            frame["gt_local"][0]["id"] = 1.5
+        else:
+            frame["detections"][0]["points"] = [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        scene_path.write_text(json.dumps(doc))
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "m.json") == 1
+        assert field in capsys.readouterr().err
+
+class TestRunConfig:
+    # every pipeline key at its default value
+    DEFAULTS = (
+        "tau = 2.0\ntheta = 0.5\nw_geo = 0.7\nw_feat = 0.3\nmax_age = 0\n"
+        "geo_metric = chamfer\ngeo_densify = 1.0\ns = 0.5\ndegree = 3\nout_spacing = 1.0\n"
+        "min_points = 20\nctrl_spacing = 2.0\nn_sample = 20\nexpand = 20.0\n"
+        "fuse_radius = 1.0\nfuse_weight = 0.5\nfusion = on\nmin_score = 0.55\n"
+    )
+
+    def run_with(self, scene_path, tmp_path, text, name="m"):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        code = run_cli("run", scene_path, "--config", cfg, "--out-map", tmp_path / f"{name}.json",
+                       "--trace", tmp_path / f"{name}.trace.json")
+        return code, tmp_path / f"{name}.json", tmp_path / f"{name}.trace.json"
+
+    def test_all_keys_at_defaults_change_nothing(self, scene_path, tmp_path):
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "plain.json",
+                       "--trace", tmp_path / "plain.trace.json") == 0
+        code, out_map, trace = self.run_with(scene_path, tmp_path, self.DEFAULTS)
+        assert code == 0
+        assert out_map.read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert trace.read_bytes() == (tmp_path / "plain.trace.json").read_bytes()
+
+    @pytest.mark.parametrize("text,hint", [
+        ("thetta = 0.4\n", "did you mean 'theta'"),
+        ("fuse_radus = 2\n", "did you mean 'fuse_radius'"),
+        ("jiter_sigma = 0.2\n", "unknown config key 'jiter_sigma'"),  # a scene key, misspelt
+        ("jitter_sigma = 0.2\n", "unknown config key 'jitter_sigma'"),  # synth reads it, run does not
+    ])
+    def test_unknown_key_names_nearest(self, scene_path, tmp_path, capsys, text, hint):
+        code, out_map, _ = self.run_with(scene_path, tmp_path, text)
+        assert code == 1
+        assert hint in capsys.readouterr().err
+        assert not out_map.exists()
+
+    @pytest.mark.parametrize("value", ["maybe", "2", "enabled", ""])
+    def test_unparsable_bool_rejected(self, scene_path, tmp_path, capsys, value):
+        code, _, _ = self.run_with(scene_path, tmp_path, f"fusion = {value}\n")
+        assert code == 1
+        assert "'fusion'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("off", ["0", "false", "No", "OFF"])
+    def test_bool_spellings(self, scene_path, tmp_path, off):
+        assert run_cli("run", scene_path, "--no-fusion", "--out-map", tmp_path / "ref.json") == 0
+        code, out_map, _ = self.run_with(scene_path, tmp_path, f"fusion = {off}\n")
+        assert code == 0
+        assert out_map.read_bytes() == (tmp_path / "ref.json").read_bytes()
+        code, out_map, _ = self.run_with(scene_path, tmp_path, "fusion = Yes\n", "on")
+        assert code == 0
+        assert out_map.read_bytes() != (tmp_path / "ref.json").read_bytes()
+
+    def test_synth_suggests_scene_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("jiter_sigma = 0.2\n")
+        assert run_cli("synth", "--config", cfg, "--out", tmp_path / "s.json") == 1
+        assert "did you mean 'jitter_sigma'" in capsys.readouterr().err
+
 class TestEvalCmd:
     def test_perfect_pipeline(self, scene_path, tmp_path, capsys):
         out_map = tmp_path / "m.json"
@@ -170,6 +243,18 @@ class TestEvalCmd:
         assert code == 1
         assert "instances[1].points" in capsys.readouterr().err
 
+
+    def test_non_integral_map_id_named(self, scene_path, tmp_path, capsys):
+        out_map = tmp_path / "m.json"
+        trace = tmp_path / "t.json"
+        run_cli("run", scene_path, "--out-map", out_map, "--trace", trace)
+        doc = json.loads(out_map.read_text())
+        doc["instances"][1]["id"] = float("nan")
+        out_map.write_text(json.dumps(doc))
+        code = run_cli("eval", "--scene", scene_path, "--pred-map", out_map, "--trace", trace,
+                       "--mot")
+        assert code == 1
+        assert "instances[1].id" in capsys.readouterr().err
 
 class TestSweepCmd:
     def test_grid_rows(self, scene_path, tmp_path):

@@ -233,6 +233,29 @@ class TestMapIO:
         with pytest.raises(MapFormatError, match=r"instances\[1\]\.points"):
             load_map(path)
 
+    @pytest.mark.parametrize("value", ["NaN", "1.5", "Infinity", "true", '"1"'])
+    def test_non_integral_id_named(self, tmp_path, value):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"format_version": "1", "scene_id": "x", "instances": ['
+            '{"id": 0, "class": "divider", "points": [[0, 0], [1, 1]]}, '
+            f'{{"id": {value}, "class": "boundary", "points": [[0, 0], [1, 1]]}}]}}'
+        )
+        with pytest.raises(MapFormatError, match=r"instances\[1\]\.id"):
+            load_map(path)
+
+    @pytest.mark.parametrize("points", ["[[0, 0, 0], [1, 1, 1]]", "[[[0, 0]], [[1, 1]]]",
+                                        "[0, 1]"])
+    def test_bad_point_shape_named(self, tmp_path, points):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"format_version": "1", "scene_id": "x", "instances": ['
+            '{"id": 0, "class": "divider", "points": [[0, 0], [1, 1]]}, '
+            f'{{"id": 1, "class": "boundary", "points": {points}}}]}}'
+        )
+        with pytest.raises(MapFormatError, match=r"instances\[1\]\.points"):
+            load_map(path)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "v9.json"
         path.write_text(json.dumps({"format_version": "9", "scene_id": "x", "instances": []}))

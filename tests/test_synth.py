@@ -242,6 +242,52 @@ class TestSceneIO:
         with pytest.raises(SceneFormatError, match=re.escape(field)):
             read_scene(path)
 
+    @staticmethod
+    def _mutated(tmp_path, edit):
+        path = tmp_path / "s.json"
+        write_scene(make_scene(SceneConfig(seed=2)), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("value", [float("nan"), 1.5, float("inf"), True, "4"])
+    @pytest.mark.parametrize("field", ["frames[4].t", "gt.instances[1].id",
+                                       "frames[3].gt_local[0].id"])
+    def test_non_integral_names_field(self, tmp_path, field, value):
+        def edit(doc):
+            if field == "frames[4].t":
+                doc["frames"][4]["t"] = value
+            elif field == "gt.instances[1].id":
+                doc["gt"]["instances"][1]["id"] = value
+            else:
+                doc["frames"][3]["gt_local"][0]["id"] = value
+        path = self._mutated(tmp_path, edit)
+        with pytest.raises(SceneFormatError, match=re.escape(field)):
+            read_scene(path)
+
+    def test_whole_float_id_accepted(self, tmp_path):
+        def edit(doc):
+            doc["frames"][4]["t"] = float(doc["frames"][4]["t"])
+            doc["gt"]["instances"][1]["id"] = float(doc["gt"]["instances"][1]["id"])
+        scene = read_scene(self._mutated(tmp_path, edit))
+        assert scene.frames[4].t == 4 and isinstance(scene.frames[4].t, int)
+        assert 1 in scene.gt.instances
+
+    @pytest.mark.parametrize("field", ["gt.instances[2].points", "frames[3].gt_local[0].points",
+                                       "frames[3].detections[1].points"])
+    @pytest.mark.parametrize("points", [[[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], [1.0, 2.0],
+                                        [[[0.0, 1.0]]]])
+    def test_bad_point_shape_names_field(self, tmp_path, field, points):
+        def edit(doc):
+            node = doc
+            for part in field.replace("]", "").replace("[", ".").split(".")[:-1]:
+                node = node[int(part) if part.isdigit() else part]
+            node["points"] = points
+        path = self._mutated(tmp_path, edit)
+        with pytest.raises(SceneFormatError, match=re.escape(field)):
+            read_scene(path)
+
     def test_version_mismatch(self, tmp_path):
         scene = make_scene(zero_noise_config("straight", seed=1))
         path = tmp_path / "s.json"
