@@ -62,11 +62,6 @@ def _dense_pts(inst: MapInstance, spacing: float) -> np.ndarray:
     return densify(pts, spacing)
 
 
-def instance_chamfer(a: MapInstance, b: MapInstance, spacing: float = 1.0) -> float:
-    """Chamfer distance between two instances' densified curves."""
-    return chamfer_distance(_dense_pts(a, spacing), _dense_pts(b, spacing))
-
-
 def _ordered_l2(a: MapInstance, b: MapInstance) -> float:
     p, q = a.points, b.points
     n = min(len(p), len(q))

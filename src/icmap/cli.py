@@ -139,7 +139,7 @@ def _field_names(*classes) -> set[str]:
 # file spells a field differently (`range`, `fusion`)
 SCENE_KEYS = _field_names(SceneConfig, NoiseConfig) - {"range_lw", "noise"} | {"range"}
 PIPELINE_KEYS = (_field_names(PipelineParams, AssocConfig, SmoothingFitParams)
-                 - {"assoc", "fit", "fusion_enabled"} | {"fusion"})
+                 - {"assoc", "fit", "fusion_enabled", "geo_densify"} | {"fusion"})
 
 
 def _reject_unknown(cfg: dict, known: set[str]) -> None:
@@ -199,7 +199,6 @@ def _pipeline_params(cfg: dict, args) -> PipelineParams:
         w_feat=flag("w_feat", "w_feat", float, 0.3),
         max_age=flag("max_age", "max_age", int, 0),
         geo_metric=_cfg_get(cfg, "geo_metric", str, "chamfer"),
-        geo_densify=_cfg_get(cfg, "geo_densify", float, 1.0),
     )
     fit = SmoothingFitParams(
         s=flag("s", "s", float, 0.5),

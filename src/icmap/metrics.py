@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ._kernels import chamfer_matrix
 from .geometry import chamfer_distance, densify
-from .instance import CLASSES
+from .instance import CLASSES, chamfer_by_class
 from .mapstore import GlobalMap
 
 LARGE_THRESHOLDS = (1.0, 1.5, 2.0)   # 100 x 50 m perception range
@@ -46,22 +45,12 @@ def _ap_from_records(records: list[tuple[float, bool]], n_gt: int) -> float:
     return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
 
 
-def _frame_table(preds, gts) -> np.ndarray:
-    if not preds or not gts:
-        return np.full((len(preds), len(gts)), np.inf)
-    # eval instances are sparse (tens of points), so one call over all
-    # classes costs less than one call per class
-    dist = chamfer_matrix([p.points for p in preds], [g.points for g in gts])
-    same_class = np.array([p.cls for p in preds])[:, None] == np.array([g.cls for g in gts])
-    return np.where(same_class, dist, np.inf)
-
-
 def frame_distances(pred_frames, gt_frames) -> list[np.ndarray]:
     """Per frame, the (predictions x GT) Chamfer distance matrix, inf across
     classes: the one table that AP and CLEAR-MOT both read."""
     if len(pred_frames) != len(gt_frames):
         raise ValueError("prediction and GT streams must be frame-aligned")
-    return [_frame_table(preds, gts) for preds, gts in zip(pred_frames, gt_frames)]
+    return [chamfer_by_class(preds, gts) for preds, gts in zip(pred_frames, gt_frames)]
 
 
 def instance_ap(pred_frames, gt_frames, thresholds, dists=None):

@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from icmap.association import _dense_pts, instance_chamfer
+from icmap.association import _dense_pts
 from icmap.errors import NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, as_points, chamfer_distance,
                             polyline_length, transform_points)
@@ -329,7 +329,7 @@ def post_track_baseline(frames, poses, dist_threshold: float = 2.0):
         for i, d in enumerate(world):
             for j, p in enumerate(prev):
                 if d.cls == p.cls:
-                    dist = instance_chamfer(d, p)
+                    dist = chamfer_distance(_dense_pts(d, 1.0), _dense_pts(p, 1.0))
                     if dist < dist_threshold:
                         pairs.append((dist, i, j))
         pairs.sort(key=lambda t: (t[0], t[1], t[2]))

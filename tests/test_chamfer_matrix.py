@@ -20,7 +20,7 @@ from icmap.association import geometric_affinity, post_track_baseline
 from icmap.errors import EmptyPointSet
 from icmap.geometry import Pose2, chamfer_distance
 from icmap.instance import CLASSES, MapInstance
-from icmap.metrics import clear_mot_counts, instance_ap
+from icmap.metrics import clear_mot_counts, frame_distances, instance_ap
 from icmap.pipeline import scene_observations
 from icmap.synth import NoiseConfig, SceneConfig, make_scene
 
@@ -81,6 +81,15 @@ def test_empty_lists_and_sets():
     assert chamfer_matrix(one, []).shape == (1, 0)
     with pytest.raises(EmptyPointSet):
         chamfer_matrix(one, [np.zeros((0, 2))])
+
+
+def test_empty_instance_scored_only_within_class():
+    empty = MapInstance("divider", np.zeros((0, 2)))
+    three = np.zeros((3, 2))
+    (dist,) = frame_distances([[empty]], [[MapInstance("boundary", three)]])
+    assert dist.tolist() == [[math.inf]]
+    with pytest.raises(EmptyPointSet):
+        frame_distances([[empty]], [[MapInstance("divider", three)]])
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ class TestRunConfig:
     # every pipeline key at its default value
     DEFAULTS = (
         "tau = 2.0\ntheta = 0.5\nw_geo = 0.7\nw_feat = 0.3\nmax_age = 0\n"
-        "geo_metric = chamfer\ngeo_densify = 1.0\ns = 0.5\ndegree = 3\nout_spacing = 1.0\n"
+        "geo_metric = chamfer\ns = 0.5\ndegree = 3\nout_spacing = 1.0\n"
         "min_points = 20\nctrl_spacing = 2.0\nn_sample = 20\nexpand = 20.0\n"
         "fuse_radius = 1.0\nfuse_weight = 0.5\nfusion = on\nmin_score = 0.55\n"
     )
