@@ -63,12 +63,10 @@ def chamfer_matrix(As, Bs) -> np.ndarray:
     point sets; entry (i, j) has the bits of
     `geometry.chamfer_distance(As[i], Bs[j])`.
 
-    All points meet in one broadcast, so the lists should be small: the
-    callers score one frame's instances, a few hundred thousand point pairs
-    at most.
+    Both lists and every set in them must be non-empty. All points meet in
+    one broadcast, so the lists should be small: the callers score one
+    frame's instances, a few hundred thousand point pairs at most.
     """
-    if len(As) == 0 or len(Bs) == 0:
-        return np.zeros((len(As), len(Bs)))
     start_a, count_a = _runs(As)
     start_b, count_b = _runs(Bs)
     a = _as_pts(np.concatenate(As))

@@ -60,6 +60,7 @@ def chamfer_by_class(a, b, points=lambda inst: inst.points) -> np.ndarray:
     for cls in CLASSES:
         rows = [i for i, inst in enumerate(a) if inst.cls == cls]
         cols = [j for j, inst in enumerate(b) if inst.cls == cls]
-        out[np.ix_(rows, cols)] = chamfer_matrix([points(a[i]) for i in rows],
-                                                 [points(b[j]) for j in cols])
+        if rows and cols:
+            out[np.ix_(rows, cols)] = chamfer_matrix([points(a[i]) for i in rows],
+                                                     [points(b[j]) for j in cols])
     return out
