@@ -15,6 +15,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DuplicateId, MissingEmbedding, ShapeMismatch
+# chamfer_distance is not called here, but pipebench/spans.py wraps it as an
+# import site of this module
 from .geometry import EGO_TO_WORLD, WORLD_TO_EGO, Pose2, chamfer_distance, densify, resample_even
 from .instance import MapInstance, chamfer_by_class
 
