@@ -34,6 +34,10 @@ class TrackBuffer:
     next_id: int = 0
 
 
+GEO_METRICS = ("chamfer", "ordered_l2")
+GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
+
+
 @dataclass(frozen=True)
 class AssocConfig:
     tau: float = 2.0
@@ -42,7 +46,6 @@ class AssocConfig:
     w_feat: float = 0.3
     max_age: int = 0
     geo_metric: str = "chamfer"  # or "ordered_l2"
-    geo_densify: float = 1.0  # meters; 0 compares the raw point sets
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -51,12 +54,15 @@ class AssocConfig:
             raise ValueError("theta must lie in [0, 1)")
         if self.w_geo < 0 or self.w_feat < 0 or abs(self.w_geo + self.w_feat - 1.0) > 1e-9:
             raise ValueError("w_geo and w_feat must be non-negative and sum to 1")
+        if self.geo_metric not in GEO_METRICS:
+            raise ValueError(f"geo_metric must be one of {', '.join(GEO_METRICS)}, "
+                             f"not {self.geo_metric!r}")
 
 
 def _dense_pts(inst: MapInstance, spacing: float) -> np.ndarray:
     # detector output is sparse (tens of points over ~100 m); comparing
     # densified curves keeps the distance about shape, not sample phase
-    if spacing <= 0 or len(inst.points) < 2:
+    if len(inst.points) < 2:
         return inst.points
     pts = inst.points
     if not inst.is_polyline:
@@ -73,15 +79,14 @@ def _ordered_l2(a: MapInstance, b: MapInstance) -> float:
     return float(np.linalg.norm(p - q, axis=1).mean())
 
 
-def geometric_affinity(dets, tracks, tau: float, metric: str = "chamfer",
-                       densify_spacing: float = 1.0) -> np.ndarray:
+def geometric_affinity(dets, tracks, tau: float, metric: str = "chamfer") -> np.ndarray:
     """exp(-distance/tau) for same-class pairs, 0 across classes.
 
     The Chamfer metric densifies each instance once and scores each class
     as one matrix.
     """
     if metric != "ordered_l2":
-        dist = chamfer_by_class(dets, tracks, lambda inst: _dense_pts(inst, densify_spacing))
+        dist = chamfer_by_class(dets, tracks, lambda inst: _dense_pts(inst, GEO_DENSIFY))
         return np.exp(-dist / tau)
     h = np.zeros((len(dets), len(tracks)))
     for i, d in enumerate(dets):
@@ -186,7 +191,7 @@ def associate_frame(buffer: TrackBuffer, dets, pose: Pose2, config: AssocConfig,
                     frame: int) -> AssociationResult:
     """Assign IDs to one frame of ego-frame detections and update the buffer."""
     track_insts = [t.instance.transformed(pose, WORLD_TO_EGO) for t in buffer.tracks]
-    geo = geometric_affinity(dets, track_insts, config.tau, config.geo_metric, config.geo_densify)
+    geo = geometric_affinity(dets, track_insts, config.tau, config.geo_metric)
     have_emb = all(d.embedding is not None for d in dets) and all(
         t.embedding is not None for t in track_insts
     )
@@ -222,7 +227,7 @@ def post_track_baseline(frames, poses, dist_threshold: float = 2.0) -> list[list
     next_id = 0
     for frame, pose in zip(frames, poses):
         world = [d.transformed(pose, EGO_TO_WORLD) for d in frame]
-        cd = chamfer_by_class(world, prev, lambda inst: _dense_pts(inst, 1.0))
+        cd = chamfer_by_class(world, prev, lambda inst: _dense_pts(inst, GEO_DENSIFY))
         pairs = sorted((float(cd[i, j]), int(i), int(j))
                        for i, j in zip(*np.nonzero(cd < dist_threshold)))
         used_i: set[int] = set()

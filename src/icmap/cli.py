@@ -5,16 +5,17 @@ import argparse
 import difflib
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .association import AssocConfig
-from .curvefit import SmoothingFitParams, SweepTable, sweep_smoothing
+from .curvefit import SweepTable, sweep_smoothing
 from .errors import MapBuildError
 from .instance import CLASSES
 from .metrics import (
@@ -31,7 +32,7 @@ from .metrics import (
 from .mapstore import load_map, save_map
 from .pipeline import PipelineParams, run_scene, scene_gt_frames, scene_observations, trace_pred_frames
 from .render import render_svg, sweep_chart_svg
-from .synth import CURVATURES, NoiseConfig, SceneConfig, make_scene, read_scene, write_scene
+from .synth import SceneConfig, make_scene, read_scene, write_scene
 
 log = logging.getLogger("icmap")
 
@@ -45,6 +46,16 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return val
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     try:
         l, w = text.lower().split("x")
@@ -53,8 +64,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"invalid range {text!r}; expected LENGTHxWIDTH, e.g. 100x50"
         ) from None
-    if min(rng) <= 0:
-        raise argparse.ArgumentTypeError("range extents must be positive")
+    if not all(0 < v < math.inf for v in rng):
+        raise argparse.ArgumentTypeError(f"range extents must be positive and finite, got {text!r}")
     return rng
 
 
@@ -114,32 +125,36 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def _cfg_get(cfg: dict, key: str, cast, default):
-    if key not in cfg:
-        return default
-    if cast is bool:
-        val = _BOOLS.get(cfg[key].strip().lower())
-        if val is None:
-            raise MapBuildError(
-                f"config key {key!r}: cannot parse {cfg[key]!r} as a boolean "
-                f"(expected 1/0, true/false, yes/no or on/off)"
-            )
-        return val
-    try:
-        return cast(cfg[key])
-    except ValueError:
-        raise MapBuildError(f"config key {key!r}: cannot parse {cfg[key]!r}") from None
+def _parse_bool(text: str) -> bool:
+    val = _BOOLS.get(text.strip().lower())
+    if val is None:
+        raise ValueError(f"cannot parse {text!r} as a boolean "
+                         f"(expected 1/0, true/false, yes/no or on/off)")
+    return val
 
 
-def _field_names(*classes) -> set[str]:
-    return {f.name for cls in classes for f in fields(cls)}
+# how a config file parses a field of each declared type
+_PARSERS = {float: _finite_float, int: int, str: str, bool: _parse_bool,
+            tuple[float, float]: _parse_range}
+# fields the config file spells differently; every other key is a field name
+_FILE_KEYS = {"range_lw": "range", "fusion_enabled": "fusion"}
 
 
-# config-file keys: the fields of the dataclasses they set, except where the
-# file spells a field differently (`range`, `fusion`)
-SCENE_KEYS = _field_names(SceneConfig, NoiseConfig) - {"range_lw", "noise"} | {"range"}
-PIPELINE_KEYS = (_field_names(PipelineParams, AssocConfig, SmoothingFitParams)
-                 - {"assoc", "fit", "fusion_enabled", "geo_densify"} | {"fusion"})
+def _nested(f) -> type | None:
+    """The dataclass a field holds (`noise`, `assoc`, `fit`), else None."""
+    return f.default_factory if is_dataclass(f.default_factory) else None
+
+
+def _config_keys(cls) -> set[str]:
+    keys: set[str] = set()
+    for f in fields(cls):
+        sub = _nested(f)
+        keys |= _config_keys(sub) if sub else {_FILE_KEYS.get(f.name, f.name)}
+    return keys
+
+
+SCENE_KEYS = _config_keys(SceneConfig)
+PIPELINE_KEYS = _config_keys(PipelineParams)
 
 
 def _reject_unknown(cfg: dict, known: set[str]) -> None:
@@ -152,74 +167,37 @@ def _reject_unknown(cfg: dict, known: set[str]) -> None:
             raise MapBuildError(f"unknown config key {key!r}{hint}")
 
 
-def _scene_config(cfg: dict, args) -> SceneConfig:
-    _reject_unknown(cfg, SCENE_KEYS)
-    noise = NoiseConfig(
-        jitter_sigma=_cfg_get(cfg, "jitter_sigma", float, 0.0),
-        dropout_prob=_cfg_get(cfg, "dropout_prob", float, 0.0),
-        fp_rate=_cfg_get(cfg, "fp_rate", float, 0.0),
-        split_prob=_cfg_get(cfg, "split_prob", float, 0.0),
-        embedding_sigma=_cfg_get(cfg, "embedding_sigma", float, 0.05),
-        embed_dim=_cfg_get(cfg, "embed_dim", int, 16),
-        score_tp_mean=_cfg_get(cfg, "score_tp_mean", float, 0.8),
-        score_tp_std=_cfg_get(cfg, "score_tp_std", float, 0.1),
-        score_fp_mean=_cfg_get(cfg, "score_fp_mean", float, 0.4),
-        score_fp_std=_cfg_get(cfg, "score_fp_std", float, 0.15),
-    )
-    curvature = _cfg_get(cfg, "curvature", str, "straight")
-    if curvature not in CURVATURES:
-        raise MapBuildError(f"config key 'curvature': unknown value {curvature!r}")
-    rng = args.range or _cfg_get(cfg, "range", _parse_range, (100.0, 50.0))
-    return SceneConfig(
-        road_length=_cfg_get(cfg, "road_length", float, 150.0),
-        lane_count=_cfg_get(cfg, "lane_count", int, 2),
-        lane_width=_cfg_get(cfg, "lane_width", float, 3.5),
-        curvature=curvature,
-        radius=_cfg_get(cfg, "radius", float, 120.0),
-        crossing_count=_cfg_get(cfg, "crossing_count", int, 1),
-        frame_count=_cfg_get(cfg, "frame_count", int, 20),
-        frame_spacing=_cfg_get(cfg, "frame_spacing", float, 3.0),
-        range_lw=rng,
-        noise=noise,
-        seed=args.seed if args.seed is not None else _cfg_get(cfg, "seed", int, 0),
-    )
+def _from_config(cls, cfg: dict, given: dict):
+    """Build `cls` field by field: a flag value in `given` (keyed by field
+    name, None when the flag was not passed) wins over the config-file
+    value, parsed by the field's declared type, which wins over the
+    dataclass default. A field holding a dataclass is built from the same
+    file. Out-of-range values fail as a MapBuildError."""
+    types = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        key = _FILE_KEYS.get(f.name, f.name)
+        if sub := _nested(f):
+            kwargs[f.name] = _from_config(sub, cfg, given)
+        elif given.get(f.name) is not None:
+            kwargs[f.name] = given[f.name]
+        elif key in cfg:
+            try:
+                kwargs[f.name] = _PARSERS[types[f.name]](cfg[key])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise MapBuildError(f"config key {key!r}: {exc}") from None
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise MapBuildError(f"invalid parameter: {exc}") from None
 
 
-def _pipeline_params(cfg: dict, args) -> PipelineParams:
-    _reject_unknown(cfg, PIPELINE_KEYS)
-
-    def flag(name, key, cast, default):
-        v = getattr(args, name, None)
-        return v if v is not None else _cfg_get(cfg, key, cast, default)
-
-    assoc = AssocConfig(
-        tau=flag("tau", "tau", float, 2.0),
-        theta=flag("theta", "theta", float, 0.5),
-        w_geo=flag("w_geo", "w_geo", float, 0.7),
-        w_feat=flag("w_feat", "w_feat", float, 0.3),
-        max_age=flag("max_age", "max_age", int, 0),
-        geo_metric=_cfg_get(cfg, "geo_metric", str, "chamfer"),
-    )
-    fit = SmoothingFitParams(
-        s=flag("s", "s", float, 0.5),
-        degree=_cfg_get(cfg, "degree", int, 3),
-        out_spacing=_cfg_get(cfg, "out_spacing", float, 1.0),
-        min_points=_cfg_get(cfg, "min_points", int, 20),
-        ctrl_spacing=_cfg_get(cfg, "ctrl_spacing", float, 2.0),
-    )
-    fusion = _cfg_get(cfg, "fusion", bool, True)
-    if getattr(args, "no_fusion", False):
-        fusion = False
-    return PipelineParams(
-        assoc=assoc,
-        fit=fit,
-        n_sample=flag("n_sample", "n_sample", int, 20),
-        expand=flag("expand", "expand", float, 20.0),
-        fuse_radius=_cfg_get(cfg, "fuse_radius", float, 1.0),
-        fuse_weight=_cfg_get(cfg, "fuse_weight", float, 0.5),
-        fusion_enabled=fusion,
-        min_score=_cfg_get(cfg, "min_score", float, 0.55),
-    )
+def _params(cls, keys: set[str], args):
+    """`cls` from the `--config` file and the flags in `args`, whose dests
+    are the field names they set."""
+    cfg = load_config(args.config) if args.config else {}
+    _reject_unknown(cfg, keys)
+    return _from_config(cls, cfg, vars(args))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +210,7 @@ def _synth_one(task):
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    base = _scene_config(cfg, args)
+    base = _params(SceneConfig, SCENE_KEYS, args)
     if args.count is None:
         if args.out is None:
             raise MapBuildError("synth needs --out (or --count with --out-dir)")
@@ -244,8 +221,7 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = []
     for i in range(args.count):
-        cfg_i = SceneConfig(**{**base.__dict__, "seed": base.seed + i})
-        tasks.append((cfg_i, str(out_dir / f"scene_{i:03d}.json")))
+        tasks.append((replace(base, seed=base.seed + i), str(out_dir / f"scene_{i:03d}.json")))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             list(pool.map(_synth_one, tasks))
@@ -256,8 +232,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    params = _pipeline_params(cfg, args)
+    params = _params(PipelineParams, PIPELINE_KEYS, args)
     scene = read_scene(args.scene)
     gmap, trace = run_scene(scene, params)
     save_map(gmap, args.out_map)
@@ -268,10 +243,16 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _check_scene_id(path, got, want) -> None:
+    if got != want:
+        raise MapBuildError(f"{path} is of scene {got!r}, not of the evaluated scene {want!r}")
+
+
 def _eval_one(task) -> dict:
     scene_path, map_path, trace_path, thresholds, mot_gate, want_mot = task
     scene = read_scene(scene_path)
     pred_map = load_map(map_path)
+    _check_scene_id(map_path, pred_map.scene_id, scene.scene_id)
     if thresholds is None:
         thresholds = list(LARGE_THRESHOLDS if scene.range_lw[0] >= 80 else SMALL_THRESHOLDS)
     gt_frames = scene_gt_frames(scene)
@@ -282,6 +263,7 @@ def _eval_one(task) -> dict:
     if want_mot:
         with open(trace_path, encoding="utf-8") as fh:
             trace = json.load(fh)
+        _check_scene_id(trace_path, trace.get("scene_id"), scene.scene_id)
         pred_frames = trace_pred_frames(trace)
         # one pred x GT Chamfer table per frame, read by CLEAR-MOT here and
         # by AP once the scenes are pooled
@@ -357,8 +339,7 @@ def _sweep_one(task):
 
 
 def cmd_sweep_s(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    params = _pipeline_params(cfg, args)
+    params = _params(PipelineParams, PIPELINE_KEYS, args)
     grid = args.s_grid
     tasks = [(path, grid, params.fit) for path in args.scene]
     if args.jobs > 1 and len(tasks) > 1:
@@ -408,15 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_pipeline_flags(p):
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--theta", type=float, help="match acceptance threshold")
-        p.add_argument("--tau", type=float, help="geometric affinity scale, meters")
-        p.add_argument("--w-geo", dest="w_geo", type=float, help="geometric branch weight")
-        p.add_argument("--w-feat", dest="w_feat", type=float, help="feature branch weight")
+        # each dest is the PipelineParams field the flag sets
+        p.add_argument("--theta", type=_finite_float, help="match acceptance threshold")
+        p.add_argument("--tau", type=_finite_float, help="geometric affinity scale, meters")
+        p.add_argument("--w-geo", dest="w_geo", type=_finite_float, help="geometric branch weight")
+        p.add_argument("--w-feat", dest="w_feat", type=_finite_float, help="feature branch weight")
         p.add_argument("--max-age", dest="max_age", type=int, help="frames a track may go unseen")
         p.add_argument("--n-sample", dest="n_sample", type=int, help="history sample count")
-        p.add_argument("--expand", type=float, help="patch expansion for sampling, meters")
-        p.add_argument("--s", type=float, help="smoothing weight for merging")
-        p.add_argument("--no-fusion", dest="no_fusion", action="store_true",
+        p.add_argument("--expand", type=_finite_float, help="patch expansion for sampling, meters")
+        p.add_argument("--s", type=_finite_float, help="smoothing weight for merging")
+        p.add_argument("--no-fusion", dest="fusion_enabled", action="store_false", default=None,
                        help="skip the history blend stage")
 
     p = sub.add_parser("synth", help="generate a synthetic scene file")
@@ -425,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output scene path")
     p.add_argument("--count", type=int, help="generate this many scenes (seeds seed..seed+N-1)")
     p.add_argument("--out-dir", help="directory for --count output")
-    p.add_argument("--range", type=_parse_range, help="perception range LxW, e.g. 100x50")
+    p.add_argument("--range", dest="range_lw", type=_parse_range,
+                   help="perception range LxW, e.g. 100x50")
     p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
     p.set_defaults(func=cmd_synth)
 
@@ -444,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mot", action="store_true", help="also compute AP and CLEAR-MOT from the trace")
     p.add_argument("--thresholds", type=_parse_thresholds,
                    help="AP thresholds in meters, e.g. 0.5,1.0,1.5")
-    p.add_argument("--mot-gate", dest="mot_gate", type=float, default=DEFAULT_MOT_GATE)
+    p.add_argument("--mot-gate", dest="mot_gate", type=_finite_float, default=DEFAULT_MOT_GATE)
     p.add_argument("--report", help="write the report as JSON here")
     p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
     p.set_defaults(func=cmd_eval)
@@ -471,14 +454,9 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if isinstance(getattr(args, "s_grid", None), str):
-        args.s_grid = _parse_sgrid(args.s_grid)
     try:
         return args.func(args)
-    except MapBuildError as exc:
-        print(f"icmap: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MapBuildError, OSError) as exc:
         print(f"icmap: error: {exc}", file=sys.stderr)
         return 1
 

@@ -54,8 +54,8 @@ def sample_history(gmap: GlobalMap, patch: Rect, expand: float, ids, n_sample: i
     return out
 
 
-def fuse_with_history(det: MapInstance, hist: np.ndarray | None, radius: float = 1.0,
-                      weight: float = 0.5) -> MapInstance:
+def fuse_with_history(det: MapInstance, hist: np.ndarray | None, radius: float,
+                      weight: float) -> MapInstance:
     """Blend detected points toward their nearest history sample.
 
     Points with a sample within `radius` move to

@@ -31,12 +31,14 @@ class PipelineParams:
     fusion_enabled: bool = True
     min_score: float = 0.55
 
-    def effective(self) -> dict:
-        doc = {"assoc": asdict(self.assoc), "fit": asdict(self.fit)}
-        for key in ("n_sample", "expand", "fuse_radius", "fuse_weight",
-                    "fusion_enabled", "min_score"):
-            doc[key] = getattr(self, key)
-        return doc
+    def __post_init__(self):
+        if self.n_sample < 2:
+            raise ValueError("n_sample must be >= 2")
+        for name in ("expand", "fuse_radius"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0.0 <= self.fuse_weight <= 1.0:
+            raise ValueError("fuse_weight must lie in [0, 1]")
 
 
 def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
@@ -89,7 +91,7 @@ def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
     trace = {
         "format_version": TRACE_FORMAT_VERSION,
         "scene_id": scene.scene_id,
-        "config": params.effective(),
+        "config": asdict(params),
         "frames": trace_frames,
     }
     return gmap, trace

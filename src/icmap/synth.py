@@ -55,8 +55,9 @@ class NoiseConfig:
         for name in ("dropout_prob", "split_prob"):
             if getattr(self, name) > 1.0:
                 raise ValueError(f"{name} must be <= 1")
-        if self.jitter_sigma < 0 or self.embedding_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
+        for name in ("jitter_sigma", "embedding_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @classmethod
     def zero(cls) -> "NoiseConfig":
@@ -79,10 +80,11 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.road_length <= 0 or self.lane_width <= 0 or self.frame_spacing <= 0:
-            raise ValueError("scene dimensions must be positive")
-        if self.lane_count < 1 or self.frame_count < 1 or self.crossing_count < 0:
-            raise ValueError("scene counts out of range")
+        for name in ("road_length", "lane_width", "frame_spacing", "lane_count", "frame_count"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.crossing_count < 0:
+            raise ValueError("crossing_count must be >= 0")
         if self.curvature not in CURVATURES:
             raise ValueError(f"unknown curvature {self.curvature!r}")
         if min(self.range_lw) <= 0:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from icmap._kernels import BRUTE_FORCE_MAX_PAIRS, chamfer_matrix
-from icmap.association import geometric_affinity, post_track_baseline
+from icmap.association import GEO_DENSIFY, geometric_affinity, post_track_baseline
 from icmap.errors import EmptyPointSet
 from icmap.geometry import Pose2, chamfer_distance
 from icmap.instance import CLASSES, MapInstance
@@ -159,12 +159,12 @@ def test_mot_equals_per_pair_loop(stream, gate):
 
 
 @equivalence
-@given(streams, st.sampled_from([0.5, 2.0]), st.sampled_from([0.0, 0.5, 1.0]))
-def test_affinity_equals_per_pair_loop(stream, tau, spacing):
+@given(streams, st.sampled_from([0.5, 2.0]))
+def test_affinity_equals_per_pair_loop(stream, tau):
     pred_frames, gt_frames = stream
     dets, tracks = pred_frames[0], gt_frames[-1]
-    got = geometric_affinity(dets, tracks, tau, "chamfer", spacing)
-    assert np.array_equal(got, ref.geometric_affinity(dets, tracks, tau, spacing))
+    got = geometric_affinity(dets, tracks, tau, "chamfer")
+    assert np.array_equal(got, ref.geometric_affinity(dets, tracks, tau, GEO_DENSIFY))
 
 
 @equivalence

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from icmap.cli import main
+from icmap.cli import PIPELINE_KEYS, SCENE_KEYS, main
 from icmap.mapstore import load_map
 from icmap.synth import make_scene, read_scene, write_scene
 
@@ -19,6 +19,10 @@ def scene_path(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def config_keys(text):
+    return {line.split("=")[0].strip() for line in text.splitlines()}
 
 
 class TestSynthCmd:
@@ -46,6 +50,44 @@ class TestSynthCmd:
         out = tmp_path / "s.json"
         assert run_cli("synth", "--config", cfg, "--seed", 1, "--out", out) == 0
         assert "s_curve" in read_scene(out).scene_id
+
+    # every scene key at its default value
+    DEFAULTS = (
+        "road_length = 150.0\nlane_count = 2\nlane_width = 3.5\ncurvature = straight\n"
+        "radius = 120.0\ncrossing_count = 1\nframe_count = 20\nframe_spacing = 3.0\n"
+        "range = 100x50\nseed = 0\njitter_sigma = 0.0\ndropout_prob = 0.0\nfp_rate = 0.0\n"
+        "split_prob = 0.0\nembedding_sigma = 0.05\nembed_dim = 16\nscore_tp_mean = 0.8\n"
+        "score_tp_std = 0.1\nscore_fp_mean = 0.4\nscore_fp_std = 0.15\n"
+    )
+
+    def test_defaults_cover_every_scene_key(self):
+        assert config_keys(self.DEFAULTS) == SCENE_KEYS
+
+    def test_all_keys_at_defaults_change_nothing(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(self.DEFAULTS)
+        plain, configured = tmp_path / "plain.json", tmp_path / "cfg.json"
+        assert run_cli("synth", "--out", plain) == 0
+        assert run_cli("synth", "--config", cfg, "--out", configured) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("text,named", [
+        ("dropout_prob = 2\n", "dropout_prob"),
+        ("lane_count = 0\n", "lane_count"),
+        ("range = abc\n", "'range'"),
+        ("range = 0x5\n", "'range'"),
+        ("jitter_sigma = inf\n", "'jitter_sigma'"),
+        ("radius = 1e999\n", "'radius'"),
+        ("range = nanx50\n", "'range'"),
+    ])
+    def test_bad_value_names_key(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        out = tmp_path / "s.json"
+        assert run_cli("synth", "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("icmap: error: ") and named in err
+        assert not out.exists()
 
     def test_count_multi(self, tmp_path):
         assert run_cli("synth", "--seed", 0, "--count", 3, "--out-dir", tmp_path, "--jobs", 1) == 0
@@ -134,6 +176,9 @@ class TestRunConfig:
                        "--trace", tmp_path / f"{name}.trace.json")
         return code, tmp_path / f"{name}.json", tmp_path / f"{name}.trace.json"
 
+    def test_defaults_cover_every_pipeline_key(self):
+        assert config_keys(self.DEFAULTS) == PIPELINE_KEYS
+
     def test_all_keys_at_defaults_change_nothing(self, scene_path, tmp_path):
         assert run_cli("run", scene_path, "--out-map", tmp_path / "plain.json",
                        "--trace", tmp_path / "plain.trace.json") == 0
@@ -169,6 +214,46 @@ class TestRunConfig:
         code, out_map, _ = self.run_with(scene_path, tmp_path, "fusion = Yes\n", "on")
         assert code == 0
         assert out_map.read_bytes() != (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("text,named", [
+        ("tau = -1\n", "tau"),
+        ("s = -1\n", "s must be"),
+        ("degree = 4\n", "degree"),
+        ("geo_metric = foo\n", "geo_metric"),
+        ("tau = nan\n", "'tau'"),
+        ("min_score = nan\n", "'min_score'"),
+        ("fuse_weight = -inf\n", "'fuse_weight'"),
+        ("n_sample = 2.5\n", "'n_sample'"),
+        ("n_sample = 1\n", "n_sample must be"),
+        ("expand = -100\n", "expand must be"),
+        ("fuse_weight = 3\n", "fuse_weight must"),
+    ])
+    def test_bad_value_names_key(self, scene_path, tmp_path, capsys, text, named):
+        code, out_map, _ = self.run_with(scene_path, tmp_path, text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("icmap: error: ") and named in err
+        assert not out_map.exists()
+
+    def test_out_of_range_flag_names_field(self, scene_path, tmp_path, capsys):
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "m.json", "--tau", -1) == 1
+        assert "icmap: error: invalid parameter: tau must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--s", "inf"),
+                                            ("--theta", "-inf"), ("--expand", "1e999")])
+    def test_non_finite_flag_usage_error(self, scene_path, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", scene_path, "--out-map", tmp_path / "m.json", f"{flag}={value}")
+        assert exc.value.code == 2
+        assert f"argument {flag}: {value!r} is not a finite number" in capsys.readouterr().err
+
+    def test_flag_overrides_config(self, scene_path, tmp_path):
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "ref.json", "--tau", 3) == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tau = 1.0\n")
+        assert run_cli("run", scene_path, "--config", cfg, "--tau", 3,
+                       "--out-map", tmp_path / "m.json") == 0
+        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     def test_synth_suggests_scene_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -255,6 +340,29 @@ class TestEvalCmd:
                        "--mot")
         assert code == 1
         assert "instances[1].id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("wrong", ["pred-map", "trace", "pred-dir"])
+    def test_other_scene_rejected(self, scene_path, tmp_path, capsys, wrong):
+        other = tmp_path / "other.json"
+        write_scene(make_scene(zero_noise_config("arc", seed=6)), other)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for sp, stem in ((scene_path, "own"), (other, "other")):
+            run_cli("run", sp, "--out-map", pred / f"{stem}.map.json",
+                    "--trace", pred / f"{stem}.trace.json")
+        if wrong == "pred-dir":
+            for kind in ("map", "trace"):
+                (pred / f"other.{kind}.json").rename(pred / f"scene.{kind}.json")
+            argv = ["--pred-dir", pred]
+        else:
+            stem = {"pred-map": ("other", "own"), "trace": ("own", "other")}[wrong]
+            argv = ["--pred-map", pred / f"{stem[0]}.map.json",
+                    "--trace", pred / f"{stem[1]}.trace.json"]
+        code = run_cli("eval", "--scene", scene_path, *argv, "--mot")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'scene-arc-6'" in err and "'scene-arc-5'" in err
+
 
 class TestSweepCmd:
     def test_grid_rows(self, scene_path, tmp_path):
