@@ -1,0 +1,219 @@
+#!/usr/bin/env python3
+"""Output parity of two icmap source trees over seeded benchmark scenes.
+
+    python3 scripts/parity.py OLD_SRC NEW_SRC --out DIR [--seeds 0:30]
+
+OLD_SRC and NEW_SRC are `src/` directories (each holding `icmap/`), for
+example one of a `git archive` of the parent commit and this checkout's
+`src`. For every workload of `pipebench/run.py` (its WORKLOADS table,
+imported, not copied) and every seed, each tree, in its own process with
+BLAS pinned to one thread, writes under DIR/old and DIR/new:
+
+    <workload>/scene_<seed>.json            make_scene + write_scene
+    <workload>/scene_<seed>.map.json        icmap run --out-map
+    <workload>/scene_<seed>.trace.json      icmap run --trace
+    <workload>/scene_<seed>.eval.json       icmap eval --mot (completed runs)
+    <workload>/scene_<seed>.sweep.tsv       icmap sweep-s --s-grid 1:1:1
+    exit_codes.json                         exit code and error text per command
+
+The comparison then prints, per workload and file kind, how many files are
+byte-identical, and for the ones that differ the largest absolute
+difference of any number, with point coordinates reported apart from the
+other numbers (affinities, scores, metrics, fit errors). A file whose
+structure or non-numeric content differs is listed by name. The exit code
+is 0 when every file is byte-identical, 1 otherwise.
+"""
+import argparse
+import contextlib
+import importlib
+import importlib.util
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_PIN = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+KINDS = (".map.json", ".trace.json", ".eval.json", ".sweep.tsv")
+
+
+def load_workloads():
+    sys.path.insert(0, str(ROOT / "pipebench"))  # run.py imports its sibling spans.py
+    spec = importlib.util.spec_from_file_location("pipebench_run", ROOT / "pipebench" / "run.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.WORKLOADS
+
+
+def parse_seeds(text: str) -> range:
+    lo, hi = (int(v) for v in text.split(":"))
+    if not 0 <= lo < hi:
+        raise argparse.ArgumentTypeError(f"--seeds must be LO:HI with 0 <= LO < HI, got {text!r}")
+    return range(lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# worker: one source tree writes every output
+
+def call(cli, argv, out_dir: Path) -> dict:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main([str(a) for a in argv])
+        except Exception as exc:  # a crash is recorded like a non-zero exit
+            rc, err = None, io.StringIO(f"{type(exc).__name__}: {exc}")
+    text = err.getvalue().strip().replace(str(out_dir), "<out>")
+    return {"rc": rc, "error": text}
+
+
+def worker(src: Path, out_dir: Path, seeds: range) -> None:
+    sys.path.insert(0, str(src))
+    cli = importlib.import_module("icmap.cli")
+    synth = importlib.import_module("icmap.synth")
+    if Path(cli.__file__).resolve().parent != (src / "icmap").resolve():
+        raise SystemExit(f"parity: imported icmap from {cli.__file__}, not {src}")
+    codes = {}
+    for name, wl in load_workloads().items():
+        wdir = out_dir / name
+        wdir.mkdir(parents=True)
+        for seed in seeds:
+            scene = wdir / f"scene_{seed}.json"
+            config = synth.SceneConfig(**wl.scene, noise=synth.NoiseConfig(**wl.noise), seed=seed)
+            synth.write_scene(synth.make_scene(config), scene)
+            rec = {"run": call(cli, ["run", scene, "--out-map", wdir / f"{scene.stem}.map.json",
+                                     "--trace", wdir / f"{scene.stem}.trace.json"], out_dir)}
+            if rec["run"]["rc"] == 0:
+                rec["eval"] = call(cli, ["eval", "--scene", scene, "--pred-dir", wdir, "--mot",
+                                         "--report", wdir / f"{scene.stem}.eval.json",
+                                         "--jobs", 1], out_dir)
+            rec["sweep-s"] = call(cli, ["sweep-s", scene, "--s-grid", "1:1:1",
+                                        "--out", wdir / f"{scene.stem}.sweep.tsv",
+                                        "--jobs", 1], out_dir)
+            codes[f"{name}/{seed}"] = rec
+    (out_dir / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+class Mismatch(Exception):
+    pass
+
+
+def number_diffs(a, b, key: str, out: dict) -> None:
+    """Fold |a - b| of every number of two JSON trees into out[key], where key
+    is "points" inside a points array and the nearest object key otherwise;
+    raise Mismatch where shape, type or a non-float value differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise Mismatch(f"keys differ under {key!r}")
+        for k in a:
+            number_diffs(a[k], b[k], key if key == "points" else k, out)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise Mismatch(f"lengths {len(a)} and {len(b)} under {key!r}")
+        for x, y in zip(a, b):
+            number_diffs(x, y, key, out)
+    elif isinstance(a, float) or isinstance(b, float):
+        if not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
+            raise Mismatch(f"number against {type(b).__name__} under {key!r}")
+        d = 0.0 if a == b else abs(a - b)
+        if math.isnan(d) and not (math.isnan(a) and math.isnan(b)):
+            raise Mismatch(f"NaN against a number under {key!r}")
+        out[key] = max(out.get(key, 0.0), 0.0 if math.isnan(d) else d)
+    elif a != b or type(a) is not type(b):
+        raise Mismatch(f"{a!r} against {b!r} under {key!r}")
+
+
+def tsv_diffs(a: str, b: str, out: dict) -> None:
+    rows_a = [ln.split("\t") for ln in a.splitlines()]
+    rows_b = [ln.split("\t") for ln in b.splitlines()]
+    if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
+        raise Mismatch("header or row count differs")
+    for ra, rb in zip(rows_a[1:], rows_b[1:]):
+        if len(ra) != len(rb):
+            raise Mismatch("column count differs")
+        number_diffs([float(v) for v in ra], [float(v) for v in rb], "fit error", out)
+
+
+def compare(old_dir: Path, new_dir: Path, workloads, seeds: range) -> bool:
+    same = True
+    codes_old = json.loads((old_dir / "exit_codes.json").read_text())
+    codes_new = json.loads((new_dir / "exit_codes.json").read_text())
+    for name in workloads:
+        print(f"{name}, seeds {seeds.start}..{seeds.stop - 1}:")
+        keys = [f"{name}/{s}" for s in seeds]
+        failing = [k.split("/")[1] for k in keys if codes_old[k]["run"]["rc"] != 0]
+        differ = [k for k in keys if codes_old[k] != codes_new[k]]
+        print(f"  exit codes and error text: {len(keys) - len(differ)}/{len(keys)} identical;"
+              f" run fails at seeds [{', '.join(failing)}] on the old tree")
+        for k in differ:
+            print(f"    {k}: old {codes_old[k]} new {codes_new[k]}")
+        same &= not differ
+        for kind in (".json",) + KINDS:
+            files = [f"scene_{s}{kind}" for s in seeds]
+            files = [f for f in files if (old_dir / name / f).exists() or (new_dir / name / f).exists()]
+            diffs: dict = {}
+            odd = []
+            identical = 0
+            for f in files:
+                po, pn = old_dir / name / f, new_dir / name / f
+                if not (po.exists() and pn.exists()):
+                    odd.append(f"{f} (in one tree only)")
+                    continue
+                bo, bn = po.read_bytes(), pn.read_bytes()
+                if bo == bn:
+                    identical += 1
+                    continue
+                try:
+                    if kind == ".sweep.tsv":
+                        tsv_diffs(bo.decode(), bn.decode(), diffs)
+                    else:
+                        number_diffs(json.loads(bo), json.loads(bn), "", diffs)
+                except Mismatch as exc:
+                    odd.append(f"{f} ({exc})")
+            same &= identical == len(files)
+            line = f"  {'scene' + kind if kind == '.json' else kind[1:]:<12} {identical}/{len(files)} identical"
+            nonzero = {k: v for k, v in sorted(diffs.items()) if v > 0}
+            if nonzero:
+                line += "; largest difference " + ", ".join(
+                    f"{k or 'top level'} {v:.3g}" for k, v in nonzero.items())
+            print(line)
+            for o in odd:
+                print(f"    structure differs: {o}")
+    return same
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_src", type=Path)
+    ap.add_argument("new_src", type=Path)
+    ap.add_argument("--out", type=Path, required=True, help="empty or absent output directory")
+    ap.add_argument("--seeds", type=parse_seeds, default=range(0, 30), help="LO:HI, HI excluded")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:  # old_src is the tree, --out its output directory
+        worker(args.old_src.resolve(), args.out.resolve(), args.seeds)
+        return 0
+    if args.out.exists() and any(args.out.iterdir()):
+        raise SystemExit(f"parity: {args.out} is not empty")
+    for src in (args.old_src, args.new_src):
+        if not (src / "icmap" / "__init__.py").is_file():
+            raise SystemExit(f"parity: no icmap package under {src}")
+    env = {**os.environ, **BLAS_PIN, "PYTHONPATH": ""}
+    seeds = f"{args.seeds.start}:{args.seeds.stop}"
+    procs = [subprocess.Popen([sys.executable, __file__, str(src), str(src), "--worker",
+                               "--out", str(args.out / side), "--seeds", seeds], env=env)
+             for side, src in (("old", args.old_src), ("new", args.new_src))]
+    if any(p.wait() != 0 for p in procs):
+        raise SystemExit("parity: a worker failed")
+    same = compare(args.out / "old", args.out / "new", load_workloads(), args.seeds)
+    print("all files byte-identical" if same else "some files differ")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -101,12 +101,13 @@ def feature_affinity(dets, tracks) -> np.ndarray:
     for inst in list(dets) + list(tracks):
         if inst.embedding is None:
             raise MissingEmbedding("feature_affinity requires embeddings on every instance")
-    h = np.zeros((len(dets), len(tracks)))
-    for i, d in enumerate(dets):
-        ed = d.embedding / np.linalg.norm(d.embedding)
-        for j, t in enumerate(tracks):
-            et = t.embedding / np.linalg.norm(t.embedding)
-            h[i, j] = 0.5 * (1.0 + float(ed @ et))
+    def unit_rows(insts):
+        e = np.array([inst.embedding for inst in insts], dtype=np.float64)
+        return e / np.linalg.norm(e, axis=1, keepdims=True)
+
+    if not dets or not tracks:
+        return np.zeros((len(dets), len(tracks)))
+    h = 0.5 * (1.0 + unit_rows(dets) @ unit_rows(tracks).T)
     return np.clip(h, 0.0, 1.0)
 
 

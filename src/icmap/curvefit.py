@@ -5,16 +5,25 @@ is fit over a chord-length parameterization by minimizing
 
     sum_i ||C(u_i) - p_i||^2  +  s * sum_k ||d2 c_k||^2
 
-where d2 is the second difference of the control points (a P-spline style
-roughness penalty, weight `s`), and the fitted curve is resampled at even
-arc-length spacing. Larger `s` trades data fidelity for smoothness.
+where d2 is the second difference of the control points (a P-spline
+roughness penalty, weight `s`; Eilers & Marx, Stat. Sci. 1996), and the
+fitted curve is resampled at even arc-length spacing. Larger `s` trades data
+fidelity for smoothness.
+
+Each site touches k+1 consecutive basis functions and the penalty couples
+control points two apart, so the normal equations are banded. They are
+assembled in banded form from the sparse design matrix and solved by banded
+Cholesky (`scipy.linalg.solveh_banded`): a fixed number of numpy calls and
+O(n) arithmetic per fit. The greedy chain before it takes one argmin per
+point over a precomputed distance table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.linalg import solveh_banded
 from scipy.spatial.distance import cdist
 
 from .errors import InsufficientPoints
@@ -75,15 +84,18 @@ def reorder_concat(global_pts, det_pts) -> np.ndarray:
     i, j = np.unravel_index(np.argmax(dist), dist.shape)
     # start from whichever extreme sits nearer the global start
     start = i if np.hypot(*(pool[i] - g[0])) <= np.hypot(*(pool[j] - g[0])) else j
-    order = [start]
-    used = np.zeros(n, dtype=bool)
-    used[start] = True
-    for _ in range(n - 1):
-        row = dist[order[-1]].copy()
-        row[used] = np.inf
-        nxt = int(np.argmin(row))
-        order.append(nxt)
-        used[nxt] = True
+    # one argmin per step over dist[cur] + taken, where taken is 0 for a free
+    # point and inf for a chained one: the same values and ties as masking
+    # the row, without a copy and a boolean index per step
+    order = np.empty(n, dtype=np.intp)
+    order[0] = cur = start
+    taken = np.zeros(n)
+    taken[start] = np.inf
+    row = np.empty(n)
+    for step in range(1, n):
+        cur = np.add(dist[cur], taken, out=row).argmin()
+        taken[cur] = np.inf
+        order[step] = cur
     chain = pool[order]
     if float((chain[-1] - chain[0]) @ g_chord) < 0:
         chain = chain[::-1]
@@ -93,14 +105,43 @@ def reorder_concat(global_pts, det_pts) -> np.ndarray:
 def _clamped_knots(n_ctrl: int, degree: int, u: np.ndarray) -> np.ndarray:
     # interior knots at parameter quantiles so every basis function keeps
     # data support (uniform data gives uniform knots; chains with long empty
-    # spans would otherwise leave control points unconstrained)
-    inner = np.quantile(u, np.linspace(0.0, 1.0, n_ctrl - degree + 1))
+    # spans would otherwise leave control points unconstrained). `u` is
+    # sorted, so this is np.quantile's "linear" rule written out, bit for bit.
+    v = np.linspace(0.0, 1.0, n_ctrl - degree + 1) * (len(u) - 1)
+    lo = np.floor(v)
+    t = v - lo
+    i = lo.astype(np.intp)
+    a = u[i]
+    b = u[np.minimum(i + 1, len(u) - 1)]
+    inner = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
     inner[0], inner[-1] = u[0], u[-1]
     return np.concatenate([np.full(degree, u[0]), inner, np.full(degree, u[-1])])
 
 
+# per degree k: the pairs (a, b), a <= b, of a site's k+1 basis values whose
+# products make up BᵀB's upper band
+_BASIS_PAIRS = {k: np.triu_indices(k + 1) for k in (2, 3)}
+
+
+def _penalty_band(n_ctrl: int) -> np.ndarray:
+    """DᵀD for the second-difference operator D, in upper banded form:
+    row 2 - d, column j holds (DᵀD)[j - d, j]."""
+    band = np.zeros((3, n_ctrl))
+    w = (1.0, -2.0, 1.0)  # row r of D is w at columns r, r+1, r+2
+    m = n_ctrl - 2
+    for a in range(3):
+        for b in range(a, 3):
+            band[2 - (b - a), b:b + m] += w[a] * w[b]
+    return band
+
+
 def _solve_spline(points, params: SmoothingFitParams):
     """Penalized least-squares solve; returns (spline, data sites, data).
+
+    The normal equations (BᵀB + s DᵀD) c = Bᵀp are banded with bandwidth k:
+    each site touches k+1 consecutive basis functions. They are assembled in
+    upper banded form from the sparse design matrix and solved by banded
+    Cholesky, O(n) work per fit.
 
     The first and last control points are pinned to the chain's endpoints;
     otherwise the roughness penalty pushes them past the data extent and
@@ -115,23 +156,32 @@ def _solve_spline(points, params: SmoothingFitParams):
     n_ctrl = int(np.clip(int(u[-1] // params.ctrl_spacing) + 1, k + 1,
                          min(len(pts), MAX_CTRL_POINTS)))
     t = _clamped_knots(n_ctrl, k, u)
-    B = BSpline.design_matrix(u, t, k).toarray()
-    d2 = np.diff(np.eye(n_ctrl), n=2, axis=0) if n_ctrl > 2 else np.zeros((0, n_ctrl))
+    design = BSpline.design_matrix(u, t, k)
+    # site i touches basis functions first[i] .. first[i] + k
+    vals = design.data.reshape(-1, k + 1)
+    first = design.indices[::k + 1].astype(np.intp)
 
-    free = slice(1, n_ctrl - 1)
-    ends = np.array([0, n_ctrl - 1])
-    y_ends = pts[[0, -1]]
-    r = pts - B[:, ends] @ y_ends
-    e = d2[:, ends] @ y_ends
-    Bf = B[:, free]
-    Df = d2[:, free]
-    A = Bf.T @ Bf + params.s * (Df.T @ Df)
-    A[np.diag_indices_from(A)] += 1e-12
-    rhs = Bf.T @ r - params.s * (Df.T @ e)
+    # BᵀB in upper banded form: ab[k - d, j] = A[j - d, j]
+    lo, hi = _BASIS_PAIRS[k]
+    slot = (k - (hi - lo)) * n_ctrl + first[:, None] + hi
+    ab = np.bincount(slot.ravel(), weights=(vals[:, lo] * vals[:, hi]).ravel(),
+                     minlength=(k + 1) * n_ctrl).reshape(k + 1, n_ctrl)
+    ab[k - 2:] += params.s * _penalty_band(n_ctrl)
+    cols = (first[:, None] + np.arange(k + 1)).ravel()
+    rhs = np.column_stack([np.bincount(cols, weights=(vals * pts[:, [dim]]).ravel(),
+                                       minlength=n_ctrl) for dim in (0, 1)])
+
+    # move the pinned end columns to the right-hand side
+    rhs = rhs[1:-1]
+    d = np.arange(1, min(k, n_ctrl - 2) + 1)
+    rhs[d - 1] -= ab[k - d, d, None] * pts[0]
+    rhs[-d] -= ab[k - d, -1, None] * pts[-1]
+    ab = ab[:, 1:-1]
+    ab[k] += 1e-12
     coef = np.empty((n_ctrl, 2))
     coef[0] = pts[0]
     coef[-1] = pts[-1]
-    coef[free] = np.linalg.solve(A, rhs) if n_ctrl > 2 else np.zeros((0, 2))
+    coef[1:-1] = solveh_banded(ab, rhs, check_finite=False)
     return BSpline(t, coef, k), u, pts
 
 
@@ -173,13 +223,7 @@ def sweep_smoothing(observations, s_grid, params: SmoothingFitParams | None = No
         for cls, cases in observations.items()
     }
     for s in s_grid:
-        p = SmoothingFitParams(
-            s=float(s),
-            degree=base.degree,
-            out_spacing=base.out_spacing,
-            min_points=base.min_points,
-            ctrl_spacing=base.ctrl_spacing,
-        )
+        p = replace(base, s=float(s))
         errs: dict[str, float] = {}
         for cls, cases in refs.items():
             vals = []

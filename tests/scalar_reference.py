@@ -5,7 +5,8 @@ These are the scalar implementations that `icmap.geometry`, `icmap.polygon`
 and `icmap._kernels` used before their loops became array code, and the
 versions of `instance_ap`, `clear_mot_counts`, `geometric_affinity`,
 `post_track_baseline` and `scene_observations` that called
-`chamfer_distance` once per same-class pair. The tests
+`chamfer_distance` once per same-class pair, and the merge fit's greedy
+chain loop and dense normal-equation solve. The tests
 use them as oracles: the array code must return the same values. The
 arithmetic of every computed output coordinate is the same in both; only
 distances that are compared against an epsilon may differ in the last bit
@@ -20,12 +21,16 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from scipy.interpolate import BSpline
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from icmap.association import _dense_pts
-from icmap.errors import NonSimplePolygon
+from icmap.curvefit import MAX_CTRL_POINTS
+from icmap.errors import InsufficientPoints, NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, as_points, chamfer_distance,
-                            polyline_length, transform_points)
+                            dedupe_points as dedupe_by_predecessor, polyline_length,
+                            transform_points)
 from icmap.metrics import DEFAULT_MOT_GATE, MotCounts, _ap_from_records
 from icmap.polygon import DISJOINT, EPS, _stitch, ensure_ccw, polygon_area
 
@@ -476,3 +481,71 @@ def clear_mot_counts(pred_frames, gt_frames, match_threshold: float = DEFAULT_MO
             counts.fp += len(preds) - len(pairs)
         out[cls] = counts
     return out
+
+
+# ---------------------------------------------------------------------------
+# curvefit: greedy chain and dense penalized spline solve
+
+def reorder_concat(global_pts, det_pts) -> np.ndarray:
+    """One masked row copy and argmin per chain step."""
+    g = as_points(global_pts)
+    d = as_points(det_pts)
+    g_chord = g[-1] - g[0]
+    d_chord = d[-1] - d[0]
+    if float(g_chord @ d_chord) < 0:
+        d = d[::-1]
+    pool = np.vstack([g, d])
+    n = len(pool)
+    dist = cdist(pool, pool)
+    i, j = np.unravel_index(np.argmax(dist), dist.shape)
+    start = i if np.hypot(*(pool[i] - g[0])) <= np.hypot(*(pool[j] - g[0])) else j
+    order = [start]
+    used = np.zeros(n, dtype=bool)
+    used[start] = True
+    for _ in range(n - 1):
+        row = dist[order[-1]].copy()
+        row[used] = np.inf
+        nxt = int(np.argmin(row))
+        order.append(nxt)
+        used[nxt] = True
+    chain = pool[order]
+    if float((chain[-1] - chain[0]) @ g_chord) < 0:
+        chain = chain[::-1]
+    return chain
+
+
+def _clamped_knots(n_ctrl: int, degree: int, u: np.ndarray) -> np.ndarray:
+    inner = np.quantile(u, np.linspace(0.0, 1.0, n_ctrl - degree + 1))
+    inner[0], inner[-1] = u[0], u[-1]
+    return np.concatenate([np.full(degree, u[0]), inner, np.full(degree, u[-1])])
+
+
+def solve_spline(points, params):
+    """Dense design matrix, dense second-difference penalty, dense solve."""
+    pts = dedupe_by_predecessor(points, 1e-9)
+    k = params.degree
+    if len(pts) < k + 1:
+        raise InsufficientPoints(f"need at least {k + 1} points, got {len(pts)}")
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    u = np.concatenate([[0.0], np.cumsum(seg)])
+    n_ctrl = int(np.clip(int(u[-1] // params.ctrl_spacing) + 1, k + 1,
+                         min(len(pts), MAX_CTRL_POINTS)))
+    t = _clamped_knots(n_ctrl, k, u)
+    B = BSpline.design_matrix(u, t, k).toarray()
+    d2 = np.diff(np.eye(n_ctrl), n=2, axis=0) if n_ctrl > 2 else np.zeros((0, n_ctrl))
+
+    free = slice(1, n_ctrl - 1)
+    ends = np.array([0, n_ctrl - 1])
+    y_ends = pts[[0, -1]]
+    r = pts - B[:, ends] @ y_ends
+    e = d2[:, ends] @ y_ends
+    Bf = B[:, free]
+    Df = d2[:, free]
+    A = Bf.T @ Bf + params.s * (Df.T @ Df)
+    A[np.diag_indices_from(A)] += 1e-12
+    rhs = Bf.T @ r - params.s * (Df.T @ e)
+    coef = np.empty((n_ctrl, 2))
+    coef[0] = pts[0]
+    coef[-1] = pts[-1]
+    coef[free] = np.linalg.solve(A, rhs) if n_ctrl > 2 else np.zeros((0, 2))
+    return BSpline(t, coef, k), u, pts

@@ -1,5 +1,5 @@
-"""The array versions of the geometry primitives against their per-point
-loop versions (tests/scalar_reference.py).
+"""The array versions of the geometry primitives and of the merge fit
+against their loop and dense versions (tests/scalar_reference.py).
 
 Coordinates come from a quarter-metre grid, so inputs are full of the
 degenerate cases the loops handled one at a time: axis-parallel segments
@@ -8,6 +8,11 @@ collinear overlapping polygon edges, vertices on the other ring's edges
 and exact duplicate points. On such inputs every step between points is
 either 0 or at least 0.25 m, where both dedupe rules agree, so results
 must be equal, not close.
+
+The merge chain takes the same argmin over the same distances as its loop
+version, so chains must be equal too. The banded spline solve sums the
+normal equations in another order and factors them by Cholesky instead of
+LU, so its control points match the dense solve to a relative 1e-9.
 """
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
+from icmap.curvefit import SmoothingFitParams, _solve_spline, reorder_concat
 from icmap.errors import NonSimplePolygon
 from icmap.geometry import Pose2, Rect, clip_polyline_to_rect
 from icmap.polygon import classify_point, classify_points, is_simple, polygon_union
@@ -141,3 +147,75 @@ class TestUnion:
         a, b = np.array(a, float), np.array(b, float)
         for x, y in ((a, b), (b, a)):
             assert_same_union(polygon_union(x, y), ref.polygon_union(x, y))
+
+
+@st.composite
+def chain_pair(draw):
+    """Two point sets of 1 to 300 points each: normal reals, or a small
+    quarter-metre grid where duplicate points and equal distances abound."""
+    ng, nd = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = draw(st.sampled_from([None, 1, 3, 12]))
+    if half is None:
+        pts = rng.normal(0.0, 10.0, (ng + nd, 2))
+    else:
+        pts = rng.integers(-half, half + 1, (ng + nd, 2)) / 4
+    return pts[:ng], pts[ng:]
+
+
+class TestReorderConcat:
+    @equivalence
+    @given(chain_pair())
+    def test_matches_loop_chain(self, pair):
+        assert np.array_equal(reorder_concat(*pair), ref.reorder_concat(*pair))
+
+    @pytest.mark.parametrize("half", [None, 2, 40])
+    def test_largest_chains(self, half):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(0.0, 10.0, (600, 2)) if half is None else rng.integers(-half, half + 1, (600, 2)) / 4
+        assert np.array_equal(reorder_concat(pts[:250], pts[250:]),
+                              ref.reorder_concat(pts[:250], pts[250:]))
+
+
+def assert_same_fit(pts, params):
+    got, u, data = _solve_spline(pts, params)
+    want, u_ref, data_ref = ref.solve_spline(pts, params)
+    assert np.array_equal(got.t, want.t)  # knots bit for bit
+    assert np.array_equal(u, u_ref) and np.array_equal(data, data_ref)
+    assert got.c.shape == want.c.shape
+    assert np.abs(got.c - want.c).max() <= 1e-9 * np.abs(want.c).max()
+    return got
+
+
+class TestBandedSolve:
+    @equivalence
+    @given(st.integers(4, 300), st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
+           st.sampled_from([0.0, 0.5, 5.0]))
+    def test_matches_dense_solve(self, n, seed, degree, s):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(0.1, 2.0, n))
+        pts = np.column_stack([x, 3.0 * np.sin(x / rng.uniform(2.0, 20.0))])
+        pts += rng.normal(0.0, rng.uniform(0.0, 0.5), pts.shape)
+        assert_same_fit(pts, SmoothingFitParams(s=s, degree=degree))
+
+    @pytest.mark.parametrize("degree, length, n_ctrl", [(2, 3.0, 3), (2, 7.0, 4), (3, 3.0, 4)])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 5.0])
+    def test_fewest_control_points(self, degree, length, n_ctrl, s):
+        x = np.linspace(0.0, length, 9)
+        pts = np.column_stack([x, 0.2 * np.sin(x)])
+        got = assert_same_fit(pts, SmoothingFitParams(s=s, degree=degree))
+        assert len(got.c) == n_ctrl
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    @pytest.mark.parametrize("shape", ["semicircle", "sine"])
+    def test_one_control_point_per_site(self, degree, shape):
+        # the unpenalized square system is the worst conditioned; the ridge
+        # keeps it positive definite, so the Cholesky factorization succeeds
+        if shape == "semicircle":
+            t = np.linspace(0.0, np.pi, 12)
+            pts = np.column_stack([10.0 * np.cos(t), 10.0 * np.sin(t)])
+        else:
+            x = np.linspace(0.0, 40.0, 30)
+            pts = np.column_stack([x, 2.0 * np.sin(x / 5.0)])
+        got = assert_same_fit(pts, SmoothingFitParams(s=0.0, degree=degree, ctrl_spacing=0.01))
+        assert len(got.c) == len(pts)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icmap.curvefit import (
+    MAX_MERGE_POINTS,
     SmoothingFitParams,
     _solve_spline,
     fit_smoothing_spline,
@@ -12,7 +15,8 @@ from icmap.curvefit import (
     sweep_smoothing,
 )
 from icmap.errors import InsufficientPoints
-from icmap.geometry import Pose2, chamfer_distance, densify, polyline_length, transform_points
+from icmap.geometry import (Pose2, chamfer_distance, densify, polyline_length, resample_even,
+                            transform_points)
 
 from conftest import sine_curve, sine_sweep_fixture
 
@@ -190,6 +194,52 @@ class TestMerge:
             d = np.column_stack([xs2, 3 * np.sin(xs2 / 9)]) + rng.normal(0, 0.2, (20, 2))
             out = merge_polylines(g, d, SmoothingFitParams())
             assert not is_self_intersecting(out)
+
+
+@st.composite
+def overlapping_pair(draw):
+    """A stored polyline and a detection over a shared noisy sine."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ng, nd = draw(st.integers(4, 80)), draw(st.integers(4, 80))
+    sigma = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    wav = rng.uniform(4.0, 15.0)
+    x0 = rng.uniform(0.0, 40.0)
+    xs = (np.sort(rng.uniform(0.0, 40.0, ng)), np.sort(rng.uniform(x0, x0 + 40.0, nd)))
+    return [np.column_stack([x, 3.0 * np.sin(x / wav)]) + rng.normal(0.0, sigma, (len(x), 2))
+            for x in xs]
+
+
+fit_params = st.builds(
+    SmoothingFitParams,
+    s=st.sampled_from([0.0, 0.5, 5.0]),
+    degree=st.sampled_from([2, 3]),
+    out_spacing=st.sampled_from([0.01, 0.3, 1.0, 5.0]),
+    min_points=st.sampled_from([2, 20, 3000]),
+)
+
+
+def assert_merge_bounds(g, d, params):
+    out = merge_polylines(g, d, params)
+    chain = reorder_concat(resample_even(g, MAX_MERGE_POINTS) if len(g) > MAX_MERGE_POINTS else g, d)
+    # the fit pins its end control points to the chain ends
+    assert np.abs(out[0] - chain[0]).max() <= 1e-9
+    assert np.abs(out[-1] - chain[-1]).max() <= 1e-9
+    assert params.min_points <= len(out) <= max(params.min_points, MAX_MERGE_POINTS)
+    return out
+
+
+class TestMergeProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(overlapping_pair(), fit_params)
+    def test_pinned_ends_and_point_bounds(self, pair, params):
+        assert_merge_bounds(*pair, params)
+
+    def test_long_stored_polyline(self):
+        x = np.linspace(0.0, 300.0, 3000)
+        g = np.column_stack([x, 3.0 * np.sin(x / 9.0)])
+        d = g[1000:1040] + 0.05
+        out = assert_merge_bounds(g, d, SmoothingFitParams(out_spacing=0.01))
+        assert len(out) == MAX_MERGE_POINTS
 
 
 class TestSweep:

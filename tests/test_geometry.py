@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from icmap.errors import EmptyPointSet, InvalidSampleCount
 from icmap.geometry import (
@@ -23,6 +25,17 @@ from icmap.polygon import polygon_area
 
 def rand_pose(rng):
     return Pose2(*rng.uniform(-50, 50, 2), rng.uniform(-10, 10))
+
+
+# derandomized, so that a run of the suite is reproducible
+properties = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# quarter-metre grid coordinates: repeated points and axis-parallel segments
+grid_coord = st.integers(-40, 40).map(lambda k: k / 4)
+grid_polyline = st.lists(st.tuples(grid_coord, grid_coord), min_size=2, max_size=12).map(
+    lambda p: np.array(p, float))
+real_polyline = st.lists(st.tuples(st.floats(-15, 15), st.floats(-15, 15)),
+                         min_size=2, max_size=12).map(lambda p: np.array(p, float))
 
 
 class TestPose:
@@ -130,6 +143,33 @@ class TestResample:
         with pytest.raises(InvalidSampleCount):
             resample_even([(0, 0), (1, 0)], 1)
 
+    @properties
+    @given(st.one_of(grid_polyline, real_polyline), st.integers(2, 60))
+    def test_endpoints_exact_and_steps_equal_arc(self, pts, n):
+        length = polyline_length(pts)
+        assume(length > 1e-6)
+        out = resample_even(pts, n)
+        assert len(out) == n
+        # the last input point counts once it lies more than 1e-9 m past its predecessor
+        assert np.array_equal(out[0], pts[0])
+        assert np.array_equal(out[-1], dedupe_points(pts)[-1])
+        assert np.hypot(*(out[-1] - pts[-1])) <= 1e-9
+        # each step spans length / (n - 1) of arc, so its chord is no longer
+        step = length / (n - 1)
+        assert np.hypot(*np.diff(out, axis=0).T).max() <= step * (1 + 1e-9) + 1e-12
+
+    @properties
+    @given(st.lists(st.floats(0, 20), min_size=2, max_size=12), st.floats(-math.pi, math.pi),
+           st.integers(2, 60))
+    def test_equal_spacing_on_a_line(self, offsets, angle, n):
+        # on a straight path, arc and chord agree: every step has the same length
+        ts = np.sort(np.array(offsets))
+        assume(ts[-1] - ts[0] > 1e-3)
+        pts = np.column_stack([np.cos(angle) * ts, np.sin(angle) * ts]) + (3.0, -2.0)
+        out = resample_even(pts, n)
+        steps = np.hypot(*np.diff(out, axis=0).T)
+        assert np.abs(steps - (ts[-1] - ts[0]) / (n - 1)).max() <= 1e-9
+
 
 class TestDedupe:
     def test_exact_duplicates_dropped(self):
@@ -214,6 +254,18 @@ class TestClipPolyline:
         rect = axis_rect()
         assert clip_polyline_to_rect(line, rect, min_length=0.5) == []
         assert len(clip_polyline_to_rect(line, rect)) == 1
+
+    @properties
+    @given(st.one_of(grid_polyline, real_polyline),
+           st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-math.pi, math.pi)),
+           st.sampled_from([1.0, 2.5, 6.0]), st.sampled_from([1.0, 2.5, 6.0]))
+    def test_pieces_inside_rect(self, pts, pose, hl, hw):
+        rect = Rect(Pose2(*pose), hl, hw)
+        for piece in clip_polyline_to_rect(pts, rect):
+            assert len(piece) >= 2
+            local = transform_points(rect.center, piece, WORLD_TO_EGO)
+            assert (np.abs(local[:, 0]) <= hl + 1e-9).all()
+            assert (np.abs(local[:, 1]) <= hw + 1e-9).all()
 
 
 class TestClipPolygon:
