@@ -138,10 +138,8 @@ def _penalty_band(n_ctrl: int) -> np.ndarray:
 def _solve_spline(points, params: SmoothingFitParams):
     """Penalized least-squares solve; returns (spline, data sites, data).
 
-    The normal equations (BᵀB + s DᵀD) c = Bᵀp are banded with bandwidth k:
-    each site touches k+1 consecutive basis functions. They are assembled in
-    upper banded form from the sparse design matrix and solved by banded
-    Cholesky, O(n) work per fit.
+    The normal equations (BᵀB + s DᵀD) c = Bᵀp have bandwidth k; they are
+    assembled in upper banded form and solved by banded Cholesky.
 
     The first and last control points are pinned to the chain's endpoints;
     otherwise the roughness penalty pushes them past the data extent and

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from icmap.curvefit import SmoothingFitParams, _solve_spline, reorder_concat
+from icmap.curvefit import SmoothingFitParams, _clamped_knots, _solve_spline, reorder_concat
 from icmap.errors import NonSimplePolygon
 from icmap.geometry import Pose2, Rect, clip_polyline_to_rect
 from icmap.polygon import classify_point, classify_points, is_simple, polygon_union
@@ -188,6 +188,15 @@ def assert_same_fit(pts, params):
 
 
 class TestBandedSolve:
+    @equivalence
+    @given(st.lists(st.floats(0.0, 5.0), min_size=3, max_size=60), st.sampled_from([2, 3]),
+           st.data())
+    def test_knots_match_quantile(self, steps, degree, data):
+        u = np.concatenate([[0.0], np.cumsum(steps)])
+        n_ctrl = data.draw(st.integers(degree + 1, len(u)))
+        assert np.array_equal(_clamped_knots(n_ctrl, degree, u),
+                              ref._clamped_knots(n_ctrl, degree, u))
+
     @equivalence
     @given(st.integers(4, 300), st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
            st.sampled_from([0.0, 0.5, 5.0]))
