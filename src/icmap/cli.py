@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import json
 import logging
 import math
 import os
@@ -17,6 +16,7 @@ import numpy as np
 
 from .curvefit import SweepTable, sweep_smoothing
 from .errors import MapBuildError
+from .fileio import write_doc
 from .instance import CLASSES
 from .metrics import (
     DEFAULT_MOT_GATE,
@@ -30,7 +30,7 @@ from .metrics import (
     instance_ap,
 )
 from .mapstore import load_map, save_map
-from .pipeline import PipelineParams, run_scene, scene_gt_frames, scene_observations, trace_pred_frames
+from .pipeline import PipelineParams, read_trace, run_scene, scene_gt_frames, scene_observations
 from .render import render_svg, sweep_chart_svg
 from .synth import SceneConfig, make_scene, read_scene, write_scene
 
@@ -200,6 +200,15 @@ def _params(cls, keys: set[str], args):
     return _from_config(cls, cfg, vars(args))
 
 
+def _map_jobs(fn, tasks: list, jobs: int) -> list:
+    """`fn` over `tasks`, in `jobs` worker processes; in-process when
+    `jobs` is 1 or there is at most one task."""
+    if jobs == 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -219,15 +228,9 @@ def cmd_synth(args) -> int:
         return 0
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = []
-    for i in range(args.count):
-        tasks.append((replace(base, seed=base.seed + i), str(out_dir / f"scene_{i:03d}.json")))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(_synth_one, tasks))
-    else:
-        for task in tasks:
-            _synth_one(task)
+    tasks = [(replace(base, seed=base.seed + i), str(out_dir / f"scene_{i:03d}.json"))
+             for i in range(args.count)]
+    _map_jobs(_synth_one, tasks, args.jobs)
     return 0
 
 
@@ -237,9 +240,7 @@ def cmd_run(args) -> int:
     gmap, trace = run_scene(scene, params)
     save_map(gmap, args.out_map)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(trace, fh, indent=1)
-            fh.write("\n")
+        write_doc(trace, args.trace)
     return 0
 
 
@@ -261,10 +262,8 @@ def _eval_one(task) -> dict:
     out["cd"] = cd
     out["mcd"] = mcd
     if want_mot:
-        with open(trace_path, encoding="utf-8") as fh:
-            trace = json.load(fh)
-        _check_scene_id(trace_path, trace.get("scene_id"), scene.scene_id)
-        pred_frames = trace_pred_frames(trace)
+        trace_scene_id, pred_frames = read_trace(trace_path)
+        _check_scene_id(trace_path, trace_scene_id, scene.scene_id)
         # one pred x GT Chamfer table per frame, read by CLEAR-MOT here and
         # by AP once the scenes are pooled
         dists = frame_distances(pred_frames, gt_frames)
@@ -294,11 +293,7 @@ def cmd_eval(args) -> int:
         if map_path is None:
             raise MapBuildError("eval needs --pred-map (or --pred-dir)")
         tasks.append((scene_path, map_path, trace_path, args.thresholds, args.mot_gate, args.mot))
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_eval_one, tasks))
-    else:
-        results = [_eval_one(t) for t in tasks]
+    results = _map_jobs(_eval_one, tasks, args.jobs)
 
     report = EvalReport(ap_thresholds=results[0]["thresholds"], mot_gate=args.mot_gate)
     per_class_cd: dict[str, list[float]] = {}
@@ -325,8 +320,7 @@ def cmd_eval(args) -> int:
         report.motp = {cls: c.motp for cls, c in totals.items()}
         report.id_switches = {cls: c.id_switches for cls, c in totals.items()}
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        write_doc(report.to_doc(), args.report)
     sys.stdout.write(report.table())
     return 0
 
@@ -342,11 +336,7 @@ def cmd_sweep_s(args) -> int:
     params = _params(PipelineParams, PIPELINE_KEYS, args)
     grid = args.s_grid
     tasks = [(path, grid, params.fit) for path in args.scene]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            all_rows = list(pool.map(_sweep_one, tasks))
-    else:
-        all_rows = [_sweep_one(t) for t in tasks]
+    all_rows = _map_jobs(_sweep_one, tasks, args.jobs)
     seen = {cls for rows in all_rows for _, errs in rows for cls in errs}
     classes = [cls for cls in CLASSES if cls in seen]
     if not classes:

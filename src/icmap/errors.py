@@ -42,7 +42,8 @@ class InfeasibleScene(MapBuildError):
 
 
 class MapFormatError(MapBuildError):
-    """A map file failed to parse; the message names the offending field."""
+    """A map or trace file failed to parse; the message names the file and
+    the offending field."""
 
 
 class SceneFormatError(MapBuildError):

@@ -1,0 +1,160 @@
+"""icmap's JSON files: one reader, one writer and one instance-record codec.
+
+Maps, scenes, traces and eval reports are JSON objects. Each instance in
+them is a record holding the fields a key tuple names, per list kind.
+Reading checks every field at the boundary and raises the caller's error
+class, led by the file and naming the field, e.g.
+`scene.json: frames[3].detections[1].points: non-finite value (NaN or inf)`.
+Python's json reads NaN, Infinity and 1e999; the checkers here reject them.
+"""
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+
+from .errors import UnsupportedVersion
+from .instance import CLASSES, MapInstance
+
+MAP_KEYS = ("id", "class", "points")  # map and scene ground-truth instances
+DETECTION_KEYS = ("class", "score", "points", "embedding")  # embedding may be absent
+TRACE_KEYS = ("id", "class", "score", "points")
+
+
+def write_doc(doc: dict, path) -> None:
+    """Write `doc` with `indent=1` and a trailing newline; floats use the
+    shortest decimal form that round-trips exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def read_doc(path, kind: str, version: str, error: type[Exception], required=()) -> dict:
+    """The JSON object in `path`, of `format_version` `version`, holding every
+    key in `required`; raises `error` (UnsupportedVersion for another version)
+    naming the file and the field otherwise."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    as_object(doc, str(path), error, ("format_version",))
+    if doc["format_version"] != version:
+        raise UnsupportedVersion(
+            f"{path}: {kind} format_version {doc['format_version']!r} not supported")
+    return as_object(doc, str(path), error, required)
+
+
+def as_object(value, where: str, error: type[Exception], required=()) -> dict:
+    """`value`; raises `error` naming `where` unless it is an object holding
+    every key in `required`."""
+    if not isinstance(value, dict):
+        raise error(f"{where}: expected an object")
+    for key in required:
+        if key not in value:
+            raise error(f"{where}: missing field {key!r}")
+    return value
+
+
+def as_list(value, where: str, error: type[Exception]) -> list:
+    """`value`; raises `error` naming `where` unless it is a list."""
+    if not isinstance(value, list):
+        raise error(f"{where}: expected a list")
+    return value
+
+
+def finite_array(value, where: str, error: type[Exception]) -> np.ndarray:
+    """`value` as a float64 array; raises `error` naming `where` unless every
+    entry is a finite number."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise error(f"{where}: expected numbers") from None
+    if not np.isfinite(arr).all():
+        raise error(f"{where}: non-finite value (NaN or inf)")
+    return arr
+
+
+def finite_float(value, where: str, error: type[Exception]) -> float:
+    """`value` as a float; raises `error` naming `where` unless it is a finite
+    number."""
+    try:
+        val = float(value)
+    except (TypeError, ValueError):
+        raise error(f"{where}: expected a number") from None
+    if not math.isfinite(val):
+        raise error(f"{where}: non-finite value (NaN or inf)")
+    return val
+
+
+def whole_int(value, where: str, error: type[Exception]) -> int:
+    """`value` as an int; raises `error` naming `where` unless it is a whole
+    number (an integer, or a float such as 3.0; not NaN, inf, 1.5 or true)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{where}: expected an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise error(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _points(value, where: str, error: type[Exception]) -> np.ndarray:
+    arr = finite_array(value, where, error)
+    if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+        raise error(f"{where}: expected a list of [x, y] pairs")
+    return arr
+
+
+def _embedding(value, where: str, error: type[Exception]) -> np.ndarray:
+    arr = finite_array(value, where, error)
+    if arr.ndim != 1:
+        raise error(f"{where}: expected a list of numbers")
+    return arr
+
+
+_ENCODERS = {
+    "id": lambda inst: inst.id,
+    "class": lambda inst: inst.cls,
+    "score": lambda inst: float(inst.score),
+    "points": lambda inst: inst.points.tolist(),
+    "embedding": lambda inst: inst.embedding.tolist(),
+}
+
+
+def to_record(inst: MapInstance, keys) -> dict:
+    """The record of `inst` holding `keys`, in that order; an absent
+    embedding is left out."""
+    return {key: _ENCODERS[key](inst) for key in keys
+            if key != "embedding" or inst.embedding is not None}
+
+
+def from_record(obj, where: str, error: type[Exception], keys) -> MapInstance:
+    """The instance a record of `keys` holds (the embedding may be absent);
+    raises `error` naming `where` and the field unless each field is well
+    formed."""
+    as_object(obj, where, error, [key for key in keys if key != "embedding"])
+    cls = obj["class"]
+    if cls not in CLASSES:
+        raise error(f"{where}: unknown class {cls!r}")
+    emb = obj.get("embedding") if "embedding" in keys else None
+    return MapInstance(
+        cls,
+        _points(obj["points"], f"{where}.points", error),
+        score=finite_float(obj["score"], f"{where}.score", error) if "score" in keys else 1.0,
+        id=whole_int(obj["id"], f"{where}.id", error) if "id" in keys else None,
+        embedding=_embedding(emb, f"{where}.embedding", error) if emb is not None else None,
+    )
+
+
+def from_records(objs, where: str, error: type[Exception], keys) -> list[MapInstance]:
+    """The instances of a list of records (see `from_record`), `where[i]`
+    naming record i; IDs must be unique within the list."""
+    insts = [from_record(obj, f"{where}[{i}]", error, keys)
+             for i, obj in enumerate(as_list(objs, where, error))]
+    if "id" in keys:
+        seen: set[int] = set()
+        for i, inst in enumerate(insts):
+            if inst.id in seen:
+                raise error(f"{where}[{i}]: duplicate id {inst.id}")
+            seen.add(inst.id)
+    return insts

@@ -4,22 +4,22 @@ The map keys world-frame instances by track ID. Before merging, detections
 can be refined by blending each point toward its nearest sampled history
 point (a deterministic stand-in for a learned refinement stage); merging
 itself dispatches on class: spline fitting for polylines, boolean union for
-crossings.
+crossings. `save_map` and `load_map` lay out the map file; `fileio` writes,
+reads and checks it.
 """
 from __future__ import annotations
 
-import json
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import polygon as poly
 from .curvefit import SmoothingFitParams, merge_polylines
-from .errors import ClassConflict, MapFormatError, UnsupportedVersion
+from .errors import ClassConflict, MapFormatError
+from .fileio import MAP_KEYS, from_records, read_doc, to_record, write_doc
 from .geometry import Rect, as_points, clip_polyline_to_rect, resample_even
-from .instance import CLASSES, MapInstance
+from .instance import MapInstance
 
 log = logging.getLogger(__name__)
 
@@ -101,105 +101,21 @@ def merge_instance(gmap: GlobalMap, det: MapInstance,
     return gmap
 
 
-def _instance_to_json(inst: MapInstance) -> dict:
-    return {
-        "id": inst.id,
-        "class": inst.cls,
-        "points": [[float(x), float(y)] for x, y in inst.points],
-    }
-
-
-# Python's json reads NaN, Infinity and out-of-range literals such as 1e999;
-# the loaders reject them here, naming the field, before any kernel sees them.
-
-def finite_array(value, where: str, error: type[Exception] = MapFormatError) -> np.ndarray:
-    """`value` as a float64 array; raises `error` naming `where` unless every
-    entry is a finite number."""
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise error(f"{where}: expected numbers") from None
-    if not np.isfinite(arr).all():
-        raise error(f"{where}: non-finite value (NaN or inf)")
-    return arr
-
-
-def finite_float(value, where: str, error: type[Exception] = MapFormatError) -> float:
-    """`value` as a float; raises `error` naming `where` unless it is a finite
-    number."""
-    try:
-        val = float(value)
-    except (TypeError, ValueError):
-        raise error(f"{where}: expected a number") from None
-    if not math.isfinite(val):
-        raise error(f"{where}: non-finite value (NaN or inf)")
-    return val
-
-
-def point_array(value, where: str, error: type[Exception] = MapFormatError) -> np.ndarray:
-    """`value` as an (N, 2) float64 array (N may be 0); raises `error` naming
-    `where` unless it is a list of finite [x, y] pairs."""
-    arr = finite_array(value, where, error)
-    if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
-        raise error(f"{where}: expected a list of [x, y] pairs")
-    return arr
-
-
-def whole_int(value, where: str, error: type[Exception] = MapFormatError) -> int:
-    """`value` as an int; raises `error` naming `where` unless it is a whole
-    number (an integer, or a float such as 3.0; not NaN, inf, 1.5 or true)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise error(f"{where}: expected an integer")
-    if isinstance(value, float) and not value.is_integer():
-        raise error(f"{where}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _instance_from_json(obj: dict, where: str) -> MapInstance:
-    for key in ("id", "class", "points"):
-        if key not in obj:
-            raise MapFormatError(f"{where}: missing field {key!r}")
-    cls = obj["class"]
-    if cls not in CLASSES:
-        raise MapFormatError(f"{where}: unknown class {cls!r}")
-    pts = obj["points"]
-    if not isinstance(pts, list) or len(pts) < 2:
-        raise MapFormatError(f"{where}: points must be a list of at least 2 [x, y] pairs")
-    points = point_array(pts, f"{where}.points")
-    return MapInstance(cls, points, id=whole_int(obj["id"], f"{where}.id"))
-
-
 def save_map(gmap: GlobalMap, path) -> None:
     """Write the map as JSON; floats use shortest exact decimal form."""
-    doc = {
+    write_doc({
         "format_version": MAP_FORMAT_VERSION,
         "scene_id": gmap.scene_id,
-        "instances": [
-            _instance_to_json(gmap.instances[k]) for k in sorted(gmap.instances)
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        "instances": [to_record(gmap.instances[k], MAP_KEYS) for k in sorted(gmap.instances)],
+    }, path)
 
 
 def load_map(path) -> GlobalMap:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MapFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MapFormatError(f"{path}: expected a JSON object at top level")
-    version = doc.get("format_version")
-    if version is None:
-        raise MapFormatError(f"{path}: missing field 'format_version'")
-    if version != MAP_FORMAT_VERSION:
-        raise UnsupportedVersion(f"{path}: map format_version {version!r} not supported")
-    gmap = GlobalMap(scene_id=str(doc.get("scene_id", "")))
-    for i, obj in enumerate(doc.get("instances", [])):
-        inst = _instance_from_json(obj, f"{path}: instances[{i}]")
-        if inst.id in gmap.instances:
-            raise MapFormatError(f"{path}: instances[{i}]: duplicate id {inst.id}")
-        gmap.instances[inst.id] = inst
-    return gmap
+    """Read a map file; raises MapFormatError naming the field of the first
+    malformed value."""
+    doc = read_doc(path, "map", MAP_FORMAT_VERSION, MapFormatError)
+    insts = from_records(doc.get("instances", []), f"{path}: instances", MapFormatError, MAP_KEYS)
+    for i, inst in enumerate(insts):
+        if len(inst.points) < 2:
+            raise MapFormatError(f"{path}: instances[{i}].points: expected at least 2 [x, y] pairs")
+    return GlobalMap(str(doc.get("scene_id", "")), {inst.id: inst for inst in insts})

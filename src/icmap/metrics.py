@@ -6,7 +6,6 @@ results can be reduced by summing counts before computing MOTA/MOTP.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,8 +270,8 @@ class EvalReport:
     cd: dict[str, float] = field(default_factory=dict)
     mcd: float = float("nan")
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        return {
             "ap": self.ap,
             "mAP": self.mean_ap,
             "ap_thresholds": list(self.ap_thresholds),
@@ -287,7 +286,6 @@ class EvalReport:
             "cd": self.cd,
             "mCD": self.mcd,
         }
-        return json.dumps(doc, indent=1, allow_nan=True) + "\n"
 
     def table(self) -> str:
         lines = []

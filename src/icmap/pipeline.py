@@ -11,7 +11,8 @@ import numpy as np
 
 from .association import AssocConfig, TrackBuffer, associate_frame
 from .curvefit import SmoothingFitParams
-from .errors import OrderingError
+from .errors import MapFormatError, OrderingError
+from .fileio import TRACE_KEYS, as_list, as_object, from_records, read_doc, to_record
 from .geometry import Rect
 from .instance import MapInstance, chamfer_by_class
 from .mapstore import GlobalMap, fuse_with_history, merge_instance, sample_history
@@ -77,15 +78,7 @@ def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
                 "det_count": len(dets),
                 "matches": [[i, tid, aff] for i, tid, aff in result.matches],
                 "new_ids": list(result.new_ids),
-                "instances": [
-                    {
-                        "id": d.id,
-                        "class": d.cls,
-                        "score": float(d.score),
-                        "points": [[float(x), float(y)] for x, y in d.points],
-                    }
-                    for d in outputs
-                ],
+                "instances": [to_record(d, TRACE_KEYS) for d in outputs],
             }
         )
     trace = {
@@ -97,22 +90,22 @@ def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
     return gmap, trace
 
 
-def trace_pred_frames(trace: dict) -> list[list[MapInstance]]:
-    """Tracked per-frame instances (world frame) out of a trace document."""
-    frames = []
-    for fr in trace["frames"]:
-        frames.append(
-            [
-                MapInstance(
-                    o["class"],
-                    np.asarray(o["points"], dtype=np.float64),
-                    score=float(o.get("score", 1.0)),
-                    id=int(o["id"]),
-                )
-                for o in fr["instances"]
-            ]
-        )
-    return frames
+def trace_pred_frames(trace: dict, where: str = "trace") -> list[list[MapInstance]]:
+    """Tracked per-frame instances (world frame) out of a trace document;
+    raises MapFormatError naming `where` and the field of the first
+    malformed value."""
+    err = MapFormatError
+    return [
+        from_records(as_object(fr, f"{where}: frames[{k}]", err, ("instances",))["instances"],
+                     f"{where}: frames[{k}].instances", err, TRACE_KEYS)
+        for k, fr in enumerate(as_list(trace["frames"], f"{where}: frames", err))
+    ]
+
+
+def read_trace(path) -> tuple[str, list[list[MapInstance]]]:
+    """Scene ID and tracked per-frame instances of a trace file."""
+    doc = read_doc(path, "trace", TRACE_FORMAT_VERSION, MapFormatError, ("scene_id", "frames"))
+    return doc["scene_id"], trace_pred_frames(doc, str(path))
 
 
 def scene_gt_frames(scene: Scene) -> list[list[MapInstance]]:

@@ -4,13 +4,25 @@ simulated embeddings. Everything is a pure function of (config, seed).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleScene, SceneFormatError, UnsupportedVersion
+from .errors import InfeasibleScene, SceneFormatError
+from .fileio import (
+    DETECTION_KEYS,
+    MAP_KEYS,
+    as_list,
+    as_object,
+    finite_array,
+    finite_float,
+    from_records,
+    read_doc,
+    to_record,
+    whole_int,
+    write_doc,
+)
 from .geometry import (
     Pose2,
     Rect,
@@ -22,7 +34,7 @@ from .geometry import (
     transform_points,
 )
 from .instance import BOUNDARY, CLASSES, DIVIDER, PED_CROSSING, MapInstance
-from .mapstore import GlobalMap, finite_array, finite_float, point_array, whole_int
+from .mapstore import GlobalMap
 from .polygon import ensure_ccw, polygon_area
 
 SCENE_FORMAT_VERSION = "1"
@@ -333,102 +345,48 @@ def make_scene(config: SceneConfig) -> Scene:
 # ---------------------------------------------------------------------------
 # scene file io
 
-def _inst_json(inst: MapInstance, with_id: bool, with_det: bool) -> dict:
-    obj: dict = {}
-    if with_id:
-        obj["id"] = inst.id
-    obj["class"] = inst.cls
-    if with_det:
-        obj["score"] = float(inst.score)
-    obj["points"] = [[float(x), float(y)] for x, y in inst.points]
-    if with_det and inst.embedding is not None:
-        obj["embedding"] = [float(v) for v in inst.embedding]
-    return obj
-
-
-def _inst_parse(obj: dict, where: str, need_id: bool) -> MapInstance:
-    if "class" not in obj or "points" not in obj:
-        raise SceneFormatError(f"{where}: instance needs 'class' and 'points'")
-    if obj["class"] not in CLASSES:
-        raise SceneFormatError(f"{where}: unknown class {obj['class']!r}")
-    if need_id and "id" not in obj:
-        raise SceneFormatError(f"{where}: missing 'id'")
-    emb = obj.get("embedding")
-    return MapInstance(
-        obj["class"],
-        point_array(obj["points"], f"{where}.points", SceneFormatError),
-        score=finite_float(obj.get("score", 1.0), f"{where}.score", SceneFormatError),
-        id=whole_int(obj["id"], f"{where}.id", SceneFormatError) if "id" in obj else None,
-        embedding=(finite_array(emb, f"{where}.embedding", SceneFormatError)
-                   if emb is not None else None),
-    )
-
-
 def write_scene(scene: Scene, path) -> None:
-    doc = {
+    write_doc({
         "format_version": SCENE_FORMAT_VERSION,
         "scene_id": scene.scene_id,
         "range": [float(scene.range_lw[0]), float(scene.range_lw[1])],
         "gt": {
             "instances": [
-                _inst_json(scene.gt.instances[k], True, False) for k in sorted(scene.gt.instances)
+                to_record(scene.gt.instances[k], MAP_KEYS) for k in sorted(scene.gt.instances)
             ]
         },
         "frames": [
             {
                 "t": f.t,
                 "ego_pose": {"x": f.ego_pose.x, "y": f.ego_pose.y, "theta": f.ego_pose.theta},
-                "gt_local": [_inst_json(i, True, False) for i in f.gt_local],
-                "detections": [_inst_json(d, False, True) for d in f.detections],
+                "gt_local": [to_record(i, MAP_KEYS) for i in f.gt_local],
+                "detections": [to_record(d, DETECTION_KEYS) for d in f.detections],
             }
             for f in scene.frames
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    }, path)
 
 
 def read_scene(path) -> Scene:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SceneFormatError(f"{path}: not valid JSON: {exc}") from exc
-    version = doc.get("format_version")
-    if version is None:
-        raise SceneFormatError(f"{path}: missing field 'format_version'")
-    if version != SCENE_FORMAT_VERSION:
-        raise UnsupportedVersion(f"{path}: scene format_version {version!r} not supported")
-    for key in ("scene_id", "range", "gt", "frames"):
-        if key not in doc:
-            raise SceneFormatError(f"{path}: missing field {key!r}")
-    gt = GlobalMap(scene_id=str(doc["scene_id"]))
-    for i, obj in enumerate(doc["gt"].get("instances", [])):
-        inst = _inst_parse(obj, f"{path}: gt.instances[{i}]", need_id=True)
-        gt.instances[inst.id] = inst
+    """Read a scene file; raises SceneFormatError naming the field of the
+    first malformed value."""
+    err = SceneFormatError
+    doc = read_doc(path, "scene", SCENE_FORMAT_VERSION, err, ("scene_id", "range", "gt", "frames"))
+    gt_doc = as_object(doc["gt"], f"{path}: gt", err)
+    gt_insts = from_records(gt_doc.get("instances", []), f"{path}: gt.instances", err, MAP_KEYS)
+    gt = GlobalMap(str(doc["scene_id"]), {inst.id: inst for inst in gt_insts})
     frames = []
-    for fi, fobj in enumerate(doc["frames"]):
+    for fi, fobj in enumerate(as_list(doc["frames"], f"{path}: frames", err)):
         where = f"{path}: frames[{fi}]"
-        if "t" not in fobj:
-            raise SceneFormatError(f"{where}: missing 't'")
-        if "ego_pose" not in fobj:
-            raise SceneFormatError(f"{where}: missing 'ego_pose'")
-        ep = fobj["ego_pose"]
-        for key in ("x", "y", "theta"):
-            if key not in ep:
-                raise SceneFormatError(f"{where}: ego_pose missing {key!r}")
-        pose = Pose2(*(finite_float(ep[key], f"{where}.ego_pose.{key}", SceneFormatError)
+        as_object(fobj, where, err, ("t", "ego_pose"))
+        ep = as_object(fobj["ego_pose"], f"{where}.ego_pose", err, ("x", "y", "theta"))
+        pose = Pose2(*(finite_float(ep[key], f"{where}.ego_pose.{key}", err)
                        for key in ("x", "y", "theta")))
-        gt_local = [
-            _inst_parse(o, f"{where}.gt_local[{k}]", need_id=True)
-            for k, o in enumerate(fobj.get("gt_local", []))
-        ]
-        dets = [
-            _inst_parse(o, f"{where}.detections[{k}]", need_id=False)
-            for k, o in enumerate(fobj.get("detections", []))
-        ]
-        t = whole_int(fobj["t"], f"{where}.t", SceneFormatError)
-        frames.append(Frame(t, pose, gt_local, dets))
-    rng = finite_array(doc["range"], f"{path}: range", SceneFormatError)
+        gt_local = from_records(fobj.get("gt_local", []), f"{where}.gt_local", err, MAP_KEYS)
+        dets = from_records(fobj.get("detections", []), f"{where}.detections", err,
+                            DETECTION_KEYS)
+        frames.append(Frame(whole_int(fobj["t"], f"{where}.t", err), pose, gt_local, dets))
+    rng = finite_array(doc["range"], f"{path}: range", err)
+    if rng.shape != (2,):
+        raise err(f"{path}: range: expected [length, width]")
     return Scene(str(doc["scene_id"]), (float(rng[0]), float(rng[1])), gt, frames)

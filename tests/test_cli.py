@@ -364,6 +364,86 @@ class TestEvalCmd:
         assert "'scene-arc-6'" in err and "'scene-arc-5'" in err
 
 
+class TestMalformedInput:
+    """A bad scene, map or trace exits 1 with one `icmap: error:` line led by
+    the file and naming the field, never a traceback."""
+
+    @pytest.fixture()
+    def outputs(self, scene_path, tmp_path):
+        out_map, trace = tmp_path / "m.json", tmp_path / "t.json"
+        assert run_cli("run", scene_path, "--out-map", out_map, "--trace", trace) == 0
+        return out_map, trace
+
+    @staticmethod
+    def assert_named(capsys, path, named):
+        err = capsys.readouterr().err
+        assert err.startswith(f"icmap: error: {path}: ") and named in err, err
+
+    @pytest.mark.parametrize("case,named", [
+        ("no class", "frames[2].instances[1]: missing field 'class'"),
+        ("nan point", "frames[2].instances[1].points: non-finite value"),
+        ("truncated", "not valid JSON"),
+        ("top-level list", "expected an object"),
+        ("version 99", "trace format_version '99' not supported"),
+        ("no scene_id", "missing field 'scene_id'"),
+    ])
+    def test_bad_trace(self, scene_path, outputs, capsys, case, named):
+        out_map, trace = outputs
+        text = trace.read_text()
+        doc = json.loads(text)
+        inst = doc["frames"][2]["instances"][1]
+        if case == "no class":
+            del inst["class"]
+        elif case == "nan point":
+            inst["points"][3][0] = float("nan")
+        elif case == "version 99":
+            doc["format_version"] = "99"
+        elif case == "no scene_id":
+            del doc["scene_id"]
+        if case == "truncated":
+            trace.write_text(text[: len(text) // 2])
+        else:
+            trace.write_text(json.dumps([doc] if case == "top-level list" else doc))
+        assert run_cli("eval", "--scene", scene_path, "--pred-map", out_map,
+                       "--trace", trace, "--mot") == 1
+        self.assert_named(capsys, trace, named)
+
+    @pytest.mark.parametrize("case,named", [
+        ("top-level list", "expected an object"),
+        ("gt list", "gt: expected an object"),
+        ("frame number", "frames[3]: expected an object"),
+        ("frame list", "frames[3]: expected an object"),
+        ("duplicate gt id", "gt.instances[2]: duplicate id 0"),
+    ])
+    def test_bad_scene(self, scene_path, tmp_path, capsys, case, named):
+        doc = json.loads(scene_path.read_text())
+        if case == "top-level list":
+            doc = [doc]
+        elif case == "gt list":
+            doc["gt"] = doc["gt"]["instances"]
+        elif case == "frame number":
+            doc["frames"][3] = 3
+        elif case == "frame list":
+            doc["frames"][3] = ["t", "ego_pose"]
+        else:
+            doc["gt"]["instances"][2]["id"] = 0
+        scene_path.write_text(json.dumps(doc))
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "out.json") == 1
+        self.assert_named(capsys, scene_path, named)
+
+    def test_non_utf8_scene(self, scene_path, tmp_path, capsys):
+        scene_path.write_bytes(scene_path.read_bytes().replace(b"scene-arc-5", b"scene-\xe9"))
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "out.json") == 1
+        self.assert_named(capsys, scene_path, "'utf-8' codec can't decode")
+
+    def test_non_utf8_map(self, scene_path, outputs, capsys):
+        out_map, trace = outputs
+        out_map.write_bytes(out_map.read_bytes().replace(b"scene-arc-5", b"scene-\xe9"))
+        assert run_cli("eval", "--scene", scene_path, "--pred-map", out_map,
+                       "--trace", trace, "--mot") == 1
+        self.assert_named(capsys, out_map, "'utf-8' codec can't decode")
+
+
 class TestSweepCmd:
     def test_grid_rows(self, scene_path, tmp_path):
         out = tmp_path / "table.tsv"
