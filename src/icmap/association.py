@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DuplicateId, MissingEmbedding, ShapeMismatch
 # chamfer_distance is not called here, but pipebench/spans.py wraps it as an
 # import site of this module
-from .geometry import EGO_TO_WORLD, WORLD_TO_EGO, Pose2, chamfer_distance, densify, resample_even
+from .geometry import EGO_TO_WORLD, WORLD_TO_EGO, Pose2, chamfer_distance, densify
 from .instance import MapInstance, chamfer_by_class
 
 
@@ -34,7 +34,6 @@ class TrackBuffer:
     next_id: int = 0
 
 
-GEO_METRICS = ("chamfer", "ordered_l2")
 GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
 
 
@@ -45,7 +44,6 @@ class AssocConfig:
     w_geo: float = 0.7
     w_feat: float = 0.3
     max_age: int = 0
-    geo_metric: str = "chamfer"  # or "ordered_l2"
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -54,9 +52,6 @@ class AssocConfig:
             raise ValueError("theta must lie in [0, 1)")
         if self.w_geo < 0 or self.w_feat < 0 or abs(self.w_geo + self.w_feat - 1.0) > 1e-9:
             raise ValueError("w_geo and w_feat must be non-negative and sum to 1")
-        if self.geo_metric not in GEO_METRICS:
-            raise ValueError(f"geo_metric must be one of {', '.join(GEO_METRICS)}, "
-                             f"not {self.geo_metric!r}")
 
 
 def _dense_pts(inst: MapInstance, spacing: float) -> np.ndarray:
@@ -70,30 +65,13 @@ def _dense_pts(inst: MapInstance, spacing: float) -> np.ndarray:
     return densify(pts, spacing)
 
 
-def _ordered_l2(a: MapInstance, b: MapInstance) -> float:
-    p, q = a.points, b.points
-    n = min(len(p), len(q))
-    if len(p) != len(q):
-        p = resample_even(p, n) if len(p) != n else p
-        q = resample_even(q, n) if len(q) != n else q
-    return float(np.linalg.norm(p - q, axis=1).mean())
+def geometric_affinity(dets, tracks, tau: float) -> np.ndarray:
+    """exp(-chamfer/tau) for same-class pairs, 0 across classes.
 
-
-def geometric_affinity(dets, tracks, tau: float, metric: str = "chamfer") -> np.ndarray:
-    """exp(-distance/tau) for same-class pairs, 0 across classes.
-
-    The Chamfer metric densifies each instance once and scores each class
-    as one matrix.
+    Each instance is densified once and each class is scored as one matrix.
     """
-    if metric != "ordered_l2":
-        dist = chamfer_by_class(dets, tracks, lambda inst: _dense_pts(inst, GEO_DENSIFY))
-        return np.exp(-dist / tau)
-    h = np.zeros((len(dets), len(tracks)))
-    for i, d in enumerate(dets):
-        for j, t in enumerate(tracks):
-            if d.cls == t.cls:
-                h[i, j] = np.exp(-_ordered_l2(d, t) / tau)
-    return h
+    dist = chamfer_by_class(dets, tracks, lambda inst: _dense_pts(inst, GEO_DENSIFY))
+    return np.exp(-dist / tau)
 
 
 def feature_affinity(dets, tracks) -> np.ndarray:
@@ -192,7 +170,7 @@ def associate_frame(buffer: TrackBuffer, dets, pose: Pose2, config: AssocConfig,
                     frame: int) -> AssociationResult:
     """Assign IDs to one frame of ego-frame detections and update the buffer."""
     track_insts = [t.instance.transformed(pose, WORLD_TO_EGO) for t in buffer.tracks]
-    geo = geometric_affinity(dets, track_insts, config.tau, config.geo_metric)
+    geo = geometric_affinity(dets, track_insts, config.tau)
     have_emb = all(d.embedding is not None for d in dets) and all(
         t.embedding is not None for t in track_insts
     )

@@ -81,12 +81,6 @@ class TestGeometricAffinity:
         moved = geometric_affinity(dm, tm, tau=2.0)
         assert np.abs(moved - base).max() < 1e-9
 
-    def test_ordered_l2_option(self):
-        d = [line_instance(y=1.0)]
-        t = [line_instance(y=0.0)]
-        h = geometric_affinity(d, t, tau=2.0, metric="ordered_l2")
-        assert h[0, 0] == pytest.approx(math.exp(-0.5))
-
 
 class TestFeatureAffinity:
     def test_equal(self):

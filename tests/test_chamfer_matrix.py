@@ -163,7 +163,7 @@ def test_mot_equals_per_pair_loop(stream, gate):
 def test_affinity_equals_per_pair_loop(stream, tau):
     pred_frames, gt_frames = stream
     dets, tracks = pred_frames[0], gt_frames[-1]
-    got = geometric_affinity(dets, tracks, tau, "chamfer")
+    got = geometric_affinity(dets, tracks, tau)
     assert np.array_equal(got, ref.geometric_affinity(dets, tracks, tau, GEO_DENSIFY))
 
 

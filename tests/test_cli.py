@@ -164,7 +164,7 @@ class TestRunConfig:
     # every pipeline key at its default value
     DEFAULTS = (
         "tau = 2.0\ntheta = 0.5\nw_geo = 0.7\nw_feat = 0.3\nmax_age = 0\n"
-        "geo_metric = chamfer\ns = 0.5\ndegree = 3\nout_spacing = 1.0\n"
+        "s = 0.5\ndegree = 3\nout_spacing = 1.0\n"
         "min_points = 20\nctrl_spacing = 2.0\nn_sample = 20\nexpand = 20.0\n"
         "fuse_radius = 1.0\nfuse_weight = 0.5\nfusion = on\nmin_score = 0.55\n"
     )
@@ -219,7 +219,6 @@ class TestRunConfig:
         ("tau = -1\n", "tau"),
         ("s = -1\n", "s must be"),
         ("degree = 4\n", "degree"),
-        ("geo_metric = foo\n", "geo_metric"),
         ("tau = nan\n", "'tau'"),
         ("min_score = nan\n", "'min_score'"),
         ("fuse_weight = -inf\n", "'fuse_weight'"),
