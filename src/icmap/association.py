@@ -24,7 +24,6 @@ from .instance import MapInstance, chamfer_by_class
 @dataclass
 class Track:
     instance: MapInstance  # world frame, id set
-    last_seen: int
     age_missed: int = 0
 
 
@@ -132,7 +131,7 @@ def allocate_ids(dets, matching, buffer: TrackBuffer) -> tuple[list[MapInstance]
     return out, next_id
 
 
-def update_buffer(buffer: TrackBuffer, dets_with_ids, frame: int, max_age: int,
+def update_buffer(buffer: TrackBuffer, dets_with_ids, max_age: int,
                   next_id: int | None = None) -> TrackBuffer:
     """Refresh matched tracks, age and prune unmatched ones, append new."""
     ids = [d.id for d in dets_with_ids]
@@ -144,15 +143,15 @@ def update_buffer(buffer: TrackBuffer, dets_with_ids, frame: int, max_age: int,
     for tr in buffer.tracks:
         det = by_id.get(tr.instance.id)
         if det is not None:
-            tracks.append(Track(det, last_seen=frame, age_missed=0))
+            tracks.append(Track(det))
             seen.add(det.id)
         else:
-            aged = Track(tr.instance, tr.last_seen, tr.age_missed + 1)
+            aged = Track(tr.instance, tr.age_missed + 1)
             if aged.age_missed <= max_age:
                 tracks.append(aged)
     for det in dets_with_ids:
-        if det.id not in seen and det.id not in {t.instance.id for t in tracks}:
-            tracks.append(Track(det, last_seen=frame, age_missed=0))
+        if det.id not in seen:
+            tracks.append(Track(det))
     if next_id is None:
         next_id = max([buffer.next_id] + [d.id + 1 for d in dets_with_ids])
     return TrackBuffer(tracks, next_id)
@@ -166,8 +165,8 @@ class AssociationResult:
     new_ids: list[int]
 
 
-def associate_frame(buffer: TrackBuffer, dets, pose: Pose2, config: AssocConfig,
-                    frame: int) -> AssociationResult:
+def associate_frame(buffer: TrackBuffer, dets, pose: Pose2,
+                    config: AssocConfig) -> AssociationResult:
     """Assign IDs to one frame of ego-frame detections and update the buffer."""
     track_insts = [t.instance.transformed(pose, WORLD_TO_EGO) for t in buffer.tracks]
     geo = geometric_affinity(dets, track_insts, config.tau)
@@ -186,7 +185,7 @@ def associate_frame(buffer: TrackBuffer, dets, pose: Pose2, config: AssocConfig,
     matching = optimal_match(fused, eligible)
     dets_ids, next_id = allocate_ids(dets, matching, buffer)
     world_dets = [d.transformed(pose, EGO_TO_WORLD) for d in dets_ids]
-    new_buffer = update_buffer(buffer, world_dets, frame, config.max_age, next_id)
+    new_buffer = update_buffer(buffer, world_dets, config.max_age, next_id)
     track_ids = [t.instance.id for t in buffer.tracks]
     matches = [(i, track_ids[j], float(fused[i, j])) for i, j in matching]
     matched_det_idx = {i for i, _ in matching}

@@ -58,7 +58,7 @@ def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
             raise OrderingError(f"frame {frame.t} after frame {prev_t}")
         prev_t = frame.t
         dets = [d for d in frame.detections if d.score >= params.min_score]
-        result = associate_frame(buffer, dets, frame.ego_pose, params.assoc, frame.t)
+        result = associate_frame(buffer, dets, frame.ego_pose, params.assoc)
         buffer = result.buffer
         patch = Rect(frame.ego_pose, scene.range_lw[0] / 2.0, scene.range_lw[1] / 2.0)
         ids = [d.id for d in result.dets]

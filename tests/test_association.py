@@ -169,8 +169,8 @@ class TestThresholdAndMatch:
 
 
 class TestIdsAndBuffer:
-    def make_buffer(self, ids, frame=0):
-        tracks = [Track(line_instance(y=float(i), id=i), last_seen=frame) for i in ids]
+    def make_buffer(self, ids):
+        tracks = [Track(line_instance(y=float(i), id=i)) for i in ids]
         return TrackBuffer(tracks, next_id=max(ids) + 1 if ids else 0)
 
     def test_all_matched_no_new(self):
@@ -196,44 +196,44 @@ class TestIdsAndBuffer:
     def test_unmatched_removed_at_zero_age(self):
         buf = self.make_buffer([0, 1])
         det = line_instance(y=0.0, id=0)
-        out = update_buffer(buf, [det], frame=1, max_age=0)
+        out = update_buffer(buf, [det], max_age=0)
         assert [t.instance.id for t in out.tracks] == [0]
 
     def test_all_matched_size_stable(self):
         buf = self.make_buffer([0, 1, 2])
         dets = [line_instance(y=float(i), id=i) for i in range(3)]
-        out = update_buffer(buf, dets, frame=1, max_age=0)
+        out = update_buffer(buf, dets, max_age=0)
         assert len(out.tracks) == 3
 
     def test_missed_twice_then_rematched(self):
         buf = self.make_buffer([7])
-        buf = update_buffer(buf, [], frame=1, max_age=2)
+        buf = update_buffer(buf, [], max_age=2)
         assert buf.tracks[0].age_missed == 1
-        buf = update_buffer(buf, [], frame=2, max_age=2)
+        buf = update_buffer(buf, [], max_age=2)
         assert buf.tracks[0].age_missed == 2
         det = line_instance(y=0.0, id=7)
-        buf = update_buffer(buf, [det], frame=3, max_age=2)
+        buf = update_buffer(buf, [det], max_age=2)
         assert [t.instance.id for t in buf.tracks] == [7]
         assert buf.tracks[0].age_missed == 0
 
     def test_aged_out(self):
         buf = self.make_buffer([7])
-        buf = update_buffer(buf, [], frame=1, max_age=1)
-        buf = update_buffer(buf, [], frame=2, max_age=1)
+        buf = update_buffer(buf, [], max_age=1)
+        buf = update_buffer(buf, [], max_age=1)
         assert buf.tracks == []
 
     def test_duplicate_ids_rejected(self):
         buf = self.make_buffer([0])
         dets = [line_instance(id=3), line_instance(id=3)]
         with pytest.raises(DuplicateId):
-            update_buffer(buf, dets, frame=1, max_age=0)
+            update_buffer(buf, dets, max_age=0)
 
 
 class TestAssociateFrame:
     def test_empty_frame_ages_buffer(self):
-        tracks = [Track(line_instance(y=0.0, id=0), last_seen=0)]
+        tracks = [Track(line_instance(y=0.0, id=0))]
         buf = TrackBuffer(tracks, next_id=1)
-        res = associate_frame(buf, [], Pose2(0, 0, 0), AssocConfig(max_age=0), frame=1)
+        res = associate_frame(buf, [], Pose2(0, 0, 0), AssocConfig(max_age=0))
         assert res.dets == []
         assert res.buffer.tracks == []
 
@@ -241,9 +241,9 @@ class TestAssociateFrame:
         cfg = AssocConfig()
         dets = [line_instance(y=0.0), line_instance(y=3.5, cls="boundary")]
         buf = TrackBuffer()
-        res1 = associate_frame(buf, dets, Pose2(0, 0, 0), cfg, frame=0)
+        res1 = associate_frame(buf, dets, Pose2(0, 0, 0), cfg)
         ids1 = [d.id for d in res1.dets]
-        res2 = associate_frame(res1.buffer, dets, Pose2(0, 0, 0), cfg, frame=1)
+        res2 = associate_frame(res1.buffer, dets, Pose2(0, 0, 0), cfg)
         ids2 = [d.id for d in res2.dets]
         assert ids1 == ids2
         assert res2.new_ids == []
@@ -259,7 +259,7 @@ class TestAssociateFrame:
                 line_instance(y=float(k) * 4, x0=frame * 2.0, x1=frame * 2.0 + 20)
                 for k in range(rng.integers(1, 4))
             ]
-            res = associate_frame(buf, dets, Pose2(0, 0, 0), cfg, frame=frame)
+            res = associate_frame(buf, dets, Pose2(0, 0, 0), cfg)
             unmatched_total += len(res.new_ids)
             for d in res.dets:
                 issued.add(d.id)
@@ -280,7 +280,7 @@ class TestAssociateFrame:
                 xs = np.linspace(-20, 20, 20)
                 pts = np.column_stack([xs, np.full(20, y)]) + rng.normal(0, 0.1, (20, 2))
                 dets.append(MapInstance("divider" if k == 1 else "boundary", pts))
-            res = associate_frame(buf, dets, pose, cfg, frame=frame)
+            res = associate_frame(buf, dets, pose, cfg)
             buf = res.buffer
             history.append([d.id for d in res.dets])
         first = history[0]
@@ -289,7 +289,7 @@ class TestAssociateFrame:
     def test_cross_class_never_matches(self):
         cfg = AssocConfig(theta=0.0)
         buf = TrackBuffer([Track(line_instance(cls="boundary", id=0), 0)], next_id=1)
-        res = associate_frame(buf, [line_instance(cls="divider")], Pose2(0, 0, 0), cfg, 1)
+        res = associate_frame(buf, [line_instance(cls="divider")], Pose2(0, 0, 0), cfg)
         assert res.matches == []
         assert res.dets[0].id == 1
 

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,17 @@ def run_cli(*args):
 
 def config_keys(text):
     return {line.split("=")[0].strip() for line in text.splitlines()}
+
+
+@pytest.mark.parametrize("label,keys", [("Scene keys:", SCENE_KEYS),
+                                        ("Pipeline keys:", PIPELINE_KEYS)],
+                         ids=["scene", "pipeline"])
+def test_readme_lists_every_config_key(label, keys):
+    # the README's list runs from its label to the first full stop ending a line
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = text.index(label) + len(label)
+    listed = re.findall(r"`(\w+)`", text[start:text.index(".\n", start)])
+    assert sorted(listed) == sorted(keys)
 
 
 class TestSynthCmd:
