@@ -426,6 +426,7 @@ class TestMalformedInput:
         ("frame number", "frames[3]: expected an object"),
         ("frame list", "frames[3]: expected an object"),
         ("duplicate gt id", "gt.instances[2]: duplicate id 0"),
+        ("range of three", "range: expected [length, width]"),
     ])
     def test_bad_scene(self, scene_path, tmp_path, capsys, case, named):
         doc = json.loads(scene_path.read_text())
@@ -437,6 +438,8 @@ class TestMalformedInput:
             doc["frames"][3] = 3
         elif case == "frame list":
             doc["frames"][3] = ["t", "ego_pose"]
+        elif case == "range of three":
+            doc["range"] = [100.0, 50.0, 1.0]
         else:
             doc["gt"]["instances"][2]["id"] = 0
         scene_path.write_text(json.dumps(doc))

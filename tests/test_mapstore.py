@@ -245,7 +245,7 @@ class TestMapIO:
             load_map(path)
 
     @pytest.mark.parametrize("points", ["[[0, 0, 0], [1, 1, 1]]", "[[[0, 0]], [[1, 1]]]",
-                                        "[0, 1]"])
+                                        "[0, 1]", "[[0, 0]]", "[]"])
     def test_bad_point_shape_named(self, tmp_path, points):
         path = tmp_path / "bad.json"
         path.write_text(
