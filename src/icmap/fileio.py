@@ -109,6 +109,10 @@ def _embedding(value, where: str, error: type[Exception]) -> np.ndarray:
     arr = finite_array(value, where, error)
     if arr.ndim != 1:
         raise error(f"{where}: expected a list of numbers")
+    if arr.size == 0:
+        raise error(f"{where}: empty embedding")
+    if not arr.any():
+        raise error(f"{where}: all-zero embedding has no direction")
     return arr
 
 

@@ -63,19 +63,29 @@ def as_points(points) -> np.ndarray:
 
 def transform_points(pose: Pose2, points, direction: str = EGO_TO_WORLD) -> np.ndarray:
     """Apply the rigid transform of `pose` (or its inverse) to a point array."""
-    pts = as_points(points)
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    return _rigid(math.cos(pose.theta), math.sin(pose.theta), pose.x, pose.y,
+                  as_points(points), direction)
+
+
+def _rigid(c, s, tx, ty, pts: np.ndarray, direction: str) -> np.ndarray:
+    """`transform_points` for the pose with heading cosine `c`, sine `s` and
+    translation (tx, ty). Each of them may be an array that broadcasts
+    against the (..., N) coordinates of `pts`, transforming one point
+    array by many poses at once with the same arithmetic per pose."""
     if direction == EGO_TO_WORLD:
-        x = c * pts[:, 0] - s * pts[:, 1] + pose.x
-        y = s * pts[:, 0] + c * pts[:, 1] + pose.y
+        x = c * pts[..., 0] - s * pts[..., 1] + tx
+        y = s * pts[..., 0] + c * pts[..., 1] + ty
     elif direction == WORLD_TO_EGO:
-        dx = pts[:, 0] - pose.x
-        dy = pts[:, 1] - pose.y
+        dx = pts[..., 0] - tx
+        dy = pts[..., 1] - ty
         x = c * dx + s * dy
         y = -s * dx + c * dy
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return np.column_stack([x, y])
+    out = np.empty(x.shape + (2,))
+    out[..., 0] = x
+    out[..., 1] = y
+    return out
 
 
 def dedupe_points(points, eps: float = 1e-9) -> np.ndarray:
@@ -173,35 +183,35 @@ class Rect:
         )
 
 
-def _clip_segments_box(p, q, hl: float, hw: float):
-    """Liang-Barsky clip of the segments p[k]->q[k] against [-hl, hl] x [-hw, hw].
+def _clip_segments_box(p, q, lim):
+    """Liang-Barsky clip of the segments p[..., k, :] -> q[..., k, :] against
+    the box [-hl, hl] x [-hw, hw], where lim[..., 0] is hl and lim[..., 1]
+    is hw.
 
-    Returns (keep, t0, t1, a, b): `keep` marks the segments that meet the
-    box, t0/t1 their entry and exit parameters, and a/b the entry and exit
-    points, clamped onto the box so crossing points land exactly on the
-    boundary. Entries of segments not kept are meaningless.
+    `lim` broadcasts against `p`, so a (..., 1, 2) array clips against one
+    box per leading index. Returns (keep, t0, t1, a, b): `keep` marks the
+    segments that meet the box, t0/t1 their entry and exit parameters, and
+    a/b the entry and exit points, clamped onto the box so crossing points
+    land exactly on the boundary. Entries of segments not kept are
+    meaningless.
     """
     d = q - p
-    t0 = np.zeros(len(p))
-    t1 = np.ones(len(p))
-    keep = np.ones(len(p), dtype=bool)
+    # the four planes -x, -y, +x, +y as a last axis: a point is inside
+    # plane j when t * pc[j] <= qc[j]
+    pc = np.concatenate([-d, d], axis=-1)
+    qc = np.concatenate([p + lim, lim - p], axis=-1)
+    keep = ((pc != 0.0) | (qc >= 0.0)).all(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for pc, qc in (
-            (-d[:, 0], p[:, 0] + hl),
-            (d[:, 0], hl - p[:, 0]),
-            (-d[:, 1], p[:, 1] + hw),
-            (d[:, 1], hw - p[:, 1]),
-        ):
-            keep &= (pc != 0.0) | (qc >= 0.0)
-            t = qc / pc
-            t0 = np.where((pc < 0.0) & (t > t0), t, t0)
-            t1 = np.where((pc > 0.0) & (t < t1), t, t1)
-    # t0 only grows and t1 only shrinks, so a segment that leaves the box
-    # before entering it ends with t0 > t1 whichever plane decided it
+        t = qc / pc
+    # entry: the last plane crossed inward (pc < 0), else 0; exit: the first
+    # plane crossed outward (pc > 0), else 1. `t > 0.0` keeps a -0.0 entry
+    # out, so t0 is +0.0 or positive.
+    t0 = np.where((pc < 0.0) & (t > 0.0), t, 0.0).max(axis=-1)
+    t1 = np.where(pc > 0.0, t, 1.0).min(axis=-1)
+    # a segment that leaves the box before entering it has t0 > t1
     keep &= t0 <= t1
-    lim = np.array([hl, hw])
-    a = np.clip(p + t0[:, None] * d, -lim, lim)
-    b = np.clip(p + t1[:, None] * d, -lim, lim)
+    a = np.clip(p + t0[..., None] * d, -lim, lim)
+    b = np.clip(p + t1[..., None] * d, -lim, lim)
     return keep, t0, t1, a, b
 
 
@@ -212,10 +222,28 @@ def clip_polyline_to_rect(points, rect: Rect, min_length: float = 0.0) -> list[n
     order, with crossing points inserted on the boundary. Pieces shorter
     than `min_length` are dropped.
     """
-    pts = transform_points(rect.center, dedupe_points(points), WORLD_TO_EGO)
-    if len(pts) < 2:
-        return []
-    keep, t0, t1, a, b = _clip_segments_box(pts[:-1], pts[1:], rect.half_length, rect.half_width)
+    return clip_polyline_to_rects(points, [rect], min_length)[0]
+
+
+def clip_polyline_to_rects(points, rects, min_length: float = 0.0) -> list[list[np.ndarray]]:
+    """`clip_polyline_to_rect` of one polyline against each of `rects`, with
+    the same bits: the transforms into the rectangles' frames and the
+    segment clip run as one broadcast over rectangles x segments; only the
+    joining of the clipped segments into pieces runs per rectangle."""
+    src = dedupe_points(points)
+    if len(src) < 2 or not rects:
+        return [[] for _ in rects]
+    # one row per rectangle: its pose, then its half extents
+    rows = np.array([[math.cos(r.center.theta), math.sin(r.center.theta), r.center.x,
+                      r.center.y, r.half_length, r.half_width] for r in rects])[:, None, :]
+    pts = _rigid(rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3], src, WORLD_TO_EGO)
+    clipped = _clip_segments_box(pts[:, :-1], pts[:, 1:], rows[..., 4:])
+    return [_join_pieces(*(arr[i] for arr in clipped), rect, min_length)
+            for i, rect in enumerate(rects)]
+
+
+def _join_pieces(keep, t0, t1, a, b, rect: Rect, min_length: float) -> list[np.ndarray]:
+    """The world-frame pieces of one rectangle's `_clip_segments_box` output."""
     # a kept segment continues the current piece when the previous segment
     # was kept and left through its end, and this one enters at its start
     joined = np.concatenate([[False], keep[:-1] & (t1[:-1] == 1.0)]) & (t0 == 0.0)

@@ -18,7 +18,7 @@ from . import polygon as poly
 from .curvefit import SmoothingFitParams, merge_polylines
 from .errors import ClassConflict, MapFormatError
 from .fileio import MAP_KEYS, from_records, read_doc, to_record, write_doc
-from .geometry import Rect, as_points, clip_polyline_to_rect, resample_even
+from .geometry import Rect, as_points, clip_polyline_to_rect, polyline_length, resample_even
 from .instance import MapInstance
 
 log = logging.getLogger(__name__)
@@ -49,7 +49,7 @@ def sample_history(gmap: GlobalMap, patch: Rect, expand: float, ids, n_sample: i
         pieces = clip_polyline_to_rect(inst.points, expanded)
         if not pieces:
             continue
-        longest = max(pieces, key=lambda p: np.linalg.norm(np.diff(p, axis=0), axis=1).sum())
+        longest = max(pieces, key=polyline_length)
         out[inst_id] = resample_even(longest, n_sample)
     return out
 

@@ -28,7 +28,7 @@ from .geometry import (
     Rect,
     WORLD_TO_EGO,
     clip_polygon_to_rect,
-    clip_polyline_to_rect,
+    clip_polyline_to_rects,
     polyline_length,
     resample_even,
     transform_points,
@@ -70,6 +70,8 @@ class NoiseConfig:
         for name in ("jitter_sigma", "embedding_sigma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.embed_dim < 1:
+            raise ValueError("embed_dim must be >= 1")
 
     @classmethod
     def zero(cls) -> "NoiseConfig":
@@ -221,24 +223,38 @@ def clip_gt_frame(gt: GlobalMap, pose: Pose2, range_lw, n_points: int = N_POINTS
     Polylines keep their longest clipped piece (resampled to `n_points`);
     fragments shorter than 0.5 m and slivers of crossings are dropped.
     """
-    rect = Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0)
-    out: list[MapInstance] = []
-    for inst_id in sorted(gt.instances):
-        inst = gt.instances[inst_id]
-        if inst.is_polyline:
-            pieces = clip_polyline_to_rect(inst.points, rect, min_length=0.5)
-            if not pieces:
-                continue
-            longest = max(pieces, key=polyline_length)
-            pts = resample_even(longest, n_points)
-        else:
-            pieces = clip_polygon_to_rect(inst.points, rect)
-            if not pieces or abs(polygon_area(pieces[0])) < 0.25:
-                continue
-            pts = pieces[0]
-        local = transform_points(pose, pts, WORLD_TO_EGO)
-        out.append(MapInstance(inst.cls, local, id=inst.id))
-    return out
+    return clip_gt_frames(gt, [pose], range_lw, n_points)[0]
+
+
+def clip_gt_frames(gt: GlobalMap, poses, range_lw,
+                   n_points: int = N_POINTS) -> list[list[MapInstance]]:
+    """`clip_gt_frame` for each of `poses`; each polyline is clipped against
+    every frame's range at once (`clip_polyline_to_rects`)."""
+    rects = [Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0) for pose in poses]
+    ids = sorted(gt.instances)
+    clipped = [  # per instance, one list of pieces per frame
+        clip_polyline_to_rects(inst.points, rects, min_length=0.5) if inst.is_polyline
+        else [clip_polygon_to_rect(inst.points, rect) for rect in rects]
+        for inst in (gt.instances[i] for i in ids)
+    ]
+    frames = []
+    for f, pose in enumerate(poses):
+        out: list[MapInstance] = []
+        for inst_id, per_frame in zip(ids, clipped):
+            inst, pieces = gt.instances[inst_id], per_frame[f]
+            if inst.is_polyline:
+                if not pieces:
+                    continue
+                longest = max(pieces, key=polyline_length)
+                pts = resample_even(longest, n_points)
+            else:
+                if not pieces or abs(polygon_area(pieces[0])) < 0.25:
+                    continue
+                pts = pieces[0]
+            local = transform_points(pose, pts, WORLD_TO_EGO)
+            out.append(MapInstance(inst.cls, local, id=inst.id))
+        frames.append(out)
+    return frames
 
 
 def _embedding_base(embed_seed: int, inst_id: int, dim: int) -> np.ndarray:
@@ -258,9 +274,15 @@ def _score(rng, mean, std):
 
 
 def corrupt_frame(gt_frame, noise: NoiseConfig, seed, range_lw=(100.0, 50.0),
-                  embed_seed: int = 0) -> list[MapInstance]:
+                  bases=None) -> list[MapInstance]:
     """Noisy detections for one frame: jitter, dropout, splits, false
-    positives; embeddings are per-ID base vectors plus Gaussian noise."""
+    positives; embeddings are per-ID base vectors plus Gaussian noise.
+
+    `bases` maps each GT ID to its unit base vector (`_embedding_base`);
+    by default those of embedding seed 0.
+    """
+    if bases is None:
+        bases = {inst.id: _embedding_base(0, inst.id, noise.embed_dim) for inst in gt_frame}
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dets: list[MapInstance] = []
     for inst in gt_frame:
@@ -283,7 +305,7 @@ def corrupt_frame(gt_frame, noise: NoiseConfig, seed, range_lw=(100.0, 50.0),
             frag = frag.copy()
             if noise.jitter_sigma > 0:
                 frag += rng.normal(0.0, noise.jitter_sigma, frag.shape)
-            base = _embedding_base(embed_seed, inst.id, noise.embed_dim)
+            base = bases[inst.id]
             if noise.embedding_sigma > 0:
                 emb = base + rng.normal(0.0, noise.embedding_sigma, noise.embed_dim)
                 emb /= np.linalg.norm(emb)
@@ -328,16 +350,11 @@ def corrupt_frame(gt_frame, noise: NoiseConfig, seed, range_lw=(100.0, 50.0),
 def make_scene(config: SceneConfig) -> Scene:
     """Full scene: ground truth plus per-frame clipped GT and detections."""
     gt, poses = generate_scene(config)
+    bases = {inst_id: _embedding_base(config.seed, inst_id, config.noise.embed_dim)
+             for inst_id in gt.instances}
     frames = []
-    for t, pose in enumerate(poses):
-        local = clip_gt_frame(gt, pose, config.range_lw)
-        dets = corrupt_frame(
-            local,
-            config.noise,
-            [config.seed, 104729, t],
-            config.range_lw,
-            embed_seed=config.seed,
-        )
+    for t, (pose, local) in enumerate(zip(poses, clip_gt_frames(gt, poses, config.range_lw))):
+        dets = corrupt_frame(local, config.noise, [config.seed, 104729, t], config.range_lw, bases)
         frames.append(Frame(t, pose, local, dets))
     return Scene(gt.scene_id, config.range_lw, gt, frames)
 
@@ -369,13 +386,15 @@ def write_scene(scene: Scene, path) -> None:
 
 def read_scene(path) -> Scene:
     """Read a scene file; raises SceneFormatError naming the field of the
-    first malformed value."""
+    first malformed value. Every detection embedding has the length of the
+    scene's first one, since association compares them across frames."""
     err = SceneFormatError
     doc = read_doc(path, "scene", SCENE_FORMAT_VERSION, err, ("scene_id", "range", "gt", "frames"))
     gt_doc = as_object(doc["gt"], f"{path}: gt", err)
     gt_insts = from_records(gt_doc.get("instances", []), f"{path}: gt.instances", err, MAP_KEYS)
     gt = GlobalMap(str(doc["scene_id"]), {inst.id: inst for inst in gt_insts})
     frames = []
+    dim = None  # embedding length
     for fi, fobj in enumerate(as_list(doc["frames"], f"{path}: frames", err)):
         where = f"{path}: frames[{fi}]"
         as_object(fobj, where, err, ("t", "ego_pose"))
@@ -385,6 +404,14 @@ def read_scene(path) -> Scene:
         gt_local = from_records(fobj.get("gt_local", []), f"{where}.gt_local", err, MAP_KEYS)
         dets = from_records(fobj.get("detections", []), f"{where}.detections", err,
                             DETECTION_KEYS)
+        for di, det in enumerate(dets):
+            if det.embedding is None:
+                continue
+            if dim is None:
+                dim = len(det.embedding)
+            elif len(det.embedding) != dim:
+                raise err(f"{where}.detections[{di}].embedding: {len(det.embedding)} values,"
+                          f" but the scene's first embedding has {dim}")
         frames.append(Frame(whole_int(fobj["t"], f"{where}.t", err), pose, gt_local, dets))
     rng = finite_array(doc["range"], f"{path}: range", err)
     if rng.shape != (2,):

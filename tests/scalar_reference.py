@@ -6,7 +6,9 @@ and `icmap._kernels` used before their loops became array code, and the
 versions of `instance_ap`, `clear_mot_counts`, `geometric_affinity`,
 `post_track_baseline` and `scene_observations` that called
 `chamfer_distance` once per same-class pair, and the merge fit's greedy
-chain loop and dense normal-equation solve. The tests
+chain loop and dense normal-equation solve. `clip_polyline_to_rect_array`
+and `clip_gt_frame` are the one-rectangle array clip and the per-frame
+ground-truth clip that the clip over all frames at once replaced. The tests
 use them as oracles: the array code must return the same values. The
 arithmetic of every computed output coordinate is the same in both; only
 distances that are compared against an epsilon may differ in the last bit
@@ -28,11 +30,13 @@ from scipy.spatial.distance import cdist
 from icmap.association import _dense_pts
 from icmap.curvefit import MAX_CTRL_POINTS
 from icmap.errors import InsufficientPoints, NonSimplePolygon
-from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, as_points, chamfer_distance,
-                            dedupe_points as dedupe_by_predecessor, polyline_length,
-                            transform_points)
+from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Rect, as_points, chamfer_distance,
+                            clip_polygon_to_rect, dedupe_points as dedupe_by_predecessor,
+                            polyline_length, resample_even, transform_points)
+from icmap.instance import MapInstance
 from icmap.metrics import DEFAULT_MOT_GATE, MotCounts, _ap_from_records
 from icmap.polygon import DISJOINT, EPS, _stitch, ensure_ccw, polygon_area
+from icmap.synth import N_POINTS
 
 log = logging.getLogger(__name__)
 
@@ -142,6 +146,73 @@ def clip_polyline_to_rect(points, rect, min_length: float = 0.0) -> list[np.ndar
             close()
     close()
     return pieces
+
+
+def _clip_segments_box_array(p, q, hl: float, hw: float):
+    d = q - p
+    t0 = np.zeros(len(p))
+    t1 = np.ones(len(p))
+    keep = np.ones(len(p), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for pc, qc in (
+            (-d[:, 0], p[:, 0] + hl),
+            (d[:, 0], hl - p[:, 0]),
+            (-d[:, 1], p[:, 1] + hw),
+            (d[:, 1], hw - p[:, 1]),
+        ):
+            keep &= (pc != 0.0) | (qc >= 0.0)
+            t = qc / pc
+            t0 = np.where((pc < 0.0) & (t > t0), t, t0)
+            t1 = np.where((pc > 0.0) & (t < t1), t, t1)
+    keep &= t0 <= t1
+    lim = np.array([hl, hw])
+    a = np.clip(p + t0[:, None] * d, -lim, lim)
+    b = np.clip(p + t1[:, None] * d, -lim, lim)
+    return keep, t0, t1, a, b
+
+
+def clip_polyline_to_rect_array(points, rect, min_length: float = 0.0) -> list[np.ndarray]:
+    """The one-rectangle array clip, one plane at a time, that the clip
+    over many rectangles at once replaced."""
+    pts = transform_points(rect.center, dedupe_by_predecessor(points), WORLD_TO_EGO)
+    if len(pts) < 2:
+        return []
+    keep, t0, t1, a, b = _clip_segments_box_array(pts[:-1], pts[1:], rect.half_length,
+                                                  rect.half_width)
+    joined = np.concatenate([[False], keep[:-1] & (t1[:-1] == 1.0)]) & (t0 == 0.0)
+    kept = np.flatnonzero(keep)
+    starts = np.flatnonzero(~joined[kept])
+    pieces: list[np.ndarray] = []
+    for lo, hi in zip(starts, [*starts[1:], len(kept)]):
+        seg = kept[lo:hi]
+        piece = dedupe_by_predecessor(np.vstack([a[seg[:1]], b[seg]]), 1e-12)
+        if len(piece) >= 2 and polyline_length(piece) > min_length:
+            pieces.append(transform_points(rect.center, piece, EGO_TO_WORLD))
+    return pieces
+
+
+# ---------------------------------------------------------------------------
+# synth: the ground truth clipped one frame at a time
+
+def clip_gt_frame(gt, pose, range_lw, n_points: int = N_POINTS) -> list[MapInstance]:
+    rect = Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0)
+    out: list[MapInstance] = []
+    for inst_id in sorted(gt.instances):
+        inst = gt.instances[inst_id]
+        if inst.is_polyline:
+            pieces = clip_polyline_to_rect_array(inst.points, rect, min_length=0.5)
+            if not pieces:
+                continue
+            longest = max(pieces, key=polyline_length)
+            pts = resample_even(longest, n_points)
+        else:
+            pieces = clip_polygon_to_rect(inst.points, rect)
+            if not pieces or abs(polygon_area(pieces[0])) < 0.25:
+                continue
+            pts = pieces[0]
+        local = transform_points(pose, pts, WORLD_TO_EGO)
+        out.append(MapInstance(inst.cls, local, id=inst.id))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from icmap.curvefit import SmoothingFitParams, _clamped_knots, _solve_spline, reorder_concat
 from icmap.errors import NonSimplePolygon
-from icmap.geometry import Pose2, Rect, clip_polyline_to_rect
+from icmap.geometry import Pose2, Rect, clip_polyline_to_rect, clip_polyline_to_rects
 from icmap.polygon import classify_point, classify_points, is_simple, polygon_union
+from icmap.synth import CURVATURES, SceneConfig, clip_gt_frames, generate_scene
 
 # derandomized, so that a run of the suite is reproducible
 equivalence = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -102,6 +103,71 @@ class TestClipPolyline:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+# poses along a straight road or an arc, a few metres apart, heading along it
+@st.composite
+def road_boxes(draw):
+    radius = draw(st.sampled_from([4.0, 9.0, 30.0, None]))
+    step = draw(st.sampled_from([0.75, 1.5, 3.0]))
+    extents = draw(st.sampled_from([(1.0, 1.0), (2.5, 1.0), (4.0, 2.5), (3.3, 2.1)]))
+    arc = [draw(coord) + k * step for k in range(draw(st.integers(1, 8)))]
+    poses = [Pose2(s, 0.0, 0.0) if radius is None else
+             Pose2(radius * np.sin(s / radius), radius * (1.0 - np.cos(s / radius)), s / radius)
+             for s in arc]
+    return [Rect(pose, *extents) for pose in poses]
+
+
+@st.composite
+def with_duplicates(draw, lines):
+    pts = draw(lines)
+    return np.repeat(pts, draw(st.lists(st.integers(1, 3), min_size=len(pts),
+                                        max_size=len(pts))), axis=0)
+
+
+# an arc of off-grid points, or a zigzag across the boxes: both leave and
+# re-enter a box many times
+arc_polyline = st.builds(
+    lambda r, c, a0, n: np.column_stack([c[0] + r * np.cos(np.linspace(a0, a0 + 5.0, n)),
+                                         c[1] + r * np.sin(np.linspace(a0, a0 + 5.0, n))]),
+    st.sampled_from([1.5, 3.0, 6.0]), point, st.sampled_from([0.0, 0.3, 2.0]),
+    st.integers(2, 40))
+zigzag = st.lists(coord, min_size=2, max_size=12).map(
+    lambda ys: np.column_stack([np.arange(len(ys)) - 6.0,
+                                np.array(ys) * (-1.0) ** np.arange(len(ys))]))
+many_box_polyline = st.one_of(with_duplicates(polyline), with_duplicates(arc_polyline),
+                              with_duplicates(zigzag))
+
+
+class TestClipManyRects:
+    @equivalence
+    @given(many_box_polyline, road_boxes(), st.sampled_from([0.0, 0.5]))
+    def test_matches_one_rect_clip(self, pts, rects, min_length):
+        got = clip_polyline_to_rects(pts, rects, min_length)
+        assert len(got) == len(rects)
+        for pieces, rect in zip(got, rects):
+            want = ref.clip_polyline_to_rect_array(pts, rect, min_length)
+            assert len(pieces) == len(want)
+            for g, w in zip(pieces, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(CURVATURES), st.integers(0, 1000), st.integers(1, 3),
+           st.integers(0, 3), st.integers(1, 12), st.sampled_from([3.0, 7.5]),
+           st.sampled_from([(100.0, 50.0), (60.0, 30.0), (30.0, 15.0)]))
+    def test_gt_frames_match_per_frame_clip(self, curvature, seed, lanes, crossings, frames,
+                                            spacing, range_lw):
+        config = SceneConfig(road_length=120.0, lane_count=lanes, curvature=curvature,
+                             radius=60.0, crossing_count=crossings, frame_count=frames,
+                             frame_spacing=spacing, range_lw=range_lw, seed=seed)
+        gt, poses = generate_scene(config)
+        got = clip_gt_frames(gt, poses, range_lw)
+        assert len(got) == len(poses)
+        for frame, pose in zip(got, poses):
+            want = ref.clip_gt_frame(gt, pose, range_lw)
+            assert [(i.id, i.cls) for i in frame] == [(i.id, i.cls) for i in want]
+            for g, w in zip(frame, want):
+                assert g.points.shape == w.points.shape and np.array_equal(g.points, w.points)
 
 
 class TestPolygonPredicates:

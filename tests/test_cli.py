@@ -92,6 +92,7 @@ class TestSynthCmd:
         ("jitter_sigma = inf\n", "'jitter_sigma'"),
         ("radius = 1e999\n", "'radius'"),
         ("range = nanx50\n", "'range'"),
+        ("embed_dim = 0\n", "embed_dim"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "cfg.txt"
@@ -442,6 +443,21 @@ class TestMalformedInput:
             doc["range"] = [100.0, 50.0, 1.0]
         else:
             doc["gt"]["instances"][2]["id"] = 0
+        scene_path.write_text(json.dumps(doc))
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "out.json") == 1
+        self.assert_named(capsys, scene_path, named)
+
+    @pytest.mark.parametrize("case,named", [
+        ("empty", "frames[2].detections[0].embedding: empty embedding"),
+        ("other length", "frames[2].detections[0].embedding: 15 values, but the scene's"
+                         " first embedding has 16"),
+        ("all zero", "frames[2].detections[0].embedding: all-zero embedding"),
+    ])
+    def test_bad_embedding(self, scene_path, tmp_path, capsys, case, named):
+        doc = json.loads(scene_path.read_text())
+        det = doc["frames"][2]["detections"][0]
+        det["embedding"] = {"empty": [], "other length": det["embedding"][1:],
+                            "all zero": [0.0] * len(det["embedding"])}[case]
         scene_path.write_text(json.dumps(doc))
         assert run_cli("run", scene_path, "--out-map", tmp_path / "out.json") == 1
         self.assert_named(capsys, scene_path, named)

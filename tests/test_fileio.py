@@ -35,7 +35,8 @@ def instance(draw, keys):
         draw(points),
         score=draw(finite) if "score" in keys else 1.0,
         id=draw(st.integers(-2**53, 2**53)) if "id" in keys else None,
-        embedding=(draw(st.none() | st.lists(finite, max_size=6).map(np.array))
+        embedding=(draw(st.none() | st.lists(finite, min_size=1, max_size=6).filter(any)
+                        .map(np.array))
                    if "embedding" in keys else None),
     )
 
@@ -80,6 +81,8 @@ GOOD = {"id": 3, "class": "divider", "score": 0.5, "points": [[0, 0], [1, 1]],
     ("score", [0.5], "r.score: expected a number"),
     ("embedding", [[1.0], [0.0]], "r.embedding: expected a list of numbers"),
     ("embedding", [1.0, float("nan")], "r.embedding: non-finite"),
+    ("embedding", [], "r.embedding: empty embedding"),
+    ("embedding", [0.0, -0.0], "r.embedding: all-zero embedding"),
     ("id", 1.5, "r.id: expected an integer"),
     ("id", True, "r.id: expected an integer"),
 ])
