@@ -17,11 +17,15 @@ BLAS pinned to one thread, writes under DIR/old and DIR/new:
     exit_codes.json                         exit code and error text per command
 
 The comparison then prints, per workload and file kind, how many files are
-byte-identical, and for the ones that differ the largest absolute
-difference of any number, with point coordinates reported apart from the
-other numbers (affinities, scores, metrics, fit errors). A file whose
-structure or non-numeric content differs is listed by name. The exit code
-is 0 when every file is byte-identical, 1 otherwise.
+byte-identical and how many have the same content: the same parsed JSON,
+or the same TSV rows, with no numeric difference. So a change that only
+reformats a file reads as such. For the files that differ it prints the
+largest absolute difference of any number, with point coordinates
+reported apart from the other numbers (affinities, scores, metrics, fit
+errors). A file whose structure or non-numeric content differs is listed
+by name. The last line says whether every file is byte-identical, or else
+has the same content. The exit code is 0 when every file is
+byte-identical, 1 otherwise.
 """
 import argparse
 import contextlib
@@ -139,8 +143,10 @@ def tsv_diffs(a: str, b: str, out: dict) -> None:
         number_diffs([float(v) for v in ra], [float(v) for v in rb], "fit error", out)
 
 
-def compare(old_dir: Path, new_dir: Path, workloads, seeds: range) -> bool:
-    same = True
+def compare(old_dir: Path, new_dir: Path, workloads, seeds: range) -> tuple[bool, bool]:
+    """(every file byte-identical, every file of the same content); exit
+    codes and error text count as files that must be byte-identical."""
+    same_bytes = same_content = True
     codes_old = json.loads((old_dir / "exit_codes.json").read_text())
     codes_new = json.loads((new_dir / "exit_codes.json").read_text())
     for name in workloads:
@@ -152,13 +158,14 @@ def compare(old_dir: Path, new_dir: Path, workloads, seeds: range) -> bool:
               f" run fails at seeds [{', '.join(failing)}] on the old tree")
         for k in differ:
             print(f"    {k}: old {codes_old[k]} new {codes_new[k]}")
-        same &= not differ
+        same_bytes &= not differ
+        same_content &= not differ
         for kind in (".json",) + KINDS:
             files = [f"scene_{s}{kind}" for s in seeds]
             files = [f for f in files if (old_dir / name / f).exists() or (new_dir / name / f).exists()]
             diffs: dict = {}
             odd = []
-            identical = 0
+            identical = content = 0
             for f in files:
                 po, pn = old_dir / name / f, new_dir / name / f
                 if not (po.exists() and pn.exists()):
@@ -167,16 +174,25 @@ def compare(old_dir: Path, new_dir: Path, workloads, seeds: range) -> bool:
                 bo, bn = po.read_bytes(), pn.read_bytes()
                 if bo == bn:
                     identical += 1
+                    content += 1
                     continue
+                file_diffs: dict = {}
                 try:
                     if kind == ".sweep.tsv":
-                        tsv_diffs(bo.decode(), bn.decode(), diffs)
+                        tsv_diffs(bo.decode(), bn.decode(), file_diffs)
                     else:
-                        number_diffs(json.loads(bo), json.loads(bn), "", diffs)
+                        number_diffs(json.loads(bo), json.loads(bn), "", file_diffs)
                 except Mismatch as exc:
                     odd.append(f"{f} ({exc})")
-            same &= identical == len(files)
-            line = f"  {'scene' + kind if kind == '.json' else kind[1:]:<12} {identical}/{len(files)} identical"
+                    continue
+                content += not any(file_diffs.values())
+                for k, v in file_diffs.items():
+                    diffs[k] = max(diffs.get(k, 0.0), v)
+            same_bytes &= identical == len(files)
+            same_content &= content == len(files)
+            label = "scene" + kind if kind == ".json" else kind[1:]
+            line = (f"  {label:<12} {identical}/{len(files)} byte-identical,"
+                    f" {content}/{len(files)} same content")
             nonzero = {k: v for k, v in sorted(diffs.items()) if v > 0}
             if nonzero:
                 line += "; largest difference " + ", ".join(
@@ -184,7 +200,7 @@ def compare(old_dir: Path, new_dir: Path, workloads, seeds: range) -> bool:
             print(line)
             for o in odd:
                 print(f"    structure differs: {o}")
-    return same
+    return same_bytes, same_content
 
 
 def main(argv=None) -> int:
@@ -210,9 +226,11 @@ def main(argv=None) -> int:
              for side, src in (("old", args.old_src), ("new", args.new_src))]
     if any(p.wait() != 0 for p in procs):
         raise SystemExit("parity: a worker failed")
-    same = compare(args.out / "old", args.out / "new", load_workloads(), args.seeds)
-    print("all files byte-identical" if same else "some files differ")
-    return 0 if same else 1
+    same_bytes, same_content = compare(args.out / "old", args.out / "new", load_workloads(),
+                                       args.seeds)
+    print("all files byte-identical" if same_bytes else
+          "all files have the same content" if same_content else "some files differ")
+    return 0 if same_bytes else 1
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """icmap's JSON files: one reader, one writer and one instance-record codec.
 
-Maps, scenes, traces and eval reports are JSON objects. Each instance in
-them is a record holding the fields a key tuple names, per list kind.
-Reading checks every field at the boundary and raises the caller's error
-class, led by the file and naming the field, e.g.
+Maps, scenes, traces and eval reports are JSON objects, each written as
+one line of compact JSON. Each instance in them is a record holding the
+fields a key tuple names, per list kind. Reading checks every field at the
+boundary and raises the caller's error class, led by the file and naming
+the field, e.g.
 `scene.json: frames[3].detections[1].points: non-finite value (NaN or inf)`.
 Python's json reads NaN, Infinity and 1e999; the checkers here reject them.
 """
@@ -23,11 +24,12 @@ TRACE_KEYS = ("id", "class", "score", "points")
 
 
 def write_doc(doc: dict, path) -> None:
-    """Write `doc` with `indent=1` and a trailing newline; floats use the
-    shortest decimal form that round-trips exactly."""
+    """Write `doc` as one line of compact JSON and a newline; floats use the
+    shortest decimal form that round-trips exactly. One `json.dumps` call
+    runs CPython's C encoder, which `json.dump` and any indent bypass."""
+    text = json.dumps(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_doc(path, kind: str, version: str, error: type[Exception], required=()) -> dict:

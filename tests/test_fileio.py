@@ -1,5 +1,6 @@
-"""The instance-record codec and the document reader of icmap.fileio."""
+"""The instance-record codec and the document reader and writer of icmap.fileio."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from icmap.fileio import (
     write_doc,
 )
 from icmap.instance import CLASSES, MapInstance
+from icmap.metrics import EvalReport
 
 # derandomized, so that a run of the suite is reproducible
 round_trips = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -118,7 +120,7 @@ class TestReadDoc:
         path = tmp_path / "d.json"
         doc = {"format_version": "1", "a": [1.5, -0.0, 1e-300]}
         write_doc(doc, path)
-        assert path.read_text().endswith("]\n}\n")
+        assert path.read_text().endswith("]}\n")
         assert read_doc(path, "test", "1", MapFormatError, ("a",)) == doc
 
     @pytest.mark.parametrize("raw,message", [
@@ -140,3 +142,29 @@ class TestReadDoc:
         path.write_text('{"format_version": "2", "a": 1}')
         with pytest.raises(UnsupportedVersion, match="test format_version '2' not supported"):
             read_doc(path, "test", "1", MapFormatError, ("a",))
+
+
+class TestWriteDoc:
+    def test_one_line(self, tmp_path):
+        path = tmp_path / "d.json"
+        doc = {"format_version": "1", "frames": [{"t": 0, "points": [[0.5, -2.0]]}, {"t": 1}],
+               "name": "a\nb"}
+        write_doc(doc, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == doc
+
+    def test_shortest_round_trip_float(self, tmp_path):
+        path = tmp_path / "d.json"
+        write_doc({"x": 0.1 + 0.2}, path)
+        assert path.read_text() == '{"x": 0.30000000000000004}\n'
+
+    def test_eval_report_nan(self, tmp_path):
+        path = tmp_path / "r.json"
+        report = EvalReport(ap={"divider": 0.5}, cd={"divider": float("nan")})
+        write_doc(report.to_doc(), path)
+        text = path.read_text()
+        assert '"mAP": NaN' in text and '"cd": {"divider": NaN}' in text
+        doc = json.loads(text)
+        assert math.isnan(doc["mAP"]) and math.isnan(doc["cd"]["divider"])
+        assert doc["ap"] == {"divider": 0.5}
