@@ -196,19 +196,23 @@ def _clip_segments_box(p, q, lim):
     meaningless.
     """
     d = q - p
-    # the four planes -x, -y, +x, +y as a last axis: a point is inside
-    # plane j when t * pc[j] <= qc[j]
-    pc = np.concatenate([-d, d], axis=-1)
-    qc = np.concatenate([p + lim, lim - p], axis=-1)
-    keep = ((pc != 0.0) | (qc >= 0.0)).all(axis=-1)
+    hl, hw = lim[..., 0], lim[..., 1]
+    t0 = np.zeros(p.shape[:-1])
+    t1 = np.ones(p.shape[:-1])
+    keep = np.ones(p.shape[:-1], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = qc / pc
-    # entry: the last plane crossed inward (pc < 0), else 0; exit: the first
-    # plane crossed outward (pc > 0), else 1. `t > 0.0` keeps a -0.0 entry
-    # out, so t0 is +0.0 or positive.
-    t0 = np.where((pc < 0.0) & (t > 0.0), t, 0.0).max(axis=-1)
-    t1 = np.where(pc > 0.0, t, 1.0).min(axis=-1)
-    # a segment that leaves the box before entering it has t0 > t1
+        for pc, qc in (
+            (-d[..., 0], p[..., 0] + hl),
+            (d[..., 0], hl - p[..., 0]),
+            (-d[..., 1], p[..., 1] + hw),
+            (d[..., 1], hw - p[..., 1]),
+        ):
+            keep &= (pc != 0.0) | (qc >= 0.0)
+            t = qc / pc
+            t0 = np.where((pc < 0.0) & (t > t0), t, t0)
+            t1 = np.where((pc > 0.0) & (t < t1), t, t1)
+    # t0 only grows and t1 only shrinks, so a segment that leaves the box
+    # before entering it ends with t0 > t1 whichever plane decided it
     keep &= t0 <= t1
     a = np.clip(p + t0[..., None] * d, -lim, lim)
     b = np.clip(p + t1[..., None] * d, -lim, lim)

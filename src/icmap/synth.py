@@ -231,17 +231,17 @@ def clip_gt_frames(gt: GlobalMap, poses, range_lw,
     """`clip_gt_frame` for each of `poses`; each polyline is clipped against
     every frame's range at once (`clip_polyline_to_rects`)."""
     rects = [Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0) for pose in poses]
-    ids = sorted(gt.instances)
+    insts = [gt.instances[i] for i in sorted(gt.instances)]
     clipped = [  # per instance, one list of pieces per frame
         clip_polyline_to_rects(inst.points, rects, min_length=0.5) if inst.is_polyline
         else [clip_polygon_to_rect(inst.points, rect) for rect in rects]
-        for inst in (gt.instances[i] for i in ids)
+        for inst in insts
     ]
     frames = []
     for f, pose in enumerate(poses):
         out: list[MapInstance] = []
-        for inst_id, per_frame in zip(ids, clipped):
-            inst, pieces = gt.instances[inst_id], per_frame[f]
+        for inst, per_frame in zip(insts, clipped):
+            pieces = per_frame[f]
             if inst.is_polyline:
                 if not pieces:
                     continue
