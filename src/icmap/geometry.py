@@ -226,7 +226,11 @@ def clip_polyline_to_rect(points, rect: Rect, min_length: float = 0.0) -> list[n
     order, with crossing points inserted on the boundary. Pieces shorter
     than `min_length` are dropped.
     """
-    return clip_polyline_to_rects(points, [rect], min_length)[0]
+    pts = transform_points(rect.center, dedupe_points(points), WORLD_TO_EGO)
+    if len(pts) < 2:
+        return []
+    lim = np.array([rect.half_length, rect.half_width])
+    return _join_pieces(*_clip_segments_box(pts[:-1], pts[1:], lim), rect, min_length)
 
 
 def clip_polyline_to_rects(points, rects, min_length: float = 0.0) -> list[list[np.ndarray]]:
