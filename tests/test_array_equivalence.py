@@ -147,19 +147,20 @@ class TestClipManyRects:
         assert len(got) == len(rects)
         for pieces, rect in zip(got, rects):
             want = ref.clip_polyline_to_rect_array(pts, rect, min_length)
-            assert len(pieces) == len(want)
-            for g, w in zip(pieces, want):
-                assert g.shape == w.shape and np.array_equal(g, w)
+            for clipped in (pieces, clip_polyline_to_rect(pts, rect, min_length)):
+                assert len(clipped) == len(want)
+                for g, w in zip(clipped, want):
+                    assert g.shape == w.shape and np.array_equal(g, w)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(CURVATURES), st.integers(0, 1000), st.integers(1, 3),
-           st.integers(0, 3), st.integers(1, 12), st.sampled_from([3.0, 7.5]),
+    @given(st.sampled_from(CURVATURES), st.integers(1, 3), st.integers(0, 3),
+           st.integers(1, 12), st.sampled_from([3.0, 7.5]),
            st.sampled_from([(100.0, 50.0), (60.0, 30.0), (30.0, 15.0)]))
-    def test_gt_frames_match_per_frame_clip(self, curvature, seed, lanes, crossings, frames,
-                                            spacing, range_lw):
+    def test_gt_frames_match_per_frame_clip(self, curvature, lanes, crossings, frames, spacing,
+                                            range_lw):
         config = SceneConfig(road_length=120.0, lane_count=lanes, curvature=curvature,
                              radius=60.0, crossing_count=crossings, frame_count=frames,
-                             frame_spacing=spacing, range_lw=range_lw, seed=seed)
+                             frame_spacing=spacing, range_lw=range_lw)
         gt, poses = generate_scene(config)
         got = clip_gt_frames(gt, poses, range_lw)
         assert len(got) == len(poses)
