@@ -22,9 +22,13 @@ or the same TSV rows, with no numeric difference. So a change that only
 reformats a file reads as such. For the files that differ it prints the
 largest absolute difference of any number, with point coordinates
 reported apart from the other numbers (affinities, scores, metrics, fit
-errors). A file whose structure or non-numeric content differs is listed
-by name. The last line says whether every file is byte-identical, or else
-has the same content. The exit code is 0 when every file is
+errors). A key found in one tree only does not stop the comparison: its
+dotted path (list items as `[]`, e.g. `config.assoc.w_geo (old only)`) is
+printed once per file kind, the shared keys are still compared, and the
+file counts as neither byte-identical nor of the same content. A file
+whose other structure or non-numeric content differs is listed by name.
+The last line says whether every file is byte-identical, or else has the
+same content. The exit code is 0 when every file is
 byte-identical, 1 otherwise.
 """
 import argparse
@@ -107,20 +111,24 @@ class Mismatch(Exception):
     pass
 
 
-def number_diffs(a, b, key: str, out: dict) -> None:
+def number_diffs(a, b, key: str, out: dict, only: set, path: str = "") -> None:
     """Fold |a - b| of every number of two JSON trees into out[key], where key
     is "points" inside a points array and the nearest object key otherwise;
-    raise Mismatch where shape, type or a non-float value differs."""
+    add to `only` the dotted path of each key that one tree lacks, and
+    compare the shared keys; raise Mismatch where a list length, a type or
+    a non-float value differs."""
     if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            raise Mismatch(f"keys differ under {key!r}")
+        prefix = path + "." if path else ""
+        only.update(f"{prefix}{k} (old only)" for k in a.keys() - b.keys())
+        only.update(f"{prefix}{k} (new only)" for k in b.keys() - a.keys())
         for k in a:
-            number_diffs(a[k], b[k], key if key == "points" else k, out)
+            if k in b:
+                number_diffs(a[k], b[k], key if key == "points" else k, out, only, prefix + k)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise Mismatch(f"lengths {len(a)} and {len(b)} under {key!r}")
         for x, y in zip(a, b):
-            number_diffs(x, y, key, out)
+            number_diffs(x, y, key, out, only, path + "[]")
     elif isinstance(a, float) or isinstance(b, float):
         if not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
             raise Mismatch(f"number against {type(b).__name__} under {key!r}")
@@ -140,7 +148,7 @@ def tsv_diffs(a: str, b: str, out: dict) -> None:
     for ra, rb in zip(rows_a[1:], rows_b[1:]):
         if len(ra) != len(rb):
             raise Mismatch("column count differs")
-        number_diffs([float(v) for v in ra], [float(v) for v in rb], "fit error", out)
+        number_diffs([float(v) for v in ra], [float(v) for v in rb], "fit error", out, set())
 
 
 def compare(old_dir: Path, new_dir: Path, workloads, seeds: range) -> tuple[bool, bool]:
@@ -164,6 +172,7 @@ def compare(old_dir: Path, new_dir: Path, workloads, seeds: range) -> tuple[bool
             files = [f"scene_{s}{kind}" for s in seeds]
             files = [f for f in files if (old_dir / name / f).exists() or (new_dir / name / f).exists()]
             diffs: dict = {}
+            one_sided: set = set()
             odd = []
             identical = content = 0
             for f in files:
@@ -177,15 +186,17 @@ def compare(old_dir: Path, new_dir: Path, workloads, seeds: range) -> tuple[bool
                     content += 1
                     continue
                 file_diffs: dict = {}
+                file_only: set = set()
                 try:
                     if kind == ".sweep.tsv":
                         tsv_diffs(bo.decode(), bn.decode(), file_diffs)
                     else:
-                        number_diffs(json.loads(bo), json.loads(bn), "", file_diffs)
+                        number_diffs(json.loads(bo), json.loads(bn), "", file_diffs, file_only)
                 except Mismatch as exc:
                     odd.append(f"{f} ({exc})")
                     continue
-                content += not any(file_diffs.values())
+                content += not any(file_diffs.values()) and not file_only
+                one_sided |= file_only
                 for k, v in file_diffs.items():
                     diffs[k] = max(diffs.get(k, 0.0), v)
             same_bytes &= identical == len(files)
@@ -198,6 +209,8 @@ def compare(old_dir: Path, new_dir: Path, workloads, seeds: range) -> tuple[bool
                 line += "; largest difference " + ", ".join(
                     f"{k or 'top level'} {v:.3g}" for k, v in nonzero.items())
             print(line)
+            for path in sorted(one_sided):
+                print(f"    key in one tree only: {path}")
             for o in odd:
                 print(f"    structure differs: {o}")
     return same_bytes, same_content

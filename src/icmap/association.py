@@ -40,7 +40,6 @@ GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
 class AssocConfig:
     tau: float = 2.0
     theta: float = 0.5
-    w_geo: float = 0.7
     w_feat: float = 0.3
     max_age: int = 0
 
@@ -49,8 +48,8 @@ class AssocConfig:
             raise ValueError("tau must be positive")
         if not 0.0 <= self.theta < 1.0:
             raise ValueError("theta must lie in [0, 1)")
-        if self.w_geo < 0 or self.w_feat < 0 or abs(self.w_geo + self.w_feat - 1.0) > 1e-9:
-            raise ValueError("w_geo and w_feat must be non-negative and sum to 1")
+        if not 0.0 <= self.w_feat <= 1.0:
+            raise ValueError("w_feat must lie in [0, 1]")
 
 
 def _dense_pts(inst: MapInstance, spacing: float) -> np.ndarray:
@@ -88,10 +87,11 @@ def feature_affinity(dets, tracks) -> np.ndarray:
     return np.clip(h, 0.0, 1.0)
 
 
-def fuse_affinity(geo: np.ndarray, feat: np.ndarray, w_geo: float, w_feat: float) -> np.ndarray:
+def fuse_affinity(geo: np.ndarray, feat: np.ndarray, w_feat: float) -> np.ndarray:
+    """(1 - w_feat) * geo + w_feat * feat."""
     if geo.shape != feat.shape:
         raise ShapeMismatch(f"affinity shapes differ: {geo.shape} vs {feat.shape}")
-    return w_geo * geo + w_feat * feat
+    return (1.0 - w_feat) * geo + w_feat * feat
 
 
 def threshold_filter(h: np.ndarray, theta: float) -> np.ndarray:
@@ -174,7 +174,7 @@ def associate_frame(buffer: TrackBuffer, dets, pose: Pose2,
         t.embedding is not None for t in track_insts
     )
     if have_emb and config.w_feat > 0:
-        fused = fuse_affinity(geo, feature_affinity(dets, track_insts), config.w_geo, config.w_feat)
+        fused = fuse_affinity(geo, feature_affinity(dets, track_insts), config.w_feat)
     else:
         fused = geo
     same_class = np.array(

@@ -107,8 +107,10 @@ def _parse_jobs(text: str) -> int:
 
 
 def load_config(path) -> dict[str, str]:
-    """Parse a `key = value` config file; '#' starts a comment."""
+    """Parse a `key = value` config file; '#' starts a comment. A key given
+    twice is an error."""
     cfg: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -117,27 +119,18 @@ def load_config(path) -> dict[str, str]:
             if "=" not in line:
                 raise MapBuildError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key in line_of:
+                raise MapBuildError(f"{path}:{lineno}: config key {key!r} repeats the one "
+                                    f"on line {line_of[key]}")
+            line_of[key] = lineno
             cfg[key] = val
     return cfg
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _parse_bool(text: str) -> bool:
-    val = _BOOLS.get(text.strip().lower())
-    if val is None:
-        raise ValueError(f"cannot parse {text!r} as a boolean "
-                         f"(expected 1/0, true/false, yes/no or on/off)")
-    return val
-
-
 # how a config file parses a field of each declared type
-_PARSERS = {float: _finite_float, int: int, str: str, bool: _parse_bool,
-            tuple[float, float]: _parse_range}
+_PARSERS = {float: _finite_float, int: int, str: str, tuple[float, float]: _parse_range}
 # fields the config file spells differently; every other key is a field name
-_FILE_KEYS = {"range_lw": "range", "fusion_enabled": "fusion"}
+_FILE_KEYS = {"range_lw": "range"}
 
 
 def _nested(f) -> type | None:
@@ -294,8 +287,15 @@ def cmd_eval(args) -> int:
             raise MapBuildError("eval needs --pred-map (or --pred-dir)")
         tasks.append((scene_path, map_path, trace_path, args.thresholds, args.mot_gate, args.mot))
     results = _map_jobs(_eval_one, tasks, args.jobs)
+    thresholds = results[0]["thresholds"]
+    for scene_path, res in zip(scenes, results):
+        # a scene's default thresholds follow its perception range
+        if res["thresholds"] != thresholds:
+            raise MapBuildError(
+                f"{scenes[0]} and {scene_path} have different default AP thresholds "
+                f"({thresholds} and {res['thresholds']}); give one set with --thresholds")
 
-    report = EvalReport(ap_thresholds=results[0]["thresholds"], mot_gate=args.mot_gate)
+    report = EvalReport(ap_thresholds=thresholds, mot_gate=args.mot_gate)
     per_class_cd: dict[str, list[float]] = {}
     for res in results:
         for cls, val in res["cd"].items():
@@ -307,8 +307,7 @@ def cmd_eval(args) -> int:
         pred_frames = [fr for res in results for fr in res["pred_frames"]]
         gt_frames = [fr for res in results for fr in res["gt_frames"]]
         dists = [d for res in results for d in res["dists"]]
-        ap, mean_ap, det_counts = instance_ap(pred_frames, gt_frames, results[0]["thresholds"],
-                                              dists)
+        ap, mean_ap, det_counts = instance_ap(pred_frames, gt_frames, thresholds, dists)
         report.ap = ap
         report.mean_ap = mean_ap
         report.det_counts = det_counts
@@ -382,14 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
         # each dest is the PipelineParams field the flag sets
         p.add_argument("--theta", type=_finite_float, help="match acceptance threshold")
         p.add_argument("--tau", type=_finite_float, help="geometric affinity scale, meters")
-        p.add_argument("--w-geo", dest="w_geo", type=_finite_float, help="geometric branch weight")
-        p.add_argument("--w-feat", dest="w_feat", type=_finite_float, help="feature branch weight")
+        p.add_argument("--w-feat", dest="w_feat", type=_finite_float,
+                       help="feature branch weight; the geometric branch gets 1 - w_feat")
         p.add_argument("--max-age", dest="max_age", type=int, help="frames a track may go unseen")
         p.add_argument("--n-sample", dest="n_sample", type=int, help="history sample count")
         p.add_argument("--expand", type=_finite_float, help="patch expansion for sampling, meters")
         p.add_argument("--s", type=_finite_float, help="smoothing weight for merging")
-        p.add_argument("--no-fusion", dest="fusion_enabled", action="store_false", default=None,
-                       help="skip the history blend stage")
+        p.add_argument("--no-fusion", dest="fuse_weight", action="store_const", const=0.0,
+                       help="skip the history blend stage (fuse_weight = 0)")
 
     p = sub.add_parser("synth", help="generate a synthetic scene file")
     p.add_argument("--config", help="key = value config file")

@@ -10,11 +10,11 @@ roughness penalty, weight `s`; Eilers & Marx, Stat. Sci. 1996), and the
 fitted curve is resampled at even arc-length spacing. Larger `s` trades data
 fidelity for smoothness.
 
-Each site touches k+1 consecutive basis functions and the penalty couples
-control points two apart, so the normal equations are banded. They are
-assembled in banded form from the sparse design matrix and solved by banded
-Cholesky (`scipy.linalg.solveh_banded`): a fixed number of numpy calls and
-O(n) arithmetic per fit. The greedy chain before it takes one argmin per
+Each site touches k+1 = 4 consecutive basis functions (k = DEGREE) and the
+penalty couples control points two apart, so the normal equations are
+banded. They are assembled in banded form from the sparse design matrix and
+solved by banded Cholesky (`scipy.linalg.solveh_banded`): a fixed number of
+numpy calls and O(n) arithmetic per fit. The greedy chain before it takes one argmin per
 point over a precomputed distance table.
 """
 from __future__ import annotations
@@ -34,21 +34,20 @@ from .geometry import as_points, chamfer_distance, dedupe_points, densify, resam
 # merges instead of exhausting memory
 MAX_MERGE_POINTS = 2500
 MAX_CTRL_POINTS = 500
+DEGREE = 3  # of the merge spline
 
 
 @dataclass(frozen=True)
 class SmoothingFitParams:
-    """Knobs of the merge fit.
+    """Knobs of the merge fit; the spline itself is always cubic (DEGREE).
 
     s: roughness penalty weight (>= 0)
-    degree: spline degree, 2 or 3
     out_spacing: meters between resampled output points
     min_points: lower bound on output point count
     ctrl_spacing: meters of chord length per control point
     """
 
     s: float = 0.5
-    degree: int = 3
     out_spacing: float = 1.0
     min_points: int = 20
     ctrl_spacing: float = 2.0
@@ -56,8 +55,6 @@ class SmoothingFitParams:
     def __post_init__(self):
         if self.s < 0:
             raise ValueError("smoothing weight s must be >= 0")
-        if self.degree not in (2, 3):
-            raise ValueError("spline degree must be 2 or 3")
         if self.out_spacing <= 0:
             raise ValueError("out_spacing must be positive")
         if self.ctrl_spacing <= 0:
@@ -102,12 +99,12 @@ def reorder_concat(global_pts, det_pts) -> np.ndarray:
     return chain
 
 
-def _clamped_knots(n_ctrl: int, degree: int, u: np.ndarray) -> np.ndarray:
+def _clamped_knots(n_ctrl: int, u: np.ndarray) -> np.ndarray:
     # interior knots at parameter quantiles so every basis function keeps
     # data support (uniform data gives uniform knots; chains with long empty
     # spans would otherwise leave control points unconstrained). `u` is
     # sorted, so this is np.quantile's "linear" rule written out, bit for bit.
-    v = np.linspace(0.0, 1.0, n_ctrl - degree + 1) * (len(u) - 1)
+    v = np.linspace(0.0, 1.0, n_ctrl - DEGREE + 1) * (len(u) - 1)
     lo = np.floor(v)
     t = v - lo
     i = lo.astype(np.intp)
@@ -115,12 +112,12 @@ def _clamped_knots(n_ctrl: int, degree: int, u: np.ndarray) -> np.ndarray:
     b = u[np.minimum(i + 1, len(u) - 1)]
     inner = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
     inner[0], inner[-1] = u[0], u[-1]
-    return np.concatenate([np.full(degree, u[0]), inner, np.full(degree, u[-1])])
+    return np.concatenate([np.full(DEGREE, u[0]), inner, np.full(DEGREE, u[-1])])
 
 
-# per degree k: the pairs (a, b), a <= b, of a site's k+1 basis values whose
+# the pairs (a, b), a <= b, of a site's DEGREE + 1 basis values whose
 # products make up BᵀB's upper band
-_BASIS_PAIRS = {k: np.triu_indices(k + 1) for k in (2, 3)}
+_BASIS_PAIRS = np.triu_indices(DEGREE + 1)
 
 
 def _penalty_band(n_ctrl: int) -> np.ndarray:
@@ -146,21 +143,21 @@ def _solve_spline(points, params: SmoothingFitParams):
     repeated merges would creep outward.
     """
     pts = dedupe_points(points, 1e-9)
-    k = params.degree
+    k = DEGREE
     if len(pts) < k + 1:
         raise InsufficientPoints(f"need at least {k + 1} points, got {len(pts)}")
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     u = np.concatenate([[0.0], np.cumsum(seg)])
     n_ctrl = int(np.clip(int(u[-1] // params.ctrl_spacing) + 1, k + 1,
                          min(len(pts), MAX_CTRL_POINTS)))
-    t = _clamped_knots(n_ctrl, k, u)
+    t = _clamped_knots(n_ctrl, u)
     design = BSpline.design_matrix(u, t, k)
     # site i touches basis functions first[i] .. first[i] + k
     vals = design.data.reshape(-1, k + 1)
     first = design.indices[::k + 1].astype(np.intp)
 
     # BᵀB in upper banded form: ab[k - d, j] = A[j - d, j]
-    lo, hi = _BASIS_PAIRS[k]
+    lo, hi = _BASIS_PAIRS
     slot = (k - (hi - lo)) * n_ctrl + first[:, None] + hi
     ab = np.bincount(slot.ravel(), weights=(vals[:, lo] * vals[:, hi]).ravel(),
                      minlength=(k + 1) * n_ctrl).reshape(k + 1, n_ctrl)

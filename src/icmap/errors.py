@@ -34,7 +34,7 @@ class NonSimplePolygon(MapBuildError):
 
 
 class InsufficientPoints(MapBuildError):
-    """Too few points for the requested spline degree."""
+    """Too few points for the cubic merge spline."""
 
 
 class InfeasibleScene(MapBuildError):

@@ -169,12 +169,6 @@ class Rect:
     def expand(self, margin: float) -> "Rect":
         return Rect(self.center, self.half_length + margin, self.half_width + margin)
 
-    def corners(self) -> np.ndarray:
-        """CCW corner points in the world frame."""
-        hl, hw = self.half_length, self.half_width
-        local = np.array([[-hl, -hw], [hl, -hw], [hl, hw], [-hl, hw]])
-        return transform_points(self.center, local, EGO_TO_WORLD)
-
     def contains(self, points, eps: float = 1e-9) -> np.ndarray:
         """Boolean mask of points inside (or on) the rectangle."""
         local = transform_points(self.center, as_points(points), WORLD_TO_EGO)
@@ -264,48 +258,3 @@ def _join_pieces(keep, t0, t1, a, b, rect: Rect, min_length: float) -> list[np.n
         if len(piece) >= 2 and polyline_length(piece) > min_length:
             pieces.append(transform_points(rect.center, piece, EGO_TO_WORLD))
     return pieces
-
-
-def clip_polygon_to_rect(ring, rect: Rect) -> list[np.ndarray]:
-    """Sutherland-Hodgman intersection of a simple polygon with a rectangle.
-
-    Returns a list with zero or one CCW rings (the clip window is convex;
-    non-convex subjects may degenerate, which is fine for the small quads
-    used here).
-    """
-    pts = transform_points(rect.center, as_points(ring), WORLD_TO_EGO)
-    hl, hw = rect.half_length, rect.half_width
-    # half-planes as (a, b, c) with a*x + b*y <= c inside
-    planes = [(1.0, 0.0, hl), (-1.0, 0.0, hl), (0.0, 1.0, hw), (0.0, -1.0, hw)]
-    poly = [p for p in pts]
-    for a, b, c in planes:
-        if not poly:
-            break
-        out: list[np.ndarray] = []
-        n = len(poly)
-        for i in range(n):
-            p, q = poly[i], poly[(i + 1) % n]
-            pin = a * p[0] + b * p[1] <= c
-            qin = a * q[0] + b * q[1] <= c
-            if pin:
-                out.append(p)
-            if pin != qin:
-                dp = a * p[0] + b * p[1] - c
-                dq = a * q[0] + b * q[1] - c
-                t = dp / (dp - dq)
-                out.append(p + t * (q - p))
-        poly = out
-    if len(poly) < 3:
-        return []
-    result = dedupe_points(np.array(poly), 1e-9)
-    if len(result) >= 2 and np.hypot(*(result[0] - result[-1])) <= 1e-9:
-        result = result[:-1]
-    if len(result) < 3:
-        return []
-    nxt = np.roll(result, -1, axis=0)
-    area = 0.5 * float((result[:, 0] * nxt[:, 1] - result[:, 1] * nxt[:, 0]).sum())
-    if abs(area) < 1e-12:
-        return []
-    if area < 0:
-        result = result[::-1]
-    return [transform_points(rect.center, result, EGO_TO_WORLD)]

@@ -29,7 +29,6 @@ class PipelineParams:
     expand: float = 20.0
     fuse_radius: float = 1.0
     fuse_weight: float = 0.5
-    fusion_enabled: bool = True
     min_score: float = 0.55
 
     def __post_init__(self):
@@ -63,13 +62,10 @@ def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
         patch = Rect(frame.ego_pose, scene.range_lw[0] / 2.0, scene.range_lw[1] / 2.0)
         ids = [d.id for d in result.dets]
         history = sample_history(gmap, patch, params.expand, ids, params.n_sample)
-        outputs: list[MapInstance] = []
-        for det in result.dets:
-            if params.fusion_enabled:
-                det = fuse_with_history(
-                    det, history.get(det.id), params.fuse_radius, params.fuse_weight
-                )
-            outputs.append(det)
+        outputs = [
+            fuse_with_history(det, history.get(det.id), params.fuse_radius, params.fuse_weight)
+            for det in result.dets
+        ]
         for det in outputs:
             merge_instance(gmap, det, params.fit)
         trace_frames.append(

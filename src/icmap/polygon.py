@@ -1,4 +1,5 @@
-"""Boolean union of simple polygons, plus a grid rasterization oracle.
+"""Boolean union of simple polygons, clipping to a rectangle, plus a grid
+rasterization oracle.
 
 The union walks the arrangement of the two boundaries: edges are split at
 every crossing (and at T-junction touch points), fragments strictly inside
@@ -15,7 +16,7 @@ import numpy as np
 
 from ._kernels import inside_mask
 from .errors import NonSimplePolygon
-from .geometry import as_points, dedupe_points
+from .geometry import EGO_TO_WORLD, WORLD_TO_EGO, Rect, as_points, dedupe_points, transform_points
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +62,45 @@ def ensure_ccw(ring) -> np.ndarray:
     if polygon_area(r) < 0:
         r = r[::-1]
     return r
+
+
+def clip_polygon_to_rect(ring, rect: Rect) -> list[np.ndarray]:
+    """Sutherland-Hodgman intersection of a simple polygon with a rectangle.
+
+    Returns a list with zero or one CCW rings (the clip window is convex;
+    non-convex subjects may degenerate, which is fine for the small quads
+    used here).
+    """
+    pts = transform_points(rect.center, as_points(ring), WORLD_TO_EGO)
+    hl, hw = rect.half_length, rect.half_width
+    # half-planes as (a, b, c) with a*x + b*y <= c inside
+    planes = [(1.0, 0.0, hl), (-1.0, 0.0, hl), (0.0, 1.0, hw), (0.0, -1.0, hw)]
+    poly = [p for p in pts]
+    for a, b, c in planes:
+        if not poly:
+            break
+        out: list[np.ndarray] = []
+        n = len(poly)
+        for i in range(n):
+            p, q = poly[i], poly[(i + 1) % n]
+            pin = a * p[0] + b * p[1] <= c
+            qin = a * q[0] + b * q[1] <= c
+            if pin:
+                out.append(p)
+            if pin != qin:
+                dp = a * p[0] + b * p[1] - c
+                dq = a * q[0] + b * q[1] - c
+                t = dp / (dp - dq)
+                out.append(p + t * (q - p))
+        poly = out
+    if len(poly) < 3:
+        return []
+    result = dedupe_points(np.array(poly), 1e-9)
+    if len(result) >= 2 and np.hypot(*(result[0] - result[-1])) <= 1e-9:
+        result = result[:-1]
+    if len(result) < 3 or abs(polygon_area(result)) < 1e-12:
+        return []
+    return [transform_points(rect.center, ensure_ccw(result), EGO_TO_WORLD)]
 
 
 def _crossing_params(p1, d1, q1, d2):

@@ -27,7 +27,6 @@ from .geometry import (
     Pose2,
     Rect,
     WORLD_TO_EGO,
-    clip_polygon_to_rect,
     clip_polyline_to_rects,
     polyline_length,
     resample_even,
@@ -35,7 +34,7 @@ from .geometry import (
 )
 from .instance import BOUNDARY, CLASSES, DIVIDER, PED_CROSSING, MapInstance
 from .mapstore import GlobalMap
-from .polygon import ensure_ccw, polygon_area
+from .polygon import clip_polygon_to_rect, ensure_ccw, polygon_area
 
 SCENE_FORMAT_VERSION = "1"
 

@@ -28,14 +28,14 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from icmap.association import _dense_pts
-from icmap.curvefit import MAX_CTRL_POINTS
+from icmap.curvefit import DEGREE, MAX_CTRL_POINTS
 from icmap.errors import InsufficientPoints, NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Rect, as_points, chamfer_distance,
-                            clip_polygon_to_rect, dedupe_points as dedupe_by_predecessor,
-                            polyline_length, resample_even, transform_points)
+                            dedupe_points as dedupe_by_predecessor, polyline_length,
+                            resample_even, transform_points)
 from icmap.instance import MapInstance
 from icmap.metrics import DEFAULT_MOT_GATE, MotCounts, _ap_from_records
-from icmap.polygon import DISJOINT, EPS, _stitch, ensure_ccw, polygon_area
+from icmap.polygon import DISJOINT, EPS, _stitch, clip_polygon_to_rect, ensure_ccw, polygon_area
 from icmap.synth import N_POINTS
 
 log = logging.getLogger(__name__)
@@ -585,23 +585,23 @@ def reorder_concat(global_pts, det_pts) -> np.ndarray:
     return chain
 
 
-def _clamped_knots(n_ctrl: int, degree: int, u: np.ndarray) -> np.ndarray:
-    inner = np.quantile(u, np.linspace(0.0, 1.0, n_ctrl - degree + 1))
+def _clamped_knots(n_ctrl: int, u: np.ndarray) -> np.ndarray:
+    inner = np.quantile(u, np.linspace(0.0, 1.0, n_ctrl - DEGREE + 1))
     inner[0], inner[-1] = u[0], u[-1]
-    return np.concatenate([np.full(degree, u[0]), inner, np.full(degree, u[-1])])
+    return np.concatenate([np.full(DEGREE, u[0]), inner, np.full(DEGREE, u[-1])])
 
 
 def solve_spline(points, params):
     """Dense design matrix, dense second-difference penalty, dense solve."""
     pts = dedupe_by_predecessor(points, 1e-9)
-    k = params.degree
+    k = DEGREE
     if len(pts) < k + 1:
         raise InsufficientPoints(f"need at least {k + 1} points, got {len(pts)}")
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     u = np.concatenate([[0.0], np.cumsum(seg)])
     n_ctrl = int(np.clip(int(u[-1] // params.ctrl_spacing) + 1, k + 1,
                          min(len(pts), MAX_CTRL_POINTS)))
-    t = _clamped_knots(n_ctrl, k, u)
+    t = _clamped_knots(n_ctrl, u)
     B = BSpline.design_matrix(u, t, k).toarray()
     d2 = np.diff(np.eye(n_ctrl), n=2, axis=0) if n_ctrl > 2 else np.zeros((0, n_ctrl))
 

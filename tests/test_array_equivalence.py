@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from icmap.curvefit import SmoothingFitParams, _clamped_knots, _solve_spline, reorder_concat
+from icmap.curvefit import (DEGREE, SmoothingFitParams, _clamped_knots, _solve_spline,
+                            reorder_concat)
 from icmap.errors import NonSimplePolygon
 from icmap.geometry import Pose2, Rect, clip_polyline_to_rect, clip_polyline_to_rects
 from icmap.polygon import classify_point, classify_points, is_simple, polygon_union
@@ -256,35 +257,33 @@ def assert_same_fit(pts, params):
 
 class TestBandedSolve:
     @equivalence
-    @given(st.lists(st.floats(0.0, 5.0), min_size=3, max_size=60), st.sampled_from([2, 3]),
-           st.data())
-    def test_knots_match_quantile(self, steps, degree, data):
+    @given(st.lists(st.floats(0.0, 5.0), min_size=3, max_size=60), st.data())
+    def test_knots_match_quantile(self, steps, data):
         u = np.concatenate([[0.0], np.cumsum(steps)])
-        n_ctrl = data.draw(st.integers(degree + 1, len(u)))
-        assert np.array_equal(_clamped_knots(n_ctrl, degree, u),
-                              ref._clamped_knots(n_ctrl, degree, u))
+        n_ctrl = data.draw(st.integers(DEGREE + 1, len(u)))
+        assert np.array_equal(_clamped_knots(n_ctrl, u), ref._clamped_knots(n_ctrl, u))
 
     @equivalence
-    @given(st.integers(4, 300), st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
-           st.sampled_from([0.0, 0.5, 5.0]))
-    def test_matches_dense_solve(self, n, seed, degree, s):
+    @given(st.integers(4, 300), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 5.0]))
+    def test_matches_dense_solve(self, n, seed, s):
         rng = np.random.default_rng(seed)
         x = np.cumsum(rng.uniform(0.1, 2.0, n))
         pts = np.column_stack([x, 3.0 * np.sin(x / rng.uniform(2.0, 20.0))])
         pts += rng.normal(0.0, rng.uniform(0.0, 0.5), pts.shape)
-        assert_same_fit(pts, SmoothingFitParams(s=s, degree=degree))
+        assert_same_fit(pts, SmoothingFitParams(s=s))
 
-    @pytest.mark.parametrize("degree, length, n_ctrl", [(2, 3.0, 3), (2, 7.0, 4), (3, 3.0, 4)])
+    # a chord of L metres asks for L // 2 + 1 control points, at least
+    # DEGREE + 1 = 4: fewer asked (3 m), exactly the fewest (7 m), one more (9 m)
+    @pytest.mark.parametrize("length, n_ctrl", [(3.0, 4), (7.0, 4), (9.0, 5)])
     @pytest.mark.parametrize("s", [0.0, 0.5, 5.0])
-    def test_fewest_control_points(self, degree, length, n_ctrl, s):
+    def test_fewest_control_points(self, length, n_ctrl, s):
         x = np.linspace(0.0, length, 9)
         pts = np.column_stack([x, 0.2 * np.sin(x)])
-        got = assert_same_fit(pts, SmoothingFitParams(s=s, degree=degree))
+        got = assert_same_fit(pts, SmoothingFitParams(s=s))
         assert len(got.c) == n_ctrl
 
-    @pytest.mark.parametrize("degree", [2, 3])
     @pytest.mark.parametrize("shape", ["semicircle", "sine"])
-    def test_one_control_point_per_site(self, degree, shape):
+    def test_one_control_point_per_site(self, shape):
         # the unpenalized square system is the worst conditioned; the ridge
         # keeps it positive definite, so the Cholesky factorization succeeds
         if shape == "semicircle":
@@ -293,5 +292,5 @@ class TestBandedSolve:
         else:
             x = np.linspace(0.0, 40.0, 30)
             pts = np.column_stack([x, 2.0 * np.sin(x / 5.0)])
-        got = assert_same_fit(pts, SmoothingFitParams(s=0.0, degree=degree, ctrl_spacing=0.01))
+        got = assert_same_fit(pts, SmoothingFitParams(s=0.0, ctrl_spacing=0.01))
         assert len(got.c) == len(pts)

@@ -108,19 +108,19 @@ class TestFuse:
     def test_degenerate_weight(self):
         geo = np.array([[0.4, 0.9]])
         feat = np.array([[0.1, 0.1]])
-        assert np.allclose(fuse_affinity(geo, feat, 1.0, 0.0), geo)
+        assert np.allclose(fuse_affinity(geo, feat, 0.0), geo)
 
     def test_arithmetic(self):
-        out = fuse_affinity(np.array([[0.8]]), np.array([[0.4]]), 0.5, 0.5)
+        out = fuse_affinity(np.array([[0.8]]), np.array([[0.4]]), 0.5)
         assert out[0, 0] == pytest.approx(0.6)
 
     def test_idempotent_geo_only(self):
         geo = np.array([[0.3, 0.7], [0.2, 0.9]])
-        assert np.allclose(fuse_affinity(geo, geo, 0.7, 0.3), geo)
+        assert np.allclose(fuse_affinity(geo, geo, 0.3), geo)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            fuse_affinity(np.zeros((2, 2)), np.zeros((2, 3)), 0.5, 0.5)
+            fuse_affinity(np.zeros((2, 2)), np.zeros((2, 3)), 0.5)
 
 
 class TestThresholdAndMatch:

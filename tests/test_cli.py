@@ -177,10 +177,10 @@ class TestRunCmd:
 class TestRunConfig:
     # every pipeline key at its default value
     DEFAULTS = (
-        "tau = 2.0\ntheta = 0.5\nw_geo = 0.7\nw_feat = 0.3\nmax_age = 0\n"
-        "s = 0.5\ndegree = 3\nout_spacing = 1.0\n"
+        "tau = 2.0\ntheta = 0.5\nw_feat = 0.3\nmax_age = 0\n"
+        "s = 0.5\nout_spacing = 1.0\n"
         "min_points = 20\nctrl_spacing = 2.0\nn_sample = 20\nexpand = 20.0\n"
-        "fuse_radius = 1.0\nfuse_weight = 0.5\nfusion = on\nmin_score = 0.55\n"
+        "fuse_radius = 1.0\nfuse_weight = 0.5\nmin_score = 0.55\n"
     )
 
     def run_with(self, scene_path, tmp_path, text, name="m"):
@@ -206,6 +206,11 @@ class TestRunConfig:
         ("fuse_radus = 2\n", "did you mean 'fuse_radius'"),
         ("jiter_sigma = 0.2\n", "unknown config key 'jiter_sigma'"),  # a scene key, misspelt
         ("jitter_sigma = 0.2\n", "unknown config key 'jitter_sigma'"),  # synth reads it, run does not
+        # no keys: the geometric weight is 1 - w_feat, fusion off is
+        # fuse_weight = 0 and the spline is always cubic
+        ("w_geo = 0.7\n", "unknown config key 'w_geo'"),
+        ("fusion = off\n", "unknown config key 'fusion'"),
+        ("degree = 3\n", "unknown config key 'degree'"),
     ])
     def test_unknown_key_names_nearest(self, scene_path, tmp_path, capsys, text, hint):
         code, out_map, _ = self.run_with(scene_path, tmp_path, text)
@@ -213,26 +218,38 @@ class TestRunConfig:
         assert hint in capsys.readouterr().err
         assert not out_map.exists()
 
-    @pytest.mark.parametrize("value", ["maybe", "2", "enabled", ""])
-    def test_unparsable_bool_rejected(self, scene_path, tmp_path, capsys, value):
-        code, _, _ = self.run_with(scene_path, tmp_path, f"fusion = {value}\n")
-        assert code == 1
-        assert "'fusion'" in capsys.readouterr().err
+    def test_no_fusion_is_fuse_weight_zero(self, scene_path, tmp_path):
+        assert run_cli("run", scene_path, "--no-fusion", "--out-map", tmp_path / "off.json") == 0
+        code, out_map, _ = self.run_with(scene_path, tmp_path, "fuse_weight = 0\n")
+        assert code == 0
+        assert out_map.read_bytes() == (tmp_path / "off.json").read_bytes()
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "on.json") == 0
+        assert out_map.read_bytes() != (tmp_path / "on.json").read_bytes()
 
-    @pytest.mark.parametrize("off", ["0", "false", "No", "OFF"])
-    def test_bool_spellings(self, scene_path, tmp_path, off):
-        assert run_cli("run", scene_path, "--no-fusion", "--out-map", tmp_path / "ref.json") == 0
-        code, out_map, _ = self.run_with(scene_path, tmp_path, f"fusion = {off}\n")
-        assert code == 0
-        assert out_map.read_bytes() == (tmp_path / "ref.json").read_bytes()
-        code, out_map, _ = self.run_with(scene_path, tmp_path, "fusion = Yes\n", "on")
-        assert code == 0
-        assert out_map.read_bytes() != (tmp_path / "ref.json").read_bytes()
+    def test_w_feat_alone(self, scene_path, tmp_path):
+        trace = tmp_path / "t.json"
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "m.json", "--trace", trace,
+                       "--w-feat", 0.4) == 0
+        assert json.loads(trace.read_text())["config"]["assoc"]["w_feat"] == 0.4
+
+    @pytest.mark.parametrize("value", [1.5, -0.1])
+    def test_w_feat_out_of_range(self, scene_path, tmp_path, capsys, value):
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "m.json",
+                       f"--w-feat={value}") == 1
+        assert "invalid parameter: w_feat must lie in [0, 1]" in capsys.readouterr().err
+
+    def test_repeated_key_names_both_lines(self, scene_path, tmp_path, capsys):
+        code, out_map, _ = self.run_with(scene_path, tmp_path, "tau = 1.0\n# c\ns = 1\ntau = 3.0\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("icmap: error: ") and ":4: config key 'tau'" in err
+        assert "on line 1" in err
+        assert not out_map.exists()
 
     @pytest.mark.parametrize("text,named", [
         ("tau = -1\n", "tau"),
         ("s = -1\n", "s must be"),
-        ("degree = 4\n", "degree"),
+        ("degree = 4\n", "degree"),  # the spline is always cubic: an unknown key
         ("tau = nan\n", "'tau'"),
         ("min_score = nan\n", "'min_score'"),
         ("fuse_weight = -inf\n", "'fuse_weight'"),
@@ -328,6 +345,25 @@ class TestEvalCmd:
         assert doc["mAP"] == pytest.approx(1.0)
         assert doc["mCD"] < 0.1
         assert all(v == pytest.approx(1.0) for v in doc["mota"].values())
+
+    def test_mixed_ranges_need_thresholds(self, scene_path, tmp_path, capsys):
+        # each range has its own default AP thresholds; pooling the scenes
+        # under either set would misscore the other
+        small = tmp_path / "small.json"
+        write_scene(make_scene(zero_noise_config("arc", range_lw=(60.0, 30.0), seed=7)), small)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for sp in (scene_path, small):
+            assert run_cli("run", sp, "--out-map", pred / f"{sp.stem}.map.json",
+                           "--trace", pred / f"{sp.stem}.trace.json") == 0
+        assert run_cli("eval", "--scene", scene_path, small, "--pred-dir", pred, "--mot") == 1
+        err = capsys.readouterr().err
+        assert f"{scene_path} and {small}" in err
+        assert "[1.0, 1.5, 2.0] and [0.5, 1.0, 1.5]" in err and "--thresholds" in err
+        report = tmp_path / "r.json"
+        assert run_cli("eval", "--scene", scene_path, small, "--pred-dir", pred, "--mot",
+                       "--thresholds", "0.5,1.0", "--report", report) == 0
+        assert json.loads(report.read_text())["ap_thresholds"] == [0.5, 1.0]
 
     def test_non_finite_map_names_field(self, scene_path, tmp_path, capsys):
         out_map = tmp_path / "m.json"

@@ -212,7 +212,6 @@ def overlapping_pair(draw):
 fit_params = st.builds(
     SmoothingFitParams,
     s=st.sampled_from([0.0, 0.5, 5.0]),
-    degree=st.sampled_from([2, 3]),
     out_spacing=st.sampled_from([0.01, 0.3, 1.0, 5.0]),
     min_points=st.sampled_from([2, 20, 3000]),
 )

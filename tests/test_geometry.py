@@ -12,7 +12,6 @@ from icmap.geometry import (
     Pose2,
     Rect,
     chamfer_distance,
-    clip_polygon_to_rect,
     clip_polyline_to_rect,
     dedupe_points,
     polyline_length,
@@ -20,7 +19,7 @@ from icmap.geometry import (
     transform_points,
     wrap_angle,
 )
-from icmap.polygon import polygon_area
+from icmap.polygon import clip_polygon_to_rect, polygon_area
 
 
 def rand_pose(rng):
