@@ -14,7 +14,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .curvefit import SweepTable, sweep_smoothing
+from .curvefit import SmoothingFitParams, SweepTable, sweep_smoothing
 from .errors import MapBuildError
 from .fileio import write_doc
 from .instance import CLASSES
@@ -148,16 +148,19 @@ def _config_keys(cls) -> set[str]:
 
 SCENE_KEYS = _config_keys(SceneConfig)
 PIPELINE_KEYS = _config_keys(PipelineParams)
+# sweep-s takes s from its grid and no other pipeline setting
+SWEEP_KEYS = _config_keys(SmoothingFitParams) - {"s"}
 
 
 def _reject_unknown(cfg: dict, known: set[str]) -> None:
     """Raise on the first key that the command does not read, naming the
-    nearest one it does."""
+    nearest one it does, or else every one it does."""
     for key in cfg:
         if key not in known:
             near = difflib.get_close_matches(key, sorted(known), n=1)
-            hint = f"; did you mean {near[0]!r}?" if near else ""
-            raise MapBuildError(f"unknown config key {key!r}{hint}")
+            hint = (f"did you mean {near[0]!r}?" if near
+                    else f"expected one of {', '.join(sorted(known))}")
+            raise MapBuildError(f"unknown config key {key!r}; {hint}")
 
 
 def _from_config(cls, cfg: dict, given: dict):
@@ -332,9 +335,13 @@ def _sweep_one(task):
 
 
 def cmd_sweep_s(args) -> int:
-    params = _params(PipelineParams, PIPELINE_KEYS, args)
+    cfg = load_config(args.config) if args.config else {}
+    if "s" in cfg:
+        raise MapBuildError("config key 's' is not read by sweep-s: --s-grid sets s")
+    _reject_unknown(cfg, SWEEP_KEYS)
+    fit = _from_config(SmoothingFitParams, cfg, {})
     grid = args.s_grid
-    tasks = [(path, grid, params.fit) for path in args.scene]
+    tasks = [(path, grid, fit) for path in args.scene]
     all_rows = _map_jobs(_sweep_one, tasks, args.jobs)
     seen = {cls for rows in all_rows for _, errs in rows for cls in errs}
     classes = [cls for cls in CLASSES if cls in seen]
@@ -369,26 +376,19 @@ def cmd_render(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _SGridSetsS(argparse.Action):
+    """`sweep-s --s`: a usage error, since the grid sets s."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error("--s is not accepted: sweep-s takes s from --s-grid")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icmap",
         description="Online vectorized map construction over synthetic detection streams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_pipeline_flags(p):
-        p.add_argument("--config", help="key = value config file")
-        # each dest is the PipelineParams field the flag sets
-        p.add_argument("--theta", type=_finite_float, help="match acceptance threshold")
-        p.add_argument("--tau", type=_finite_float, help="geometric affinity scale, meters")
-        p.add_argument("--w-feat", dest="w_feat", type=_finite_float,
-                       help="feature branch weight; the geometric branch gets 1 - w_feat")
-        p.add_argument("--max-age", dest="max_age", type=int, help="frames a track may go unseen")
-        p.add_argument("--n-sample", dest="n_sample", type=int, help="history sample count")
-        p.add_argument("--expand", type=_finite_float, help="patch expansion for sampling, meters")
-        p.add_argument("--s", type=_finite_float, help="smoothing weight for merging")
-        p.add_argument("--no-fusion", dest="fuse_weight", action="store_const", const=0.0,
-                       help="skip the history blend stage (fuse_weight = 0)")
 
     p = sub.add_parser("synth", help="generate a synthetic scene file")
     p.add_argument("--config", help="key = value config file")
@@ -405,7 +405,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene")
     p.add_argument("--out-map", required=True)
     p.add_argument("--trace", help="per-frame trace output (needed for MOT eval)")
-    add_pipeline_flags(p)
+    p.add_argument("--config", help="key = value config file")
+    # each dest is the PipelineParams field the flag sets
+    p.add_argument("--theta", type=_finite_float, help="match acceptance threshold")
+    p.add_argument("--tau", type=_finite_float, help="geometric affinity scale, meters")
+    p.add_argument("--w-feat", dest="w_feat", type=_finite_float,
+                   help="feature branch weight; the geometric branch gets 1 - w_feat")
+    p.add_argument("--max-age", dest="max_age", type=int, help="frames a track may go unseen")
+    p.add_argument("--n-sample", dest="n_sample", type=int, help="history sample count")
+    p.add_argument("--expand", type=_finite_float, help="patch expansion for sampling, meters")
+    p.add_argument("--s", type=_finite_float, help="smoothing weight for merging")
+    p.add_argument("--no-fusion", dest="fuse_weight", action="store_const", const=0.0,
+                   help="skip the history blend stage (fuse_weight = 0)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="evaluate a predicted map/trace against a scene")
@@ -428,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="TSV table output")
     p.add_argument("--plot", help="SVG chart output")
     p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
-    add_pipeline_flags(p)
+    p.add_argument("--config", help="key = value config file (out_spacing, min_points, ctrl_spacing)")
+    p.add_argument("--s", nargs="?", action=_SGridSetsS, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep_s)
 
     p = sub.add_parser("render", help="render map files to SVG")

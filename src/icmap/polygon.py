@@ -6,7 +6,9 @@ every crossing (and at T-junction touch points), fragments strictly inside
 the other polygon are dropped, and the survivors are stitched back into the
 outer boundary. Epsilon-based predicates are used throughout; inputs are
 small, roughly convex rings, and the rasterization oracle cross-checks the
-result in the test suite.
+result in the test suite. Each call builds one edge table per ring and
+works on whole arrays of edges, nodes and pieces; only the final walk
+steps edge by edge.
 """
 from __future__ import annotations
 
@@ -43,6 +45,11 @@ def _dot2(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
+def _norm(a):
+    """Length of 2-vectors stacked on the last axis."""
+    return np.hypot(a[..., 0], a[..., 1])
+
+
 def _clamp01(t):
     # clamp into [0, 1] mapping -0.0 to 0.0 (np.clip keeps -0.0), so that
     # p + t*d never turns a 0.0 coordinate of p into -0.0
@@ -50,11 +57,19 @@ def _clamp01(t):
     return np.where(t < 1.0, t, 1.0)
 
 
+def _next(r):
+    """Each vertex's successor around the closed ring."""
+    return np.concatenate([r[1:], r[:1]])
+
+
+def _shoelace(r, nxt) -> float:
+    return 0.5 * float((r[:, 0] * nxt[:, 1] - r[:, 1] * nxt[:, 0]).sum())
+
+
 def polygon_area(ring) -> float:
     """Shoelace area; positive for CCW rings."""
     r = as_points(ring)
-    nxt = np.roll(r, -1, axis=0)
-    return 0.5 * float((r[:, 0] * nxt[:, 1] - r[:, 1] * nxt[:, 0]).sum())
+    return _shoelace(r, _next(r))
 
 
 def ensure_ccw(ring) -> np.ndarray:
@@ -103,6 +118,23 @@ def clip_polygon_to_rect(ring, rect: Rect) -> list[np.ndarray]:
     return [transform_points(rect.center, ensure_ccw(result), EGO_TO_WORLD)]
 
 
+class _Ring:
+    """Edge table of a closed ring, built once per ring and call.
+
+    Edge k runs from v[k] to w[k] (the next vertex; w[-1] is v[0]) along
+    d[k], of squared length l2[k]; `area` is the shoelace area.
+    """
+
+    __slots__ = ("v", "w", "d", "l2", "area")
+
+    def __init__(self, v: np.ndarray):
+        self.v = v
+        self.w = _next(v)
+        self.d = self.w - v
+        self.l2 = _dot2(self.d, self.d)
+        self.area = _shoelace(v, self.w)
+
+
 def _crossing_params(p1, d1, q1, d2):
     """Denominator and parameters (t, u) where p1 + t*d1 meets q1 + u*d2.
 
@@ -114,51 +146,63 @@ def _crossing_params(p1, d1, q1, d2):
         return den, _cross2(w, d2) / den, _cross2(w, d1) / den
 
 
-def is_simple(ring) -> bool:
-    """True when no two non-adjacent edges intersect and no vertex repeats."""
-    r = dedupe_points(as_points(ring), EPS)
+def _project(pts, ring: _Ring):
+    """Per (point, edge): the point's offset from the edge start, the edge
+    parameter of its projection (unclamped; 0 on a zero-length edge) and its
+    distance to the edge."""
+    rel = pts[:, None] - ring.v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(ring.l2 == 0.0, 0.0, _dot2(rel, ring.d) / ring.l2)
+    off = pts[:, None] - (ring.v + _clamp01(t)[..., None] * ring.d)
+    return rel, t, _norm(off)
+
+
+def _simple(ring: _Ring) -> bool:
+    r = ring.v
     n = len(r)
     if n < 3:
         return False
     if np.hypot(*(r[0] - r[-1])) <= EPS:
         return False
-    i, j = np.triu_indices(n, 1)
-    apart = ((j + 1) % n != i) & ((i + 1) % n != j)
-    i, j = i[apart], j[apart]
-    d = np.roll(r, -1, axis=0) - r
-    den, t, u = _crossing_params(r[i], d[i], r[j], d[j])
+    k = np.arange(n)
+    gap = (k[:, None] - k) % n  # (i, j): i - j around the ring
+    # edges i and j share no vertex, and cross at interior points
+    den, t, u = _crossing_params(r[:, None], ring.d[:, None], r, ring.d)
     lo, hi = 1e-9, 1 - 1e-9
-    proper = (np.abs(den) >= 1e-14) & (lo < t) & (t < hi) & (lo < u) & (u < hi)
-    return not proper.any()
+    cross = ((gap >= 2) & (gap <= n - 2) & (np.abs(den) >= 1e-14)
+             & (lo < t) & (t < hi) & (lo < u) & (u < hi))
+    # or touch: vertex i lies within EPS of edge j, which does not end at it
+    # (a triangle has no two edges that share no vertex)
+    touch = (gap >= 2) & (n > 3) & (_project(r, ring)[2] <= EPS)
+    return not (cross | touch).any()
 
 
-def _point_edge_dist(pts, ring) -> np.ndarray:
-    """(len(pts), len(ring)) distances from each point to each edge of the
-    closed ring (edge k runs from ring[k] to ring[k + 1])."""
-    a = ring[None]
-    d = np.roll(ring, -1, axis=0)[None] - a
-    rel = pts[:, None] - a
-    den = _dot2(d, d)
+def is_simple(ring) -> bool:
+    """True when no two non-adjacent edges come within EPS of each other (a
+    crossing, a repeated vertex or a vertex on another edge) and the first
+    and last vertex differ."""
+    return _simple(_Ring(dedupe_points(as_points(ring), EPS)))
+
+
+def _side(pts, ring: _Ring, on) -> np.ndarray:
+    """+1 strictly inside, 0 where `on` (on the boundary), -1 outside."""
+    # even-odd crossing count of a ray towards +x
+    v, w = ring.v, ring.w
+    py = pts[:, 1:]
+    spans = (w[:, 1] > py) != (v[:, 1] > py)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = _clamp01(np.where(den == 0.0, 0.0, _dot2(rel, d) / den))
-    off = pts[:, None] - (a + t[..., None] * d)
-    return np.hypot(off[..., 0], off[..., 1])
+        xc = (v[:, 0] - w[:, 0]) * (py - w[:, 1]) / (v[:, 1] - w[:, 1]) + w[:, 0]
+    inside = np.count_nonzero(spans & (pts[:, :1] < xc), axis=1) % 2 == 1
+    return np.where(on, 0, np.where(inside, 1, -1))
+
+
+def _classify(pts, ring: _Ring, eps: float) -> np.ndarray:
+    return _side(pts, ring, (_project(pts, ring)[2] <= eps).any(axis=1))
 
 
 def classify_points(pts, ring, eps: float = EPS) -> np.ndarray:
     """Per point: +1 strictly inside, 0 on the boundary (within eps), -1 outside."""
-    pts = as_points(pts)
-    r = as_points(ring)
-    on = (_point_edge_dist(pts, r) <= eps).any(axis=1)
-    # even-odd crossing count of a ray towards +x; edge i runs from r[i - 1]
-    xi, yi = r[:, 0], r[:, 1]
-    xj, yj = np.roll(xi, 1), np.roll(yi, 1)
-    py = pts[:, 1:]
-    spans = (yi > py) != (yj > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xc = (xj - xi) * (py - yi) / (yj - yi) + xi
-    inside = np.count_nonzero(spans & (pts[:, :1] < xc), axis=1) % 2 == 1
-    return np.where(on, 0, np.where(inside, 1, -1))
+    return _classify(as_points(pts), _Ring(as_points(ring)), eps)
 
 
 def classify_point(pt, ring, eps: float = EPS) -> int:
@@ -166,106 +210,87 @@ def classify_point(pt, ring, eps: float = EPS) -> int:
     return int(classify_points(np.reshape(pt, (1, 2)), ring, eps)[0])
 
 
-def _contained(a, b, eps: float = EPS) -> bool:
-    """Every vertex and edge midpoint of `a` lies inside or on `b`."""
-    mids = 0.5 * (a + np.roll(a, -1, axis=0))
-    if (classify_points(np.vstack([a, mids]), b, eps) < 0).any():
+def _contained(a: _Ring, b: _Ring, a_on_b, eps: float) -> bool:
+    """Every vertex and edge midpoint of `a` lies inside or on `b`; `a_on_b`
+    marks the vertices of `a` within eps of an edge of `b`."""
+    if (_side(a.v, b, a_on_b) < 0).any() or (_classify(0.5 * (a.v + a.w), b, eps) < 0).any():
         return False
-    return polygon_area(a) <= polygon_area(b) + eps
+    return a.area <= b.area + eps
 
 
-def _collect_nodes(a, b, eps: float) -> list[np.ndarray]:
-    """Boundary crossing points plus vertices of one ring lying on the other."""
-    nodes: list[np.ndarray] = []
-
-    def add(pt):
-        for q in nodes:
-            if np.hypot(*(pt - q)) <= 10 * eps:
-                return
-        nodes.append(np.asarray(pt, dtype=np.float64))
-
-    da = np.roll(a, -1, axis=0) - a
-    db = np.roll(b, -1, axis=0) - b
-    den, t, u = _crossing_params(a[:, None], da[:, None], b[None], db[None])
+def _collect_nodes(a: _Ring, b: _Ring, a_on_b, b_on_a, eps: float) -> np.ndarray:
+    """Boundary crossing points plus vertices of one ring lying on the other,
+    in scan order, each dropped when within 10 * eps of one kept before it."""
+    den, t, u = _crossing_params(a.v[:, None], a.d[:, None], b.v, b.d)
     hit = (np.abs(den) >= 1e-14) & (-eps <= t) & (t <= 1 + eps) & (-eps <= u) & (u <= 1 + eps)
-    i, j = np.nonzero(hit)  # row-major, so nodes keep the order of the edge-pair scan
-    for pt in a[i] + _clamp01(t[i, j])[:, None] * da[i]:
-        add(pt)
-    for ring, other in ((a, b), (b, a)):
-        for pt in ring[(_point_edge_dist(ring, other) <= eps).any(axis=1)]:
-            add(pt)
-    return nodes
+    i, j = np.nonzero(hit)  # row-major, the order of the edge-pair scan
+    cands = np.concatenate([a.v[i] + _clamp01(t[i, j])[:, None] * a.d[i], a.v[a_on_b], b.v[b_on_a]])
+    close = _norm(cands[:, None] - cands) <= 10 * eps
+    kept: list[int] = []
+    for k in range(len(cands)):
+        if not close[k, kept].any():
+            kept.append(k)
+    return cands[kept]
 
 
-def _split_edges(ring, nodes, eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Directed sub-edges of `ring` split at every node lying on an edge."""
-    nodes = np.asarray(nodes, dtype=np.float64)
-    nxt = np.roll(ring, -1, axis=0)
-    d = nxt - ring
-    L2 = _dot2(d, d)
-    on = (_point_edge_dist(nodes, ring) <= eps).T  # (edge, node)
-    rel = nodes[None] - ring[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(L2[:, None] > 0, _dot2(rel, d[:, None]) / L2[:, None], 0.0)
-    to_q = nodes[None] - nxt[:, None]
-    gap = np.minimum(np.hypot(rel[..., 0], rel[..., 1]), np.hypot(to_q[..., 0], to_q[..., 1]))
-    cut = on & (((eps < t) & (t < 1 - eps)) | ((0 <= t) & (t <= 1) & (gap > 10 * eps)))
-    edges = []
-    for i in range(len(ring)):
-        k = np.flatnonzero(cut[i])
-        # the ends first, so that a stable sort keeps them ahead of nodes at equal t
-        pts = np.vstack([ring[i], nxt[i], nodes[k]])
-        pts = pts[np.argsort(np.concatenate([[0.0, 1.0], t[i, k]]), kind="stable")]
-        for u, v in zip(pts[:-1], pts[1:]):
-            if np.hypot(*(v - u)) > 10 * eps:
-                edges.append((u, v))
-    return edges
+def _split(ring: _Ring, nodes, eps: float):
+    """Directed sub-edges U[k] -> V[k] of `ring`, split at every node lying
+    on an edge, in edge order."""
+    rel, t, dist = _project(nodes, ring)  # (node, edge)
+    gap = np.minimum(_norm(rel), _norm(nodes[:, None] - ring.w))
+    cut = (dist <= eps) & (((eps < t) & (t < 1 - eps))
+                           | ((0 <= t) & (t <= 1) & (gap > 10 * eps)))
+    k, e = np.nonzero(cut)
+    n = len(ring.v)
+    ends = np.arange(n)
+    # per edge by t; at equal t its start, then its end, then nodes in order
+    edge = np.concatenate([ends, ends, e])
+    pos = np.concatenate([np.zeros(n), np.ones(n), t[k, e]])
+    rank = np.concatenate([np.zeros(n, int), np.ones(n, int), 2 + k])
+    order = np.lexsort((rank, pos, edge))
+    pts, edge = np.concatenate([ring.v, ring.w, nodes[k]])[order], edge[order]
+    keep = (edge[1:] == edge[:-1]) & (_norm(pts[1:] - pts[:-1]) > 10 * eps)
+    return pts[:-1][keep], pts[1:][keep]
 
 
-def _midpoints(edges) -> np.ndarray:
-    return np.array([0.5 * (u + v) for u, v in edges]).reshape(-1, 2)
-
-
-def _key(pt) -> tuple[int, int]:
-    return (int(round(pt[0] * 1e7)), int(round(pt[1] * 1e7)))
-
-
-def _stitch(edges) -> list[np.ndarray]:
-    """Walk directed edges into closed loops, picking the most clockwise
-    continuation at nodes with several outgoing edges (keeps the walk on the
-    outer boundary at degenerate seams)."""
+def _stitch(U, V) -> list[np.ndarray]:
+    """Walk the directed edges U[k] -> V[k] into closed loops, picking the
+    most clockwise continuation at nodes with several outgoing edges (keeps
+    the walk on the outer boundary at degenerate seams). Nodes are matched
+    on coordinates rounded to 1e-7 (half to even)."""
+    key_u = list(map(tuple, np.rint(U * 1e7).astype(np.int64).tolist()))
+    key_v = list(map(tuple, np.rint(V * 1e7).astype(np.int64).tolist()))
     out_map: dict[tuple[int, int], list[int]] = {}
-    for idx, (u, _v) in enumerate(edges):
-        out_map.setdefault(_key(u), []).append(idx)
-    used = [False] * len(edges)
+    for idx, key in enumerate(key_u):
+        out_map.setdefault(key, []).append(idx)
+    m = len(U)
+    used = [False] * m
     loops = []
-    for start in range(len(edges)):
+    for start in range(m):
         if used[start]:
             continue
-        loop = [edges[start][0]]
+        path: list[int] = []
         cur = start
         guard = 0
-        while guard <= len(edges):
+        while guard <= m:
             guard += 1
             used[cur] = True
-            u, v = edges[cur]
-            loop.append(v)
-            if _key(v) == _key(loop[0]) and guard > 1:
-                loops.append(np.array(loop[:-1]))
+            path.append(cur)
+            if key_v[cur] == key_u[start] and guard > 1:
+                loops.append(np.concatenate([U[start:start + 1], V[path[:-1]]]))
                 break
-            cands = [i for i in out_map.get(_key(v), []) if not used[i]]
+            cands = [i for i in out_map.get(key_v[cur], ()) if not used[i]]
             if not cands:
                 break  # open chain; discarded
             if len(cands) == 1:
                 cur = cands[0]
             else:
-                din = v - u
+                din = V[cur] - U[cur]
                 ain = np.arctan2(din[1], din[0])
 
                 def turn(i):
-                    d = edges[i][1] - edges[i][0]
-                    rel = (np.arctan2(d[1], d[0]) - ain + np.pi) % (2 * np.pi) - np.pi
-                    return rel
+                    d = V[i] - U[i]
+                    return (np.arctan2(d[1], d[0]) - ain + np.pi) % (2 * np.pi) - np.pi
 
                 cur = min(cands, key=turn)
     return loops
@@ -279,34 +304,40 @@ def polygon_union(a, b, eps: float = EPS):
     """
     a = ensure_ccw(dedupe_points(as_points(a), eps))
     b = ensure_ccw(dedupe_points(as_points(b), eps))
-    if not is_simple(a) or not is_simple(b):
-        raise NonSimplePolygon("polygon_union requires simple polygons")
-    if _contained(a, b, eps):
+    ta, tb = _Ring(a), _Ring(b)
+    for ring in (ta, tb):
+        # is_simple reads the ring deduped at EPS: the same table unless
+        # that drops a vertex
+        r = dedupe_points(ring.v, EPS)
+        if not _simple(ring if len(r) == len(ring.v) else _Ring(r)):
+            raise NonSimplePolygon("polygon_union requires simple polygons")
+    a_on_b = (_project(a, tb)[2] <= eps).any(axis=1)
+    b_on_a = (_project(b, ta)[2] <= eps).any(axis=1)
+    if _contained(ta, tb, a_on_b, eps):
         return b.copy()
-    if _contained(b, a, eps):
+    if _contained(tb, ta, b_on_a, eps):
         return a.copy()
-    nodes = _collect_nodes(a, b, eps)
-    if not nodes:
+    nodes = _collect_nodes(ta, tb, a_on_b, b_on_a, eps)
+    if not len(nodes):
         return DISJOINT
 
-    edges_a = _split_edges(a, nodes, eps)
-    edges_b = _split_edges(b, nodes, eps)
+    ua, va = _split(ta, nodes, eps)
+    ub, vb = _split(tb, nodes, eps)
     # keep a's fragments outside or on b, and b's strictly outside a
-    kept = [e for e, c in zip(edges_a, classify_points(_midpoints(edges_a), b, eps)) if c <= 0]
-    kept += [e for e, c in zip(edges_b, classify_points(_midpoints(edges_b), a, eps)) if c < 0]
-
-    loops = _stitch(kept)
+    keep_a = _classify(0.5 * (ua + va), tb, eps) <= 0
+    keep_b = _classify(0.5 * (ub + vb), ta, eps) < 0
+    loops = _stitch(np.concatenate([ua[keep_a], ub[keep_b]]),
+                    np.concatenate([va[keep_a], vb[keep_b]]))
     best = None
     best_area = 0.0
     for loop in loops:
         area = abs(polygon_area(loop))
         if area > best_area:
             best, best_area = loop, area
-    floor = max(abs(polygon_area(a)), abs(polygon_area(b)))
-    if best is None or best_area < floor - 1e-6:
+    if best is None or best_area < max(abs(ta.area), abs(tb.area)) - 1e-6:
         # degenerate arrangement the traversal could not resolve
         log.warning("polygon union traversal failed; keeping larger input")
-        return (a if abs(polygon_area(a)) >= abs(polygon_area(b)) else b).copy()
+        return (a if abs(ta.area) >= abs(tb.area) else b).copy()
     ring = dedupe_points(best, eps)
     return ensure_ccw(ring)
 

@@ -8,8 +8,11 @@ versions of `instance_ap`, `clear_mot_counts`, `geometric_affinity`,
 `chamfer_distance` once per same-class pair, and the merge fit's greedy
 chain loop and dense normal-equation solve. `clip_polyline_to_rect_array`
 and `clip_gt_frame` are the one-rectangle array clip and the per-frame
-ground-truth clip that the clip over all frames at once replaced. The tests
-use them as oracles: the array code must return the same values. The
+ground-truth clip that the clip over all frames at once replaced.
+`_stitch` is the walk over (u, v) edge pairs, matching nodes by
+`int(round(x * 1e7))` keys, that the union used before it kept its pieces
+in arrays. `is_simple` rejects non-adjacent edges that touch within EPS,
+as the library does. The tests use them as oracles: the array code must return the same values. The
 arithmetic of every computed output coordinate is the same in both; only
 distances that are compared against an epsilon may differ in the last bit
 (a 2-vector `@` may use a fused multiply-add).
@@ -35,7 +38,7 @@ from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Rect, as_points, chamfer
                             resample_even, transform_points)
 from icmap.instance import MapInstance
 from icmap.metrics import DEFAULT_MOT_GATE, MotCounts, _ap_from_records
-from icmap.polygon import DISJOINT, EPS, _stitch, clip_polygon_to_rect, ensure_ccw, polygon_area
+from icmap.polygon import DISJOINT, EPS, clip_polygon_to_rect, ensure_ccw, polygon_area
 from icmap.synth import N_POINTS
 
 log = logging.getLogger(__name__)
@@ -233,6 +236,16 @@ def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
     return 1e-9 < t < 1 - 1e-9 and 1e-9 < u < 1 - 1e-9
 
 
+def _point_segment_dist(pt, a, b) -> float:
+    d = b - a
+    den = float(d @ d)
+    if den == 0.0:
+        return float(np.hypot(*(pt - a)))
+    t = float((pt - a) @ d) / den
+    t = min(1.0, max(0.0, t))
+    return float(np.hypot(*(pt - (a + t * d))))
+
+
 def is_simple(ring) -> bool:
     r = dedupe_points(as_points(ring), EPS)
     n = len(r)
@@ -248,17 +261,11 @@ def is_simple(ring) -> bool:
             q1, q2 = r[j], r[(j + 1) % n]
             if _segments_properly_intersect(p1, p2, q1, q2):
                 return False
+            # edges that touch without crossing: an end of one within EPS of the other
+            if min(_point_segment_dist(p1, q1, q2), _point_segment_dist(p2, q1, q2),
+                   _point_segment_dist(q1, p1, p2), _point_segment_dist(q2, p1, p2)) <= EPS:
+                return False
     return True
-
-
-def _point_segment_dist(pt, a, b) -> float:
-    d = b - a
-    den = float(d @ d)
-    if den == 0.0:
-        return float(np.hypot(*(pt - a)))
-    t = float((pt - a) @ d) / den
-    t = min(1.0, max(0.0, t))
-    return float(np.hypot(*(pt - (a + t * d))))
 
 
 def classify_point(pt, ring, eps: float = EPS) -> int:
@@ -344,6 +351,51 @@ def _split_edges(ring, nodes, eps: float):
             if np.hypot(*(v - u)) > 10 * eps:
                 edges.append((np.asarray(u, float), np.asarray(v, float)))
     return edges
+
+
+def _key(pt) -> tuple[int, int]:
+    return (int(round(pt[0] * 1e7)), int(round(pt[1] * 1e7)))
+
+
+def _stitch(edges) -> list[np.ndarray]:
+    """Walk directed edges into closed loops, picking the most clockwise
+    continuation at nodes with several outgoing edges (keeps the walk on the
+    outer boundary at degenerate seams)."""
+    out_map: dict[tuple[int, int], list[int]] = {}
+    for idx, (u, _v) in enumerate(edges):
+        out_map.setdefault(_key(u), []).append(idx)
+    used = [False] * len(edges)
+    loops = []
+    for start in range(len(edges)):
+        if used[start]:
+            continue
+        loop = [edges[start][0]]
+        cur = start
+        guard = 0
+        while guard <= len(edges):
+            guard += 1
+            used[cur] = True
+            u, v = edges[cur]
+            loop.append(v)
+            if _key(v) == _key(loop[0]) and guard > 1:
+                loops.append(np.array(loop[:-1]))
+                break
+            cands = [i for i in out_map.get(_key(v), []) if not used[i]]
+            if not cands:
+                break  # open chain; discarded
+            if len(cands) == 1:
+                cur = cands[0]
+            else:
+                din = v - u
+                ain = np.arctan2(din[1], din[0])
+
+                def turn(i):
+                    d = edges[i][1] - edges[i][0]
+                    rel = (np.arctan2(d[1], d[0]) - ain + np.pi) % (2 * np.pi) - np.pi
+                    return rel
+
+                cur = min(cands, key=turn)
+    return loops
 
 
 def polygon_union(a, b, eps: float = EPS):

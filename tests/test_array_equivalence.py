@@ -9,6 +9,14 @@ and exact duplicate points. On such inputs every step between points is
 either 0 or at least 0.25 m, where both dedupe rules agree, so results
 must be equal, not close.
 
+The union is also compared on pipeline-sized rings: a crossing grown by
+20 to 40 successive unions with jittered quads, as merge_noisy grows one.
+On those rings the union's area must agree with the rasterization oracle
+within the area of the cells the boundaries cross, and must not depend on
+the order of the two rings. On the grid rings the same properties (with
+the area only bounded below, since the outer boundary fills holes) find
+cases the walk cannot handle, so that test is an expected failure.
+
 The merge chain takes the same argmin over the same distances as its loop
 version, so chains must be equal too. The banded spline solve sums the
 normal equations in another order and factors them by Cholesky instead of
@@ -24,7 +32,8 @@ from icmap.curvefit import (DEGREE, SmoothingFitParams, _clamped_knots, _solve_s
                             reorder_concat)
 from icmap.errors import NonSimplePolygon
 from icmap.geometry import Pose2, Rect, clip_polyline_to_rect, clip_polyline_to_rects
-from icmap.polygon import classify_point, classify_points, is_simple, polygon_union
+from icmap.polygon import (DISJOINT, classify_point, classify_points, is_simple, polygon_area,
+                           polygon_union, rasterize_area)
 from icmap.synth import CURVATURES, SceneConfig, clip_gt_frames, generate_scene
 
 # derandomized, so that a run of the suite is reproducible
@@ -186,6 +195,16 @@ class TestPolygonPredicates:
         assert [classify_point(p, r) for p in pts] == want
         assert classify_points(pts, r).tolist() == want
 
+    @pytest.mark.parametrize("r", [
+        # pinched at a repeated vertex
+        [(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)],
+        # vertex (0, 0.5) on edge 0
+        [(0.25, 1.5), (-0.5, -1.5), (0.75, -0.25), (0, 0.5), (-1.25, -0.25)],
+    ])
+    def test_touching_edges_not_simple(self, r):
+        assert not is_simple(r)
+        assert not ref.is_simple(r)
+
     def test_classify_on_collinear_and_repeated_vertices(self):
         r = np.array([[0, 0], [1, 0], [2, 0], [2, 0], [2, 2], [0, 2]], float)
         pts = np.array([[1.5, 0], [2, 0], [2, 1], [1, 1], [3, 0], [-1, 1], [0, 2]], float)
@@ -215,6 +234,97 @@ class TestUnion:
         a, b = np.array(a, float), np.array(b, float)
         for x, y in ((a, b), (b, a)):
             assert_same_union(polygon_union(x, y), ref.polygon_union(x, y))
+
+
+def crossing_frames(seed, steps):
+    """A crossing as merge_noisy detects it, `steps` times: a 4 m by 10.5 m
+    rectangle at a random heading and place, with a corner cut off by the
+    range edge in about 3 frames of 10 (a 5-vertex ring), and every vertex
+    jittered by 0.2 m (sigma)."""
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0.0, 2 * np.pi)
+    rot = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
+    base = np.array([[-2.0, -5.25], [2.0, -5.25], [2.0, 5.25], [-2.0, 5.25]]) @ rot
+    base += rng.uniform(-50.0, 50.0, 2)
+    frames = []
+    for _ in range(steps):
+        quad = base
+        if rng.random() < 0.3:
+            k = int(rng.integers(4))
+            f, g = rng.uniform(0.2, 0.8, 2)
+            cut = [quad[k] + f * (quad[k - 1] - quad[k]), quad[k] + g * (quad[(k + 1) % 4] - quad[k])]
+            quad = np.vstack([quad[:k], cut, quad[k + 1:]])
+        frames.append(quad + rng.normal(0.0, 0.2, quad.shape))
+    return frames
+
+
+def grown_unions(seed, steps):
+    """(stored, detection, union) per merge of `crossing_frames`, the stored
+    ring starting as the first detection and growing by each union."""
+    frames = crossing_frames(seed, steps)
+    stored = frames[0]
+    for det in frames[1:]:
+        got = union_or_marker(polygon_union, stored, det)
+        yield stored, det, got
+        if isinstance(got, np.ndarray):
+            stored = got
+
+
+GROWN = [(0, 20), (1, 27), (2, 34), (3, 40)]  # (seed, steps)
+
+
+def assert_union_properties(a, b, got, holes=False):
+    """The same result kind and area with the rings swapped, and an area
+    within the raster oracle's cell tolerance. The union is the outer
+    boundary, so where it may enclose a hole (`holes`) it only has to cover
+    both rings."""
+    swapped = union_or_marker(polygon_union, b, a)
+    if not isinstance(got, np.ndarray):
+        assert swapped is got or swapped == got
+        return
+    assert isinstance(swapped, np.ndarray)
+    area = polygon_area(got)
+    assert abs(area - polygon_area(swapped)) <= 1e-9
+    res = 400
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    both = np.vstack([a, b])
+    dx, dy = (both.max(axis=0) - both.min(axis=0)) / res
+    # only cells the boundaries cross can be miscounted: an edge spanning
+    # (ex, ey) crosses at most ex / dx + ey / dy + 1 of them
+    edges = np.abs(np.vstack([np.roll(r, -1, axis=0) - r for r in (a, b)]))
+    tol = float((edges[:, 0] * dy + edges[:, 1] * dx + dx * dy).sum())
+    raster = rasterize_area([a, b], res)
+    assert area >= raster - tol
+    assert holes or area <= raster + tol
+
+
+class TestGrownUnion:
+    @pytest.mark.parametrize("seed, steps", GROWN)
+    def test_matches_loop_union(self, seed, steps):
+        sizes = []
+        for stored, det, got in grown_unions(seed, steps):
+            assert_same_union(got, union_or_marker(ref.polygon_union, stored, det))
+            sizes.append(len(stored))
+        assert max(sizes) >= 20  # as large as the rings merge_noisy stores
+
+    @pytest.mark.parametrize("seed, steps", GROWN)
+    def test_area_and_commutativity(self, seed, steps):
+        # every detection contains the rectangle's centre and is convex, so
+        # the grown ring is star-shaped about it: no hole
+        for stored, det, got in grown_unions(seed, steps):
+            assert got is not DISJOINT
+            assert_union_properties(stored, det, got)
+
+    # Known defects of the walk, kept visible: with the rings swapped, two
+    # squares stacked on a shared edge give one square (the shared edge runs
+    # both ways and is kept), and rings touching at the first vertex of one
+    # give one ring (the walk closes its loop at the touch point).
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the walk depends on ring order at shared edges and touch points")
+    @equivalence
+    @given(polygon, polygon)
+    def test_grid_area_and_commutativity(self, a, b):
+        assert_union_properties(a, b, union_or_marker(polygon_union, a, b), holes=True)
 
 
 @st.composite

@@ -1,0 +1,35 @@
+"""The benchmark's span wrapping still finds every import site it requires.
+
+`pipebench/spans.py` times icmap by replacing each function in `SPANS` at
+every module attribute that refers to it, and refuses to run when one of
+its `REQUIRED_SITES` (a by-name import such as `polygon.dedupe_points`) is
+gone. That check otherwise runs only under `pipebench/run.py --trace 1`;
+here a refactor that drops a required import fails the test suite.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "pipebench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("pipebench_spans", SPANS_PY)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_install_wraps_required_sites_and_undo_restores():
+    spans = load_spans()
+    mods = [importlib.import_module(f"icmap.{m}") for m in spans.MODULES]
+    before = [(mod, dict(vars(mod))) for mod in mods]
+    undo = spans.install(spans.Tracer())  # raises RuntimeError naming a missing site
+    try:
+        for name, (m, f) in spans.SPANS.items():
+            assert getattr(importlib.import_module(f"icmap.{m}"), f).__wrapped_span__ == name
+    finally:
+        undo()
+    for mod, attrs in before:
+        for attr, val in attrs.items():
+            assert getattr(mod, attr) is val, f"{mod.__name__}.{attr} not restored"

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from icmap.cli import PIPELINE_KEYS, SCENE_KEYS, main
+from icmap.cli import PIPELINE_KEYS, SCENE_KEYS, SWEEP_KEYS, main
 from icmap.mapstore import load_map
 from icmap.synth import make_scene, read_scene, write_scene
 
@@ -28,8 +28,9 @@ def config_keys(text):
 
 
 @pytest.mark.parametrize("label,keys", [("Scene keys:", SCENE_KEYS),
-                                        ("Pipeline keys:", PIPELINE_KEYS)],
-                         ids=["scene", "pipeline"])
+                                        ("Pipeline keys:", PIPELINE_KEYS),
+                                        ("Sweep keys:", SWEEP_KEYS)],
+                         ids=["scene", "pipeline", "sweep"])
 def test_readme_lists_every_config_key(label, keys):
     # the README's list runs from its label to the first full stop ending a line
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -536,6 +537,52 @@ class TestSweepCmd:
         run_cli("sweep-s", scene_path, "--s-grid", "0:1:0.5", "--out", out, "--plot", plot)
         text = plot.read_text()
         assert text.startswith("<?xml") and "<svg" in text
+
+    # sweep-s merges observations with the fit alone: association, fusion
+    # and the pipeline's s do not apply to it
+    @pytest.mark.parametrize("flag", [["--theta", "0.9"], ["--tau", "2"], ["--w-feat", "0.9"],
+                                      ["--max-age", "3"], ["--n-sample", "5"],
+                                      ["--expand", "5"], ["--no-fusion"]])
+    def test_pipeline_flag_usage_error(self, scene_path, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep-s", scene_path, "--s-grid", "1:1:1", "--out", tmp_path / "t.tsv", *flag)
+        assert exc.value.code == 2
+        assert not (tmp_path / "t.tsv").exists()
+
+    @pytest.mark.parametrize("flag", [["--s", "0.5"], ["--s"]])
+    def test_s_flag_names_grid(self, scene_path, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep-s", scene_path, "--out", tmp_path / "t.tsv", *flag)
+        assert exc.value.code == 2
+        assert "takes s from --s-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("s = 0.5\n", "config key 's' is not read by sweep-s: --s-grid sets s"),
+        ("theta = 0.9\n",
+         "unknown config key 'theta'; expected one of ctrl_spacing, min_points, out_spacing"),
+        ("fuse_weight = 0\n", "unknown config key 'fuse_weight'"),
+        ("out_spacng = 2\n", "unknown config key 'out_spacng'; did you mean 'out_spacing'?"),
+    ])
+    def test_config_key_not_read(self, scene_path, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        out = tmp_path / "t.tsv"
+        assert run_cli("sweep-s", scene_path, "--s-grid", "1:1:1", "--out", out,
+                       "--config", cfg) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_keys_read(self, scene_path, tmp_path):
+        tables = {}
+        for name, text in (("default", ""), ("same", "out_spacing = 1.0\nmin_points = 20\n"),
+                           ("coarse", "out_spacing = 3.0\nmin_points = 4\nctrl_spacing = 6\n")):
+            cfg = tmp_path / f"{name}.txt"
+            cfg.write_text(text)
+            tables[name] = tmp_path / f"{name}.tsv"
+            assert run_cli("sweep-s", scene_path, "--s-grid", "1:1:1", "--out", tables[name],
+                           "--config", cfg) == 0
+        assert tables["same"].read_bytes() == tables["default"].read_bytes()
+        assert tables["coarse"].read_bytes() != tables["default"].read_bytes()
 
     def test_noisy_scene_argmin_in_band(self, tmp_path):
         # averaged over four noisy s-curve scenes, the error-minimizing s

@@ -104,6 +104,15 @@ class TestUnion:
         with pytest.raises(NonSimplePolygon):
             polygon_union(bowtie, square(0, 0))
 
+    def test_vertex_on_edge_rejected(self):
+        # (0, 0.5) lies on edge 0 of `ring`; the walk failed on such a ring
+        # and fell back to the larger input
+        ring = np.array([[0.25, 1.5], [-0.5, -1.5], [0.75, -0.25], [0.0, 0.5], [-1.25, -0.25]])
+        tri = np.array([[1.0, -1.5], [1.0, 0.5], [-1.0, 0.25]])
+        for a, b in ((ring, tri), (tri, ring)):
+            with pytest.raises(NonSimplePolygon):
+                polygon_union(a, b)
+
     def test_commutative(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
