@@ -1,11 +1,12 @@
 """Temporal association of per-frame detections against a track buffer.
 
-Per frame: build detection/track affinities from a geometric branch
-(exp(-chamfer/tau), class gated) and a feature branch (shifted cosine of
-embeddings), fuse them as a convex combination, drop pairs at or below the
-threshold theta, solve the optimal one-to-one matching, inherit or issue
-IDs, and update the buffer (unmatched tracks age out after max_age missed
-frames).
+Per frame: move the detections to the world frame, where the buffer's
+tracks are stored, and outline each once; build detection/track affinities
+from a geometric branch (exp(-chamfer/tau) between outlines, class gated)
+and a feature branch (shifted cosine of embeddings), fuse them as a convex
+combination, keep same-class pairs above the threshold theta, solve the
+optimal one-to-one matching, inherit or issue IDs, and update the buffer
+(unmatched tracks age out after max_age missed frames).
 """
 from __future__ import annotations
 
@@ -17,23 +18,27 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DuplicateId, MissingEmbedding, ShapeMismatch
 # chamfer_distance is not called here, but pipebench/spans.py wraps it as an
 # import site of this module
-from .geometry import EGO_TO_WORLD, WORLD_TO_EGO, Pose2, chamfer_distance, densify
+from .geometry import EGO_TO_WORLD, Pose2, chamfer_distance, densify
 from .instance import MapInstance, chamfer_by_class
+
+GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
 
 
 @dataclass
 class Track:
-    instance: MapInstance  # world frame, id set
+    instance: MapInstance  # world frame; id set once it is in the buffer
+    outline: np.ndarray  # _dense_pts of the instance, the points it is scored by
     age_missed: int = 0
+
+    @property
+    def cls(self) -> str:
+        return self.instance.cls
 
 
 @dataclass
 class TrackBuffer:
     tracks: list[Track] = field(default_factory=list)
     next_id: int = 0
-
-
-GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,15 @@ def _dense_pts(inst: MapInstance, spacing: float) -> np.ndarray:
     return densify(pts, spacing)
 
 
-def geometric_affinity(dets, tracks, tau: float) -> np.ndarray:
-    """exp(-chamfer/tau) for same-class pairs, 0 across classes.
+def outlined(inst: MapInstance) -> Track:
+    """A track of `inst`, densified once at GEO_DENSIFY."""
+    return Track(inst, _dense_pts(inst, GEO_DENSIFY))
 
-    Each instance is densified once and each class is scored as one matrix.
-    """
-    dist = chamfer_by_class(dets, tracks, lambda inst: _dense_pts(inst, GEO_DENSIFY))
+
+def geometric_affinity(dets, tracks, tau: float) -> np.ndarray:
+    """exp(-chamfer/tau) between the outlines of two lists of tracks for
+    same-class pairs, 0 across classes. Each class is scored as one matrix."""
+    dist = chamfer_by_class(dets, tracks, lambda tr: tr.outline)
     return np.exp(-dist / tau)
 
 
@@ -131,29 +139,26 @@ def allocate_ids(dets, matching, buffer: TrackBuffer) -> tuple[list[MapInstance]
     return out, next_id
 
 
-def update_buffer(buffer: TrackBuffer, dets_with_ids, max_age: int,
+def update_buffer(buffer: TrackBuffer, det_tracks, max_age: int,
                   next_id: int | None = None) -> TrackBuffer:
-    """Refresh matched tracks, age and prune unmatched ones, append new."""
-    ids = [d.id for d in dets_with_ids]
+    """Refresh matched tracks, age and prune unmatched ones, append new.
+
+    `det_tracks` are the frame's detections as tracks with IDs set; each
+    replaces the stored track of its ID, outline included."""
+    ids = [d.instance.id for d in det_tracks]
     if len(ids) != len(set(ids)):
         raise DuplicateId("detections carry duplicate IDs")
-    by_id = {d.id: d for d in dets_with_ids}
+    by_id = dict(zip(ids, det_tracks))
     tracks: list[Track] = []
-    seen = set()
     for tr in buffer.tracks:
-        det = by_id.get(tr.instance.id)
+        det = by_id.pop(tr.instance.id, None)
         if det is not None:
-            tracks.append(Track(det))
-            seen.add(det.id)
-        else:
-            aged = Track(tr.instance, tr.age_missed + 1)
-            if aged.age_missed <= max_age:
-                tracks.append(aged)
-    for det in dets_with_ids:
-        if det.id not in seen:
-            tracks.append(Track(det))
+            tracks.append(det)
+        elif tr.age_missed < max_age:
+            tracks.append(replace(tr, age_missed=tr.age_missed + 1))
+    tracks.extend(by_id.values())
     if next_id is None:
-        next_id = max([buffer.next_id] + [d.id + 1 for d in dets_with_ids])
+        next_id = max([buffer.next_id] + [i + 1 for i in ids])
     return TrackBuffer(tracks, next_id)
 
 
@@ -167,30 +172,31 @@ class AssociationResult:
 
 def associate_frame(buffer: TrackBuffer, dets, pose: Pose2,
                     config: AssocConfig) -> AssociationResult:
-    """Assign IDs to one frame of ego-frame detections and update the buffer."""
-    track_insts = [t.instance.transformed(pose, WORLD_TO_EGO) for t in buffer.tracks]
-    geo = geometric_affinity(dets, track_insts, config.tau)
-    have_emb = all(d.embedding is not None for d in dets) and all(
-        t.embedding is not None for t in track_insts
-    )
+    """Assign IDs to one frame of ego-frame detections and update the buffer.
+
+    Each detection is moved to the world frame and outlined once, here; the
+    buffer's tracks are scored as stored."""
+    scored = [outlined(d.transformed(pose, EGO_TO_WORLD)) for d in dets]
+    world = [s.instance for s in scored]
+    stored = [t.instance for t in buffer.tracks]
+    geo = geometric_affinity(scored, buffer.tracks, config.tau)
+    have_emb = all(inst.embedding is not None for inst in world + stored)
     if have_emb and config.w_feat > 0:
-        fused = fuse_affinity(geo, feature_affinity(dets, track_insts), config.w_feat)
+        fused = fuse_affinity(geo, feature_affinity(world, stored), config.w_feat)
     else:
         fused = geo
     same_class = np.array(
-        [[d.cls == t.cls for t in track_insts] for d in dets], dtype=bool
+        [[d.cls == t.cls for t in stored] for d in world], dtype=bool
     ).reshape(fused.shape)
-    fused = np.where(same_class, fused, 0.0)
-    eligible = threshold_filter(fused, config.theta)
-    matching = optimal_match(fused, eligible)
-    dets_ids, next_id = allocate_ids(dets, matching, buffer)
-    world_dets = [d.transformed(pose, EGO_TO_WORLD) for d in dets_ids]
-    new_buffer = update_buffer(buffer, world_dets, config.max_age, next_id)
+    matching = optimal_match(fused, threshold_filter(fused, config.theta) & same_class)
+    world_ids, next_id = allocate_ids(world, matching, buffer)
+    det_tracks = [Track(d, s.outline) for d, s in zip(world_ids, scored)]
+    new_buffer = update_buffer(buffer, det_tracks, config.max_age, next_id)
     track_ids = [t.instance.id for t in buffer.tracks]
     matches = [(i, track_ids[j], float(fused[i, j])) for i, j in matching]
     matched_det_idx = {i for i, _ in matching}
-    new_ids = [d.id for k, d in enumerate(dets_ids) if k not in matched_det_idx]
-    return AssociationResult(world_dets, new_buffer, matches, new_ids)
+    new_ids = [d.id for k, d in enumerate(world_ids) if k not in matched_det_idx]
+    return AssociationResult(world_ids, new_buffer, matches, new_ids)
 
 
 def post_track_baseline(frames, poses, dist_threshold: float = 2.0) -> list[list[MapInstance]]:

@@ -252,14 +252,11 @@ def _eval_one(task) -> dict:
     _check_scene_id(map_path, pred_map.scene_id, scene.scene_id)
     if thresholds is None:
         thresholds = list(LARGE_THRESHOLDS if scene.range_lw[0] >= 80 else SMALL_THRESHOLDS)
-    gt_frames = scene_gt_frames(scene)
-    out: dict = {"thresholds": thresholds, "mot_gate": mot_gate}
-    cd, mcd = global_map_cd(pred_map, scene.gt)
-    out["cd"] = cd
-    out["mcd"] = mcd
+    out: dict = {"thresholds": thresholds, "cd": global_map_cd(pred_map, scene.gt)[0]}
     if want_mot:
         trace_scene_id, pred_frames = read_trace(trace_path)
         _check_scene_id(trace_path, trace_scene_id, scene.scene_id)
+        gt_frames = scene_gt_frames(scene)
         # one pred x GT Chamfer table per frame, read by CLEAR-MOT here and
         # by AP once the scenes are pooled
         dists = frame_distances(pred_frames, gt_frames)
@@ -451,10 +448,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flag pairs of which a command reads only one: synth writes one scene to
+# --out or --count scenes to --out-dir, and eval --pred-dir finds each map
+# and trace in the directory
+_CONFLICTS = {
+    "synth": (("--out", "--out-dir"), ("--out", "--count")),
+    "eval": (("--pred-dir", "--pred-map"), ("--pred-dir", "--trace")),
+}
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    for first, second in _CONFLICTS.get(args.command, ()):
+        if all(getattr(args, flag[2:].replace("-", "_")) is not None for flag in (first, second)):
+            parser.error(f"argument {second}: not allowed with argument {first}")
     try:
         return args.func(args)
     except (MapBuildError, OSError) as exc:

@@ -3,12 +3,19 @@
 `pipebench/spans.py` times icmap by replacing each function in `SPANS` at
 every module attribute that refers to it, and refuses to run when one of
 its `REQUIRED_SITES` (a by-name import such as `polygon.dedupe_points`) is
-gone. That check otherwise runs only under `pipebench/run.py --trace 1`;
-here a refactor that drops a required import fails the test suite.
+gone. Its counters read the arguments of some spans (the classes of what
+`geometric_affinity` scores, the buffer `associate_frame` gets). Those
+checks otherwise run only under `pipebench/run.py --trace 1`; here a
+refactor that drops a required import, leaves a span uncalled or changes
+what a counter reads fails the test suite.
 """
 import importlib
 import importlib.util
 from pathlib import Path
+
+from icmap import cli, synth
+
+from test_golden import SCENES
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "pipebench" / "spans.py"
 
@@ -33,3 +40,23 @@ def test_install_wraps_required_sites_and_undo_restores():
     for mod, attrs in before:
         for attr, val in attrs.items():
             assert getattr(mod, attr) is val, f"{mod.__name__}.{attr} not restored"
+
+
+def test_traced_commands_call_every_span(tmp_path):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        # through the module attributes, which install() wrapped
+        scene = tmp_path / "scene.json"
+        synth.write_scene(synth.make_scene(SCENES["merge_noisy"]), scene)
+        argv = [["run", scene, "--out-map", tmp_path / "scene.map.json",
+                 "--trace", tmp_path / "scene.trace.json"],
+                ["eval", "--scene", scene, "--pred-dir", tmp_path, "--mot"],
+                ["sweep-s", scene, "--s-grid", "1:1:1", "--out", tmp_path / "sweep.tsv"]]
+        for args in argv:
+            assert cli.main([str(a) for a in args]) == 0
+        tracer.count_metrics()
+    finally:
+        undo()
+    assert [name for name in spans.SPANS if tracer.calls[name] == 0] == []

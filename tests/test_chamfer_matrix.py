@@ -1,8 +1,8 @@
 """`chamfer_matrix` and the code that reads it, against per-pair oracles.
 
 `_kernels.chamfer_matrix` scores two lists of point sets in one broadcast;
-every entry must have the bits of `chamfer_distance`, which itself takes a
-k-d tree above `BRUTE_FORCE_MAX_PAIRS` point pairs. AP, CLEAR-MOT, the
+every entry must have the bits of `chamfer_distance`, which queries a k-d
+tree. AP, CLEAR-MOT, the
 geometric affinity, the post-hoc tracker and the sweep's observation grouping
 read these matrices; each must give exactly what its per-pair loop version
 in tests/scalar_reference.py gives.
@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from icmap._kernels import BRUTE_FORCE_MAX_PAIRS, chamfer_matrix
-from icmap.association import GEO_DENSIFY, geometric_affinity, post_track_baseline
+from icmap._kernels import chamfer_matrix
+from icmap.association import GEO_DENSIFY, geometric_affinity, outlined, post_track_baseline
 from icmap.errors import EmptyPointSet
 from icmap.geometry import Pose2, chamfer_distance
 from icmap.instance import CLASSES, MapInstance
@@ -27,9 +27,8 @@ from icmap.synth import NoiseConfig, SceneConfig, make_scene
 # derandomized, so that a run of the suite is reproducible
 equivalence = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
-# 141 * 141 = 19,881 pairs go through the broadcast in chamfer_distance;
-# 141 * 142 = 20,022 through the k-d tree
-NEAR_CUTOFF = (1, 2, 141, 142, 150, 300)
+# single points up to sets of a few hundred, in blocks of mixed sizes
+MIXED_SIZES = (1, 2, 141, 142, 150, 300)
 
 
 def point_sets(rng, sizes, grid):
@@ -51,20 +50,14 @@ def assert_entries_equal(As, Bs):
             assert got[i, j] == chamfer_distance(a, b), (i, j, len(a), len(b))
 
 
-def test_near_cutoff_sizes_straddle():
-    pairs = {n * m for n in NEAR_CUTOFF for m in NEAR_CUTOFF}
-    assert min(pairs) <= BRUTE_FORCE_MAX_PAIRS < max(pairs)
-    assert 141 * 141 <= BRUTE_FORCE_MAX_PAIRS < 141 * 142
-
-
 @pytest.mark.parametrize("grid", [False, True])
 def test_blocks_straddling_cutoff(grid):
     rng = np.random.default_rng(7 + grid)
-    assert_entries_equal(point_sets(rng, NEAR_CUTOFF, grid),
-                         point_sets(rng, NEAR_CUTOFF[::-1], grid))
+    assert_entries_equal(point_sets(rng, MIXED_SIZES, grid),
+                         point_sets(rng, MIXED_SIZES[::-1], grid))
 
 
-size = st.one_of(st.integers(1, 40), st.sampled_from(NEAR_CUTOFF))
+size = st.one_of(st.integers(1, 40), st.sampled_from(MIXED_SIZES))
 
 
 @equivalence
@@ -163,7 +156,7 @@ def test_mot_equals_per_pair_loop(stream, gate):
 def test_affinity_equals_per_pair_loop(stream, tau):
     pred_frames, gt_frames = stream
     dets, tracks = pred_frames[0], gt_frames[-1]
-    got = geometric_affinity(dets, tracks, tau)
+    got = geometric_affinity([outlined(d) for d in dets], [outlined(t) for t in tracks], tau)
     assert np.array_equal(got, ref.geometric_affinity(dets, tracks, tau, GEO_DENSIFY))
 
 

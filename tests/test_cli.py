@@ -110,6 +110,21 @@ class TestSynthCmd:
             "scene_000.json", "scene_001.json", "scene_002.json"
         ]
 
+    # --out names the one scene; --count scenes go to --out-dir
+    @pytest.mark.parametrize("flags,message", [
+        (["--out", "a.json", "--out-dir", "d"], "argument --out-dir: not allowed with argument --out"),
+        (["--count", "1", "--out", "b.json", "--out-dir", "d2"],
+         "argument --out-dir: not allowed with argument --out"),
+        (["--count", "1", "--out", "b.json"], "argument --count: not allowed with argument --out"),
+    ], ids=["out-dir", "count-and-out-dir", "count"])
+    def test_conflicting_flags_usage_error(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("synth", *flags)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunCmd:
     def test_zero_noise_map(self, scene_path, tmp_path):
@@ -320,6 +335,20 @@ class TestEvalCmd:
         )
         assert code == 0
         assert json.loads(report.read_text())["ap_thresholds"] == [0.5, 1.0, 1.5]
+
+    # --pred-dir holds each scene's map and trace; a path given beside it
+    # would go unread
+    @pytest.mark.parametrize("flags,message", [
+        (["--pred-map", "/nonexistent.json"], "argument --pred-map: not allowed with argument --pred-dir"),
+        (["--trace", "/nonexistent.json"], "argument --trace: not allowed with argument --pred-dir"),
+        (["--pred-map", "/nonexistent.json", "--trace", "/nonexistent2.json"],
+         "argument --pred-map: not allowed with argument --pred-dir"),
+    ], ids=["pred-map", "trace", "both"])
+    def test_pred_dir_conflicts_usage_error(self, scene_path, tmp_path, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eval", "--scene", scene_path, "--pred-dir", tmp_path, *flags, "--mot")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_mot_without_trace_errors(self, scene_path, tmp_path, capsys):
         out_map = tmp_path / "m.json"

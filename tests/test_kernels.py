@@ -1,8 +1,5 @@
 """The kernels against the brute-force and scalar-loop oracles in
 tests/scalar_reference.py, and the Chamfer properties that follow from them.
-
-`nn_mean_dist` broadcasts up to `BRUTE_FORCE_MAX_PAIRS` point pairs and
-queries a k-d tree above; the sizes below sit on both sides of that cutoff.
 """
 import numpy as np
 import pytest
@@ -10,20 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from icmap import _kernels
-from icmap._kernels import BRUTE_FORCE_MAX_PAIRS, inside_mask, nn_mean_dist
+from icmap._kernels import inside_mask, nn_mean_dist
 from icmap.geometry import EGO_TO_WORLD, Pose2, chamfer_distance, transform_points
 
 # derandomized, so that a run of the suite is reproducible
 properties = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 SIZES = [(10, 10), (140, 142), (149, 151), (400, 600), (3000, 600)]
-
-
-def test_sizes_straddle_cutoff():
-    pairs = [n * m for n, m in SIZES]
-    assert min(pairs) <= BRUTE_FORCE_MAX_PAIRS < max(pairs)
-    assert sum(p <= BRUTE_FORCE_MAX_PAIRS for p in pairs) >= 2
 
 
 @pytest.mark.parametrize("n,m", SIZES, ids=[f"{n}x{m}" for n, m in SIZES])
@@ -36,14 +26,14 @@ def test_nn_mean_dist_matches_brute_force(n, m):
 
 
 @pytest.mark.parametrize("n,m", [(3, 5), (60, 60), (400, 600)])
-def test_broadcast_and_tree_return_same_bits(monkeypatch, n, m):
+def test_broadcast_and_tree_return_same_bits(n, m):
+    # chamfer_matrix broadcasts what nn_mean_dist's k-d tree queries; the
+    # tree's distances are sqrt(dx*dx + dy*dy), the broadcast's arithmetic
     rng = np.random.default_rng(n + m)
     a = rng.uniform(-50, 50, (n, 2))
     b = np.vstack([rng.uniform(-50, 50, (m, 2)), a[:2]])  # exact ties at 0
-    monkeypatch.setattr(_kernels, "BRUTE_FORCE_MAX_PAIRS", 0)
-    tree = nn_mean_dist(a, b)
-    monkeypatch.setattr(_kernels, "BRUTE_FORCE_MAX_PAIRS", n * len(b))
-    assert nn_mean_dist(a, b) == tree
+    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2 + (a[:, None, 1] - b[None, :, 1]) ** 2
+    assert nn_mean_dist(a, b) == float(np.sqrt(d2.min(axis=1)).sum() / n)
 
 
 coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
