@@ -55,6 +55,8 @@ class AssocConfig:
             raise ValueError("theta must lie in [0, 1)")
         if not 0.0 <= self.w_feat <= 1.0:
             raise ValueError("w_feat must lie in [0, 1]")
+        if self.max_age < 0:
+            raise ValueError("max_age must be >= 0")
 
 
 def _dense_pts(inst: MapInstance, spacing: float) -> np.ndarray:

@@ -56,6 +56,13 @@ def _finite_float(text: str) -> float:
     return val
 
 
+def _positive_float(text: str) -> float:
+    val = _finite_float(text)
+    if val <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return val
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     try:
         l, w = text.lower().split("x")
@@ -424,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mot", action="store_true", help="also compute AP and CLEAR-MOT from the trace")
     p.add_argument("--thresholds", type=_parse_thresholds,
                    help="AP thresholds in meters, e.g. 0.5,1.0,1.5")
-    p.add_argument("--mot-gate", dest="mot_gate", type=_finite_float, default=DEFAULT_MOT_GATE)
+    p.add_argument("--mot-gate", dest="mot_gate", type=_positive_float, default=DEFAULT_MOT_GATE,
+                   help="CLEAR-MOT match gate, meters (positive)")
     p.add_argument("--report", help="write the report as JSON here")
     p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
     p.set_defaults(func=cmd_eval)

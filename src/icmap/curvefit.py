@@ -57,6 +57,8 @@ class SmoothingFitParams:
             raise ValueError("smoothing weight s must be >= 0")
         if self.out_spacing <= 0:
             raise ValueError("out_spacing must be positive")
+        if self.min_points < 2:
+            raise ValueError("min_points must be >= 2")
         if self.ctrl_spacing <= 0:
             raise ValueError("ctrl_spacing must be positive")
 

@@ -67,6 +67,14 @@ def transform_points(pose: Pose2, points, direction: str = EGO_TO_WORLD) -> np.n
                   as_points(points), direction)
 
 
+def transform_stacked(poses, points, direction: str = EGO_TO_WORLD) -> np.ndarray:
+    """`transform_points(poses[k], points[k], direction)` for each k, with
+    the same bits, as one (len(poses), N, 2) array."""
+    c, s, tx, ty = np.array([[math.cos(p.theta), math.sin(p.theta), p.x, p.y]
+                             for p in poses]).reshape(-1, 4, 1).transpose(1, 0, 2)
+    return _rigid(c, s, tx, ty, np.asarray(points, dtype=np.float64), direction)
+
+
 def _rigid(c, s, tx, ty, pts: np.ndarray, direction: str) -> np.ndarray:
     """`transform_points` for the pose with heading cosine `c`, sine `s` and
     translation (tx, ty). Each of them may be an array that broadcasts
@@ -142,6 +150,52 @@ def resample_even(points, n: int) -> np.ndarray:
     out = np.column_stack([np.interp(targets, s, pts[:, 0]), np.interp(targets, s, pts[:, 1])])
     out[0] = pts[0]
     out[-1] = pts[-1]
+    return out
+
+
+def resample_even_many(lines, n: int) -> np.ndarray:
+    """`resample_even(line, n)` of each of `lines`, with the same bits, as
+    one (len(lines), n, 2) array.
+
+    The dedupe and the segment lengths run once over all lines; the
+    arc-length sums are one `cumsum` along the rows of a zero-padded
+    (line, segment) table, which adds in the same order as the 1-D one.
+    Only `np.interp` runs per line.
+    """
+    if n < 2:
+        raise InvalidSampleCount(f"need at least 2 sample points, got {n}")
+    lines = [as_points(line) for line in lines]
+    if not lines:
+        return np.empty((0, n, 2))
+    pts = np.concatenate(lines)
+    sizes = np.array([len(line) for line in lines])
+    line_of = np.repeat(np.arange(len(lines)), sizes)
+    # `dedupe_points`, restarting at each line's first point
+    step = np.diff(pts, axis=0)
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.hypot(step[:, 0], step[:, 1]) > 1e-9
+    keep[np.cumsum(sizes)[:-1][sizes[1:] > 0]] = True
+    pts, line_of = pts[keep], line_of[keep]
+    sizes = np.bincount(line_of, minlength=len(lines))
+    if sizes.min() < 2:
+        raise EmptyPointSet("resample_even requires a polyline with positive length")
+    # arc length at each point: row l holds line l's, then zeros
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    first = np.append(0, np.cumsum(sizes)[:-1])
+    own = np.ones(len(seg), dtype=bool)  # not the step from one line into the next
+    own[first[1:] - 1] = False
+    table = np.zeros((len(lines), sizes.max()))
+    table[:, 1:][np.arange(sizes.max() - 1) < (sizes - 1)[:, None]] = seg[own]
+    s = np.cumsum(table, axis=1)
+    last = first + sizes - 1
+    targets = np.linspace(0.0, s[np.arange(len(lines)), sizes - 1], n).T.copy()
+    out = np.empty((len(lines), n, 2))
+    for k, (lo, m) in enumerate(zip(first.tolist(), sizes.tolist())):
+        xp = s[k, :m]
+        out[k, :, 0] = np.interp(targets[k], xp, pts[lo:lo + m, 0])
+        out[k, :, 1] = np.interp(targets[k], xp, pts[lo:lo + m, 1])
+    out[:, 0] = pts[first]
+    out[:, -1] = pts[last]
     return out
 
 
@@ -229,19 +283,66 @@ def clip_polyline_to_rect(points, rect: Rect, min_length: float = 0.0) -> list[n
 
 def clip_polyline_to_rects(points, rects, min_length: float = 0.0) -> list[list[np.ndarray]]:
     """`clip_polyline_to_rect` of one polyline against each of `rects`, with
-    the same bits: the transforms into the rectangles' frames and the
-    segment clip run as one broadcast over rectangles x segments; only the
-    joining of the clipped segments into pieces runs per rectangle."""
+    the same bits (see `clip_polyline_pieces`)."""
+    pts, bounds, owner = clip_polyline_pieces(points, rects, min_length)
+    out: list[list[np.ndarray]] = [[] for _ in rects]
+    for lo, hi, r in zip(bounds[:-1].tolist(), bounds[1:].tolist(), owner.tolist()):
+        out[r].append(pts[lo:hi])
+    return out
+
+
+def clip_polyline_pieces(points, rects, min_length: float = 0.0):
+    """The pieces of `clip_polyline_to_rects` as one world-frame array.
+
+    Returns (pts, bounds, owner): piece k is pts[bounds[k]:bounds[k + 1]],
+    clipped by rects[owner[k]]; pieces run in rectangle order, then in
+    input order. Each step of `clip_polyline_to_rect` runs once over all
+    rectangles x segments with the same arithmetic per element: the
+    transforms into the rectangles' frames, the segment clip, the joining
+    of segments into pieces, the 1e-12 dedupe against each point's
+    predecessor in its piece, and the transform back to the world. Only
+    the `min_length` test sums each piece on its own, so that its length
+    has `polyline_length`'s bits.
+    """
     src = dedupe_points(points)
     if len(src) < 2 or not rects:
-        return [[] for _ in rects]
+        return np.empty((0, 2)), np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp)
     # one row per rectangle: its pose, then its half extents
     rows = np.array([[math.cos(r.center.theta), math.sin(r.center.theta), r.center.x,
                       r.center.y, r.half_length, r.half_width] for r in rects])[:, None, :]
-    pts = _rigid(rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3], src, WORLD_TO_EGO)
-    clipped = _clip_segments_box(pts[:, :-1], pts[:, 1:], rows[..., 4:])
-    return [_join_pieces(*(arr[i] for arr in clipped), rect, min_length)
-            for i, rect in enumerate(rects)]
+    local = _rigid(rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3], src, WORLD_TO_EGO)
+    keep, t0, t1, a, b = _clip_segments_box(local[:, :-1], local[:, 1:], rows[..., 4:])
+    # a kept segment continues the current piece when the previous segment
+    # was kept and left through its end, and this one enters at its start;
+    # a rectangle's first kept segment always starts a piece
+    joined = np.zeros_like(keep)
+    joined[:, 1:] = keep[:, :-1] & (t1[:, :-1] == 1.0)
+    joined &= t0 == 0.0
+    kept = np.flatnonzero(keep)
+    starts = ~joined.ravel()[kept]
+    # each piece is its first segment's entry point, then every segment's exit
+    at_b = np.arange(len(kept)) + np.cumsum(starts)
+    at_a = at_b[starts] - 1
+    piece = np.empty((len(kept) + len(at_a), 2))
+    piece[at_b] = b.reshape(-1, 2)[kept]
+    piece[at_a] = a.reshape(-1, 2)[kept[starts]]
+    first = np.zeros(len(piece), dtype=bool)
+    first[at_a] = True
+    step = np.diff(piece, axis=0)
+    keep_pt = first.copy()
+    keep_pt[1:] |= np.hypot(step[:, 0], step[:, 1]) > 1e-12
+    piece, first = piece[keep_pt], first[keep_pt]
+    bounds = np.append(np.flatnonzero(first), len(piece))
+    owner = kept[starts] // keep.shape[1]
+    sizes = np.diff(bounds)
+    seg = np.linalg.norm(np.diff(piece, axis=0), axis=1)
+    good = np.array([n >= 2 and float(seg[lo:lo + n - 1].sum()) > min_length
+                     for lo, n in zip(bounds[:-1].tolist(), sizes.tolist())], dtype=bool)
+    piece = piece[np.repeat(good, sizes)]
+    sizes, owner = sizes[good], owner[good]
+    # back to the world, each point by its own rectangle's pose
+    world = _rigid(*(np.repeat(rows[owner, 0, k], sizes) for k in range(4)), piece, EGO_TO_WORLD)
+    return world, np.append(0, np.cumsum(sizes)), owner
 
 
 def _join_pieces(keep, t0, t1, a, b, rect: Rect, min_length: float) -> list[np.ndarray]:

@@ -86,27 +86,27 @@ def clip_polygon_to_rect(ring, rect: Rect) -> list[np.ndarray]:
     non-convex subjects may degenerate, which is fine for the small quads
     used here).
     """
-    pts = transform_points(rect.center, as_points(ring), WORLD_TO_EGO)
+    # the loop runs on Python floats, which round as numpy's float64 does
+    poly = transform_points(rect.center, as_points(ring), WORLD_TO_EGO).tolist()
     hl, hw = rect.half_length, rect.half_width
     # half-planes as (a, b, c) with a*x + b*y <= c inside
     planes = [(1.0, 0.0, hl), (-1.0, 0.0, hl), (0.0, 1.0, hw), (0.0, -1.0, hw)]
-    poly = [p for p in pts]
     for a, b, c in planes:
         if not poly:
             break
-        out: list[np.ndarray] = []
+        out: list[list[float]] = []
         n = len(poly)
         for i in range(n):
-            p, q = poly[i], poly[(i + 1) % n]
-            pin = a * p[0] + b * p[1] <= c
-            qin = a * q[0] + b * q[1] <= c
+            (px, py), (qx, qy) = poly[i], poly[(i + 1) % n]
+            pin = a * px + b * py <= c
+            qin = a * qx + b * qy <= c
             if pin:
-                out.append(p)
+                out.append(poly[i])
             if pin != qin:
-                dp = a * p[0] + b * p[1] - c
-                dq = a * q[0] + b * q[1] - c
+                dp = a * px + b * py - c
+                dq = a * qx + b * qy - c
                 t = dp / (dp - dq)
-                out.append(p + t * (q - p))
+                out.append([px + t * (qx - px), py + t * (qy - py)])
         poly = out
     if len(poly) < 3:
         return []

@@ -27,10 +27,12 @@ from .geometry import (
     Pose2,
     Rect,
     WORLD_TO_EGO,
-    clip_polyline_to_rects,
+    clip_polyline_pieces,
     polyline_length,
     resample_even,
+    resample_even_many,
     transform_points,
+    transform_stacked,
 )
 from .instance import BOUNDARY, CLASSES, DIVIDER, PED_CROSSING, MapInstance
 from .mapstore import GlobalMap
@@ -227,32 +229,36 @@ def clip_gt_frame(gt: GlobalMap, pose: Pose2, range_lw, n_points: int = N_POINTS
 
 def clip_gt_frames(gt: GlobalMap, poses, range_lw,
                    n_points: int = N_POINTS) -> list[list[MapInstance]]:
-    """`clip_gt_frame` for each of `poses`; each polyline is clipped against
-    every frame's range at once (`clip_polyline_to_rects`)."""
+    """`clip_gt_frame` for each of `poses`, with the same bits. Each
+    polyline is clipped against every frame's range at once
+    (`clip_polyline_pieces`), its longest piece in each frame is picked
+    from one array of segment lengths, and those pieces are resampled
+    (`resample_even_many`) and moved into their frames together."""
     rects = [Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0) for pose in poses]
-    insts = [gt.instances[i] for i in sorted(gt.instances)]
-    clipped = [  # per instance, one list of pieces per frame
-        clip_polyline_to_rects(inst.points, rects, min_length=0.5) if inst.is_polyline
-        else [clip_polygon_to_rect(inst.points, rect) for rect in rects]
-        for inst in insts
-    ]
-    frames = []
-    for f, pose in enumerate(poses):
-        out: list[MapInstance] = []
-        for inst, per_frame in zip(insts, clipped):
-            pieces = per_frame[f]
-            if inst.is_polyline:
-                if not pieces:
-                    continue
-                longest = max(pieces, key=polyline_length)
-                pts = resample_even(longest, n_points)
-            else:
-                if not pieces or abs(polygon_area(pieces[0])) < 0.25:
-                    continue
-                pts = pieces[0]
-            local = transform_points(pose, pts, WORLD_TO_EGO)
-            out.append(MapInstance(inst.cls, local, id=inst.id))
-        frames.append(out)
+    frames: list[list[MapInstance]] = [[] for _ in poses]
+    for inst_id in sorted(gt.instances):
+        inst = gt.instances[inst_id]
+        if not inst.is_polyline:
+            for f, (pose, rect) in enumerate(zip(poses, rects)):
+                pieces = clip_polygon_to_rect(inst.points, rect)
+                if pieces and abs(polygon_area(pieces[0])) >= 0.25:
+                    local = transform_points(pose, pieces[0], WORLD_TO_EGO)
+                    frames[f].append(MapInstance(inst.cls, local, id=inst.id))
+            continue
+        pts, bounds, owner = clip_polyline_pieces(inst.points, rects, min_length=0.5)
+        # the first longest piece of each frame, each length summed as
+        # `polyline_length` sums it
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        longest: dict[int, tuple[float, int, int]] = {}
+        for lo, hi, f in zip(bounds[:-1].tolist(), bounds[1:].tolist(), owner.tolist()):
+            length = float(seg[lo:hi - 1].sum())
+            if f not in longest or length > longest[f][0]:
+                longest[f] = (length, lo, hi)
+        shown = list(longest)  # frames in order, since pieces run in frame order
+        lines = resample_even_many([pts[lo:hi] for _, lo, hi in longest.values()], n_points)
+        local = transform_stacked([poses[f] for f in shown], lines, WORLD_TO_EGO)
+        for f, line in zip(shown, local):
+            frames[f].append(MapInstance(inst.cls, line, id=inst.id))
     return frames
 
 

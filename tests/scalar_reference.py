@@ -8,7 +8,10 @@ versions of `instance_ap`, `clear_mot_counts`, `geometric_affinity`,
 `chamfer_distance` once per same-class pair, and the merge fit's greedy
 chain loop and dense normal-equation solve. `clip_polyline_to_rect_array`
 and `clip_gt_frame` are the one-rectangle array clip and the per-frame
-ground-truth clip that the clip over all frames at once replaced.
+ground-truth clip that the clip over all frames at once replaced;
+`clip_polygon_to_rect` is the Sutherland-Hodgman loop on numpy scalars
+and 2-vectors that the loop on Python floats replaced, and the oracle's
+`clip_gt_frame` clips crossings with it.
 `_stitch` is the walk over (u, v) edge pairs, matching nodes by
 `int(round(x * 1e7))` keys, that the union used before it kept its pieces
 in arrays. `is_simple` rejects non-adjacent edges that touch within EPS,
@@ -38,7 +41,7 @@ from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Rect, as_points, chamfer
                             resample_even, transform_points)
 from icmap.instance import MapInstance
 from icmap.metrics import DEFAULT_MOT_GATE, MotCounts, _ap_from_records
-from icmap.polygon import DISJOINT, EPS, clip_polygon_to_rect, ensure_ccw, polygon_area
+from icmap.polygon import DISJOINT, EPS, ensure_ccw, polygon_area
 from icmap.synth import N_POINTS
 
 log = logging.getLogger(__name__)
@@ -192,6 +195,39 @@ def clip_polyline_to_rect_array(points, rect, min_length: float = 0.0) -> list[n
         if len(piece) >= 2 and polyline_length(piece) > min_length:
             pieces.append(transform_points(rect.center, piece, EGO_TO_WORLD))
     return pieces
+
+
+def clip_polygon_to_rect(ring, rect) -> list[np.ndarray]:
+    pts = transform_points(rect.center, as_points(ring), WORLD_TO_EGO)
+    hl, hw = rect.half_length, rect.half_width
+    # half-planes as (a, b, c) with a*x + b*y <= c inside
+    planes = [(1.0, 0.0, hl), (-1.0, 0.0, hl), (0.0, 1.0, hw), (0.0, -1.0, hw)]
+    poly = [p for p in pts]
+    for a, b, c in planes:
+        if not poly:
+            break
+        out: list[np.ndarray] = []
+        n = len(poly)
+        for i in range(n):
+            p, q = poly[i], poly[(i + 1) % n]
+            pin = a * p[0] + b * p[1] <= c
+            qin = a * q[0] + b * q[1] <= c
+            if pin:
+                out.append(p)
+            if pin != qin:
+                dp = a * p[0] + b * p[1] - c
+                dq = a * q[0] + b * q[1] - c
+                t = dp / (dp - dq)
+                out.append(p + t * (q - p))
+        poly = out
+    if len(poly) < 3:
+        return []
+    result = dedupe_by_predecessor(np.array(poly), 1e-9)
+    if len(result) >= 2 and np.hypot(*(result[0] - result[-1])) <= 1e-9:
+        result = result[:-1]
+    if len(result) < 3 or abs(polygon_area(result)) < 1e-12:
+        return []
+    return [transform_points(rect.center, ensure_ccw(result), EGO_TO_WORLD)]
 
 
 # ---------------------------------------------------------------------------

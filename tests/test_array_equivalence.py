@@ -17,6 +17,13 @@ the order of the two rings. On the grid rings the same properties (with
 the area only bounded below, since the outer boundary fills holes) find
 cases the walk cannot handle, so that test is an expected failure.
 
+The ground truth of all frames at once is compared with the per-frame
+clip on every curvature, and on tight curves where a lane leaves the range
+and re-enters it, so that frames hold several pieces; resampling many lines
+at once with `resample_even` one line at a time, on lines with repeated
+points and runs of sub-eps steps; and the polygon clip on Python floats
+with the loop on numpy scalars it replaced, on rotated ranges.
+
 The merge chain takes the same argmin over the same distances as its loop
 version, so chains must be equal too. The banded spline solve sums the
 normal equations in another order and factors them by Cholesky instead of
@@ -30,11 +37,15 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from icmap.curvefit import (DEGREE, SmoothingFitParams, _clamped_knots, _solve_spline,
                             reorder_concat)
-from icmap.errors import NonSimplePolygon
-from icmap.geometry import Pose2, Rect, clip_polyline_to_rect, clip_polyline_to_rects
-from icmap.polygon import (DISJOINT, classify_point, classify_points, is_simple, polygon_area,
-                           polygon_union, rasterize_area)
-from icmap.synth import CURVATURES, SceneConfig, clip_gt_frames, generate_scene
+from icmap.errors import EmptyPointSet, NonSimplePolygon
+from icmap.geometry import (WORLD_TO_EGO, Pose2, Rect, clip_polyline_to_rect,
+                            clip_polyline_to_rects, resample_even, resample_even_many,
+                            transform_points, transform_stacked)
+from icmap.instance import DIVIDER, MapInstance
+from icmap.mapstore import GlobalMap
+from icmap.polygon import (DISJOINT, classify_point, classify_points, clip_polygon_to_rect,
+                           is_simple, polygon_area, polygon_union, rasterize_area)
+from icmap.synth import ARC, CURVATURES, S_CURVE, SceneConfig, clip_gt_frames, generate_scene
 
 # derandomized, so that a run of the suite is reproducible
 equivalence = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -179,6 +190,116 @@ class TestClipManyRects:
             assert [(i.id, i.cls) for i in frame] == [(i.id, i.cls) for i in want]
             for g, w in zip(frame, want):
                 assert g.points.shape == w.points.shape and np.array_equal(g.points, w.points)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([ARC, S_CURVE]), st.sampled_from([12.0, 15.0]),
+           st.integers(1, 2), st.integers(0, 3), st.sampled_from([3.0, 7.5]),
+           st.sampled_from([(100.0, 50.0), (60.0, 30.0)]))
+    def test_gt_frames_match_where_lines_reenter(self, curvature, radius, lanes, crossings,
+                                                 spacing, range_lw):
+        # tight curves: a lane leaves the range and comes back in, so frames
+        # hold several pieces of it and the longest one must be picked
+        config = SceneConfig(road_length=150.0, lane_count=lanes, curvature=curvature,
+                             radius=radius, crossing_count=crossings, frame_count=12,
+                             frame_spacing=spacing, range_lw=range_lw)
+        gt, poses = generate_scene(config)
+        rects = [Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0) for pose in poses]
+        assert any(len(pieces) > 1 for inst in gt.instances.values() if inst.is_polyline
+                   for pieces in clip_polyline_to_rects(inst.points, rects, 0.5))
+        got = clip_gt_frames(gt, poses, range_lw)
+        for frame, pose in zip(got, poses):
+            want = ref.clip_gt_frame(gt, pose, range_lw)
+            assert [(i.id, i.cls) for i in frame] == [(i.id, i.cls) for i in want]
+            for g, w in zip(frame, want):
+                assert g.points.shape == w.points.shape and np.array_equal(g.points, w.points)
+
+    @pytest.mark.parametrize("points,kept", [
+        # two pieces of exactly 4 m each: the first one is kept, as `max` keeps it
+        ([(-5.0, -1.0), (5.0, -1.0), (5.0, 1.0), (-5.0, 1.0)], (-2.0, -1.0)),
+        # pieces of 1 m, 4 m and 1 m: the middle one is kept
+        ([(-2.5, -1.5), (-1.5, -1.5), (-1.5, -5.0), (0.0, -5.0), (0.0, 5.0), (1.5, 5.0),
+          (1.5, 1.5), (2.5, 1.5)], (0.0, -2.0)),
+        # one piece of 0.45 m across a corner, below the 0.5 m minimum
+        ([(1.8, 5.0), (1.8, 1.75), (5.0, 1.75)], None),
+    ], ids=["tie", "middle", "short"])
+    def test_gt_frames_longest_piece(self, points, kept):
+        gt = GlobalMap("g", {0: MapInstance(DIVIDER, np.array(points), id=0)})
+        poses = [Pose2(0.0, 0.0, 0.0), Pose2(0.25, -0.5, 0.3)]
+        got = clip_gt_frames(gt, poses, (4.0, 4.0))
+        if kept is None:
+            assert got[0] == []
+        else:
+            assert got[0][0].points[0].tolist() == list(kept)
+        for frame, pose in zip(got, poses):
+            want = ref.clip_gt_frame(gt, pose, (4.0, 4.0))
+            assert len(frame) == len(want)
+            for g, w in zip(frame, want):
+                assert np.array_equal(g.points, w.points)
+
+
+# lines of a few points each: grid points with exact repeats, runs of steps
+# below resample_even's 1e-9 dedupe distance (every point after the first
+# of a run is dropped, although the run spans more), two-point lines, and
+# off-grid arcs
+sub_eps_run = st.builds(
+    lambda p, k, tail: np.vstack([np.array(p) + np.outer(np.arange(k), [4e-10, -3e-10]),
+                                  np.array(tail, float).reshape(-1, 2)]),
+    point, st.integers(2, 6), st.lists(point, max_size=3))
+resample_line = st.one_of(with_duplicates(polyline), sub_eps_run, st.lists(
+    point, min_size=2, max_size=2).map(lambda p: np.array(p, float)), arc_polyline)
+
+
+class TestResampleMany:
+    @equivalence
+    @given(st.lists(resample_line, min_size=1, max_size=6), st.integers(2, 40))
+    def test_matches_resample_even(self, lines, n):
+        try:
+            want = [resample_even(line, n) for line in lines]
+        except EmptyPointSet:
+            with pytest.raises(EmptyPointSet):
+                resample_even_many(lines, n)
+            return
+        got = resample_even_many(lines, n)
+        assert got.shape == (len(lines), n, 2)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_no_lines(self):
+        assert resample_even_many([], 5).shape == (0, 5, 2)
+
+
+class TestTransformStacked:
+    @equivalence
+    @given(st.lists(st.tuples(coord, coord, st.floats(-4.0, 4.0)), min_size=1, max_size=5),
+           st.integers(1, 6), st.data())
+    def test_stacked_transform_matches_one_pose(self, poses, n, data):
+        poses = [Pose2(*p) for p in poses]
+        pts = np.array(data.draw(st.lists(st.lists(point, min_size=n, max_size=n),
+                                          min_size=len(poses), max_size=len(poses))), float)
+        got = transform_stacked(poses, pts, WORLD_TO_EGO)
+        for g, pose, p in zip(got, poses, pts):
+            assert np.array_equal(g, transform_points(pose, p, WORLD_TO_EGO))
+
+
+# crossings near and across a rotated range, off the grid, as merge_noisy
+# clips them: the crossing points of the clip are general floats
+@st.composite
+def crossing_case(draw):
+    ring = draw(polygon)
+    pose = Pose2(draw(coord) / 3, draw(coord) / 3, draw(st.floats(-3.1, 3.1)))
+    return ring, Rect(pose, draw(st.sampled_from([1.0, 2.3, 4.0])),
+                      draw(st.sampled_from([0.7, 2.5])))
+
+
+class TestClipPolygonFloats:
+    @equivalence
+    @given(crossing_case())
+    def test_matches_numpy_scalar_loop(self, case):
+        ring, rect = case
+        got, want = clip_polygon_to_rect(ring, rect), ref.clip_polygon_to_rect(ring, rect)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
 
 
 class TestPolygonPredicates:

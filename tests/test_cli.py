@@ -273,6 +273,9 @@ class TestRunConfig:
         ("n_sample = 1\n", "n_sample must be"),
         ("expand = -100\n", "expand must be"),
         ("fuse_weight = 3\n", "fuse_weight must"),
+        ("max_age = -3\n", "invalid parameter: max_age must be >= 0"),
+        ("min_points = -4\n", "invalid parameter: min_points must be >= 2"),
+        ("min_points = 1\n", "invalid parameter: min_points must be >= 2"),
     ])
     def test_bad_value_names_key(self, scene_path, tmp_path, capsys, text, named):
         code, out_map, _ = self.run_with(scene_path, tmp_path, text)
@@ -284,6 +287,12 @@ class TestRunConfig:
     def test_out_of_range_flag_names_field(self, scene_path, tmp_path, capsys):
         assert run_cli("run", scene_path, "--out-map", tmp_path / "m.json", "--tau", -1) == 1
         assert "icmap: error: invalid parameter: tau must be positive" in capsys.readouterr().err
+
+    def test_negative_max_age_flag_rejected(self, scene_path, tmp_path, capsys):
+        out_map = tmp_path / "m.json"
+        assert run_cli("run", scene_path, "--out-map", out_map, "--max-age", -3) == 1
+        assert "icmap: error: invalid parameter: max_age must be >= 0" in capsys.readouterr().err
+        assert not out_map.exists()
 
     @pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--s", "inf"),
                                             ("--theta", "-inf"), ("--expand", "1e999")])
@@ -349,6 +358,23 @@ class TestEvalCmd:
             run_cli("eval", "--scene", scene_path, "--pred-dir", tmp_path, *flags, "--mot")
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gate,message", [
+        ("-1", "'-1' is not a positive number"),
+        ("0", "'0' is not a positive number"),
+        ("nan", "'nan' is not a finite number"),
+        ("inf", "'inf' is not a finite number"),
+    ])
+    def test_mot_gate_must_be_positive(self, scene_path, tmp_path, capsys, gate, message):
+        out_map, trace = tmp_path / "m.json", tmp_path / "t.json"
+        assert run_cli("run", scene_path, "--out-map", out_map, "--trace", trace) == 0
+        report = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eval", "--scene", scene_path, "--pred-map", out_map, "--trace", trace,
+                    "--mot", f"--mot-gate={gate}", "--report", report)
+        assert exc.value.code == 2
+        assert f"argument --mot-gate: {message}" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_mot_without_trace_errors(self, scene_path, tmp_path, capsys):
         out_map = tmp_path / "m.json"
@@ -591,6 +617,7 @@ class TestSweepCmd:
          "unknown config key 'theta'; expected one of ctrl_spacing, min_points, out_spacing"),
         ("fuse_weight = 0\n", "unknown config key 'fuse_weight'"),
         ("out_spacng = 2\n", "unknown config key 'out_spacng'; did you mean 'out_spacing'?"),
+        ("min_points = -4\n", "invalid parameter: min_points must be >= 2"),
     ])
     def test_config_key_not_read(self, scene_path, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.txt"

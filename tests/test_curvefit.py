@@ -195,6 +195,28 @@ class TestMerge:
             out = merge_polylines(g, d, SmoothingFitParams())
             assert not is_self_intersecting(out)
 
+    # The chain starts at the farthest-apart pair of points, which on an arc
+    # past 180 degrees is a pair across the diameter, not the two ends.
+    # Today this merge gives a 739 m line for the 565.5 m arc, starting
+    # 132 m from the arc's start.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 7: reorder_concat picks the chain's ends as the "
+                              "farthest-apart points, wrong once an instance turns past 180°")
+    def test_arc_past_half_turn(self):
+        radius, length = 120.0, 120.0 * 1.5 * math.pi  # 270 degrees
+
+        def on_arc(s):
+            return np.column_stack([radius * np.sin(s / radius),
+                                    radius * (1.0 - np.cos(s / radius))])
+
+        dense = on_arc(np.linspace(0.0, length, int(round(length / 0.5)) + 1))
+        arc = resample_even(dense, int(round(length)) + 1)  # 1 m spacing
+        tail = on_arc(np.linspace(length - 50.0, length, 20))
+        out = merge_polylines(arc, tail, SmoothingFitParams())
+        assert polyline_length(out) == pytest.approx(polyline_length(arc), rel=0.02)
+        assert np.hypot(*(out[0] - arc[0])) < 2.0
+        assert np.hypot(*(out[-1] - arc[-1])) < 2.0
+
 
 @st.composite
 def overlapping_pair(draw):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -22,6 +23,7 @@ from icmap.synth import (
 )
 
 from conftest import zero_noise_config
+from test_golden import SCENES as GOLDEN_SCENES
 
 
 def fit_circle_radius(pts):
@@ -73,6 +75,22 @@ class TestGenerate:
         gt, _ = generate_scene(SceneConfig(crossing_count=3))
         ids = [v.id for v in gt.instances.values()]
         assert len(ids) == len(set(ids))
+
+
+# sha256 of the scene file of each golden-gate configuration: a change that
+# should keep scene set-up must keep every byte of these
+SCENE_SHA256 = {
+    "merge_noisy": "50a0220df69cc69ccb93b656657dae83b9908648c72193ae72437c00e86444fe",
+    "merge_clean": "e361581745e0ccb2efe667dfa4176989b47e4c5a42faefa1245cf994bafbb8a4",
+    "straight": "857ff24d2abeddcead27f65e0c1948318e91f7bf948026162eec1c911c05ddc0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENE_SHA256))
+def test_golden_scene_bytes(name, tmp_path):
+    path = tmp_path / "scene.json"
+    write_scene(make_scene(GOLDEN_SCENES[name]), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCENE_SHA256[name]
 
 
 class TestClipGt:
