@@ -7,7 +7,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -15,7 +14,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .curvefit import SmoothingFitParams, SweepTable, sweep_smoothing
-from .errors import MapBuildError
+from .errors import MapBuildError, MapFormatError
 from .fileio import write_doc
 from .instance import CLASSES
 from .metrics import (
@@ -208,6 +207,8 @@ def _map_jobs(fn, tasks: list, jobs: int) -> list:
     `jobs` is 1 or there is at most one task."""
     if jobs == 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # here: one-process commands need no pool
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks))
 
@@ -263,6 +264,9 @@ def _eval_one(task) -> dict:
     if want_mot:
         trace_scene_id, pred_frames = read_trace(trace_path)
         _check_scene_id(trace_path, trace_scene_id, scene.scene_id)
+        if len(pred_frames) != len(scene.frames):
+            raise MapFormatError(f"{trace_path}: frames: {len(pred_frames)} frames,"
+                                 f" but the scene has {len(scene.frames)}")
         gt_frames = scene_gt_frames(scene)
         # one pred x GT Chamfer table per frame, read by CLEAR-MOT here and
         # by AP once the scenes are pooled

@@ -6,14 +6,30 @@ fields a key tuple names, per list kind. Reading checks every field at the
 boundary and raises the caller's error class, led by the file and naming
 the field, e.g.
 `scene.json: frames[3].detections[1].points: non-finite value (NaN or inf)`.
-Python's json reads NaN, Infinity and 1e999; the checkers here reject them.
+
+Files are parsed with orjson, whose floats have the bits of the standard
+library's `json`. What orjson refuses (NaN, Infinity and 1e999 literals,
+lone surrogate escapes, bad UTF-8 or JSON) is parsed again by `json`,
+which reads the first three for the checkers here to reject and words the
+error of a file it refuses as it always has. Two differences remain: an
+integer literal outside the 64-bit range reads as a float, where `json`
+gives an int (icmap writes no such number), and orjson reads nesting of
+any depth, where `json` raises RecursionError near Python's recursion
+limit (a field check that meets such a value names the field).
+The loaders decode under `gc_paused`, since a parsed file is tens of
+thousands of lists, none of them cyclic, that the cycle collector would
+otherwise walk again and again.
 """
 from __future__ import annotations
 
+import gc
+import io
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
+import orjson
 
 from .errors import UnsupportedVersion
 from .instance import CLASSES, MapInstance
@@ -36,16 +52,35 @@ def read_doc(path, kind: str, version: str, error: type[Exception], required=())
     """The JSON object in `path`, of `format_version` `version`, holding every
     key in `required`; raises `error` (UnsupportedVersion for another version)
     naming the file and the field otherwise."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise error(f"{path}: not valid JSON: {exc}") from exc
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        # the text a file opened with encoding="utf-8" reads, newlines
+        # translated, so that `json` words its errors as it always has
+        try:
+            doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise error(f"{path}: not valid JSON: {exc}") from exc
     as_object(doc, str(path), error, ("format_version",))
     if doc["format_version"] != version:
         raise UnsupportedVersion(
             f"{path}: {kind} format_version {doc['format_version']!r} not supported")
     return as_object(doc, str(path), error, required)
+
+
+@contextmanager
+def gc_paused():
+    """Disable the cycle collector for the block (or, as a decorator, the
+    call), then restore the state it had, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def as_object(value, where: str, error: type[Exception], required=()) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 from . import polygon as poly
 from .curvefit import SmoothingFitParams, merge_polylines
 from .errors import ClassConflict, MapFormatError
-from .fileio import MAP_KEYS, from_records, read_doc, to_record, write_doc
+from .fileio import MAP_KEYS, from_records, gc_paused, read_doc, to_record, write_doc
 from .geometry import Rect, as_points, clip_polyline_to_rect, polyline_length, resample_even
 from .instance import MapInstance
 
@@ -110,6 +110,7 @@ def save_map(gmap: GlobalMap, path) -> None:
     }, path)
 
 
+@gc_paused()
 def load_map(path) -> GlobalMap:
     """Read a map file; raises MapFormatError naming the field of the first
     malformed value."""

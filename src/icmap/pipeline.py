@@ -5,15 +5,15 @@ the per-frame trace consumed by the tracking metrics.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .association import AssocConfig, TrackBuffer, associate_frame
 from .curvefit import SmoothingFitParams
 from .errors import MapFormatError, OrderingError
-from .fileio import TRACE_KEYS, as_list, as_object, from_records, read_doc, to_record
-from .geometry import Rect
+from .fileio import TRACE_KEYS, as_list, as_object, from_records, gc_paused, read_doc, to_record
+from .geometry import EGO_TO_WORLD, Rect, transform_points
 from .instance import MapInstance, chamfer_by_class
 from .mapstore import GlobalMap, fuse_with_history, merge_instance, sample_history
 from .synth import Scene
@@ -91,13 +91,19 @@ def trace_pred_frames(trace: dict, where: str = "trace") -> list[list[MapInstanc
     raises MapFormatError naming `where` and the field of the first
     malformed value."""
     err = MapFormatError
-    return [
-        from_records(as_object(fr, f"{where}: frames[{k}]", err, ("instances",))["instances"],
-                     f"{where}: frames[{k}].instances", err, TRACE_KEYS)
-        for k, fr in enumerate(as_list(trace["frames"], f"{where}: frames", err))
-    ]
+    frames = []
+    for k, fr in enumerate(as_list(trace["frames"], f"{where}: frames", err)):
+        at = f"{where}: frames[{k}]"
+        insts = from_records(as_object(fr, at, err, ("instances",))["instances"],
+                             f"{at}.instances", err, TRACE_KEYS)
+        for i, inst in enumerate(insts):
+            if not len(inst.points):  # the Chamfer tables of eval need a point
+                raise err(f"{at}.instances[{i}].points: expected at least one [x, y] pair")
+        frames.append(insts)
+    return frames
 
 
+@gc_paused()
 def read_trace(path) -> tuple[str, list[list[MapInstance]]]:
     """Scene ID and tracked per-frame instances of a trace file."""
     doc = read_doc(path, "trace", TRACE_FORMAT_VERSION, MapFormatError, ("scene_id", "frames"))
@@ -105,12 +111,19 @@ def read_trace(path) -> tuple[str, list[list[MapInstance]]]:
 
 
 def scene_gt_frames(scene: Scene) -> list[list[MapInstance]]:
-    """Per-frame ground truth transformed to the world frame."""
-    from .geometry import EGO_TO_WORLD
-
-    return [
-        [g.transformed(f.ego_pose, EGO_TO_WORLD) for g in f.gt_local] for f in scene.frames
-    ]
+    """Per-frame ground truth transformed to the world frame: one transform
+    per frame over its instances' points, split back per instance (the
+    transform is elementwise, so each instance gets the bits of its own)."""
+    out = []
+    for f in scene.frames:
+        if not f.gt_local:
+            out.append([])
+            continue
+        world = transform_points(f.ego_pose, np.concatenate([g.points for g in f.gt_local]),
+                                 EGO_TO_WORLD)
+        pieces = np.split(world, np.cumsum([len(g.points) for g in f.gt_local])[:-1])
+        out.append([replace(g, points=pts) for g, pts in zip(f.gt_local, pieces)])
+    return out
 
 
 def scene_observations(scene: Scene) -> dict:
@@ -120,8 +133,6 @@ def scene_observations(scene: Scene) -> dict:
     class (unambiguous at the noise levels used for sweeps); the result
     feeds curvefit.sweep_smoothing.
     """
-    from .geometry import EGO_TO_WORLD
-
     cases: dict[int, list] = {}
     ref: dict[int, MapInstance] = {}
     for inst_id in sorted(scene.gt.instances):

@@ -18,6 +18,7 @@ from .fileio import (
     finite_array,
     finite_float,
     from_records,
+    gc_paused,
     read_doc,
     to_record,
     whole_int,
@@ -389,6 +390,7 @@ def write_scene(scene: Scene, path) -> None:
     }, path)
 
 
+@gc_paused()
 def read_scene(path) -> Scene:
     """Read a scene file; raises SceneFormatError naming the field of the
     first malformed value. Every detection embedding has the length of the

@@ -22,7 +22,9 @@ clip on every curvature, and on tight curves where a lane leaves the range
 and re-enters it, so that frames hold several pieces; resampling many lines
 at once with `resample_even` one line at a time, on lines with repeated
 points and runs of sub-eps steps; and the polygon clip on Python floats
-with the loop on numpy scalars it replaced, on rotated ranges.
+with the loop on numpy scalars it replaced, on rotated ranges. Eval's
+world-frame ground truth, one transform per frame, is compared bit for bit
+with one transform per instance.
 
 The merge chain takes the same argmin over the same distances as its loop
 version, so chains must be equal too. The banded spline solve sums the
@@ -38,14 +40,16 @@ import scalar_reference as ref
 from icmap.curvefit import (DEGREE, SmoothingFitParams, _clamped_knots, _solve_spline,
                             reorder_concat)
 from icmap.errors import EmptyPointSet, NonSimplePolygon
-from icmap.geometry import (WORLD_TO_EGO, Pose2, Rect, clip_polyline_to_rect,
+from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyline_to_rect,
                             clip_polyline_to_rects, resample_even, resample_even_many,
                             transform_points, transform_stacked)
 from icmap.instance import DIVIDER, MapInstance
 from icmap.mapstore import GlobalMap
+from icmap.pipeline import scene_gt_frames
 from icmap.polygon import (DISJOINT, classify_point, classify_points, clip_polygon_to_rect,
                            is_simple, polygon_area, polygon_union, rasterize_area)
-from icmap.synth import ARC, CURVATURES, S_CURVE, SceneConfig, clip_gt_frames, generate_scene
+from icmap.synth import (ARC, CURVATURES, S_CURVE, Frame, NoiseConfig, Scene, SceneConfig,
+                         clip_gt_frames, generate_scene, make_scene)
 
 # derandomized, so that a run of the suite is reproducible
 equivalence = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -279,6 +283,56 @@ class TestTransformStacked:
         got = transform_stacked(poses, pts, WORLD_TO_EGO)
         for g, pose, p in zip(got, poses, pts):
             assert np.array_equal(g, transform_points(pose, p, WORLD_TO_EGO))
+
+
+general = st.floats(-200.0, 200.0, allow_nan=False)
+
+
+@st.composite
+def gt_instance(draw, i):
+    """A frame's ground-truth instance: a polyline of 0 to 12 general
+    points, or a crossing of 3 to 5 vertices."""
+    if draw(st.booleans()):
+        cls, n = "ped_crossing", draw(st.integers(3, 5))
+    else:
+        cls, n = DIVIDER, draw(st.integers(0, 12))
+    pts = draw(st.lists(st.tuples(general, general), min_size=n, max_size=n))
+    return MapInstance(cls, np.array(pts, float).reshape(-1, 2), id=i)
+
+
+@st.composite
+def gt_scene(draw):
+    frames = []
+    for t in range(draw(st.integers(1, 5))):
+        pose = Pose2(draw(general), draw(general), draw(st.floats(-3.2, 3.2)))
+        gts = [draw(gt_instance(i)) for i in range(draw(st.integers(0, 4)))]  # 0: no GT
+        frames.append(Frame(t, pose, gts, []))
+    return Scene("s", (100.0, 50.0), GlobalMap("s"), frames)
+
+
+class TestSceneGtFrames:
+    @staticmethod
+    def assert_per_instance_bits(scene):
+        got = scene_gt_frames(scene)
+        assert len(got) == len(scene.frames)
+        for fr, f in zip(got, scene.frames):
+            want = [g.transformed(f.ego_pose, EGO_TO_WORLD) for g in f.gt_local]
+            assert len(fr) == len(want)
+            for g, w in zip(fr, want):
+                assert (g.cls, g.id, g.score) == (w.cls, w.id, w.score)
+                assert g.points.shape == w.points.shape
+                assert g.points.tobytes() == w.points.tobytes()
+
+    @equivalence
+    @given(gt_scene())
+    def test_matches_one_transform_per_instance(self, scene):
+        self.assert_per_instance_bits(scene)
+
+    def test_generated_scene_with_crossings(self):
+        scene = make_scene(SceneConfig(curvature=S_CURVE, crossing_count=3, frame_count=12,
+                                       noise=NoiseConfig.zero(), seed=3))
+        assert any(g.cls == "ped_crossing" for f in scene.frames for g in f.gt_local)
+        self.assert_per_instance_bits(scene)
 
 
 # crossings near and across a rotated range, off the grid, as merge_noisy

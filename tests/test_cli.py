@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -402,6 +404,40 @@ class TestEvalCmd:
         assert doc["mCD"] < 0.1
         assert all(v == pytest.approx(1.0) for v in doc["mota"].values())
 
+    def test_one_point_trace_instance_scored(self, scene_path, tmp_path):
+        # run writes a 1-point instance from a 1-point detection
+        out_map, trace = tmp_path / "m.json", tmp_path / "t.json"
+        assert run_cli("run", scene_path, "--out-map", out_map, "--trace", trace) == 0
+        doc = json.loads(trace.read_text())
+        doc["frames"][2]["instances"][1]["points"] = doc["frames"][2]["instances"][1]["points"][:1]
+        trace.write_text(json.dumps(doc))
+        report = tmp_path / "r.json"
+        assert run_cli("eval", "--scene", scene_path, "--pred-map", out_map, "--trace", trace,
+                       "--mot", "--report", report) == 0
+        assert json.loads(report.read_text())["mAP"] < 1.0
+
+    @pytest.mark.skipif(os.cpu_count() < 2, reason="--jobs 2 needs two CPUs")
+    def test_jobs_two_same_report(self, tmp_path):
+        # the worker pool is imported only when workers start
+        code = ("import sys, icmap.cli; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        scenes = []
+        for i in range(2):
+            sp = tmp_path / f"scene_{i}.json"
+            write_scene(make_scene(zero_noise_config("s_curve", seed=30 + i)), sp)
+            run_cli("run", sp, "--out-map", pred_dir / f"scene_{i}.map.json",
+                    "--trace", pred_dir / f"scene_{i}.trace.json")
+            scenes.append(sp)
+        reports = [tmp_path / f"r{jobs}.json" for jobs in (1, 2)]
+        for jobs, report in zip((1, 2), reports):
+            assert run_cli("eval", "--scene", *scenes, "--pred-dir", pred_dir, "--mot",
+                           "--jobs", jobs, "--report", report) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
     def test_mixed_ranges_need_thresholds(self, scene_path, tmp_path, capsys):
         # each range has its own default AP thresholds; pooling the scenes
         # under either set would misscore the other
@@ -491,6 +527,8 @@ class TestMalformedInput:
         ("top-level list", "expected an object"),
         ("version 99", "trace format_version '99' not supported"),
         ("no scene_id", "missing field 'scene_id'"),
+        ("last frame cut", "frames: 19 frames, but the scene has 20"),
+        ("no points", "frames[2].instances[1].points: expected at least one [x, y] pair"),
     ])
     def test_bad_trace(self, scene_path, outputs, capsys, case, named):
         out_map, trace = outputs
@@ -501,6 +539,10 @@ class TestMalformedInput:
             del inst["class"]
         elif case == "nan point":
             inst["points"][3][0] = float("nan")
+        elif case == "last frame cut":
+            del doc["frames"][-1]
+        elif case == "no points":
+            inst["points"] = []
         elif case == "version 99":
             doc["format_version"] = "99"
         elif case == "no scene_id":

@@ -1,17 +1,20 @@
 """The instance-record codec and the document reader and writer of icmap.fileio."""
+import gc
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icmap.errors import MapFormatError, UnsupportedVersion
+from icmap.errors import MapFormatError, SceneFormatError, UnsupportedVersion
 from icmap.fileio import (
     DETECTION_KEYS,
     MAP_KEYS,
     TRACE_KEYS,
+    as_object,
     from_record,
     from_records,
     read_doc,
@@ -19,7 +22,12 @@ from icmap.fileio import (
     write_doc,
 )
 from icmap.instance import CLASSES, MapInstance
+from icmap.mapstore import load_map, save_map
 from icmap.metrics import EvalReport
+from icmap.pipeline import PipelineParams, read_trace, run_scene
+from icmap.synth import make_scene, read_scene, write_scene
+
+from conftest import zero_noise_config
 
 # derandomized, so that a run of the suite is reproducible
 round_trips = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -168,3 +176,143 @@ class TestWriteDoc:
         doc = json.loads(text)
         assert math.isnan(doc["mAP"]) and math.isnan(doc["cd"]["divider"])
         assert doc["ap"] == {"divider": 0.5}
+
+
+def read_doc_stdlib(path, kind, version, error, required=()):
+    """`read_doc` as it was before orjson: the standard library's parse of
+    the file opened in text mode. The reference of the parity tests."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    as_object(doc, str(path), error, ("format_version",))
+    if doc["format_version"] != version:
+        raise UnsupportedVersion(
+            f"{path}: {kind} format_version {doc['format_version']!r} not supported")
+    return as_object(doc, str(path), error, required)
+
+
+def outcome(reader, path):
+    """What `reader` makes of `path`: ("read", repr of the document), or
+    the class and text of the error it raises."""
+    try:
+        return "read", repr(reader(path, "test", "1", MapFormatError, ("a",)))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def same_bits(a, b) -> bool:
+    """`a` and `b` hold the same values of the same types, floats bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_bits(a[k], b[k]) for k in a)
+    return a == b
+
+
+# floats the files hold, and the hard cases of decimal-to-binary conversion
+edge_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-308,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+    9007199254740993.0, 2.0 ** -1074 * 3])
+mantissa17 = st.builds(lambda m, e: float(f"{m}e{e}"),
+                       st.integers(10 ** 16, 10 ** 17 - 1), st.integers(-340, 290))
+json_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats | mantissa17
+json_values = st.recursive(
+    json_floats | st.integers(-2 ** 63, 2 ** 64 - 1) | st.booleans() | st.none() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40)
+
+
+class TestReadDocParity:
+    """`read_doc` parses with orjson and falls back on the standard library
+    where orjson refuses a file; it must read what `json` read, with the
+    same bits, and word its errors as `json` did."""
+
+    def test_written_values_bit_for_bit(self, tmp_path):
+        path = tmp_path / "d.json"
+
+        @round_trips
+        @given(json_values)
+        def check(value):
+            write_doc({"format_version": "1", "a": value}, path)
+            want = json.loads(path.read_text(encoding="utf-8"))
+            assert same_bits(read_doc(path, "test", "1", MapFormatError, ("a",)), want)
+
+        check()
+
+    @pytest.mark.parametrize("raw", [
+        b'{"format_version": "1", "a": [NaN, 1.0]}',
+        b'{"format_version": "1", "a": -Infinity}',
+        b'{"format_version": "1", "a": [[1e999, 2.0]]}',
+        b'{"format_version": "1", "a": "x\\ud800y"}',
+        b'{"format_version": "1", "a": [1.5, 2',
+        b'{"format_version": "1", "a": "\xe9"}',
+        b'\xef\xbb\xbf{"format_version": "1", "a": 1}',
+        b'{"format_version": "1",\r\n"a": [1,\r\n\r2,]}',
+        b'{"format_version": "1", "a": 1} 2',
+        b'',
+        b'{"format_version": NaN, "a": 1}',
+    ], ids=["nan", "-inf", "1e999", "lone surrogate", "truncated", "bad utf-8", "bom",
+            "cr line ends", "extra data", "empty", "nan version"])
+    def test_read_or_rejected_as_by_json(self, tmp_path, raw):
+        path = tmp_path / "d.json"
+        path.write_bytes(raw)
+        assert outcome(read_doc, path) == outcome(read_doc_stdlib, path)
+
+    def test_deep_nesting_read(self, tmp_path):
+        # orjson has no nesting limit where `json` hits the recursion limit
+        # (a RecursionError, never caught): a deep value is read, and a
+        # field check that meets it names the field
+        path = tmp_path / "d.json"
+        path.write_text('{"format_version": "1", "a": ' + "[" * 1100 + "]" * 1100 + "}")
+        with pytest.raises(RecursionError):
+            read_doc_stdlib(path, "test", "1", MapFormatError, ("a",))
+        deep = value = read_doc(path, "test", "1", MapFormatError, ("a",))["a"]
+        for _ in range(1099):
+            value, = value
+        assert value == []
+        rec = dict(GOOD, points=deep)
+        with pytest.raises(MapFormatError, match=r"^r\.points: expected numbers$"):
+            from_record(rec, "r", MapFormatError, MAP_KEYS)
+
+
+class TestGcPaused:
+    """The loaders decode with the cycle collector paused and restore the
+    state they found, also when they raise."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        scene = make_scene(zero_noise_config(seed=2))
+        paths = {name: tmp_path / f"{name}.json" for name in ("scene", "map", "trace")}
+        write_scene(scene, paths["scene"])
+        gmap, trace = run_scene(scene, PipelineParams())
+        save_map(gmap, paths["map"])
+        write_doc(trace, paths["trace"])
+        return paths
+
+    @pytest.fixture()
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    LOADERS = [("scene", read_scene, SceneFormatError), ("map", load_map, MapFormatError),
+               ("trace", read_trace, MapFormatError)]
+
+    @pytest.mark.parametrize("name,loader,error", LOADERS, ids=[n for n, *_ in LOADERS])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_restored(self, files, collector, name, loader, error, enabled):
+        path = files[name]
+        (gc.enable if enabled else gc.disable)()
+        loader(path)
+        assert gc.isenabled() is enabled
+        path.write_text(path.read_text()[:200])
+        with pytest.raises(error, match="not valid JSON"):
+            loader(path)
+        assert gc.isenabled() is enabled
