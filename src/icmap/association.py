@@ -109,7 +109,7 @@ def threshold_filter(h: np.ndarray, theta: float) -> np.ndarray:
     return h > theta
 
 
-def optimal_match(h: np.ndarray, eligible: np.ndarray | None = None) -> list[tuple[int, int]]:
+def optimal_match(h: np.ndarray, eligible: np.ndarray) -> list[tuple[int, int]]:
     """One-to-one matching over eligible pairs maximizing the total score.
 
     Ineligible pairs contribute nothing and are never returned; rows and
@@ -119,8 +119,6 @@ def optimal_match(h: np.ndarray, eligible: np.ndarray | None = None) -> list[tup
     """
     if h.size == 0:
         return []
-    if eligible is None:
-        eligible = h > 0
     scores = np.where(eligible, h, 0.0)
     rows, cols = linear_sum_assignment(scores, maximize=True)
     return [(int(i), int(j)) for i, j in zip(rows, cols) if eligible[i, j]]
@@ -141,12 +139,12 @@ def allocate_ids(dets, matching, buffer: TrackBuffer) -> tuple[list[MapInstance]
     return out, next_id
 
 
-def update_buffer(buffer: TrackBuffer, det_tracks, max_age: int,
-                  next_id: int | None = None) -> TrackBuffer:
+def update_buffer(buffer: TrackBuffer, det_tracks, max_age: int, next_id: int) -> TrackBuffer:
     """Refresh matched tracks, age and prune unmatched ones, append new.
 
     `det_tracks` are the frame's detections as tracks with IDs set; each
-    replaces the stored track of its ID, outline included."""
+    replaces the stored track of its ID, outline included. `next_id` is the
+    first ID not yet issued, as `allocate_ids` returns it."""
     ids = [d.instance.id for d in det_tracks]
     if len(ids) != len(set(ids)):
         raise DuplicateId("detections carry duplicate IDs")
@@ -159,8 +157,6 @@ def update_buffer(buffer: TrackBuffer, det_tracks, max_age: int,
         elif tr.age_missed < max_age:
             tracks.append(replace(tr, age_missed=tr.age_missed + 1))
     tracks.extend(by_id.values())
-    if next_id is None:
-        next_id = max([buffer.next_id] + [i + 1 for i in ids])
     return TrackBuffer(tracks, next_id)
 
 
@@ -196,8 +192,8 @@ def associate_frame(buffer: TrackBuffer, dets, pose: Pose2,
     new_buffer = update_buffer(buffer, det_tracks, config.max_age, next_id)
     track_ids = [t.instance.id for t in buffer.tracks]
     matches = [(i, track_ids[j], float(fused[i, j])) for i, j in matching]
-    matched_det_idx = {i for i, _ in matching}
-    new_ids = [d.id for k, d in enumerate(world_ids) if k not in matched_det_idx]
+    # allocate_ids issued these, in detection order, to the unmatched
+    new_ids = list(range(buffer.next_id, next_id))
     return AssociationResult(world_ids, new_buffer, matches, new_ids)
 
 

@@ -272,7 +272,7 @@ def _eval_one(task) -> dict:
         # by AP once the scenes are pooled
         dists = frame_distances(pred_frames, gt_frames)
         mot = clear_mot_counts(pred_frames, gt_frames, mot_gate, dists)
-        out["mot"] = {cls: c.__dict__ for cls, c in mot.items()}
+        out["mot"] = mot
         out["pred_frames"] = pred_frames
         out["gt_frames"] = gt_frames
         out["dists"] = dists
@@ -325,7 +325,7 @@ def cmd_eval(args) -> int:
         totals: dict[str, MotCounts] = {}
         for res in results:
             for cls, c in res["mot"].items():
-                totals[cls] = totals.get(cls, MotCounts()).add(MotCounts(**c))
+                totals[cls] = totals.get(cls, MotCounts()).add(c)
         report.mota = {cls: c.mota for cls, c in totals.items()}
         report.motp = {cls: c.motp for cls, c in totals.items()}
         report.id_switches = {cls: c.id_switches for cls, c in totals.items()}

@@ -15,7 +15,9 @@ error of a file it refuses as it always has. Two differences remain: an
 integer literal outside the 64-bit range reads as a float, where `json`
 gives an int (icmap writes no such number), and orjson reads nesting of
 any depth, where `json` raises RecursionError near Python's recursion
-limit (a field check that meets such a value names the field).
+limit (a field check that meets such a value names the field). Messages
+quote a value in `reprlib`'s bounded form, so a deep one cannot make
+them overflow the stack.
 The loaders decode under `gc_paused`, since a parsed file is tens of
 thousands of lists, none of them cyclic, that the cycle collector would
 otherwise walk again and again.
@@ -26,6 +28,7 @@ import gc
 import io
 import json
 import math
+import reprlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -66,7 +69,7 @@ def read_doc(path, kind: str, version: str, error: type[Exception], required=())
     as_object(doc, str(path), error, ("format_version",))
     if doc["format_version"] != version:
         raise UnsupportedVersion(
-            f"{path}: {kind} format_version {doc['format_version']!r} not supported")
+            f"{path}: {kind} format_version {reprlib.repr(doc['format_version'])} not supported")
     return as_object(doc, str(path), error, required)
 
 
@@ -176,7 +179,7 @@ def from_record(obj, where: str, error: type[Exception], keys) -> MapInstance:
     as_object(obj, where, error, [key for key in keys if key != "embedding"])
     cls = obj["class"]
     if cls not in CLASSES:
-        raise error(f"{where}: unknown class {cls!r}")
+        raise error(f"{where}: unknown class {reprlib.repr(cls)}")
     emb = obj.get("embedding") if "embedding" in keys else None
     return MapInstance(
         cls,

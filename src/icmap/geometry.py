@@ -281,18 +281,9 @@ def clip_polyline_to_rect(points, rect: Rect, min_length: float = 0.0) -> list[n
     return _join_pieces(*_clip_segments_box(pts[:-1], pts[1:], lim), rect, min_length)
 
 
-def clip_polyline_to_rects(points, rects, min_length: float = 0.0) -> list[list[np.ndarray]]:
+def clip_polyline_pieces(points, rects, min_length: float):
     """`clip_polyline_to_rect` of one polyline against each of `rects`, with
-    the same bits (see `clip_polyline_pieces`)."""
-    pts, bounds, owner = clip_polyline_pieces(points, rects, min_length)
-    out: list[list[np.ndarray]] = [[] for _ in rects]
-    for lo, hi, r in zip(bounds[:-1].tolist(), bounds[1:].tolist(), owner.tolist()):
-        out[r].append(pts[lo:hi])
-    return out
-
-
-def clip_polyline_pieces(points, rects, min_length: float = 0.0):
-    """The pieces of `clip_polyline_to_rects` as one world-frame array.
+    the same bits, as one world-frame array.
 
     Returns (pts, bounds, owner): piece k is pts[bounds[k]:bounds[k + 1]],
     clipped by rects[owner[k]]; pieces run in rectangle order, then in

@@ -140,12 +140,8 @@ def scene_observations(scene: Scene) -> dict:
         if inst.is_polyline:
             ref[inst_id] = inst
             cases[inst_id] = []
-    for frame in scene.frames:
-        gt_world = {
-            g.id: g.transformed(frame.ego_pose, EGO_TO_WORLD)
-            for g in frame.gt_local
-            if g.is_polyline
-        }
+    for frame, gt_frame in zip(scene.frames, scene_gt_frames(scene)):
+        gt_world = {g.id: g for g in gt_frame if g.is_polyline}
         if not gt_world:
             continue
         dets = [d.transformed(frame.ego_pose, EGO_TO_WORLD)

@@ -196,36 +196,36 @@ def _side(pts, ring: _Ring, on) -> np.ndarray:
     return np.where(on, 0, np.where(inside, 1, -1))
 
 
-def _classify(pts, ring: _Ring, eps: float) -> np.ndarray:
-    return _side(pts, ring, (_project(pts, ring)[2] <= eps).any(axis=1))
+def _classify(pts, ring: _Ring) -> np.ndarray:
+    return _side(pts, ring, (_project(pts, ring)[2] <= EPS).any(axis=1))
 
 
-def classify_points(pts, ring, eps: float = EPS) -> np.ndarray:
-    """Per point: +1 strictly inside, 0 on the boundary (within eps), -1 outside."""
-    return _classify(as_points(pts), _Ring(as_points(ring)), eps)
+def classify_points(pts, ring) -> np.ndarray:
+    """Per point: +1 strictly inside, 0 on the boundary (within EPS), -1 outside."""
+    return _classify(as_points(pts), _Ring(as_points(ring)))
 
 
-def classify_point(pt, ring, eps: float = EPS) -> int:
-    """+1 strictly inside, 0 on the boundary (within eps), -1 outside."""
-    return int(classify_points(np.reshape(pt, (1, 2)), ring, eps)[0])
+def classify_point(pt, ring) -> int:
+    """+1 strictly inside, 0 on the boundary (within EPS), -1 outside."""
+    return int(classify_points(np.reshape(pt, (1, 2)), ring)[0])
 
 
-def _contained(a: _Ring, b: _Ring, a_on_b, eps: float) -> bool:
+def _contained(a: _Ring, b: _Ring, a_on_b) -> bool:
     """Every vertex and edge midpoint of `a` lies inside or on `b`; `a_on_b`
-    marks the vertices of `a` within eps of an edge of `b`."""
-    if (_side(a.v, b, a_on_b) < 0).any() or (_classify(0.5 * (a.v + a.w), b, eps) < 0).any():
+    marks the vertices of `a` within EPS of an edge of `b`."""
+    if (_side(a.v, b, a_on_b) < 0).any() or (_classify(0.5 * (a.v + a.w), b) < 0).any():
         return False
-    return a.area <= b.area + eps
+    return a.area <= b.area + EPS
 
 
-def _collect_nodes(a: _Ring, b: _Ring, a_on_b, b_on_a, eps: float) -> np.ndarray:
+def _collect_nodes(a: _Ring, b: _Ring, a_on_b, b_on_a) -> np.ndarray:
     """Boundary crossing points plus vertices of one ring lying on the other,
-    in scan order, each dropped when within 10 * eps of one kept before it."""
+    in scan order, each dropped when within 10 * EPS of one kept before it."""
     den, t, u = _crossing_params(a.v[:, None], a.d[:, None], b.v, b.d)
-    hit = (np.abs(den) >= 1e-14) & (-eps <= t) & (t <= 1 + eps) & (-eps <= u) & (u <= 1 + eps)
+    hit = (np.abs(den) >= 1e-14) & (-EPS <= t) & (t <= 1 + EPS) & (-EPS <= u) & (u <= 1 + EPS)
     i, j = np.nonzero(hit)  # row-major, the order of the edge-pair scan
     cands = np.concatenate([a.v[i] + _clamp01(t[i, j])[:, None] * a.d[i], a.v[a_on_b], b.v[b_on_a]])
-    close = _norm(cands[:, None] - cands) <= 10 * eps
+    close = _norm(cands[:, None] - cands) <= 10 * EPS
     kept: list[int] = []
     for k in range(len(cands)):
         if not close[k, kept].any():
@@ -233,13 +233,13 @@ def _collect_nodes(a: _Ring, b: _Ring, a_on_b, b_on_a, eps: float) -> np.ndarray
     return cands[kept]
 
 
-def _split(ring: _Ring, nodes, eps: float):
+def _split(ring: _Ring, nodes):
     """Directed sub-edges U[k] -> V[k] of `ring`, split at every node lying
     on an edge, in edge order."""
     rel, t, dist = _project(nodes, ring)  # (node, edge)
     gap = np.minimum(_norm(rel), _norm(nodes[:, None] - ring.w))
-    cut = (dist <= eps) & (((eps < t) & (t < 1 - eps))
-                           | ((0 <= t) & (t <= 1) & (gap > 10 * eps)))
+    cut = (dist <= EPS) & (((EPS < t) & (t < 1 - EPS))
+                           | ((0 <= t) & (t <= 1) & (gap > 10 * EPS)))
     k, e = np.nonzero(cut)
     n = len(ring.v)
     ends = np.arange(n)
@@ -249,7 +249,7 @@ def _split(ring: _Ring, nodes, eps: float):
     rank = np.concatenate([np.zeros(n, int), np.ones(n, int), 2 + k])
     order = np.lexsort((rank, pos, edge))
     pts, edge = np.concatenate([ring.v, ring.w, nodes[k]])[order], edge[order]
-    keep = (edge[1:] == edge[:-1]) & (_norm(pts[1:] - pts[:-1]) > 10 * eps)
+    keep = (edge[1:] == edge[:-1]) & (_norm(pts[1:] - pts[:-1]) > 10 * EPS)
     return pts[:-1][keep], pts[1:][keep]
 
 
@@ -296,14 +296,14 @@ def _stitch(U, V) -> list[np.ndarray]:
     return loops
 
 
-def polygon_union(a, b, eps: float = EPS):
+def polygon_union(a, b):
     """Outer boundary of the union of two simple CCW polygons.
 
     Returns a CCW ring, or the DISJOINT marker when the polygons neither
     touch nor contain one another.
     """
-    a = ensure_ccw(dedupe_points(as_points(a), eps))
-    b = ensure_ccw(dedupe_points(as_points(b), eps))
+    a = ensure_ccw(dedupe_points(as_points(a), EPS))
+    b = ensure_ccw(dedupe_points(as_points(b), EPS))
     ta, tb = _Ring(a), _Ring(b)
     for ring in (ta, tb):
         # is_simple reads the ring deduped at EPS: the same table unless
@@ -311,21 +311,21 @@ def polygon_union(a, b, eps: float = EPS):
         r = dedupe_points(ring.v, EPS)
         if not _simple(ring if len(r) == len(ring.v) else _Ring(r)):
             raise NonSimplePolygon("polygon_union requires simple polygons")
-    a_on_b = (_project(a, tb)[2] <= eps).any(axis=1)
-    b_on_a = (_project(b, ta)[2] <= eps).any(axis=1)
-    if _contained(ta, tb, a_on_b, eps):
+    a_on_b = (_project(a, tb)[2] <= EPS).any(axis=1)
+    b_on_a = (_project(b, ta)[2] <= EPS).any(axis=1)
+    if _contained(ta, tb, a_on_b):
         return b.copy()
-    if _contained(tb, ta, b_on_a, eps):
+    if _contained(tb, ta, b_on_a):
         return a.copy()
-    nodes = _collect_nodes(ta, tb, a_on_b, b_on_a, eps)
+    nodes = _collect_nodes(ta, tb, a_on_b, b_on_a)
     if not len(nodes):
         return DISJOINT
 
-    ua, va = _split(ta, nodes, eps)
-    ub, vb = _split(tb, nodes, eps)
+    ua, va = _split(ta, nodes)
+    ub, vb = _split(tb, nodes)
     # keep a's fragments outside or on b, and b's strictly outside a
-    keep_a = _classify(0.5 * (ua + va), tb, eps) <= 0
-    keep_b = _classify(0.5 * (ub + vb), ta, eps) < 0
+    keep_a = _classify(0.5 * (ua + va), tb) <= 0
+    keep_b = _classify(0.5 * (ub + vb), ta) < 0
     loops = _stitch(np.concatenate([ua[keep_a], ub[keep_b]]),
                     np.concatenate([va[keep_a], vb[keep_b]]))
     best = None
@@ -338,8 +338,21 @@ def polygon_union(a, b, eps: float = EPS):
         # degenerate arrangement the traversal could not resolve
         log.warning("polygon union traversal failed; keeping larger input")
         return (a if abs(ta.area) >= abs(tb.area) else b).copy()
-    ring = dedupe_points(best, eps)
+    ring = dedupe_points(best, EPS)
     return ensure_ccw(ring)
+
+
+def _rings_and_window(rings, window):
+    """`rings` (one ring or a list) as a list of point arrays, and the
+    window's lower and upper corners as arrays: those of `window`, else of
+    the rings' joint bounding box."""
+    if isinstance(rings, np.ndarray) or (len(rings) and np.ndim(rings[0]) == 1):
+        rings = [rings]
+    rings = [as_points(r) for r in rings]
+    if window is None:
+        allpts = np.vstack(rings)
+        return rings, allpts.min(axis=0), allpts.max(axis=0)
+    return rings, np.asarray(window[0], float), np.asarray(window[1], float)
 
 
 def rasterize_oracle(rings, resolution: int = 1000, window=None) -> int:
@@ -349,16 +362,7 @@ def rasterize_oracle(rings, resolution: int = 1000, window=None) -> int:
     ymax)) and defaults to the joint bounding box. Used as the area oracle
     in tests.
     """
-    if isinstance(rings, np.ndarray) or (len(rings) and np.ndim(rings[0]) == 1):
-        rings = [rings]
-    rings = [as_points(r) for r in rings]
-    if window is None:
-        allpts = np.vstack(rings)
-        lo = allpts.min(axis=0)
-        hi = allpts.max(axis=0)
-    else:
-        lo = np.asarray(window[0], float)
-        hi = np.asarray(window[1], float)
+    rings, lo, hi = _rings_and_window(rings, window)
     dx = (hi[0] - lo[0]) / resolution
     dy = (hi[1] - lo[1]) / resolution
     xs = lo[0] + dx * (np.arange(resolution) + 0.5)
@@ -371,16 +375,7 @@ def rasterize_oracle(rings, resolution: int = 1000, window=None) -> int:
 
 def rasterize_area(rings, resolution: int = 1000, window=None) -> float:
     """Area estimate from the rasterization oracle, in square meters."""
-    if isinstance(rings, np.ndarray) or (len(rings) and np.ndim(rings[0]) == 1):
-        rings = [rings]
-    rings = [as_points(r) for r in rings]
-    if window is None:
-        allpts = np.vstack(rings)
-        lo = allpts.min(axis=0)
-        hi = allpts.max(axis=0)
-        window = (lo, hi)
-    lo = np.asarray(window[0], float)
-    hi = np.asarray(window[1], float)
+    rings, lo, hi = _rings_and_window(rings, window)
     count = rasterize_oracle(rings, resolution, (lo, hi))
     cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / (resolution * resolution)
     return count * cell

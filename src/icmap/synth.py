@@ -263,15 +263,13 @@ def clip_gt_frames(gt: GlobalMap, poses, range_lw,
     return frames
 
 
-def _embedding_base(embed_seed: int, inst_id: int, dim: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([embed_seed, 9176, inst_id]))
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def _embedding_base(embed_seed: int, inst_id: int, dim: int) -> np.ndarray:
+    return _unit(np.random.default_rng(np.random.SeedSequence([embed_seed, 9176, inst_id])), dim)
 
 
 def _score(rng, mean, std):
@@ -279,16 +277,14 @@ def _score(rng, mean, std):
     return float(np.clip(val, 0.05, 1.0))
 
 
-def corrupt_frame(gt_frame, noise: NoiseConfig, seed, range_lw=(100.0, 50.0),
-                  bases=None) -> list[MapInstance]:
+def corrupt_frame(gt_frame, noise: NoiseConfig, seed, range_lw, bases) -> list[MapInstance]:
     """Noisy detections for one frame: jitter, dropout, splits, false
     positives; embeddings are per-ID base vectors plus Gaussian noise.
 
-    `bases` maps each GT ID to its unit base vector (`_embedding_base`);
-    by default those of embedding seed 0.
+    `range_lw` is the perception range false positives are drawn in, and
+    `bases` maps each GT ID of `gt_frame` to its unit base vector
+    (`_embedding_base` of the scene's seed, as `make_scene` builds them).
     """
-    if bases is None:
-        bases = {inst.id: _embedding_base(0, inst.id, noise.embed_dim) for inst in gt_frame}
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dets: list[MapInstance] = []
     for inst in gt_frame:

@@ -40,8 +40,8 @@ import scalar_reference as ref
 from icmap.curvefit import (DEGREE, SmoothingFitParams, _clamped_knots, _solve_spline,
                             reorder_concat)
 from icmap.errors import EmptyPointSet, NonSimplePolygon
-from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyline_to_rect,
-                            clip_polyline_to_rects, resample_even, resample_even_many,
+from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyline_pieces,
+                            clip_polyline_to_rect, resample_even, resample_even_many,
                             transform_points, transform_stacked)
 from icmap.instance import DIVIDER, MapInstance
 from icmap.mapstore import GlobalMap
@@ -164,12 +164,21 @@ many_box_polyline = st.one_of(with_duplicates(polyline), with_duplicates(arc_pol
                               with_duplicates(zigzag))
 
 
+def pieces_by_rect(points, rects, min_length):
+    """The pieces `clip_polyline_pieces` returns, listed per rectangle."""
+    pts, bounds, owner = clip_polyline_pieces(points, rects, min_length)
+    assert (np.diff(owner) >= 0).all()  # in rectangle order
+    out = [[] for _ in rects]
+    for lo, hi, r in zip(bounds[:-1].tolist(), bounds[1:].tolist(), owner.tolist()):
+        out[r].append(pts[lo:hi])
+    return out
+
+
 class TestClipManyRects:
     @equivalence
     @given(many_box_polyline, road_boxes(), st.sampled_from([0.0, 0.5]))
     def test_matches_one_rect_clip(self, pts, rects, min_length):
-        got = clip_polyline_to_rects(pts, rects, min_length)
-        assert len(got) == len(rects)
+        got = pieces_by_rect(pts, rects, min_length)
         for pieces, rect in zip(got, rects):
             want = ref.clip_polyline_to_rect_array(pts, rect, min_length)
             for clipped in (pieces, clip_polyline_to_rect(pts, rect, min_length)):
@@ -209,7 +218,7 @@ class TestClipManyRects:
         gt, poses = generate_scene(config)
         rects = [Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0) for pose in poses]
         assert any(len(pieces) > 1 for inst in gt.instances.values() if inst.is_polyline
-                   for pieces in clip_polyline_to_rects(inst.points, rects, 0.5))
+                   for pieces in pieces_by_rect(inst.points, rects, 0.5))
         got = clip_gt_frames(gt, poses, range_lw)
         for frame, pose in zip(got, poses):
             want = ref.clip_gt_frame(gt, pose, range_lw)

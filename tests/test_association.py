@@ -158,7 +158,7 @@ class TestThresholdAndMatch:
         assert sum(h[i, j] for i, j in match) == pytest.approx(1.7)
 
     def test_empty(self):
-        assert optimal_match(np.zeros((0, 0))) == []
+        assert optimal_match(np.zeros((0, 0)), np.zeros((0, 0), dtype=bool)) == []
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(1)
@@ -208,37 +208,37 @@ class TestIdsAndBuffer:
     def test_unmatched_removed_at_zero_age(self):
         buf = self.make_buffer([0, 1])
         det = outlined(line_instance(y=0.0, id=0))
-        out = update_buffer(buf, [det], max_age=0)
+        out = update_buffer(buf, [det], max_age=0, next_id=buf.next_id)
         assert [t.instance.id for t in out.tracks] == [0]
 
     def test_all_matched_size_stable(self):
         buf = self.make_buffer([0, 1, 2])
         dets = [outlined(line_instance(y=float(i), id=i)) for i in range(3)]
-        out = update_buffer(buf, dets, max_age=0)
+        out = update_buffer(buf, dets, max_age=0, next_id=buf.next_id)
         assert len(out.tracks) == 3
 
     def test_missed_twice_then_rematched(self):
         buf = self.make_buffer([7])
-        buf = update_buffer(buf, [], max_age=2)
+        buf = update_buffer(buf, [], max_age=2, next_id=buf.next_id)
         assert buf.tracks[0].age_missed == 1
-        buf = update_buffer(buf, [], max_age=2)
+        buf = update_buffer(buf, [], max_age=2, next_id=buf.next_id)
         assert buf.tracks[0].age_missed == 2
         det = outlined(line_instance(y=0.0, id=7))
-        buf = update_buffer(buf, [det], max_age=2)
+        buf = update_buffer(buf, [det], max_age=2, next_id=buf.next_id)
         assert [t.instance.id for t in buf.tracks] == [7]
         assert buf.tracks[0].age_missed == 0
 
     def test_aged_out(self):
         buf = self.make_buffer([7])
-        buf = update_buffer(buf, [], max_age=1)
-        buf = update_buffer(buf, [], max_age=1)
+        buf = update_buffer(buf, [], max_age=1, next_id=buf.next_id)
+        buf = update_buffer(buf, [], max_age=1, next_id=buf.next_id)
         assert buf.tracks == []
 
     def test_duplicate_ids_rejected(self):
         buf = self.make_buffer([0])
         dets = [outlined(line_instance(id=3)), outlined(line_instance(id=3))]
         with pytest.raises(DuplicateId):
-            update_buffer(buf, dets, max_age=0)
+            update_buffer(buf, dets, max_age=0, next_id=buf.next_id)
 
 
 class TestAssociateFrame:
@@ -272,6 +272,9 @@ class TestAssociateFrame:
                 for k in range(rng.integers(1, 4))
             ]
             res = associate_frame(buf, dets, Pose2(0, 0, 0), cfg)
+            # new_ids are the IDs the unmatched detections got, in order
+            matched = {i for i, _, _ in res.matches}
+            assert res.new_ids == [d.id for k, d in enumerate(res.dets) if k not in matched]
             unmatched_total += len(res.new_ids)
             for d in res.dets:
                 issued.add(d.id)

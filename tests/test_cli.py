@@ -562,6 +562,9 @@ class TestMalformedInput:
         ("frame list", "frames[3]: expected an object"),
         ("duplicate gt id", "gt.instances[2]: duplicate id 0"),
         ("range of three", "range: expected [length, width]"),
+        # lists nested past the recursion limit, quoted in bounded form
+        ("deep class", "gt.instances[0]: unknown class [[[[[[[...]]]]]]]"),
+        ("deep version", "scene format_version [[[[[[[...]]]]]]] not supported"),
     ])
     def test_bad_scene(self, scene_path, tmp_path, capsys, case, named):
         doc = json.loads(scene_path.read_text())
@@ -575,9 +578,13 @@ class TestMalformedInput:
             doc["frames"][3] = ["t", "ego_pose"]
         elif case == "range of three":
             doc["range"] = [100.0, 50.0, 1.0]
+        elif case == "deep class":
+            doc["gt"]["instances"][0]["class"] = "DEEP"
+        elif case == "deep version":
+            doc["format_version"] = "DEEP"
         else:
             doc["gt"]["instances"][2]["id"] = 0
-        scene_path.write_text(json.dumps(doc))
+        scene_path.write_text(json.dumps(doc).replace('"DEEP"', "[" * 1100 + "]" * 1100))
         assert run_cli("run", scene_path, "--out-map", tmp_path / "out.json") == 1
         self.assert_named(capsys, scene_path, named)
 

@@ -77,6 +77,14 @@ def test_round_trip_bit_for_bit(keys):
     check()
 
 
+def nested(depth):
+    """A list nested `depth` deep: `repr` of it overflows the stack."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
 GOOD = {"id": 3, "class": "divider", "score": 0.5, "points": [[0, 0], [1, 1]],
         "embedding": [1.0, 0.0]}
 
@@ -95,6 +103,7 @@ GOOD = {"id": 3, "class": "divider", "score": 0.5, "points": [[0, 0], [1, 1]],
     ("embedding", [0.0, -0.0], "r.embedding: all-zero embedding"),
     ("id", 1.5, "r.id: expected an integer"),
     ("id", True, "r.id: expected an integer"),
+    ("class", nested(1100), "r: unknown class [[[[[[[...]]]]]]]"),
 ])
 def test_bad_record_named(field, value, message):
     keys = ("id", "class", "score", "points", "embedding")
@@ -150,6 +159,13 @@ class TestReadDoc:
         path.write_text('{"format_version": "2", "a": 1}')
         with pytest.raises(UnsupportedVersion, match="test format_version '2' not supported"):
             read_doc(path, "test", "1", MapFormatError, ("a",))
+
+    def test_deep_version_quoted_bounded(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"format_version": ' + "[" * 1100 + "]" * 1100 + ', "a": 1}')
+        with pytest.raises(UnsupportedVersion) as exc:
+            read_doc(path, "test", "1", MapFormatError, ("a",))
+        assert str(exc.value) == f"{path}: test format_version [[[[[[[...]]]]]]] not supported"
 
 
 class TestWriteDoc:

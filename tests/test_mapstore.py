@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,10 @@ from icmap.mapstore import (
     sample_history,
     save_map,
 )
+from icmap.pipeline import PipelineParams, run_scene
+from icmap.synth import make_scene
+
+from test_golden import SCENES as GOLDEN_SCENES
 
 
 def line_inst(y=0.0, x0=0.0, x1=60.0, n=61, cls="divider", id=0):
@@ -160,6 +165,15 @@ class TestMergeInstance:
             merge_instance(gmap, det, SmoothingFitParams())
         assert np.array_equal(gmap.instances[0].points, det.points)
         assert any("disjoint" in r.message for r in caplog.records)
+
+    def test_disjoint_crossing_natural_input(self, caplog):
+        # the benchmark's merge_noisy road and noise at seed 107: a crossing
+        # detection matched to a track whose stored crossing it does not touch
+        scene = make_scene(replace(GOLDEN_SCENES["merge_noisy"], seed=107))
+        with caplog.at_level(logging.WARNING, logger="icmap.mapstore"):
+            run_scene(scene, PipelineParams())
+        assert [r.getMessage() for r in caplog.records if "disjoint" in r.getMessage()] == [
+            "id 32: disjoint crossing under matched ID; keeping newest"]
 
     def test_class_conflict(self):
         gmap = one_instance_map(line_inst(id=0))

@@ -14,6 +14,7 @@ from icmap.mapstore import GlobalMap, merge_instance
 from icmap.synth import (
     NoiseConfig,
     SceneConfig,
+    _embedding_base,
     clip_gt_frame,
     corrupt_frame,
     generate_scene,
@@ -132,6 +133,14 @@ class TestClipGt:
             assert chamfer_distance(densify(got, 0.25), densify(pts, 0.25)) < 0.1
 
 
+RANGE_LW = SceneConfig().range_lw
+
+
+def seed0_bases(frame, dim=NoiseConfig().embed_dim):
+    """Each GT ID's unit embedding base vector of embedding seed 0."""
+    return {inst.id: _embedding_base(0, inst.id, dim) for inst in frame}
+
+
 class TestCorrupt:
     def frame(self, cfg=None):
         cfg = cfg or zero_noise_config("straight")
@@ -140,7 +149,7 @@ class TestCorrupt:
 
     def test_zero_noise_identity(self):
         frame = self.frame()
-        dets = corrupt_frame(frame, NoiseConfig.zero(), [0, 1])
+        dets = corrupt_frame(frame, NoiseConfig.zero(), [0, 1], RANGE_LW, seed0_bases(frame))
         assert len(dets) == len(frame)
         for det, gt in zip(dets, frame):
             assert det.cls == gt.cls
@@ -150,7 +159,7 @@ class TestCorrupt:
 
     def test_dropout_one(self):
         frame = self.frame()
-        dets = corrupt_frame(frame, NoiseConfig(dropout_prob=1.0), [0, 1])
+        dets = corrupt_frame(frame, NoiseConfig(dropout_prob=1.0), [0, 1], RANGE_LW, seed0_bases(frame))
         assert dets == []
 
     def test_jitter_statistics(self):
@@ -161,18 +170,18 @@ class TestCorrupt:
             MapInstance("divider", pts, id=0),
             MapInstance("divider", pts, id=1),
         ]
-        dets = corrupt_frame(frame, NoiseConfig(jitter_sigma=0.2), [0, 7])
+        dets = corrupt_frame(frame, NoiseConfig(jitter_sigma=0.2), [0, 7], RANGE_LW, seed0_bases(frame))
         coords = np.concatenate([d.points.ravel() for d in dets])
         assert coords.std() == pytest.approx(0.2, abs=0.02)
 
     def test_false_positives(self):
-        dets = corrupt_frame([], NoiseConfig(fp_rate=4.0), [0, 2])
+        dets = corrupt_frame([], NoiseConfig(fp_rate=4.0), [0, 2], RANGE_LW, {})
         assert len(dets) > 0
         assert all(d.embedding is not None for d in dets)
 
     def test_split(self):
         frame = self.frame()
-        dets = corrupt_frame(frame, NoiseConfig(split_prob=1.0), [0, 3])
+        dets = corrupt_frame(frame, NoiseConfig(split_prob=1.0), [0, 3], RANGE_LW, seed0_bases(frame))
         lines_in = sum(1 for i in frame if i.is_polyline)
         lines_out = sum(1 for d in dets if d.is_polyline)
         assert lines_out == 2 * lines_in
@@ -180,8 +189,8 @@ class TestCorrupt:
     def test_deterministic(self):
         frame = self.frame()
         noise = NoiseConfig(jitter_sigma=0.3, fp_rate=1.0)
-        a = corrupt_frame(frame, noise, [5, 6])
-        b = corrupt_frame(frame, noise, [5, 6])
+        a = corrupt_frame(frame, noise, [5, 6], RANGE_LW, seed0_bases(frame))
+        b = corrupt_frame(frame, noise, [5, 6], RANGE_LW, seed0_bases(frame))
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert np.array_equal(x.points, y.points)
