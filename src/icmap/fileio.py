@@ -1,11 +1,23 @@
-"""icmap's JSON files: one reader, one writer and one instance-record codec.
+r"""icmap's JSON files: one reader, one writer and one instance-record codec.
 
-Maps, scenes, traces and eval reports are JSON objects, each written as
-one line of compact JSON. Each instance in them is a record holding the
-fields a key tuple names, per list kind. Reading checks every field at the
-boundary and raises the caller's error class, led by the file and naming
-the field, e.g.
+Maps, scenes, traces and eval reports are JSON objects. Each file holds
+the bytes `json.dumps(doc) + "\n"` gives: one line, `, ` and `: `
+separators, ASCII text with `\uXXXX` escapes, floats in Python's repr form
+(the shortest decimal that round-trips exactly, e.g. `1.5e-05`), and the
+`NaN` and `Infinity` literals where an eval report holds them. Each
+instance in them is a record holding the fields a key tuple names, per list
+kind. Reading checks every field at the boundary and raises the caller's
+error class, led by the file and naming the field, e.g.
 `scene.json: frames[3].detections[1].points: non-finite value (NaN or inf)`.
+
+Files are written with orjson wherever it can give these bytes, and with
+`json` otherwise. orjson writes the same shortest round-trip digits as
+repr, in another notation for some floats (`1e-7`, `1e16`, `0.000015`), and
+no spaces; `write_doc` rewrites both. It keeps `json` for a document orjson
+refuses (a non-str key, a numpy scalar, an int beyond 64 bits) or writes
+with an escape, a non-ASCII or DEL byte, or `null` (orjson's form of NaN,
+infinities and None alike). One difference remains: orjson encodes dataclasses,
+enums, UUIDs and datetimes, which `json` refuses; icmap writes none.
 
 Files are parsed with orjson, whose floats have the bits of the standard
 library's `json`. What orjson refuses (NaN, Infinity and 1e999 literals,
@@ -18,9 +30,9 @@ any depth, where `json` raises RecursionError near Python's recursion
 limit (a field check that meets such a value names the field). Messages
 quote a value in `reprlib`'s bounded form, so a deep one cannot make
 them overflow the stack.
-The loaders decode under `gc_paused`, since a parsed file is tens of
-thousands of lists, none of them cyclic, that the cycle collector would
-otherwise walk again and again.
+The loaders decode, and the scene and map writers build their documents,
+under `gc_paused`, since a document is tens of thousands of lists, none of
+them cyclic, that the cycle collector would otherwise walk again and again.
 """
 from __future__ import annotations
 
@@ -43,12 +55,75 @@ TRACE_KEYS = ("id", "class", "score", "points")
 
 
 def write_doc(doc: dict, path) -> None:
-    """Write `doc` as one line of compact JSON and a newline; floats use the
-    shortest decimal form that round-trips exactly. One `json.dumps` call
-    runs CPython's C encoder, which `json.dump` and any indent bypass."""
-    text = json.dumps(doc) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write `doc` as the bytes of `json.dumps(doc)` and a newline (see the
+    module docstring)."""
+    data = _orjson_dumps(doc)
+    if data is None:
+        data = (json.dumps(doc) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _orjson_dumps(doc) -> bytes | None:
+    """The bytes of `json.dumps(doc)` and a newline, made from orjson's
+    encoding of `doc`; None where orjson cannot give them. Each step holds
+    at most two copies of the text."""
+    try:
+        data = orjson.dumps(doc)
+    except TypeError:  # a non-str key, a numpy scalar, an int beyond 64 bits
+        return None
+    if b"\\" in data or b"\x7f" in data or not data.isascii():  # json would escape
+        return None
+    # With no escaped quote, the odd parts are the strings' text. The even
+    # parts, joined by quotes, are the JSON around them, each string reduced
+    # to one quote, so the rewrites below touch no string.
+    parts = data.split(b'"')
+    del data
+    strings = parts[1::2]
+    outside = b'"'.join(parts[0::2])
+    del parts
+    if b"n" in outside:  # outside strings only `null` holds an n
+        return None
+    outside = _repr_floats(outside)
+    outside = outside.replace(b",", b", ")
+    outside = outside.replace(b":", b": ")
+    parts = [b""] * (2 * len(strings) + 1)
+    parts[0::2] = outside.split(b'"')
+    del outside
+    parts[1::2] = strings
+    parts[-1] += b"\n"
+    return b'"'.join(parts)
+
+
+_DIGITS = frozenset(b"0123456789")
+_NUMBER = frozenset(b"-.0123456789e")  # the bytes of an orjson number
+
+
+def _repr_floats(text: bytes) -> bytes:
+    """`text`, JSON with no strings in it as orjson writes it, with every
+    float that orjson writes in exponent form (`1e-7`, `1e16`) or as
+    `0.0000...` written in repr form instead (`1e-07`, `1e+16`, `1.5e-05`):
+    the digits are the same, only the notation differs."""
+    hits = []
+    for mark in (b"e", b"0.0000"):
+        at = text.find(mark)
+        while at != -1:
+            if mark != b"e" or text[at - 1] in _DIGITS:  # not the e of true or false
+                hits.append(at)
+            at = text.find(mark, at + 1)
+    view = memoryview(text)
+    pieces = []
+    done = 0
+    for at in sorted(hits):
+        start, end = at, at + 1
+        while start and text[start - 1] in _NUMBER:
+            start -= 1
+        while end < len(text) and text[end] in _NUMBER:
+            end += 1
+        pieces += (view[done:start], repr(float(text[start:end])).encode())
+        done = end
+    pieces.append(view[done:])
+    return b"".join(pieces)
 
 
 def read_doc(path, kind: str, version: str, error: type[Exception], required=()) -> dict:
@@ -94,6 +169,13 @@ def as_object(value, where: str, error: type[Exception], required=()) -> dict:
     for key in required:
         if key not in value:
             raise error(f"{where}: missing field {key!r}")
+    return value
+
+
+def as_str(value, where: str, error: type[Exception]) -> str:
+    """`value`; raises `error` naming `where` unless it is a string."""
+    if not isinstance(value, str):
+        raise error(f"{where}: expected a string")
     return value
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import polygon as poly
 from .curvefit import SmoothingFitParams, merge_polylines
 from .errors import ClassConflict, MapFormatError
-from .fileio import MAP_KEYS, from_records, gc_paused, read_doc, to_record, write_doc
+from .fileio import MAP_KEYS, as_str, from_records, gc_paused, read_doc, to_record, write_doc
 from .geometry import Rect, as_points, clip_polyline_to_rect, polyline_length, resample_even
 from .instance import MapInstance
 
@@ -101,6 +101,7 @@ def merge_instance(gmap: GlobalMap, det: MapInstance,
     return gmap
 
 
+@gc_paused()
 def save_map(gmap: GlobalMap, path) -> None:
     """Write the map as JSON; floats use shortest exact decimal form."""
     write_doc({
@@ -114,9 +115,10 @@ def save_map(gmap: GlobalMap, path) -> None:
 def load_map(path) -> GlobalMap:
     """Read a map file; raises MapFormatError naming the field of the first
     malformed value."""
-    doc = read_doc(path, "map", MAP_FORMAT_VERSION, MapFormatError)
-    insts = from_records(doc.get("instances", []), f"{path}: instances", MapFormatError, MAP_KEYS)
+    doc = read_doc(path, "map", MAP_FORMAT_VERSION, MapFormatError, ("scene_id", "instances"))
+    scene_id = as_str(doc["scene_id"], f"{path}: scene_id", MapFormatError)
+    insts = from_records(doc["instances"], f"{path}: instances", MapFormatError, MAP_KEYS)
     for i, inst in enumerate(insts):
         if len(inst.points) < 2:
             raise MapFormatError(f"{path}: instances[{i}].points: expected at least 2 [x, y] pairs")
-    return GlobalMap(str(doc.get("scene_id", "")), {inst.id: inst for inst in insts})
+    return GlobalMap(scene_id, {inst.id: inst for inst in insts})

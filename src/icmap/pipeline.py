@@ -12,7 +12,16 @@ import numpy as np
 from .association import AssocConfig, TrackBuffer, associate_frame
 from .curvefit import SmoothingFitParams
 from .errors import MapFormatError, OrderingError
-from .fileio import TRACE_KEYS, as_list, as_object, from_records, gc_paused, read_doc, to_record
+from .fileio import (
+    TRACE_KEYS,
+    as_list,
+    as_object,
+    as_str,
+    from_records,
+    gc_paused,
+    read_doc,
+    to_record,
+)
 from .geometry import EGO_TO_WORLD, Rect, transform_points
 from .instance import MapInstance, chamfer_by_class
 from .mapstore import GlobalMap, fuse_with_history, merge_instance, sample_history
@@ -107,7 +116,8 @@ def trace_pred_frames(trace: dict, where: str = "trace") -> list[list[MapInstanc
 def read_trace(path) -> tuple[str, list[list[MapInstance]]]:
     """Scene ID and tracked per-frame instances of a trace file."""
     doc = read_doc(path, "trace", TRACE_FORMAT_VERSION, MapFormatError, ("scene_id", "frames"))
-    return doc["scene_id"], trace_pred_frames(doc, str(path))
+    scene_id = as_str(doc["scene_id"], f"{path}: scene_id", MapFormatError)
+    return scene_id, trace_pred_frames(doc, str(path))
 
 
 def scene_gt_frames(scene: Scene) -> list[list[MapInstance]]:

@@ -15,6 +15,7 @@ from .fileio import (
     MAP_KEYS,
     as_list,
     as_object,
+    as_str,
     finite_array,
     finite_float,
     from_records,
@@ -364,6 +365,7 @@ def make_scene(config: SceneConfig) -> Scene:
 # ---------------------------------------------------------------------------
 # scene file io
 
+@gc_paused()
 def write_scene(scene: Scene, path) -> None:
     write_doc({
         "format_version": SCENE_FORMAT_VERSION,
@@ -393,9 +395,10 @@ def read_scene(path) -> Scene:
     scene's first one, since association compares them across frames."""
     err = SceneFormatError
     doc = read_doc(path, "scene", SCENE_FORMAT_VERSION, err, ("scene_id", "range", "gt", "frames"))
+    scene_id = as_str(doc["scene_id"], f"{path}: scene_id", err)
     gt_doc = as_object(doc["gt"], f"{path}: gt", err)
     gt_insts = from_records(gt_doc.get("instances", []), f"{path}: gt.instances", err, MAP_KEYS)
-    gt = GlobalMap(str(doc["scene_id"]), {inst.id: inst for inst in gt_insts})
+    gt = GlobalMap(scene_id, {inst.id: inst for inst in gt_insts})
     frames = []
     dim = None  # embedding length
     for fi, fobj in enumerate(as_list(doc["frames"], f"{path}: frames", err)):
@@ -419,4 +422,4 @@ def read_scene(path) -> Scene:
     rng = finite_array(doc["range"], f"{path}: range", err)
     if rng.shape != (2,):
         raise err(f"{path}: range: expected [length, width]")
-    return Scene(str(doc["scene_id"]), (float(rng[0]), float(rng[1])), gt, frames)
+    return Scene(scene_id, (float(rng[0]), float(rng[1])), gt, frames)

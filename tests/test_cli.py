@@ -529,6 +529,8 @@ class TestMalformedInput:
         ("no scene_id", "missing field 'scene_id'"),
         ("last frame cut", "frames: 19 frames, but the scene has 20"),
         ("no points", "frames[2].instances[1].points: expected at least one [x, y] pair"),
+        ("scene_id number", "scene_id: expected a string"),
+        ("deep scene_id", "scene_id: expected a string"),
     ])
     def test_bad_trace(self, scene_path, outputs, capsys, case, named):
         out_map, trace = outputs
@@ -547,10 +549,15 @@ class TestMalformedInput:
             doc["format_version"] = "99"
         elif case == "no scene_id":
             del doc["scene_id"]
+        elif case == "scene_id number":
+            doc["scene_id"] = 5
+        elif case == "deep scene_id":
+            doc["scene_id"] = "DEEP"
         if case == "truncated":
             trace.write_text(text[: len(text) // 2])
         else:
-            trace.write_text(json.dumps([doc] if case == "top-level list" else doc))
+            trace.write_text(json.dumps([doc] if case == "top-level list" else doc)
+                             .replace('"DEEP"', "[" * 1100 + "]" * 1100))
         assert run_cli("eval", "--scene", scene_path, "--pred-map", out_map,
                        "--trace", trace, "--mot") == 1
         self.assert_named(capsys, trace, named)
@@ -565,6 +572,8 @@ class TestMalformedInput:
         # lists nested past the recursion limit, quoted in bounded form
         ("deep class", "gt.instances[0]: unknown class [[[[[[[...]]]]]]]"),
         ("deep version", "scene format_version [[[[[[[...]]]]]]] not supported"),
+        ("scene_id number", "scene_id: expected a string"),
+        ("deep scene_id", "scene_id: expected a string"),
     ])
     def test_bad_scene(self, scene_path, tmp_path, capsys, case, named):
         doc = json.loads(scene_path.read_text())
@@ -582,6 +591,10 @@ class TestMalformedInput:
             doc["gt"]["instances"][0]["class"] = "DEEP"
         elif case == "deep version":
             doc["format_version"] = "DEEP"
+        elif case == "scene_id number":
+            doc["scene_id"] = 5
+        elif case == "deep scene_id":
+            doc["scene_id"] = "DEEP"
         else:
             doc["gt"]["instances"][2]["id"] = 0
         scene_path.write_text(json.dumps(doc).replace('"DEEP"', "[" * 1100 + "]" * 1100))

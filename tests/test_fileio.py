@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icmap.errors import MapFormatError, SceneFormatError, UnsupportedVersion
@@ -35,6 +35,36 @@ round_trips = settings(max_examples=200, deadline=None, derandomize=True, databa
 finite = st.floats(allow_nan=False, allow_infinity=False)
 points = st.lists(st.tuples(finite, finite), min_size=0, max_size=8).map(
     lambda p: np.array(p, dtype=np.float64).reshape(-1, 2))
+
+
+# floats over many decades: orjson's notation and repr's differ at both ends
+spread_floats = st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-30, 30))
+# printable ASCII less quotes and backslashes: text orjson writes as json does
+plain_text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                   exclude_characters='"\\'), max_size=6)
+# also text json escapes (quotes, backslashes, control and non-ASCII
+# characters, lone surrogates), and the marks the writer's rewrites look for
+any_text = st.text(st.characters(exclude_categories=())
+                   | st.sampled_from(list('"\\,:\x00\x1f\x7f\xe9e.0-n')), max_size=6)
+
+
+def json_docs(text, scalars):
+    """str-keyed dicts of `scalars`, `text` and lists, tuples and dicts of them."""
+    values = st.recursive(
+        scalars | text,
+        lambda items: (st.lists(items, max_size=4) | st.lists(items, max_size=4).map(tuple)
+                       | st.dictionaries(text, items, max_size=4)),
+        max_leaves=20)
+    return st.dictionaries(text, values, max_size=4)
+
+
+# documents orjson encodes, and documents with None, NaN, +-inf, ints
+# beyond 64 bits or text that json escapes, which it cannot
+write_docs = (
+    json_docs(plain_text, st.booleans() | st.integers(-2**63, 2**64 - 1)
+              | st.floats(allow_nan=False, allow_infinity=False) | spread_floats)
+    | json_docs(any_text, st.none() | st.booleans() | st.integers() | st.integers(-2**66, 2**66)
+                | st.floats() | spread_floats))  # NaN, +-inf, +-0 and subnormals among them
 
 
 @st.composite
@@ -192,6 +222,31 @@ class TestWriteDoc:
         doc = json.loads(text)
         assert math.isnan(doc["mAP"]) and math.isnan(doc["cd"]["divider"])
         assert doc["ap"] == {"divider": 0.5}
+
+    def test_json_dumps_bytes(self, tmp_path):
+        # orjson's encoding rewritten, or json's where orjson cannot give
+        # these bytes: either way, exactly what json.dumps writes
+        path = tmp_path / "d.json"
+
+        @round_trips
+        @given(write_docs)
+        @example({"x": 1e-05})
+        @example({"x": 1.5e-05})
+        @example({"x": 9.9e-06})
+        @example({"x": 1e-07})
+        @example({"x": 1e+16})
+        @example({"x": 5e-324})
+        @example({"x": -0.0})
+        @example({"x": np.float64(0.5)})
+        @example({1: 2})
+        @example(EvalReport(ap={"divider": 0.5}, cd={"divider": float("nan")}).to_doc())
+        @example({"x": "\x7f"})  # DEL: ASCII, but json escapes it
+        @example({'a"b': "c\\d"})
+        def check(doc):
+            write_doc(doc, path)
+            assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+
+        check()
 
 
 def read_doc_stdlib(path, kind, version, error, required=()):

@@ -270,6 +270,27 @@ class TestMapIO:
         with pytest.raises(MapFormatError, match=r"instances\[1\]\.points"):
             load_map(path)
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"format_version": "1"}, "scene_id"),
+        ({"format_version": "1", "instances": []}, "scene_id"),
+        ({"format_version": "1", "scene_id": "x"}, "instances"),
+    ])
+    def test_missing_key_named(self, tmp_path, doc, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError) as exc:
+            load_map(path)
+        assert str(exc.value) == f"{path}: missing field {key!r}"
+
+    @pytest.mark.parametrize("scene_id", ["5", "null", '["x"]', "[" * 1100 + "]" * 1100],
+                             ids=["number", "null", "list", "deep list"])
+    def test_scene_id_not_string_named(self, tmp_path, scene_id):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"format_version": "1", "scene_id": {scene_id}, "instances": []}}')
+        with pytest.raises(MapFormatError) as exc:
+            load_map(path)
+        assert str(exc.value) == f"{path}: scene_id: expected a string"
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "v9.json"
         path.write_text(json.dumps({"format_version": "9", "scene_id": "x", "instances": []}))
