@@ -62,50 +62,46 @@ def _positive_float(text: str) -> float:
     return val
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _positive_int(text: str) -> int:
     try:
-        l, w = text.lower().split("x")
-        rng = (float(l), float(w))
+        val = int(text)
     except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return val
+
+
+def _parse_range(text: str) -> tuple[float, float]:
+    extents = text.lower().split("x")
+    if len(extents) != 2:
         raise argparse.ArgumentTypeError(
-            f"invalid range {text!r}; expected LENGTHxWIDTH, e.g. 100x50"
-        ) from None
-    if not all(0 < v < math.inf for v in rng):
-        raise argparse.ArgumentTypeError(f"range extents must be positive and finite, got {text!r}")
-    return rng
+            f"invalid range {text!r}; expected LENGTHxWIDTH, e.g. 100x50")
+    return _positive_float(extents[0]), _positive_float(extents[1])
 
 
 def _parse_sgrid(text: str) -> list[float]:
-    try:
-        start, stop, step = (float(v) for v in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid s grid {text!r}; expected start:stop:step"
-        ) from None
+    bounds = text.split(":")
+    if len(bounds) != 3:
+        raise argparse.ArgumentTypeError(f"invalid s grid {text!r}; expected start:stop:step")
+    start, stop, step = (_finite_float(v) for v in bounds)
     if step <= 0 or stop < start or start < 0:
         raise argparse.ArgumentTypeError("s grid needs start >= 0, stop >= start, step > 0")
     return [round(v, 10) for v in np.arange(start, stop + step / 2, step)]
 
 
 def _parse_thresholds(text: str) -> list[float]:
-    try:
-        vals = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid thresholds {text!r}") from None
-    if not vals or any(v <= 0 for v in vals):
-        raise argparse.ArgumentTypeError("thresholds must be positive numbers")
+    vals = [_positive_float(v) for v in text.split(",") if v.strip()]
+    if not vals:
+        raise argparse.ArgumentTypeError(
+            f"invalid thresholds {text!r}; expected positive numbers, e.g. 0.5,1.0,1.5")
     return vals
 
 
 def _parse_jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid job count {text!r}; expected an integer"
-        ) from None
+    jobs = _positive_int(text)
     cap = os.cpu_count() or 1
-    if not 1 <= jobs <= cap:
+    if jobs > cap:
         raise argparse.ArgumentTypeError(
             f"job count {jobs} out of range; expected 1 to {cap} (the CPU count)"
         )
@@ -402,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     p.add_argument("--out", help="output scene path")
-    p.add_argument("--count", type=int, help="generate this many scenes (seeds seed..seed+N-1)")
+    p.add_argument("--count", type=_positive_int,
+                   help="generate this many scenes (seeds seed..seed+N-1)")
     p.add_argument("--out-dir", help="directory for --count output")
     p.add_argument("--range", dest="range_lw", type=_parse_range,
                    help="perception range LxW, e.g. 100x50")
@@ -434,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-dir", help="directory of {stem}.map.json/{stem}.trace.json for multi-scene")
     p.add_argument("--mot", action="store_true", help="also compute AP and CLEAR-MOT from the trace")
     p.add_argument("--thresholds", type=_parse_thresholds,
-                   help="AP thresholds in meters, e.g. 0.5,1.0,1.5")
+                   help="AP thresholds in meters, positive, finite, e.g. 0.5,1.0,1.5")
     p.add_argument("--mot-gate", dest="mot_gate", type=_positive_float, default=DEFAULT_MOT_GATE,
                    help="CLEAR-MOT match gate, meters (positive)")
     p.add_argument("--report", help="write the report as JSON here")

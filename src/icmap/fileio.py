@@ -6,8 +6,10 @@ separators, ASCII text with `\uXXXX` escapes, floats in Python's repr form
 (the shortest decimal that round-trips exactly, e.g. `1.5e-05`), and the
 `NaN` and `Infinity` literals where an eval report holds them. Each
 instance in them is a record holding the fields a key tuple names, per list
-kind. Reading checks every field at the boundary and raises the caller's
-error class, led by the file and naming the field, e.g.
+kind, and at least as many points as `MIN_POINTS` gives that kind: 2 for
+map, scene ground-truth and detection records, 1 for trace records.
+Reading checks every field at the boundary and raises the caller's error
+class, led by the file and naming the field, e.g.
 `scene.json: frames[3].detections[1].points: non-finite value (NaN or inf)`.
 
 Files are written with orjson wherever it can give these bytes, and with
@@ -52,6 +54,10 @@ from .instance import CLASSES, MapInstance
 MAP_KEYS = ("id", "class", "points")  # map and scene ground-truth instances
 DETECTION_KEYS = ("class", "score", "points", "embedding")  # embedding may be absent
 TRACE_KEYS = ("id", "class", "score", "points")
+# the fewest points a record of each kind holds: map, ground-truth and
+# detected instances are polylines or rings; eval's Chamfer tables need one
+# point of each tracked instance
+MIN_POINTS = {MAP_KEYS: 2, DETECTION_KEYS: 2, TRACE_KEYS: 1}
 
 
 def write_doc(doc: dict, path) -> None:
@@ -274,7 +280,8 @@ def from_record(obj, where: str, error: type[Exception], keys) -> MapInstance:
 
 def from_records(objs, where: str, error: type[Exception], keys) -> list[MapInstance]:
     """The instances of a list of records (see `from_record`), `where[i]`
-    naming record i; IDs must be unique within the list."""
+    naming record i; IDs must be unique within the list, and each record
+    holds at least `MIN_POINTS[keys]` points."""
     insts = [from_record(obj, f"{where}[{i}]", error, keys)
              for i, obj in enumerate(as_list(objs, where, error))]
     if "id" in keys:
@@ -283,4 +290,9 @@ def from_records(objs, where: str, error: type[Exception], keys) -> list[MapInst
             if inst.id in seen:
                 raise error(f"{where}[{i}]: duplicate id {inst.id}")
             seen.add(inst.id)
+    least = MIN_POINTS[keys]
+    for i, inst in enumerate(insts):
+        if len(inst.points) < least:
+            pairs = "one [x, y] pair" if least == 1 else f"{least} [x, y] pairs"
+            raise error(f"{where}[{i}].points: expected at least {pairs}")
     return insts

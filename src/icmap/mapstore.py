@@ -118,7 +118,4 @@ def load_map(path) -> GlobalMap:
     doc = read_doc(path, "map", MAP_FORMAT_VERSION, MapFormatError, ("scene_id", "instances"))
     scene_id = as_str(doc["scene_id"], f"{path}: scene_id", MapFormatError)
     insts = from_records(doc["instances"], f"{path}: instances", MapFormatError, MAP_KEYS)
-    for i, inst in enumerate(insts):
-        if len(inst.points) < 2:
-            raise MapFormatError(f"{path}: instances[{i}].points: expected at least 2 [x, y] pairs")
     return GlobalMap(scene_id, {inst.id: inst for inst in insts})

@@ -100,8 +100,9 @@ class SceneConfig:
         for name in ("road_length", "lane_width", "frame_spacing", "lane_count", "frame_count"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.crossing_count < 0:
-            raise ValueError("crossing_count must be >= 0")
+        for name in ("crossing_count", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.curvature not in CURVATURES:
             raise ValueError(f"unknown curvature {self.curvature!r}")
         if min(self.range_lw) <= 0:

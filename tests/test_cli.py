@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -96,6 +97,7 @@ class TestSynthCmd:
         ("radius = 1e999\n", "'radius'"),
         ("range = nanx50\n", "'range'"),
         ("embed_dim = 0\n", "embed_dim"),
+        ("seed = -3\n", "invalid parameter: seed must be >= 0"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "cfg.txt"
@@ -111,6 +113,23 @@ class TestSynthCmd:
         assert sorted(p.name for p in tmp_path.glob("scene_*.json")) == [
             "scene_000.json", "scene_001.json", "scene_002.json"
         ]
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_usage_error(self, tmp_path, capsys, count):
+        out_dir = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("synth", "--count", count, "--out-dir", out_dir)
+        assert exc.value.code == 2
+        assert f"argument --count: {count!r} is not a positive integer" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [["--out", "s.json"], ["--count", "2", "--out-dir", "d"]],
+                             ids=["out", "count"])
+    def test_negative_seed_flag_rejected(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("synth", "--seed", -1, *flags) == 1
+        assert "icmap: error: invalid parameter: seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.glob("**/*.json")) == []
 
     # --out names the one scene; --count scenes go to --out-dir
     @pytest.mark.parametrize("flags,message", [
@@ -297,12 +316,26 @@ class TestRunConfig:
         assert not out_map.exists()
 
     @pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--s", "inf"),
-                                            ("--theta", "-inf"), ("--expand", "1e999")])
+                                            ("--theta", "-inf"), ("--expand", "1e999"),
+                                            ("--thresholds", "1,nan"), ("--thresholds", "inf"),
+                                            ("--s-grid", "0:inf:1"), ("--s-grid", "nan:1:1"),
+                                            ("--mot-gate", "nan"), ("--w-feat", "inf"),
+                                            ("--range", "100xinf")])
     def test_non_finite_flag_usage_error(self, scene_path, tmp_path, capsys, flag, value):
+        out_map = tmp_path / "m.json"
+        # the command that reads each flag, with the arguments it requires
+        argv = {
+            "--thresholds": ["eval", "--scene", scene_path, "--pred-map", out_map],
+            "--mot-gate": ["eval", "--scene", scene_path, "--pred-map", out_map],
+            "--s-grid": ["sweep-s", scene_path, "--out", tmp_path / "t.tsv"],
+            "--range": ["synth", "--out", tmp_path / "s.json"],
+        }.get(flag, ["run", scene_path, "--out-map", out_map])
         with pytest.raises(SystemExit) as exc:
-            run_cli("run", scene_path, "--out-map", tmp_path / "m.json", f"{flag}={value}")
+            run_cli(*argv, f"{flag}={value}")
         assert exc.value.code == 2
-        assert f"argument {flag}: {value!r} is not a finite number" in capsys.readouterr().err
+        # a list, grid or range names its one non-finite number
+        bad, = (v for v in re.split("[,:x]", value) if not math.isfinite(float(v)))
+        assert f"argument {flag}: {bad!r} is not a finite number" in capsys.readouterr().err
 
     def test_flag_overrides_config(self, scene_path, tmp_path):
         assert run_cli("run", scene_path, "--out-map", tmp_path / "ref.json", "--tau", 3) == 0
@@ -574,6 +607,8 @@ class TestMalformedInput:
         ("deep version", "scene format_version [[[[[[[...]]]]]]] not supported"),
         ("scene_id number", "scene_id: expected a string"),
         ("deep scene_id", "scene_id: expected a string"),
+        ("detection with 0 points", "frames[2].detections[0].points: expected at least 2"),
+        ("detection with 1 point", "frames[2].detections[0].points: expected at least 2"),
     ])
     def test_bad_scene(self, scene_path, tmp_path, capsys, case, named):
         doc = json.loads(scene_path.read_text())
@@ -595,6 +630,10 @@ class TestMalformedInput:
             doc["scene_id"] = 5
         elif case == "deep scene_id":
             doc["scene_id"] = "DEEP"
+        elif case == "detection with 0 points":
+            doc["frames"][2]["detections"][0]["points"] = []
+        elif case == "detection with 1 point":
+            del doc["frames"][2]["detections"][0]["points"][1:]
         else:
             doc["gt"]["instances"][2]["id"] = 0
         scene_path.write_text(json.dumps(doc).replace('"DEEP"', "[" * 1100 + "]" * 1100))

@@ -162,6 +162,21 @@ def test_duplicate_id_named():
     assert len(from_records(recs, "l", MapFormatError, DETECTION_KEYS)) == 3  # no IDs kept
 
 
+@pytest.mark.parametrize("keys,least,pairs", [
+    (MAP_KEYS, 2, "2 [x, y] pairs"),
+    (DETECTION_KEYS, 2, "2 [x, y] pairs"),
+    (TRACE_KEYS, 1, "one [x, y] pair"),
+], ids=["map", "detection", "trace"])
+def test_fewest_points_per_kind(keys, least, pairs):
+    # a list of each kind holds records of `least` points, and no fewer
+    recs = [dict(GOOD, id=0), dict(GOOD, id=1, points=[[0, 0]] * least)]
+    assert len(from_records(recs, "l", MapFormatError, keys)[1].points) == least
+    recs[1]["points"] = [[0, 0]] * (least - 1)
+    with pytest.raises(MapFormatError) as exc:
+        from_records(recs, "l", MapFormatError, keys)
+    assert str(exc.value) == f"l[1].points: expected at least {pairs}"
+
+
 class TestReadDoc:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "d.json"
