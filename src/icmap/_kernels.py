@@ -1,12 +1,18 @@
 """Numeric kernels: nearest-neighbour mean distance, batched Chamfer
 distances and even-odd rasterization.
 
-`nn_mean_dist` is the one nearest-neighbour primitive (the inner loop of the
-Chamfer metric): a k-d tree query (`scipy.spatial.cKDTree`), which computes
-each distance as sqrt(dx*dx + dy*dy). `chamfer_matrix` scores many small
+There are two nearest-neighbour primitives, one per size of input.
+`nn_mean_dist` is a k-d tree query (`scipy.spatial.cKDTree`), which computes
+each distance as sqrt(dx*dx + dy*dy); it serves `geometry.chamfer_distance`,
+which scores one pair of large sets: a class's pooled map points against its
+ground truth (`metrics.global_map_cd`) and a merged curve against its
+reference (`curvefit.sweep_smoothing`). `chamfer_matrix` scores many small
 sets against many others in one broadcast, with the same arithmetic and
 summation order, so each entry has the bits of the single-pair Chamfer
-distance.
+distance; it serves `instance.chamfer_by_class`, which scores one frame's
+instances: detections against tracks in association, predictions against
+ground truth for AP and CLEAR-MOT, and detections against ground truth when
+`pipeline.scene_observations` picks sweep cases.
 """
 from __future__ import annotations
 

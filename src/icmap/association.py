@@ -202,7 +202,6 @@ def post_track_baseline(frames, poses, dist_threshold: float = 2.0) -> list[list
 
     Matches each frame's detections to the previous frame's outputs by
     ascending Chamfer distance within the gate; leftovers get fresh IDs.
-    Doubles as the ground-truth ID labeler on noiseless clips.
     """
     out: list[list[MapInstance]] = []
     prev: list[MapInstance] = []

@@ -13,7 +13,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .curvefit import SmoothingFitParams, SweepTable, sweep_smoothing
+from .curvefit import SweepTable, sweep_smoothing
 from .errors import MapBuildError, MapFormatError
 from .fileio import write_doc
 from .instance import CLASSES
@@ -80,6 +80,9 @@ def _parse_range(text: str) -> tuple[float, float]:
     return _positive_float(extents[0]), _positive_float(extents[1])
 
 
+MAX_SGRID_VALUES = 1000  # the default grid has 21
+
+
 def _parse_sgrid(text: str) -> list[float]:
     bounds = text.split(":")
     if len(bounds) != 3:
@@ -87,6 +90,11 @@ def _parse_sgrid(text: str) -> list[float]:
     start, stop, step = (_finite_float(v) for v in bounds)
     if step <= 0 or stop < start or start < 0:
         raise argparse.ArgumentTypeError("s grid needs start >= 0, stop >= start, step > 0")
+    # the length np.arange gives the grid, counted before any value is built
+    count = np.ceil((stop + step / 2 - start) / step)
+    if count > MAX_SGRID_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"s grid {text!r} has {count:.0f} values; at most {MAX_SGRID_VALUES} are allowed")
     return [round(v, 10) for v in np.arange(start, stop + step / 2, step)]
 
 
@@ -150,8 +158,6 @@ def _config_keys(cls) -> set[str]:
 
 SCENE_KEYS = _config_keys(SceneConfig)
 PIPELINE_KEYS = _config_keys(PipelineParams)
-# sweep-s takes s from its grid and no other pipeline setting
-SWEEP_KEYS = _config_keys(SmoothingFitParams) - {"s"}
 
 
 def _reject_unknown(cfg: dict, known: set[str]) -> None:
@@ -332,20 +338,13 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_one(task):
-    scene_path, grid, s_params = task
-    scene = read_scene(scene_path)
-    obs = scene_observations(scene)
-    return sweep_smoothing(obs, grid, s_params)
+    scene_path, grid = task
+    return sweep_smoothing(scene_observations(read_scene(scene_path)), grid)
 
 
 def cmd_sweep_s(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    if "s" in cfg:
-        raise MapBuildError("config key 's' is not read by sweep-s: --s-grid sets s")
-    _reject_unknown(cfg, SWEEP_KEYS)
-    fit = _from_config(SmoothingFitParams, cfg, {})
     grid = args.s_grid
-    tasks = [(path, grid, fit) for path in args.scene]
+    tasks = [(path, grid) for path in args.scene]
     all_rows = _map_jobs(_sweep_one, tasks, args.jobs)
     seen = {cls for rows in all_rows for _, errs in rows for cls in errs}
     classes = [cls for cls in CLASSES if cls in seen]
@@ -445,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="TSV table output")
     p.add_argument("--plot", help="SVG chart output")
     p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
-    p.add_argument("--config", help="key = value config file (out_spacing, min_points, ctrl_spacing)")
     p.add_argument("--s", nargs="?", action=_SGridSetsS, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep_s)
 

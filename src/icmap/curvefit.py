@@ -19,7 +19,7 @@ point over a precomputed distance table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -35,32 +35,22 @@ from .geometry import as_points, chamfer_distance, dedupe_points, densify, resam
 MAX_MERGE_POINTS = 2500
 MAX_CTRL_POINTS = 500
 DEGREE = 3  # of the merge spline
+# the fit's resolution, fixed: the penalty weight `s` alone sets smoothness
+CTRL_SPACING = 2.0  # meters of chord length per control point
+OUT_SPACING = 1.0  # meters between resampled output points
+MIN_OUT_POINTS = 20  # lower bound on the output point count
 
 
 @dataclass(frozen=True)
 class SmoothingFitParams:
-    """Knobs of the merge fit; the spline itself is always cubic (DEGREE).
-
-    s: roughness penalty weight (>= 0)
-    out_spacing: meters between resampled output points
-    min_points: lower bound on output point count
-    ctrl_spacing: meters of chord length per control point
-    """
+    """The merge fit's one setting, the roughness penalty weight `s` (>= 0);
+    the spline is always cubic (DEGREE)."""
 
     s: float = 0.5
-    out_spacing: float = 1.0
-    min_points: int = 20
-    ctrl_spacing: float = 2.0
 
     def __post_init__(self):
         if self.s < 0:
             raise ValueError("smoothing weight s must be >= 0")
-        if self.out_spacing <= 0:
-            raise ValueError("out_spacing must be positive")
-        if self.min_points < 2:
-            raise ValueError("min_points must be >= 2")
-        if self.ctrl_spacing <= 0:
-            raise ValueError("ctrl_spacing must be positive")
 
 
 def reorder_concat(global_pts, det_pts) -> np.ndarray:
@@ -144,13 +134,13 @@ def _solve_spline(points, params: SmoothingFitParams):
     otherwise the roughness penalty pushes them past the data extent and
     repeated merges would creep outward.
     """
-    pts = dedupe_points(points, 1e-9)
+    pts = dedupe_points(points)
     k = DEGREE
     if len(pts) < k + 1:
         raise InsufficientPoints(f"need at least {k + 1} points, got {len(pts)}")
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     u = np.concatenate([[0.0], np.cumsum(seg)])
-    n_ctrl = int(np.clip(int(u[-1] // params.ctrl_spacing) + 1, k + 1,
+    n_ctrl = int(np.clip(int(u[-1] // CTRL_SPACING) + 1, k + 1,
                          min(len(pts), MAX_CTRL_POINTS)))
     t = _clamped_knots(n_ctrl, u)
     design = BSpline.design_matrix(u, t, k)
@@ -190,8 +180,8 @@ def fit_smoothing_spline(points, params: SmoothingFitParams) -> np.ndarray:
     # fits of noisy interleaved chains can oscillate, and resampling along
     # that inflated arc would let the point count grow across repeated merges
     diag = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
-    cap = min(int(4.0 * diag / params.out_spacing) + 2, MAX_MERGE_POINTS)
-    n_out = max(params.min_points, min(int(round(length / params.out_spacing)) + 1, cap))
+    cap = min(int(4.0 * diag / OUT_SPACING) + 2, MAX_MERGE_POINTS)
+    n_out = max(MIN_OUT_POINTS, min(int(round(length / OUT_SPACING)) + 1, cap))
     dense = spline(np.linspace(0.0, length, max(200, 8 * n_out)))
     return resample_even(dense, n_out)
 
@@ -204,7 +194,7 @@ def merge_polylines(global_pts, det_pts, params: SmoothingFitParams) -> np.ndarr
     return fit_smoothing_spline(reorder_concat(g, det_pts), params)
 
 
-def sweep_smoothing(observations, s_grid, params: SmoothingFitParams | None = None):
+def sweep_smoothing(observations, s_grid):
     """Fit-error sweep over the smoothing weight.
 
     `observations` maps class name -> list of cases, each a pair
@@ -213,14 +203,13 @@ def sweep_smoothing(observations, s_grid, params: SmoothingFitParams | None = No
     of the result to the densified reference is recorded. Returns rows of
     (s, {class: mean_error}).
     """
-    base = params or SmoothingFitParams()
     rows = []
     refs = {
         cls: [(densify(ref, 0.25), obs_list) for ref, obs_list in cases]
         for cls, cases in observations.items()
     }
     for s in s_grid:
-        p = replace(base, s=float(s))
+        p = SmoothingFitParams(s=float(s))
         errs: dict[str, float] = {}
         for cls, cases in refs.items():
             vals = []

@@ -15,6 +15,7 @@ from .errors import EmptyPointSet, InvalidSampleCount
 
 EGO_TO_WORLD = "ego_to_world"
 WORLD_TO_EGO = "world_to_ego"
+EPS = 1e-9  # meters: points closer than this are one point
 
 
 def wrap_angle(theta: float) -> float:
@@ -96,7 +97,7 @@ def _rigid(c, s, tx, ty, pts: np.ndarray, direction: str) -> np.ndarray:
     return out
 
 
-def dedupe_points(points, eps: float = 1e-9) -> np.ndarray:
+def dedupe_points(points, eps: float = EPS) -> np.ndarray:
     """Drop every point within `eps` of its predecessor in the input.
 
     Each point is compared with the input point just before it, not with
@@ -173,7 +174,7 @@ def resample_even_many(lines, n: int) -> np.ndarray:
     # `dedupe_points`, restarting at each line's first point
     step = np.diff(pts, axis=0)
     keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.hypot(step[:, 0], step[:, 1]) > 1e-9
+    keep[1:] = np.hypot(step[:, 0], step[:, 1]) > EPS
     keep[np.cumsum(sizes)[:-1][sizes[1:] > 0]] = True
     pts, line_of = pts[keep], line_of[keep]
     sizes = np.bincount(line_of, minlength=len(lines))
@@ -223,7 +224,7 @@ class Rect:
     def expand(self, margin: float) -> "Rect":
         return Rect(self.center, self.half_length + margin, self.half_width + margin)
 
-    def contains(self, points, eps: float = 1e-9) -> np.ndarray:
+    def contains(self, points, eps: float = EPS) -> np.ndarray:
         """Boolean mask of points inside (or on) the rectangle."""
         local = transform_points(self.center, as_points(points), WORLD_TO_EGO)
         return (np.abs(local[:, 0]) <= self.half_length + eps) & (

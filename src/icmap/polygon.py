@@ -18,11 +18,10 @@ import numpy as np
 
 from ._kernels import inside_mask
 from .errors import NonSimplePolygon
-from .geometry import EGO_TO_WORLD, WORLD_TO_EGO, Rect, as_points, dedupe_points, transform_points
+from .geometry import (EGO_TO_WORLD, EPS, WORLD_TO_EGO, Rect, as_points, dedupe_points,
+                       transform_points)
 
 log = logging.getLogger(__name__)
-
-EPS = 1e-9
 
 
 class Disjoint:
@@ -110,8 +109,8 @@ def clip_polygon_to_rect(ring, rect: Rect) -> list[np.ndarray]:
         poly = out
     if len(poly) < 3:
         return []
-    result = dedupe_points(np.array(poly), 1e-9)
-    if len(result) >= 2 and np.hypot(*(result[0] - result[-1])) <= 1e-9:
+    result = dedupe_points(np.array(poly), EPS)
+    if len(result) >= 2 and np.hypot(*(result[0] - result[-1])) <= EPS:
         result = result[:-1]
     if len(result) < 3 or abs(polygon_area(result)) < 1e-12:
         return []

@@ -687,7 +687,8 @@ def solve_spline(points, params):
         raise InsufficientPoints(f"need at least {k + 1} points, got {len(pts)}")
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     u = np.concatenate([[0.0], np.cumsum(seg)])
-    n_ctrl = int(np.clip(int(u[-1] // params.ctrl_spacing) + 1, k + 1,
+    # one control point per 2 m of chord, stated here, not imported
+    n_ctrl = int(np.clip(int(u[-1] // 2.0) + 1, k + 1,
                          min(len(pts), MAX_CTRL_POINTS)))
     t = _clamped_knots(n_ctrl, u)
     B = BSpline.design_matrix(u, t, k).toarray()

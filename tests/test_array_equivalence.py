@@ -579,12 +579,15 @@ class TestBandedSolve:
     @pytest.mark.parametrize("shape", ["semicircle", "sine"])
     def test_one_control_point_per_site(self, shape):
         # the unpenalized square system is the worst conditioned; the ridge
-        # keeps it positive definite, so the Cholesky factorization succeeds
+        # keeps it positive definite, so the Cholesky factorization succeeds.
+        # Sites at least 2 m apart ask for more control points than there
+        # are sites, so n_ctrl clamps to the site count.
         if shape == "semicircle":
             t = np.linspace(0.0, np.pi, 12)
             pts = np.column_stack([10.0 * np.cos(t), 10.0 * np.sin(t)])
         else:
-            x = np.linspace(0.0, 40.0, 30)
+            x = np.linspace(0.0, 80.0, 30)
             pts = np.column_stack([x, 2.0 * np.sin(x / 5.0)])
-        got = assert_same_fit(pts, SmoothingFitParams(s=0.0, ctrl_spacing=0.01))
+        assert np.hypot(*np.diff(pts, axis=0).T).min() >= 2.0
+        got = assert_same_fit(pts, SmoothingFitParams(s=0.0))
         assert len(got.c) == len(pts)

@@ -4,11 +4,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from icmap.cli import PIPELINE_KEYS, SCENE_KEYS, SWEEP_KEYS, main
+from icmap.cli import MAX_SGRID_VALUES, PIPELINE_KEYS, SCENE_KEYS, _parse_sgrid, main
 from icmap.mapstore import load_map
 from icmap.synth import make_scene, read_scene, write_scene
 
@@ -31,9 +32,8 @@ def config_keys(text):
 
 
 @pytest.mark.parametrize("label,keys", [("Scene keys:", SCENE_KEYS),
-                                        ("Pipeline keys:", PIPELINE_KEYS),
-                                        ("Sweep keys:", SWEEP_KEYS)],
-                         ids=["scene", "pipeline", "sweep"])
+                                        ("Pipeline keys:", PIPELINE_KEYS)],
+                         ids=["scene", "pipeline"])
 def test_readme_lists_every_config_key(label, keys):
     # the README's list runs from its label to the first full stop ending a line
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -215,8 +215,7 @@ class TestRunConfig:
     # every pipeline key at its default value
     DEFAULTS = (
         "tau = 2.0\ntheta = 0.5\nw_feat = 0.3\nmax_age = 0\n"
-        "s = 0.5\nout_spacing = 1.0\n"
-        "min_points = 20\nctrl_spacing = 2.0\nn_sample = 20\nexpand = 20.0\n"
+        "s = 0.5\nn_sample = 20\nexpand = 20.0\n"
         "fuse_radius = 1.0\nfuse_weight = 0.5\nmin_score = 0.55\n"
     )
 
@@ -229,6 +228,18 @@ class TestRunConfig:
 
     def test_defaults_cover_every_pipeline_key(self):
         assert config_keys(self.DEFAULTS) == PIPELINE_KEYS
+        assert len(PIPELINE_KEYS) == 10
+
+    def test_trace_config_records_every_key(self, scene_path, tmp_path):
+        # the parameters a trace records are the keys a config file sets
+        trace = tmp_path / "t.json"
+        assert run_cli("run", scene_path, "--out-map", tmp_path / "m.json", "--trace", trace) == 0
+
+        def leaves(doc):
+            return {k for key, val in doc.items()
+                    for k in (leaves(val) if isinstance(val, dict) else {key})}
+
+        assert leaves(json.loads(trace.read_text())["config"]) == PIPELINE_KEYS
 
     def test_all_keys_at_defaults_change_nothing(self, scene_path, tmp_path):
         assert run_cli("run", scene_path, "--out-map", tmp_path / "plain.json",
@@ -248,6 +259,8 @@ class TestRunConfig:
         ("w_geo = 0.7\n", "unknown config key 'w_geo'"),
         ("fusion = off\n", "unknown config key 'fusion'"),
         ("degree = 3\n", "unknown config key 'degree'"),
+        # the fit's knot and output spacing are constants: s alone is set
+        ("out_spacing = 1.0\n", "unknown config key 'out_spacing'"),
     ])
     def test_unknown_key_names_nearest(self, scene_path, tmp_path, capsys, text, hint):
         code, out_map, _ = self.run_with(scene_path, tmp_path, text)
@@ -295,8 +308,6 @@ class TestRunConfig:
         ("expand = -100\n", "expand must be"),
         ("fuse_weight = 3\n", "fuse_weight must"),
         ("max_age = -3\n", "invalid parameter: max_age must be >= 0"),
-        ("min_points = -4\n", "invalid parameter: min_points must be >= 2"),
-        ("min_points = 1\n", "invalid parameter: min_points must be >= 2"),
     ])
     def test_bad_value_names_key(self, scene_path, tmp_path, capsys, text, named):
         code, out_map, _ = self.run_with(scene_path, tmp_path, text)
@@ -687,6 +698,21 @@ class TestSweepCmd:
             run_cli("sweep-s", scene_path, "--s-grid", "nope", "--out", tmp_path / "t.tsv")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("grid,count", [(f"0:{MAX_SGRID_VALUES}:1", str(MAX_SGRID_VALUES + 1)),
+                                            ("0:1e6:1", "1000001"), ("0:1e10:1", "10000000001")])
+    def test_long_grid_usage_error(self, scene_path, tmp_path, capsys, grid, count):
+        # the grid's length is counted before any value is built
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep-s", scene_path, "--s-grid", grid, "--out", tmp_path / "t.tsv")
+        assert time.perf_counter() - t0 < 0.5
+        assert exc.value.code == 2
+        assert f"has {count} values; at most {MAX_SGRID_VALUES}" in capsys.readouterr().err
+        assert not (tmp_path / "t.tsv").exists()
+
+    def test_longest_grid_accepted(self):
+        assert len(_parse_sgrid(f"0:{MAX_SGRID_VALUES - 1}:1")) == MAX_SGRID_VALUES
+
     def test_plot_emitted(self, scene_path, tmp_path):
         out = tmp_path / "table.tsv"
         plot = tmp_path / "chart.svg"
@@ -712,34 +738,16 @@ class TestSweepCmd:
         assert exc.value.code == 2
         assert "takes s from --s-grid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text,message", [
-        ("s = 0.5\n", "config key 's' is not read by sweep-s: --s-grid sets s"),
-        ("theta = 0.9\n",
-         "unknown config key 'theta'; expected one of ctrl_spacing, min_points, out_spacing"),
-        ("fuse_weight = 0\n", "unknown config key 'fuse_weight'"),
-        ("out_spacng = 2\n", "unknown config key 'out_spacng'; did you mean 'out_spacing'?"),
-        ("min_points = -4\n", "invalid parameter: min_points must be >= 2"),
-    ])
-    def test_config_key_not_read(self, scene_path, tmp_path, capsys, text, message):
+    def test_config_flag_usage_error(self, scene_path, tmp_path, capsys):
+        # the grid sets s, the fit's only setting, so sweep-s reads no config file
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(text)
-        out = tmp_path / "t.tsv"
-        assert run_cli("sweep-s", scene_path, "--s-grid", "1:1:1", "--out", out,
-                       "--config", cfg) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_fit_keys_read(self, scene_path, tmp_path):
-        tables = {}
-        for name, text in (("default", ""), ("same", "out_spacing = 1.0\nmin_points = 20\n"),
-                           ("coarse", "out_spacing = 3.0\nmin_points = 4\nctrl_spacing = 6\n")):
-            cfg = tmp_path / f"{name}.txt"
-            cfg.write_text(text)
-            tables[name] = tmp_path / f"{name}.tsv"
-            assert run_cli("sweep-s", scene_path, "--s-grid", "1:1:1", "--out", tables[name],
-                           "--config", cfg) == 0
-        assert tables["same"].read_bytes() == tables["default"].read_bytes()
-        assert tables["coarse"].read_bytes() != tables["default"].read_bytes()
+        cfg.write_text("s = 0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep-s", scene_path, "--s-grid", "1:1:1", "--out", tmp_path / "t.tsv",
+                    "--config", cfg)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "t.tsv").exists()
 
     def test_noisy_scene_argmin_in_band(self, tmp_path):
         # averaged over four noisy s-curve scenes, the error-minimizing s

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from icmap.curvefit import (
     MAX_MERGE_POINTS,
+    MIN_OUT_POINTS,
     SmoothingFitParams,
     _solve_spline,
     fit_smoothing_spline,
@@ -88,8 +89,10 @@ class TestFit:
     def test_unpenalized_interpolation(self):
         t = np.linspace(0, math.pi, 12)
         pts = np.column_stack([10 * np.cos(t), 10 * np.sin(t)])
-        # ctrl_spacing small enough that n_ctrl clamps to n_data
-        spline, u, data = _solve_spline(pts, SmoothingFitParams(s=0.0, ctrl_spacing=0.01))
+        # sites 2.8 m apart ask for more control points than there are
+        # sites, so n_ctrl clamps to n_data and the fit interpolates
+        spline, u, data = _solve_spline(pts, SmoothingFitParams(s=0.0))
+        assert len(spline.c) == len(pts)
         residual = np.linalg.norm(spline(u) - data, axis=1).max()
         assert residual < 1e-6
 
@@ -231,12 +234,7 @@ def overlapping_pair(draw):
             for x in xs]
 
 
-fit_params = st.builds(
-    SmoothingFitParams,
-    s=st.sampled_from([0.0, 0.5, 5.0]),
-    out_spacing=st.sampled_from([0.01, 0.3, 1.0, 5.0]),
-    min_points=st.sampled_from([2, 20, 3000]),
-)
+fit_params = st.builds(SmoothingFitParams, s=st.sampled_from([0.0, 0.5, 5.0]))
 
 
 def assert_merge_bounds(g, d, params):
@@ -245,7 +243,7 @@ def assert_merge_bounds(g, d, params):
     # the fit pins its end control points to the chain ends
     assert np.abs(out[0] - chain[0]).max() <= 1e-9
     assert np.abs(out[-1] - chain[-1]).max() <= 1e-9
-    assert params.min_points <= len(out) <= max(params.min_points, MAX_MERGE_POINTS)
+    assert MIN_OUT_POINTS <= len(out) <= MAX_MERGE_POINTS
     return out
 
 
@@ -256,11 +254,12 @@ class TestMergeProperties:
         assert_merge_bounds(*pair, params)
 
     def test_long_stored_polyline(self):
-        x = np.linspace(0.0, 300.0, 3000)
+        # 3 km at one output point per metre asks for more than the cap
+        x = np.linspace(0.0, 3000.0, 3000)
         g = np.column_stack([x, 3.0 * np.sin(x / 9.0)])
         d = g[1000:1040] + 0.05
-        out = assert_merge_bounds(g, d, SmoothingFitParams(out_spacing=0.01))
-        assert len(out) == MAX_MERGE_POINTS
+        out = assert_merge_bounds(g, d, SmoothingFitParams())
+        assert len(out) == MAX_MERGE_POINTS == 2500
 
 
 class TestSweep:
