@@ -1,5 +1,5 @@
 """Numeric kernels: nearest-neighbour mean distance, batched Chamfer
-distances and even-odd rasterization.
+distances, even-odd rasterization and optimal assignment.
 
 There are two nearest-neighbour primitives, one per size of input.
 `nn_mean_dist` is a k-d tree query (`scipy.spatial.cKDTree`), which computes
@@ -13,8 +13,19 @@ distance; it serves `instance.chamfer_by_class`, which scores one frame's
 instances: detections against tracks in association, predictions against
 ground truth for AP and CLEAR-MOT, and detections against ground truth when
 `pipeline.scene_observations` picks sweep cases.
+
+`linear_sum_assignment` is the one optimal-assignment solver: it matches a
+frame's detections to tracks (`association.optimal_match`) and predictions
+to ground truth for CLEAR-MOT (`metrics.clear_mot_counts`). It is scipy's
+rectangular shortest-augmenting-path solver (Crouse, IEEE TAES 2016) step
+for step, so it returns scipy's assignment, ties included. Its matrices, one
+frame's detections against the track buffer or one class's unmatched
+predictions against its ground truth, have a few rows and columns, so the
+loops run in Python.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -96,3 +107,89 @@ def inside_mask(xs: np.ndarray, ys: np.ndarray, ring: np.ndarray) -> np.ndarray:
         xcross = (x2 - x1) * (gy - y1) / (y2 - y1) + x1
         inside ^= cond & (gx < xcross)
     return inside
+
+
+def linear_sum_assignment(cost, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of a minimum (or maximum) total cost matching
+    of min(rows, columns) pairs, rows ascending; scipy's
+    `scipy.optimize.linear_sum_assignment`, with its arithmetic and ties.
+
+    Raises ValueError for NaN or -inf entries (+inf when maximizing) and
+    when no complete matching avoids +inf entries.
+    """
+    c = np.asarray(cost, dtype=np.float64)
+    transpose = c.shape[1] < c.shape[0]
+    if transpose:
+        c = c.T
+    if maximize:
+        c = -c
+    if np.isnan(c).any() or (c == -np.inf).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    nr, nc = c.shape
+    if nr == 0:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    rows = c.tolist()
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # shortest augmenting path from row `cur` (Crouse's Algorithm 1) to
+        # the free column `sink`, over rows `sr` and columns `sc`
+        spc = [math.inf] * nc  # path cost to each column
+        sr = [False] * nr
+        sc = [False] * nc
+        # filled in reverse, so that a constant matrix gets the identity
+        remaining = list(range(nc - 1, -1, -1))
+        num_remaining = nc
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = math.inf
+            sr[i] = True
+            row, ui = rows[i], u[i]
+            for it in range(num_remaining):
+                j = remaining[it]
+                r = min_val + row[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                # among equal path costs prefer a free column: a new sink
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest = spc[j]
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            sc[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+        # update the dual variables
+        u[cur] += min_val
+        for i in range(nr):
+            if sr[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(nc):
+            if sc[j]:
+                v[j] -= min_val - spc[j]
+        # augment the previous solution along the path
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    col4row = np.array(col4row, dtype=np.intp)
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr), col4row

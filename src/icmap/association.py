@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from ._kernels import linear_sum_assignment
 from .errors import DuplicateId, MissingEmbedding, ShapeMismatch
 # chamfer_distance is not called here, but pipebench/spans.py wraps it as an
 # import site of this module

@@ -12,17 +12,21 @@ fidelity for smoothness.
 
 Each site touches k+1 = 4 consecutive basis functions (k = DEGREE) and the
 penalty couples control points two apart, so the normal equations are
-banded. They are assembled in banded form from the sparse design matrix and
-solved by banded Cholesky (`scipy.linalg.solveh_banded`): a fixed number of
-numpy calls and O(n) arithmetic per fit. The greedy chain before it takes one argmin per
-point over a precomputed distance table.
+banded. `_cubic_basis` computes each site's four basis values by de Boor's
+recurrence (de Boor, J. Approx. Theory 1972) with scipy's operations in
+scipy's order, so fits and curves have the bits `scipy.interpolate.BSpline`
+gave them; it serves both the normal equations and the evaluation of the
+fitted curve. The equations are assembled in banded form and solved by
+banded Cholesky (`scipy.linalg.solveh_banded`): a fixed number of numpy
+calls and O(n) arithmetic per fit. The greedy chain before it takes one
+argmin per point over a precomputed distance table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.linalg import solveh_banded
 from scipy.spatial.distance import cdist
 
@@ -107,6 +111,59 @@ def _clamped_knots(n_ctrl: int, u: np.ndarray) -> np.ndarray:
     return np.concatenate([np.full(DEGREE, u[0]), inner, np.full(DEGREE, u[-1])])
 
 
+def _cubic_basis(t: np.ndarray, n_ctrl: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero cubic B-spline values at sites `x` in [t[3], t[n_ctrl]]:
+    (first, vals), where site i touches basis functions first[i] ..
+    first[i] + 3 with values vals[i]. This is scipy's interval search and
+    `_deBoor_D`, each operation in the same order, over all sites at once.
+    """
+    k = DEGREE
+    # t[ell] <= x < t[ell + 1]; x >= t[k] keeps ell >= k, and the last knot
+    # falls in the last interval
+    ell = np.minimum(np.searchsorted(t, x, "right"), n_ctrl) - 1
+    # row r holds t[ell - k + 1 + r]: the knots t[ell - 2] .. t[ell + 3]
+    win = t[ell + np.arange(1 - k, k + 1)[:, None]]
+    right = win[k:] - x  # t[ell + n] - x, n = 1..k
+    left = x - win[:k]  # x - t[ell + n - k], n = 1..k
+    h = np.ones((1, len(x)))
+    for j in range(1, k + 1):
+        # step j of _deBoor_D, its loop over n = 1..j as rows: with
+        # w[n-1] = h[n-1] / (t[ell+n] - t[ell+n-j]), the loop leaves
+        # h[0] = 0.0 + w[0] * right, h[n] = w[n-1] * left + w[n] * right for
+        # 0 < n < j, and h[j] = w[j-1] * left
+        span = win[k:k + j] - win[k - j:k]
+        # repeated knots: w = 0 leaves h[n - 1] and zeroes h[n], as scipy's
+        # skip of a zero span does
+        span[span == 0.0] = np.inf
+        w = h / span
+        up = w * right[:j]
+        down = w * left[k - j:]
+        h = np.empty((j + 1, len(x)))
+        np.add(0.0, up[0], out=h[0])
+        np.add(down[:-1], up[1:], out=h[1:j])
+        h[j] = down[-1]
+    return ell - k, h.T
+
+
+class Spline(NamedTuple):
+    """A clamped cubic B-spline: knots `t` and (n_ctrl, 2) control points `c`."""
+
+    t: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Points of the curve at parameters `x` in [t[0], t[-1]]; each
+        coordinate is 0.0 + c[first] * vals[:, 0] + ... + c[first + 3] *
+        vals[:, 3], summed in that order, as `BSpline.__call__` sums."""
+        first, vals = _cubic_basis(self.t, len(self.c), x)
+        # terms[d, a, i] = c[first[i] + a, d] * vals[i, a]
+        terms = self.c.T.take(first + np.arange(DEGREE + 1)[:, None], axis=1) * vals.T
+        out = np.add(0.0, terms[:, 0])
+        for a in range(1, DEGREE + 1):
+            out += terms[:, a]
+        return np.ascontiguousarray(out.T)
+
+
 # the pairs (a, b), a <= b, of a site's DEGREE + 1 basis values whose
 # products make up BᵀB's upper band
 _BASIS_PAIRS = np.triu_indices(DEGREE + 1)
@@ -143,10 +200,8 @@ def _solve_spline(points, params: SmoothingFitParams):
     n_ctrl = int(np.clip(int(u[-1] // CTRL_SPACING) + 1, k + 1,
                          min(len(pts), MAX_CTRL_POINTS)))
     t = _clamped_knots(n_ctrl, u)
-    design = BSpline.design_matrix(u, t, k)
     # site i touches basis functions first[i] .. first[i] + k
-    vals = design.data.reshape(-1, k + 1)
-    first = design.indices[::k + 1].astype(np.intp)
+    first, vals = _cubic_basis(t, n_ctrl, u)
 
     # BᵀB in upper banded form: ab[k - d, j] = A[j - d, j]
     lo, hi = _BASIS_PAIRS
@@ -169,7 +224,7 @@ def _solve_spline(points, params: SmoothingFitParams):
     coef[0] = pts[0]
     coef[-1] = pts[-1]
     coef[1:-1] = solveh_banded(ab, rhs, check_finite=False)
-    return BSpline(t, coef, k), u, pts
+    return Spline(t, coef), u, pts
 
 
 def fit_smoothing_spline(points, params: SmoothingFitParams) -> np.ndarray:

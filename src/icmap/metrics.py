@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from ._kernels import linear_sum_assignment
 from .geometry import chamfer_distance, densify
 from .instance import CLASSES, chamfer_by_class
 from .mapstore import GlobalMap

@@ -34,17 +34,21 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from icmap.association import _dense_pts
-from icmap.curvefit import DEGREE, MAX_CTRL_POINTS
 from icmap.errors import InsufficientPoints, NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Rect, as_points, chamfer_distance,
                             dedupe_points as dedupe_by_predecessor, polyline_length,
                             resample_even, transform_points)
 from icmap.instance import MapInstance
 from icmap.metrics import DEFAULT_MOT_GATE, MotCounts, _ap_from_records
-from icmap.polygon import DISJOINT, EPS, ensure_ccw, polygon_area
+from icmap.polygon import DISJOINT, ensure_ccw, polygon_area
 from icmap.synth import N_POINTS
 
 log = logging.getLogger(__name__)
+
+# the oracle's own values, stated here, not imported from the code it checks
+DEGREE = 3  # of the merge spline
+MAX_CTRL_POINTS = 500
+EPS = 1e-9  # point tolerance of the polygon predicates
 
 
 def dedupe_points(points, eps: float = 1e-9) -> np.ndarray:

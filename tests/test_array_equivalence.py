@@ -33,12 +33,13 @@ LU, so its control points match the dense solve to a relative 1e-9.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 import scalar_reference as ref
-from icmap.curvefit import (DEGREE, SmoothingFitParams, _clamped_knots, _solve_spline,
-                            reorder_concat)
+from icmap.curvefit import (DEGREE, MAX_CTRL_POINTS, SmoothingFitParams, Spline, _clamped_knots,
+                            _cubic_basis, _solve_spline, reorder_concat)
 from icmap.errors import EmptyPointSet, NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyline_pieces,
                             clip_polyline_to_rect, resample_even, resample_even_many,
@@ -537,6 +538,28 @@ class TestReorderConcat:
         pts = rng.normal(0.0, 10.0, (600, 2)) if half is None else rng.integers(-half, half + 1, (600, 2)) / 4
         assert np.array_equal(reorder_concat(pts[:250], pts[250:]),
                               ref.reorder_concat(pts[:250], pts[250:]))
+
+
+class TestCubicBasis:
+    # chord-length sites of a chain, not deduped, so that the grid chains
+    # repeat sites and with them knots
+    @equivalence
+    @given(chain_pair(), st.data())
+    def test_matches_bspline(self, pair, data):
+        pts = np.vstack(pair)
+        u = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+        assume(len(u) > DEGREE and u[-1] > 0.0)
+        n_ctrl = data.draw(st.integers(DEGREE + 1, min(len(u), MAX_CTRL_POINTS)))
+        t = _clamped_knots(n_ctrl, u)
+        first, vals = _cubic_basis(t, n_ctrl, u)
+        design = BSpline.design_matrix(u, t, DEGREE)
+        assert np.array_equal(vals, design.data.reshape(-1, DEGREE + 1))
+        assert np.array_equal(first, design.indices[::DEGREE + 1])
+        # the evaluation grid of fit_smoothing_spline, ending on the last knot
+        x = np.linspace(0.0, u[-1], data.draw(st.integers(2, 4 * len(u))))
+        assert x[-1] == t[-1]
+        c = pts[:n_ctrl]
+        assert np.array_equal(Spline(t, c)(x), BSpline(t, c, DEGREE)(x))
 
 
 def assert_same_fit(pts, params):

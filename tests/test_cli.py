@@ -679,6 +679,29 @@ class TestMalformedInput:
         self.assert_named(capsys, out_map, "'utf-8' codec can't decode")
 
 
+def test_commands_load_neither_optimize_nor_interpolate(scene_path, tmp_path):
+    # the assignment solver and the spline basis are icmap's own: run,
+    # eval --mot and sweep-s load neither scipy subpackage
+    out_map, trace = tmp_path / "m.json", tmp_path / "t.json"
+    commands = [
+        ["run", scene_path, "--out-map", out_map, "--trace", trace],
+        ["eval", "--scene", scene_path, "--pred-map", out_map, "--trace", trace, "--mot",
+         "--report", tmp_path / "r.json"],
+        ["sweep-s", scene_path, "--s-grid", "0:1:0.5", "--out", tmp_path / "s.tsv"],
+    ]
+    code = ("import sys\n"
+            "from icmap.cli import main\n"
+            f"for args in {[[str(a) for a in c] for c in commands]!r}:\n"
+            "    assert main(args) == 0, args\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.optimize', 'scipy.interpolate'))))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "s.tsv").exists()
+
+
 class TestSweepCmd:
     def test_grid_rows(self, scene_path, tmp_path):
         out = tmp_path / "table.tsv"

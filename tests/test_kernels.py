@@ -1,5 +1,6 @@
 """The kernels against the brute-force and scalar-loop oracles in
-tests/scalar_reference.py, and the Chamfer properties that follow from them.
+tests/scalar_reference.py, and the Chamfer properties that follow from them;
+the assignment solver against the scipy solver it was ported from.
 """
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from icmap._kernels import inside_mask, nn_mean_dist
+from scipy.optimize import linear_sum_assignment as scipy_lsap
+
+from icmap._kernels import inside_mask, linear_sum_assignment, nn_mean_dist
 from icmap.geometry import EGO_TO_WORLD, Pose2, chamfer_distance, transform_points
 
 # derandomized, so that a run of the suite is reproducible
@@ -71,3 +74,45 @@ def test_inside_mask_matches_scalar_loop(xs, ys, r):
     got = inside_mask(xs, ys, r)
     assert got.shape == (len(ys), len(xs))
     assert np.array_equal(got, ref.inside_mask(xs, ys, r))
+
+
+@st.composite
+def assignment_case(draw):
+    """(cost, maximize): wide, tall or empty matrices of up to 8 x 8, of
+    normal reals or of one of three tie-heavy kinds: small integers, zero
+    where ineligible under maximize (as `association.optimal_match` builds
+    them) and 1e9 past a gate (as `metrics.clear_mot_counts` builds them)."""
+    shape = (draw(st.integers(0, 8)), draw(st.integers(0, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["real", "integer", "zero_heavy", "gated"]))
+    if kind == "real":
+        return rng.normal(0.0, 1.0, shape), draw(st.booleans())
+    if kind == "integer":
+        return rng.integers(-3, 4, shape).astype(float), draw(st.booleans())
+    if kind == "zero_heavy":
+        h = rng.integers(0, 5, shape) / 4  # repeated scores, many of them 0
+        return np.where(h > 0.5, h, 0.0), True
+    dist = rng.uniform(0.0, 3.0, shape).round(1)
+    return np.where(dist < 1.5, dist, 1e9), False
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(assignment_case())
+def test_assignment_matches_scipy(case):
+    cost, maximize = case
+    rows, cols = linear_sum_assignment(cost, maximize=maximize)
+    want_rows, want_cols = scipy_lsap(cost, maximize=maximize)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+
+@pytest.mark.parametrize("cost, maximize, message", [
+    ([[0.0, np.nan], [1.0, 2.0]], False, "invalid numeric entries"),
+    ([[0.0, -np.inf], [1.0, 2.0]], False, "invalid numeric entries"),
+    ([[0.0, np.inf], [1.0, 2.0]], True, "invalid numeric entries"),
+    ([[1.0, 2.0], [np.inf, np.inf]], False, "infeasible"),
+    ([[1.0, np.inf, 3.0], [np.inf, np.inf, np.inf]], False, "infeasible"),
+], ids=["nan", "minus_inf", "plus_inf_maximized", "all_inf_row", "all_inf_row_wide"])
+def test_assignment_rejects_like_scipy(cost, maximize, message):
+    for solver in (linear_sum_assignment, scipy_lsap):
+        with pytest.raises(ValueError, match=message):
+            solver(np.array(cost), maximize=maximize)
