@@ -12,7 +12,9 @@ summation order, so each entry has the bits of the single-pair Chamfer
 distance; it serves `instance.chamfer_by_class`, which scores one frame's
 instances: detections against tracks in association, predictions against
 ground truth for AP and CLEAR-MOT, and detections against ground truth when
-`pipeline.scene_observations` picks sweep cases.
+`pipeline.scene_observations` picks sweep cases. Its broadcast is
+`sq_dist_table`, which `mapstore.fuse_with_history` also reads to find each
+detected point's nearest history sample.
 
 `linear_sum_assignment` is the one optimal-assignment solver: it matches a
 frame's detections to tracks (`association.optimal_match`) and predictions
@@ -63,6 +65,14 @@ def _run_means(near: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.n
     return np.array(sums) / counts[:, None]
 
 
+def sq_dist_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances dx*dx + dy*dy, as `nn_mean_dist`
+    sums them, built in place: two temporaries, not four."""
+    a, b = _as_pts(a), _as_pts(b)
+    dx, dy = (np.subtract.outer(a[:, k], b[:, k]) for k in (0, 1))
+    return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+
+
 def chamfer_matrix(As, Bs) -> np.ndarray:
     """(len(As), len(Bs)) symmetric Chamfer distances between two lists of
     point sets; entry (i, j) has the bits of
@@ -74,15 +84,7 @@ def chamfer_matrix(As, Bs) -> np.ndarray:
     """
     start_a, count_a = _runs(As)
     start_b, count_b = _runs(Bs)
-    a = _as_pts(np.concatenate(As))
-    b = _as_pts(np.concatenate(Bs))
-    # (dx)**2 + (dy)**2 as in nn_mean_dist, in place: two temporaries, not four
-    d2 = np.subtract.outer(a[:, 0], b[:, 0])
-    d2 **= 2
-    dy2 = np.subtract.outer(a[:, 1], b[:, 1])
-    dy2 **= 2
-    d2 += dy2
-    del dy2
+    d2 = sq_dist_table(np.concatenate(As), np.concatenate(Bs))
     # nearest distance from each point of one side to each set of the other,
     # one row per set of the other side
     a_to_b = np.ascontiguousarray(np.sqrt(np.minimum.reduceat(d2, start_b, axis=1)).T)

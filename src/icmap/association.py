@@ -6,7 +6,8 @@ from a geometric branch (exp(-chamfer/tau) between outlines, class gated)
 and a feature branch (shifted cosine of embeddings), fuse them as a convex
 combination, keep same-class pairs above the threshold theta, solve the
 optimal one-to-one matching, inherit or issue IDs, and update the buffer
-(unmatched tracks age out after max_age missed frames).
+(unmatched tracks age out after max_age missed frames). `w_feat` alone
+picks the branches: 0 is geometry alone, above 0 needs every embedding.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .geometry import EGO_TO_WORLD, Pose2, chamfer_distance, densify
 from .instance import MapInstance, chamfer_by_class
 
 GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
+BASELINE_GATE = 2.0  # post_track_baseline's Chamfer gate, meters
 
 
 @dataclass
@@ -83,16 +85,17 @@ def geometric_affinity(dets, tracks, tau: float) -> np.ndarray:
 
 
 def feature_affinity(dets, tracks) -> np.ndarray:
-    """(1 + cos(e_d, e_t)) / 2 over unit-norm embeddings."""
-    for inst in list(dets) + list(tracks):
-        if inst.embedding is None:
-            raise MissingEmbedding("feature_affinity requires embeddings on every instance")
+    """(1 + cos(e_d, e_t)) / 2 over unit-norm embeddings, which every
+    instance must carry unless there is no pair to score."""
+    if not dets or not tracks:
+        return np.zeros((len(dets), len(tracks)))
+    if any(inst.embedding is None for inst in [*dets, *tracks]):
+        raise MissingEmbedding("feature affinity (w_feat > 0) needs an embedding on every "
+                               "instance; set w_feat = 0 to associate by geometry alone")
     def unit_rows(insts):
         e = np.array([inst.embedding for inst in insts], dtype=np.float64)
         return e / np.linalg.norm(e, axis=1, keepdims=True)
 
-    if not dets or not tracks:
-        return np.zeros((len(dets), len(tracks)))
     h = 0.5 * (1.0 + unit_rows(dets) @ unit_rows(tracks).T)
     return np.clip(h, 0.0, 1.0)
 
@@ -177,12 +180,9 @@ def associate_frame(buffer: TrackBuffer, dets, pose: Pose2,
     scored = [outlined(d.transformed(pose, EGO_TO_WORLD)) for d in dets]
     world = [s.instance for s in scored]
     stored = [t.instance for t in buffer.tracks]
-    geo = geometric_affinity(scored, buffer.tracks, config.tau)
-    have_emb = all(inst.embedding is not None for inst in world + stored)
-    if have_emb and config.w_feat > 0:
-        fused = fuse_affinity(geo, feature_affinity(world, stored), config.w_feat)
-    else:
-        fused = geo
+    fused = geometric_affinity(scored, buffer.tracks, config.tau)
+    if config.w_feat > 0:
+        fused = fuse_affinity(fused, feature_affinity(world, stored), config.w_feat)
     same_class = np.array(
         [[d.cls == t.cls for t in stored] for d in world], dtype=bool
     ).reshape(fused.shape)
@@ -197,11 +197,11 @@ def associate_frame(buffer: TrackBuffer, dets, pose: Pose2,
     return AssociationResult(world_ids, new_buffer, matches, new_ids)
 
 
-def post_track_baseline(frames, poses, dist_threshold: float = 2.0) -> list[list[MapInstance]]:
+def post_track_baseline(frames, poses) -> list[list[MapInstance]]:
     """Greedy class-and-distance tracker over consecutive frames.
 
     Matches each frame's detections to the previous frame's outputs by
-    ascending Chamfer distance within the gate; leftovers get fresh IDs.
+    ascending Chamfer distance within BASELINE_GATE; leftovers get fresh IDs.
     """
     out: list[list[MapInstance]] = []
     prev: list[MapInstance] = []
@@ -210,7 +210,7 @@ def post_track_baseline(frames, poses, dist_threshold: float = 2.0) -> list[list
         world = [d.transformed(pose, EGO_TO_WORLD) for d in frame]
         cd = chamfer_by_class(world, prev, lambda inst: _dense_pts(inst, GEO_DENSIFY))
         pairs = sorted((float(cd[i, j]), int(i), int(j))
-                       for i, j in zip(*np.nonzero(cd < dist_threshold)))
+                       for i, j in zip(*np.nonzero(cd < BASELINE_GATE)))
         used_i: set[int] = set()
         used_j: set[int] = set()
         ids: dict[int, int] = {}

@@ -39,10 +39,14 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
 
-def _setup_logging():
-    level = os.environ.get("IC_MAPPER_LOG", "warn").strip().lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+def _setup_logging(parser: argparse.ArgumentParser):
+    """Log at the IC_MAPPER_LOG level, warn when unset or empty; any other
+    value is a usage error."""
+    level = os.environ.get("IC_MAPPER_LOG", "").strip().lower() or "warn"
+    if level not in _LOG_LEVELS:
+        parser.error(f"IC_MAPPER_LOG={os.environ['IC_MAPPER_LOG']!r} is not a log level; "
+                     f"expected one of {', '.join(_LOG_LEVELS)}")
+    logging.basicConfig(level=_LOG_LEVELS[level], format="%(levelname)s %(name)s: %(message)s")
 
 
 def _finite_float(text: str) -> float:
@@ -465,8 +469,8 @@ _CONFLICTS = {
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
+    _setup_logging(parser)
     args = parser.parse_args(argv)
     for first, second in _CONFLICTS.get(args.command, ()):
         if all(getattr(args, flag[2:].replace("-", "_")) is not None for flag in (first, second)):

@@ -14,7 +14,7 @@ class InvalidSampleCount(MapBuildError):
 
 
 class MissingEmbedding(MapBuildError):
-    """Feature affinity requires embeddings on every instance."""
+    """Feature affinity (w_feat > 0) requires embeddings on every instance."""
 
 
 class ShapeMismatch(MapBuildError):

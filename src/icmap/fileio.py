@@ -132,7 +132,7 @@ def _repr_floats(text: bytes) -> bytes:
     return b"".join(pieces)
 
 
-def read_doc(path, kind: str, version: str, error: type[Exception], required=()) -> dict:
+def read_doc(path, kind: str, version: str, error: type[Exception], required) -> dict:
     """The JSON object in `path`, of `format_version` `version`, holding every
     key in `required`; raises `error` (UnsupportedVersion for another version)
     naming the file and the field otherwise."""

@@ -68,7 +68,7 @@ def transform_points(pose: Pose2, points, direction: str = EGO_TO_WORLD) -> np.n
                   as_points(points), direction)
 
 
-def transform_stacked(poses, points, direction: str = EGO_TO_WORLD) -> np.ndarray:
+def transform_stacked(poses, points, direction: str) -> np.ndarray:
     """`transform_points(poses[k], points[k], direction)` for each k, with
     the same bits, as one (len(poses), N, 2) array."""
     c, s, tx, ty = np.array([[math.cos(p.theta), math.sin(p.theta), p.x, p.y]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import polygon as poly
+from ._kernels import sq_dist_table
 from .curvefit import SmoothingFitParams, merge_polylines
 from .errors import ClassConflict, MapFormatError
 from .fileio import MAP_KEYS, as_str, from_records, gc_paused, read_doc, to_record, write_doc
@@ -66,10 +67,9 @@ def fuse_with_history(det: MapInstance, hist: np.ndarray | None, radius: float,
         return det
     h = as_points(hist)
     pts = det.points.copy()
-    d2 = ((pts[:, None, :] - h[None, :, :]) ** 2).sum(axis=2)
+    d2 = sq_dist_table(pts, h)
     nearest = np.argmin(d2, axis=1)
-    dist = np.sqrt(d2[np.arange(len(pts)), nearest])
-    mask = dist <= radius
+    mask = np.sqrt(d2[np.arange(len(pts)), nearest]) <= radius
     pts[mask] = (1.0 - weight) * pts[mask] + weight * h[nearest[mask]]
     return det.with_points(pts)
 

@@ -18,6 +18,7 @@ from .mapstore import GlobalMap
 LARGE_THRESHOLDS = (1.0, 1.5, 2.0)   # 100 x 50 m perception range
 SMALL_THRESHOLDS = (0.5, 1.0, 1.5)   # 60 x 30 m perception range
 MISSING_CLASS_CD = 10.0              # gate when a GT class has no prediction
+MAP_CD_SPACING = 0.5                 # meters between the pooled points of global_map_cd
 DEFAULT_MOT_GATE = 1.5
 
 
@@ -206,9 +207,9 @@ def clear_mot_counts(pred_frames, gt_frames, match_threshold: float = DEFAULT_MO
     return out
 
 
-def clear_mot(pred_frames, gt_frames, match_threshold: float = DEFAULT_MOT_GATE):
-    """Per-class (MOTA, MOTP, ID switches)."""
-    counts = clear_mot_counts(pred_frames, gt_frames, match_threshold)
+def clear_mot(pred_frames, gt_frames):
+    """Per-class (MOTA, MOTP, ID switches) at the DEFAULT_MOT_GATE."""
+    counts = clear_mot_counts(pred_frames, gt_frames)
     return {
         cls: (c.mota, c.motp, c.id_switches) for cls, c in counts.items()
     }
@@ -217,7 +218,7 @@ def clear_mot(pred_frames, gt_frames, match_threshold: float = DEFAULT_MOT_GATE)
 # ---------------------------------------------------------------------------
 # global-map Chamfer distance
 
-def _pooled_points(gmap: GlobalMap, cls: str, spacing: float) -> np.ndarray:
+def _pooled_points(gmap: GlobalMap, cls: str) -> np.ndarray:
     chunks = []
     for inst_id in sorted(gmap.instances):
         inst = gmap.instances[inst_id]
@@ -226,28 +227,27 @@ def _pooled_points(gmap: GlobalMap, cls: str, spacing: float) -> np.ndarray:
         pts = inst.points
         if not inst.is_polyline:
             pts = np.vstack([pts, pts[:1]])  # close the ring
-        chunks.append(densify(pts, spacing))
+        chunks.append(densify(pts, MAP_CD_SPACING))
     if not chunks:
         return np.zeros((0, 2))
     return np.vstack(chunks)
 
 
-def global_map_cd(pred: GlobalMap, gt: GlobalMap, spacing: float = 0.5,
-                  missing_penalty: float = MISSING_CLASS_CD):
+def global_map_cd(pred: GlobalMap, gt: GlobalMap):
     """Per-class Chamfer distance between pooled, densified maps.
 
     Classes present in GT but missing from the prediction score the finite
-    gate `missing_penalty`; classes absent from GT are skipped. mCD is the
+    gate MISSING_CLASS_CD; classes absent from GT are skipped. mCD is the
     mean over GT classes.
     """
     cd: dict[str, float] = {}
     for cls in CLASSES:
-        gt_pts = _pooled_points(gt, cls, spacing)
+        gt_pts = _pooled_points(gt, cls)
         if len(gt_pts) == 0:
             continue
-        pred_pts = _pooled_points(pred, cls, spacing)
+        pred_pts = _pooled_points(pred, cls)
         if len(pred_pts) == 0:
-            cd[cls] = missing_penalty
+            cd[cls] = MISSING_CLASS_CD
         else:
             cd[cls] = chamfer_distance(pred_pts, gt_pts)
     mcd = float(np.mean(list(cd.values()))) if cd else float("nan")

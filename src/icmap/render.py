@@ -46,10 +46,10 @@ def _draw_map(parts: list[str], gmap: GlobalMap, to_px, dashed: bool, opacity: f
         )
 
 
-def render_svg(entries: list[tuple[str, GlobalMap]], gt: GlobalMap | None = None) -> str:
+def render_svg(entries: list[tuple[str, GlobalMap]], gt: GlobalMap | None) -> str:
     """Render map files side by side, color-coded by class.
 
-    `entries` is a list of (label, map); `gt`, when given, is overlaid
+    `entries` is a list of (label, map); `gt`, unless None, is overlaid
     dashed in every panel.
     """
     maps = [m for _, m in entries] + ([gt] if gt is not None else [])

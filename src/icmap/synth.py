@@ -30,7 +30,7 @@ from .geometry import (
     Rect,
     WORLD_TO_EGO,
     clip_polyline_pieces,
-    polyline_length,
+    densify,
     resample_even,
     resample_even_many,
     transform_points,
@@ -48,6 +48,7 @@ S_CURVE = "s_curve"
 CURVATURES = (STRAIGHT, ARC, S_CURVE)
 
 N_POINTS = 20  # detector-shaped output: points per polyline instance
+CENTERLINE_STEP = 0.5  # meters between the road's centerline samples
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,10 @@ class Scene:
     frames: list[Frame]
 
 
-def _centerline(config: SceneConfig, step: float = 0.5):
+def _centerline(config: SceneConfig):
     """Dense centerline samples: positions (K, 2), headings (K,), arclen (K,)."""
     L = config.road_length
-    n = int(round(L / step)) + 1
+    n = int(round(L / CENTERLINE_STEP)) + 1
     s = np.linspace(0.0, L, n)
     if config.curvature == STRAIGHT:
         x = s
@@ -165,9 +166,7 @@ def _centerline(config: SceneConfig, step: float = 0.5):
 
 def _offset_polyline(center: np.ndarray, headings: np.ndarray, d: float) -> np.ndarray:
     normals = np.column_stack([-np.sin(headings), np.cos(headings)])
-    pts = center + d * normals
-    n = max(2, int(round(polyline_length(pts))) + 1)
-    return resample_even(pts, n)
+    return densify(center + d * normals, 1.0)
 
 
 def generate_scene(config: SceneConfig) -> tuple[GlobalMap, list[Pose2]]:
@@ -221,17 +220,16 @@ def generate_scene(config: SceneConfig) -> tuple[GlobalMap, list[Pose2]]:
     return gmap, poses
 
 
-def clip_gt_frame(gt: GlobalMap, pose: Pose2, range_lw, n_points: int = N_POINTS) -> list[MapInstance]:
+def clip_gt_frame(gt: GlobalMap, pose: Pose2, range_lw) -> list[MapInstance]:
     """Ground truth visible from `pose`: clipped, ego frame, IDs kept.
 
-    Polylines keep their longest clipped piece (resampled to `n_points`);
+    Polylines keep their longest clipped piece (resampled to N_POINTS);
     fragments shorter than 0.5 m and slivers of crossings are dropped.
     """
-    return clip_gt_frames(gt, [pose], range_lw, n_points)[0]
+    return clip_gt_frames(gt, [pose], range_lw)[0]
 
 
-def clip_gt_frames(gt: GlobalMap, poses, range_lw,
-                   n_points: int = N_POINTS) -> list[list[MapInstance]]:
+def clip_gt_frames(gt: GlobalMap, poses, range_lw) -> list[list[MapInstance]]:
     """`clip_gt_frame` for each of `poses`, with the same bits. Each
     polyline is clipped against every frame's range at once
     (`clip_polyline_pieces`), its longest piece in each frame is picked
@@ -258,7 +256,7 @@ def clip_gt_frames(gt: GlobalMap, poses, range_lw,
             if f not in longest or length > longest[f][0]:
                 longest[f] = (length, lo, hi)
         shown = list(longest)  # frames in order, since pieces run in frame order
-        lines = resample_even_many([pts[lo:hi] for _, lo, hi in longest.values()], n_points)
+        lines = resample_even_many([pts[lo:hi] for _, lo, hi in longest.values()], N_POINTS)
         local = transform_stacked([poses[f] for f in shown], lines, WORLD_TO_EGO)
         for f, line in zip(shown, local):
             frames[f].append(MapInstance(inst.cls, line, id=inst.id))
@@ -397,20 +395,19 @@ def read_scene(path) -> Scene:
     err = SceneFormatError
     doc = read_doc(path, "scene", SCENE_FORMAT_VERSION, err, ("scene_id", "range", "gt", "frames"))
     scene_id = as_str(doc["scene_id"], f"{path}: scene_id", err)
-    gt_doc = as_object(doc["gt"], f"{path}: gt", err)
-    gt_insts = from_records(gt_doc.get("instances", []), f"{path}: gt.instances", err, MAP_KEYS)
+    gt_doc = as_object(doc["gt"], f"{path}: gt", err, ("instances",))
+    gt_insts = from_records(gt_doc["instances"], f"{path}: gt.instances", err, MAP_KEYS)
     gt = GlobalMap(scene_id, {inst.id: inst for inst in gt_insts})
     frames = []
     dim = None  # embedding length
     for fi, fobj in enumerate(as_list(doc["frames"], f"{path}: frames", err)):
         where = f"{path}: frames[{fi}]"
-        as_object(fobj, where, err, ("t", "ego_pose"))
+        as_object(fobj, where, err, ("t", "ego_pose", "gt_local", "detections"))
         ep = as_object(fobj["ego_pose"], f"{where}.ego_pose", err, ("x", "y", "theta"))
         pose = Pose2(*(finite_float(ep[key], f"{where}.ego_pose.{key}", err)
                        for key in ("x", "y", "theta")))
-        gt_local = from_records(fobj.get("gt_local", []), f"{where}.gt_local", err, MAP_KEYS)
-        dets = from_records(fobj.get("detections", []), f"{where}.detections", err,
-                            DETECTION_KEYS)
+        gt_local = from_records(fobj["gt_local"], f"{where}.gt_local", err, MAP_KEYS)
+        dets = from_records(fobj["detections"], f"{where}.detections", err, DETECTION_KEYS)
         for di, det in enumerate(dets):
             if det.embedding is None:
                 continue

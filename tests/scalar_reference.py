@@ -14,7 +14,9 @@ and 2-vectors that the loop on Python floats replaced, and the oracle's
 `clip_gt_frame` clips crossings with it.
 `_stitch` is the walk over (u, v) edge pairs, matching nodes by
 `int(round(x * 1e7))` keys, that the union used before it kept its pieces
-in arrays. `is_simple` rejects non-adjacent edges that touch within EPS,
+in arrays. `fuse_with_history` squares and sums its own broadcast of point
+differences, as the fusion did before it read `_kernels.sq_dist_table`.
+`is_simple` rejects non-adjacent edges that touch within EPS,
 as the library does. The tests use them as oracles: the array code must return the same values. The
 arithmetic of every computed output coordinate is the same in both; only
 distances that are compared against an epsilon may differ in the last bit
@@ -518,6 +520,22 @@ def post_track_baseline(frames, poses, dist_threshold: float = 2.0):
         out.append(labeled)
         prev = labeled
     return out
+
+
+# ---------------------------------------------------------------------------
+# the fusion blend on its own broadcast of point differences
+
+def fuse_with_history(det, hist, radius: float, weight: float):
+    if hist is None or len(hist) == 0 or weight == 0.0 or not det.is_polyline:
+        return det
+    h = as_points(hist)
+    pts = det.points.copy()
+    d2 = ((pts[:, None, :] - h[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argmin(d2, axis=1)
+    dist = np.sqrt(d2[np.arange(len(pts)), nearest])
+    mask = dist <= radius
+    pts[mask] = (1.0 - weight) * pts[mask] + weight * h[nearest[mask]]
+    return det.with_points(pts)
 
 
 def scene_observations(scene) -> dict:

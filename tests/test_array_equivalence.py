@@ -26,6 +26,11 @@ with the loop on numpy scalars it replaced, on rotated ranges. Eval's
 world-frame ground truth, one transform per frame, is compared bit for bit
 with one transform per instance.
 
+The fusion blend, reading the squared distances of `_kernels`, is
+compared with its own broadcast of point differences, with the radius on a
+point's nearest distance and history points repeated: the blended points
+must be equal.
+
 The merge chain takes the same argmin over the same distances as its loop
 version, so chains must be equal too. The banded spline solve sums the
 normal equations in another order and factors them by Cholesky instead of
@@ -45,7 +50,7 @@ from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyli
                             clip_polyline_to_rect, resample_even, resample_even_many,
                             transform_points, transform_stacked)
 from icmap.instance import DIVIDER, MapInstance
-from icmap.mapstore import GlobalMap
+from icmap.mapstore import GlobalMap, fuse_with_history
 from icmap.pipeline import scene_gt_frames
 from icmap.polygon import (DISJOINT, classify_point, classify_points, clip_polygon_to_rect,
                            is_simple, polygon_area, polygon_union, rasterize_area)
@@ -538,6 +543,26 @@ class TestReorderConcat:
         pts = rng.normal(0.0, 10.0, (600, 2)) if half is None else rng.integers(-half, half + 1, (600, 2)) / 4
         assert np.array_equal(reorder_concat(pts[:250], pts[250:]),
                               ref.reorder_concat(pts[:250], pts[250:]))
+
+
+class TestFuseWithHistory:
+    @equivalence
+    @given(chain_pair(), st.sampled_from([0.3, 0.5, 1.0]), st.data())
+    def test_matches_broadcast_blend(self, pair, weight, data):
+        # the radius is one point's nearest-sample distance, or the float
+        # just inside or outside it, so points sit on the radius's edge; the
+        # history repeats some of its points
+        det_pts, hist = pair
+        hist = np.concatenate([hist, hist[data.draw(st.lists(
+            st.integers(0, len(hist) - 1), max_size=5), label="repeats")]])
+        d2 = ((det_pts[:, None, :] - hist[None, :, :]) ** 2).sum(axis=2)
+        edge = np.sqrt(d2.min(axis=1))[data.draw(st.integers(0, len(det_pts) - 1))]
+        radius = data.draw(st.sampled_from([edge, np.nextafter(edge, -np.inf),
+                                            np.nextafter(edge, np.inf), 0.0, 2.0]))
+        det = MapInstance(DIVIDER, det_pts, id=3)
+        got = fuse_with_history(det, hist, radius, weight)
+        want = ref.fuse_with_history(det, hist, radius, weight)
+        assert np.array_equal(got.points, want.points)
 
 
 class TestCubicBasis:

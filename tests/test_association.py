@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -22,11 +23,12 @@ from icmap.association import (
     threshold_filter,
     update_buffer,
 )
+from icmap.cli import main
 from icmap.errors import DuplicateId, MissingEmbedding, ShapeMismatch
 from icmap.geometry import WORLD_TO_EGO, Pose2, transform_points
 from icmap.instance import CLASSES, MapInstance
 from icmap.pipeline import PipelineParams, run_scene
-from icmap.synth import NoiseConfig, SceneConfig, make_scene
+from icmap.synth import NoiseConfig, SceneConfig, make_scene, write_scene
 
 from test_golden import SCENES
 
@@ -114,6 +116,35 @@ class TestFeatureAffinity:
     def test_missing_raises(self):
         with pytest.raises(MissingEmbedding):
             feature_affinity([line_instance()], [line_instance(emb=unit([1, 0]))])
+
+    def test_no_pair_needs_no_embedding(self):
+        # an empty frame scores no pair, so its tracks' embeddings go unread
+        tracks = [line_instance(), line_instance(y=3.0)]
+        h = feature_affinity([], tracks)
+        assert h.shape == (0, 2) and h.dtype == np.float64
+
+
+class TestWFeatRule:
+    """`w_feat` alone picks the branches: above 0 a detection without an
+    embedding is an error naming `w_feat`, and at 0 it is scored by geometry."""
+
+    @pytest.fixture()
+    def scene_path(self, tmp_path):
+        path = tmp_path / "scene.json"
+        write_scene(make_scene(SCENES["merge_clean"]), path)
+        doc = json.loads(path.read_text())
+        del doc["frames"][5]["detections"][0]["embedding"]
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_feature_branch_needs_every_embedding(self, scene_path, tmp_path, capsys):
+        assert main(["run", str(scene_path), "--out-map", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("icmap: error: ") and "w_feat" in err, err
+
+    def test_geometry_alone_needs_none(self, scene_path, tmp_path):
+        assert main(["run", str(scene_path), "--out-map", str(tmp_path / "m.json"),
+                     "--w-feat", "0"]) == 0
 
 
 class TestFuse:
@@ -250,7 +281,7 @@ class TestAssociateFrame:
         assert res.buffer.tracks == []
 
     def test_static_scene_stable_ids(self):
-        cfg = AssocConfig()
+        cfg = AssocConfig(w_feat=0.0)
         dets = [line_instance(y=0.0), line_instance(y=3.5, cls="boundary")]
         buf = TrackBuffer()
         res1 = associate_frame(buf, dets, Pose2(0, 0, 0), cfg)
@@ -262,7 +293,7 @@ class TestAssociateFrame:
 
     def test_id_conservation(self):
         rng = np.random.default_rng(3)
-        cfg = AssocConfig()
+        cfg = AssocConfig(w_feat=0.0)
         buf = TrackBuffer()
         issued = set()
         unmatched_total = 0
@@ -284,7 +315,7 @@ class TestAssociateFrame:
 
     def test_jittered_drive_no_switches(self):
         # straight drive, sigma = 0.1 m jitter, known GT ids
-        cfg = AssocConfig()
+        cfg = AssocConfig(w_feat=0.0)
         rng = np.random.default_rng(4)
         buf = TrackBuffer()
         history = []
@@ -302,7 +333,7 @@ class TestAssociateFrame:
         assert all(ids == first for ids in history)
 
     def test_cross_class_never_matches(self):
-        cfg = AssocConfig(theta=0.0)
+        cfg = AssocConfig(theta=0.0, w_feat=0.0)
         buf = TrackBuffer([outlined(line_instance(cls="boundary", id=0))], next_id=1)
         res = associate_frame(buf, [line_instance(cls="divider")], Pose2(0, 0, 0), cfg)
         assert res.matches == []

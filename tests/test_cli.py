@@ -549,6 +549,24 @@ class TestEvalCmd:
         assert "'scene-arc-6'" in err and "'scene-arc-5'" in err
 
 
+@pytest.mark.parametrize("value", ["inf0", "warning", "0"])
+def test_unknown_log_level_usage_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("IC_MAPPER_LOG", value)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", tmp_path / "missing.json", "--out-map", tmp_path / "m.json")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"IC_MAPPER_LOG={value!r}" in err and "error, warn, info, debug" in err, err
+
+
+@pytest.mark.parametrize("value", ["", " ", "INFO", "debug ", "error"])
+def test_known_log_level_accepted(tmp_path, monkeypatch, capsys, value):
+    # past the level check the command runs: here, to a missing scene
+    monkeypatch.setenv("IC_MAPPER_LOG", value)
+    assert run_cli("run", tmp_path / "missing.json", "--out-map", tmp_path / "m.json") == 1
+    assert "missing.json" in capsys.readouterr().err
+
+
 class TestMalformedInput:
     """A bad scene, map or trace exits 1 with one `icmap: error:` line led by
     the file and naming the field, never a traceback."""
@@ -620,6 +638,10 @@ class TestMalformedInput:
         ("deep scene_id", "scene_id: expected a string"),
         ("detection with 0 points", "frames[2].detections[0].points: expected at least 2"),
         ("detection with 1 point", "frames[2].detections[0].points: expected at least 2"),
+        # a missing list is an error, not an empty list
+        ("no gt instances", "gt: missing field 'instances'"),
+        ("no gt_local", "frames[3]: missing field 'gt_local'"),
+        ("no detections", "frames[3]: missing field 'detections'"),
     ])
     def test_bad_scene(self, scene_path, tmp_path, capsys, case, named):
         doc = json.loads(scene_path.read_text())
@@ -645,6 +667,10 @@ class TestMalformedInput:
             doc["frames"][2]["detections"][0]["points"] = []
         elif case == "detection with 1 point":
             del doc["frames"][2]["detections"][0]["points"][1:]
+        elif case == "no gt instances":
+            del doc["gt"]["instances"]
+        elif case in ("no gt_local", "no detections"):
+            del doc["frames"][3][case[3:]]
         else:
             doc["gt"]["instances"][2]["id"] = 0
         scene_path.write_text(json.dumps(doc).replace('"DEEP"', "[" * 1100 + "]" * 1100))
