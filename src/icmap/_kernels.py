@@ -66,8 +66,9 @@ def _run_means(near: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.n
 
 
 def sq_dist_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) squared distances dx*dx + dy*dy, as `nn_mean_dist`
-    sums them, built in place: two temporaries, not four."""
+    """(len(a), len(b)) squared distances dx*dx + dy*dy, the sum under the
+    square root of `nn_mean_dist`'s k-d tree, built in place: two
+    temporaries, not four."""
     a, b = _as_pts(a), _as_pts(b)
     dx, dy = (np.subtract.outer(a[:, k], b[:, k]) for k in (0, 1))
     return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
