@@ -1,20 +1,22 @@
-"""Numeric kernels: nearest-neighbour mean distance, batched Chamfer
-distances, even-odd rasterization and optimal assignment.
+"""Numeric kernels: nearest-neighbour distances, batched Chamfer distances,
+even-odd rasterization and optimal assignment.
 
-There are two nearest-neighbour primitives, one per size of input.
-`nn_mean_dist` is a k-d tree query (`scipy.spatial.cKDTree`), which computes
-each distance as sqrt(dx*dx + dy*dy); it serves `geometry.chamfer_distance`,
-which scores one pair of large sets: a class's pooled map points against its
-ground truth (`metrics.global_map_cd`) and a merged curve against its
-reference (`curvefit.sweep_smoothing`). `chamfer_matrix` scores many small
-sets against many others in one broadcast, with the same arithmetic and
-summation order, so each entry has the bits of the single-pair Chamfer
-distance; it serves `instance.chamfer_by_class`, which scores one frame's
-instances: detections against tracks in association, predictions against
-ground truth for AP and CLEAR-MOT, and detections against ground truth when
-`pipeline.scene_observations` picks sweep cases. Its broadcast is
-`sq_dist_table`, which `mapstore.fuse_with_history` also reads to find each
-detected point's nearest history sample.
+Every point-to-point distance here is sqrt(dx*dx + dy*dy), with the sum
+under the square root computed as `sq_dist_table` computes it. Two kernels
+find nearest neighbours with it, one per size of input. `nearest_sq_dist`
+is an exact uniform-grid search that scores each point against the points
+of its neighbouring cells only; through `nn_mean_dist` it serves
+`geometry.chamfer_distance`, which scores one pair of large sets: a class's
+pooled map points against its ground truth (`metrics.global_map_cd`) and a
+merged curve against its reference (`curvefit.sweep_smoothing`).
+`chamfer_matrix` scores many small sets against many others in one
+`sq_dist_table` broadcast, with the same summation order, so each entry has
+the bits of the single-pair Chamfer distance; it serves
+`instance.chamfer_by_class`, which scores one frame's instances: detections
+against tracks in association, predictions against ground truth for AP and
+CLEAR-MOT, and detections against ground truth when
+`pipeline.scene_observations` picks sweep cases. `mapstore.fuse_with_history`
+and `curvefit.reorder_concat` read `sq_dist_table` itself.
 
 `linear_sum_assignment` is the one optimal-assignment solver: it matches a
 frame's detections to tracks (`association.optimal_match`) and predictions
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyPointSet
 
@@ -39,14 +40,118 @@ def _as_pts(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
+# point pairs scored in one step by the grid search and by its fallback:
+# 2**16 pairs, 0.5 MB per array of them, however the points cluster
+PAIR_CHUNK = 1 << 16
+# the grid's cell side over the side at which b's bounding box holds as many
+# cells as b has points: the sets are curves, on which a point's nearest
+# neighbour lies well inside that side, so smaller cells mean fewer
+# candidates (a third was the fastest of a half, a third and a quarter on
+# the sets eval scores)
+CELL_FRACTION = 1 / 3
+
+
 def nn_mean_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean over points of `a` of the distance to the nearest point of `b`.
+    """Mean over points of `a` of the distance to the nearest point of `b`,
+    the square roots summed by `.sum` in `a`'s order.
 
     Both sets must be non-empty and finite (the loaders reject NaN and inf).
     """
     a = _as_pts(a)
-    dist, _ = cKDTree(_as_pts(b)).query(a)
-    return float(dist.sum() / a.shape[0])
+    return float(np.sqrt(nearest_sq_dist(a, b)).sum() / a.shape[0])
+
+
+def nearest_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a),) squared distance from each point of `a` to its nearest
+    point of `b` (non-empty): row i's minimum of `sq_dist_table(a, b)`, bit
+    for bit, found by the cell method (Bentley, Weide & Yao, ACM TOMS 1980).
+
+    `b` is sorted into square cells; each point of `a` is scored against
+    the points of `b` in its 3 x 3 block of cells. Points outside the block
+    lie at least a cell side away, so a minimum within that side (less a
+    margin for rounding) is the nearest. Points left unresolved are searched
+    again with cells four times as wide, and any still unresolved are scored
+    against all of `b`, PAIR_CHUNK pairs at a time.
+    """
+    a, b = _as_pts(a), _as_pts(b)
+    lo = b.min(axis=0).tolist()
+    hi = b.max(axis=0).tolist()
+    span = (hi[0] - lo[0], hi[1] - lo[1])
+    side = _cell_side(span, len(b))
+    out = np.empty(len(a))
+    todo = np.arange(len(a))
+    for h in (side, 4 * side):
+        if len(todo):
+            d2, ok = _grid_search(a[todo], b, lo, span, h)
+            out[todo[ok]] = d2[ok]
+            todo = todo[~ok]
+    rows = max(1, PAIR_CHUNK // len(b))
+    for s in range(0, len(todo), rows):
+        i = todo[s:s + rows]
+        out[i] = sq_dist_table(a[i], b).min(axis=1)
+    return out
+
+
+def _cell_side(span: tuple, m: int) -> float:
+    """The first search's cell side for m points whose bounding box has
+    sides `span`: CELL_FRACTION of the side at which the box holds m cells,
+    or m along its length when the points lie on one line."""
+    side = max(math.sqrt(span[0] * span[1] / m), max(span) / m) * CELL_FRACTION
+    return side or 1.0  # any side serves a set of one location
+
+
+def _grid_search(q: np.ndarray, b: np.ndarray, lo: list, span: tuple, h: float):
+    """(d2, ok): for each point of `q`, the least dx*dx + dy*dy to the points
+    of `b` in its 3 x 3 block of cells of side `h`, inf for an empty block,
+    and whether that least value is provably the nearest. The grid starts at
+    b's lower corner `lo` and covers b's extent `span`; a point of `q` off
+    the grid searches the block of the nearest edge cell, which holds every
+    point of `b` its own block would.
+    """
+    inv = 1.0 / h
+    nx, ny = int(span[0] * inv) + 1, int(span[1] * inv) + 1
+    # cell (i, j) has the flat index j * w + i, with w = nx + 2: the three
+    # cells of a block's row are one run of b sorted by cell, and the cells
+    # a run reads past the grid's columns (i = -1 or nx) hold no point
+    w = nx + 2
+    to_flat = np.array([1.0, w])
+    cell_b = (np.floor((b - lo) * inv) @ to_flat).astype(np.intp)
+    order = np.argsort(cell_b)
+    bx, by = b[:, 0].take(order), b[:, 1].take(order)
+    # start[f + w + 1] is the position in sorted b of cell f's first point,
+    # for f from -w - 1 on, so that a block on the grid's edge reads cells
+    # of the empty border around it
+    start = np.zeros((ny + 2) * w + 1, np.intp)
+    np.cumsum(np.bincount(cell_b, minlength=len(start) - w - 2), out=start[w + 2:])
+    cell_q = np.floor((q - lo) * inv)
+    np.minimum(cell_q, (nx - 1, ny - 1), out=cell_q)
+    np.maximum(cell_q, 0.0, out=cell_q)
+    flat = (cell_q @ to_flat).astype(np.intp)[:, None]
+    first = start[flat + (0, w, 2 * w)]  # of each row's run, rows j - 1 .. j + 1
+    lens = start[flat + (3, w + 3, 2 * w + 3)] - first
+    count = lens.sum(axis=1)
+    d2 = np.full(len(q), np.inf)
+    step = max(1, PAIR_CHUNK // max(1, int(count.max())))
+    for s in range(0, len(q), step):
+        c, runs = count[s:s + step], lens[s:s + step].ravel()
+        # the candidates of the chunk's runs, one after another; the k-th of
+        # a run sits at its `first` + k in sorted b
+        off = np.cumsum(runs)
+        idx = np.arange(off[-1])
+        off -= runs
+        idx += np.repeat(first[s:s + step].ravel() - off, runs)
+        dx = np.repeat(q[s:s + step, 0], c)
+        dx -= bx.take(idx)
+        dy = np.repeat(q[s:s + step, 1], c)
+        dy -= by.take(idx)
+        np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+        has = c > 0
+        d2[s:s + step][has] = np.minimum.reduceat(dx, off[::3][has])
+    # rounding moves a point's cell coordinate by a few 1e-16 of its
+    # distance from `lo`, so a point outside the block may lie that much
+    # nearer than h: a few 1e-16 (span + h), which the margin covers
+    reach = h - 1e-9 * (max(span) + h)
+    return d2, d2 <= reach * reach
 
 
 def _runs(sets) -> tuple[np.ndarray, np.ndarray]:
@@ -66,9 +171,9 @@ def _run_means(near: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.n
 
 
 def sq_dist_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) squared distances dx*dx + dy*dy, the sum under the
-    square root of `nn_mean_dist`'s k-d tree, built in place: two
-    temporaries, not four."""
+    """(len(a), len(b)) squared distances dx*dx + dy*dy, built in place: two
+    temporaries, not four. Every distance in this module is the square root
+    of this sum, computed in this order."""
     a, b = _as_pts(a), _as_pts(b)
     dx, dy = (np.subtract.outer(a[:, k], b[:, k]) for k in (0, 1))
     return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)

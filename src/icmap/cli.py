@@ -34,6 +34,10 @@ from .render import render_svg, sweep_chart_svg
 from .synth import SceneConfig, make_scene, read_scene, write_scene
 
 log = logging.getLogger("icmap")
+# the one handler of icmap's loggers, attached by the first `main` call of a
+# process; later calls only set the level, so no line is printed twice
+_log_handler = logging.StreamHandler()
+_log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
@@ -41,12 +45,15 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 
 def _setup_logging(parser: argparse.ArgumentParser):
     """Log at the IC_MAPPER_LOG level, warn when unset or empty; any other
-    value is a usage error."""
+    value is a usage error. Every call sets the level anew."""
     level = os.environ.get("IC_MAPPER_LOG", "").strip().lower() or "warn"
     if level not in _LOG_LEVELS:
         parser.error(f"IC_MAPPER_LOG={os.environ['IC_MAPPER_LOG']!r} is not a log level; "
                      f"expected one of {', '.join(_LOG_LEVELS)}")
-    logging.basicConfig(level=_LOG_LEVELS[level], format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(_LOG_LEVELS[level])
+    _log_handler.stream = sys.stderr  # as it is now: a caller may have redirected it
+    if _log_handler not in log.handlers:
+        log.addHandler(_log_handler)
 
 
 def _finite_float(text: str) -> float:

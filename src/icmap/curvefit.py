@@ -18,8 +18,10 @@ scipy's order, so fits and curves have the bits `scipy.interpolate.BSpline`
 gave them; it serves both the normal equations and the evaluation of the
 fitted curve. The equations are assembled in banded form and solved by
 banded Cholesky (`scipy.linalg.solveh_banded`): a fixed number of numpy
-calls and O(n) arithmetic per fit. The greedy chain before it takes one
-argmin per point over a precomputed distance table.
+calls and O(n) arithmetic per fit. The greedy chain before it reads one
+distance table (`_kernels.sq_dist_table`, then its square root): it ranks
+each point's three nearest up front, and takes an argmin over a row only
+when all three are already chained.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.spatial.distance import cdist
 
+from ._kernels import sq_dist_table
 from .errors import InsufficientPoints
 from .geometry import as_points, chamfer_distance, dedupe_points, densify, resample_even
 
@@ -43,6 +45,10 @@ DEGREE = 3  # of the merge spline
 CTRL_SPACING = 2.0  # meters of chord length per control point
 OUT_SPACING = 1.0  # meters between resampled output points
 MIN_OUT_POINTS = 20  # lower bound on the output point count
+# nearest points ranked per point for the greedy chain: with three, the next
+# point is among the current one's at all but about 1 step in 150 of the
+# benchmark scenes' merges
+NEAR_RANKS = 3
 
 
 @dataclass(frozen=True)
@@ -73,22 +79,39 @@ def reorder_concat(global_pts, det_pts) -> np.ndarray:
         d = d[::-1]
     pool = np.vstack([g, d])
     n = len(pool)
-    dist = cdist(pool, pool)
-    i, j = np.unravel_index(np.argmax(dist), dist.shape)
+    dist = sq_dist_table(pool, pool)
+    np.sqrt(dist, out=dist)
+    i, j = divmod(int(dist.argmax()), n)
     # start from whichever extreme sits nearer the global start
-    start = i if np.hypot(*(pool[i] - g[0])) <= np.hypot(*(pool[j] - g[0])) else j
-    # one argmin per step over dist[cur] + taken, where taken is 0 for a free
-    # point and inf for a chained one: the same values and ties as masking
-    # the row, without a copy and a boolean index per step
-    order = np.empty(n, dtype=np.intp)
-    order[0] = cur = start
-    taken = np.zeros(n)
-    taken[start] = np.inf
-    row = np.empty(n)
-    for step in range(1, n):
-        cur = np.add(dist[cur], taken, out=row).argmin()
-        taken[cur] = np.inf
-        order[step] = cur
+    cur = i if np.hypot(*(pool[i] - g[0])) <= np.hypot(*(pool[j] - g[0])) else j
+    # rank each point's NEAR_RANKS nearest other points in argmin's order
+    # (least distance, then least index), setting their entries and the
+    # diagonal to inf. The next point is the first of the current point's
+    # ranked points not yet chained. When all of them are chained, so is
+    # every point whose entry in its row is inf, and one argmin over the row
+    # with the other chained points set to inf finds it. Either way it is
+    # the argmin over the unchained points, ties included.
+    dist.flat[::n + 1] = np.inf
+    rows = np.arange(n)
+    ranked = []
+    for _ in range(NEAR_RANKS):
+        nearest = dist.argmin(axis=1)
+        dist[rows, nearest] = np.inf
+        ranked.append(nearest.tolist())
+    near = list(zip(*ranked))
+    chained = [False] * n
+    order = [cur]
+    for _ in range(1, n):
+        chained[cur] = True
+        for nxt in near[cur]:
+            if not chained[nxt]:
+                break
+        else:
+            row = dist[cur]  # read once: cur is never current again
+            row[order] = np.inf
+            nxt = int(row.argmin())
+        cur = nxt
+        order.append(cur)
     chain = pool[order]
     if float((chain[-1] - chain[0]) @ g_chord) < 0:
         chain = chain[::-1]

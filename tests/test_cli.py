@@ -706,8 +706,9 @@ class TestMalformedInput:
 
 
 def test_commands_load_neither_optimize_nor_interpolate(scene_path, tmp_path):
-    # the assignment solver and the spline basis are icmap's own: run,
-    # eval --mot and sweep-s load neither scipy subpackage
+    # the assignment solver, the spline basis and the nearest-neighbour
+    # search are icmap's own: run, eval --mot and sweep-s load none of
+    # scipy.optimize, scipy.interpolate, scipy.spatial or scipy.sparse
     out_map, trace = tmp_path / "m.json", tmp_path / "t.json"
     commands = [
         ["run", scene_path, "--out-map", out_map, "--trace", trace],
@@ -719,13 +720,23 @@ def test_commands_load_neither_optimize_nor_interpolate(scene_path, tmp_path):
             "from icmap.cli import main\n"
             f"for args in {[[str(a) for a in c] for c in commands]!r}:\n"
             "    assert main(args) == 0, args\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith(('scipy.optimize', 'scipy.interpolate'))))\n")
+            "print(sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('scipy.optimize', 'scipy.interpolate', 'scipy.spatial', 'scipy.sparse'))))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "s.tsv").exists()
+
+
+def test_log_level_follows_each_call(tmp_path, monkeypatch, capsys):
+    # three calls in one process: the level is the calling environment's
+    # each time, and the info line is printed once
+    for value, name in (("warn", "a"), ("info", "b"), ("warn", "c")):
+        monkeypatch.setenv("IC_MAPPER_LOG", value)
+        assert run_cli("synth", "--seed", 3, "--out", tmp_path / f"{name}.json") == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "wrote scene" in ln]
+    assert lines == [f"INFO icmap: wrote scene {tmp_path / 'b.json'}"]
 
 
 class TestSweepCmd:

@@ -1,7 +1,10 @@
 """The kernels against the brute-force and scalar-loop oracles in
 tests/scalar_reference.py, and the Chamfer properties that follow from them;
-the assignment solver against the scipy solver it was ported from.
+the nearest-neighbour search against the scipy k-d tree it replaced and the
+assignment solver against the scipy solver it was ported from.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,11 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from scipy.optimize import linear_sum_assignment as scipy_lsap
+from scipy.spatial import cKDTree
 
-from icmap._kernels import inside_mask, linear_sum_assignment, nn_mean_dist
+from icmap import _kernels
+from icmap._kernels import (PAIR_CHUNK, _cell_side, inside_mask, linear_sum_assignment,
+                            nearest_sq_dist, nn_mean_dist, sq_dist_table)
 from icmap.geometry import EGO_TO_WORLD, Pose2, chamfer_distance, transform_points
 
 # derandomized, so that a run of the suite is reproducible
@@ -30,13 +36,65 @@ def test_nn_mean_dist_matches_brute_force(n, m):
 
 @pytest.mark.parametrize("n,m", [(3, 5), (60, 60), (400, 600)])
 def test_broadcast_and_tree_return_same_bits(n, m):
-    # chamfer_matrix broadcasts what nn_mean_dist's k-d tree queries; the
-    # tree's distances are sqrt(dx*dx + dy*dy), the broadcast's arithmetic
+    # chamfer_matrix broadcasts what nn_mean_dist's grid search finds; both
+    # compute sqrt(dx*dx + dy*dy), as the k-d tree the search replaced did
     rng = np.random.default_rng(n + m)
     a = rng.uniform(-50, 50, (n, 2))
     b = np.vstack([rng.uniform(-50, 50, (m, 2)), a[:2]])  # exact ties at 0
     d2 = (a[:, None, 0] - b[None, :, 0]) ** 2 + (a[:, None, 1] - b[None, :, 1]) ** 2
     assert nn_mean_dist(a, b) == float(np.sqrt(d2.min(axis=1)).sum() / n)
+
+
+@st.composite
+def nn_case(draw):
+    """(a, b) laid out against the grid search's cells: all of a and b but
+    one far point of b in one cell; exact duplicates; points on
+    axis-parallel lines; points on the cell boundaries of either search, or
+    one float off them; a far point of a, which no grid resolves. Any of
+    them may sit 1e5 m from the origin."""
+    kind = draw(st.sampled_from(["one_cell", "duplicates", "lines", "boundaries", "outlier"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    if kind == "one_cell":
+        a, b = rng.uniform(0.0, 0.01, (n, 2)), rng.uniform(0.0, 0.01, (m, 2))
+        b[0] = (400.0, -300.0)
+    elif kind == "duplicates":
+        pool = rng.integers(-8, 9, (draw(st.integers(1, 6)), 2)) / 4
+        a, b = pool[rng.integers(len(pool), size=n)], pool[rng.integers(len(pool), size=m)]
+    elif kind == "lines":
+        a, b = (np.column_stack([rng.integers(-40, 41, k) / 4, rng.integers(-1, 2, k) * 0.5])
+                for k in (n, m))
+        if draw(st.booleans()):
+            a, b = a[:, ::-1].copy(), b[:, ::-1].copy()
+    else:
+        a, b = rng.uniform(-10.0, 10.0, (n, 2)), rng.uniform(-10.0, 10.0, (m, 2))
+    if draw(st.booleans()):
+        a, b = a + 1e5, b + 1e5
+    if kind == "boundaries":
+        lo, hi = b.min(axis=0), b.max(axis=0)
+        side = _cell_side(tuple((hi - lo).tolist()), m) * draw(st.sampled_from([1, 4]))
+        a = lo + np.round((a - lo) / side) * side
+        a = np.nextafter(a, a + rng.integers(-1, 2, a.shape))
+        inner = ~((b == lo) | (b == hi)).any(axis=1)  # moving them keeps the box
+        b[inner] = np.clip(lo + np.round((b[inner] - lo) / side) * side, lo, hi)
+    if kind == "outlier":
+        a[rng.integers(n)] = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(3, 6, 2)
+    return a, b
+
+
+@properties
+@given(nn_case(), st.sampled_from([PAIR_CHUNK, 1, 7]))
+def test_nearest_matches_table_and_tree(case, chunk):
+    # every distance bit for bit, with the default chunk and with chunks that
+    # split the candidate pairs and the fallback table into many pieces
+    a, b = case
+    with mock.patch.object(_kernels, "PAIR_CHUNK", chunk):
+        got = np.sqrt(nearest_sq_dist(a, b))
+        mean = nn_mean_dist(a, b)
+    tree, _ = cKDTree(b).query(a)
+    assert np.array_equal(got, np.sqrt(sq_dist_table(a, b).min(axis=1)))
+    assert np.array_equal(got, tree)
+    assert mean == float(tree.sum() / len(a))
 
 
 coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
