@@ -6,11 +6,11 @@ package also ships the matching evaluation metrics (Chamfer AP, CLEAR-MOT,
 global-map Chamfer distance) and a synthetic scene generator that stands in
 for a neural detector at desk scale.
 """
-from .association import AssocConfig, TrackBuffer, associate_frame, post_track_baseline
+from .association import AssocConfig, TrackBuffer, associate_frame
 from .curvefit import SmoothingFitParams, merge_polylines
 from .geometry import Pose2, Rect, chamfer_distance, resample_even, transform_points
-from .instance import BOUNDARY, CLASSES, DIVIDER, PED_CROSSING, MapInstance
-from .mapstore import GlobalMap, load_map, merge_instance, sample_history, save_map
+from .instance import BOUNDARY, CLASSES, DIVIDER, PED_CROSSING, GlobalMap, MapInstance
+from .mapstore import load_map, merge_instance, sample_history, save_map
 from .metrics import EvalReport, clear_mot, global_map_cd, instance_ap
 from .pipeline import PipelineParams, run_scene
 from .synth import NoiseConfig, SceneConfig, make_scene, read_scene, write_scene
@@ -42,7 +42,6 @@ __all__ = [
     "make_scene",
     "merge_instance",
     "merge_polylines",
-    "post_track_baseline",
     "read_scene",
     "resample_even",
     "run_scene",

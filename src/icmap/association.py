@@ -23,7 +23,6 @@ from .geometry import EGO_TO_WORLD, Pose2, chamfer_distance, densify
 from .instance import MapInstance, chamfer_by_class
 
 GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
-BASELINE_GATE = 2.0  # post_track_baseline's Chamfer gate, meters
 
 
 @dataclass
@@ -64,12 +63,7 @@ class AssocConfig:
 def _dense_pts(inst: MapInstance, spacing: float) -> np.ndarray:
     # detector output is sparse (tens of points over ~100 m); comparing
     # densified curves keeps the distance about shape, not sample phase
-    if len(inst.points) < 2:
-        return inst.points
-    pts = inst.points
-    if not inst.is_polyline:
-        pts = np.vstack([pts, pts[:1]])
-    return densify(pts, spacing)
+    return densify(inst.closed_points, spacing)
 
 
 def outlined(inst: MapInstance) -> Track:
@@ -195,38 +189,3 @@ def associate_frame(buffer: TrackBuffer, dets, pose: Pose2,
     # allocate_ids issued these, in detection order, to the unmatched
     new_ids = list(range(buffer.next_id, next_id))
     return AssociationResult(world_ids, new_buffer, matches, new_ids)
-
-
-def post_track_baseline(frames, poses) -> list[list[MapInstance]]:
-    """Greedy class-and-distance tracker over consecutive frames.
-
-    Matches each frame's detections to the previous frame's outputs by
-    ascending Chamfer distance within BASELINE_GATE; leftovers get fresh IDs.
-    """
-    out: list[list[MapInstance]] = []
-    prev: list[MapInstance] = []
-    next_id = 0
-    for frame, pose in zip(frames, poses):
-        world = [d.transformed(pose, EGO_TO_WORLD) for d in frame]
-        cd = chamfer_by_class(world, prev, lambda inst: _dense_pts(inst, GEO_DENSIFY))
-        pairs = sorted((float(cd[i, j]), int(i), int(j))
-                       for i, j in zip(*np.nonzero(cd < BASELINE_GATE)))
-        used_i: set[int] = set()
-        used_j: set[int] = set()
-        ids: dict[int, int] = {}
-        for dist, i, j in pairs:
-            if i in used_i or j in used_j:
-                continue
-            used_i.add(i)
-            used_j.add(j)
-            ids[i] = prev[j].id
-        labeled = []
-        for i, d in enumerate(world):
-            if i in ids:
-                labeled.append(replace(d, id=ids[i]))
-            else:
-                labeled.append(replace(d, id=next_id))
-                next_id += 1
-        out.append(labeled)
-        prev = labeled
-    return out

@@ -14,7 +14,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .curvefit import SweepTable, sweep_smoothing
-from .errors import MapBuildError, MapFormatError
+from .errors import MapBuildError, MapFormatError, MissingEmbedding
 from .fileio import write_doc
 from .instance import CLASSES
 from .metrics import (
@@ -254,6 +254,9 @@ def cmd_synth(args) -> int:
 def cmd_run(args) -> int:
     params = _params(PipelineParams, PIPELINE_KEYS, args)
     scene = read_scene(args.scene)
+    if params.assoc.w_feat > 0 and scene.missing_embedding:
+        raise MissingEmbedding(f"{scene.missing_embedding}: missing, but w_feat > 0 needs one on "
+                               "every detection; set w_feat = 0 to associate by geometry alone")
     gmap, trace = run_scene(scene, params)
     save_map(gmap, args.out_map)
     if args.trace:

@@ -1,4 +1,5 @@
-"""Map instance type shared by tracking, merging, and evaluation."""
+"""The types every stage shares: map instances, the global map that keys
+them by track ID, and scenes of frames; a crossing's ring closes here."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
@@ -41,11 +42,42 @@ class MapInstance:
     def is_polyline(self) -> bool:
         return self.cls in POLYLINE_CLASSES
 
+    @property
+    def closed_points(self) -> np.ndarray:
+        """The points, with a crossing's ring closed by its first point."""
+        if self.is_polyline:
+            return self.points
+        return np.vstack([self.points, self.points[:1]])
+
     def transformed(self, pose: Pose2, direction: str) -> "MapInstance":
         return replace(self, points=transform_points(pose, self.points, direction))
 
     def with_points(self, points) -> "MapInstance":
         return replace(self, points=as_points(points))
+
+
+@dataclass
+class GlobalMap:
+    scene_id: str = ""
+    instances: dict[int, MapInstance] = field(default_factory=dict)
+
+
+@dataclass
+class Frame:
+    t: int
+    ego_pose: Pose2
+    gt_local: list[MapInstance]
+    detections: list[MapInstance]
+
+
+@dataclass
+class Scene:
+    scene_id: str
+    range_lw: tuple[float, float]
+    gt: GlobalMap
+    frames: list[Frame]
+    # the field `read_scene` found first of a detection without an embedding
+    missing_embedding: str | None = None
 
 
 def chamfer_by_class(a, b, points=lambda inst: inst.points) -> np.ndarray:

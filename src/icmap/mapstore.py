@@ -1,4 +1,4 @@
-"""Global map maintenance: history sampling, fusion blend, and merging.
+"""Global map (`instance.GlobalMap`) upkeep: history sampling, fusion blend, merging.
 
 The map keys world-frame instances by track ID. Before merging, detections
 can be refined by blending each point toward its nearest sampled history
@@ -10,7 +10,6 @@ reads and checks it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,17 +19,11 @@ from .curvefit import SmoothingFitParams, merge_polylines
 from .errors import ClassConflict, MapFormatError
 from .fileio import MAP_KEYS, as_str, from_records, gc_paused, read_doc, to_record, write_doc
 from .geometry import Rect, as_points, clip_polyline_to_rect, polyline_length, resample_even
-from .instance import MapInstance
+from .instance import GlobalMap, MapInstance
 
 log = logging.getLogger(__name__)
 
 MAP_FORMAT_VERSION = "1"
-
-
-@dataclass
-class GlobalMap:
-    scene_id: str = ""
-    instances: dict[int, MapInstance] = field(default_factory=dict)
 
 
 def sample_history(gmap: GlobalMap, patch: Rect, expand: float, ids, n_sample: int) -> dict[int, np.ndarray]:

@@ -12,8 +12,7 @@ import numpy as np
 
 from ._kernels import linear_sum_assignment
 from .geometry import chamfer_distance, densify
-from .instance import CLASSES, chamfer_by_class
-from .mapstore import GlobalMap
+from .instance import CLASSES, GlobalMap, chamfer_by_class
 
 LARGE_THRESHOLDS = (1.0, 1.5, 2.0)   # 100 x 50 m perception range
 SMALL_THRESHOLDS = (0.5, 1.0, 1.5)   # 60 x 30 m perception range
@@ -224,10 +223,7 @@ def _pooled_points(gmap: GlobalMap, cls: str) -> np.ndarray:
         inst = gmap.instances[inst_id]
         if inst.cls != cls:
             continue
-        pts = inst.points
-        if not inst.is_polyline:
-            pts = np.vstack([pts, pts[:1]])  # close the ring
-        chunks.append(densify(pts, MAP_CD_SPACING))
+        chunks.append(densify(inst.closed_points, MAP_CD_SPACING))
     if not chunks:
         return np.zeros((0, 2))
     return np.vstack(chunks)

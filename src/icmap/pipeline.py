@@ -23,9 +23,8 @@ from .fileio import (
     to_record,
 )
 from .geometry import EGO_TO_WORLD, Rect, transform_points
-from .instance import MapInstance, chamfer_by_class
-from .mapstore import GlobalMap, fuse_with_history, merge_instance, sample_history
-from .synth import Scene
+from .instance import GlobalMap, MapInstance, Scene, chamfer_by_class
+from .mapstore import fuse_with_history, merge_instance, sample_history
 
 TRACE_FORMAT_VERSION = "1"
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curvefit import SweepTable
-from .instance import BOUNDARY, DIVIDER, PED_CROSSING
-from .mapstore import GlobalMap
+from .instance import BOUNDARY, DIVIDER, PED_CROSSING, GlobalMap
 
 CLASS_COLORS = {
     DIVIDER: "#e08a1e",

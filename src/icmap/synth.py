@@ -1,6 +1,8 @@
 """Synthetic scene generation: ground-truth maps, ego trajectories,
 per-frame clipped ground truth with IDs, and noisy detections with
 simulated embeddings. Everything is a pure function of (config, seed).
+The scene's types (`Scene`, `Frame`, `GlobalMap`) live in `instance`;
+`write_scene` and `read_scene` lay out the scene file.
 """
 from __future__ import annotations
 
@@ -36,8 +38,7 @@ from .geometry import (
     transform_points,
     transform_stacked,
 )
-from .instance import BOUNDARY, CLASSES, DIVIDER, PED_CROSSING, MapInstance
-from .mapstore import GlobalMap
+from .instance import BOUNDARY, CLASSES, DIVIDER, PED_CROSSING, Frame, GlobalMap, MapInstance, Scene
 from .polygon import clip_polygon_to_rect, ensure_ccw, polygon_area
 
 SCENE_FORMAT_VERSION = "1"
@@ -108,22 +109,6 @@ class SceneConfig:
             raise ValueError(f"unknown curvature {self.curvature!r}")
         if min(self.range_lw) <= 0:
             raise ValueError("perception range must be positive")
-
-
-@dataclass
-class Frame:
-    t: int
-    ego_pose: Pose2
-    gt_local: list[MapInstance]
-    detections: list[MapInstance]
-
-
-@dataclass
-class Scene:
-    scene_id: str
-    range_lw: tuple[float, float]
-    gt: GlobalMap
-    frames: list[Frame]
 
 
 def _centerline(config: SceneConfig):
@@ -391,7 +376,8 @@ def write_scene(scene: Scene, path) -> None:
 def read_scene(path) -> Scene:
     """Read a scene file; raises SceneFormatError naming the field of the
     first malformed value. Every detection embedding has the length of the
-    scene's first one, since association compares them across frames."""
+    scene's first one, since association compares them across frames, and
+    `missing_embedding` names the first detection without one."""
     err = SceneFormatError
     doc = read_doc(path, "scene", SCENE_FORMAT_VERSION, err, ("scene_id", "range", "gt", "frames"))
     scene_id = as_str(doc["scene_id"], f"{path}: scene_id", err)
@@ -400,6 +386,7 @@ def read_scene(path) -> Scene:
     gt = GlobalMap(scene_id, {inst.id: inst for inst in gt_insts})
     frames = []
     dim = None  # embedding length
+    missing = None
     for fi, fobj in enumerate(as_list(doc["frames"], f"{path}: frames", err)):
         where = f"{path}: frames[{fi}]"
         as_object(fobj, where, err, ("t", "ego_pose", "gt_local", "detections"))
@@ -410,6 +397,7 @@ def read_scene(path) -> Scene:
         dets = from_records(fobj["detections"], f"{where}.detections", err, DETECTION_KEYS)
         for di, det in enumerate(dets):
             if det.embedding is None:
+                missing = missing or f"{where}.detections[{di}].embedding"
                 continue
             if dim is None:
                 dim = len(det.embedding)
@@ -420,4 +408,4 @@ def read_scene(path) -> Scene:
     rng = finite_array(doc["range"], f"{path}: range", err)
     if rng.shape != (2,):
         raise err(f"{path}: range: expected [length, width]")
-    return Scene(scene_id, (float(rng[0]), float(rng[1])), gt, frames)
+    return Scene(scene_id, (float(rng[0]), float(rng[1])), gt, frames, missing)

@@ -3,8 +3,8 @@ per-pair loop versions of the code that now reads batched Chamfer matrices.
 
 These are the scalar implementations that `icmap.geometry`, `icmap.polygon`
 and `icmap._kernels` used before their loops became array code, and the
-versions of `instance_ap`, `clear_mot_counts`, `geometric_affinity`,
-`post_track_baseline` and `scene_observations` that called
+versions of `instance_ap`, `clear_mot_counts`, `geometric_affinity`
+and `scene_observations` that called
 `chamfer_distance` once per same-class pair, and the merge fit's greedy
 chain loop and dense normal-equation solve. `clip_polyline_to_rect_array`
 and `clip_gt_frame` are the one-rectangle array clip and the per-frame
@@ -28,7 +28,6 @@ run of several sub-eps steps.
 """
 import logging
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -487,39 +486,6 @@ def geometric_affinity(dets, tracks, tau: float, densify_spacing: float = 1.0) -
     for i, j in pairs:
         h[i, j] = np.exp(-chamfer_distance(dense_d[i], dense_t[j]) / tau)
     return h
-
-
-def post_track_baseline(frames, poses, dist_threshold: float = 2.0):
-    out = []
-    prev = []
-    next_id = 0
-    for frame, pose in zip(frames, poses):
-        world = [d.transformed(pose, EGO_TO_WORLD) for d in frame]
-        pairs = []
-        for i, d in enumerate(world):
-            for j, p in enumerate(prev):
-                if d.cls == p.cls:
-                    dist = chamfer_distance(_dense_pts(d, 1.0), _dense_pts(p, 1.0))
-                    if dist < dist_threshold:
-                        pairs.append((dist, i, j))
-        pairs.sort(key=lambda t: (t[0], t[1], t[2]))
-        used_i, used_j, ids = set(), set(), {}
-        for dist, i, j in pairs:
-            if i in used_i or j in used_j:
-                continue
-            used_i.add(i)
-            used_j.add(j)
-            ids[i] = prev[j].id
-        labeled = []
-        for i, d in enumerate(world):
-            if i in ids:
-                labeled.append(replace(d, id=ids[i]))
-            else:
-                labeled.append(replace(d, id=next_id))
-                next_id += 1
-        out.append(labeled)
-        prev = labeled
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from icmap import association
+from icmap import association, cli
 from icmap.association import (
     AssocConfig,
     TrackBuffer,
@@ -19,7 +19,6 @@ from icmap.association import (
     geometric_affinity,
     optimal_match,
     outlined,
-    post_track_baseline,
     threshold_filter,
     update_buffer,
 )
@@ -28,7 +27,7 @@ from icmap.errors import DuplicateId, MissingEmbedding, ShapeMismatch
 from icmap.geometry import WORLD_TO_EGO, Pose2, transform_points
 from icmap.instance import CLASSES, MapInstance
 from icmap.pipeline import PipelineParams, run_scene
-from icmap.synth import NoiseConfig, SceneConfig, make_scene, write_scene
+from icmap.synth import make_scene, write_scene
 
 from test_golden import SCENES
 
@@ -137,10 +136,14 @@ class TestWFeatRule:
         path.write_text(json.dumps(doc))
         return path
 
-    def test_feature_branch_needs_every_embedding(self, scene_path, tmp_path, capsys):
+    def test_feature_branch_needs_every_embedding(self, scene_path, tmp_path, capsys,
+                                                  monkeypatch):
+        # checked when the scene is read, before any frame runs
+        monkeypatch.setattr(cli, "run_scene", lambda *a: pytest.fail("run_scene was called"))
         assert main(["run", str(scene_path), "--out-map", str(tmp_path / "m.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("icmap: error: ") and "w_feat" in err, err
+        assert "frames[5].detections[0].embedding" in err, err
 
     def test_geometry_alone_needs_none(self, scene_path, tmp_path):
         assert main(["run", str(scene_path), "--out-map", str(tmp_path / "m.json"),
@@ -412,38 +415,5 @@ def test_densify_once_per_kept_detection(monkeypatch):
     monkeypatch.setattr(association, "densify",
                         lambda pts, spacing: calls.append(len(pts)) or dense(pts, spacing))
     run_scene(scene, params)
-    kept = [d for f in scene.frames for d in f.detections
-            if d.score >= params.min_score and len(d.points) >= 2]
+    kept = [d for f in scene.frames for d in f.detections if d.score >= params.min_score]
     assert len(calls) == len(kept) > 0
-
-
-class TestPostTrack:
-    def test_identical_frames_stable(self):
-        frames = [[line_instance()], [line_instance()], [line_instance()]]
-        poses = [Pose2(0, 0, 0)] * 3
-        out = post_track_baseline(frames, poses)
-        assert [d.id for fr in out for d in fr] == [0, 0, 0]
-
-    def test_gap_creates_new_id(self):
-        frames = [[line_instance()], [], [line_instance()]]
-        poses = [Pose2(0, 0, 0)] * 3
-        out = post_track_baseline(frames, poses)
-        assert out[0][0].id == 0
-        assert out[2][0].id == 1
-
-    def test_recovers_generator_ids(self):
-        scene = make_scene(
-            SceneConfig(road_length=100.0, curvature="arc", radius=120.0,
-                        noise=NoiseConfig.zero(), seed=2)
-        )
-        frames = [f.gt_local for f in scene.frames]
-        poses = [f.ego_pose for f in scene.frames]
-        out = post_track_baseline(frames, poses)
-        mapping = {}
-        for labeled, frame in zip(out, scene.frames):
-            for det, gt in zip(labeled, frame.gt_local):
-                mapping.setdefault(det.id, set()).add(gt.id)
-        # bijection: every recovered id maps to exactly one generator id
-        assert all(len(v) == 1 for v in mapping.values())
-        gt_ids = [next(iter(v)) for v in mapping.values()]
-        assert len(gt_ids) == len(set(gt_ids))

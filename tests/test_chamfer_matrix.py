@@ -3,7 +3,7 @@
 `_kernels.chamfer_matrix` scores two lists of point sets in one broadcast;
 every entry must have the bits of `chamfer_distance`, which queries a k-d
 tree. AP, CLEAR-MOT, the
-geometric affinity, the post-hoc tracker and the sweep's observation grouping
+geometric affinity and the sweep's observation grouping
 read these matrices; each must give exactly what its per-pair loop version
 in tests/scalar_reference.py gives.
 """
@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from icmap._kernels import chamfer_matrix
-from icmap.association import GEO_DENSIFY, geometric_affinity, outlined, post_track_baseline
+from icmap.association import GEO_DENSIFY, geometric_affinity, outlined
 from icmap.errors import EmptyPointSet
-from icmap.geometry import Pose2, chamfer_distance
+from icmap.geometry import chamfer_distance
 from icmap.instance import CLASSES, MapInstance
 from icmap.metrics import clear_mot_counts, frame_distances, instance_ap
 from icmap.pipeline import scene_observations
@@ -158,17 +158,6 @@ def test_affinity_equals_per_pair_loop(stream, tau):
     dets, tracks = pred_frames[0], gt_frames[-1]
     got = geometric_affinity([outlined(d) for d in dets], [outlined(t) for t in tracks], tau)
     assert np.array_equal(got, ref.geometric_affinity(dets, tracks, tau, GEO_DENSIFY))
-
-
-@equivalence
-@given(streams, st.integers(0, 2**32 - 1))
-def test_post_track_baseline_equals_per_pair_loop(stream, seed):
-    frames, _ = stream
-    rng = np.random.default_rng(seed)
-    poses = [Pose2(*rng.normal(0, 1, 3)) for _ in frames]
-    got = post_track_baseline(frames, poses)
-    want = ref.post_track_baseline(frames, poses)
-    assert [[d.id for d in fr] for fr in got] == [[d.id for d in fr] for fr in want]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

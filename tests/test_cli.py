@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from icmap import cli
 from icmap.cli import MAX_SGRID_VALUES, PIPELINE_KEYS, SCENE_KEYS, _parse_sgrid, main
 from icmap.mapstore import load_map
 from icmap.synth import make_scene, read_scene, write_scene
@@ -161,6 +162,25 @@ class TestRunCmd:
         doc = json.loads(trace.read_text())
         assert len(doc["frames"]) == len(scene.frames)
         assert all("matches" in f and "det_count" in f for f in doc["frames"])
+
+    def test_frames_pulled_once_in_order(self, scene_path, tmp_path, monkeypatch):
+        """`run` reads a scene's frames as a one-pass stream: frames that
+        come from a generator give the map and trace bytes of a plain run."""
+        def run(name):
+            out_map, trace = tmp_path / f"{name}.map.json", tmp_path / f"{name}.trace.json"
+            assert run_cli("run", scene_path, "--out-map", out_map, "--trace", trace) == 0
+            return out_map.read_bytes(), trace.read_bytes()
+
+        plain = run("plain")
+        read = cli.read_scene
+
+        def read_stream(path):
+            scene = read(path)
+            scene.frames = (frame for frame in scene.frames)
+            return scene
+
+        monkeypatch.setattr(cli, "read_scene", read_stream)
+        assert run("stream") == plain
 
     def test_no_fusion_flag(self, scene_path, tmp_path):
         out_map = tmp_path / "m.json"
