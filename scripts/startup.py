@@ -7,13 +7,17 @@ OLD_SRC and NEW_SRC are `src/` directories (each holding `icmap/`), as for
 scripts/parity.py. pipebench/run.py calls `icmap.cli.main` in one process,
 so it sees a command's memory but not what the command pays to start. Here
 every measurement is a new interpreter, with BLAS pinned to one thread and
-PYTHONPATH set to the tree alone, for two commands:
+PYTHONPATH set to the tree alone, for four commands:
 
     import   python -c "import icmap.cli"
     run      python -m icmap.cli run SCENE --out-map MAP --trace TRACE
+    eval     python -m icmap.cli eval --scene SCENE --pred-map MAP --trace TRACE --mot ...
+    sweep-s  python -m icmap.cli sweep-s SCENE --s-grid 1:1:1 --out TABLE
 
 SCENE is seed SEED of pipebench's merge_clean workload (its WORKLOADS table,
-imported, not copied), written once by NEW_SRC before any timing. The trees
+imported, not copied). NEW_SRC writes it, and runs it once for the map and
+trace that `eval` reads, before any timing; the timed runs write their own
+map and trace. `sweep-s` gets pipebench's one smoothing weight. The trees
 alternate in the order old, new, new, old, ..., so that a drift of the
 host's speed falls on both. For each command and tree the script prints the
 median wall time and the median of each child's maximum resident set size
@@ -33,6 +37,7 @@ from parity import BLAS_PIN, load_workloads
 
 SEED = 0
 WORKLOAD = "merge_clean"
+CLI = [sys.executable, "-m", "icmap.cli"]
 
 
 def measure(argv: list, src: Path) -> tuple[float, float]:
@@ -60,6 +65,12 @@ def write_scene(src: Path, path: Path) -> None:
     measure([sys.executable, "-c", code, str(path)], src)
 
 
+def run_argv(scene: Path, out: Path) -> list:
+    return [*CLI, "run", str(scene),
+            "--out-map", str(out.with_suffix(".map.json")),
+            "--trace", str(out.with_suffix(".trace.json"))]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src", type=Path)
@@ -73,13 +84,18 @@ def main(argv=None) -> int:
         if not (src / "icmap" / "__init__.py").is_file():
             raise SystemExit(f"startup: no icmap package under {src}")
     with tempfile.TemporaryDirectory() as tmp:
-        scene = Path(tmp) / "scene.json"
+        tmp = Path(tmp)
+        scene = tmp / "scene.json"
         write_scene(trees["new"], scene)
+        measure(run_argv(scene, tmp / "pred"), trees["new"])
         commands = {
             "import": [sys.executable, "-c", "import icmap.cli"],
-            "run": [sys.executable, "-m", "icmap.cli", "run", str(scene),
-                    "--out-map", str(Path(tmp) / "map.json"),
-                    "--trace", str(Path(tmp) / "trace.json")],
+            "run": run_argv(scene, tmp / "run"),
+            "eval": [*CLI, "eval", "--scene", str(scene), "--pred-map", str(tmp / "pred.map.json"),
+                     "--trace", str(tmp / "pred.trace.json"), "--mot",
+                     "--report", str(tmp / "eval.json")],
+            "sweep-s": [*CLI, "sweep-s", str(scene), "--s-grid", "1:1:1",
+                        "--out", str(tmp / "sweep.tsv")],
         }
         results = {(c, t): [] for c in commands for t in trees}
         for i in range(args.runs):

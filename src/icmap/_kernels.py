@@ -1,5 +1,5 @@
 """Numeric kernels: nearest-neighbour distances, batched Chamfer distances,
-even-odd rasterization and optimal assignment.
+even-odd rasterization, optimal assignment and a banded Cholesky solve.
 
 Every point-to-point distance here is sqrt(dx*dx + dy*dy), with the sum
 under the square root computed as `sq_dist_table` computes it. Two kernels
@@ -26,9 +26,17 @@ for step, so it returns scipy's assignment, ties included. Its matrices, one
 frame's detections against the track buffer or one class's unmatched
 predictions against its ground truth, have a few rows and columns, so the
 loops run in Python.
+
+`solveh_banded` solves the merge fit's normal equations
+(`curvefit._solve_spline`), one symmetric positive definite band of
+bandwidth 3 per polyline merge. It calls LAPACK's `dpbsv`, the routine
+behind `scipy.linalg.solveh_banded`, in the OpenBLAS that numpy's wheels
+bundle and have already loaded, so it returns scipy's bits without loading
+scipy. A numpy built without that OpenBLAS gets scipy's solve instead.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -301,3 +309,73 @@ def linear_sum_assignment(cost, maximize: bool = False) -> tuple[np.ndarray, np.
         order = np.argsort(col4row)
         return col4row[order], order
     return np.arange(nr), col4row
+
+
+# LAPACK's Fortran dpbsv, 64-bit integers, as numpy's wheels bundle it in
+# OpenBLAS: with scipy-openblas's prefix (numpy >= 2), then without (1.x)
+DPBSV_SYMBOLS = ("scipy_dpbsv_64_", "dpbsv_64_")
+_I64 = ctypes.POINTER(ctypes.c_int64)
+
+
+def _find_dpbsv():
+    """`dpbsv` in the BLAS that numpy's core extension links, or None.
+
+    The dynamic linker resolves the name through the extension's own
+    dependencies, so this is the OpenBLAS numpy has already loaded, never
+    another copy. A numpy without one (a source or distro build) gives None.
+    """
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for name in DPBSV_SYMBOLS:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            # uplo, n, kd, nrhs, ab, ldab, b, ldb, info, then the hidden
+            # length of uplo that gfortran passes by value
+            fn.argtypes = [ctypes.c_char_p, _I64, _I64, _I64, ctypes.c_void_p, _I64,
+                           ctypes.c_void_p, _I64, _I64, ctypes.c_size_t]
+            fn.restype = None
+            return fn
+    return None
+
+
+_DPBSV = _find_dpbsv()
+
+
+def solveh_banded(ab, b) -> np.ndarray:
+    """Solve a x = b for symmetric positive definite banded `a`, given in
+    scipy's upper form: ab[kd + i - j, j] == a[i, j] for i <= j.
+
+    `b` is (n,) or (n, nrhs) and the result has its shape. This is LAPACK's
+    banded Cholesky `dpbsv`, which `scipy.linalg.solveh_banded(ab, b,
+    check_finite=False)` calls for kd >= 2 (it solves kd = 1 with `dptsv`),
+    so it returns scipy's bits; where numpy bundles no OpenBLAS it calls
+    scipy. Like scipy it raises np.linalg.LinAlgError when a leading minor is
+    not positive definite, and checks no entry for NaN or inf.
+    """
+    if _DPBSV is None:
+        from scipy.linalg import solveh_banded as scipy_solveh_banded
+        return scipy_solveh_banded(ab, b, check_finite=False)
+    a = np.array(ab, dtype=np.float64, order="F")  # copies: dpbsv overwrites
+    x = np.array(b, dtype=np.float64, order="F")
+    if a.ndim != 2 or x.ndim not in (1, 2) or a.shape[1] != x.shape[0]:
+        raise ValueError("shapes of ab and b are not compatible.")
+    if x.size == 0:
+        return x
+    kd, n = a.shape[0] - 1, a.shape[1]
+    nrhs = 1 if x.ndim == 1 else x.shape[1]
+    info = ctypes.c_int64(0)
+    _DPBSV(b"U", ctypes.byref(ctypes.c_int64(n)), ctypes.byref(ctypes.c_int64(kd)),
+           ctypes.byref(ctypes.c_int64(nrhs)), a.ctypes.data,
+           ctypes.byref(ctypes.c_int64(kd + 1)), x.ctypes.data,
+           ctypes.byref(ctypes.c_int64(n)), ctypes.byref(info), 1)
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"{info.value}th leading minor not positive definite")
+    if info.value < 0:
+        raise ValueError(f"illegal value in {-info.value}th argument of internal pbsv")
+    return x

@@ -17,11 +17,12 @@ recurrence (de Boor, J. Approx. Theory 1972) with scipy's operations in
 scipy's order, so fits and curves have the bits `scipy.interpolate.BSpline`
 gave them; it serves both the normal equations and the evaluation of the
 fitted curve. The equations are assembled in banded form and solved by
-banded Cholesky (`scipy.linalg.solveh_banded`): a fixed number of numpy
-calls and O(n) arithmetic per fit. The greedy chain before it reads one
-distance table (`_kernels.sq_dist_table`, then its square root): it ranks
-each point's three nearest up front, and takes an argmin over a row only
-when all three are already chained.
+banded Cholesky (`_kernels.solveh_banded`, LAPACK's `dpbsv`, so the bits of
+`scipy.linalg.solveh_banded`): a fixed number of numpy calls and O(n)
+arithmetic per fit. The greedy chain before it reads one distance table
+(`_kernels.sq_dist_table`, then its square root): it ranks each point's
+three nearest up front, and takes an argmin over a row only when all three
+are already chained.
 """
 from __future__ import annotations
 
@@ -29,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
-from ._kernels import sq_dist_table
+from ._kernels import solveh_banded, sq_dist_table
 from .errors import InsufficientPoints
 from .geometry import as_points, chamfer_distance, dedupe_points, densify, resample_even
 
@@ -246,7 +246,7 @@ def _solve_spline(points, params: SmoothingFitParams):
     coef = np.empty((n_ctrl, 2))
     coef[0] = pts[0]
     coef[-1] = pts[-1]
-    coef[1:-1] = solveh_banded(ab, rhs, check_finite=False)
+    coef[1:-1] = solveh_banded(ab, rhs)
     return Spline(t, coef), u, pts
 
 

@@ -1,8 +1,10 @@
 """The kernels against the brute-force and scalar-loop oracles in
 tests/scalar_reference.py, and the Chamfer properties that follow from them;
-the nearest-neighbour search against the scipy k-d tree it replaced and the
-assignment solver against the scipy solver it was ported from.
+the nearest-neighbour search against the scipy k-d tree it replaced, the
+assignment solver against the scipy solver it was ported from and the banded
+solve against the scipy solve it replaced.
 """
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -11,13 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
+from scipy.linalg import solveh_banded as scipy_solveh_banded
 from scipy.optimize import linear_sum_assignment as scipy_lsap
 from scipy.spatial import cKDTree
 
-from icmap import _kernels
+from icmap import _kernels, curvefit
 from icmap._kernels import (PAIR_CHUNK, _cell_side, inside_mask, linear_sum_assignment,
-                            nearest_sq_dist, nn_mean_dist, sq_dist_table)
+                            nearest_sq_dist, nn_mean_dist, solveh_banded, sq_dist_table)
 from icmap.geometry import EGO_TO_WORLD, Pose2, chamfer_distance, transform_points
+from icmap.pipeline import PipelineParams, run_scene
+from icmap.synth import make_scene
+
+from test_golden import SCENES
 
 # derandomized, so that a run of the suite is reproducible
 properties = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -174,3 +181,93 @@ def test_assignment_rejects_like_scipy(cost, maximize, message):
     for solver in (linear_sum_assignment, scipy_lsap):
         with pytest.raises(ValueError, match=message):
             solver(np.array(cost), maximize=maximize)
+
+
+def spd_band(rng, n, kd, scale):
+    """Upper band (scipy's `ab`) of scale * L Lᵀ, L lower triangular with
+    bandwidth kd and a dominant diagonal, so positive definite."""
+    full = np.zeros((n, n))
+    for d in range(min(kd, n - 1) + 1):
+        full += np.diag(rng.uniform(-1.0, 1.0, n - d) + (2.0 if d == 0 else 0.0), -d)
+    full = scale * (full @ full.T)
+    ab = np.zeros((kd + 1, n))
+    for d in range(min(kd, n - 1) + 1):
+        ab[kd - d, d:] = np.diag(full, d)
+    return ab
+
+
+@st.composite
+def banded_system(draw):
+    """(ab, b): a kd = 3 SPD band of 2 to 120 columns, as the merge fit
+    builds them, at a scale between 1e-6 and 1e6, and a vector or one or two
+    right-hand columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 120))
+    ab = spd_band(rng, n, 3, 10.0 ** draw(st.floats(-6.0, 6.0)))
+    cols = draw(st.sampled_from([None, 1, 2]))
+    return ab, rng.normal(0.0, 10.0, n if cols is None else (n, cols))
+
+
+@pytest.fixture
+def scipy_fallback(monkeypatch):
+    # a numpy without OpenBLAS: the lookup finds no symbol
+    monkeypatch.setattr(_kernels, "DPBSV_SYMBOLS", ("no_such_dpbsv_",))
+    monkeypatch.setattr(_kernels, "_DPBSV", _kernels._find_dpbsv())
+    assert _kernels._DPBSV is None
+
+
+@properties
+@given(banded_system())
+def test_banded_solve_matches_scipy(case):
+    ab, b = case
+    got = solveh_banded(ab, b)
+    assert got.shape == b.shape
+    assert np.array_equal(got, scipy_solveh_banded(ab, b, check_finite=False))
+
+
+@lru_cache(maxsize=None)
+def merge_systems(workload):
+    """Every (ab, b) that the merge fit solves in one run of `workload`'s
+    golden scene."""
+    systems = []
+
+    def record(ab, b):
+        systems.append((ab.copy(), b.copy()))
+        return solveh_banded(ab, b)
+
+    with mock.patch.object(curvefit, "solveh_banded", record):
+        run_scene(make_scene(SCENES[workload]), PipelineParams())
+    return systems
+
+
+@pytest.mark.parametrize("workload", ["merge_clean", "merge_noisy"])
+def test_banded_solve_matches_scipy_on_merge_systems(workload):
+    systems = merge_systems(workload)
+    assert len(systems) > 50
+    for ab, b in systems:
+        assert np.array_equal(solveh_banded(ab, b), scipy_solveh_banded(ab, b, check_finite=False))
+
+
+def test_banded_solve_falls_back_to_scipy(scipy_fallback):
+    rng = np.random.default_rng(5)
+    bands = [(spd_band(rng, n, 3, 1.0), rng.normal(0.0, 1.0, (n, 2))) for n in (2, 3, 40, 120)]
+    for ab, b in merge_systems("merge_clean")[:20] + bands:
+        assert np.array_equal(solveh_banded(ab, b), scipy_solveh_banded(ab, b, check_finite=False))
+
+
+@pytest.mark.parametrize("path", ["lapack", "scipy"])
+def test_banded_solve_rejects_like_scipy(path, request):
+    if path == "scipy":
+        request.getfixturevalue("scipy_fallback")
+    ab = spd_band(np.random.default_rng(0), 6, 3, 1.0)
+    ab[3, 2] = -1.0  # the third leading minor is negative
+    b = np.ones((6, 2))
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        scipy_solveh_banded(ab, b, check_finite=False)
+    assert str(want.value) == "3th leading minor not positive definite"
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        solveh_banded(ab, b)
+    assert str(got.value) == str(want.value)
+    for bad in (np.ones(5), np.ones((5, 2))):
+        with pytest.raises(ValueError, match="shapes of ab and b are not compatible"):
+            solveh_banded(ab, bad)
