@@ -106,12 +106,28 @@ def dedupe_points(points, eps: float = EPS) -> np.ndarray:
     than `eps`.
     """
     pts = as_points(points)
-    if len(pts) < 2:
-        return pts
+    return pts[_dedupe_mask(pts, eps, [])]
+
+
+def _dedupe_mask(pts: np.ndarray, eps: float, starts) -> np.ndarray:
+    """The points that `dedupe_points` keeps of each line of `pts`, where
+    a line begins at index 0 and at each of `starts`: each line's first
+    point, and every point more than `eps` from its input predecessor."""
     step = np.diff(pts, axis=0)
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.hypot(step[:, 0], step[:, 1]) > eps
-    return pts[keep]
+    keep[starts] = True
+    return keep
+
+
+def _dedupe_lines(lines) -> tuple[np.ndarray, np.ndarray]:
+    """`dedupe_points` of each of `lines`, concatenated, and the index of
+    the line that each kept point belongs to."""
+    lines = [as_points(line) for line in lines]
+    sizes = np.array([len(line) for line in lines], dtype=np.intp)
+    pts = np.concatenate(lines) if lines else np.empty((0, 2))
+    keep = _dedupe_mask(pts, EPS, np.cumsum(sizes)[:-1][sizes[1:] > 0])
+    return pts[keep], np.repeat(np.arange(len(lines)), sizes)[keep]
 
 
 def polyline_length(points) -> float:
@@ -165,19 +181,10 @@ def resample_even_many(lines, n: int) -> np.ndarray:
     """
     if n < 2:
         raise InvalidSampleCount(f"need at least 2 sample points, got {n}")
-    lines = [as_points(line) for line in lines]
-    if not lines:
-        return np.empty((0, n, 2))
-    pts = np.concatenate(lines)
-    sizes = np.array([len(line) for line in lines])
-    line_of = np.repeat(np.arange(len(lines)), sizes)
-    # `dedupe_points`, restarting at each line's first point
-    step = np.diff(pts, axis=0)
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.hypot(step[:, 0], step[:, 1]) > EPS
-    keep[np.cumsum(sizes)[:-1][sizes[1:] > 0]] = True
-    pts, line_of = pts[keep], line_of[keep]
+    pts, line_of = _dedupe_lines(lines)
     sizes = np.bincount(line_of, minlength=len(lines))
+    if not len(sizes):
+        return np.empty((0, n, 2))
     if sizes.min() < 2:
         raise EmptyPointSet("resample_even requires a polyline with positive length")
     # arc length at each point: row l holds line l's, then zeros
@@ -268,35 +275,25 @@ def _clip_segments_box(p, q, lim):
     return keep, t0, t1, a, b
 
 
-def clip_polyline_to_rect(points, rect: Rect, min_length: float = 0.0) -> list[np.ndarray]:
-    """Clip a polyline to an oriented rectangle.
-
-    Returns the maximal connected pieces inside the rectangle, in input
-    order, with crossing points inserted on the boundary. Pieces shorter
-    than `min_length` are dropped.
-    """
-    pts = transform_points(rect.center, dedupe_points(points), WORLD_TO_EGO)
-    if len(pts) < 2:
-        return []
-    lim = np.array([rect.half_length, rect.half_width])
-    return _join_pieces(*_clip_segments_box(pts[:-1], pts[1:], lim), rect, min_length)
-
-
-def clip_polyline_pieces(points, rects, min_length: float):
-    """`clip_polyline_to_rect` of one polyline against each of `rects`, with
-    the same bits, as one world-frame array.
+def clip_polyline_to_rect(lines, rects, min_length: float = 0.0):
+    """Clip each of `lines` to each of `rects`, as one world-frame array.
 
     Returns (pts, bounds, owner): piece k is pts[bounds[k]:bounds[k + 1]],
-    clipped by rects[owner[k]]; pieces run in rectangle order, then in
-    input order. Each step of `clip_polyline_to_rect` runs once over all
-    rectangles x segments with the same arithmetic per element: the
-    transforms into the rectangles' frames, the segment clip, the joining
-    of segments into pieces, the 1e-12 dedupe against each point's
-    predecessor in its piece, and the transform back to the world. Only
-    the `min_length` test sums each piece on its own, so that its length
-    has `polyline_length`'s bits.
+    a maximal connected piece of line `owner[k] % len(lines)` inside
+    rectangle `owner[k] // len(lines)`, with crossing points inserted on
+    the boundary. Pieces run in rectangle order, then line order, then
+    input order; pieces not longer than `min_length` are dropped.
+
+    The lines are concatenated and deduped at `EPS` (`dedupe_points`,
+    starting over at each line's first point), transformed into every
+    rectangle's frame at once, and clipped as one (rectangle, segment)
+    table in which a segment from one line into the next is never kept.
+    The joining of segments into pieces, the 1e-12 dedupe against each
+    point's predecessor in its piece and the transform back to the world
+    run once over the whole table. Only the `min_length` test sums each
+    piece on its own, so that its length has `polyline_length`'s bits.
     """
-    src = dedupe_points(points)
+    src, line_of = _dedupe_lines(lines)
     if len(src) < 2 or not rects:
         return np.empty((0, 2)), np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp)
     # one row per rectangle: its pose, then its half extents
@@ -304,6 +301,7 @@ def clip_polyline_pieces(points, rects, min_length: float):
                       r.center.y, r.half_length, r.half_width] for r in rects])[:, None, :]
     local = _rigid(rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3], src, WORLD_TO_EGO)
     keep, t0, t1, a, b = _clip_segments_box(local[:, :-1], local[:, 1:], rows[..., 4:])
+    keep &= line_of[:-1] == line_of[1:]
     # a kept segment continues the current piece when the previous segment
     # was kept and left through its end, and this one enters at its start;
     # a rectangle's first kept segment always starts a piece
@@ -320,34 +318,43 @@ def clip_polyline_pieces(points, rects, min_length: float):
     piece[at_a] = a.reshape(-1, 2)[kept[starts]]
     first = np.zeros(len(piece), dtype=bool)
     first[at_a] = True
-    step = np.diff(piece, axis=0)
-    keep_pt = first.copy()
-    keep_pt[1:] |= np.hypot(step[:, 0], step[:, 1]) > 1e-12
+    keep_pt = _dedupe_mask(piece, 1e-12, at_a)
     piece, first = piece[keep_pt], first[keep_pt]
     bounds = np.append(np.flatnonzero(first), len(piece))
-    owner = kept[starts] // keep.shape[1]
     sizes = np.diff(bounds)
     seg = np.linalg.norm(np.diff(piece, axis=0), axis=1)
     good = np.array([n >= 2 and float(seg[lo:lo + n - 1].sum()) > min_length
                      for lo, n in zip(bounds[:-1].tolist(), sizes.tolist())], dtype=bool)
     piece = piece[np.repeat(good, sizes)]
-    sizes, owner = sizes[good], owner[good]
+    first_seg = kept[starts][good]
+    rect_of, sizes = first_seg // keep.shape[1], sizes[good]
+    owner = rect_of * len(lines) + line_of[first_seg % keep.shape[1]]
     # back to the world, each point by its own rectangle's pose
-    world = _rigid(*(np.repeat(rows[owner, 0, k], sizes) for k in range(4)), piece, EGO_TO_WORLD)
+    world = _rigid(*(np.repeat(rows[rect_of, 0, k], sizes) for k in range(4)), piece,
+                   EGO_TO_WORLD)
     return world, np.append(0, np.cumsum(sizes)), owner
 
 
-def _join_pieces(keep, t0, t1, a, b, rect: Rect, min_length: float) -> list[np.ndarray]:
-    """The world-frame pieces of one rectangle's `_clip_segments_box` output."""
-    # a kept segment continues the current piece when the previous segment
-    # was kept and left through its end, and this one enters at its start
-    joined = np.concatenate([[False], keep[:-1] & (t1[:-1] == 1.0)]) & (t0 == 0.0)
-    kept = np.flatnonzero(keep)
-    starts = np.flatnonzero(~joined[kept])
-    pieces: list[np.ndarray] = []
-    for lo, hi in zip(starts, [*starts[1:], len(kept)]):
-        seg = kept[lo:hi]
-        piece = dedupe_points(np.vstack([a[seg[:1]], b[seg]]), 1e-12)
-        if len(piece) >= 2 and polyline_length(piece) > min_length:
-            pieces.append(transform_points(rect.center, piece, EGO_TO_WORLD))
-    return pieces
+def longest_pieces(lines, rects, min_length: float, n: int):
+    """The longest piece of each (rectangle, line) pair that
+    `clip_polyline_to_rect(lines, rects, min_length)` clips, resampled to
+    `n` points.
+
+    Returns (owners, samples): the pairs that have a piece, as a list of
+    ascending `owner` values of the clip, and the (len(owners), n, 2) array of
+    `resample_even(piece, n)` of each one's piece, with the same bits
+    (`resample_even_many`). Lengths are summed as `polyline_length` sums
+    them, from one array of segment lengths, and the first longest piece
+    wins, as `max` picks it. A piece with no step above `EPS` cannot be
+    resampled and is passed over.
+    """
+    pts, bounds, owner = clip_polyline_to_rect(lines, rects, min_length)
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    big = np.append(0, np.cumsum(seg > EPS))  # steps above EPS before each point
+    usable = (big[bounds[1:] - 1] > big[bounds[:-1]]).tolist()
+    best: dict[int, tuple[float, int, int]] = {}
+    for lo, hi, o, ok in zip(bounds[:-1].tolist(), bounds[1:].tolist(), owner.tolist(), usable):
+        length = float(seg[lo:hi - 1].sum())
+        if ok and (o not in best or length > best[o][0]):
+            best[o] = (length, lo, hi)
+    return list(best), resample_even_many([pts[lo:hi] for _, lo, hi in best.values()], n)

@@ -18,7 +18,7 @@ from ._kernels import sq_dist_table
 from .curvefit import SmoothingFitParams, merge_polylines
 from .errors import ClassConflict, MapFormatError
 from .fileio import MAP_KEYS, as_str, from_records, gc_paused, read_doc, to_record, write_doc
-from .geometry import Rect, as_points, clip_polyline_to_rect, polyline_length, resample_even
+from .geometry import Rect, as_points, longest_pieces
 from .instance import GlobalMap, MapInstance
 
 log = logging.getLogger(__name__)
@@ -29,23 +29,18 @@ MAP_FORMAT_VERSION = "1"
 def sample_history(gmap: GlobalMap, patch: Rect, expand: float, ids, n_sample: int) -> dict[int, np.ndarray]:
     """Evenly spaced points from each requested instance near the patch.
 
-    The patch is expanded by `expand` on every side, each polyline instance
-    is clipped to it, and the longest clipped piece is resampled to exactly
-    `n_sample` points. IDs absent from the map, non-polyline instances, and
-    empty intersections produce no entry.
+    The patch is expanded by `expand` on every side, every requested
+    polyline instance is clipped to it in one call (`longest_pieces`), and
+    each one's longest clipped piece is resampled to exactly `n_sample`
+    points. Keys come in `ids` order. IDs absent from the map,
+    non-polyline instances, empty intersections and pieces too short to
+    resample produce no entry.
     """
-    expanded = patch.expand(expand)
-    out: dict[int, np.ndarray] = {}
-    for inst_id in ids:
-        inst = gmap.instances.get(inst_id)
-        if inst is None or not inst.is_polyline:
-            continue
-        pieces = clip_polyline_to_rect(inst.points, expanded)
-        if not pieces:
-            continue
-        longest = max(pieces, key=polyline_length)
-        out[inst_id] = resample_even(longest, n_sample)
-    return out
+    lines = [(i, gmap.instances[i].points) for i in ids
+             if i in gmap.instances and gmap.instances[i].is_polyline]
+    owners, samples = longest_pieces([pts for _, pts in lines], [patch.expand(expand)],
+                                     0.0, n_sample)
+    return {lines[o][0]: pts for o, pts in zip(owners, samples)}
 
 
 def fuse_with_history(det: MapInstance, hist: np.ndarray | None, radius: float,

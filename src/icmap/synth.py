@@ -31,10 +31,9 @@ from .geometry import (
     Pose2,
     Rect,
     WORLD_TO_EGO,
-    clip_polyline_pieces,
     densify,
+    longest_pieces,
     resample_even,
-    resample_even_many,
     transform_points,
     transform_stacked,
 )
@@ -216,10 +215,10 @@ def clip_gt_frame(gt: GlobalMap, pose: Pose2, range_lw) -> list[MapInstance]:
 
 def clip_gt_frames(gt: GlobalMap, poses, range_lw) -> list[list[MapInstance]]:
     """`clip_gt_frame` for each of `poses`, with the same bits. Each
-    polyline is clipped against every frame's range at once
-    (`clip_polyline_pieces`), its longest piece in each frame is picked
-    from one array of segment lengths, and those pieces are resampled
-    (`resample_even_many`) and moved into their frames together."""
+    polyline is clipped against every frame's range in one call
+    (`longest_pieces`, which also picks each frame's longest piece and
+    resamples the picks together), and the picks are moved into their
+    frames at once."""
     rects = [Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0) for pose in poses]
     frames: list[list[MapInstance]] = [[] for _ in poses]
     for inst_id in sorted(gt.instances):
@@ -231,17 +230,8 @@ def clip_gt_frames(gt: GlobalMap, poses, range_lw) -> list[list[MapInstance]]:
                     local = transform_points(pose, pieces[0], WORLD_TO_EGO)
                     frames[f].append(MapInstance(inst.cls, local, id=inst.id))
             continue
-        pts, bounds, owner = clip_polyline_pieces(inst.points, rects, min_length=0.5)
-        # the first longest piece of each frame, each length summed as
-        # `polyline_length` sums it
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        longest: dict[int, tuple[float, int, int]] = {}
-        for lo, hi, f in zip(bounds[:-1].tolist(), bounds[1:].tolist(), owner.tolist()):
-            length = float(seg[lo:hi - 1].sum())
-            if f not in longest or length > longest[f][0]:
-                longest[f] = (length, lo, hi)
-        shown = list(longest)  # frames in order, since pieces run in frame order
-        lines = resample_even_many([pts[lo:hi] for _, lo, hi in longest.values()], N_POINTS)
+        # one line, so each owner is a frame index
+        shown, lines = longest_pieces([inst.points], rects, 0.5, N_POINTS)
         local = transform_stacked([poses[f] for f in shown], lines, WORLD_TO_EGO)
         for f, line in zip(shown, local):
             frames[f].append(MapInstance(inst.cls, line, id=inst.id))

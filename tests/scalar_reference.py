@@ -6,9 +6,10 @@ and `icmap._kernels` used before their loops became array code, and the
 versions of `instance_ap`, `clear_mot_counts`, `geometric_affinity`
 and `scene_observations` that called
 `chamfer_distance` once per same-class pair, and the merge fit's greedy
-chain loop and dense normal-equation solve. `clip_polyline_to_rect_array`
-and `clip_gt_frame` are the one-rectangle array clip and the per-frame
-ground-truth clip that the clip over all frames at once replaced;
+chain loop and dense normal-equation solve. `clip_polyline_to_rect_array`,
+`clip_gt_frame` and `sample_history` are the one-rectangle array clip, the
+per-frame ground-truth clip and the per-instance history sampling that one
+clip of many polylines against many rectangles replaced;
 `clip_polygon_to_rect` is the Sutherland-Hodgman loop on numpy scalars
 and 2-vectors that the loop on Python floats replaced, and the oracle's
 `clip_gt_frame` clips crossings with it.
@@ -486,6 +487,24 @@ def geometric_affinity(dets, tracks, tau: float, densify_spacing: float = 1.0) -
     for i, j in pairs:
         h[i, j] = np.exp(-chamfer_distance(dense_d[i], dense_t[j]) / tau)
     return h
+
+
+# ---------------------------------------------------------------------------
+# mapstore: history sampled one instance at a time
+
+def sample_history(gmap, patch, expand: float, ids, n_sample: int) -> dict:
+    expanded = patch.expand(expand)
+    out = {}
+    for inst_id in ids:
+        inst = gmap.instances.get(inst_id)
+        if inst is None or not inst.is_polyline:
+            continue
+        pieces = clip_polyline_to_rect_array(inst.points, expanded)
+        if not pieces:
+            continue
+        longest = max(pieces, key=polyline_length)
+        out[inst_id] = resample_even(longest, n_sample)
+    return out
 
 
 # ---------------------------------------------------------------------------

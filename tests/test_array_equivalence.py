@@ -17,11 +17,21 @@ the order of the two rings. On the grid rings the same properties (with
 the area only bounded below, since the outer boundary fills holes) find
 cases the walk cannot handle, so that test is an expected failure.
 
-The ground truth of all frames at once is compared with the per-frame
-clip on every curvature, and on tight curves where a lane leaves the range
-and re-enters it, so that frames hold several pieces; resampling many lines
-at once with `resample_even` one line at a time, on lines with repeated
-points and runs of sub-eps steps; and the polygon clip on Python floats
+The clip of many polylines against many rectangles in one call is
+compared, (rectangle, line) pair by pair, with the scalar loop clip and
+the one-rectangle array clip, on several lines per call: empty and
+one-point lines, a line starting exactly on the previous line's last
+point, and lines far outside every box; its pieces must come in rectangle,
+then line order. History sampling, one call for every requested instance,
+is compared bit for bit with the per-instance loop it replaced (the
+one-rectangle clip, the first longest piece, `resample_even`) on maps with
+crossings, absent IDs, instances outside the patch and clips in several
+pieces, with its keys in the requested order. The ground truth of all
+frames at once is compared with the per-frame clip on every curvature,
+and on tight curves where a lane leaves the range and re-enters it, so
+that frames hold several pieces; resampling many lines at once with
+`resample_even` one line at a time, on lines with repeated points and
+runs of sub-eps steps; and the polygon clip on Python floats
 with the loop on numpy scalars it replaced, on rotated ranges. Eval's
 world-frame ground truth, one transform per frame, is compared bit for bit
 with one transform per instance.
@@ -46,11 +56,11 @@ import scalar_reference as ref
 from icmap.curvefit import (DEGREE, MAX_CTRL_POINTS, SmoothingFitParams, Spline, _clamped_knots,
                             _cubic_basis, _solve_spline, reorder_concat)
 from icmap.errors import EmptyPointSet, NonSimplePolygon
-from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyline_pieces,
-                            clip_polyline_to_rect, resample_even, resample_even_many,
-                            transform_points, transform_stacked)
-from icmap.instance import DIVIDER, MapInstance
-from icmap.mapstore import GlobalMap, fuse_with_history
+from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyline_to_rect,
+                            resample_even, resample_even_many, transform_points,
+                            transform_stacked)
+from icmap.instance import DIVIDER, PED_CROSSING, MapInstance
+from icmap.mapstore import GlobalMap, fuse_with_history, sample_history
 from icmap.pipeline import scene_gt_frames
 from icmap.polygon import (DISJOINT, classify_point, classify_points, clip_polygon_to_rect,
                            is_simple, polygon_area, polygon_union, rasterize_area)
@@ -110,7 +120,7 @@ class TestClipPolyline:
     @equivalence
     @given(polyline, clip_box, st.sampled_from([0.0, 0.5]))
     def test_matches_loop_clip(self, pts, rect, min_length):
-        got = clip_polyline_to_rect(pts, rect, min_length)
+        got = pieces_by_pair([pts], [rect], min_length)[0][0]
         want = ref.clip_polyline_to_rect(pts, rect, min_length)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -129,7 +139,7 @@ class TestClipPolyline:
     ])
     def test_degenerate_segments(self, pts):
         rect = Rect(Pose2(0.0, 0.0, 0.0), 4.0, 4.0)
-        got = clip_polyline_to_rect(pts, rect)
+        got = pieces_by_pair([pts], [rect], 0.0)[0][0]
         want = ref.clip_polyline_to_rect(pts, rect)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -170,27 +180,46 @@ many_box_polyline = st.one_of(with_duplicates(polyline), with_duplicates(arc_pol
                               with_duplicates(zigzag))
 
 
-def pieces_by_rect(points, rects, min_length):
-    """The pieces `clip_polyline_pieces` returns, listed per rectangle."""
-    pts, bounds, owner = clip_polyline_pieces(points, rects, min_length)
-    assert (np.diff(owner) >= 0).all()  # in rectangle order
-    out = [[] for _ in rects]
-    for lo, hi, r in zip(bounds[:-1].tolist(), bounds[1:].tolist(), owner.tolist()):
-        out[r].append(pts[lo:hi])
+# several lines per call: drawn ones, 0- and 1-point lines, a line that
+# starts exactly on the previous line's last point, and lines moved 1 km
+# away from every box
+@st.composite
+def many_lines(draw):
+    lines = []
+    for line in draw(st.lists(st.one_of(many_box_polyline, st.sampled_from(
+            [np.empty((0, 2)), np.array([[0.5, -0.25]])])), min_size=1, max_size=5)):
+        how = draw(st.sampled_from(["drawn", "joined", "outside"]))
+        if how == "joined" and lines and len(lines[-1]):
+            line = np.vstack([lines[-1][-1:], line])
+        elif how == "outside":
+            line = line + 1000.0
+        lines.append(line)
+    return lines
+
+
+def pieces_by_pair(lines, rects, min_length):
+    """The pieces `clip_polyline_to_rect` returns, listed per (rectangle,
+    line) pair."""
+    pts, bounds, owner = clip_polyline_to_rect(lines, rects, min_length)
+    assert (np.diff(owner) >= 0).all()  # in rectangle order, then line order
+    out = [[[] for _ in lines] for _ in rects]
+    for lo, hi, o in zip(bounds[:-1].tolist(), bounds[1:].tolist(), owner.tolist()):
+        out[o // len(lines)][o % len(lines)].append(pts[lo:hi])
     return out
 
 
 class TestClipManyRects:
     @equivalence
-    @given(many_box_polyline, road_boxes(), st.sampled_from([0.0, 0.5]))
-    def test_matches_one_rect_clip(self, pts, rects, min_length):
-        got = pieces_by_rect(pts, rects, min_length)
-        for pieces, rect in zip(got, rects):
-            want = ref.clip_polyline_to_rect_array(pts, rect, min_length)
-            for clipped in (pieces, clip_polyline_to_rect(pts, rect, min_length)):
-                assert len(clipped) == len(want)
-                for g, w in zip(clipped, want):
-                    assert g.shape == w.shape and np.array_equal(g, w)
+    @given(many_lines(), road_boxes(), st.sampled_from([0.0, 0.5]))
+    def test_matches_one_rect_clip(self, lines, rects, min_length):
+        got = pieces_by_pair(lines, rects, min_length)
+        for by_line, rect in zip(got, rects):
+            for pieces, pts in zip(by_line, lines):
+                for want in (ref.clip_polyline_to_rect(pts, rect, min_length),
+                             ref.clip_polyline_to_rect_array(pts, rect, min_length)):
+                    assert len(pieces) == len(want)
+                    for g, w in zip(pieces, want):
+                        assert g.shape == w.shape and np.array_equal(g, w)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(CURVATURES), st.integers(1, 3), st.integers(0, 3),
@@ -224,7 +253,7 @@ class TestClipManyRects:
         gt, poses = generate_scene(config)
         rects = [Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0) for pose in poses]
         assert any(len(pieces) > 1 for inst in gt.instances.values() if inst.is_polyline
-                   for pieces in pieces_by_rect(inst.points, rects, 0.5))
+                   for [pieces] in pieces_by_pair([inst.points], rects, 0.5))
         got = clip_gt_frames(gt, poses, range_lw)
         for frame, pose in zip(got, poses):
             want = ref.clip_gt_frame(gt, pose, range_lw)
@@ -563,6 +592,55 @@ class TestFuseWithHistory:
         got = fuse_with_history(det, hist, radius, weight)
         want = ref.fuse_with_history(det, hist, radius, weight)
         assert np.array_equal(got.points, want.points)
+
+
+# a map of polylines that cross the patch (often in several pieces), lie
+# 1 km outside it, or are crossings; the requested IDs come in drawn order,
+# and the three highest are absent from the map
+@st.composite
+def history_map(draw):
+    insts = {}
+    for i in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["crossing", "inside", "outside"]))
+        if kind == "crossing":
+            insts[i] = MapInstance(PED_CROSSING, draw(rectangle()), id=i)
+        else:
+            pts = draw(many_box_polyline) + (1000.0 if kind == "outside" else 0.0)
+            insts[i] = MapInstance(DIVIDER, pts, id=i)
+    ids = draw(st.permutations(range(len(insts) + 3)))
+    return GlobalMap("h", insts), ids
+
+
+class TestSampleHistory:
+    @equivalence
+    @given(history_map(), st.one_of(clip_box, road_boxes().map(lambda rects: rects[0])),
+           st.sampled_from([0.0, 0.5, 2.0]), st.integers(2, 20))
+    def test_matches_per_instance_loop(self, case, patch, expand, n):
+        gmap, ids = case
+        try:
+            want = ref.sample_history(gmap, patch, expand, ids, n)
+        except EmptyPointSet:  # the loop raised on pieces it could not resample
+            assume(False)
+        got = sample_history(gmap, patch, expand, ids, n)
+        assert list(got) == list(want)  # in `ids` order
+        for k in want:
+            assert got[k].shape == want[k].shape and np.array_equal(got[k], want[k])
+
+    def test_several_pieces_and_absent_ids(self):
+        # a U through the patch (two pieces, the longer one sampled), a
+        # crossing, a line 1 km away, and IDs the map does not hold
+        u = np.array([(-5.0, -1.0), (5.0, -1.0), (5.0, 2.0), (-1.0, 2.0)])
+        gmap = GlobalMap("h", {
+            0: MapInstance(DIVIDER, u, id=0),
+            1: MapInstance(PED_CROSSING, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], id=1),
+            2: MapInstance(DIVIDER, u + 1000.0, id=2),
+            3: MapInstance(DIVIDER, u[::-1], id=3)})
+        patch = Rect(Pose2(0.0, 0.0, 0.0), 2.0, 1.5)
+        ids = [7, 3, 2, 1, 0, 9]
+        got = sample_history(gmap, patch, 0.5, ids, 6)
+        want = ref.sample_history(gmap, patch, 0.5, ids, 6)
+        assert list(got) == list(want) == [3, 0]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[3], want[3])
 
 
 class TestCubicBasis:

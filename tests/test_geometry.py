@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from icmap.errors import EmptyPointSet, InvalidSampleCount
 from icmap.geometry import (
     EGO_TO_WORLD,
+    EPS,
     WORLD_TO_EGO,
     Pose2,
     Rect,
     chamfer_distance,
     clip_polyline_to_rect,
     dedupe_points,
+    longest_pieces,
     polyline_length,
     resample_even,
     transform_points,
@@ -192,24 +194,30 @@ def axis_rect(hl=5.0, hw=5.0, pose=Pose2(0, 0, 0)):
     return Rect(pose, hl, hw)
 
 
+def clip_pieces(points, rect, min_length=0.0):
+    """The pieces of one polyline inside one rectangle, as a list."""
+    pts, bounds, _ = clip_polyline_to_rect([points], [rect], min_length)
+    return [pts[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
 class TestClipPolyline:
     def test_fully_inside(self):
         line = np.array([[-2.0, 0.0], [2.0, 1.0]])
-        out = clip_polyline_to_rect(line, axis_rect())
+        out = clip_pieces(line, axis_rect())
         assert len(out) == 1
         assert np.allclose(out[0], line)
 
     def test_symmetric_crossing(self):
-        out = clip_polyline_to_rect([(-10, 0), (10, 0)], axis_rect())
+        out = clip_pieces([(-10, 0), (10, 0)], axis_rect())
         assert len(out) == 1
         assert np.allclose(out[0], [(-5, 0), (5, 0)])
 
     def test_fully_outside(self):
-        assert clip_polyline_to_rect([(-10, 8), (10, 8)], axis_rect()) == []
+        assert clip_pieces([(-10, 8), (10, 8)], axis_rect()) == []
 
     def test_analytic_diagonal(self):
         # diagonal through the box: inside length exactly 10*sqrt(2)
-        out = clip_polyline_to_rect([(-10, -10), (10, 10)], axis_rect())
+        out = clip_pieces([(-10, -10), (10, 10)], axis_rect())
         total = sum(polyline_length(p) for p in out)
         assert total == pytest.approx(10 * math.sqrt(2), abs=1e-9)
 
@@ -217,7 +225,7 @@ class TestClipPolyline:
         line = np.array([[-10.0, -2.0], [-2.0, -2.0], [-2.0, 9.0], [2.0, 9.0],
                          [2.0, -2.0], [10.0, -2.0]])
         rect = axis_rect()
-        pieces = clip_polyline_to_rect(line, rect)
+        pieces = clip_pieces(line, rect)
         assert len(pieces) == 2
         clipped = sum(polyline_length(p) for p in pieces)
         # dense arc-length sampling oracle
@@ -235,7 +243,7 @@ class TestClipPolyline:
         for _ in range(20):
             line = rng.uniform(-12, 12, (8, 2))
             rect = Rect(rand_pose(rng), rng.uniform(2, 8), rng.uniform(2, 8))
-            pieces = clip_polyline_to_rect(line, rect)
+            pieces = clip_pieces(line, rect)
             clipped = sum(polyline_length(p) for p in pieces)
             total = polyline_length(line)
             # dense sampling oracle, samples allocated by segment length
@@ -251,8 +259,8 @@ class TestClipPolyline:
         # corner sliver of length ~0.21 m
         line = np.array([[-5.15, 4.7], [-4.7, 5.15]])
         rect = axis_rect()
-        assert clip_polyline_to_rect(line, rect, min_length=0.5) == []
-        assert len(clip_polyline_to_rect(line, rect)) == 1
+        assert clip_pieces(line, rect, min_length=0.5) == []
+        assert len(clip_pieces(line, rect)) == 1
 
     @properties
     @given(st.one_of(grid_polyline, real_polyline),
@@ -260,11 +268,44 @@ class TestClipPolyline:
            st.sampled_from([1.0, 2.5, 6.0]), st.sampled_from([1.0, 2.5, 6.0]))
     def test_pieces_inside_rect(self, pts, pose, hl, hw):
         rect = Rect(Pose2(*pose), hl, hw)
-        for piece in clip_polyline_to_rect(pts, rect):
+        for piece in clip_pieces(pts, rect):
             assert len(piece) >= 2
             local = transform_points(rect.center, piece, WORLD_TO_EGO)
             assert (np.abs(local[:, 0]) <= hl + 1e-9).all()
             assert (np.abs(local[:, 1]) <= hw + 1e-9).all()
+
+
+class TestLongestPieces:
+    def test_first_longest_piece_per_pair(self):
+        # a U through the box: two 4 m legs, the first one wins the tie
+        u = [(-5.0, -1.0), (5.0, -1.0), (5.0, 1.0), (-5.0, 1.0)]
+        inside = [(-1.0, 0.0), (1.0, 0.0)]
+        far = [(20.0, 0.0), (30.0, 0.0)]
+        rects = [axis_rect(2.0, 2.0), axis_rect(2.0, 2.0, Pose2(25.0, 0.0, 0.0))]
+        owners, samples = longest_pieces([u, inside, far], rects, 0.0, 5)
+        assert owners == [0, 1, 5]  # rect * 3 + line, ascending
+        assert samples.shape == (3, 5, 2)
+        assert np.array_equal(samples[0], resample_even([(-2.0, -1.0), (2.0, -1.0)], 5))
+        assert np.array_equal(samples[1], resample_even(inside, 5))
+        assert np.array_equal(samples[2], resample_even([(23.0, 0.0), (27.0, 0.0)], 5))
+
+    def test_sub_eps_piece_passed_over(self):
+        # the corner cut is 4.2e-10 m long: resampling would dedupe it to one
+        # point, so the pair has no piece; the other line is still sampled
+        e = 2.0 - 3e-10
+        corner = [(0.0, e), (e, 0.0)]
+        pts, bounds, owner = clip_polyline_to_rect([corner], [axis_rect(1.0, 1.0)])
+        assert owner.tolist() == [0] and polyline_length(pts) < EPS
+        owners, samples = longest_pieces([corner, [(-3.0, 0.5), (3.0, 0.5)]],
+                                         [axis_rect(1.0, 1.0)], 0.0, 4)
+        assert owners == [1]
+        assert np.array_equal(samples[0], resample_even([(-1.0, 0.5), (1.0, 0.5)], 4))
+
+    def test_nothing_clipped(self):
+        owners, samples = longest_pieces([[(9.0, 9.0), (10.0, 9.0)], []], [axis_rect()], 0.0, 3)
+        assert owners == [] and samples.shape == (0, 3, 2)
+        owners, samples = longest_pieces([], [axis_rect()], 0.0, 3)
+        assert owners == [] and samples.shape == (0, 3, 2)
 
 
 class TestClipPolygon:

@@ -72,6 +72,16 @@ class TestSampleHistory:
         assert 0 in hist
         assert np.abs(hist[0][:, 1] + 10.0).max() < 1e-6  # the y=-10 leg
 
+    def test_sub_eps_clip_yields_nothing(self):
+        # the line cuts the patch's corner by a 4.2e-10 m piece, which no
+        # resampling can use; the run goes on, and the other line is sampled
+        e = 2.0 - 3e-10
+        gmap = GlobalMap("t", {0: MapInstance("divider", [(0.0, e), (e, 0.0)], id=0),
+                               1: line_inst(y=0.5, x0=-3.0, x1=3.0, n=2, id=1)})
+        hist = sample_history(gmap, Rect(Pose2(0.0, 0.0, 0.0), 1.0, 1.0), 0.0, [0, 1], 5)
+        assert list(hist) == [1]
+        assert np.array_equal(hist[1][:, 1], np.full(5, 0.5))
+
     def test_deterministic(self):
         gmap = one_instance_map(line_inst(x1=200.0, n=201))
         a = sample_history(gmap, self.patch(), 20.0, [0], 20)
