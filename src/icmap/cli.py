@@ -20,10 +20,9 @@ from .instance import CLASSES
 from .metrics import (
     DEFAULT_MOT_GATE,
     EvalReport,
-    LARGE_THRESHOLDS,
     MotCounts,
-    SMALL_THRESHOLDS,
     clear_mot_counts,
+    default_thresholds,
     frame_distances,
     global_map_cd,
     instance_ap,
@@ -275,7 +274,7 @@ def _eval_one(task) -> dict:
     pred_map = load_map(map_path)
     _check_scene_id(map_path, pred_map.scene_id, scene.scene_id)
     if thresholds is None:
-        thresholds = list(LARGE_THRESHOLDS if scene.range_lw[0] >= 80 else SMALL_THRESHOLDS)
+        thresholds = default_thresholds(scene.range_lw)
     out: dict = {"thresholds": thresholds, "cd": global_map_cd(pred_map, scene.gt)[0]}
     if want_mot:
         trace_scene_id, pred_frames = read_trace(trace_path)

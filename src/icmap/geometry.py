@@ -275,23 +275,23 @@ def _clip_segments_box(p, q, lim):
     return keep, t0, t1, a, b
 
 
-def clip_polyline_to_rect(lines, rects, min_length: float = 0.0):
+def clip_polyline_to_rect(lines, rects):
     """Clip each of `lines` to each of `rects`, as one world-frame array.
 
     Returns (pts, bounds, owner): piece k is pts[bounds[k]:bounds[k + 1]],
     a maximal connected piece of line `owner[k] % len(lines)` inside
     rectangle `owner[k] // len(lines)`, with crossing points inserted on
     the boundary. Pieces run in rectangle order, then line order, then
-    input order; pieces not longer than `min_length` are dropped.
+    input order. Every piece that keeps at least 2 points after a 1e-12
+    dedupe against each point's predecessor in its piece is returned; the
+    kernel measures no lengths (`longest_pieces` does).
 
     The lines are concatenated and deduped at `EPS` (`dedupe_points`,
     starting over at each line's first point), transformed into every
     rectangle's frame at once, and clipped as one (rectangle, segment)
     table in which a segment from one line into the next is never kept.
-    The joining of segments into pieces, the 1e-12 dedupe against each
-    point's predecessor in its piece and the transform back to the world
-    run once over the whole table. Only the `min_length` test sums each
-    piece on its own, so that its length has `polyline_length`'s bits.
+    The joining of segments into pieces, the piece dedupe and the
+    transform back to the world run once over the whole table.
     """
     src, line_of = _dedupe_lines(lines)
     if len(src) < 2 or not rects:
@@ -322,9 +322,7 @@ def clip_polyline_to_rect(lines, rects, min_length: float = 0.0):
     piece, first = piece[keep_pt], first[keep_pt]
     bounds = np.append(np.flatnonzero(first), len(piece))
     sizes = np.diff(bounds)
-    seg = np.linalg.norm(np.diff(piece, axis=0), axis=1)
-    good = np.array([n >= 2 and float(seg[lo:lo + n - 1].sum()) > min_length
-                     for lo, n in zip(bounds[:-1].tolist(), sizes.tolist())], dtype=bool)
+    good = sizes >= 2
     piece = piece[np.repeat(good, sizes)]
     first_seg = kept[starts][good]
     rect_of, sizes = first_seg // keep.shape[1], sizes[good]
@@ -337,24 +335,24 @@ def clip_polyline_to_rect(lines, rects, min_length: float = 0.0):
 
 def longest_pieces(lines, rects, min_length: float, n: int):
     """The longest piece of each (rectangle, line) pair that
-    `clip_polyline_to_rect(lines, rects, min_length)` clips, resampled to
-    `n` points.
+    `clip_polyline_to_rect(lines, rects)` clips, resampled to `n` points.
 
     Returns (owners, samples): the pairs that have a piece, as a list of
     ascending `owner` values of the clip, and the (len(owners), n, 2) array of
     `resample_even(piece, n)` of each one's piece, with the same bits
-    (`resample_even_many`). Lengths are summed as `polyline_length` sums
-    them, from one array of segment lengths, and the first longest piece
-    wins, as `max` picks it. A piece with no step above `EPS` cannot be
-    resampled and is passed over.
+    (`resample_even_many`). One world-frame length per piece, summed as
+    `polyline_length` sums it, both admits the piece (longer than
+    `min_length`) and picks the longest: the first longest wins, as `max`
+    picks it. A piece with no step above `EPS` cannot be resampled and is
+    passed over.
     """
-    pts, bounds, owner = clip_polyline_to_rect(lines, rects, min_length)
+    pts, bounds, owner = clip_polyline_to_rect(lines, rects)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     big = np.append(0, np.cumsum(seg > EPS))  # steps above EPS before each point
     usable = (big[bounds[1:] - 1] > big[bounds[:-1]]).tolist()
     best: dict[int, tuple[float, int, int]] = {}
     for lo, hi, o, ok in zip(bounds[:-1].tolist(), bounds[1:].tolist(), owner.tolist(), usable):
         length = float(seg[lo:hi - 1].sum())
-        if ok and (o not in best or length > best[o][0]):
+        if ok and length > min_length and (o not in best or length > best[o][0]):
             best[o] = (length, lo, hi)
     return list(best), resample_even_many([pts[lo:hi] for _, lo, hi in best.values()], n)

@@ -21,6 +21,13 @@ MAP_CD_SPACING = 0.5                 # meters between the pooled points of globa
 DEFAULT_MOT_GATE = 1.5
 
 
+def default_thresholds(range_lw) -> list[float]:
+    """The AP thresholds of a scene with perception range `range_lw`
+    (length, width): LARGE_THRESHOLDS from 80 m of length up,
+    SMALL_THRESHOLDS below."""
+    return list(LARGE_THRESHOLDS if range_lw[0] >= 80 else SMALL_THRESHOLDS)
+
+
 # ---------------------------------------------------------------------------
 # detection AP
 

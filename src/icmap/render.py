@@ -49,8 +49,11 @@ def render_svg(entries: list[tuple[str, GlobalMap]], gt: GlobalMap | None) -> st
     """Render map files side by side, color-coded by class.
 
     `entries` is a list of (label, map); `gt`, unless None, is overlaid
-    dashed in every panel.
+    dashed in every panel. Ground truth with no map is drawn as one
+    unlabelled panel with an empty map.
     """
+    if not entries and gt is not None:
+        entries = [("", GlobalMap(gt.scene_id))]
     maps = [m for _, m in entries] + ([gt] if gt is not None else [])
     x0, y0, x1, y1 = _bounds(maps)
     w_m, h_m = x1 - x0, y1 - y0
@@ -85,14 +88,6 @@ def render_svg(entries: list[tuple[str, GlobalMap]], gt: GlobalMap | None) -> st
         parts.append(f'  <g id="map-{k}">')
         _draw_map(parts, gmap, to_px, dashed=False, opacity=1.0)
         parts.append("  </g>")
-        parts.append("  </g>")
-    if not entries and gt is not None:
-
-        def to_px(p):
-            return ((p[0] - x0) * _PX_PER_M, label_h + (y1 - p[1]) * _PX_PER_M)
-
-        parts.append('  <g id="gt-0">')
-        _draw_map(parts, gt, to_px, dashed=True, opacity=0.45)
         parts.append("  </g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

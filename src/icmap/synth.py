@@ -111,40 +111,31 @@ class SceneConfig:
 
 
 def _centerline(config: SceneConfig):
-    """Dense centerline samples: positions (K, 2), headings (K,), arclen (K,)."""
+    """Dense centerline samples: positions (K, 2), headings (K,), arclen (K,).
+
+    An arc road turns left at `radius`; an s_curve road is that arc with its
+    second half (s > L/2) turning right at the same radius."""
     L = config.road_length
     n = int(round(L / CENTERLINE_STEP)) + 1
     s = np.linspace(0.0, L, n)
     if config.curvature == STRAIGHT:
-        x = s
-        y = np.zeros_like(s)
-        th = np.zeros_like(s)
-    elif config.curvature == ARC:
-        R = config.radius
-        phi = s / R
-        x = R * np.sin(phi)
-        y = R * (1.0 - np.cos(phi))
-        th = phi
-    else:  # s_curve: left arc then right arc of the same radius
-        R = config.radius
+        return np.column_stack([s, np.zeros_like(s)]), np.zeros_like(s), s
+    R = config.radius
+    th = s / R
+    x = R * np.sin(th)
+    y = R * (1.0 - np.cos(th))
+    if config.curvature == S_CURVE:
         half = L / 2.0
-        x = np.empty_like(s)
-        y = np.empty_like(s)
-        th = np.empty_like(s)
-        first = s <= half
-        phi = s[first] / R
-        x[first] = R * np.sin(phi)
-        y[first] = R * (1.0 - np.cos(phi))
-        th[first] = phi
+        second = s > half
         phi1 = half / R
         x1, y1 = R * math.sin(phi1), R * (1.0 - math.cos(phi1))
-        psi = (s[~first] - half) / R
+        psi = (s[second] - half) / R
         lx = R * np.sin(psi)
         ly = -R * (1.0 - np.cos(psi))
         c, sn = math.cos(phi1), math.sin(phi1)
-        x[~first] = x1 + c * lx - sn * ly
-        y[~first] = y1 + sn * lx + c * ly
-        th[~first] = phi1 - psi
+        x[second] = x1 + c * lx - sn * ly
+        y[second] = y1 + sn * lx + c * ly
+        th[second] = phi1 - psi
     return np.column_stack([x, y]), th, s
 
 
@@ -365,9 +356,10 @@ def write_scene(scene: Scene, path) -> None:
 @gc_paused()
 def read_scene(path) -> Scene:
     """Read a scene file; raises SceneFormatError naming the field of the
-    first malformed value. Every detection embedding has the length of the
-    scene's first one, since association compares them across frames, and
-    `missing_embedding` names the first detection without one."""
+    first malformed value. Frame times `t` increase strictly. Every
+    detection embedding has the length of the scene's first one, since
+    association compares them across frames, and `missing_embedding`
+    names the first detection without one."""
     err = SceneFormatError
     doc = read_doc(path, "scene", SCENE_FORMAT_VERSION, err, ("scene_id", "range", "gt", "frames"))
     scene_id = as_str(doc["scene_id"], f"{path}: scene_id", err)
@@ -394,7 +386,11 @@ def read_scene(path) -> Scene:
             elif len(det.embedding) != dim:
                 raise err(f"{where}.detections[{di}].embedding: {len(det.embedding)} values,"
                           f" but the scene's first embedding has {dim}")
-        frames.append(Frame(whole_int(fobj["t"], f"{where}.t", err), pose, gt_local, dets))
+        t = whole_int(fobj["t"], f"{where}.t", err)
+        if frames and t <= frames[-1].t:
+            raise err(f"{where}.t: {t}, but the previous frame's t is {frames[-1].t};"
+                      " frame times must increase")
+        frames.append(Frame(t, pose, gt_local, dets))
     rng = finite_array(doc["range"], f"{path}: range", err)
     if rng.shape != (2,):
         raise err(f"{path}: range: expected [length, width]")

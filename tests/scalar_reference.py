@@ -12,7 +12,9 @@ per-frame ground-truth clip and the per-instance history sampling that one
 clip of many polylines against many rectangles replaced;
 `clip_polygon_to_rect` is the Sutherland-Hodgman loop on numpy scalars
 and 2-vectors that the loop on Python floats replaced, and the oracle's
-`clip_gt_frame` clips crossings with it.
+`clip_gt_frame` clips crossings with it. `centerline` is the road's
+centerline as synth wrote it before an s_curve reused the arc's formula
+for its first half.
 `_stitch` is the walk over (u, v) edge pairs, matching nodes by
 `int(round(x * 1e7))` keys, that the union used before it kept its pieces
 in arrays. `fuse_with_history` squares and sums its own broadcast of point
@@ -43,7 +45,7 @@ from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Rect, as_points, chamfer
 from icmap.instance import MapInstance
 from icmap.metrics import DEFAULT_MOT_GATE, MotCounts, _ap_from_records
 from icmap.polygon import DISJOINT, ensure_ccw, polygon_area
-from icmap.synth import N_POINTS
+from icmap.synth import ARC, CENTERLINE_STEP, N_POINTS, STRAIGHT
 
 log = logging.getLogger(__name__)
 
@@ -237,7 +239,7 @@ def clip_polygon_to_rect(ring, rect) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# synth: the ground truth clipped one frame at a time
+# synth: the ground truth clipped one frame at a time, and the centerline
 
 def clip_gt_frame(gt, pose, range_lw, n_points: int = N_POINTS) -> list[MapInstance]:
     rect = Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0)
@@ -258,6 +260,46 @@ def clip_gt_frame(gt, pose, range_lw, n_points: int = N_POINTS) -> list[MapInsta
         local = transform_points(pose, pts, WORLD_TO_EGO)
         out.append(MapInstance(inst.cls, local, id=inst.id))
     return out
+
+
+def centerline(config):
+    """The road's centerline with the arc written out for each curvature:
+    an s_curve fills its first half (s <= L/2) from its own copy of the
+    arc formula."""
+    L = config.road_length
+    n = int(round(L / CENTERLINE_STEP)) + 1
+    s = np.linspace(0.0, L, n)
+    if config.curvature == STRAIGHT:
+        x = s
+        y = np.zeros_like(s)
+        th = np.zeros_like(s)
+    elif config.curvature == ARC:
+        R = config.radius
+        phi = s / R
+        x = R * np.sin(phi)
+        y = R * (1.0 - np.cos(phi))
+        th = phi
+    else:  # s_curve: left arc then right arc of the same radius
+        R = config.radius
+        half = L / 2.0
+        x = np.empty_like(s)
+        y = np.empty_like(s)
+        th = np.empty_like(s)
+        first = s <= half
+        phi = s[first] / R
+        x[first] = R * np.sin(phi)
+        y[first] = R * (1.0 - np.cos(phi))
+        th[first] = phi
+        phi1 = half / R
+        x1, y1 = R * math.sin(phi1), R * (1.0 - math.cos(phi1))
+        psi = (s[~first] - half) / R
+        lx = R * np.sin(psi)
+        ly = -R * (1.0 - np.cos(psi))
+        c, sn = math.cos(phi1), math.sin(phi1)
+        x[~first] = x1 + c * lx - sn * ly
+        y[~first] = y1 + sn * lx + c * ly
+        th[~first] = phi1 - psi
+    return np.column_stack([x, y]), th, s
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ then line order. History sampling, one call for every requested instance,
 is compared bit for bit with the per-instance loop it replaced (the
 one-rectangle clip, the first longest piece, `resample_even`) on maps with
 crossings, absent IDs, instances outside the patch and clips in several
-pieces, with its keys in the requested order. The ground truth of all
+pieces, with its keys in the requested order. The clip is compared with no
+minimum length, which only `longest_pieces` applies. The ground truth of all
 frames at once is compared with the per-frame clip on every curvature,
 and on tight curves where a lane leaves the range and re-enters it, so
 that frames hold several pieces; resampling many lines at once with
@@ -34,7 +35,9 @@ that frames hold several pieces; resampling many lines at once with
 runs of sub-eps steps; and the polygon clip on Python floats
 with the loop on numpy scalars it replaced, on rotated ranges. Eval's
 world-frame ground truth, one transform per frame, is compared bit for bit
-with one transform per instance.
+with one transform per instance. The road's centerline, which writes the
+arc once, is compared bit for bit with the version that wrote it for each
+curvature, over road lengths, radii and all three curvatures.
 
 The fusion blend, reading the squared distances of `_kernels`, is
 compared with its own broadcast of point differences, with the radius on a
@@ -57,15 +60,15 @@ from icmap.curvefit import (DEGREE, MAX_CTRL_POINTS, SmoothingFitParams, Spline,
                             _cubic_basis, _solve_spline, reorder_concat)
 from icmap.errors import EmptyPointSet, NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyline_to_rect,
-                            resample_even, resample_even_many, transform_points,
-                            transform_stacked)
+                            polyline_length, resample_even, resample_even_many,
+                            transform_points, transform_stacked)
 from icmap.instance import DIVIDER, PED_CROSSING, MapInstance
 from icmap.mapstore import GlobalMap, fuse_with_history, sample_history
 from icmap.pipeline import scene_gt_frames
 from icmap.polygon import (DISJOINT, classify_point, classify_points, clip_polygon_to_rect,
                            is_simple, polygon_area, polygon_union, rasterize_area)
 from icmap.synth import (ARC, CURVATURES, S_CURVE, Frame, NoiseConfig, Scene, SceneConfig,
-                         clip_gt_frames, generate_scene, make_scene)
+                         _centerline, clip_gt_frames, generate_scene, make_scene)
 
 # derandomized, so that a run of the suite is reproducible
 equivalence = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -118,10 +121,10 @@ def assert_same_union(got, want):
 
 class TestClipPolyline:
     @equivalence
-    @given(polyline, clip_box, st.sampled_from([0.0, 0.5]))
-    def test_matches_loop_clip(self, pts, rect, min_length):
-        got = pieces_by_pair([pts], [rect], min_length)[0][0]
-        want = ref.clip_polyline_to_rect(pts, rect, min_length)
+    @given(polyline, clip_box)
+    def test_matches_loop_clip(self, pts, rect):
+        got = pieces_by_pair([pts], [rect])[0][0]
+        want = ref.clip_polyline_to_rect(pts, rect)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g, w)
@@ -139,7 +142,7 @@ class TestClipPolyline:
     ])
     def test_degenerate_segments(self, pts):
         rect = Rect(Pose2(0.0, 0.0, 0.0), 4.0, 4.0)
-        got = pieces_by_pair([pts], [rect], 0.0)[0][0]
+        got = pieces_by_pair([pts], [rect])[0][0]
         want = ref.clip_polyline_to_rect(pts, rect)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -197,10 +200,10 @@ def many_lines(draw):
     return lines
 
 
-def pieces_by_pair(lines, rects, min_length):
+def pieces_by_pair(lines, rects):
     """The pieces `clip_polyline_to_rect` returns, listed per (rectangle,
     line) pair."""
-    pts, bounds, owner = clip_polyline_to_rect(lines, rects, min_length)
+    pts, bounds, owner = clip_polyline_to_rect(lines, rects)
     assert (np.diff(owner) >= 0).all()  # in rectangle order, then line order
     out = [[[] for _ in lines] for _ in rects]
     for lo, hi, o in zip(bounds[:-1].tolist(), bounds[1:].tolist(), owner.tolist()):
@@ -210,13 +213,13 @@ def pieces_by_pair(lines, rects, min_length):
 
 class TestClipManyRects:
     @equivalence
-    @given(many_lines(), road_boxes(), st.sampled_from([0.0, 0.5]))
-    def test_matches_one_rect_clip(self, lines, rects, min_length):
-        got = pieces_by_pair(lines, rects, min_length)
+    @given(many_lines(), road_boxes())
+    def test_matches_one_rect_clip(self, lines, rects):
+        got = pieces_by_pair(lines, rects)
         for by_line, rect in zip(got, rects):
             for pieces, pts in zip(by_line, lines):
-                for want in (ref.clip_polyline_to_rect(pts, rect, min_length),
-                             ref.clip_polyline_to_rect_array(pts, rect, min_length)):
+                for want in (ref.clip_polyline_to_rect(pts, rect),
+                             ref.clip_polyline_to_rect_array(pts, rect)):
                     assert len(pieces) == len(want)
                     for g, w in zip(pieces, want):
                         assert g.shape == w.shape and np.array_equal(g, w)
@@ -252,8 +255,9 @@ class TestClipManyRects:
                              frame_spacing=spacing, range_lw=range_lw)
         gt, poses = generate_scene(config)
         rects = [Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0) for pose in poses]
-        assert any(len(pieces) > 1 for inst in gt.instances.values() if inst.is_polyline
-                   for [pieces] in pieces_by_pair([inst.points], rects, 0.5))
+        assert any(sum(polyline_length(p) > 0.5 for p in pieces) > 1
+                   for inst in gt.instances.values() if inst.is_polyline
+                   for [pieces] in pieces_by_pair([inst.points], rects))
         got = clip_gt_frames(gt, poses, range_lw)
         for frame, pose in zip(got, poses):
             want = ref.clip_gt_frame(gt, pose, range_lw)
@@ -283,6 +287,18 @@ class TestClipManyRects:
             assert len(frame) == len(want)
             for g, w in zip(frame, want):
                 assert np.array_equal(g.points, w.points)
+
+
+class TestCenterline:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(CURVATURES),
+           # half-metre lengths put a sample exactly on an s_curve's midpoint
+           st.one_of(st.floats(10.0, 1200.0), st.integers(20, 2400).map(lambda k: k / 2)),
+           st.one_of(st.floats(0.5, 1000.0), st.sampled_from([55.5, 120.0, 1000.0])))
+    def test_matches_arc_per_curvature(self, curvature, road_length, radius):
+        config = SceneConfig(road_length=road_length, curvature=curvature, radius=radius)
+        for got, want in zip(_centerline(config), ref.centerline(config)):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # lines of a few points each: grid points with exact repeats, runs of steps

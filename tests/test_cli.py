@@ -5,13 +5,17 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 from icmap import cli
 from icmap.cli import MAX_SGRID_VALUES, PIPELINE_KEYS, SCENE_KEYS, _parse_sgrid, main
+from icmap.errors import OrderingError
 from icmap.mapstore import load_map
+from icmap.pipeline import PipelineParams, run_scene
 from icmap.synth import make_scene, read_scene, write_scene
 
 from conftest import zero_noise_config
@@ -207,6 +211,14 @@ class TestRunCmd:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert run_cli("run", bad, "--out-map", tmp_path / "m.json") == 1
+
+    def test_run_scene_repeated_t(self):
+        # a scene built in memory is not read through read_scene, so the
+        # pipeline checks the order itself
+        scene = make_scene(zero_noise_config("straight", seed=3))
+        scene.frames[3] = replace(scene.frames[3], t=scene.frames[2].t)
+        with pytest.raises(OrderingError, match="frame 2 after frame 2"):
+            run_scene(scene, PipelineParams())
 
     def test_non_finite_detection_names_field(self, scene_path, tmp_path, capsys):
         doc = json.loads(scene_path.read_text())
@@ -712,6 +724,27 @@ class TestMalformedInput:
         assert run_cli("run", scene_path, "--out-map", tmp_path / "out.json") == 1
         self.assert_named(capsys, scene_path, named)
 
+    @pytest.mark.parametrize("case", ["swapped", "repeated"])
+    @pytest.mark.parametrize("command", ["run", "eval --mot", "sweep-s"])
+    def test_frame_times_must_increase(self, scene_path, outputs, tmp_path, capsys, case,
+                                       command):
+        doc = json.loads(scene_path.read_text())
+        frames = doc["frames"]
+        if case == "swapped":
+            frames[2]["t"], frames[3]["t"] = frames[3]["t"], frames[2]["t"]
+        else:
+            frames[3]["t"] = frames[2]["t"]
+        named = f"frames[3].t: 2, but the previous frame's t is {frames[2]['t']}"
+        scene_path.write_text(json.dumps(doc))
+        out_map, trace = outputs
+        argv = {"run": ["run", scene_path, "--out-map", tmp_path / "out.json"],
+                "eval --mot": ["eval", "--scene", scene_path, "--pred-map", out_map,
+                               "--trace", trace, "--mot"],
+                "sweep-s": ["sweep-s", scene_path, "--s-grid", "0.5:1:0.5",
+                            "--out", tmp_path / "s.tsv"]}[command]
+        assert run_cli(*argv) == 1
+        self.assert_named(capsys, scene_path, named)
+
     def test_non_utf8_scene(self, scene_path, tmp_path, capsys):
         scene_path.write_bytes(scene_path.read_bytes().replace(b"scene-arc-5", b"scene-\xe9"))
         assert run_cli("run", scene_path, "--out-map", tmp_path / "out.json") == 1
@@ -868,6 +901,25 @@ class TestRenderCmd:
         assert run_cli("render", out_map, "--gt", scene_path, "--out", out) == 0
         text = out.read_text()
         assert 'id="gt-0"' in text and 'id="map-0"' in text
+
+    def test_gt_without_maps(self, scene_path, tmp_path):
+        # the ground truth alone is one panel, with an empty label and map
+        outs = [tmp_path / "a.svg", tmp_path / "b.svg"]
+        for out in outs:
+            assert run_cli("render", "--gt", scene_path, "--out", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        root = ElementTree.fromstring(outs[0].read_bytes())
+        panels = root.findall("svg:g", ns)
+        assert [g.get("id") for g in panels] == ["panel-0"]
+        label, gt_group, map_group = panels[0]
+        assert label.text is None
+        assert (gt_group.get("id"), map_group.get("id")) == ("gt-0", "map-0")
+        assert len(map_group) == 0
+        gt = read_scene(scene_path).gt
+        assert [el.tag.split("}")[1] for el in gt_group] == [
+            "polyline" if gt.instances[k].is_polyline else "polygon" for k in sorted(gt.instances)]
+        assert all(el.get("stroke-dasharray") == "6,4" for el in gt_group)
 
     def test_byte_stable(self, scene_path, tmp_path):
         out_map = tmp_path / "m.json"

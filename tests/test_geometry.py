@@ -194,9 +194,9 @@ def axis_rect(hl=5.0, hw=5.0, pose=Pose2(0, 0, 0)):
     return Rect(pose, hl, hw)
 
 
-def clip_pieces(points, rect, min_length=0.0):
+def clip_pieces(points, rect):
     """The pieces of one polyline inside one rectangle, as a list."""
-    pts, bounds, _ = clip_polyline_to_rect([points], [rect], min_length)
+    pts, bounds, _ = clip_polyline_to_rect([points], [rect])
     return [pts[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
@@ -256,11 +256,17 @@ class TestClipPolyline:
             assert clipped / total == pytest.approx(inside, abs=2e-3)
 
     def test_min_length_filter(self):
-        # corner sliver of length ~0.21 m
+        # corner sliver of length ~0.21 m: the clip keeps it, and
+        # longest_pieces admits it only under a shorter min_length
         line = np.array([[-5.15, 4.7], [-4.7, 5.15]])
         rect = axis_rect()
-        assert clip_pieces(line, rect, min_length=0.5) == []
         assert len(clip_pieces(line, rect)) == 1
+        assert longest_pieces([line], [rect], 0.5, 4)[0] == []
+        assert longest_pieces([line], [rect], 0.0, 4)[0] == [0]
+        # a piece of exactly the minimum is not longer than it
+        exact = [(-0.25, 0.0), (0.25, 0.0)]
+        assert longest_pieces([exact], [rect], 0.5, 4)[0] == []
+        assert longest_pieces([exact], [rect], 0.25, 4)[0] == [0]
 
     @properties
     @given(st.one_of(grid_polyline, real_polyline),
