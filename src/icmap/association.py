@@ -28,7 +28,7 @@ GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
 @dataclass
 class Track:
     instance: MapInstance  # world frame; id set once it is in the buffer
-    outline: np.ndarray  # _dense_pts of the instance, the points it is scored by
+    outline: np.ndarray  # the densified instance (`outlined`), the points it is scored by
     age_missed: int = 0
 
     @property
@@ -60,15 +60,11 @@ class AssocConfig:
             raise ValueError("max_age must be >= 0")
 
 
-def _dense_pts(inst: MapInstance, spacing: float) -> np.ndarray:
+def outlined(inst: MapInstance) -> Track:
+    """A track of `inst`, its closed points densified once at GEO_DENSIFY."""
     # detector output is sparse (tens of points over ~100 m); comparing
     # densified curves keeps the distance about shape, not sample phase
-    return densify(inst.closed_points, spacing)
-
-
-def outlined(inst: MapInstance) -> Track:
-    """A track of `inst`, densified once at GEO_DENSIFY."""
-    return Track(inst, _dense_pts(inst, GEO_DENSIFY))
+    return Track(inst, densify(inst.closed_points, GEO_DENSIFY))
 
 
 def geometric_affinity(dets, tracks, tau: float) -> np.ndarray:

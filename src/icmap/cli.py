@@ -256,7 +256,10 @@ def cmd_run(args) -> int:
     if params.assoc.w_feat > 0 and scene.missing_embedding:
         raise MissingEmbedding(f"{scene.missing_embedding}: missing, but w_feat > 0 needs one on "
                                "every detection; set w_feat = 0 to associate by geometry alone")
-    gmap, trace = run_scene(scene, params)
+    try:
+        gmap, trace = run_scene(scene, params)
+    except MapBuildError as exc:
+        raise type(exc)(f"{args.scene}: {exc}") from exc
     save_map(gmap, args.out_map)
     if args.trace:
         write_doc(trace, args.trace)
@@ -484,6 +487,8 @@ def main(argv=None) -> int:
     for first, second in _CONFLICTS.get(args.command, ()):
         if all(getattr(args, flag[2:].replace("-", "_")) is not None for flag in (first, second)):
             parser.error(f"argument {second}: not allowed with argument {first}")
+    if args.command == "render" and not args.maps and args.gt is None:
+        parser.error("render needs a map file (the maps argument) or --gt")
     try:
         return args.func(args)
     except (MapBuildError, OSError) as exc:

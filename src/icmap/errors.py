@@ -42,12 +42,8 @@ class InfeasibleScene(MapBuildError):
 
 
 class MapFormatError(MapBuildError):
-    """A map or trace file failed to parse; the message names the file and
-    the offending field."""
-
-
-class SceneFormatError(MapBuildError):
-    """A scene file failed to parse; the message names the offending frame/field."""
+    """A map, scene or trace file is malformed (see `fileio`); the message
+    names the file and the offending field."""
 
 
 class UnsupportedVersion(MapBuildError):

@@ -8,8 +8,10 @@ separators, ASCII text with `\uXXXX` escapes, floats in Python's repr form
 instance in them is a record holding the fields a key tuple names, per list
 kind, and at least as many points as `MIN_POINTS` gives that kind: 2 for
 map, scene ground-truth and detection records, 1 for trace records.
-Reading checks every field at the boundary and raises the caller's error
-class, led by the file and naming the field, e.g.
+Every file starts with the same header: a `format_version` and a string
+`scene_id`, which `read_doc` alone checks. Reading checks every field at
+the boundary and raises MapFormatError, the one error of a malformed map,
+scene or trace file, led by the file and naming the field, e.g.
 `scene.json: frames[3].detections[1].points: non-finite value (NaN or inf)`.
 
 Files are written with orjson wherever it can give these bytes, and with
@@ -48,7 +50,7 @@ from contextlib import contextmanager
 import numpy as np
 import orjson
 
-from .errors import UnsupportedVersion
+from .errors import MapFormatError, UnsupportedVersion
 from .instance import CLASSES, MapInstance
 
 MAP_KEYS = ("id", "class", "points")  # map and scene ground-truth instances
@@ -132,10 +134,11 @@ def _repr_floats(text: bytes) -> bytes:
     return b"".join(pieces)
 
 
-def read_doc(path, kind: str, version: str, error: type[Exception], required) -> dict:
-    """The JSON object in `path`, of `format_version` `version`, holding every
-    key in `required`; raises `error` (UnsupportedVersion for another version)
-    naming the file and the field otherwise."""
+def read_doc(path, kind: str, version: str, required) -> dict:
+    """The JSON object in `path`, of `format_version` `version`, with a string
+    `scene_id` and every key in `required`; raises MapFormatError
+    (UnsupportedVersion for another version) naming the file and the field
+    otherwise."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -146,12 +149,14 @@ def read_doc(path, kind: str, version: str, error: type[Exception], required) ->
         try:
             doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise error(f"{path}: not valid JSON: {exc}") from exc
-    as_object(doc, str(path), error, ("format_version",))
+            raise MapFormatError(f"{path}: not valid JSON: {exc}") from exc
+    as_object(doc, str(path), ("format_version",))
     if doc["format_version"] != version:
         raise UnsupportedVersion(
             f"{path}: {kind} format_version {reprlib.repr(doc['format_version'])} not supported")
-    return as_object(doc, str(path), error, required)
+    as_object(doc, str(path), ("scene_id", *required))
+    as_str(doc["scene_id"], f"{path}: scene_id")
+    return doc
 
 
 @contextmanager
@@ -167,80 +172,81 @@ def gc_paused():
             gc.enable()
 
 
-def as_object(value, where: str, error: type[Exception], required=()) -> dict:
-    """`value`; raises `error` naming `where` unless it is an object holding
-    every key in `required`."""
+def as_object(value, where: str, required=()) -> dict:
+    """`value`; raises MapFormatError naming `where` unless it is an object
+    holding every key in `required`."""
     if not isinstance(value, dict):
-        raise error(f"{where}: expected an object")
+        raise MapFormatError(f"{where}: expected an object")
     for key in required:
         if key not in value:
-            raise error(f"{where}: missing field {key!r}")
+            raise MapFormatError(f"{where}: missing field {key!r}")
     return value
 
 
-def as_str(value, where: str, error: type[Exception]) -> str:
-    """`value`; raises `error` naming `where` unless it is a string."""
+def as_str(value, where: str) -> str:
+    """`value`; raises MapFormatError naming `where` unless it is a string."""
     if not isinstance(value, str):
-        raise error(f"{where}: expected a string")
+        raise MapFormatError(f"{where}: expected a string")
     return value
 
 
-def as_list(value, where: str, error: type[Exception]) -> list:
-    """`value`; raises `error` naming `where` unless it is a list."""
+def as_list(value, where: str) -> list:
+    """`value`; raises MapFormatError naming `where` unless it is a list."""
     if not isinstance(value, list):
-        raise error(f"{where}: expected a list")
+        raise MapFormatError(f"{where}: expected a list")
     return value
 
 
-def finite_array(value, where: str, error: type[Exception]) -> np.ndarray:
-    """`value` as a float64 array; raises `error` naming `where` unless every
-    entry is a finite number."""
+def finite_array(value, where: str) -> np.ndarray:
+    """`value` as a float64 array; raises MapFormatError naming `where` unless
+    every entry is a finite number."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
-        raise error(f"{where}: expected numbers") from None
+        raise MapFormatError(f"{where}: expected numbers") from None
     if not np.isfinite(arr).all():
-        raise error(f"{where}: non-finite value (NaN or inf)")
+        raise MapFormatError(f"{where}: non-finite value (NaN or inf)")
     return arr
 
 
-def finite_float(value, where: str, error: type[Exception]) -> float:
-    """`value` as a float; raises `error` naming `where` unless it is a finite
-    number."""
+def finite_float(value, where: str) -> float:
+    """`value` as a float; raises MapFormatError naming `where` unless it is a
+    finite number."""
     try:
         val = float(value)
     except (TypeError, ValueError):
-        raise error(f"{where}: expected a number") from None
+        raise MapFormatError(f"{where}: expected a number") from None
     if not math.isfinite(val):
-        raise error(f"{where}: non-finite value (NaN or inf)")
+        raise MapFormatError(f"{where}: non-finite value (NaN or inf)")
     return val
 
 
-def whole_int(value, where: str, error: type[Exception]) -> int:
-    """`value` as an int; raises `error` naming `where` unless it is a whole
-    number (an integer, or a float such as 3.0; not NaN, inf, 1.5 or true)."""
+def whole_int(value, where: str) -> int:
+    """`value` as an int; raises MapFormatError naming `where` unless it is a
+    whole number (an integer, or a float such as 3.0; not NaN, inf, 1.5 or
+    true)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise error(f"{where}: expected an integer")
+        raise MapFormatError(f"{where}: expected an integer")
     if isinstance(value, float) and not value.is_integer():
-        raise error(f"{where}: expected an integer, got {value!r}")
+        raise MapFormatError(f"{where}: expected an integer, got {value!r}")
     return int(value)
 
 
-def _points(value, where: str, error: type[Exception]) -> np.ndarray:
-    arr = finite_array(value, where, error)
+def _points(value, where: str) -> np.ndarray:
+    arr = finite_array(value, where)
     if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
-        raise error(f"{where}: expected a list of [x, y] pairs")
+        raise MapFormatError(f"{where}: expected a list of [x, y] pairs")
     return arr
 
 
-def _embedding(value, where: str, error: type[Exception]) -> np.ndarray:
-    arr = finite_array(value, where, error)
+def _embedding(value, where: str) -> np.ndarray:
+    arr = finite_array(value, where)
     if arr.ndim != 1:
-        raise error(f"{where}: expected a list of numbers")
+        raise MapFormatError(f"{where}: expected a list of numbers")
     if arr.size == 0:
-        raise error(f"{where}: empty embedding")
+        raise MapFormatError(f"{where}: empty embedding")
     if not arr.any():
-        raise error(f"{where}: all-zero embedding has no direction")
+        raise MapFormatError(f"{where}: all-zero embedding has no direction")
     return arr
 
 
@@ -260,39 +266,39 @@ def to_record(inst: MapInstance, keys) -> dict:
             if key != "embedding" or inst.embedding is not None}
 
 
-def from_record(obj, where: str, error: type[Exception], keys) -> MapInstance:
+def from_record(obj, where: str, keys) -> MapInstance:
     """The instance a record of `keys` holds (the embedding may be absent);
-    raises `error` naming `where` and the field unless each field is well
-    formed."""
-    as_object(obj, where, error, [key for key in keys if key != "embedding"])
+    raises MapFormatError naming `where` and the field unless each field is
+    well formed."""
+    as_object(obj, where, [key for key in keys if key != "embedding"])
     cls = obj["class"]
     if cls not in CLASSES:
-        raise error(f"{where}: unknown class {reprlib.repr(cls)}")
+        raise MapFormatError(f"{where}: unknown class {reprlib.repr(cls)}")
     emb = obj.get("embedding") if "embedding" in keys else None
     return MapInstance(
         cls,
-        _points(obj["points"], f"{where}.points", error),
-        score=finite_float(obj["score"], f"{where}.score", error) if "score" in keys else 1.0,
-        id=whole_int(obj["id"], f"{where}.id", error) if "id" in keys else None,
-        embedding=_embedding(emb, f"{where}.embedding", error) if emb is not None else None,
+        _points(obj["points"], f"{where}.points"),
+        score=finite_float(obj["score"], f"{where}.score") if "score" in keys else 1.0,
+        id=whole_int(obj["id"], f"{where}.id") if "id" in keys else None,
+        embedding=_embedding(emb, f"{where}.embedding") if emb is not None else None,
     )
 
 
-def from_records(objs, where: str, error: type[Exception], keys) -> list[MapInstance]:
+def from_records(objs, where: str, keys) -> list[MapInstance]:
     """The instances of a list of records (see `from_record`), `where[i]`
     naming record i; IDs must be unique within the list, and each record
     holds at least `MIN_POINTS[keys]` points."""
-    insts = [from_record(obj, f"{where}[{i}]", error, keys)
-             for i, obj in enumerate(as_list(objs, where, error))]
+    insts = [from_record(obj, f"{where}[{i}]", keys)
+             for i, obj in enumerate(as_list(objs, where))]
     if "id" in keys:
         seen: set[int] = set()
         for i, inst in enumerate(insts):
             if inst.id in seen:
-                raise error(f"{where}[{i}]: duplicate id {inst.id}")
+                raise MapFormatError(f"{where}[{i}]: duplicate id {inst.id}")
             seen.add(inst.id)
     least = MIN_POINTS[keys]
     for i, inst in enumerate(insts):
         if len(inst.points) < least:
             pairs = "one [x, y] pair" if least == 1 else f"{least} [x, y] pairs"
-            raise error(f"{where}[{i}].points: expected at least {pairs}")
+            raise MapFormatError(f"{where}[{i}].points: expected at least {pairs}")
     return insts

@@ -16,8 +16,8 @@ import numpy as np
 from . import polygon as poly
 from ._kernels import sq_dist_table
 from .curvefit import SmoothingFitParams, merge_polylines
-from .errors import ClassConflict, MapFormatError
-from .fileio import MAP_KEYS, as_str, from_records, gc_paused, read_doc, to_record, write_doc
+from .errors import ClassConflict
+from .fileio import MAP_KEYS, from_records, gc_paused, read_doc, to_record, write_doc
 from .geometry import Rect, as_points, longest_pieces
 from .instance import GlobalMap, MapInstance
 
@@ -103,7 +103,6 @@ def save_map(gmap: GlobalMap, path) -> None:
 def load_map(path) -> GlobalMap:
     """Read a map file; raises MapFormatError naming the field of the first
     malformed value."""
-    doc = read_doc(path, "map", MAP_FORMAT_VERSION, MapFormatError, ("scene_id", "instances"))
-    scene_id = as_str(doc["scene_id"], f"{path}: scene_id", MapFormatError)
-    insts = from_records(doc["instances"], f"{path}: instances", MapFormatError, MAP_KEYS)
-    return GlobalMap(scene_id, {inst.id: inst for inst in insts})
+    doc = read_doc(path, "map", MAP_FORMAT_VERSION, ("instances",))
+    insts = from_records(doc["instances"], f"{path}: instances", MAP_KEYS)
+    return GlobalMap(doc["scene_id"], {inst.id: inst for inst in insts})

@@ -11,12 +11,11 @@ import numpy as np
 
 from .association import AssocConfig, TrackBuffer, associate_frame
 from .curvefit import SmoothingFitParams
-from .errors import MapFormatError, OrderingError
+from .errors import MapBuildError, OrderingError
 from .fileio import (
     TRACE_KEYS,
     as_list,
     as_object,
-    as_str,
     from_records,
     gc_paused,
     read_doc,
@@ -54,28 +53,36 @@ def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
 
     Returns the final global map and a trace document holding, per frame,
     the detection count, accepted matches with their affinity, freshly
-    issued IDs, and the tracked world-frame instances.
+    issued IDs, and the tracked world-frame instances. A MapBuildError
+    raised by a frame's stages is raised again, of the same class, led by
+    `frames[k]: ` and, when a merge fails, by the merged instance's id.
     """
     gmap = GlobalMap(scene_id=scene.scene_id)
     buffer = TrackBuffer()
     trace_frames = []
     prev_t = None
-    for frame in scene.frames:
+    for k, frame in enumerate(scene.frames):
         if prev_t is not None and frame.t <= prev_t:
             raise OrderingError(f"frame {frame.t} after frame {prev_t}")
         prev_t = frame.t
         dets = [d for d in frame.detections if d.score >= params.min_score]
-        result = associate_frame(buffer, dets, frame.ego_pose, params.assoc)
-        buffer = result.buffer
-        patch = Rect(frame.ego_pose, scene.range_lw[0] / 2.0, scene.range_lw[1] / 2.0)
-        ids = [d.id for d in result.dets]
-        history = sample_history(gmap, patch, params.expand, ids, params.n_sample)
-        outputs = [
-            fuse_with_history(det, history.get(det.id), params.fuse_radius, params.fuse_weight)
-            for det in result.dets
-        ]
-        for det in outputs:
-            merge_instance(gmap, det, params.fit)
+        merging = None  # the instance being merged
+        try:
+            result = associate_frame(buffer, dets, frame.ego_pose, params.assoc)
+            buffer = result.buffer
+            patch = Rect(frame.ego_pose, scene.range_lw[0] / 2.0, scene.range_lw[1] / 2.0)
+            ids = [d.id for d in result.dets]
+            history = sample_history(gmap, patch, params.expand, ids, params.n_sample)
+            outputs = [
+                fuse_with_history(det, history.get(det.id), params.fuse_radius,
+                                  params.fuse_weight)
+                for det in result.dets
+            ]
+            for merging in outputs:
+                merge_instance(gmap, merging, params.fit)
+        except MapBuildError as exc:
+            where = f"frames[{k}]" if merging is None else f"frames[{k}]: merging id {merging.id}"
+            raise type(exc)(f"{where}: {exc}") from exc
         trace_frames.append(
             {
                 "t": frame.t,
@@ -98,21 +105,19 @@ def trace_pred_frames(trace: dict, where: str = "trace") -> list[list[MapInstanc
     """Tracked per-frame instances (world frame) out of a trace document;
     raises MapFormatError naming `where` and the field of the first
     malformed value."""
-    err = MapFormatError
     frames = []
-    for k, fr in enumerate(as_list(trace["frames"], f"{where}: frames", err)):
+    for k, fr in enumerate(as_list(trace["frames"], f"{where}: frames")):
         at = f"{where}: frames[{k}]"
-        frames.append(from_records(as_object(fr, at, err, ("instances",))["instances"],
-                                   f"{at}.instances", err, TRACE_KEYS))
+        frames.append(from_records(as_object(fr, at, ("instances",))["instances"],
+                                   f"{at}.instances", TRACE_KEYS))
     return frames
 
 
 @gc_paused()
 def read_trace(path) -> tuple[str, list[list[MapInstance]]]:
     """Scene ID and tracked per-frame instances of a trace file."""
-    doc = read_doc(path, "trace", TRACE_FORMAT_VERSION, MapFormatError, ("scene_id", "frames"))
-    scene_id = as_str(doc["scene_id"], f"{path}: scene_id", MapFormatError)
-    return scene_id, trace_pred_frames(doc, str(path))
+    doc = read_doc(path, "trace", TRACE_FORMAT_VERSION, ("frames",))
+    return doc["scene_id"], trace_pred_frames(doc, str(path))
 
 
 def scene_gt_frames(scene: Scene) -> list[list[MapInstance]]:

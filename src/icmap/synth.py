@@ -11,13 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleScene, SceneFormatError
+from .errors import InfeasibleScene, MapFormatError
 from .fileio import (
     DETECTION_KEYS,
     MAP_KEYS,
     as_list,
     as_object,
-    as_str,
     finite_array,
     finite_float,
     from_records,
@@ -355,28 +354,27 @@ def write_scene(scene: Scene, path) -> None:
 
 @gc_paused()
 def read_scene(path) -> Scene:
-    """Read a scene file; raises SceneFormatError naming the field of the
-    first malformed value. Frame times `t` increase strictly. Every
-    detection embedding has the length of the scene's first one, since
-    association compares them across frames, and `missing_embedding`
-    names the first detection without one."""
-    err = SceneFormatError
-    doc = read_doc(path, "scene", SCENE_FORMAT_VERSION, err, ("scene_id", "range", "gt", "frames"))
-    scene_id = as_str(doc["scene_id"], f"{path}: scene_id", err)
-    gt_doc = as_object(doc["gt"], f"{path}: gt", err, ("instances",))
-    gt_insts = from_records(gt_doc["instances"], f"{path}: gt.instances", err, MAP_KEYS)
-    gt = GlobalMap(scene_id, {inst.id: inst for inst in gt_insts})
+    """Read a scene file; raises MapFormatError naming the field of the
+    first malformed value. Frame times `t` increase strictly, and the
+    range's length and width are positive. Every detection embedding has
+    the length of the scene's first one, since association compares them
+    across frames, and `missing_embedding` names the first detection
+    without one."""
+    doc = read_doc(path, "scene", SCENE_FORMAT_VERSION, ("range", "gt", "frames"))
+    gt_doc = as_object(doc["gt"], f"{path}: gt", ("instances",))
+    gt_insts = from_records(gt_doc["instances"], f"{path}: gt.instances", MAP_KEYS)
+    gt = GlobalMap(doc["scene_id"], {inst.id: inst for inst in gt_insts})
     frames = []
     dim = None  # embedding length
     missing = None
-    for fi, fobj in enumerate(as_list(doc["frames"], f"{path}: frames", err)):
+    for fi, fobj in enumerate(as_list(doc["frames"], f"{path}: frames")):
         where = f"{path}: frames[{fi}]"
-        as_object(fobj, where, err, ("t", "ego_pose", "gt_local", "detections"))
-        ep = as_object(fobj["ego_pose"], f"{where}.ego_pose", err, ("x", "y", "theta"))
-        pose = Pose2(*(finite_float(ep[key], f"{where}.ego_pose.{key}", err)
+        as_object(fobj, where, ("t", "ego_pose", "gt_local", "detections"))
+        ep = as_object(fobj["ego_pose"], f"{where}.ego_pose", ("x", "y", "theta"))
+        pose = Pose2(*(finite_float(ep[key], f"{where}.ego_pose.{key}")
                        for key in ("x", "y", "theta")))
-        gt_local = from_records(fobj["gt_local"], f"{where}.gt_local", err, MAP_KEYS)
-        dets = from_records(fobj["detections"], f"{where}.detections", err, DETECTION_KEYS)
+        gt_local = from_records(fobj["gt_local"], f"{where}.gt_local", MAP_KEYS)
+        dets = from_records(fobj["detections"], f"{where}.detections", DETECTION_KEYS)
         for di, det in enumerate(dets):
             if det.embedding is None:
                 missing = missing or f"{where}.detections[{di}].embedding"
@@ -384,14 +382,17 @@ def read_scene(path) -> Scene:
             if dim is None:
                 dim = len(det.embedding)
             elif len(det.embedding) != dim:
-                raise err(f"{where}.detections[{di}].embedding: {len(det.embedding)} values,"
-                          f" but the scene's first embedding has {dim}")
-        t = whole_int(fobj["t"], f"{where}.t", err)
+                raise MapFormatError(f"{where}.detections[{di}].embedding: {len(det.embedding)}"
+                                     f" values, but the scene's first embedding has {dim}")
+        t = whole_int(fobj["t"], f"{where}.t")
         if frames and t <= frames[-1].t:
-            raise err(f"{where}.t: {t}, but the previous frame's t is {frames[-1].t};"
-                      " frame times must increase")
+            raise MapFormatError(f"{where}.t: {t}, but the previous frame's t is {frames[-1].t};"
+                                 " frame times must increase")
         frames.append(Frame(t, pose, gt_local, dets))
-    rng = finite_array(doc["range"], f"{path}: range", err)
+    rng = finite_array(doc["range"], f"{path}: range")
     if rng.shape != (2,):
-        raise err(f"{path}: range: expected [length, width]")
-    return Scene(scene_id, (float(rng[0]), float(rng[1])), gt, frames, missing)
+        raise MapFormatError(f"{path}: range: expected [length, width]")
+    if not (rng > 0).all():
+        raise MapFormatError(f"{path}: range: expected a positive length and width,"
+                             f" got {rng.tolist()}")
+    return Scene(doc["scene_id"], (float(rng[0]), float(rng[1])), gt, frames, missing)

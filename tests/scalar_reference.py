@@ -37,10 +37,9 @@ from scipy.interpolate import BSpline
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from icmap.association import _dense_pts
 from icmap.errors import InsufficientPoints, NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Rect, as_points, chamfer_distance,
-                            dedupe_points as dedupe_by_predecessor, polyline_length,
+                            dedupe_points as dedupe_by_predecessor, densify, polyline_length,
                             resample_even, transform_points)
 from icmap.instance import MapInstance
 from icmap.metrics import DEFAULT_MOT_GATE, MotCounts, _ap_from_records
@@ -524,8 +523,10 @@ def polygon_union(a, b, eps: float = EPS):
 def geometric_affinity(dets, tracks, tau: float, densify_spacing: float = 1.0) -> np.ndarray:
     h = np.zeros((len(dets), len(tracks)))
     pairs = [(i, j) for i, d in enumerate(dets) for j, t in enumerate(tracks) if d.cls == t.cls]
-    dense_d = {i: _dense_pts(dets[i], densify_spacing) for i in sorted({i for i, _ in pairs})}
-    dense_t = {j: _dense_pts(tracks[j], densify_spacing) for j in sorted({j for _, j in pairs})}
+    dense_d = {i: densify(dets[i].closed_points, densify_spacing)
+               for i in sorted({i for i, _ in pairs})}
+    dense_t = {j: densify(tracks[j].closed_points, densify_spacing)
+               for j in sorted({j for _, j in pairs})}
     for i, j in pairs:
         h[i, j] = np.exp(-chamfer_distance(dense_d[i], dense_t[j]) / tau)
     return h

@@ -13,12 +13,13 @@ import pytest
 
 from icmap import cli
 from icmap.cli import MAX_SGRID_VALUES, PIPELINE_KEYS, SCENE_KEYS, _parse_sgrid, main
-from icmap.errors import OrderingError
+from icmap.errors import NonSimplePolygon, OrderingError
 from icmap.mapstore import load_map
 from icmap.pipeline import PipelineParams, run_scene
 from icmap.synth import make_scene, read_scene, write_scene
 
 from conftest import zero_noise_config
+from test_golden import SCENES
 
 
 @pytest.fixture()
@@ -219,6 +220,21 @@ class TestRunCmd:
         scene.frames[3] = replace(scene.frames[3], t=scene.frames[2].t)
         with pytest.raises(OrderingError, match="frame 2 after frame 2"):
             run_scene(scene, PipelineParams())
+
+    def test_frame_failure_names_scene_frame_and_id(self, tmp_path, capsys):
+        # the benchmark's merge_noisy scene of seed 0 stops when a crossing's
+        # union fails: the error keeps its class, led by the frame and the
+        # merged instance's id, and `run` leads it by the scene file
+        scene = make_scene(replace(SCENES["merge_noisy"], seed=0))
+        with pytest.raises(NonSimplePolygon) as exc:
+            run_scene(scene, PipelineParams())
+        assert str(exc.value) == ("frames[8]: merging id 17:"
+                                  " polygon_union requires simple polygons")
+        path = tmp_path / "noisy.json"
+        write_scene(scene, path)
+        assert run_cli("run", path, "--out-map", tmp_path / "m.json") == 1
+        assert capsys.readouterr().err == (f"icmap: error: {path}: frames[8]: merging id 17:"
+                                           " polygon_union requires simple polygons\n")
 
     def test_non_finite_detection_names_field(self, scene_path, tmp_path, capsys):
         doc = json.loads(scene_path.read_text())
@@ -614,6 +630,16 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"icmap: error: {path}: ") and named in err, err
 
+    @staticmethod
+    def scene_reader_argv(command, scene_path, outputs, tmp_path):
+        """The arguments of `command`, one of the three that read a scene."""
+        out_map, trace = outputs
+        return {"run": ["run", scene_path, "--out-map", tmp_path / "out.json"],
+                "eval --mot": ["eval", "--scene", scene_path, "--pred-map", out_map,
+                               "--trace", trace, "--mot"],
+                "sweep-s": ["sweep-s", scene_path, "--s-grid", "0.5:1:0.5",
+                            "--out", tmp_path / "s.tsv"]}[command]
+
     @pytest.mark.parametrize("case,named", [
         ("no class", "frames[2].instances[1]: missing field 'class'"),
         ("nan point", "frames[2].instances[1].points: non-finite value"),
@@ -736,14 +762,19 @@ class TestMalformedInput:
             frames[3]["t"] = frames[2]["t"]
         named = f"frames[3].t: 2, but the previous frame's t is {frames[2]['t']}"
         scene_path.write_text(json.dumps(doc))
-        out_map, trace = outputs
-        argv = {"run": ["run", scene_path, "--out-map", tmp_path / "out.json"],
-                "eval --mot": ["eval", "--scene", scene_path, "--pred-map", out_map,
-                               "--trace", trace, "--mot"],
-                "sweep-s": ["sweep-s", scene_path, "--s-grid", "0.5:1:0.5",
-                            "--out", tmp_path / "s.tsv"]}[command]
-        assert run_cli(*argv) == 1
+        assert run_cli(*self.scene_reader_argv(command, scene_path, outputs, tmp_path)) == 1
         self.assert_named(capsys, scene_path, named)
+
+    @pytest.mark.parametrize("extents", [[0.0, 50.0], [-100.0, 50.0], [100.0, 0.0]])
+    @pytest.mark.parametrize("command", ["run", "eval --mot", "sweep-s"])
+    def test_range_must_be_positive(self, scene_path, outputs, tmp_path, capsys, extents,
+                                    command):
+        doc = json.loads(scene_path.read_text())
+        doc["range"] = extents
+        scene_path.write_text(json.dumps(doc))
+        assert run_cli(*self.scene_reader_argv(command, scene_path, outputs, tmp_path)) == 1
+        self.assert_named(capsys, scene_path,
+                          f"range: expected a positive length and width, got {extents}")
 
     def test_non_utf8_scene(self, scene_path, tmp_path, capsys):
         scene_path.write_bytes(scene_path.read_bytes().replace(b"scene-arc-5", b"scene-\xe9"))
@@ -920,6 +951,15 @@ class TestRenderCmd:
         assert [el.tag.split("}")[1] for el in gt_group] == [
             "polyline" if gt.instances[k].is_polyline else "polygon" for k in sorted(gt.instances)]
         assert all(el.get("stroke-dasharray") == "6,4" for el in gt_group)
+
+    def test_nothing_to_draw_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o.svg"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("render", "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "maps" in err and "--gt" in err, err
+        assert not out.exists()
 
     def test_byte_stable(self, scene_path, tmp_path):
         out_map = tmp_path / "m.json"

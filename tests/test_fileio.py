@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icmap.errors import MapFormatError, SceneFormatError, UnsupportedVersion
+from icmap.errors import MapFormatError, UnsupportedVersion
 from icmap.fileio import (
     DETECTION_KEYS,
     MAP_KEYS,
     TRACE_KEYS,
     as_object,
+    as_str,
     from_record,
     from_records,
     read_doc,
@@ -99,10 +100,10 @@ def test_round_trip_bit_for_bit(keys):
     def check(inst):
         rec = to_record(inst, keys)
         assert list(rec) == [k for k in keys if k != "embedding" or inst.embedding is not None]
-        assert_bit_identical(from_record(rec, "x", MapFormatError, keys), inst)
+        assert_bit_identical(from_record(rec, "x", keys), inst)
         # and through the JSON text the files hold
         text = json.loads(json.dumps(rec))
-        assert_bit_identical(from_record(text, "x", MapFormatError, keys), inst)
+        assert_bit_identical(from_record(text, "x", keys), inst)
 
     check()
 
@@ -146,20 +147,20 @@ def test_bad_record_named(field, value, message):
         else:
             rec[field] = value
     with pytest.raises(MapFormatError) as exc:
-        from_record(rec, "r", MapFormatError, keys)
+        from_record(rec, "r", keys)
     assert str(exc.value).startswith(message)
 
 
 def test_embedding_may_be_absent():
     rec = {k: v for k, v in GOOD.items() if k not in ("id", "embedding")}
-    assert from_record(rec, "r", MapFormatError, DETECTION_KEYS).embedding is None
+    assert from_record(rec, "r", DETECTION_KEYS).embedding is None
 
 
 def test_duplicate_id_named():
     recs = [dict(GOOD, id=0), dict(GOOD, id=1), dict(GOOD, id=0)]
     with pytest.raises(MapFormatError, match=r"^l\[2\]: duplicate id 0$"):
-        from_records(recs, "l", MapFormatError, MAP_KEYS)
-    assert len(from_records(recs, "l", MapFormatError, DETECTION_KEYS)) == 3  # no IDs kept
+        from_records(recs, "l", MAP_KEYS)
+    assert len(from_records(recs, "l", DETECTION_KEYS)) == 3  # no IDs kept
 
 
 @pytest.mark.parametrize("keys,least,pairs", [
@@ -170,46 +171,48 @@ def test_duplicate_id_named():
 def test_fewest_points_per_kind(keys, least, pairs):
     # a list of each kind holds records of `least` points, and no fewer
     recs = [dict(GOOD, id=0), dict(GOOD, id=1, points=[[0, 0]] * least)]
-    assert len(from_records(recs, "l", MapFormatError, keys)[1].points) == least
+    assert len(from_records(recs, "l", keys)[1].points) == least
     recs[1]["points"] = [[0, 0]] * (least - 1)
     with pytest.raises(MapFormatError) as exc:
-        from_records(recs, "l", MapFormatError, keys)
+        from_records(recs, "l", keys)
     assert str(exc.value) == f"l[1].points: expected at least {pairs}"
 
 
 class TestReadDoc:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "d.json"
-        doc = {"format_version": "1", "a": [1.5, -0.0, 1e-300]}
+        doc = {"format_version": "1", "scene_id": "s", "a": [1.5, -0.0, 1e-300]}
         write_doc(doc, path)
         assert path.read_text().endswith("]}\n")
-        assert read_doc(path, "test", "1", MapFormatError, ("a",)) == doc
+        assert read_doc(path, "test", "1", ("a",)) == doc
 
     @pytest.mark.parametrize("raw,message", [
         (b'{"format_version": "1"', "not valid JSON"),
         (b'{"format_version": "1", "a": "\xe9"}', "not valid JSON: 'utf-8' codec"),
         (b'[{"format_version": "1"}]', "expected an object"),
         (b'{"a": 1}', "missing field 'format_version'"),
-        (b'{"format_version": "1"}', "missing field 'a'"),
+        (b'{"format_version": "1", "scene_id": "s"}', "missing field 'a'"),
+        (b'{"format_version": "1", "a": 1}', "missing field 'scene_id'"),
+        (b'{"format_version": "1", "scene_id": 5, "a": 1}', "scene_id: expected a string"),
     ])
     def test_bad_doc_named(self, tmp_path, raw, message):
         path = tmp_path / "d.json"
         path.write_bytes(raw)
         with pytest.raises(MapFormatError) as exc:
-            read_doc(path, "test", "1", MapFormatError, ("a",))
+            read_doc(path, "test", "1", ("a",))
         assert str(exc.value).startswith(f"{path}: {message}")
 
     def test_other_version(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text('{"format_version": "2", "a": 1}')
         with pytest.raises(UnsupportedVersion, match="test format_version '2' not supported"):
-            read_doc(path, "test", "1", MapFormatError, ("a",))
+            read_doc(path, "test", "1", ("a",))
 
     def test_deep_version_quoted_bounded(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text('{"format_version": ' + "[" * 1100 + "]" * 1100 + ', "a": 1}')
         with pytest.raises(UnsupportedVersion) as exc:
-            read_doc(path, "test", "1", MapFormatError, ("a",))
+            read_doc(path, "test", "1", ("a",))
         assert str(exc.value) == f"{path}: test format_version [[[[[[[...]]]]]]] not supported"
 
 
@@ -264,26 +267,28 @@ class TestWriteDoc:
         check()
 
 
-def read_doc_stdlib(path, kind, version, error, required=()):
+def read_doc_stdlib(path, kind, version, required=()):
     """`read_doc` as it was before orjson: the standard library's parse of
     the file opened in text mode. The reference of the parity tests."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except ValueError as exc:
-        raise error(f"{path}: not valid JSON: {exc}") from exc
-    as_object(doc, str(path), error, ("format_version",))
+        raise MapFormatError(f"{path}: not valid JSON: {exc}") from exc
+    as_object(doc, str(path), ("format_version",))
     if doc["format_version"] != version:
         raise UnsupportedVersion(
             f"{path}: {kind} format_version {doc['format_version']!r} not supported")
-    return as_object(doc, str(path), error, required)
+    as_object(doc, str(path), ("scene_id", *required))
+    as_str(doc["scene_id"], f"{path}: scene_id")
+    return doc
 
 
 def outcome(reader, path):
     """What `reader` makes of `path`: ("read", repr of the document), or
     the class and text of the error it raises."""
     try:
-        return "read", repr(reader(path, "test", "1", MapFormatError, ("a",)))
+        return "read", repr(reader(path, "test", "1", ("a",)))
     except Exception as exc:
         return type(exc).__name__, str(exc)
 
@@ -326,22 +331,22 @@ class TestReadDocParity:
         @round_trips
         @given(json_values)
         def check(value):
-            write_doc({"format_version": "1", "a": value}, path)
+            write_doc({"format_version": "1", "scene_id": "s", "a": value}, path)
             want = json.loads(path.read_text(encoding="utf-8"))
-            assert same_bits(read_doc(path, "test", "1", MapFormatError, ("a",)), want)
+            assert same_bits(read_doc(path, "test", "1", ("a",)), want)
 
         check()
 
     @pytest.mark.parametrize("raw", [
-        b'{"format_version": "1", "a": [NaN, 1.0]}',
-        b'{"format_version": "1", "a": -Infinity}',
-        b'{"format_version": "1", "a": [[1e999, 2.0]]}',
-        b'{"format_version": "1", "a": "x\\ud800y"}',
-        b'{"format_version": "1", "a": [1.5, 2',
-        b'{"format_version": "1", "a": "\xe9"}',
-        b'\xef\xbb\xbf{"format_version": "1", "a": 1}',
-        b'{"format_version": "1",\r\n"a": [1,\r\n\r2,]}',
-        b'{"format_version": "1", "a": 1} 2',
+        b'{"format_version": "1", "scene_id": "s", "a": [NaN, 1.0]}',
+        b'{"format_version": "1", "scene_id": "s", "a": -Infinity}',
+        b'{"format_version": "1", "scene_id": "s", "a": [[1e999, 2.0]]}',
+        b'{"format_version": "1", "scene_id": "s", "a": "x\\ud800y"}',
+        b'{"format_version": "1", "scene_id": "s", "a": [1.5, 2',
+        b'{"format_version": "1", "scene_id": "s", "a": "\xe9"}',
+        b'\xef\xbb\xbf{"format_version": "1", "scene_id": "s", "a": 1}',
+        b'{"format_version": "1", "scene_id": "s",\r\n"a": [1,\r\n\r2,]}',
+        b'{"format_version": "1", "scene_id": "s", "a": 1} 2',
         b'',
         b'{"format_version": NaN, "a": 1}',
     ], ids=["nan", "-inf", "1e999", "lone surrogate", "truncated", "bad utf-8", "bom",
@@ -356,16 +361,17 @@ class TestReadDocParity:
         # (a RecursionError, never caught): a deep value is read, and a
         # field check that meets it names the field
         path = tmp_path / "d.json"
-        path.write_text('{"format_version": "1", "a": ' + "[" * 1100 + "]" * 1100 + "}")
+        path.write_text('{"format_version": "1", "scene_id": "s", "a": '
+                        + "[" * 1100 + "]" * 1100 + "}")
         with pytest.raises(RecursionError):
-            read_doc_stdlib(path, "test", "1", MapFormatError, ("a",))
-        deep = value = read_doc(path, "test", "1", MapFormatError, ("a",))["a"]
+            read_doc_stdlib(path, "test", "1", ("a",))
+        deep = value = read_doc(path, "test", "1", ("a",))["a"]
         for _ in range(1099):
             value, = value
         assert value == []
         rec = dict(GOOD, points=deep)
         with pytest.raises(MapFormatError, match=r"^r\.points: expected numbers$"):
-            from_record(rec, "r", MapFormatError, MAP_KEYS)
+            from_record(rec, "r", MAP_KEYS)
 
 
 class TestGcPaused:
@@ -388,17 +394,16 @@ class TestGcPaused:
         yield
         (gc.enable if enabled else gc.disable)()
 
-    LOADERS = [("scene", read_scene, SceneFormatError), ("map", load_map, MapFormatError),
-               ("trace", read_trace, MapFormatError)]
+    LOADERS = [("scene", read_scene), ("map", load_map), ("trace", read_trace)]
 
-    @pytest.mark.parametrize("name,loader,error", LOADERS, ids=[n for n, *_ in LOADERS])
+    @pytest.mark.parametrize("name,loader", LOADERS, ids=[n for n, _ in LOADERS])
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    def test_state_restored(self, files, collector, name, loader, error, enabled):
+    def test_state_restored(self, files, collector, name, loader, enabled):
         path = files[name]
         (gc.enable if enabled else gc.disable)()
         loader(path)
         assert gc.isenabled() is enabled
         path.write_text(path.read_text()[:200])
-        with pytest.raises(error, match="not valid JSON"):
+        with pytest.raises(MapFormatError, match="not valid JSON"):
             loader(path)
         assert gc.isenabled() is enabled

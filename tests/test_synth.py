@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from icmap.curvefit import SmoothingFitParams
-from icmap.errors import InfeasibleScene, SceneFormatError, UnsupportedVersion
+from icmap.errors import InfeasibleScene, MapFormatError, UnsupportedVersion
 from icmap.geometry import EGO_TO_WORLD, chamfer_distance, densify
 from icmap.instance import BOUNDARY, DIVIDER
 from icmap.mapstore import GlobalMap, merge_instance
@@ -241,7 +241,7 @@ class TestSceneIO:
         doc = json.loads(path.read_text())
         del doc["frames"][7]["ego_pose"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(SceneFormatError, match=r"frames\[7\]"):
+        with pytest.raises(MapFormatError, match=r"frames\[7\]"):
             read_scene(path)
 
     @pytest.mark.parametrize("field,value", [
@@ -266,7 +266,7 @@ class TestSceneIO:
             parent, key, node = node, 0, node[0]
         parent[key] = float(value)
         path.write_text(json.dumps(doc))
-        with pytest.raises(SceneFormatError, match=re.escape(field)):
+        with pytest.raises(MapFormatError, match=re.escape(field)):
             read_scene(path)
 
     @staticmethod
@@ -290,7 +290,7 @@ class TestSceneIO:
             else:
                 doc["frames"][3]["gt_local"][0]["id"] = value
         path = self._mutated(tmp_path, edit)
-        with pytest.raises(SceneFormatError, match=re.escape(field)):
+        with pytest.raises(MapFormatError, match=re.escape(field)):
             read_scene(path)
 
     def test_whole_float_id_accepted(self, tmp_path):
@@ -312,7 +312,7 @@ class TestSceneIO:
                 node = node[int(part) if part.isdigit() else part]
             node["points"] = points
         path = self._mutated(tmp_path, edit)
-        with pytest.raises(SceneFormatError, match=re.escape(field)):
+        with pytest.raises(MapFormatError, match=re.escape(field)):
             read_scene(path)
 
     def test_version_mismatch(self, tmp_path):
