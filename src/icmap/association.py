@@ -1,12 +1,13 @@
 """Temporal association of per-frame detections against a track buffer.
 
-Per frame: move the detections to the world frame, where the buffer's
-tracks are stored, and outline each once; build detection/track affinities
-from a geometric branch (exp(-chamfer/tau) between outlines, class gated)
-and a feature branch (shifted cosine of embeddings), fuse them as a convex
-combination, keep same-class pairs above the threshold theta, solve the
-optimal one-to-one matching, inherit or issue IDs, and update the buffer
-(unmatched tracks age out after max_age missed frames). `w_feat` alone
+Per frame: take the detections in the world frame (`instance.to_world`),
+where the buffer's tracks are stored, and outline each once; build
+detection/track affinities from a geometric branch (exp(-chamfer/tau)
+between outlines, class gated) and a feature branch (shifted cosine of
+embeddings), fuse them as a convex combination, keep same-class pairs above
+the threshold theta, solve the optimal one-to-one matching, inherit or
+issue IDs, and update the buffer (unmatched tracks age out after max_age
+missed frames). `w_feat` alone
 picks the branches: 0 is geometry alone, above 0 needs every embedding.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ._kernels import linear_sum_assignment
 from .errors import DuplicateId, MissingEmbedding, ShapeMismatch
 # chamfer_distance is not called here, but pipebench/spans.py wraps it as an
 # import site of this module
-from .geometry import EGO_TO_WORLD, Pose2, chamfer_distance, densify
+from .geometry import chamfer_distance, densify
 from .instance import MapInstance, chamfer_by_class
 
 GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
@@ -161,23 +162,20 @@ class AssociationResult:
     new_ids: list[int]
 
 
-def associate_frame(buffer: TrackBuffer, dets, pose: Pose2,
-                    config: AssocConfig) -> AssociationResult:
-    """Assign IDs to one frame of ego-frame detections and update the buffer.
-
-    Each detection is moved to the world frame and outlined once, here; the
-    buffer's tracks are scored as stored."""
-    scored = [outlined(d.transformed(pose, EGO_TO_WORLD)) for d in dets]
-    world = [s.instance for s in scored]
+def associate_frame(buffer: TrackBuffer, dets, config: AssocConfig) -> AssociationResult:
+    """Assign IDs to one frame of world-frame detections and update the
+    buffer. Each detection is outlined once, here; the buffer's tracks are
+    scored as stored."""
+    scored = [outlined(d) for d in dets]
     stored = [t.instance for t in buffer.tracks]
     fused = geometric_affinity(scored, buffer.tracks, config.tau)
     if config.w_feat > 0:
-        fused = fuse_affinity(fused, feature_affinity(world, stored), config.w_feat)
+        fused = fuse_affinity(fused, feature_affinity(dets, stored), config.w_feat)
     same_class = np.array(
-        [[d.cls == t.cls for t in stored] for d in world], dtype=bool
+        [[d.cls == t.cls for t in stored] for d in dets], dtype=bool
     ).reshape(fused.shape)
     matching = optimal_match(fused, threshold_filter(fused, config.theta) & same_class)
-    world_ids, next_id = allocate_ids(world, matching, buffer)
+    world_ids, next_id = allocate_ids(dets, matching, buffer)
     det_tracks = [Track(d, s.outline) for d, s in zip(world_ids, scored)]
     new_buffer = update_buffer(buffer, det_tracks, config.max_age, next_id)
     track_ids = [t.instance.id for t in buffer.tracks]

@@ -237,8 +237,6 @@ def _synth_one(task):
 def cmd_synth(args) -> int:
     base = _params(SceneConfig, SCENE_KEYS, args)
     if args.count is None:
-        if args.out is None:
-            raise MapBuildError("synth needs --out (or --count with --out-dir)")
         write_scene(make_scene(base), args.out)
         log.info("wrote scene %s", args.out)
         return 0
@@ -299,10 +297,6 @@ def _eval_one(task) -> dict:
 
 def cmd_eval(args) -> int:
     scenes = args.scene
-    if args.mot and not args.trace and not args.pred_dir:
-        raise MapBuildError("--mot requires --trace (per-frame tracked instances)")
-    if len(scenes) > 1 and not args.pred_dir:
-        raise MapBuildError("evaluating several scenes requires --pred-dir")
     tasks = []
     for scene_path in scenes:
         if args.pred_dir:
@@ -312,8 +306,6 @@ def cmd_eval(args) -> int:
         else:
             map_path = args.pred_map
             trace_path = args.trace
-        if map_path is None:
-            raise MapBuildError("eval needs --pred-map (or --pred-dir)")
         tasks.append((scene_path, map_path, trace_path, args.thresholds, args.mot_gate, args.mot))
     results = _map_jobs(_eval_one, tasks, args.jobs)
     thresholds = results[0]["thresholds"]
@@ -487,6 +479,16 @@ def main(argv=None) -> int:
     for first, second in _CONFLICTS.get(args.command, ()):
         if all(getattr(args, flag[2:].replace("-", "_")) is not None for flag in (first, second)):
             parser.error(f"argument {second}: not allowed with argument {first}")
+    # flags a command cannot do without, checked before any work
+    if args.command == "synth" and args.out is None and args.count is None:
+        parser.error("synth needs --out (or --count with --out-dir)")
+    if args.command == "eval":
+        if args.mot and not args.trace and not args.pred_dir:
+            parser.error("--mot requires --trace (per-frame tracked instances) or --pred-dir")
+        if len(args.scene) > 1 and not args.pred_dir:
+            parser.error("evaluating several scenes requires --pred-dir")
+        if args.pred_map is None and not args.pred_dir:
+            parser.error("eval needs --pred-map (or --pred-dir)")
     if args.command == "render" and not args.maps and args.gt is None:
         parser.error("render needs a map file (the maps argument) or --gt")
     try:

@@ -7,7 +7,9 @@ separators, ASCII text with `\uXXXX` escapes, floats in Python's repr form
 `NaN` and `Infinity` literals where an eval report holds them. Each
 instance in them is a record holding the fields a key tuple names, per list
 kind, and at least as many points as `MIN_POINTS` gives that kind: 2 for
-map, scene ground-truth and detection records, 1 for trace records.
+map, scene ground-truth and detection records, 1 for trace records. A
+crossing's ring in a map, ground-truth or detection record holds at least
+`MIN_RING_POINTS`, 3.
 Every file starts with the same header: a `format_version` and a string
 `scene_id`, which `read_doc` alone checks. Reading checks every field at
 the boundary and raises MapFormatError, the one error of a malformed map,
@@ -60,6 +62,9 @@ TRACE_KEYS = ("id", "class", "score", "points")
 # detected instances are polylines or rings; eval's Chamfer tables need one
 # point of each tracked instance
 MIN_POINTS = {MAP_KEYS: 2, DETECTION_KEYS: 2, TRACE_KEYS: 1}
+# the fewest points of a crossing's ring in a map, ground-truth or detection
+# record: fewer make no polygon to clip or unite (a trace record needs one)
+MIN_RING_POINTS = 3
 
 
 def write_doc(doc: dict, path) -> None:
@@ -287,7 +292,8 @@ def from_record(obj, where: str, keys) -> MapInstance:
 def from_records(objs, where: str, keys) -> list[MapInstance]:
     """The instances of a list of records (see `from_record`), `where[i]`
     naming record i; IDs must be unique within the list, and each record
-    holds at least `MIN_POINTS[keys]` points."""
+    holds at least `MIN_POINTS[keys]` points, a crossing outside a trace at
+    least `MIN_RING_POINTS`."""
     insts = [from_record(obj, f"{where}[{i}]", keys)
              for i, obj in enumerate(as_list(objs, where))]
     if "id" in keys:
@@ -296,9 +302,12 @@ def from_records(objs, where: str, keys) -> list[MapInstance]:
             if inst.id in seen:
                 raise MapFormatError(f"{where}[{i}]: duplicate id {inst.id}")
             seen.add(inst.id)
-    least = MIN_POINTS[keys]
     for i, inst in enumerate(insts):
+        ring = not inst.is_polyline and keys != TRACE_KEYS
+        least = MIN_RING_POINTS if ring else MIN_POINTS[keys]
         if len(inst.points) < least:
             pairs = "one [x, y] pair" if least == 1 else f"{least} [x, y] pairs"
+            if ring:
+                pairs += f" for a {inst.cls} ring"
             raise MapFormatError(f"{where}[{i}].points: expected at least {pairs}")
     return insts

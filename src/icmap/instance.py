@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._kernels import chamfer_matrix
-from .geometry import Pose2, as_points, transform_points
+from .geometry import EGO_TO_WORLD, Pose2, as_points, transform_points
 
 DIVIDER = "divider"
 BOUNDARY = "boundary"
@@ -78,6 +78,17 @@ class Scene:
     frames: list[Frame]
     # the field `read_scene` found first of a detection without an embedding
     missing_embedding: str | None = None
+
+
+def to_world(pose: Pose2, insts) -> list[MapInstance]:
+    """Copies of one frame's ego-frame `insts` in the world frame, ids,
+    scores and embeddings kept; icmap's one ego-to-world move. Their points
+    move in one elementwise transform, so each gets the bits it gets alone."""
+    if not insts:
+        return []
+    world = transform_points(pose, np.concatenate([i.points for i in insts]), EGO_TO_WORLD)
+    pieces = np.split(world, np.cumsum([len(i.points) for i in insts])[:-1])
+    return [replace(i, points=pts) for i, pts in zip(insts, pieces)]
 
 
 def chamfer_by_class(a, b, points=lambda inst: inst.points) -> np.ndarray:

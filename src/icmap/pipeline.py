@@ -5,7 +5,7 @@ the per-frame trace consumed by the tracking metrics.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .fileio import (
     read_doc,
     to_record,
 )
-from .geometry import EGO_TO_WORLD, Rect, transform_points
-from .instance import GlobalMap, MapInstance, Scene, chamfer_by_class
+from .geometry import Rect
+from .instance import GlobalMap, MapInstance, Scene, chamfer_by_class, to_world
 from .mapstore import fuse_with_history, merge_instance, sample_history
 
 TRACE_FORMAT_VERSION = "1"
@@ -51,11 +51,13 @@ class PipelineParams:
 def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
     """Stream the scene's frames through the full pipeline.
 
-    Returns the final global map and a trace document holding, per frame,
-    the detection count, accepted matches with their affinity, freshly
-    issued IDs, and the tracked world-frame instances. A MapBuildError
-    raised by a frame's stages is raised again, of the same class, led by
-    `frames[k]: ` and, when a merge fails, by the merged instance's id.
+    Each frame's detections are moved to the world frame once, as the
+    frame is pulled (`to_world`), and associated there. Returns the final
+    global map and a trace document holding, per frame, the detection
+    count, accepted matches with their affinity, freshly issued IDs, and
+    the tracked world-frame instances. A MapBuildError raised by a frame's
+    stages is raised again, of the same class, led by `frames[k]: ` and,
+    when a merge fails, by the merged instance's id.
     """
     gmap = GlobalMap(scene_id=scene.scene_id)
     buffer = TrackBuffer()
@@ -68,7 +70,7 @@ def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
         dets = [d for d in frame.detections if d.score >= params.min_score]
         merging = None  # the instance being merged
         try:
-            result = associate_frame(buffer, dets, frame.ego_pose, params.assoc)
+            result = associate_frame(buffer, to_world(frame.ego_pose, dets), params.assoc)
             buffer = result.buffer
             patch = Rect(frame.ego_pose, scene.range_lw[0] / 2.0, scene.range_lw[1] / 2.0)
             ids = [d.id for d in result.dets]
@@ -121,19 +123,8 @@ def read_trace(path) -> tuple[str, list[list[MapInstance]]]:
 
 
 def scene_gt_frames(scene: Scene) -> list[list[MapInstance]]:
-    """Per-frame ground truth transformed to the world frame: one transform
-    per frame over its instances' points, split back per instance (the
-    transform is elementwise, so each instance gets the bits of its own)."""
-    out = []
-    for f in scene.frames:
-        if not f.gt_local:
-            out.append([])
-            continue
-        world = transform_points(f.ego_pose, np.concatenate([g.points for g in f.gt_local]),
-                                 EGO_TO_WORLD)
-        pieces = np.split(world, np.cumsum([len(g.points) for g in f.gt_local])[:-1])
-        out.append([replace(g, points=pts) for g, pts in zip(f.gt_local, pieces)])
-    return out
+    """Per-frame ground truth moved to the world frame (`to_world`)."""
+    return [to_world(f.ego_pose, f.gt_local) for f in scene.frames]
 
 
 def scene_observations(scene: Scene) -> dict:
@@ -154,8 +145,7 @@ def scene_observations(scene: Scene) -> dict:
         gt_world = {g.id: g for g in gt_frame if g.is_polyline}
         if not gt_world:
             continue
-        dets = [d.transformed(frame.ego_pose, EGO_TO_WORLD)
-                for d in frame.detections if d.is_polyline]
+        dets = to_world(frame.ego_pose, [d for d in frame.detections if d.is_polyline])
         gt_ids = list(gt_world)
         dist = chamfer_by_class(dets, list(gt_world.values()))
         for det, row in zip(dets, dist):

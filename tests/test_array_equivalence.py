@@ -33,11 +33,14 @@ and on tight curves where a lane leaves the range and re-enters it, so
 that frames hold several pieces; resampling many lines at once with
 `resample_even` one line at a time, on lines with repeated points and
 runs of sub-eps steps; and the polygon clip on Python floats
-with the loop on numpy scalars it replaced, on rotated ranges. Eval's
-world-frame ground truth, one transform per frame, is compared bit for bit
-with one transform per instance. The road's centerline, which writes the
-arc once, is compared bit for bit with the version that wrote it for each
-curvature, over road lengths, radii and all three curvatures.
+with the loop on numpy scalars it replaced, on rotated ranges. The one
+move of a frame's instances to the world (`to_world`, one transform per
+frame), which eval's ground truth and run's detections take, is compared
+bit for bit with one transform per instance, on detections with scores,
+embeddings and ids, 1-point instances and empty frames. The road's
+centerline, which writes the arc once, is compared bit for bit with the
+version that wrote it for each curvature, over road lengths, radii and all
+three curvatures.
 
 The fusion blend, reading the squared distances of `_kernels`, is
 compared with its own broadcast of point differences, with the radius on a
@@ -62,7 +65,7 @@ from icmap.errors import EmptyPointSet, NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyline_to_rect,
                             polyline_length, resample_even, resample_even_many,
                             transform_points, transform_stacked)
-from icmap.instance import DIVIDER, PED_CROSSING, MapInstance
+from icmap.instance import CLASSES, DIVIDER, PED_CROSSING, MapInstance, to_world
 from icmap.mapstore import GlobalMap, fuse_with_history, sample_history
 from icmap.pipeline import scene_gt_frames
 from icmap.polygon import (DISJOINT, classify_point, classify_points, clip_polygon_to_rect,
@@ -348,6 +351,10 @@ class TestTransformStacked:
 general = st.floats(-200.0, 200.0, allow_nan=False)
 
 
+def general_pose(draw):
+    return Pose2(draw(general), draw(general), draw(st.floats(-3.2, 3.2)))
+
+
 @st.composite
 def gt_instance(draw, i):
     """A frame's ground-truth instance: a polyline of 0 to 12 general
@@ -364,29 +371,74 @@ def gt_instance(draw, i):
 def gt_scene(draw):
     frames = []
     for t in range(draw(st.integers(1, 5))):
-        pose = Pose2(draw(general), draw(general), draw(st.floats(-3.2, 3.2)))
+        pose = general_pose(draw)
         gts = [draw(gt_instance(i)) for i in range(draw(st.integers(0, 4)))]  # 0: no GT
         frames.append(Frame(t, pose, gts, []))
     return Scene("s", (100.0, 50.0), GlobalMap("s"), frames)
 
 
+@st.composite
+def detection_frame(draw):
+    """An ego pose and detector-like instances of every class: 1 to 12
+    general points, a score, and an id and an embedding or none."""
+    insts = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 12))
+        pts = draw(st.lists(st.tuples(general, general), min_size=n, max_size=n))
+        emb = draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+        insts.append(MapInstance(draw(st.sampled_from(CLASSES)), np.array(pts, float),
+                                 score=draw(st.floats(0.05, 1.0)),
+                                 id=draw(st.none() | st.integers(0, 99)), embedding=emb))
+    return general_pose(draw), insts
+
+
 class TestSceneGtFrames:
     @staticmethod
-    def assert_per_instance_bits(scene):
+    def assert_moved_bits(got, pose, insts):
+        """`got` holds each of `insts` moved by its own transform, with the
+        same fields, and `insts` are left as they were."""
+        assert len(got) == len(insts)
+        for g, inst in zip(got, insts):
+            want = inst.transformed(pose, EGO_TO_WORLD)
+            assert (g.cls, g.id, g.score) == (want.cls, want.id, want.score)
+            assert g.points.shape == want.points.shape
+            assert g.points.tobytes() == want.points.tobytes()
+            assert (g.embedding is None) == (inst.embedding is None)
+            if inst.embedding is not None:
+                assert g.embedding.tobytes() == inst.embedding.tobytes()
+
+    @classmethod
+    def assert_per_instance_bits(cls, scene):
         got = scene_gt_frames(scene)
         assert len(got) == len(scene.frames)
         for fr, f in zip(got, scene.frames):
-            want = [g.transformed(f.ego_pose, EGO_TO_WORLD) for g in f.gt_local]
-            assert len(fr) == len(want)
-            for g, w in zip(fr, want):
-                assert (g.cls, g.id, g.score) == (w.cls, w.id, w.score)
-                assert g.points.shape == w.points.shape
-                assert g.points.tobytes() == w.points.tobytes()
+            cls.assert_moved_bits(fr, f.ego_pose, f.gt_local)
 
     @equivalence
     @given(gt_scene())
     def test_matches_one_transform_per_instance(self, scene):
         self.assert_per_instance_bits(scene)
+
+    @equivalence
+    @given(detection_frame())
+    def test_detections_keep_their_fields(self, frame):
+        pose, dets = frame
+        before = [d.points.tobytes() for d in dets]
+        self.assert_moved_bits(to_world(pose, dets), pose, dets)
+        assert [d.points.tobytes() for d in dets] == before
+
+    def test_one_point_instances(self):
+        pose = Pose2(12.5, -3.25, 0.7)
+        dets = [MapInstance(DIVIDER, [[1.5, -2.25]], score=0.8, id=4),
+                MapInstance(PED_CROSSING, [[0.0, 0.0]], embedding=[0.6, 0.8]),
+                MapInstance(DIVIDER, [[-7.0, 3.0]])]
+        self.assert_moved_bits(to_world(pose, dets), pose, dets)
+
+    def test_empty_frame(self):
+        assert to_world(Pose2(1.0, 2.0, 0.3), []) == []
+        scene = Scene("s", (100.0, 50.0), GlobalMap("s"),
+                      [Frame(0, Pose2(0.0, 0.0, 0.0), [], [])])
+        assert scene_gt_frames(scene) == [[]]
 
     def test_generated_scene_with_crossings(self):
         scene = make_scene(SceneConfig(curvature=S_CURVE, crossing_count=3, frame_count=12,

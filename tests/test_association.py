@@ -25,7 +25,7 @@ from icmap.association import (
 from icmap.cli import main
 from icmap.errors import DuplicateId, MissingEmbedding, ShapeMismatch
 from icmap.geometry import WORLD_TO_EGO, Pose2, transform_points
-from icmap.instance import CLASSES, MapInstance
+from icmap.instance import CLASSES, MapInstance, to_world
 from icmap.pipeline import PipelineParams, run_scene
 from icmap.synth import make_scene, write_scene
 
@@ -279,7 +279,7 @@ class TestAssociateFrame:
     def test_empty_frame_ages_buffer(self):
         tracks = [outlined(line_instance(y=0.0, id=0))]
         buf = TrackBuffer(tracks, next_id=1)
-        res = associate_frame(buf, [], Pose2(0, 0, 0), AssocConfig(max_age=0))
+        res = associate_frame(buf, [], AssocConfig(max_age=0))
         assert res.dets == []
         assert res.buffer.tracks == []
 
@@ -287,9 +287,9 @@ class TestAssociateFrame:
         cfg = AssocConfig(w_feat=0.0)
         dets = [line_instance(y=0.0), line_instance(y=3.5, cls="boundary")]
         buf = TrackBuffer()
-        res1 = associate_frame(buf, dets, Pose2(0, 0, 0), cfg)
+        res1 = associate_frame(buf, dets, cfg)
         ids1 = [d.id for d in res1.dets]
-        res2 = associate_frame(res1.buffer, dets, Pose2(0, 0, 0), cfg)
+        res2 = associate_frame(res1.buffer, dets, cfg)
         ids2 = [d.id for d in res2.dets]
         assert ids1 == ids2
         assert res2.new_ids == []
@@ -305,7 +305,7 @@ class TestAssociateFrame:
                 line_instance(y=float(k) * 4, x0=frame * 2.0, x1=frame * 2.0 + 20)
                 for k in range(rng.integers(1, 4))
             ]
-            res = associate_frame(buf, dets, Pose2(0, 0, 0), cfg)
+            res = associate_frame(buf, dets, cfg)
             # new_ids are the IDs the unmatched detections got, in order
             matched = {i for i, _, _ in res.matches}
             assert res.new_ids == [d.id for k, d in enumerate(res.dets) if k not in matched]
@@ -329,7 +329,7 @@ class TestAssociateFrame:
                 xs = np.linspace(-20, 20, 20)
                 pts = np.column_stack([xs, np.full(20, y)]) + rng.normal(0, 0.1, (20, 2))
                 dets.append(MapInstance("divider" if k == 1 else "boundary", pts))
-            res = associate_frame(buf, dets, pose, cfg)
+            res = associate_frame(buf, to_world(pose, dets), cfg)
             buf = res.buffer
             history.append([d.id for d in res.dets])
         first = history[0]
@@ -338,7 +338,7 @@ class TestAssociateFrame:
     def test_cross_class_never_matches(self):
         cfg = AssocConfig(theta=0.0, w_feat=0.0)
         buf = TrackBuffer([outlined(line_instance(cls="boundary", id=0))], next_id=1)
-        res = associate_frame(buf, [line_instance(cls="divider")], Pose2(0, 0, 0), cfg)
+        res = associate_frame(buf, [line_instance(cls="divider")], cfg)
         assert res.matches == []
         assert res.dets[0].id == 1
 
@@ -391,8 +391,8 @@ def test_rigid_motion_of_the_world_changes_nothing(seed, theta, gx, gy):
     for _ in range(3):
         pose = Pose2(*rng.uniform(-5, 5, 2), rng.uniform(-0.3, 0.3))
         dets = ego_frame(rng, world, pose)
-        res = associate_frame(buf, dets, pose, cfg)
-        res_m = associate_frame(moved, dets, g.compose(pose), cfg)
+        res = associate_frame(buf, to_world(pose, dets), cfg)
+        res_m = associate_frame(moved, to_world(g.compose(pose), dets), cfg)
         assert res_m.new_ids == res.new_ids
         assert [m[:2] for m in res_m.matches] == [m[:2] for m in res.matches]
         for m, mm in zip(res.matches, res_m.matches):

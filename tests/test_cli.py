@@ -410,6 +410,29 @@ class TestRunConfig:
         assert run_cli("synth", "--config", cfg, "--out", tmp_path / "s.json") == 1
         assert "did you mean 'jitter_sigma'" in capsys.readouterr().err
 
+
+# a flag a command cannot do without is checked before any work: a usage
+# error naming the flags, with nothing written
+@pytest.mark.parametrize("argv,flags", [
+    (["synth"], ["--out", "--count"]),
+    (["eval", "--scene", "SCENE", "--report", "r.json"], ["--pred-map", "--pred-dir"]),
+    (["eval", "--scene", "SCENE", "--pred-map", "m.json", "--mot", "--report", "r.json"],
+     ["--mot", "--trace", "--pred-dir"]),
+    (["eval", "--scene", "SCENE", "SCENE", "--pred-map", "m.json", "--report", "r.json"],
+     ["--pred-dir"]),
+], ids=["synth", "eval-no-map", "eval-mot-no-trace", "eval-several-scenes"])
+def test_missing_flag_usage_error(scene_path, tmp_path, monkeypatch, capsys, argv, flags):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*[scene_path if arg == "SCENE" else arg for arg in argv])
+    assert exc.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message.startswith("icmap: error: ")
+    assert all(flag in message for flag in flags), message
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestEvalCmd:
     def test_perfect_pipeline(self, scene_path, tmp_path, capsys):
         out_map = tmp_path / "m.json"
@@ -473,8 +496,9 @@ class TestEvalCmd:
     def test_mot_without_trace_errors(self, scene_path, tmp_path, capsys):
         out_map = tmp_path / "m.json"
         run_cli("run", scene_path, "--out-map", out_map)
-        code = run_cli("eval", "--scene", scene_path, "--pred-map", out_map, "--mot")
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eval", "--scene", scene_path, "--pred-map", out_map, "--mot")
+        assert exc.value.code == 2
         assert "trace" in capsys.readouterr().err
 
     def test_multi_scene_aggregate(self, tmp_path):
@@ -775,6 +799,32 @@ class TestMalformedInput:
         assert run_cli(*self.scene_reader_argv(command, scene_path, outputs, tmp_path)) == 1
         self.assert_named(capsys, scene_path,
                           f"range: expected a positive length and width, got {extents}")
+
+    @pytest.mark.parametrize("command,field", [
+        ("run", "detections"), ("run", "gt_local"), ("eval", "map"), ("render", "map")])
+    def test_crossing_needs_three_points(self, scene_path, outputs, tmp_path, capsys, command,
+                                         field):
+        # two points make no ring: the reader rejects the crossing, naming it
+        out_map, _ = outputs
+        path = out_map if field == "map" else scene_path
+        doc = json.loads(path.read_text())
+        if field == "map":
+            where, insts = "instances", doc["instances"]
+        else:
+            k = next(k for k, fr in enumerate(doc["frames"])
+                     if any(inst["class"] == "ped_crossing" for inst in fr[field]))
+            where, insts = f"frames[{k}].{field}", doc["frames"][k][field]
+        j = next(j for j, inst in enumerate(insts) if inst["class"] == "ped_crossing")
+        del insts[j]["points"][2:]
+        path.write_text(json.dumps(doc))
+        svg = tmp_path / "o.svg"
+        argv = {"run": ["run", scene_path, "--out-map", tmp_path / "out.json"],
+                "eval": ["eval", "--scene", scene_path, "--pred-map", out_map],
+                "render": ["render", out_map, "--out", svg]}[command]
+        assert run_cli(*argv) == 1
+        self.assert_named(capsys, path,
+                          f"{where}[{j}].points: expected at least 3 [x, y] pairs")
+        assert not svg.exists() and not (tmp_path / "out.json").exists()
 
     def test_non_utf8_scene(self, scene_path, tmp_path, capsys):
         scene_path.write_bytes(scene_path.read_bytes().replace(b"scene-arc-5", b"scene-\xe9"))

@@ -178,6 +178,21 @@ def test_fewest_points_per_kind(keys, least, pairs):
     assert str(exc.value) == f"l[1].points: expected at least {pairs}"
 
 
+@pytest.mark.parametrize("keys,least", [(MAP_KEYS, 3), (DETECTION_KEYS, 3), (TRACE_KEYS, 1)],
+                         ids=["map", "detection", "trace"])
+def test_fewest_crossing_points_per_kind(keys, least):
+    # a crossing's ring needs 3 points wherever a map is built from it or
+    # scored by it; a trace record keeps its one point
+    recs = [dict(GOOD, id=0), dict(GOOD, id=1, points=[[0, 0]] * least)]
+    recs[1]["class"] = "ped_crossing"
+    assert len(from_records(recs, "l", keys)[1].points) == least
+    recs[1]["points"] = [[0, 0]] * (least - 1)
+    with pytest.raises(MapFormatError) as exc:
+        from_records(recs, "l", keys)
+    pairs = "one [x, y] pair" if least == 1 else f"{least} [x, y] pairs for a ped_crossing ring"
+    assert str(exc.value) == f"l[1].points: expected at least {pairs}"
+
+
 class TestReadDoc:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "d.json"
