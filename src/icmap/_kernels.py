@@ -4,8 +4,9 @@ even-odd rasterization, optimal assignment and a banded Cholesky solve.
 Every point-to-point distance here is sqrt(dx*dx + dy*dy), with the sum
 under the square root computed as `sq_dist_table` computes it. Two kernels
 find nearest neighbours with it, one per size of input. `nearest_sq_dist`
-is an exact uniform-grid search that scores each point against the points
-of its neighbouring cells only; through `nn_mean_dist` it serves
+is an exact search: one uniform-grid pass scores each point against the
+points of its neighbouring cells only, and the exact table scores the few
+points that pass leaves unresolved; through `nn_mean_dist` it serves
 `geometry.chamfer_distance`, which scores one pair of large sets: a class's
 pooled map points against its ground truth (`metrics.global_map_cd`) and a
 merged curve against its reference (`curvefit.sweep_smoothing`).
@@ -77,22 +78,15 @@ def nearest_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     `b` is sorted into square cells; each point of `a` is scored against
     the points of `b` in its 3 x 3 block of cells. Points outside the block
     lie at least a cell side away, so a minimum within that side (less a
-    margin for rounding) is the nearest. Points left unresolved are searched
-    again with cells four times as wide, and any still unresolved are scored
-    against all of `b`, PAIR_CHUNK pairs at a time.
+    margin for rounding) is the nearest. The points this one pass leaves
+    unresolved are scored against all of `b`, PAIR_CHUNK pairs at a time.
     """
     a, b = _as_pts(a), _as_pts(b)
     lo = b.min(axis=0).tolist()
     hi = b.max(axis=0).tolist()
     span = (hi[0] - lo[0], hi[1] - lo[1])
-    side = _cell_side(span, len(b))
-    out = np.empty(len(a))
-    todo = np.arange(len(a))
-    for h in (side, 4 * side):
-        if len(todo):
-            d2, ok = _grid_search(a[todo], b, lo, span, h)
-            out[todo[ok]] = d2[ok]
-            todo = todo[~ok]
+    out, ok = _grid_search(a, b, lo, span, _cell_side(span, len(b)))
+    todo = np.flatnonzero(~ok)
     rows = max(1, PAIR_CHUNK // len(b))
     for s in range(0, len(todo), rows):
         i = todo[s:s + rows]
@@ -101,7 +95,7 @@ def nearest_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _cell_side(span: tuple, m: int) -> float:
-    """The first search's cell side for m points whose bounding box has
+    """The grid's cell side for m points whose bounding box has
     sides `span`: CELL_FRACTION of the side at which the box holds m cells,
     or m along its length when the points lie on one line."""
     side = max(math.sqrt(span[0] * span[1] / m), max(span) / m) * CELL_FRACTION
@@ -139,7 +133,7 @@ def _grid_search(q: np.ndarray, b: np.ndarray, lo: list, span: tuple, h: float):
     lens = start[flat + (3, w + 3, 2 * w + 3)] - first
     count = lens.sum(axis=1)
     d2 = np.full(len(q), np.inf)
-    step = max(1, PAIR_CHUNK // max(1, int(count.max())))
+    step = max(1, PAIR_CHUNK // max(1, int(count.max(initial=0))))
     for s in range(0, len(q), step):
         c, runs = count[s:s + step], lens[s:s + step].ravel()
         # the candidates of the chunk's runs, one after another; the k-th of

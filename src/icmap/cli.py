@@ -8,6 +8,7 @@ import math
 import os
 import sys
 from dataclasses import fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -387,19 +388,16 @@ def cmd_render(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-class _SGridSetsS(argparse.Action):
-    """`sweep-s --s`: a usage error, since the grid sets s."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error("--s is not accepted: sweep-s takes s from --s-grid")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The icmap parser. It and each subcommand accept each flag spelt in
+    full only: an abbreviation is an unrecognized argument."""
     parser = argparse.ArgumentParser(
         prog="icmap",
         description="Online vectorized map construction over synthetic detection streams.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("synth", help="generate a synthetic scene file")
     p.add_argument("--config", help="key = value config file")
@@ -452,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="TSV table output")
     p.add_argument("--plot", help="SVG chart output")
     p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
-    p.add_argument("--s", nargs="?", action=_SGridSetsS, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep_s)
 
     p = sub.add_parser("render", help="render map files to SVG")
@@ -479,12 +476,14 @@ def main(argv=None) -> int:
     for first, second in _CONFLICTS.get(args.command, ()):
         if all(getattr(args, flag[2:].replace("-", "_")) is not None for flag in (first, second)):
             parser.error(f"argument {second}: not allowed with argument {first}")
-    # flags a command cannot do without, checked before any work
+    # flags a command or another flag cannot do without, checked before any work
     if args.command == "synth" and args.out is None and args.count is None:
         parser.error("synth needs --out (or --count with --out-dir)")
     if args.command == "eval":
         if args.mot and not args.trace and not args.pred_dir:
             parser.error("--mot requires --trace (per-frame tracked instances) or --pred-dir")
+        if args.trace is not None and not args.mot:
+            parser.error("--trace requires --mot: eval reads the trace for AP and CLEAR-MOT only")
         if len(args.scene) > 1 and not args.pred_dir:
             parser.error("evaluating several scenes requires --pred-dir")
         if args.pred_map is None and not args.pred_dir:

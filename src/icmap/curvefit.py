@@ -316,6 +316,3 @@ class SweepTable:
         for s, errs in self.rows:
             lines.append("\t".join([f"{s:.3f}"] + [f"{errs[c]:.6f}" for c in self.classes]))
         return "\n".join(lines) + "\n"
-
-    def argmin(self, cls: str) -> float:
-        return min(self.rows, key=lambda r: r[1][cls])[0]

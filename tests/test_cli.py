@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -191,6 +192,21 @@ class TestRunCmd:
         out_map = tmp_path / "m.json"
         assert run_cli("run", scene_path, "--out-map", out_map, "--no-fusion") == 0
         assert load_map(out_map).instances
+
+    # flags are spelt in full: neither --out (for --out-map) nor --no (for
+    # --no-fusion) is read, and no map is written
+    @pytest.mark.parametrize("flags,message", [
+        (["--out", "m.json"], "the following arguments are required: --out-map"),
+        (["--out-map", "m.json", "--no"], "unrecognized arguments: --no"),
+    ], ids=["out", "no"])
+    def test_abbreviated_flag_usage_error(self, scene_path, tmp_path, monkeypatch, capsys,
+                                          flags, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", scene_path, *flags)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_empty_scene(self, tmp_path):
         doc = {
@@ -411,8 +427,8 @@ class TestRunConfig:
         assert "did you mean 'jitter_sigma'" in capsys.readouterr().err
 
 
-# a flag a command cannot do without is checked before any work: a usage
-# error naming the flags, with nothing written
+# a flag a command or another flag cannot do without is checked before any
+# work: a usage error naming the flags, with nothing written
 @pytest.mark.parametrize("argv,flags", [
     (["synth"], ["--out", "--count"]),
     (["eval", "--scene", "SCENE", "--report", "r.json"], ["--pred-map", "--pred-dir"]),
@@ -420,7 +436,11 @@ class TestRunConfig:
      ["--mot", "--trace", "--pred-dir"]),
     (["eval", "--scene", "SCENE", "SCENE", "--pred-map", "m.json", "--report", "r.json"],
      ["--pred-dir"]),
-], ids=["synth", "eval-no-map", "eval-mot-no-trace", "eval-several-scenes"])
+    # eval reads the trace for --mot only, so the file is not opened
+    (["eval", "--scene", "SCENE", "--pred-map", "m.json", "--trace", "missing.json",
+      "--report", "r.json"], ["--trace", "--mot"]),
+], ids=["synth", "eval-no-map", "eval-mot-no-trace", "eval-several-scenes",
+        "eval-trace-no-mot"])
 def test_missing_flag_usage_error(scene_path, tmp_path, monkeypatch, capsys, argv, flags):
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.rglob("*"))
@@ -926,10 +946,11 @@ class TestSweepCmd:
 
     @pytest.mark.parametrize("flag", [["--s", "0.5"], ["--s"]])
     def test_s_flag_names_grid(self, scene_path, tmp_path, capsys, flag):
+        # --s is not an abbreviation of --s-grid: sweep-s has no such flag
         with pytest.raises(SystemExit) as exc:
             run_cli("sweep-s", scene_path, "--out", tmp_path / "t.tsv", *flag)
         assert exc.value.code == 2
-        assert "takes s from --s-grid" in capsys.readouterr().err
+        assert "unrecognized arguments: --s" in capsys.readouterr().err
 
     def test_config_flag_usage_error(self, scene_path, tmp_path, capsys):
         # the grid sets s, the fit's only setting, so sweep-s reads no config file
@@ -1033,3 +1054,45 @@ def test_jobs_out_of_range_usage_error(command, jobs, capsys, tmp_path, monkeypa
         run_cli(*command, "--jobs", jobs)
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+# a valid command line of each subcommand, its scene the `scene_path` file
+# and its outputs in the current directory
+VALID_ARGV = {
+    "synth": ["synth", "--out", "s.json"],
+    "run": ["run", "SCENE", "--out-map", "m.json"],
+    "eval": ["eval", "--scene", "SCENE", "--pred-map", "m.json", "--report", "r.json"],
+    "sweep-s": ["sweep-s", "SCENE", "--out", "t.tsv"],
+    "render": ["render", "--gt", "SCENE", "--out", "m.svg"],
+}
+
+
+def abbreviations():
+    """(subcommand, abbreviation) for every long flag of every subcommand of
+    `build_parser()`: the flag's longest proper prefix that is not itself a
+    flag of the subcommand. A flag with no such prefix (`--s`) is left out."""
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    cases = []
+    for command, subparser in sub.choices.items():
+        flags = {f for a in subparser._actions for f in a.option_strings if f.startswith("--")}
+        for flag in sorted(flags):
+            prefixes = [flag[:end] for end in range(len(flag) - 1, 2, -1)]
+            cases += [(command, p) for p in prefixes if p not in flags][:1]
+    return cases
+
+
+ABBREVIATIONS = abbreviations()
+
+
+@pytest.mark.parametrize("command,abbrev", ABBREVIATIONS,
+                         ids=[f"{c} {a}" for c, a in ABBREVIATIONS])
+def test_abbreviated_flag_unrecognized(scene_path, tmp_path, monkeypatch, capsys, command,
+                                       abbrev):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*[scene_path if arg == "SCENE" else arg for arg in VALID_ARGV[command]], abbrev)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {abbrev}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
@@ -56,10 +56,13 @@ def test_broadcast_and_tree_return_same_bits(n, m):
 def nn_case(draw):
     """(a, b) laid out against the grid search's cells: all of a and b but
     one far point of b in one cell; exact duplicates; points on
-    axis-parallel lines; points on the cell boundaries of either search, or
-    one float off them; a far point of a, which no grid resolves. Any of
-    them may sit 1e5 m from the origin."""
-    kind = draw(st.sampled_from(["one_cell", "duplicates", "lines", "boundaries", "outlier"]))
+    axis-parallel lines; points on the boundaries of cells one or four cell
+    sides wide, or one float off them; a far point of a, which the grid
+    does not resolve; points of a between one and four cell sides from b,
+    which the grid does not resolve either. Any of them may sit 1e5 m from
+    the origin."""
+    kind = draw(st.sampled_from(["one_cell", "duplicates", "lines", "boundaries", "outlier",
+                                 "band"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m = draw(st.integers(1, 60)), draw(st.integers(1, 60))
     if kind == "one_cell":
@@ -86,6 +89,15 @@ def nn_case(draw):
         b[inner] = np.clip(lo + np.round((b[inner] - lo) / side) * side, lo, hi)
     if kind == "outlier":
         a[rng.integers(n)] = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(3, 6, 2)
+    if kind == "band":
+        lo, hi = b.min(axis=0), b.max(axis=0)
+        side = _cell_side(tuple((hi - lo).tolist()), m)
+        # points 1 to 4 sides from a point of b, kept where no point of b is nearer than a side
+        k = 4 * n + 16
+        turn, reach = rng.uniform(0.0, 2 * np.pi, k), rng.uniform(side, 4 * side, (k, 1))
+        near = b[rng.integers(m, size=k)] + reach * np.column_stack([np.cos(turn), np.sin(turn)])
+        a = near[sq_dist_table(near, b).min(axis=1) >= side * side][:n]
+        assume(len(a))
     return a, b
 
 
