@@ -36,6 +36,16 @@ any depth, where `json` raises RecursionError near Python's recursion
 limit (a field check that meets such a value names the field). Messages
 quote a value in `reprlib`'s bounded form, so a deep one cannot make
 them overflow the stack.
+A list of records decodes at once (`from_records`): the points, scores
+and embeddings of all its records convert to one float64 array in one
+call, whose finiteness is checked once, and each instance gets slices of
+it. The scene and trace loaders decode the lists of all frames in one such
+pass (`decode_lists`). A number is an int or a float: a string, a boolean
+or null is rejected, though `float` reads `"0.9"` and `true` and numpy
+reads null as NaN. Where a list is not plainly well formed, the
+per-record checks (`from_record`) run record by record; they exist to
+name the first bad field, and accept what the list decode accepts, with
+the same bits.
 The loaders decode, and the scene and map writers build their documents,
 under `gc_paused`, since a document is tens of thousands of lists, none of
 them cyclic, that the cycle collector would otherwise walk again and again.
@@ -48,6 +58,7 @@ import json
 import math
 import reprlib
 from contextlib import contextmanager
+from itertools import accumulate, chain
 
 import numpy as np
 import orjson
@@ -204,11 +215,15 @@ def as_list(value, where: str) -> list:
 
 def finite_array(value, where: str) -> np.ndarray:
     """`value` as a float64 array; raises MapFormatError naming `where` unless
-    every entry is a finite number."""
+    every entry is a finite number: an int or a float, not a boolean, a
+    string or null, which numpy would read as numbers or NaN."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         raise MapFormatError(f"{where}: expected numbers") from None
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in np.asarray(value, dtype=object).flat):
+        raise MapFormatError(f"{where}: expected numbers")
     if not np.isfinite(arr).all():
         raise MapFormatError(f"{where}: non-finite value (NaN or inf)")
     return arr
@@ -216,7 +231,9 @@ def finite_array(value, where: str) -> np.ndarray:
 
 def finite_float(value, where: str) -> float:
     """`value` as a float; raises MapFormatError naming `where` unless it is a
-    finite number."""
+    finite number (not true, false or a string)."""
+    if isinstance(value, (bool, str)):
+        raise MapFormatError(f"{where}: expected a number")
     try:
         val = float(value)
     except (TypeError, ValueError):
@@ -289,13 +306,20 @@ def from_record(obj, where: str, keys) -> MapInstance:
     )
 
 
-def from_records(objs, where: str, keys) -> list[MapInstance]:
+def from_records(objs, where: str, keys, decoded=None) -> list[MapInstance]:
     """The instances of a list of records (see `from_record`), `where[i]`
     naming record i; IDs must be unique within the list, and each record
     holds at least `MIN_POINTS[keys]` points, a crossing outside a trace at
-    least `MIN_RING_POINTS`."""
-    insts = [from_record(obj, f"{where}[{i}]", keys)
-             for i, obj in enumerate(as_list(objs, where))]
+    least `MIN_RING_POINTS`.
+
+    The list decodes at once (`_decode_list`), unless `decoded` holds the
+    instances `decode_lists` made of it; where it is not plainly well
+    formed, `from_record` runs on each record in turn to name the first
+    bad field."""
+    objs = as_list(objs, where)
+    insts = _decode_list(objs, keys) if decoded is None else decoded
+    if insts is None:
+        insts = [from_record(obj, f"{where}[{i}]", keys) for i, obj in enumerate(objs)]
     if "id" in keys:
         seen: set[int] = set()
         for i, inst in enumerate(insts):
@@ -311,3 +335,76 @@ def from_records(objs, where: str, keys) -> list[MapInstance]:
                 pairs += f" for a {inst.cls} ring"
             raise MapFormatError(f"{where}[{i}].points: expected at least {pairs}")
     return insts
+
+
+def decode_lists(docs, field: str, keys) -> list[list[MapInstance]] | None:
+    """The instances of the record list under `field` of each object in
+    `docs` (every frame of a file, say), all lists decoded in one pass
+    (`_decode_list`); None unless each object holds a list of plainly
+    well-formed records. A loader passes each list's share to
+    `from_records` as `decoded`, which checks the list as a list, so that
+    a fault is still named in the order the loader reads the file."""
+    lists = [doc.get(field) if isinstance(doc, dict) else None for doc in docs]
+    if not all(type(objs) is list for objs in lists):
+        return None
+    insts = _decode_list(list(chain.from_iterable(lists)), keys)
+    if insts is None:
+        return None
+    ends = list(accumulate(map(len, lists)))
+    return [insts[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
+_CLASSES = frozenset(CLASSES)
+_NUMBERS = frozenset((int, float))  # the types of JSON numbers; bool is neither
+
+
+def _decode_list(objs: list, keys) -> list[MapInstance] | None:
+    """The instances of the records of `keys` in `objs`, each record's
+    points and embedding a slice of one float64 array that every number of
+    the list converts to in one call; None unless every record is plainly
+    well formed, which `from_record` accepts with the same bits."""
+    n = len(objs)
+    try:
+        classes = [obj["class"] for obj in objs]
+        if not _CLASSES.issuperset(classes):
+            return None
+        points = [obj["points"] for obj in objs]
+        rows = list(chain.from_iterable(points))
+        if rows and set(map(len, rows)) != {2}:
+            return None
+        values = list(chain.from_iterable(rows))
+        if "score" in keys:
+            values += [obj["score"] for obj in objs]
+        given = []  # the records holding an embedding
+        if "embedding" in keys:
+            given = [i for i, obj in enumerate(objs) if obj.get("embedding") is not None]
+            vectors = [objs[i]["embedding"] for i in given]
+            if not all(map(any, vectors)):  # an empty or all-zero embedding
+                return None
+            values += chain.from_iterable(vectors)
+        if not _NUMBERS.issuperset(map(type, values)):
+            return None
+        ids = [obj["id"] for obj in objs] if "id" in keys else [None] * n
+        if "id" in keys and not {int}.issuperset(map(type, ids)):
+            ids = [whole_int(v, "id") for v in ids]  # whole floats such as 3.0
+    except (KeyError, TypeError, MapFormatError):
+        return None
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not np.isfinite(arr).all():
+        return None
+    bounds = [0, *accumulate(map(len, points))]
+    at = 2 * bounds[-1]
+    coords = arr[:at].reshape(-1, 2)
+    scores = arr[at:at + n].tolist() if "score" in keys else [1.0] * n
+    embs = [None] * n
+    if given:
+        at += n if "score" in keys else 0
+        ends = list(accumulate(map(len, vectors), initial=at))
+        for i, lo, hi in zip(given, ends, ends[1:]):
+            embs[i] = arr[lo:hi]
+    return [MapInstance(cls, coords[lo:hi], score=score, id=id_, embedding=emb)
+            for cls, lo, hi, score, id_, emb in zip(classes, bounds, bounds[1:], scores, ids,
+                                                    embs)]

@@ -170,21 +170,24 @@ def resample_even(points, n: int) -> np.ndarray:
     return out
 
 
-def resample_even_many(lines, n: int) -> np.ndarray:
-    """`resample_even(line, n)` of each of `lines`, with the same bits, as
-    one (len(lines), n, 2) array.
+def resample_even_many(lines, counts) -> np.ndarray:
+    """`resample_even(line, n)` of each of `lines` and its count `n` in
+    `counts`, with the same bits, concatenated as one (sum(counts), 2)
+    array.
 
     The dedupe and the segment lengths run once over all lines; the
     arc-length sums are one `cumsum` along the rows of a zero-padded
-    (line, segment) table, which adds in the same order as the 1-D one.
+    (line, segment) table, which adds in the same order as the 1-D one,
+    and every line's targets are one product, as `np.linspace` forms them.
     Only `np.interp` runs per line.
     """
-    if n < 2:
-        raise InvalidSampleCount(f"need at least 2 sample points, got {n}")
+    counts = np.asarray(counts, dtype=np.intp)
+    if len(counts) and counts.min() < 2:
+        raise InvalidSampleCount(f"need at least 2 sample points, got {counts.min()}")
     pts, line_of = _dedupe_lines(lines)
     sizes = np.bincount(line_of, minlength=len(lines))
     if not len(sizes):
-        return np.empty((0, n, 2))
+        return np.empty((0, 2))
     if sizes.min() < 2:
         raise EmptyPointSet("resample_even requires a polyline with positive length")
     # arc length at each point: row l holds line l's, then zeros
@@ -196,15 +199,28 @@ def resample_even_many(lines, n: int) -> np.ndarray:
     table[:, 1:][np.arange(sizes.max() - 1) < (sizes - 1)[:, None]] = seg[own]
     s = np.cumsum(table, axis=1)
     last = first + sizes - 1
-    targets = np.linspace(0.0, s[np.arange(len(lines)), sizes - 1], n).T.copy()
-    out = np.empty((len(lines), n, 2))
-    for k, (lo, m) in enumerate(zip(first.tolist(), sizes.tolist())):
+    # np.linspace(0.0, total, n): k * (total / (n - 1)), then `total` itself last
+    total = s[np.arange(len(lines)), sizes - 1]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    targets = (np.arange(ends[-1]) - np.repeat(starts, counts)) * np.repeat(
+        total / (counts - 1), counts)
+    targets[ends - 1] = total
+    out = np.empty((ends[-1], 2))
+    for k, (lo, m, a, b) in enumerate(zip(first.tolist(), sizes.tolist(), starts.tolist(),
+                                          ends.tolist())):
         xp = s[k, :m]
-        out[k, :, 0] = np.interp(targets[k], xp, pts[lo:lo + m, 0])
-        out[k, :, 1] = np.interp(targets[k], xp, pts[lo:lo + m, 1])
-    out[:, 0] = pts[first]
-    out[:, -1] = pts[last]
+        out[a:b, 0] = np.interp(targets[a:b], xp, pts[lo:lo + m, 0])
+        out[a:b, 1] = np.interp(targets[a:b], xp, pts[lo:lo + m, 1])
+    out[starts] = pts[first]
+    out[ends - 1] = pts[last]
     return out
+
+
+def _sample_count(length: float, spacing: float) -> int:
+    """The points `densify` resamples a line of `length` to: about
+    `spacing` meters apart, and at least 2."""
+    return max(2, int(round(length / spacing)) + 1)
 
 
 def densify(points, spacing: float) -> np.ndarray:
@@ -212,8 +228,34 @@ def densify(points, spacing: float) -> np.ndarray:
     pts = dedupe_points(points)
     if len(pts) < 2:
         return pts
-    n = max(2, int(round(polyline_length(pts) / spacing)) + 1)
-    return resample_even(pts, n)
+    return resample_even(pts, _sample_count(polyline_length(pts), spacing))
+
+
+def densify_many(lines, spacing: float) -> np.ndarray:
+    """`densify(line, spacing)` of each of `lines`, with the same bits,
+    concatenated.
+
+    One dedupe and one `resample_even_many` serve every line; a line's
+    length is the sum of its own slice of the segment lengths, which adds
+    as `polyline_length` does.
+    """
+    pts, line_of = _dedupe_lines(lines)
+    sizes = np.bincount(line_of, minlength=len(lines))
+    bounds = np.append(0, np.cumsum(sizes))
+    long = sizes >= 2
+    starts, ends = bounds[:-1][long].tolist(), bounds[1:][long].tolist()
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    counts = [_sample_count(float(seg[lo:hi - 1].sum()), spacing)
+              for lo, hi in zip(starts, ends)]
+    pieces = [pts[lo:hi] for lo, hi in zip(starts, ends)]
+    # a line of fewer than 2 points after the dedupe is kept as it is
+    out_sizes = sizes.copy()
+    out_sizes[long] = counts
+    out = np.empty((out_sizes.sum(), 2))
+    resampled = np.repeat(long, out_sizes)
+    out[resampled] = resample_even_many(pieces, counts)
+    out[~resampled] = pts[np.repeat(~long, sizes)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -355,4 +397,5 @@ def longest_pieces(lines, rects, min_length: float, n: int):
         length = float(seg[lo:hi - 1].sum())
         if ok and length > min_length and (o not in best or length > best[o][0]):
             best[o] = (length, lo, hi)
-    return list(best), resample_even_many([pts[lo:hi] for _, lo, hi in best.values()], n)
+    pieces = [pts[lo:hi] for _, lo, hi in best.values()]
+    return list(best), resample_even_many(pieces, [n] * len(pieces)).reshape(-1, n, 2)

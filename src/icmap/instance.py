@@ -2,12 +2,14 @@
 them by track ID, and scenes of frames; a crossing's ring closes here."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
 from ._kernels import chamfer_matrix
-from .geometry import EGO_TO_WORLD, Pose2, as_points, transform_points
+from .geometry import EGO_TO_WORLD, Pose2, _rigid, as_points, transform_points
 
 DIVIDER = "divider"
 BOUNDARY = "boundary"
@@ -82,13 +84,32 @@ class Scene:
 
 def to_world(pose: Pose2, insts) -> list[MapInstance]:
     """Copies of one frame's ego-frame `insts` in the world frame, ids,
-    scores and embeddings kept; icmap's one ego-to-world move. Their points
-    move in one elementwise transform, so each gets the bits it gets alone."""
+    scores and embeddings kept (`frames_to_world` moves many frames at
+    once). Their points move in one elementwise transform, so each gets the
+    bits it gets alone."""
     if not insts:
         return []
     world = transform_points(pose, np.concatenate([i.points for i in insts]), EGO_TO_WORLD)
     pieces = np.split(world, np.cumsum([len(i.points) for i in insts])[:-1])
     return [replace(i, points=pts) for i, pts in zip(insts, pieces)]
+
+
+def frames_to_world(poses, frames) -> list[list[MapInstance]]:
+    """`to_world(poses[k], frames[k])` for every frame k, with the same bits:
+    the points of every frame move in one elementwise transform, each by
+    its own frame's pose."""
+    insts = [inst for frame in frames for inst in frame]
+    if not insts:
+        return [[] for _ in frames]
+    sizes = [len(inst.points) for inst in insts]
+    per_frame = [sum(len(inst.points) for inst in frame) for frame in frames]
+    pose_rows = np.array([[math.cos(p.theta), math.sin(p.theta), p.x, p.y] for p in poses])
+    c, s, tx, ty = np.repeat(pose_rows, per_frame, axis=0).T
+    world = _rigid(c, s, tx, ty, np.concatenate([inst.points for inst in insts]), EGO_TO_WORLD)
+    moved = [MapInstance(inst.cls, pts, inst.score, inst.id, inst.embedding)
+             for inst, pts in zip(insts, np.split(world, np.cumsum(sizes)[:-1]))]
+    ends = list(accumulate(map(len, frames)))
+    return [moved[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def chamfer_by_class(a, b, points=lambda inst: inst.points) -> np.ndarray:

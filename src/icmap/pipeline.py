@@ -16,13 +16,14 @@ from .fileio import (
     TRACE_KEYS,
     as_list,
     as_object,
+    decode_lists,
     from_records,
     gc_paused,
     read_doc,
     to_record,
 )
 from .geometry import Rect
-from .instance import GlobalMap, MapInstance, Scene, chamfer_by_class, to_world
+from .instance import GlobalMap, MapInstance, Scene, chamfer_by_class, frames_to_world, to_world
 from .mapstore import fuse_with_history, merge_instance, sample_history
 
 TRACE_FORMAT_VERSION = "1"
@@ -107,11 +108,14 @@ def trace_pred_frames(trace: dict, where: str = "trace") -> list[list[MapInstanc
     """Tracked per-frame instances (world frame) out of a trace document;
     raises MapFormatError naming `where` and the field of the first
     malformed value."""
+    frame_docs = as_list(trace["frames"], f"{where}: frames")
+    decoded = decode_lists(frame_docs, "instances", TRACE_KEYS)
     frames = []
-    for k, fr in enumerate(as_list(trace["frames"], f"{where}: frames")):
+    for k, fr in enumerate(frame_docs):
         at = f"{where}: frames[{k}]"
         frames.append(from_records(as_object(fr, at, ("instances",))["instances"],
-                                   f"{at}.instances", TRACE_KEYS))
+                                   f"{at}.instances", TRACE_KEYS,
+                                   None if decoded is None else decoded[k]))
     return frames
 
 
@@ -123,8 +127,9 @@ def read_trace(path) -> tuple[str, list[list[MapInstance]]]:
 
 
 def scene_gt_frames(scene: Scene) -> list[list[MapInstance]]:
-    """Per-frame ground truth moved to the world frame (`to_world`)."""
-    return [to_world(f.ego_pose, f.gt_local) for f in scene.frames]
+    """Per-frame ground truth moved to the world frame, all frames in one
+    move (`frames_to_world`)."""
+    return frames_to_world([f.ego_pose for f in scene.frames], [f.gt_local for f in scene.frames])
 
 
 def scene_observations(scene: Scene) -> dict:
@@ -141,11 +146,12 @@ def scene_observations(scene: Scene) -> dict:
         if inst.is_polyline:
             ref[inst_id] = inst
             cases[inst_id] = []
-    for frame, gt_frame in zip(scene.frames, scene_gt_frames(scene)):
+    det_frames = frames_to_world([f.ego_pose for f in scene.frames],
+                                 [[d for d in f.detections if d.is_polyline] for f in scene.frames])
+    for dets, gt_frame in zip(det_frames, scene_gt_frames(scene)):
         gt_world = {g.id: g for g in gt_frame if g.is_polyline}
         if not gt_world:
             continue
-        dets = to_world(frame.ego_pose, [d for d in frame.detections if d.is_polyline])
         gt_ids = list(gt_world)
         dist = chamfer_by_class(dets, list(gt_world.values()))
         for det, row in zip(dets, dist):

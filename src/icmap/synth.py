@@ -17,6 +17,7 @@ from .fileio import (
     MAP_KEYS,
     as_list,
     as_object,
+    decode_lists,
     finite_array,
     finite_float,
     from_records,
@@ -367,14 +368,19 @@ def read_scene(path) -> Scene:
     frames = []
     dim = None  # embedding length
     missing = None
-    for fi, fobj in enumerate(as_list(doc["frames"], f"{path}: frames")):
+    frame_docs = as_list(doc["frames"], f"{path}: frames")
+    gt_lists = decode_lists(frame_docs, "gt_local", MAP_KEYS)
+    det_lists = decode_lists(frame_docs, "detections", DETECTION_KEYS)
+    for fi, fobj in enumerate(frame_docs):
         where = f"{path}: frames[{fi}]"
         as_object(fobj, where, ("t", "ego_pose", "gt_local", "detections"))
         ep = as_object(fobj["ego_pose"], f"{where}.ego_pose", ("x", "y", "theta"))
         pose = Pose2(*(finite_float(ep[key], f"{where}.ego_pose.{key}")
                        for key in ("x", "y", "theta")))
-        gt_local = from_records(fobj["gt_local"], f"{where}.gt_local", MAP_KEYS)
-        dets = from_records(fobj["detections"], f"{where}.detections", DETECTION_KEYS)
+        gt_local = from_records(fobj["gt_local"], f"{where}.gt_local", MAP_KEYS,
+                                None if gt_lists is None else gt_lists[fi])
+        dets = from_records(fobj["detections"], f"{where}.detections", DETECTION_KEYS,
+                            None if det_lists is None else det_lists[fi])
         for di, det in enumerate(dets):
             if det.embedding is None:
                 missing = missing or f"{where}.detections[{di}].embedding"

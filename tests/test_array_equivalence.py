@@ -32,12 +32,16 @@ frames at once is compared with the per-frame clip on every curvature,
 and on tight curves where a lane leaves the range and re-enters it, so
 that frames hold several pieces; resampling many lines at once with
 `resample_even` one line at a time, on lines with repeated points and
-runs of sub-eps steps; and the polygon clip on Python floats
+runs of sub-eps steps, each line with a sample count of its own;
+densifying many lines at once with `densify` one line at a time, on runs of
+sub-eps steps that a second dedupe shortens again, one-point and empty
+lines and closed crossing rings; and the polygon clip on Python floats
 with the loop on numpy scalars it replaced, on rotated ranges. The one
 move of a frame's instances to the world (`to_world`, one transform per
-frame), which eval's ground truth and run's detections take, is compared
-bit for bit with one transform per instance, on detections with scores,
-embeddings and ids, 1-point instances and empty frames. The road's
+frame), which run's detections take, is compared bit for bit with one
+transform per instance, on detections with scores, embeddings and ids,
+1-point instances and empty frames; eval's ground truth, all frames moved
+at once (`frames_to_world`), with `to_world` frame by frame. The road's
 centerline, which writes the arc once, is compared bit for bit with the
 version that wrote it for each curvature, over road lengths, radii and all
 three curvatures.
@@ -63,7 +67,8 @@ from icmap.curvefit import (DEGREE, MAX_CTRL_POINTS, SmoothingFitParams, Spline,
                             _cubic_basis, _solve_spline, reorder_concat)
 from icmap.errors import EmptyPointSet, NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyline_to_rect,
-                            polyline_length, resample_even, resample_even_many,
+                            densify, densify_many, polyline_length, resample_even,
+                            resample_even_many,
                             transform_points, transform_stacked)
 from icmap.instance import CLASSES, DIVIDER, PED_CROSSING, MapInstance, to_world
 from icmap.mapstore import GlobalMap, fuse_with_history, sample_history
@@ -318,21 +323,72 @@ resample_line = st.one_of(with_duplicates(polyline), sub_eps_run, st.lists(
 
 class TestResampleMany:
     @equivalence
-    @given(st.lists(resample_line, min_size=1, max_size=6), st.integers(2, 40))
-    def test_matches_resample_even(self, lines, n):
+    @given(st.lists(st.tuples(resample_line, st.integers(2, 40)), min_size=1, max_size=6))
+    def test_matches_resample_even(self, lines_counts):
+        lines, counts = zip(*lines_counts)
         try:
-            want = [resample_even(line, n) for line in lines]
+            want = [resample_even(line, n) for line, n in lines_counts]
         except EmptyPointSet:
             with pytest.raises(EmptyPointSet):
-                resample_even_many(lines, n)
+                resample_even_many(lines, counts)
             return
-        got = resample_even_many(lines, n)
-        assert got.shape == (len(lines), n, 2)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        got = resample_even_many(lines, counts)
+        assert got.shape == (sum(counts), 2)
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
     def test_no_lines(self):
-        assert resample_even_many([], 5).shape == (0, 5, 2)
+        assert resample_even_many([], []).shape == (0, 2)
+
+
+# a sub-eps run that one dedupe leaves at 2 points and a second at 1: x = 0,
+# 0.6e-9 and -0.5e-9 keep 0 and -0.5e-9 (each point is compared with its
+# input predecessor), and those two are within 1e-9 of each other
+non_idempotent_run = st.builds(
+    lambda p, tail: np.vstack([np.array(p) + [[0.0, 0.0], [6e-10, 0.0], [-5e-10, 0.0]],
+                               np.array(tail, float).reshape(-1, 2)]),
+    point, st.lists(point, max_size=3))
+densify_line = st.one_of(
+    resample_line, non_idempotent_run, point.map(lambda p: np.array([p], float)),
+    st.just(np.empty((0, 2))),
+    ring.map(lambda r: MapInstance(PED_CROSSING, r).closed_points))  # a closed, crossing ring
+
+
+class TestDensifyMany:
+    @equivalence
+    @given(st.lists(densify_line, max_size=6), st.sampled_from([0.25, 0.3, 0.5, 1.0]))
+    def test_matches_densify(self, lines, spacing):
+        try:
+            want = [densify(line, spacing) for line in lines]
+        except EmptyPointSet:
+            with pytest.raises(EmptyPointSet):
+                densify_many(lines, spacing)
+            return
+        got = densify_many(lines, spacing)
+        want = np.concatenate(want) if want else np.empty((0, 2))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_length_summed_as_polyline_length(self):
+        # this line's length, summed pairwise as `polyline_length` sums it,
+        # is 5.5 spacings and rounds to 6; summed in order it falls an ulp
+        # short and would round to 5
+        line = [[0.955, 0.1], [1.185, -0.088], [2.139, -0.006], [2.52, 0.192], [3.001, 0.185],
+                [3.846, 0.09], [4.314, 0.016], [4.908, -0.089], [5.033, -0.136], [5.811, 0.188],
+                [6.396, 0.006], [6.792, -0.154], [7.602, 0.049], [7.975, 0.111], [8.483, 0.045],
+                [8.704, 0.167], [9.167, -0.184], [9.45, 0.011], [9.786, -0.016]]
+        want = densify(line, 1.6996486601036016)
+        assert len(want) == 7
+        assert densify_many([line], 1.6996486601036016).tobytes() == want.tobytes()
+
+    def test_non_idempotent_dedupe(self):
+        # 2 points after the first dedupe set the count, 1 after the second
+        # leaves nothing to resample: densify raises, and so does the batch
+        line = [[0.0, 0.0], [6e-10, 0.0], [-5e-10, 0.0]]
+        with pytest.raises(EmptyPointSet):
+            densify(line, 0.5)
+        with pytest.raises(EmptyPointSet):
+            densify_many([[[1.0, 1.0], [3.0, 1.0]], line], 0.5)
+        line.append([3.0, 0.0])
+        assert densify_many([line], 0.5).tobytes() == densify(line, 0.5).tobytes()
 
 
 class TestTransformStacked:
@@ -433,6 +489,23 @@ class TestSceneGtFrames:
                 MapInstance(PED_CROSSING, [[0.0, 0.0]], embedding=[0.6, 0.8]),
                 MapInstance(DIVIDER, [[-7.0, 3.0]])]
         self.assert_moved_bits(to_world(pose, dets), pose, dets)
+
+    @equivalence
+    @given(gt_scene())
+    def test_matches_one_move_per_frame(self, scene):
+        got = scene_gt_frames(scene)
+        want = [to_world(f.ego_pose, f.gt_local) for f in scene.frames]
+        assert [[(g.cls, g.id, g.points.shape, g.points.tobytes()) for g in fr] for fr in got] == \
+            [[(w.cls, w.id, w.points.shape, w.points.tobytes()) for w in fr] for fr in want]
+
+    def test_empty_frame_among_others(self):
+        inst = MapInstance(DIVIDER, [[1.0, 2.0], [3.5, -1.25]], id=7)
+        frames = [Frame(t, Pose2(2.0 * t, -1.0, 0.4 * t), gts, [])
+                  for t, gts in enumerate([[inst], [], [inst, inst]])]
+        got = scene_gt_frames(Scene("s", (100.0, 50.0), GlobalMap("s"), frames))
+        assert [len(fr) for fr in got] == [1, 0, 2]
+        for fr, f in zip(got, frames):
+            self.assert_moved_bits(fr, f.ego_pose, f.gt_local)
 
     def test_empty_frame(self):
         assert to_world(Pose2(1.0, 2.0, 0.3), []) == []

@@ -740,6 +740,8 @@ class TestMalformedInput:
         ("deep scene_id", "scene_id: expected a string"),
         ("detection with 0 points", "frames[2].detections[0].points: expected at least 2"),
         ("detection with 1 point", "frames[2].detections[0].points: expected at least 2"),
+        # a string is no number, though float() would read it
+        ("string coordinate", "frames[2].detections[1].points: expected numbers"),
         # a missing list is an error, not an empty list
         ("no gt instances", "gt: missing field 'instances'"),
         ("no gt_local", "frames[3]: missing field 'gt_local'"),
@@ -769,6 +771,8 @@ class TestMalformedInput:
             doc["frames"][2]["detections"][0]["points"] = []
         elif case == "detection with 1 point":
             del doc["frames"][2]["detections"][0]["points"][1:]
+        elif case == "string coordinate":
+            doc["frames"][2]["detections"][1]["points"][0] = ["1.5", "2"]
         elif case == "no gt instances":
             del doc["gt"]["instances"]
         elif case in ("no gt_local", "no detections"):

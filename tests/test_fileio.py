@@ -3,12 +3,14 @@ import gc
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from icmap import fileio
 from icmap.errors import MapFormatError, UnsupportedVersion
 from icmap.fileio import (
     DETECTION_KEYS,
@@ -16,6 +18,7 @@ from icmap.fileio import (
     TRACE_KEYS,
     as_object,
     as_str,
+    decode_lists,
     from_record,
     from_records,
     read_doc,
@@ -120,7 +123,9 @@ GOOD = {"id": 3, "class": "divider", "score": 0.5, "points": [[0, 0], [1, 1]],
         "embedding": [1.0, 0.0]}
 
 
-@pytest.mark.parametrize("field,value,message", [
+# (field, value, the error's start); field None: the record is no object,
+# value None: the field is missing
+BAD_FIELDS = [
     (None, None, "r: expected an object"),
     ("class", None, "r: missing field 'class'"),
     ("class", "sidewalk", "r: unknown class 'sidewalk'"),
@@ -135,19 +140,34 @@ GOOD = {"id": 3, "class": "divider", "score": 0.5, "points": [[0, 0], [1, 1]],
     ("id", 1.5, "r.id: expected an integer"),
     ("id", True, "r.id: expected an integer"),
     ("class", nested(1100), "r: unknown class [[[[[[[...]]]]]]]"),
-])
+    # strings, booleans and nulls are no numbers, though float() or numpy reads them
+    ("points", [["1.5", "2"], [3, 4]], "r.points: expected numbers"),
+    ("points", [[0, 0], [True, 1]], "r.points: expected numbers"),
+    ("score", "0.9", "r.score: expected a number"),
+    ("score", True, "r.score: expected a number"),
+    ("embedding", [True, False], "r.embedding: expected numbers"),
+    ("embedding", [0.5, "1"], "r.embedding: expected numbers"),
+    ("points", [[None, 1], [2, 3]], "r.points: expected numbers"),
+]
+
+
+def with_fault(rec, field, value):
+    """`rec` with `field` set to `value` (BAD_FIELDS' form)."""
+    if field is None:
+        return [rec]
+    rec = dict(rec)
+    if value is None:
+        del rec[field]
+    else:
+        rec[field] = value
+    return rec
+
+
+@pytest.mark.parametrize("field,value,message", BAD_FIELDS)
 def test_bad_record_named(field, value, message):
     keys = ("id", "class", "score", "points", "embedding")
-    if field is None:
-        rec = [GOOD]
-    else:
-        rec = dict(GOOD)
-        if value is None:
-            del rec[field]
-        else:
-            rec[field] = value
     with pytest.raises(MapFormatError) as exc:
-        from_record(rec, "r", keys)
+        from_record(with_fault(GOOD, field, value), "r", keys)
     assert str(exc.value).startswith(message)
 
 
@@ -191,6 +211,140 @@ def test_fewest_crossing_points_per_kind(keys, least):
         from_records(recs, "l", keys)
     pairs = "one [x, y] pair" if least == 1 else f"{least} [x, y] pairs for a ped_crossing ring"
     assert str(exc.value) == f"l[1].points: expected at least {pairs}"
+
+
+# JSON numbers as the parsers give them: floats, and ints within and beyond
+# the 53 bits a float holds exactly
+json_number = finite | st.integers(-2**60, 2**60)
+KEY_CASES = {"map": (MAP_KEYS, False), "detection": (DETECTION_KEYS, True),
+             "detection-no-embedding": (DETECTION_KEYS, False), "trace": (TRACE_KEYS, False)}
+
+
+@st.composite
+def record_list(draw, keys, embedded, min_size=0):
+    """A well-formed list of records of `keys`, as a parsed file holds it:
+    unique ids, 3 to 6 points, and on a detection an embedding or none."""
+    n = draw(st.integers(min_size, 6))
+    ids = draw(st.lists(st.integers(-2**53, 2**53), min_size=n, max_size=n, unique=True))
+    recs = []
+    for i in range(n):
+        rec = {"class": draw(st.sampled_from(CLASSES)),
+               "points": draw(st.lists(st.lists(json_number, min_size=2, max_size=2),
+                                       min_size=3, max_size=6))}
+        if "id" in keys:
+            rec["id"] = ids[i]
+        if "score" in keys:
+            rec["score"] = draw(json_number)
+        if embedded and draw(st.booleans()):
+            rec["embedding"] = draw(st.lists(json_number, min_size=1, max_size=6).filter(any))
+        recs.append(rec)
+    return recs
+
+
+def fields(insts):
+    """Each instance's fields, as bytes where they are floats."""
+    return [(i.cls, i.id, np.float64(i.score).tobytes(), i.points.shape, i.points.tobytes(),
+             None if i.embedding is None else i.embedding.tobytes()) for i in insts]
+
+
+def decoded(recs, keys):
+    """What `from_records` gives: its instances' fields, or its error's
+    text."""
+    try:
+        return fields(from_records(recs, "l", keys))
+    except MapFormatError as exc:
+        return str(exc)
+
+
+def decoded_per_record(recs, keys):
+    """`decoded`, with every list checked record by record."""
+    with mock.patch.object(fileio, "_decode_list", lambda objs, keys: None):
+        return decoded(recs, keys)
+
+
+@pytest.mark.parametrize("case", KEY_CASES)
+def test_list_decode_matches_per_record(case):
+    keys, embedded = KEY_CASES[case]
+
+    @round_trips
+    @given(record_list(keys, embedded))
+    def check(recs):
+        assert fileio._decode_list(recs, keys) is not None  # the list decodes at once
+        got = decoded(recs, keys)
+        assert not isinstance(got, str) and got == decoded_per_record(recs, keys)
+
+    check()
+
+
+@pytest.mark.parametrize("case", KEY_CASES)
+def test_list_fault_named_as_per_record(case):
+    keys, embedded = KEY_CASES[case]
+    faults = [*((f, v) for f, v, _ in BAD_FIELDS), "duplicate id", "short ring"]
+
+    @round_trips
+    @given(record_list(keys, embedded, min_size=2), st.sampled_from(faults), st.data())
+    def check(recs, fault, data):
+        i, j = data.draw(st.permutations(range(len(recs))))[:2]
+        if fault == "duplicate id":
+            recs[i]["id"] = recs[j].get("id", 0)
+        elif fault == "short ring":
+            recs[i]["class"] = "ped_crossing"
+            recs[i]["points"] = recs[i]["points"][:0 if keys == TRACE_KEYS else 2]
+        else:
+            recs[i] = with_fault(recs[i], *fault)
+        assert decoded(recs, keys) == decoded_per_record(recs, keys)
+
+    check()
+
+
+@pytest.mark.parametrize("case", KEY_CASES)
+def test_lists_of_a_document_decode_as_each_alone(case):
+    keys, embedded = KEY_CASES[case]
+
+    @round_trips
+    @given(st.lists(record_list(keys, embedded), max_size=4))
+    def check(lists):
+        got = decode_lists([{"recs": recs} for recs in lists], "recs", keys)
+        assert got is not None and len(got) == len(lists)
+        for insts, recs in zip(got, lists):
+            assert fields(from_records(recs, "l", keys, insts)) == decoded(recs, keys)
+
+    check()
+
+
+@pytest.mark.parametrize("docs", [
+    [{"recs": [GOOD]}, 5],                  # an object is no object
+    [{"recs": [GOOD]}, {"other": [GOOD]}],  # a list is missing
+    [{"recs": [GOOD]}, {"recs": GOOD}],     # a list is an object
+    [{"recs": [GOOD]}, {"recs": [dict(GOOD, score="0.5")]}],  # a record is malformed
+], ids=["not an object", "no list", "not a list", "bad record"])
+def test_document_decode_declines(docs):
+    # the loader then decodes list by list, and names the fault
+    assert decode_lists(docs, "recs", MAP_KEYS + ("score",)) is None
+
+
+@pytest.mark.parametrize("first,second,named", [
+    ("gt id", "detection score", r"frames\[3\]\.gt_local\[1\]: duplicate id"),
+    ("t", "detection score", r"frames\[3\]\.t: "),
+    ("detection score", "gt id", r"frames\[3\]\.detections\[0\]\.score: expected a number"),
+])
+def test_first_fault_of_the_file_named(tmp_path, first, second, named):
+    # the lists of all frames decode in one pass, yet of two faults the one
+    # read first, frame by frame, is named
+    path = tmp_path / "s.json"
+    write_scene(make_scene(zero_noise_config(seed=2)), path)
+    doc = json.loads(path.read_text())
+    for k, fault in ((3, first), (5, second)):
+        frame = doc["frames"][k]
+        if fault == "gt id":
+            frame["gt_local"][1]["id"] = frame["gt_local"][0]["id"]
+        elif fault == "t":
+            frame["t"] = doc["frames"][k - 1]["t"]
+        else:
+            frame["detections"][0]["score"] = "0.9"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapFormatError, match=named):
+        read_scene(path)
 
 
 class TestReadDoc:
