@@ -2,14 +2,14 @@
 """Paired timing of one icmap command on two source trees, scene by scene.
 
     python3 scripts/ab.py OLD_SRC NEW_SRC --workload W --command run|eval
-                          [--scenes 12] [--seed 0] [--rounds 4]
+                          [--scenes 12] [--rounds 4]
 
 OLD_SRC and NEW_SRC are `src/` directories (each holding `icmap/`), as for
 scripts/parity.py. Each tree gets one warm worker process, with BLAS pinned
 to one thread, that imports icmap from that tree alone and runs commands
 in-process through `icmap.cli.main`, as pipebench/run.py does. The scenes
 come from pipebench's workload W (its WORKLOADS table, imported, not
-copied): a third process, of OLD_SRC, writes seeds SEED, SEED+1, ... and
+copied): a third process, of OLD_SRC, writes seeds 0, 1, ... and
 runs `icmap run` on each until SCENES of them have completed, and those
 scenes, with its map and trace, are the input of every timed command:
 
@@ -34,9 +34,6 @@ A ratio below 1.0 means the new tree is faster. Run the same tree on both
 sides (an A/A run) to see the interval that host noise alone gives.
 """
 import argparse
-import contextlib
-import importlib
-import io
 import json
 import os
 import random
@@ -47,7 +44,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from parity import BLAS_PIN, load_workloads
+from parity import BLAS_PIN, call, import_icmap, load_workloads
 
 BOOTSTRAP = 2000
 MAX_SEEDS_PER_SCENE = 4  # a workload that needs more seeds than this per completed scene is broken
@@ -58,13 +55,10 @@ MAX_SEEDS_PER_SCENE = 4  # a workload that needs more seeds than this per comple
 
 def worker(src: Path) -> None:
     """Answer each JSON request line on standard input with one JSON line:
-    {"scene": [workload, seed, path]} writes a scene, {"argv": [...]} runs
-    one icmap command and reports its exit code, error text and seconds."""
-    sys.path.insert(0, str(src))
-    cli = importlib.import_module("icmap.cli")
-    synth = importlib.import_module("icmap.synth")
-    if Path(cli.__file__).resolve().parent != (src / "icmap").resolve():
-        raise SystemExit(f"ab: imported icmap from {cli.__file__}, not {src}")
+    {"scene": [workload, seed, path]} writes a scene, {"argv": [...], "out":
+    dir} runs one icmap command and reports its exit code, its error text
+    with `dir` written `<out>`, and its seconds."""
+    cli, synth = import_icmap(src, "ab")
     workloads = load_workloads()
     reply = sys.stdout
     for line in sys.stdin:
@@ -76,16 +70,9 @@ def worker(src: Path) -> None:
             synth.write_scene(synth.make_scene(config), path)
             out = {}
         else:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                t0 = perf_counter()
-                try:
-                    rc = cli.main(req["argv"])
-                except Exception as exc:  # a crash is recorded like a non-zero exit
-                    rc = None
-                    err.write(f"{type(exc).__name__}: {exc}")
-                seconds = perf_counter() - t0
-            out = {"rc": rc, "error": err.getvalue().strip(), "s": seconds}
+            t0 = perf_counter()
+            out = call(cli, req["argv"], Path(req["out"]))
+            out["s"] = perf_counter() - t0
         reply.write(json.dumps(out) + "\n")
         reply.flush()
 
@@ -113,14 +100,16 @@ class Worker:
 # ---------------------------------------------------------------------------
 # the paired runs
 
-def command_argv(command: str, scene: Path, inputs: Path, out: Path) -> list:
-    """The argv of `command` on `scene`, writing under `out`; eval reads
-    the map and trace under `inputs`."""
-    if command == "run":
-        return ["run", str(scene), "--out-map", str(out / f"{scene.stem}.map.json"),
-                "--trace", str(out / f"{scene.stem}.trace.json")]
-    return ["eval", "--scene", str(scene), "--pred-dir", str(inputs), "--mot",
-            "--report", str(out / f"{scene.stem}.eval.json"), "--jobs", "1"]
+def command(name: str, scene: Path, inputs: Path, out: Path) -> dict:
+    """The worker request of command `name` on `scene`, writing under `out`;
+    eval reads the map and trace under `inputs`."""
+    if name == "run":
+        argv = ["run", scene, "--out-map", out / f"{scene.stem}.map.json",
+                "--trace", out / f"{scene.stem}.trace.json"]
+    else:
+        argv = ["eval", "--scene", scene, "--pred-dir", inputs, "--mot",
+                "--report", out / f"{scene.stem}.eval.json", "--jobs", 1]
+    return {"argv": [str(a) for a in argv], "out": str(out)}
 
 
 def bootstrap_interval(ratios: list, rng: random.Random) -> tuple[float, float]:
@@ -136,31 +125,30 @@ def quartiles(values: list) -> str:
 
 
 def completed_scenes(old: "Worker", args, inputs: Path) -> tuple[list, int]:
-    """The first `args.scenes` scenes, from `args.seed` on, whose `run` on
-    the old tree completes, with its map and trace beside them under
-    `inputs`; and the seed after the last one tried."""
+    """The first `args.scenes` scenes, from seed 0 on, whose `run` on the
+    old tree completes, with its map and trace beside them under `inputs`;
+    and the seed after the last one tried."""
     inputs.mkdir()
-    scenes, seed = [], args.seed
+    scenes, seed = [], 0
     while len(scenes) < args.scenes:
-        if seed - args.seed == MAX_SEEDS_PER_SCENE * args.scenes:
-            raise SystemExit(f"ab: {len(scenes)} of {args.scenes} scenes completed "
-                             f"in {seed - args.seed} seeds")
+        if seed == MAX_SEEDS_PER_SCENE * args.scenes:
+            raise SystemExit(f"ab: {len(scenes)} of {args.scenes} scenes completed in {seed} seeds")
         scene = inputs / f"scene_{seed}.json"
         old.ask({"scene": [args.workload, seed, str(scene)]})
-        if old.ask({"argv": command_argv("run", scene, inputs, inputs)})["rc"] == 0:
+        if old.ask(command("run", scene, inputs, inputs))["rc"] == 0:
             scenes.append(scene)
         seed += 1
     return scenes, seed
 
 
-def paired_runs(workers: dict, command: str, scenes: list, rounds: int, tmp: Path):
+def paired_runs(workers: dict, name: str, scenes: list, rounds: int, tmp: Path):
     """Each side's times, its exit code and error text per scene, and the
     new/old ratio of every pair; each side writes under tmp/<side>."""
     outs = {side: tmp / side for side in workers}
     for side, out in outs.items():
         out.mkdir()
         for scene in scenes:  # an untimed pass, so that both sides start as warm
-            workers[side].ask({"argv": command_argv(command, scene, scene.parent, out)})
+            workers[side].ask(command(name, scene, scene.parent, out))
     times = {side: [] for side in workers}
     codes = {side: {} for side in workers}
     ratios = []
@@ -168,11 +156,9 @@ def paired_runs(workers: dict, command: str, scenes: list, rounds: int, tmp: Pat
         for i, scene in enumerate(scenes):
             got = {}
             for side in ("old", "new") if (r * len(scenes) + i) % 2 == 0 else ("new", "old"):
-                got[side] = workers[side].ask(
-                    {"argv": command_argv(command, scene, scene.parent, outs[side])})
+                got[side] = workers[side].ask(command(name, scene, scene.parent, outs[side]))
                 times[side].append(got[side]["s"])
-                codes[side][scene.stem] = (got[side]["rc"],
-                                           got[side]["error"].replace(str(outs[side]), "<out>"))
+                codes[side][scene.stem] = (got[side]["rc"], got[side]["error"])
             ratios.append(got["new"]["s"] / got["old"]["s"])
     return times, codes, ratios
 
@@ -197,7 +183,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=sorted(workloads))
     ap.add_argument("--command", choices=("run", "eval"))
     ap.add_argument("--scenes", type=int, default=12, help="completed scenes to time")
-    ap.add_argument("--seed", type=int, default=0, help="the first scene's seed")
     ap.add_argument("--rounds", type=int, default=4, help="passes over the scenes")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -206,8 +191,8 @@ def main(argv=None) -> int:
         return 0
     if args.workload is None or args.command is None:
         ap.error("--workload and --command are required")
-    if args.scenes < 1 or args.rounds < 1 or args.seed < 0:
-        ap.error("--scenes and --rounds must be at least 1, --seed at least 0")
+    if args.scenes < 1 or args.rounds < 1:
+        ap.error("--scenes and --rounds must be at least 1")
     trees = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
     for src in trees.values():
         if not (src / "icmap" / "__init__.py").is_file():
@@ -222,13 +207,14 @@ def main(argv=None) -> int:
         workers = {}
         try:
             workers = {side: Worker(src) for side, src in trees.items()}
-            times, codes, ratios = paired_runs(workers, args.command, scenes, args.rounds, Path(tmp))
+            times, codes, ratios = paired_runs(workers, args.command, scenes, args.rounds,
+                                               Path(tmp))
         finally:
             for w in workers.values():
                 w.close()
         differ, files = differences(Path(tmp) / "old", Path(tmp) / "new", codes)
     low, high = bootstrap_interval(ratios, random.Random(0))
-    print(f"ab: {args.command} on {args.workload}, {len(scenes)} scenes (seeds {args.seed}.."
+    print(f"ab: {args.command} on {args.workload}, {len(scenes)} scenes (seeds 0.."
           f"{seed - 1}, those whose run completes on the old tree) x {args.rounds} rounds")
     for side in trees:
         print(f"  {side}  {quartiles(times[side])}   {trees[side]}")

@@ -77,12 +77,19 @@ def call(cli, argv, out_dir: Path) -> dict:
     return {"rc": rc, "error": text}
 
 
-def worker(src: Path, out_dir: Path, seeds: range) -> None:
+def import_icmap(src: Path, prog: str):
+    """icmap's `cli` and `synth` modules, imported from the tree `src`;
+    exits, naming `prog`, where another icmap comes first on the path."""
     sys.path.insert(0, str(src))
     cli = importlib.import_module("icmap.cli")
     synth = importlib.import_module("icmap.synth")
     if Path(cli.__file__).resolve().parent != (src / "icmap").resolve():
-        raise SystemExit(f"parity: imported icmap from {cli.__file__}, not {src}")
+        raise SystemExit(f"{prog}: imported icmap from {cli.__file__}, not {src}")
+    return cli, synth
+
+
+def worker(src: Path, out_dir: Path, seeds: range) -> None:
+    cli, synth = import_icmap(src, "parity")
     codes = {}
     for name, wl in load_workloads().items():
         wdir = out_dir / name

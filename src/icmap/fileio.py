@@ -219,7 +219,7 @@ def finite_array(value, where: str) -> np.ndarray:
     string or null, which numpy would read as numbers or NaN."""
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
         raise MapFormatError(f"{where}: expected numbers") from None
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                for v in np.asarray(value, dtype=object).flat):
@@ -236,7 +236,7 @@ def finite_float(value, where: str) -> float:
         raise MapFormatError(f"{where}: expected a number")
     try:
         val = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MapFormatError(f"{where}: expected a number") from None
     if not math.isfinite(val):
         raise MapFormatError(f"{where}: non-finite value (NaN or inf)")

@@ -84,20 +84,15 @@ class Scene:
 
 def to_world(pose: Pose2, insts) -> list[MapInstance]:
     """Copies of one frame's ego-frame `insts` in the world frame, ids,
-    scores and embeddings kept (`frames_to_world` moves many frames at
-    once). Their points move in one elementwise transform, so each gets the
-    bits it gets alone."""
-    if not insts:
-        return []
-    world = transform_points(pose, np.concatenate([i.points for i in insts]), EGO_TO_WORLD)
-    pieces = np.split(world, np.cumsum([len(i.points) for i in insts])[:-1])
-    return [replace(i, points=pts) for i, pts in zip(insts, pieces)]
+    scores and embeddings kept: `frames_to_world` of the one frame."""
+    return frames_to_world([pose], [insts])[0]
 
 
 def frames_to_world(poses, frames) -> list[list[MapInstance]]:
-    """`to_world(poses[k], frames[k])` for every frame k, with the same bits:
-    the points of every frame move in one elementwise transform, each by
-    its own frame's pose."""
+    """Copies of each frame's ego-frame instances in the world frame, ids,
+    scores and embeddings kept, frame k moved by `poses[k]`. The points of
+    every frame move in one elementwise transform, so each instance gets the
+    bits `transform_points` gives it alone."""
     insts = [inst for frame in frames for inst in frame]
     if not insts:
         return [[] for _ in frames]

@@ -148,6 +148,9 @@ BAD_FIELDS = [
     ("embedding", [True, False], "r.embedding: expected numbers"),
     ("embedding", [0.5, "1"], "r.embedding: expected numbers"),
     ("points", [[None, 1], [2, 3]], "r.points: expected numbers"),
+    # an int beyond the float range, as json reads a 401-digit integer literal
+    ("points", [[10**400, 0], [1, 1]], "r.points: expected numbers"),
+    ("score", 10**400, "r.score: expected a number"),
 ]
 
 
