@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired timing of one icmap command on two source trees, scene by scene.
 
-    python3 scripts/ab.py OLD_SRC NEW_SRC --workload W --command run|eval
+    python3 scripts/ab.py OLD_SRC NEW_SRC --workload W --command run|eval|sweep|setup
                           [--scenes 12] [--rounds 4]
 
 OLD_SRC and NEW_SRC are `src/` directories (each holding `icmap/`), as for
@@ -15,6 +15,8 @@ scenes, with its map and trace, are the input of every timed command:
 
     run    icmap run SCENE --out-map MAP --trace TRACE
     eval   icmap eval --scene SCENE --pred-dir DIR --mot --report REPORT --jobs 1
+    sweep  icmap sweep-s SCENE --s-grid 1:1:1 --out TABLE --jobs 1
+    setup  make_scene + write_scene of SCENE's seed, timed in the worker
 
 Writing the inputs in a third process keeps the two timed ones alike: when
 one of them wrote them, it ran about 4% faster than the other in A/A runs
@@ -27,8 +29,8 @@ scene of one round: the ratio of the new tree's wall time to the old
 tree's. The script prints each side's median time, the median ratio with a
 bootstrap 95% interval (2,000 resamples of the pairs, seeded) and the
 number of pairs, and says whether the two trees wrote byte-identical
-outputs (map and trace, or eval report, per scene) with the same exit codes
-and error text. It exits 1 if they did not.
+outputs (map and trace, eval report, sweep table or scene, per scene) with
+the same exit codes and error text. It exits 1 if they did not.
 
 A ratio below 1.0 means the new tree is faster. Run the same tree on both
 sides (an A/A run) to see the interval that host noise alone gives.
@@ -56,23 +58,23 @@ MAX_SEEDS_PER_SCENE = 4  # a workload that needs more seeds than this per comple
 def worker(src: Path) -> None:
     """Answer each JSON request line on standard input with one JSON line:
     {"scene": [workload, seed, path]} writes a scene, {"argv": [...], "out":
-    dir} runs one icmap command and reports its exit code, its error text
-    with `dir` written `<out>`, and its seconds."""
+    dir} runs one icmap command; either reports its exit code, its error
+    text (with `dir` written `<out>`) and its seconds."""
     cli, synth = import_icmap(src, "ab")
     workloads = load_workloads()
     reply = sys.stdout
     for line in sys.stdin:
         req = json.loads(line)
+        t0 = perf_counter()
         if "scene" in req:
             name, seed, path = req["scene"]
             wl = workloads[name]
             config = synth.SceneConfig(**wl.scene, noise=synth.NoiseConfig(**wl.noise), seed=seed)
             synth.write_scene(synth.make_scene(config), path)
-            out = {}
+            out = {"rc": 0, "error": ""}
         else:
-            t0 = perf_counter()
             out = call(cli, req["argv"], Path(req["out"]))
-            out["s"] = perf_counter() - t0
+        out["s"] = perf_counter() - t0
         reply.write(json.dumps(out) + "\n")
         reply.flush()
 
@@ -100,15 +102,22 @@ class Worker:
 # ---------------------------------------------------------------------------
 # the paired runs
 
-def command(name: str, scene: Path, inputs: Path, out: Path) -> dict:
-    """The worker request of command `name` on `scene`, writing under `out`;
-    eval reads the map and trace under `inputs`."""
+def command(name: str, scene: Path, out: Path, workload: str) -> dict:
+    """The worker request of command `name` on `scene`, of `workload`,
+    writing under `out`; eval reads the map and trace beside the scene, and
+    setup writes the scene from its seed."""
+    if name == "setup":
+        seed = int(scene.stem.removeprefix("scene_"))
+        return {"scene": [workload, seed, str(out / scene.name)]}
     if name == "run":
         argv = ["run", scene, "--out-map", out / f"{scene.stem}.map.json",
                 "--trace", out / f"{scene.stem}.trace.json"]
-    else:
-        argv = ["eval", "--scene", scene, "--pred-dir", inputs, "--mot",
+    elif name == "eval":
+        argv = ["eval", "--scene", scene, "--pred-dir", scene.parent, "--mot",
                 "--report", out / f"{scene.stem}.eval.json", "--jobs", 1]
+    else:
+        argv = ["sweep-s", scene, "--s-grid", "1:1:1",
+                "--out", out / f"{scene.stem}.sweep.tsv", "--jobs", 1]
     return {"argv": [str(a) for a in argv], "out": str(out)}
 
 
@@ -134,21 +143,21 @@ def completed_scenes(old: "Worker", args, inputs: Path) -> tuple[list, int]:
         if seed == MAX_SEEDS_PER_SCENE * args.scenes:
             raise SystemExit(f"ab: {len(scenes)} of {args.scenes} scenes completed in {seed} seeds")
         scene = inputs / f"scene_{seed}.json"
-        old.ask({"scene": [args.workload, seed, str(scene)]})
-        if old.ask(command("run", scene, inputs, inputs))["rc"] == 0:
+        old.ask(command("setup", scene, inputs, args.workload))
+        if old.ask(command("run", scene, inputs, args.workload))["rc"] == 0:
             scenes.append(scene)
         seed += 1
     return scenes, seed
 
 
-def paired_runs(workers: dict, name: str, scenes: list, rounds: int, tmp: Path):
+def paired_runs(workers: dict, name: str, workload: str, scenes: list, rounds: int, tmp: Path):
     """Each side's times, its exit code and error text per scene, and the
     new/old ratio of every pair; each side writes under tmp/<side>."""
     outs = {side: tmp / side for side in workers}
     for side, out in outs.items():
         out.mkdir()
         for scene in scenes:  # an untimed pass, so that both sides start as warm
-            workers[side].ask(command(name, scene, scene.parent, out))
+            workers[side].ask(command(name, scene, out, workload))
     times = {side: [] for side in workers}
     codes = {side: {} for side in workers}
     ratios = []
@@ -156,7 +165,7 @@ def paired_runs(workers: dict, name: str, scenes: list, rounds: int, tmp: Path):
         for i, scene in enumerate(scenes):
             got = {}
             for side in ("old", "new") if (r * len(scenes) + i) % 2 == 0 else ("new", "old"):
-                got[side] = workers[side].ask(command(name, scene, scene.parent, outs[side]))
+                got[side] = workers[side].ask(command(name, scene, outs[side], workload))
                 times[side].append(got[side]["s"])
                 codes[side][scene.stem] = (got[side]["rc"], got[side]["error"])
             ratios.append(got["new"]["s"] / got["old"]["s"])
@@ -181,7 +190,7 @@ def main(argv=None) -> int:
     ap.add_argument("old_src", type=Path)
     ap.add_argument("new_src", type=Path)
     ap.add_argument("--workload", choices=sorted(workloads))
-    ap.add_argument("--command", choices=("run", "eval"))
+    ap.add_argument("--command", choices=("run", "eval", "sweep", "setup"))
     ap.add_argument("--scenes", type=int, default=12, help="completed scenes to time")
     ap.add_argument("--rounds", type=int, default=4, help="passes over the scenes")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -207,8 +216,8 @@ def main(argv=None) -> int:
         workers = {}
         try:
             workers = {side: Worker(src) for side, src in trees.items()}
-            times, codes, ratios = paired_runs(workers, args.command, scenes, args.rounds,
-                                               Path(tmp))
+            times, codes, ratios = paired_runs(workers, args.command, args.workload, scenes,
+                                               args.rounds, Path(tmp))
         finally:
             for w in workers.values():
                 w.close()

@@ -2,22 +2,28 @@
 even-odd rasterization, optimal assignment and a banded Cholesky solve.
 
 Every point-to-point distance here is sqrt(dx*dx + dy*dy), with the sum
-under the square root computed as `sq_dist_table` computes it. Two kernels
-find nearest neighbours with it, one per size of input. `nearest_sq_dist`
-is an exact search: one uniform-grid pass scores each point against the
-points of its neighbouring cells only, and the exact table scores the few
-points that pass leaves unresolved; through `nn_mean_dist` it serves
-`geometry.chamfer_distance`, which scores one pair of large sets: a class's
-pooled map points against its ground truth (`metrics.global_map_cd`) and a
-merged curve against its reference (`curvefit.sweep_smoothing`).
-`chamfer_matrix` scores many small sets against many others in one
-`sq_dist_table` broadcast, with the same summation order, so each entry has
-the bits of the single-pair Chamfer distance; it serves
-`instance.chamfer_by_class`, which scores one frame's instances: detections
-against tracks in association, predictions against ground truth for AP and
-CLEAR-MOT, and detections against ground truth when
-`pipeline.scene_observations` picks sweep cases. `mapstore.fuse_with_history`
-and `curvefit.reorder_concat` read `sq_dist_table` itself.
+under the square root computed as `sq_dist_table` computes it. Three
+kernels find nearest neighbours with it: one for large sets, two for many
+small ones. `nearest_sq_dist` is an exact search: one uniform-grid pass
+scores each point against the points of its neighbouring cells only, and
+the exact table scores the few points that pass leaves unresolved; through
+`nn_mean_dist` it serves `geometry.chamfer_distance`, which scores one pair
+of large sets: a class's pooled map points against its ground truth
+(`metrics.global_map_cd`) and a merged curve against its reference
+(`curvefit.sweep_smoothing`). The two kernels for small sets keep its
+arithmetic and summation order, so each value they give has the bits of
+the single-pair Chamfer distance.
+`chamfer_matrix` scores one frame: its sets, of any sizes, against each
+other in one `sq_dist_table` broadcast. It serves
+`instance.chamfer_by_class`, which association calls on detections against
+tracks; their 1 m outlines all differ in length, so grouping them by size
+would gain nothing. `chamfer_pairs` scores many frames: a list of pairs,
+grouped by their point counts. It serves `instance.frames_chamfer_by_class`,
+which scores a scene's frames in one pass: predictions against ground truth
+for AP and CLEAR-MOT (`metrics.frame_distances`), and detections against
+ground truth when `pipeline.scene_observations` picks sweep cases.
+`mapstore.fuse_with_history` and `curvefit.reorder_concat` read
+`sq_dist_table` itself.
 
 `linear_sum_assignment` is the one optimal-assignment solver: it matches a
 frame's detections to tracks (`association.optimal_match`) and predictions
@@ -52,6 +58,12 @@ def _as_pts(a: np.ndarray) -> np.ndarray:
 # point pairs scored in one step by the grid search and by its fallback:
 # 2**16 pairs, 0.5 MB per array of them, however the points cluster
 PAIR_CHUNK = 1 << 16
+# point pairs in one step of `chamfer_pairs`: 2**14, 128 kB per table of
+# them. In a loop of evals, unchunked tables raised the peak RSS by 2-3 MB
+# and 2**16-pair steps by about 1 MB; the first call of np.unique or of a
+# stable argsort makes 0.1-0.4 MB of numpy code resident, so the groups are
+# formed in Python
+PAIR_STEP = 1 << 14
 # the grid's cell side over the side at which b's bounding box holds as many
 # cells as b has points: the sets are curves, on which a point's nearest
 # neighbour lies well inside that side, so smaller cells mean fewer
@@ -179,6 +191,50 @@ def sq_dist_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = _as_pts(a), _as_pts(b)
     dx, dy = (np.subtract.outer(a[:, k], b[:, k]) for k in (0, 1))
     return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+
+
+def chamfer_pairs(As, Bs, rows, cols) -> np.ndarray:
+    """(len(rows),) symmetric Chamfer distances of the pairs
+    (As[rows[k]], Bs[cols[k]]); entry k has the bits of
+    `geometry.chamfer_distance(As[rows[k]], Bs[cols[k]])`.
+
+    The pairs are grouped by their point counts (m, n), and a group is
+    scored PAIR_STEP point pairs at a time (one pair, if it alone holds
+    more) in an (m, n, pairs) table, so that a point's nearest distance is a
+    minimum over an outer axis. Every paired set must be non-empty; a set
+    no pair names may be empty.
+    """
+    out = np.empty(len(rows))
+    if not len(rows):
+        return out
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    count_a = np.array([len(p) for p in As])
+    count_b = np.array([len(p) for p in Bs])
+    groups: dict[tuple[int, int], list[int]] = {}  # in Python: see PAIR_STEP
+    for k, shape in enumerate(zip(count_a[rows].tolist(), count_b[cols].tolist())):
+        groups.setdefault(shape, []).append(k)
+    if any(m == 0 or n == 0 for m, n in groups):
+        raise EmptyPointSet("chamfer_pairs requires non-empty point sets")
+    ax, ay = np.concatenate(As).T.copy()
+    bx, by = np.concatenate(Bs).T.copy()
+    start_a = np.cumsum(count_a) - count_a
+    start_b = np.cumsum(count_b) - count_b
+    for (m, n), ks in groups.items():
+        step = max(1, PAIR_STEP // (m * n))
+        for s in range(0, len(ks), step):
+            k = np.array(ks[s:s + step])
+            # (m, pairs) and (n, pairs): point i of each pair's set
+            ia = start_a[rows[k]] + np.arange(m)[:, None]
+            ib = start_b[cols[k]] + np.arange(n)[:, None]
+            # sq_dist_table's arithmetic, with pairs the innermost axis
+            dx = np.subtract(ax[ia][:, None], bx[ib])
+            dy = np.subtract(ay[ia][:, None], by[ib])
+            d2 = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+            # each pair's roots in one contiguous row, summed as nn_mean_dist sums
+            a_to_b = np.ascontiguousarray(np.sqrt(d2.min(axis=1)).T).sum(axis=1) / m
+            b_to_a = np.ascontiguousarray(np.sqrt(d2.min(axis=0)).T).sum(axis=1) / n
+            out[k] = 0.5 * (a_to_b + b_to_a)
+    return out
 
 
 def chamfer_matrix(As, Bs) -> np.ndarray:

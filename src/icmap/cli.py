@@ -469,6 +469,16 @@ _CONFLICTS = {
 }
 
 
+# each command's flags that name a file it writes
+_OUTPUTS = {
+    "synth": ("--out",),
+    "run": ("--out-map", "--trace"),
+    "eval": ("--report",),
+    "sweep-s": ("--out", "--plot"),
+    "render": ("--out",),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     _setup_logging(parser)
@@ -490,6 +500,14 @@ def main(argv=None) -> int:
             parser.error("eval needs --pred-map (or --pred-dir)")
     if args.command == "render" and not args.maps and args.gt is None:
         parser.error("render needs a map file (the maps argument) or --gt")
+    for flag in _OUTPUTS[args.command]:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is None:
+            continue
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            parser.error(f"argument {flag}: directory {os.path.dirname(path)!r} does not exist")
+        if os.path.isdir(path):
+            parser.error(f"argument {flag}: {path!r} is a directory")
     try:
         return args.func(args)
     except (MapBuildError, OSError) as exc:

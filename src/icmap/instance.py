@@ -8,7 +8,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._kernels import chamfer_matrix
+from ._kernels import chamfer_matrix, chamfer_pairs
 from .geometry import EGO_TO_WORLD, Pose2, _rigid, as_points, transform_points
 
 DIVIDER = "divider"
@@ -123,3 +123,46 @@ def chamfer_by_class(a, b, points=lambda inst: inst.points) -> np.ndarray:
             out[np.ix_(rows, cols)] = chamfer_matrix([points(a[i]) for i in rows],
                                                      [points(b[j]) for j in cols])
     return out
+
+
+def frames_chamfer_by_class(a_frames, b_frames) -> list[np.ndarray]:
+    """Per frame k, `chamfer_by_class(a_frames[k], b_frames[k])`: the
+    Chamfer distances between the frame's same-class instances, inf across
+    classes. Every frame's pairs are listed in a few array passes and scored
+    in one `chamfer_pairs` call; an instance with no points raises
+    EmptyPointSet only when it is paired.
+    """
+    n_a = np.array([len(frame) for frame in a_frames], dtype=np.intp)
+    n_b = np.array([len(frame) for frame in b_frames], dtype=np.intp)
+    key_a, key_b = _frame_class_keys(a_frames, n_a), _frame_class_keys(b_frames, n_b)
+    # b's instances sorted by key, so that each key's are one run of them
+    by_key = np.argsort(key_b)
+    count_b = np.bincount(key_b, minlength=len(n_b) * len(CLASSES))
+    # row i pairs with the run of its key: reps[i] instances from first[i] on,
+    # its k-th pair with the run's k-th
+    reps = count_b[key_a]
+    first = (np.cumsum(count_b) - count_b)[key_a]
+    rows = np.repeat(np.arange(len(key_a)), reps)
+    ends = np.cumsum(reps)
+    cols = by_key[np.arange(reps.sum()) + np.repeat(first - ends + reps, reps)]
+    # each pair's place in its frame's matrix, the frames' matrices laid end to end
+    frame_a = np.repeat(np.arange(len(n_a)), n_a)
+    local_a = np.arange(len(key_a)) - np.repeat(np.cumsum(n_a) - n_a, n_a)
+    local_b = np.arange(len(key_b)) - np.repeat(np.cumsum(n_b) - n_b, n_b)
+    sizes = n_a * n_b
+    starts = np.cumsum(sizes) - sizes
+    f = frame_a[rows]
+    flat = np.full(sizes.sum(), np.inf)
+    flat[starts[f] + local_a[rows] * n_b[f] + local_b[cols]] = chamfer_pairs(
+        [inst.points for frame in a_frames for inst in frame],
+        [inst.points for frame in b_frames for inst in frame], rows, cols)
+    return [flat[s:s + m * n].reshape(m, n)
+            for s, m, n in zip(starts.tolist(), n_a.tolist(), n_b.tolist())]
+
+
+def _frame_class_keys(frames, sizes) -> np.ndarray:
+    """Per instance of `frames`, in order: its frame's index times
+    len(CLASSES), plus its class's index."""
+    code = {cls: k for k, cls in enumerate(CLASSES)}
+    classes = np.array([code[inst.cls] for frame in frames for inst in frame], dtype=np.intp)
+    return np.repeat(np.arange(len(frames)) * len(CLASSES), sizes) + classes

@@ -13,7 +13,7 @@ import numpy as np
 from ._kernels import linear_sum_assignment
 # pipebench/spans.py times `densify` at this import site, which nothing here calls
 from .geometry import chamfer_distance, densify, densify_many  # noqa: F401
-from .instance import CLASSES, GlobalMap, chamfer_by_class
+from .instance import CLASSES, GlobalMap, frames_chamfer_by_class
 
 LARGE_THRESHOLDS = (1.0, 1.5, 2.0)   # 100 x 50 m perception range
 SMALL_THRESHOLDS = (0.5, 1.0, 1.5)   # 60 x 30 m perception range
@@ -54,10 +54,11 @@ def _ap_from_records(records: list[tuple[float, bool]], n_gt: int) -> float:
 
 def frame_distances(pred_frames, gt_frames) -> list[np.ndarray]:
     """Per frame, the (predictions x GT) Chamfer distance matrix, inf across
-    classes: the one table that AP and CLEAR-MOT both read."""
+    classes: the one table that AP and CLEAR-MOT both read, every frame's
+    pairs scored in one pass (`frames_chamfer_by_class`)."""
     if len(pred_frames) != len(gt_frames):
         raise ValueError("prediction and GT streams must be frame-aligned")
-    return [chamfer_by_class(preds, gts) for preds, gts in zip(pred_frames, gt_frames)]
+    return frames_chamfer_by_class(pred_frames, gt_frames)
 
 
 def instance_ap(pred_frames, gt_frames, thresholds, dists=None):

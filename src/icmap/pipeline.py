@@ -23,7 +23,14 @@ from .fileio import (
     to_record,
 )
 from .geometry import Rect
-from .instance import GlobalMap, MapInstance, Scene, chamfer_by_class, frames_to_world, to_world
+from .instance import (
+    GlobalMap,
+    MapInstance,
+    Scene,
+    frames_chamfer_by_class,
+    frames_to_world,
+    to_world,
+)
 from .mapstore import fuse_with_history, merge_instance, sample_history
 
 TRACE_FORMAT_VERSION = "1"
@@ -148,12 +155,12 @@ def scene_observations(scene: Scene) -> dict:
             cases[inst_id] = []
     det_frames = frames_to_world([f.ego_pose for f in scene.frames],
                                  [[d for d in f.detections if d.is_polyline] for f in scene.frames])
-    for dets, gt_frame in zip(det_frames, scene_gt_frames(scene)):
-        gt_world = {g.id: g for g in gt_frame if g.is_polyline}
-        if not gt_world:
+    gt_frames = [[g for g in gt_frame if g.is_polyline] for gt_frame in scene_gt_frames(scene)]
+    for dets, gts, dist in zip(det_frames, gt_frames,
+                               frames_chamfer_by_class(det_frames, gt_frames)):
+        if not gts:
             continue
-        gt_ids = list(gt_world)
-        dist = chamfer_by_class(dets, list(gt_world.values()))
+        gt_ids = [g.id for g in gts]
         for det, row in zip(dets, dist):
             best = int(np.argmin(row))  # first of equals, inf when no same-class GT
             if row[best] < 5.0:

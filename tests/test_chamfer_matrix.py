@@ -1,13 +1,18 @@
-"""`chamfer_matrix` and the code that reads it, against per-pair oracles.
+"""`chamfer_matrix`, `chamfer_pairs` and the code that reads them, against
+per-pair oracles.
 
-`_kernels.chamfer_matrix` scores two lists of point sets in one broadcast;
-every entry must have the bits of `chamfer_distance`, which queries a k-d
-tree. AP, CLEAR-MOT, the
-geometric affinity and the sweep's observation grouping
+`_kernels.chamfer_matrix` scores two lists of point sets in one broadcast,
+and `_kernels.chamfer_pairs` scores a list of pairs of sets, grouped by
+their point counts; every entry of either must have the bits of
+`chamfer_distance`. `instance.frames_chamfer_by_class` scores every frame
+of two frame lists in one `chamfer_pairs` call and must return, frame by
+frame, the bits of `chamfer_by_class`, which calls `chamfer_matrix`. AP,
+CLEAR-MOT, the geometric affinity and the sweep's observation grouping
 read these matrices; each must give exactly what its per-pair loop version
 in tests/scalar_reference.py gives.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,14 +20,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from icmap._kernels import chamfer_matrix
+from icmap._kernels import PAIR_STEP, chamfer_matrix, chamfer_pairs
 from icmap.association import GEO_DENSIFY, geometric_affinity, outlined
 from icmap.errors import EmptyPointSet
 from icmap.geometry import chamfer_distance
-from icmap.instance import CLASSES, MapInstance
+from icmap.instance import (
+    CLASSES,
+    MapInstance,
+    chamfer_by_class,
+    frames_chamfer_by_class,
+    frames_to_world,
+)
 from icmap.metrics import clear_mot_counts, frame_distances, instance_ap
-from icmap.pipeline import scene_observations
+from icmap.pipeline import scene_gt_frames, scene_observations
 from icmap.synth import NoiseConfig, SceneConfig, make_scene
+
+from test_golden import SCENES
 
 # derandomized, so that a run of the suite is reproducible
 equivalence = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -71,6 +84,45 @@ def test_matrix_equals_single_pair(seed, sizes_a, sizes_b, grid):
 def test_empty_set_rejected():
     with pytest.raises(EmptyPointSet):
         chamfer_matrix([np.zeros((3, 2))], [np.zeros((0, 2))])
+
+
+def assert_pairs_equal(As, Bs, rows, cols):
+    got = chamfer_pairs(As, Bs, rows, cols)
+    assert got.shape == (len(rows),)
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        assert got[k] == chamfer_distance(As[i], Bs[j]), (k, len(As[i]), len(Bs[j]))
+
+
+@equivalence
+@given(st.integers(0, 2**32 - 1), st.lists(size, min_size=1, max_size=4),
+       st.lists(size, min_size=1, max_size=4), st.integers(0, 12), st.booleans())
+def test_pairs_equal_single_pair(seed, sizes_a, sizes_b, n_pairs, grid):
+    rng = np.random.default_rng(seed)
+    As, Bs = point_sets(rng, sizes_a, grid), point_sets(rng, sizes_b, grid)
+    assert_pairs_equal(As, Bs, rng.integers(0, len(As), n_pairs).tolist(),
+                       rng.integers(0, len(Bs), n_pairs).tolist())
+
+
+@pytest.mark.parametrize("m, n", [(20, 20), (4, 4), (3, 200), (150, 150)])
+def test_pairs_past_one_step(m, n):
+    """More pairs of one shape than one step scores (one pair per step when
+    a pair alone has more than PAIR_STEP point pairs), on the quarter-metre
+    grid, so that equal values fall on both sides of a step boundary."""
+    n_pairs = 2 * max(1, PAIR_STEP // (m * n)) + 3
+    rng = np.random.default_rng(m * n)
+    As = point_sets(rng, [m] * 5, grid=True)
+    Bs = point_sets(rng, [n] * 4 + [m + n], grid=True)
+    rows = rng.integers(0, 5, n_pairs).tolist()
+    cols = rng.integers(0, 4, n_pairs).tolist()
+    assert_pairs_equal(As, Bs, rows + [0], cols + [4])
+
+
+def test_pairs_empty_set_rejected_only_when_paired():
+    sets = [np.zeros((3, 2)), np.zeros((0, 2))]
+    assert chamfer_pairs(sets, sets, [0], [0]).tolist() == [0.0]
+    assert chamfer_pairs(sets, sets, [], []).shape == (0,)
+    with pytest.raises(EmptyPointSet):
+        chamfer_pairs(sets, sets, [0], [1])
 
 
 def test_empty_instance_scored_only_within_class():
@@ -125,6 +177,73 @@ def frame_stream(seed, n_frames, noise):
 
 streams = st.builds(frame_stream, st.integers(0, 2**32 - 1), st.integers(1, 8),
                     st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+
+
+def assert_frames_equal(a_frames, b_frames):
+    """`frames_chamfer_by_class` gives each frame the bits, and the shape,
+    of that frame's own `chamfer_by_class`."""
+    got = frames_chamfer_by_class(a_frames, b_frames)
+    assert len(got) == len(a_frames)
+    for k, (a, b) in enumerate(zip(a_frames, b_frames)):
+        want = chamfer_by_class(a, b)
+        assert got[k].shape == want.shape, k
+        assert got[k].tobytes() == want.tobytes(), k
+
+
+@equivalence
+@given(streams)
+def test_frame_list_pass_equals_per_frame(stream):
+    assert_frames_equal(*stream)
+
+
+def grid_frames(rng, n_frames, per_frame, n_points):
+    """Frames of `per_frame` dividers of `n_points` points each, on the
+    quarter-metre grid, so that distances tie."""
+    return [[MapInstance("divider", pts) for pts in point_sets(rng, [n_points] * per_frame, True)]
+            for _ in range(n_frames)]
+
+
+def test_frame_list_pass_past_one_step():
+    n_frames, per_frame, n_points = 12, 3, 20
+    # n_frames * per_frame**2 pairs of one shape: three steps or more
+    assert n_frames * per_frame**2 > 2 * (PAIR_STEP // n_points**2)
+    rng = np.random.default_rng(5)
+    assert_frames_equal(grid_frames(rng, n_frames, per_frame, n_points),
+                        grid_frames(rng, n_frames, per_frame, n_points))
+
+
+def test_frame_list_pass_edge_cases():
+    three = np.zeros((3, 2))
+    div, bnd = MapInstance("divider", three), MapInstance("boundary", three + 1)
+    assert frames_chamfer_by_class([], []) == []
+    assert frame_distances([], []) == []
+    # frames with no predictions, no ground truth or neither
+    assert_frames_equal([[], [div], [], [div, bnd]], [[bnd], [], [], [bnd, div]])
+    # a class on one side only: inf throughout
+    got = frames_chamfer_by_class([[div, div]], [[bnd]])
+    assert got[0].tolist() == [[math.inf], [math.inf]]
+    assert_frames_equal([[div, div], [div]], [[bnd], [bnd, bnd]])
+
+
+# tracemalloc's peak of `frame_distances` on the merge_noisy golden scene,
+# its detections scored against its ground truth: 0.81 MB with 2**14-pair
+# steps (0.09 MB with one table per frame and class before them), 2.2 MB
+# with 2**16-pair steps and 2.3 MB with one unchunked table per shape
+FRAME_DISTANCES_PEAK_MB = 1.25
+
+
+def test_frame_distances_memory_bounded():
+    scene = make_scene(SCENES["merge_noisy"])
+    preds = frames_to_world([f.ego_pose for f in scene.frames], [f.detections for f in scene.frames])
+    gts = scene_gt_frames(scene)
+    frame_distances(preds, gts)  # so that nothing loaded on the first call counts
+    tracemalloc.start()
+    try:
+        frame_distances(preds, gts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < FRAME_DISTANCES_PEAK_MB * 2**20, f"{peak / 2**20:.2f} MB"
 
 
 def same_float(a, b):

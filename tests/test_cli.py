@@ -453,6 +453,43 @@ def test_missing_flag_usage_error(scene_path, tmp_path, monkeypatch, capsys, arg
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# a file a command writes goes into a directory that exists and is not one
+# itself, checked before any work: a usage error naming the flag, with
+# nothing written
+@pytest.mark.parametrize("argv,flag", [
+    (["synth", "--out", "OUT"], "--out"),
+    (["run", "SCENE", "--out-map", "OUT"], "--out-map"),
+    (["run", "SCENE", "--out-map", "m.json", "--trace", "OUT"], "--trace"),
+    (["eval", "--scene", "SCENE", "--pred-map", "MAP", "--report", "OUT"], "--report"),
+    (["sweep-s", "SCENE", "--s-grid", "1:1:1", "--out", "OUT"], "--out"),
+    (["sweep-s", "SCENE", "--s-grid", "1:1:1", "--out", "s.tsv", "--plot", "OUT"], "--plot"),
+    (["render", "MAP", "--out", "OUT"], "--out"),
+], ids=["synth", "run", "run-trace", "eval", "sweep-s", "sweep-s-plot", "render"])
+@pytest.mark.parametrize("fault", ["no directory", "a directory"])
+def test_output_path_usage_error(scene_path, tmp_path, monkeypatch, capsys, argv, flag, fault):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    pred_map = inputs / "map.json"
+    if "MAP" in argv:
+        assert run_cli("run", scene_path, "--out-map", pred_map) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if fault == "no directory":
+        out, want = os.path.join("nodir", "out"), "directory 'nodir' does not exist"
+    else:
+        (work / "adir").mkdir()
+        out, want = "adir", "'adir' is a directory"
+    before = sorted(tmp_path.rglob("*"))
+    subs = {"SCENE": scene_path, "MAP": pred_map, "OUT": out}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*[subs.get(arg, arg) for arg in argv])
+    assert exc.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message == f"icmap: error: argument {flag}: {want}"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestEvalCmd:
     def test_perfect_pipeline(self, scene_path, tmp_path, capsys):
         out_map = tmp_path / "m.json"
