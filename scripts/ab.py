@@ -27,10 +27,16 @@ tree alternating from scene to scene in the order old, new, new, old, ...,
 so that a drift of the host's speed falls on both sides. A pair is one
 scene of one round: the ratio of the new tree's wall time to the old
 tree's. The script prints each side's median time, the median ratio with a
-bootstrap 95% interval (2,000 resamples of the pairs, seeded) and the
-number of pairs, and says whether the two trees wrote byte-identical
-outputs (map and trace, eval report, sweep table or scene, per scene) with
-the same exit codes and error text. It exits 1 if they did not.
+bootstrap 95% interval and the number of pairs, and says whether the two
+trees wrote byte-identical outputs (map and trace, eval report, sweep table
+or scene, per scene) with the same exit codes and error text. It exits 1
+if they did not.
+
+The interval comes from 2,000 seeded resamples of the scenes, each scene
+with all of its rounds: the rounds of one scene are correlated, so the
+scene, not the pair, is the independent unit. Resampling the pairs as if
+they were independent gave intervals too narrow to trust (an A/A-like run
+read 0.976, 0.946-0.998).
 
 A ratio below 1.0 means the new tree is faster. Run the same tree on both
 sides (an A/A run) to see the interval that host noise alone gives.
@@ -121,9 +127,10 @@ def command(name: str, scene: Path, out: Path, workload: str) -> dict:
     return {"argv": [str(a) for a in argv], "out": str(out)}
 
 
-def bootstrap_interval(ratios: list, rng: random.Random) -> tuple[float, float]:
-    """A 95% interval of the median of `ratios`, from resampled pairs."""
-    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+def bootstrap_interval(groups: list, rng: random.Random) -> tuple[float, float]:
+    """A 95% interval of the median ratio, from `groups` (lists of ratios)
+    resampled with replacement, each group whole."""
+    medians = sorted(statistics.median([r for g in rng.choices(groups, k=len(groups)) for r in g])
                      for _ in range(BOOTSTRAP))
     return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
 
@@ -151,8 +158,9 @@ def completed_scenes(old: "Worker", args, inputs: Path) -> tuple[list, int]:
 
 
 def paired_runs(workers: dict, name: str, workload: str, scenes: list, rounds: int, tmp: Path):
-    """Each side's times, its exit code and error text per scene, and the
-    new/old ratio of every pair; each side writes under tmp/<side>."""
+    """Each side's times, its exit code and error text per scene, and per
+    scene the new/old ratio of each of its pairs, one per round; each side
+    writes under tmp/<side>."""
     outs = {side: tmp / side for side in workers}
     for side, out in outs.items():
         out.mkdir()
@@ -160,7 +168,7 @@ def paired_runs(workers: dict, name: str, workload: str, scenes: list, rounds: i
             workers[side].ask(command(name, scene, out, workload))
     times = {side: [] for side in workers}
     codes = {side: {} for side in workers}
-    ratios = []
+    ratios = [[] for _ in scenes]
     for r in range(rounds):
         for i, scene in enumerate(scenes):
             got = {}
@@ -168,7 +176,7 @@ def paired_runs(workers: dict, name: str, workload: str, scenes: list, rounds: i
                 got[side] = workers[side].ask(command(name, scene, outs[side], workload))
                 times[side].append(got[side]["s"])
                 codes[side][scene.stem] = (got[side]["rc"], got[side]["error"])
-            ratios.append(got["new"]["s"] / got["old"]["s"])
+            ratios[i].append(got["new"]["s"] / got["old"]["s"])
     return times, codes, ratios
 
 
@@ -216,20 +224,22 @@ def main(argv=None) -> int:
         workers = {}
         try:
             workers = {side: Worker(src) for side, src in trees.items()}
-            times, codes, ratios = paired_runs(workers, args.command, args.workload, scenes,
-                                               args.rounds, Path(tmp))
+            times, codes, by_scene = paired_runs(workers, args.command, args.workload, scenes,
+                                                 args.rounds, Path(tmp))
         finally:
             for w in workers.values():
                 w.close()
         differ, files = differences(Path(tmp) / "old", Path(tmp) / "new", codes)
-    low, high = bootstrap_interval(ratios, random.Random(0))
+    low, high = bootstrap_interval(by_scene, random.Random(0))
+    ratios = [r for scene in by_scene for r in scene]
     print(f"ab: {args.command} on {args.workload}, {len(scenes)} scenes (seeds 0.."
           f"{seed - 1}, those whose run completes on the old tree) x {args.rounds} rounds")
     for side in trees:
         print(f"  {side}  {quartiles(times[side])}   {trees[side]}")
     faster = sum(x < 1.0 for x in ratios)
     print(f"  new/old  median {statistics.median(ratios):.3f}, 95% interval "
-          f"{low:.3f}-{high:.3f}, {len(ratios)} pairs; new faster in {faster} of {len(ratios)}")
+          f"{low:.3f}-{high:.3f} (scenes resampled), {len(ratios)} pairs; new faster in "
+          f"{faster} of {len(ratios)}")
     if differ:
         print(f"  outputs differ: {', '.join(differ)}")
     else:

@@ -1,7 +1,7 @@
 """Temporal association of per-frame detections against a track buffer.
 
 Per frame: take the detections in the world frame (`instance.to_world`),
-where the buffer's tracks are stored, and outline each once; build
+where the buffer's tracks are stored, and outline them all in one pass; build
 detection/track affinities from a geometric branch (exp(-chamfer/tau)
 between outlines, class gated) and a feature branch (shifted cosine of
 embeddings), fuse them as a convex combination, keep same-class pairs above
@@ -18,9 +18,9 @@ import numpy as np
 
 from ._kernels import linear_sum_assignment
 from .errors import DuplicateId, MissingEmbedding, ShapeMismatch
-# chamfer_distance is not called here, but pipebench/spans.py wraps it as an
-# import site of this module
-from .geometry import chamfer_distance, densify
+# chamfer_distance and densify are not called here, but pipebench/spans.py
+# wraps them as import sites of this module
+from .geometry import chamfer_distance, densify, densify_many  # noqa: F401
 from .instance import MapInstance, chamfer_by_class
 
 GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
@@ -63,9 +63,18 @@ class AssocConfig:
 
 def outlined(inst: MapInstance) -> Track:
     """A track of `inst`, its closed points densified once at GEO_DENSIFY."""
+    return outlined_frame([inst])[0]
+
+
+def outlined_frame(insts) -> list[Track]:
+    """A track of each of `insts`, its closed points densified once at
+    GEO_DENSIFY, from one `densify_many` call (so with `densify`'s bits);
+    each outline is a view of one array."""
     # detector output is sparse (tens of points over ~100 m); comparing
     # densified curves keeps the distance about shape, not sample phase
-    return Track(inst, densify(inst.closed_points, GEO_DENSIFY))
+    pts, bounds = densify_many([inst.closed_points for inst in insts], GEO_DENSIFY)
+    return [Track(inst, pts[lo:hi])
+            for inst, lo, hi in zip(insts, bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def geometric_affinity(dets, tracks, tau: float) -> np.ndarray:
@@ -164,9 +173,9 @@ class AssociationResult:
 
 def associate_frame(buffer: TrackBuffer, dets, config: AssocConfig) -> AssociationResult:
     """Assign IDs to one frame of world-frame detections and update the
-    buffer. Each detection is outlined once, here; the buffer's tracks are
+    buffer. The detections are outlined once, here; the buffer's tracks are
     scored as stored."""
-    scored = [outlined(d) for d in dets]
+    scored = outlined_frame(dets)
     stored = [t.instance for t in buffer.tracks]
     fused = geometric_affinity(scored, buffer.tracks, config.tau)
     if config.w_feat > 0:

@@ -8,7 +8,7 @@ import math
 import os
 import sys
 from dataclasses import fields, is_dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -409,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", dest="range_lw", type=_parse_range,
                    help="perception range LxW, e.g. 100x50")
     p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="run the tracking + merging pipeline over a scene")
     p.add_argument("scene")
@@ -427,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_finite_float, help="smoothing weight for merging")
     p.add_argument("--no-fusion", dest="fuse_weight", action="store_const", const=0.0,
                    help="skip the history blend stage (fuse_weight = 0)")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="evaluate a predicted map/trace against a scene")
     p.add_argument("--scene", nargs="+", required=True)
@@ -441,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CLEAR-MOT match gate, meters (positive)")
     p.add_argument("--report", help="write the report as JSON here")
     p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep-s", help="sweep the smoothing weight and report fit error")
     p.add_argument("scene", nargs="+")
@@ -450,14 +447,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="TSV table output")
     p.add_argument("--plot", help="SVG chart output")
     p.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes (1 to CPU count)")
-    p.set_defaults(func=cmd_sweep_s)
 
     p = sub.add_parser("render", help="render map files to SVG")
     p.add_argument("maps", nargs="*")
     p.add_argument("--gt", help="scene file whose ground truth is overlaid")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_render)
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built by the first `main` call of a process and
+    reused by every later one."""
+    return build_parser()
 
 
 # flag pairs of which a command reads only one: synth writes one scene to
@@ -480,7 +482,7 @@ _OUTPUTS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     _setup_logging(parser)
     args = parser.parse_args(argv)
     for first, second in _CONFLICTS.get(args.command, ()):
@@ -508,8 +510,11 @@ def main(argv=None) -> int:
             parser.error(f"argument {flag}: directory {os.path.dirname(path)!r} does not exist")
         if os.path.isdir(path):
             parser.error(f"argument {flag}: {path!r} is a directory")
+    # the command's function is looked up by name at each call, so that a
+    # wrapper set on this module (a tracer's, a test's) is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (MapBuildError, OSError) as exc:
         print(f"icmap: error: {exc}", file=sys.stderr)
         return 1

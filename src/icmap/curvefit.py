@@ -19,21 +19,28 @@ gave them; it serves both the normal equations and the evaluation of the
 fitted curve. The equations are assembled in banded form and solved by
 banded Cholesky (`_kernels.solveh_banded`, LAPACK's `dpbsv`, so the bits of
 `scipy.linalg.solveh_banded`): a fixed number of numpy calls and O(n)
-arithmetic per fit. The greedy chain before it reads one distance table
-(`_kernels.sq_dist_table`, then its square root): it ranks each point's
-three nearest up front, and takes an argmin over a row only when all three
-are already chained.
+arithmetic per fit, each quantity computed once. One diff of the chain
+gives both its dedupe and its chord lengths (`geometry.dedupe_chords`),
+the penalty band is built once per control-point count, and the
+right-hand side is one `bincount`. The greedy chain before it reads one
+distance table (`_kernels.sq_dist_table`, then its square root): it ranks
+each point's three nearest up front, and takes an argmin over a row only
+when all three are already chained.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import solveh_banded, sq_dist_table
 from .errors import InsufficientPoints
-from .geometry import as_points, chamfer_distance, dedupe_points, densify, resample_even
+# dedupe_points is not called here, but pipebench/spans.py wraps it as an
+# import site of this module
+from .geometry import (as_points, chamfer_distance, dedupe_chords, dedupe_points,  # noqa: F401
+                       densify, resample_even)
 
 # resolution bounds, far beyond any desk-scale road; they keep degenerate
 # low-s merges of noisy chains from inflating point counts across repeated
@@ -192,15 +199,18 @@ class Spline(NamedTuple):
 _BASIS_PAIRS = np.triu_indices(DEGREE + 1)
 
 
+@cache
 def _penalty_band(n_ctrl: int) -> np.ndarray:
     """DᵀD for the second-difference operator D, in upper banded form:
-    row 2 - d, column j holds (DᵀD)[j - d, j]."""
+    row 2 - d, column j holds (DᵀD)[j - d, j]. Built once per `n_ctrl`, and
+    read-only."""
     band = np.zeros((3, n_ctrl))
     w = (1.0, -2.0, 1.0)  # row r of D is w at columns r, r+1, r+2
     m = n_ctrl - 2
     for a in range(3):
         for b in range(a, 3):
             band[2 - (b - a), b:b + m] += w[a] * w[b]
+    band.flags.writeable = False
     return band
 
 
@@ -214,14 +224,12 @@ def _solve_spline(points, params: SmoothingFitParams):
     otherwise the roughness penalty pushes them past the data extent and
     repeated merges would creep outward.
     """
-    pts = dedupe_points(points)
+    pts, seg = dedupe_chords(points)
     k = DEGREE
     if len(pts) < k + 1:
         raise InsufficientPoints(f"need at least {k + 1} points, got {len(pts)}")
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     u = np.concatenate([[0.0], np.cumsum(seg)])
-    n_ctrl = int(np.clip(int(u[-1] // CTRL_SPACING) + 1, k + 1,
-                         min(len(pts), MAX_CTRL_POINTS)))
+    n_ctrl = min(max(int(float(u[-1]) // CTRL_SPACING) + 1, k + 1), len(pts), MAX_CTRL_POINTS)
     t = _clamped_knots(n_ctrl, u)
     # site i touches basis functions first[i] .. first[i] + k
     first, vals = _cubic_basis(t, n_ctrl, u)
@@ -232,9 +240,11 @@ def _solve_spline(points, params: SmoothingFitParams):
     ab = np.bincount(slot.ravel(), weights=(vals[:, lo] * vals[:, hi]).ravel(),
                      minlength=(k + 1) * n_ctrl).reshape(k + 1, n_ctrl)
     ab[k - 2:] += params.s * _penalty_band(n_ctrl)
-    cols = (first[:, None] + np.arange(k + 1)).ravel()
-    rhs = np.column_stack([np.bincount(cols, weights=(vals * pts[:, [dim]]).ravel(),
-                                       minlength=n_ctrl) for dim in (0, 1)])
+    # Bᵀp: entry (c, dim) at 2c + dim, each summed in site order
+    cols = 2 * (first[:, None] + np.arange(k + 1))
+    rhs = np.bincount((cols[..., None] + np.arange(2)).ravel(),
+                      weights=(vals[..., None] * pts[:, None]).ravel(),
+                      minlength=2 * n_ctrl).reshape(n_ctrl, 2)
 
     # move the pinned end columns to the right-hand side
     rhs = rhs[1:-1]
@@ -253,13 +263,13 @@ def _solve_spline(points, params: SmoothingFitParams):
 def fit_smoothing_spline(points, params: SmoothingFitParams) -> np.ndarray:
     """Fit the penalized spline to an ordered chain and resample it evenly."""
     spline, u, pts = _solve_spline(points, params)
-    length = u[-1]
+    length = float(u[-1])
     # bound output resolution by spatial extent, not chain length: unpenalized
     # fits of noisy interleaved chains can oscillate, and resampling along
     # that inflated arc would let the point count grow across repeated merges
     diag = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
     cap = min(int(4.0 * diag / OUT_SPACING) + 2, MAX_MERGE_POINTS)
-    n_out = max(MIN_OUT_POINTS, min(int(round(length / OUT_SPACING)) + 1, cap))
+    n_out = max(MIN_OUT_POINTS, min(round(length / OUT_SPACING) + 1, cap))
     dense = spline(np.linspace(0.0, length, max(200, 8 * n_out)))
     return resample_even(dense, n_out)
 

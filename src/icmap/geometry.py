@@ -120,6 +120,24 @@ def _dedupe_mask(pts: np.ndarray, eps: float, starts) -> np.ndarray:
     return keep
 
 
+def dedupe_chords(points) -> tuple[np.ndarray, np.ndarray]:
+    """`dedupe_points(points)` and the length of each step between the
+    points it keeps, sqrt(dx*dx + dy*dy) (the bits of `np.linalg.norm(...,
+    axis=1)`).
+
+    The dedupe and the lengths read one diff of the points; only where the
+    dedupe drops a point are the kept points differenced again.
+    """
+    pts = as_points(points)
+    step = np.diff(pts, axis=0)
+    keep = np.hypot(step[:, 0], step[:, 1]) > EPS
+    if not keep.all():
+        pts = pts[np.append(True, keep)]
+        step = np.diff(pts, axis=0)
+    dx, dy = step[:, 0], step[:, 1]
+    return pts, np.sqrt(dx * dx + dy * dy)
+
+
 def _dedupe_lines(lines) -> tuple[np.ndarray, np.ndarray]:
     """`dedupe_points` of each of `lines`, concatenated, and the index of
     the line that each kept point belongs to."""
@@ -158,10 +176,15 @@ def resample_even(points, n: int) -> np.ndarray:
     """
     if n < 2:
         raise InvalidSampleCount(f"need at least 2 sample points, got {n}")
-    pts = dedupe_points(points)
+    pts, seg = dedupe_chords(points)
     if len(pts) < 2:
         raise EmptyPointSet("resample_even requires a polyline with positive length")
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    return _resample_chords(pts, seg, n)
+
+
+def _resample_chords(pts: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
+    """`resample_even` of a deduped line `pts` of at least 2 points, whose
+    steps are `seg` long."""
     s = np.concatenate([[0.0], np.cumsum(seg)])
     targets = np.linspace(0.0, s[-1], n)
     out = np.column_stack([np.interp(targets, s, pts[:, 0]), np.interp(targets, s, pts[:, 1])])
@@ -224,38 +247,50 @@ def _sample_count(length: float, spacing: float) -> int:
 
 
 def densify(points, spacing: float) -> np.ndarray:
-    """Resample a polyline to approximately `spacing` meters between points."""
+    """Resample a polyline to approximately `spacing` meters between points.
+
+    A line that its dedupe, or the second dedupe `resample_even` makes of
+    the result, leaves with fewer than 2 points is returned as that dedupe
+    leaves it. The second one can drop more: of x = 0, 0.6e-9 and -0.5e-9,
+    the first keeps 0 and -0.5e-9, each point being compared with its input
+    predecessor, and the second keeps 0 alone.
+    """
     pts = dedupe_points(points)
     if len(pts) < 2:
         return pts
-    return resample_even(pts, _sample_count(polyline_length(pts), spacing))
+    line, seg = dedupe_chords(pts)
+    if len(line) < 2:
+        return line
+    return _resample_chords(line, seg, _sample_count(polyline_length(pts), spacing))
 
 
-def densify_many(lines, spacing: float) -> np.ndarray:
-    """`densify(line, spacing)` of each of `lines`, with the same bits,
-    concatenated.
+def densify_many(lines, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """`densify(line, spacing)` of each of `lines`, with the same bits, as
+    (pts, bounds): line k's points are pts[bounds[k]:bounds[k + 1]].
 
     One dedupe and one `resample_even_many` serve every line; a line's
     length is the sum of its own slice of the segment lengths, which adds
-    as `polyline_length` does.
+    as `polyline_length` does. The second dedupe, `resample_even`'s, is one
+    mask over every line, and a line it leaves with fewer than 2 points is
+    kept as it leaves it.
     """
     pts, line_of = _dedupe_lines(lines)
     sizes = np.bincount(line_of, minlength=len(lines))
     bounds = np.append(0, np.cumsum(sizes))
-    long = sizes >= 2
+    again = _dedupe_mask(pts, EPS, bounds[1:-1][sizes[1:] > 0])
+    out_sizes = np.bincount(line_of[again], minlength=len(lines))
+    long = out_sizes >= 2
     starts, ends = bounds[:-1][long].tolist(), bounds[1:][long].tolist()
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     counts = [_sample_count(float(seg[lo:hi - 1].sum()), spacing)
               for lo, hi in zip(starts, ends)]
     pieces = [pts[lo:hi] for lo, hi in zip(starts, ends)]
-    # a line of fewer than 2 points after the dedupe is kept as it is
-    out_sizes = sizes.copy()
     out_sizes[long] = counts
     out = np.empty((out_sizes.sum(), 2))
     resampled = np.repeat(long, out_sizes)
     out[resampled] = resample_even_many(pieces, counts)
-    out[~resampled] = pts[np.repeat(~long, sizes)]
-    return out
+    out[~resampled] = pts[again & np.repeat(~long, sizes)]
+    return out, np.append(0, np.cumsum(out_sizes))
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,7 @@ def clear_mot(pred_frames, gt_frames):
 def _pooled_points(gmap: GlobalMap, cls: str) -> np.ndarray:
     """Every `cls` instance of `gmap`, in ID order, densified and pooled."""
     return densify_many([gmap.instances[i].closed_points for i in sorted(gmap.instances)
-                         if gmap.instances[i].cls == cls], MAP_CD_SPACING)
+                         if gmap.instances[i].cls == cls], MAP_CD_SPACING)[0]
 
 
 def global_map_cd(pred: GlobalMap, gt: GlobalMap):

@@ -6,13 +6,17 @@ every crossing (and at T-junction touch points), fragments strictly inside
 the other polygon are dropped, and the survivors are stitched back into the
 outer boundary. Epsilon-based predicates are used throughout; inputs are
 small, roughly convex rings, and the rasterization oracle cross-checks the
-result in the test suite. Each call builds one edge table per ring and
-works on whole arrays of edges, nodes and pieces; only the final walk
-steps edge by edge.
+result in the test suite. Each call builds one edge table of both rings
+and works on whole arrays of edges, nodes and pieces; only the final walk
+steps edge by edge. One crossing table of every pair of edges and one
+projection of every vertex onto every edge serve the two simplicity tests,
+the on-boundary tests and the crossing-node scan, and one split cuts the
+edges of both rings at the nodes.
 """
 from __future__ import annotations
 
 import logging
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,10 +76,7 @@ def polygon_area(ring) -> float:
 
 
 def ensure_ccw(ring) -> np.ndarray:
-    r = as_points(ring)
-    if polygon_area(r) < 0:
-        r = r[::-1]
-    return r
+    return _ccw_edges(as_points(ring))[0]
 
 
 def clip_polygon_to_rect(ring, rect: Rect) -> list[np.ndarray]:
@@ -121,17 +122,47 @@ class _Ring:
     """Edge table of a closed ring, built once per ring and call.
 
     Edge k runs from v[k] to w[k] (the next vertex; w[-1] is v[0]) along
-    d[k], of squared length l2[k]; `area` is the shoelace area.
+    d[k], of squared length l2[k]; `area` is the shoelace area. A table may
+    hold several rings one after the other (`joined`); its `area` is then
+    meaningless, and `part` gives each ring's table.
     """
 
     __slots__ = ("v", "w", "d", "l2", "area")
 
     def __init__(self, v: np.ndarray):
-        self.v = v
-        self.w = _next(v)
-        self.d = self.w - v
+        w = _next(v)
+        self._fill(v, w, _shoelace(v, w))
+
+    def _fill(self, v: np.ndarray, w: np.ndarray, area: float) -> "_Ring":
+        self.v, self.w, self.d = v, w, w - v
         self.l2 = _dot2(self.d, self.d)
-        self.area = _shoelace(v, self.w)
+        self.area = area
+        return self
+
+    @classmethod
+    def joined(cls, v: np.ndarray, w: np.ndarray) -> "_Ring":
+        """The table of several rings one after the other, of vertices `v`
+        whose successors in their own rings are `w`."""
+        return object.__new__(cls)._fill(v, w, 0.0)
+
+    def part(self, lo: int, hi: int, area: float) -> "_Ring":
+        """The table of edges lo..hi - 1, a ring of shoelace area `area`."""
+        ring = object.__new__(_Ring)
+        ring.v, ring.w, ring.d, ring.l2 = (x[lo:hi] for x in (self.v, self.w, self.d, self.l2))
+        ring.area = area
+        return ring
+
+
+def _ccw_edges(r: np.ndarray):
+    """`ensure_ccw(r)`, each vertex's successor around it and its shoelace
+    area: the area that decides the orientation, unless it reverses `r`."""
+    nxt = _next(r)
+    area = _shoelace(r, nxt)
+    if area < 0:
+        r = r[::-1]
+        nxt = _next(r)
+        area = _shoelace(r, nxt)
+    return r, nxt, area
 
 
 def _crossing_params(p1, d1, q1, d2):
@@ -156,24 +187,47 @@ def _project(pts, ring: _Ring):
     return rel, t, _norm(off)
 
 
+def _tables(ring: _Ring):
+    """The crossing parameters (den, t, u) of every pair (i, j) of the
+    table's edges, and whether vertex i lies within EPS of edge j."""
+    den, t, u = _crossing_params(ring.v[:, None], ring.d[:, None], ring.v, ring.d)
+    return den, t, u, _project(ring.v, ring)[2] <= EPS
+
+
 def _simple(ring: _Ring) -> bool:
-    r = ring.v
+    return _simple_in(ring.v, *_tables(ring))
+
+
+def _simple_in(r, den, t, u, on) -> bool:
+    """Whether the ring of vertices `r` is simple, read from its own block
+    of `_tables`."""
     n = len(r)
     if n < 3:
         return False
     if np.hypot(*(r[0] - r[-1])) <= EPS:
         return False
+    apart, off = _gaps(n)
+    # edges i and j share no vertex, and cross at interior points
+    lo, hi = 1e-9, 1 - 1e-9
+    cross = apart & (np.abs(den) >= 1e-14) & (lo < t) & (t < hi) & (lo < u) & (u < hi)
+    # or touch: vertex i lies within EPS of edge j, which does not end at it
+    return not (cross | (off & on)).any()
+
+
+# the unions of a run see a few ring sizes again and again (a detection's 4
+# or 5 vertices, the stored rings' tens); an entry holds 2 n² bytes
+@lru_cache(maxsize=64)
+def _gaps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a ring of n >= 3 vertices, the pairs (i, j) of edges that share
+    no vertex, and of vertex i and an edge j that does not end at it (a
+    triangle has no such pair: its edges all meet). Read-only, built once
+    per n."""
     k = np.arange(n)
     gap = (k[:, None] - k) % n  # (i, j): i - j around the ring
-    # edges i and j share no vertex, and cross at interior points
-    den, t, u = _crossing_params(r[:, None], ring.d[:, None], r, ring.d)
-    lo, hi = 1e-9, 1 - 1e-9
-    cross = ((gap >= 2) & (gap <= n - 2) & (np.abs(den) >= 1e-14)
-             & (lo < t) & (t < hi) & (lo < u) & (u < hi))
-    # or touch: vertex i lies within EPS of edge j, which does not end at it
-    # (a triangle has no two edges that share no vertex)
-    touch = (gap >= 2) & (n > 3) & (_project(r, ring)[2] <= EPS)
-    return not (cross | touch).any()
+    apart = (gap >= 2) & (gap <= n - 2)
+    off = (gap >= 2) & (n > 3)
+    apart.flags.writeable = off.flags.writeable = False
+    return apart, off
 
 
 def is_simple(ring) -> bool:
@@ -217,10 +271,10 @@ def _contained(a: _Ring, b: _Ring, a_on_b) -> bool:
     return a.area <= b.area + EPS
 
 
-def _collect_nodes(a: _Ring, b: _Ring, a_on_b, b_on_a) -> np.ndarray:
+def _collect_nodes(a: _Ring, b: _Ring, den, t, u, a_on_b, b_on_a) -> np.ndarray:
     """Boundary crossing points plus vertices of one ring lying on the other,
-    in scan order, each dropped when within 10 * EPS of one kept before it."""
-    den, t, u = _crossing_params(a.v[:, None], a.d[:, None], b.v, b.d)
+    in scan order, each dropped when within 10 * EPS of one kept before it.
+    (den, t, u) are the crossing parameters of a's edges against b's."""
     hit = (np.abs(den) >= 1e-14) & (-EPS <= t) & (t <= 1 + EPS) & (-EPS <= u) & (u <= 1 + EPS)
     i, j = np.nonzero(hit)  # row-major, the order of the edge-pair scan
     cands = np.concatenate([a.v[i] + _clamp01(t[i, j])[:, None] * a.d[i], a.v[a_on_b], b.v[b_on_a]])
@@ -233,8 +287,8 @@ def _collect_nodes(a: _Ring, b: _Ring, a_on_b, b_on_a) -> np.ndarray:
 
 
 def _split(ring: _Ring, nodes):
-    """Directed sub-edges U[k] -> V[k] of `ring`, split at every node lying
-    on an edge, in edge order."""
+    """Directed sub-edges U[k] -> V[k] of `ring`'s edges, split at every
+    node lying on an edge, in edge order, and the edge E[k] each lies on."""
     rel, t, dist = _project(nodes, ring)  # (node, edge)
     gap = np.minimum(_norm(rel), _norm(nodes[:, None] - ring.w))
     cut = (dist <= EPS) & (((EPS < t) & (t < 1 - EPS))
@@ -249,7 +303,7 @@ def _split(ring: _Ring, nodes):
     order = np.lexsort((rank, pos, edge))
     pts, edge = np.concatenate([ring.v, ring.w, nodes[k]])[order], edge[order]
     keep = (edge[1:] == edge[:-1]) & (_norm(pts[1:] - pts[:-1]) > 10 * EPS)
-    return pts[:-1][keep], pts[1:][keep]
+    return pts[:-1][keep], pts[1:][keep], edge[:-1][keep]
 
 
 def _stitch(U, V) -> list[np.ndarray]:
@@ -301,32 +355,42 @@ def polygon_union(a, b):
     Returns a CCW ring, or the DISJOINT marker when the polygons neither
     touch nor contain one another.
     """
-    a = ensure_ccw(dedupe_points(as_points(a), EPS))
-    b = ensure_ccw(dedupe_points(as_points(b), EPS))
-    ta, tb = _Ring(a), _Ring(b)
-    for ring in (ta, tb):
-        # is_simple reads the ring deduped at EPS: the same table unless
-        # that drops a vertex
-        r = dedupe_points(ring.v, EPS)
-        if not _simple(ring if len(r) == len(ring.v) else _Ring(r)):
+    a, next_a, area_a = _ccw_edges(dedupe_points(as_points(a), EPS))
+    b, next_b, area_b = _ccw_edges(dedupe_points(as_points(b), EPS))
+    na = len(a)
+    both = _Ring.joined(np.concatenate([a, b]), np.concatenate([next_a, next_b]))
+    ta, tb = both.part(0, na, area_a), both.part(na, len(both.v), area_b)
+    den, t, u, on = _tables(both)
+    # is_simple reads a ring deduped at EPS, which keeps vertex k + 1 when
+    # edge k is longer than EPS: the ring's own block of the tables, unless
+    # that drops a vertex
+    kept = np.hypot(both.d[:, 0], both.d[:, 1]) > EPS
+    for lo, hi in ((0, na), (na, len(both.v))):
+        if kept[lo:max(lo, hi - 1)].all():
+            simple = _simple_in(both.v[lo:hi], *(x[lo:hi, lo:hi] for x in (den, t, u, on)))
+        else:
+            simple = _simple(_Ring(dedupe_points(both.v[lo:hi], EPS)))
+        if not simple:
             raise NonSimplePolygon("polygon_union requires simple polygons")
-    a_on_b = (_project(a, tb)[2] <= EPS).any(axis=1)
-    b_on_a = (_project(b, ta)[2] <= EPS).any(axis=1)
+    a_on_b = on[:na, na:].any(axis=1)
+    b_on_a = on[na:, :na].any(axis=1)
     if _contained(ta, tb, a_on_b):
         return b.copy()
     if _contained(tb, ta, b_on_a):
         return a.copy()
-    nodes = _collect_nodes(ta, tb, a_on_b, b_on_a)
+    nodes = _collect_nodes(ta, tb, den[:na, na:], t[:na, na:], u[:na, na:], a_on_b, b_on_a)
     if not len(nodes):
         return DISJOINT
 
-    ua, va = _split(ta, nodes)
-    ub, vb = _split(tb, nodes)
-    # keep a's fragments outside or on b, and b's strictly outside a
-    keep_a = _classify(0.5 * (ua + va), tb) <= 0
-    keep_b = _classify(0.5 * (ub + vb), ta) < 0
-    loops = _stitch(np.concatenate([ua[keep_a], ub[keep_b]]),
-                    np.concatenate([va[keep_a], vb[keep_b]]))
+    # both rings' sub-edges, a's first; keep a's fragments outside or on b,
+    # and b's strictly outside a
+    U, V, edge = _split(both, nodes)
+    mid = 0.5 * (U + V)
+    of_a = edge < na
+    keep = np.empty(len(U), dtype=bool)
+    keep[of_a] = _classify(mid[of_a], tb) <= 0
+    keep[~of_a] = _classify(mid[~of_a], ta) < 0
+    loops = _stitch(U[keep], V[keep])
     best = None
     best_area = 0.0
     for loop in loops:

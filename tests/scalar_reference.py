@@ -20,7 +20,15 @@ for its first half.
 in arrays. `fuse_with_history` squares and sums its own broadcast of point
 differences, as the fusion did before it read `_kernels.sq_dist_table`.
 `is_simple` rejects non-adjacent edges that touch within EPS,
-as the library does. The tests use them as oracles: the array code must return the same values. The
+as the library does. `resample_even`, `densify` and `banded_fit` are the
+even resample, the densify and the banded merge fit (`fit_smoothing_spline`
+with its `_solve_spline`) as they were before one diff of a line served
+both its dedupe and its step lengths: each dedupes, then differences the
+kept points again; the fit reads `np.clip` for its control-point count,
+builds the penalty band on every call and sums the right-hand side one
+coordinate at a time. `densify` raises, through `resample_even`, on a line
+that its dedupe leaves with 2 points and the second dedupe with 1.
+`banded_merge` is `merge_polylines` over them. The tests use them as oracles: the array code must return the same values. The
 arithmetic of every computed output coordinate is the same in both; only
 distances that are compared against an epsilon may differ in the last bit
 (a 2-vector `@` may use a fused multiply-add).
@@ -37,10 +45,12 @@ from scipy.interpolate import BSpline
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from icmap.errors import InsufficientPoints, NonSimplePolygon
+from icmap._kernels import solveh_banded
+from icmap.curvefit import Spline, _cubic_basis
+from icmap.errors import EmptyPointSet, InsufficientPoints, InvalidSampleCount, NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Rect, as_points, chamfer_distance,
-                            dedupe_points as dedupe_by_predecessor, densify, polyline_length,
-                            resample_even, transform_points)
+                            dedupe_points as dedupe_by_predecessor, polyline_length,
+                            transform_points)
 from icmap.instance import MapInstance
 from icmap.metrics import DEFAULT_MOT_GATE, MotCounts, _ap_from_records
 from icmap.polygon import DISJOINT, ensure_ccw, polygon_area
@@ -51,6 +61,7 @@ log = logging.getLogger(__name__)
 # the oracle's own values, stated here, not imported from the code it checks
 DEGREE = 3  # of the merge spline
 MAX_CTRL_POINTS = 500
+MAX_MERGE_POINTS = 2500
 EPS = 1e-9  # point tolerance of the polygon predicates
 
 
@@ -63,6 +74,32 @@ def dedupe_points(points, eps: float = 1e-9) -> np.ndarray:
         if np.hypot(*(pts[i] - pts[keep[-1]])) > eps:
             keep.append(i)
     return pts[keep]
+
+
+# ---------------------------------------------------------------------------
+# geometry: the even resample and densify, each dedupe followed by a second
+# diff of the kept points
+
+def resample_even(points, n: int) -> np.ndarray:
+    if n < 2:
+        raise InvalidSampleCount(f"need at least 2 sample points, got {n}")
+    pts = dedupe_by_predecessor(points)
+    if len(pts) < 2:
+        raise EmptyPointSet("resample_even requires a polyline with positive length")
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = np.linspace(0.0, s[-1], n)
+    out = np.column_stack([np.interp(targets, s, pts[:, 0]), np.interp(targets, s, pts[:, 1])])
+    out[0] = pts[0]
+    out[-1] = pts[-1]
+    return out
+
+
+def densify(points, spacing: float) -> np.ndarray:
+    pts = dedupe_by_predecessor(points)
+    if len(pts) < 2:
+        return pts
+    return resample_even(pts, max(2, int(round(polyline_length(pts) / spacing)) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -759,3 +796,67 @@ def solve_spline(points, params):
     coef[-1] = pts[-1]
     coef[free] = np.linalg.solve(A, rhs) if n_ctrl > 2 else np.zeros((0, 2))
     return BSpline(t, coef, k), u, pts
+
+
+def _penalty_band(n_ctrl: int) -> np.ndarray:
+    band = np.zeros((3, n_ctrl))
+    w = (1.0, -2.0, 1.0)
+    m = n_ctrl - 2
+    for a in range(3):
+        for b in range(a, 3):
+            band[2 - (b - a), b:b + m] += w[a] * w[b]
+    return band
+
+
+_BASIS_PAIRS = np.triu_indices(DEGREE + 1)
+
+
+def banded_solve_spline(points, params):
+    """The banded solve of the normal equations, each sum in its own call."""
+    pts = dedupe_by_predecessor(points)
+    k = DEGREE
+    if len(pts) < k + 1:
+        raise InsufficientPoints(f"need at least {k + 1} points, got {len(pts)}")
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    u = np.concatenate([[0.0], np.cumsum(seg)])
+    n_ctrl = int(np.clip(int(u[-1] // 2.0) + 1, k + 1,
+                         min(len(pts), MAX_CTRL_POINTS)))
+    t = _clamped_knots(n_ctrl, u)
+    first, vals = _cubic_basis(t, n_ctrl, u)
+    lo, hi = _BASIS_PAIRS
+    slot = (k - (hi - lo)) * n_ctrl + first[:, None] + hi
+    ab = np.bincount(slot.ravel(), weights=(vals[:, lo] * vals[:, hi]).ravel(),
+                     minlength=(k + 1) * n_ctrl).reshape(k + 1, n_ctrl)
+    ab[k - 2:] += params.s * _penalty_band(n_ctrl)
+    cols = (first[:, None] + np.arange(k + 1)).ravel()
+    rhs = np.column_stack([np.bincount(cols, weights=(vals * pts[:, [dim]]).ravel(),
+                                       minlength=n_ctrl) for dim in (0, 1)])
+    rhs = rhs[1:-1]
+    d = np.arange(1, min(k, n_ctrl - 2) + 1)
+    rhs[d - 1] -= ab[k - d, d, None] * pts[0]
+    rhs[-d] -= ab[k - d, -1, None] * pts[-1]
+    ab = ab[:, 1:-1]
+    ab[k] += 1e-12
+    coef = np.empty((n_ctrl, 2))
+    coef[0] = pts[0]
+    coef[-1] = pts[-1]
+    coef[1:-1] = solveh_banded(ab, rhs)
+    return Spline(t, coef), u, pts
+
+
+def banded_fit(points, params) -> np.ndarray:
+    spline, u, pts = banded_solve_spline(points, params)
+    length = u[-1]
+    diag = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
+    # 1 m output spacing, at least 20 points
+    cap = min(int(4.0 * diag / 1.0) + 2, MAX_MERGE_POINTS)
+    n_out = max(20, min(int(round(length / 1.0)) + 1, cap))
+    dense = spline(np.linspace(0.0, length, max(200, 8 * n_out)))
+    return resample_even(dense, n_out)
+
+
+def banded_merge(global_pts, det_pts, params) -> np.ndarray:
+    g = as_points(global_pts)
+    if len(g) > MAX_MERGE_POINTS:
+        g = resample_even(g, MAX_MERGE_POINTS)
+    return banded_fit(reorder_concat(g, det_pts), params)

@@ -1,0 +1,33 @@
+"""scripts/ab.py: the bootstrap interval of its paired ratios."""
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_ab():
+    sys.path.insert(0, str(SCRIPTS))  # ab.py imports its sibling parity.py
+    try:
+        spec = importlib.util.spec_from_file_location("ab", SCRIPTS / "ab.py")
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    return mod
+
+
+ab = load_ab()
+
+
+def test_scene_interval_at_least_as_wide_as_pair_interval():
+    # 12 scenes x 4 rounds whose rounds agree: 12 independent values, which
+    # resampling the 48 pairs one by one would count as 48
+    for seed in range(5):
+        values = random.Random(seed)
+        scenes = [[values.gauss(1.0, 0.03)] * 4 for _ in range(12)]
+        pairs = [[r] for scene in scenes for r in scene]
+        low, high = ab.bootstrap_interval(scenes, random.Random(0))
+        pair_low, pair_high = ab.bootstrap_interval(pairs, random.Random(0))
+        assert high - low >= pair_high - pair_low

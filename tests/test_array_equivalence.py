@@ -54,7 +54,16 @@ must be equal.
 The merge chain takes the same argmin over the same distances as its loop
 version, so chains must be equal too. The banded spline solve sums the
 normal equations in another order and factors them by Cholesky instead of
-LU, so its control points match the dense solve to a relative 1e-9.
+LU, so its control points match the dense solve to a relative 1e-9. The
+merge fit, which computes each per-merge quantity once, must return the
+bits of the banded fit that computed them as it went (`ref.banded_fit`),
+or raise the same exception class: on noisy chains, chains with sub-eps
+runs that a second dedupe shortens, quarter-metre grids, chains at
+MAX_CTRL_POINTS, every penalty weight the solve is tested at, chains of
+`reorder_concat`, and a stored line above MAX_MERGE_POINTS. The even
+resample and densify, which read one diff for their dedupe and their step
+lengths, are compared with the versions that differenced again; densify
+keeps the bits of every line that densified before.
 """
 import numpy as np
 import pytest
@@ -63,13 +72,13 @@ from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 import scalar_reference as ref
-from icmap.curvefit import (DEGREE, MAX_CTRL_POINTS, SmoothingFitParams, Spline, _clamped_knots,
-                            _cubic_basis, _solve_spline, reorder_concat)
+from icmap.curvefit import (DEGREE, MAX_CTRL_POINTS, MAX_MERGE_POINTS, SmoothingFitParams, Spline,
+                            _clamped_knots, _cubic_basis, _solve_spline, fit_smoothing_spline,
+                            merge_polylines, reorder_concat)
 from icmap.errors import EmptyPointSet, NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyline_to_rect,
-                            densify, densify_many, polyline_length, resample_even,
-                            resample_even_many,
-                            transform_points, transform_stacked)
+                            dedupe_points, densify, densify_many, polyline_length, resample_even,
+                            resample_even_many, transform_points, transform_stacked)
 from icmap.instance import CLASSES, DIVIDER, PED_CROSSING, MapInstance, to_world
 from icmap.mapstore import GlobalMap, fuse_with_history, sample_history
 from icmap.pipeline import scene_gt_frames
@@ -125,6 +134,22 @@ def assert_same_union(got, want):
         assert np.array_equal(got, want)
     else:
         assert got is want or got == want
+
+
+def assert_same_outcome(fn, want_fn, *args):
+    """fn(*args) returns the bits of want_fn(*args), or raises an exception
+    of the same class."""
+    try:
+        want = want_fn(*args)
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            fn(*args)
+        assert type(info.value) is type(exc)
+        return None
+    got = fn(*args)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+    return got
 
 
 class TestClipPolyline:
@@ -339,6 +364,13 @@ class TestResampleMany:
     def test_no_lines(self):
         assert resample_even_many([], []).shape == (0, 2)
 
+    @equivalence
+    @given(resample_line, st.integers(2, 40))
+    def test_one_diff_matches_two(self, line, n):
+        # the dedupe and the step lengths from one diff, against a second
+        # diff of the kept points
+        assert_same_outcome(resample_even, ref.resample_even, line, n)
+
 
 # a sub-eps run that one dedupe leaves at 2 points and a second at 1: x = 0,
 # 0.6e-9 and -0.5e-9 keep 0 and -0.5e-9 (each point is compared with its
@@ -357,14 +389,23 @@ class TestDensifyMany:
     @equivalence
     @given(st.lists(densify_line, max_size=6), st.sampled_from([0.25, 0.3, 0.5, 1.0]))
     def test_matches_densify(self, lines, spacing):
-        try:
-            want = [densify(line, spacing) for line in lines]
-        except EmptyPointSet:
-            with pytest.raises(EmptyPointSet):
-                densify_many(lines, spacing)
-            return
-        got = densify_many(lines, spacing)
+        want = [densify(line, spacing) for line in lines]
+        got, bounds = densify_many(lines, spacing)
+        assert bounds.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
         want = np.concatenate(want) if want else np.empty((0, 2))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @equivalence
+    @given(densify_line, st.sampled_from([0.25, 0.3, 0.5, 1.0]))
+    def test_densify_keeps_what_succeeded(self, line, spacing):
+        # a line that densified before keeps its bits; one that raised is
+        # returned as the second dedupe leaves it, with fewer than 2 points
+        try:
+            want = ref.densify(line, spacing)
+        except EmptyPointSet:
+            want = dedupe_points(dedupe_points(line))
+            assert len(want) < 2
+        got = densify(line, spacing)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_length_summed_as_polyline_length(self):
@@ -377,18 +418,21 @@ class TestDensifyMany:
                 [8.704, 0.167], [9.167, -0.184], [9.45, 0.011], [9.786, -0.016]]
         want = densify(line, 1.6996486601036016)
         assert len(want) == 7
-        assert densify_many([line], 1.6996486601036016).tobytes() == want.tobytes()
+        assert densify_many([line], 1.6996486601036016)[0].tobytes() == want.tobytes()
 
     def test_non_idempotent_dedupe(self):
-        # 2 points after the first dedupe set the count, 1 after the second
-        # leaves nothing to resample: densify raises, and so does the batch
+        # 2 points after the first dedupe, 1 after the second: nothing to
+        # resample, so densify and the batch return that one point
         line = [[0.0, 0.0], [6e-10, 0.0], [-5e-10, 0.0]]
         with pytest.raises(EmptyPointSet):
-            densify(line, 0.5)
-        with pytest.raises(EmptyPointSet):
-            densify_many([[[1.0, 1.0], [3.0, 1.0]], line], 0.5)
+            ref.densify(line, 0.5)
+        assert densify(line, 0.5).tolist() == [[0.0, 0.0]]
+        two = [[1.0, 1.0], [3.0, 1.0]]
+        got, bounds = densify_many([two, line], 0.5)
+        assert bounds.tolist() == [0, 5, 6]
+        assert got.tobytes() == np.vstack([densify(two, 0.5), [[0.0, 0.0]]]).tobytes()
         line.append([3.0, 0.0])
-        assert densify_many([line], 0.5).tobytes() == densify(line, 0.5).tobytes()
+        assert densify_many([line], 0.5)[0].tobytes() == densify(line, 0.5).tobytes()
 
 
 class TestTransformStacked:
@@ -589,6 +633,14 @@ class TestUnion:
         ([(0, 0), (2, 0), (2, 0), (2, 2), (0, 2)], [(1, 1), (3, 1), (3, 3), (1, 3)]),
         # identical rings
         ([(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 0), (2, 0), (2, 2), (0, 2)]),
+        # a sub-EPS run that one dedupe leaves at 2 vertices, (2, 0) and
+        # (2 - 5e-10, 0), and the second at 1: simple only with its own
+        # table of the ring deduped twice; inside the other ring, then away
+        # from it
+        ([(0, 0), (2, 0), (2 + 6e-10, 0), (2 - 5e-10, 0), (2, 2), (0, 2)],
+         [(-1, -1), (3, -1), (3, 3), (-1, 3)]),
+        ([(0, 0), (2, 0), (2 + 6e-10, 0), (2 - 5e-10, 0), (2, 2), (0, 2)],
+         [(5, 5), (6, 5), (6, 6)]),
     ])
     def test_degenerate_arrangements(self, a, b):
         a, b = np.array(a, float), np.array(b, float)
@@ -858,3 +910,61 @@ class TestBandedSolve:
         assert np.hypot(*np.diff(pts, axis=0).T).min() >= 2.0
         got = assert_same_fit(pts, SmoothingFitParams(s=0.0))
         assert len(got.c) == len(pts)
+
+
+@st.composite
+def fit_chain(draw):
+    """A chain to fit: a noisy curve of 1 to 300 points, the same with runs
+    of sub-EPS steps that one dedupe leaves at 2 points and a second at 1, a
+    small quarter-metre grid (repeats and equal distances), or 500 to 700
+    points 2 to 2.5 m apart, whose chord asks for more than
+    MAX_CTRL_POINTS control points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["curve", "sub_eps", "grid", "long"]))
+    if kind == "grid":
+        return rng.integers(-12, 13, (draw(st.integers(1, 300)), 2)) / 4
+    n = draw(st.integers(500, 700) if kind == "long" else st.integers(1, 300))
+    x = np.cumsum(rng.uniform(2.0, 2.5, n) if kind == "long" else rng.uniform(0.1, 2.0, n))
+    pts = np.column_stack([x, 3.0 * np.sin(x / rng.uniform(2.0, 20.0))])
+    pts += rng.normal(0.0, rng.uniform(0.0, 0.5) if kind != "long" else 0.1, pts.shape)
+    if kind == "sub_eps":
+        at = set(rng.choice(n, size=min(n, 3), replace=False).tolist())
+        pts = np.vstack([np.vstack([p, p + [[6e-10, 0.0], [-5e-10, 0.0]]]) if i in at else p[None]
+                         for i, p in enumerate(pts)])
+    return pts
+
+
+fit_weight = st.sampled_from([0.0, 0.5, 5.0]).map(lambda s: SmoothingFitParams(s=s))
+
+
+class TestFitBits:
+    """The merge fit, each per-merge quantity computed once, against the
+    fit that computed them as it went (`ref.banded_fit`): the same bits, or
+    the same exception class."""
+
+    @equivalence
+    @given(fit_chain(), fit_weight)
+    def test_matches_banded_fit(self, chain, params):
+        assert_same_outcome(fit_smoothing_spline, ref.banded_fit, chain, params)
+
+    @equivalence
+    @given(chain_pair(), fit_weight)
+    def test_merge_chains(self, pair, params):
+        chain = reorder_concat(*pair)
+        assert_same_outcome(fit_smoothing_spline, ref.banded_fit, chain, params)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 5.0])
+    def test_most_control_points(self, s):
+        x = np.arange(600) * 2.1
+        chain = np.column_stack([x, 3.0 * np.sin(x / 15.0)])
+        params = SmoothingFitParams(s=s)
+        assert len(_solve_spline(chain, params)[0].c) == MAX_CTRL_POINTS
+        assert_same_outcome(fit_smoothing_spline, ref.banded_fit, chain, params)
+
+    def test_stored_line_above_max_merge_points(self):
+        # the stored line is resampled to MAX_MERGE_POINTS before the chain
+        x = np.arange(MAX_MERGE_POINTS + 100) * 0.5
+        stored = np.column_stack([x, 2.0 * np.sin(x / 25.0)])
+        det = stored[1000:1020] + np.random.default_rng(3).normal(0.0, 0.2, (20, 2))
+        assert_same_outcome(merge_polylines, ref.banded_merge, stored, det,
+                            SmoothingFitParams(s=0.5))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from icmap import association, cli
 from icmap.association import (
+    GEO_DENSIFY,
     AssocConfig,
     TrackBuffer,
     allocate_ids,
@@ -19,12 +20,13 @@ from icmap.association import (
     geometric_affinity,
     optimal_match,
     outlined,
+    outlined_frame,
     threshold_filter,
     update_buffer,
 )
 from icmap.cli import main
 from icmap.errors import DuplicateId, MissingEmbedding, ShapeMismatch
-from icmap.geometry import WORLD_TO_EGO, Pose2, transform_points
+from icmap.geometry import WORLD_TO_EGO, Pose2, densify, transform_points
 from icmap.instance import CLASSES, MapInstance, to_world
 from icmap.pipeline import PipelineParams, run_scene
 from icmap.synth import make_scene, write_scene
@@ -406,14 +408,48 @@ def test_rigid_motion_of_the_world_changes_nothing(seed, theta, gx, gy):
             assert np.abs(transform_points(g, t.outline) - tm.outline).max() < 1e-9
 
 
+def assert_frame_outlines(dets):
+    """One frame's outlines, from one densify call, have the bits of
+    `densify` detection by detection, and keep each detection."""
+    tracks = outlined_frame(dets)
+    assert len(tracks) == len(dets)
+    for track, det in zip(tracks, dets):
+        want = densify(det.closed_points, GEO_DENSIFY)
+        assert track.instance is det
+        assert track.outline.shape == want.shape and track.outline.tobytes() == want.tobytes()
+
+
+def test_frame_outlines_match_densify_per_detection():
+    # every frame of a scene with crossings (closed rings) and polylines
+    scene = make_scene(SCENES["merge_noisy"])
+    frames = [to_world(f.ego_pose, f.detections) for f in scene.frames]
+    classes = {d.cls for dets in frames for d in dets}
+    assert "ped_crossing" in classes and len(classes) > 1
+    for dets in frames:
+        assert_frame_outlines(dets)
+
+
+@pytest.mark.parametrize("dets", [
+    [],
+    [line_instance()],
+    [MapInstance("ped_crossing", [(0.0, 0.0), (4.0, 0.0), (4.0, 10.0), (0.0, 10.0)])],
+    # a sub-EPS run that the second dedupe leaves at one point, beside a line
+    [MapInstance("divider", [(5.0, 1.0), (5.0 + 6e-10, 1.0), (5.0 - 5e-10, 1.0)]),
+     line_instance(y=3.0)],
+], ids=["no detection", "one line", "one crossing", "sub-EPS run"])
+def test_small_frame_outlines_match_densify(dets):
+    assert_frame_outlines(dets)
+
+
 def test_densify_once_per_kept_detection(monkeypatch):
-    """Each detection is densified once, when scored; stored tracks never."""
+    """Each detection is densified once, when scored, in one call per frame;
+    stored tracks never."""
     scene = make_scene(SCENES["merge_noisy"])
     params = PipelineParams()
     calls = []
-    dense = association.densify
-    monkeypatch.setattr(association, "densify",
-                        lambda pts, spacing: calls.append(len(pts)) or dense(pts, spacing))
+    dense = association.densify_many
+    monkeypatch.setattr(association, "densify_many",
+                        lambda lines, spacing: calls.append(len(lines)) or dense(lines, spacing))
     run_scene(scene, params)
-    kept = [d for f in scene.frames for d in f.detections if d.score >= params.min_score]
-    assert len(calls) == len(kept) > 0
+    kept = [sum(d.score >= params.min_score for d in f.detections) for f in scene.frames]
+    assert calls == kept and sum(kept) > 0

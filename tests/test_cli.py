@@ -15,6 +15,7 @@ import pytest
 from icmap import cli
 from icmap.cli import MAX_SGRID_VALUES, PIPELINE_KEYS, SCENE_KEYS, _parse_sgrid, main
 from icmap.errors import NonSimplePolygon, OrderingError
+from icmap.instance import MapInstance
 from icmap.mapstore import load_map
 from icmap.pipeline import PipelineParams, run_scene
 from icmap.synth import make_scene, read_scene, write_scene
@@ -187,6 +188,22 @@ class TestRunCmd:
 
         monkeypatch.setattr(cli, "read_scene", read_stream)
         assert run("stream") == plain
+
+    def test_sub_eps_detection_runs_and_evaluates(self, tmp_path, capsys):
+        # a run of sub-EPS steps that one dedupe leaves at 2 points and the
+        # second (resample_even's) at 1: the detection is outlined as that
+        # one point, not an abort of the scene
+        scene = make_scene(SCENES["merge_clean"])
+        frame = scene.frames[3]
+        frame.detections.append(MapInstance(
+            "divider", [[5.0, 1.0], [5.0 + 6e-10, 1.0], [5.0 - 5e-10, 1.0]], score=0.9,
+            embedding=frame.detections[0].embedding))
+        path = tmp_path / "scene.json"
+        write_scene(scene, path)
+        assert run_cli("run", path, "--out-map", tmp_path / "scene.map.json",
+                       "--trace", tmp_path / "scene.trace.json") == 0
+        assert run_cli("eval", "--scene", path, "--pred-dir", tmp_path, "--mot") == 0
+        assert "error" not in capsys.readouterr().err
 
     def test_no_fusion_flag(self, scene_path, tmp_path):
         out_map = tmp_path / "m.json"
@@ -931,6 +948,22 @@ def test_log_level_follows_each_call(tmp_path, monkeypatch, capsys):
         assert run_cli("synth", "--seed", 3, "--out", tmp_path / f"{name}.json") == 0
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "wrote scene" in ln]
     assert lines == [f"INFO icmap: wrote scene {tmp_path / 'b.json'}"]
+
+
+def test_parser_built_once_and_command_looked_up_per_call(tmp_path, monkeypatch):
+    # the second call reuses the first call's parser, and runs the cmd_run
+    # set on the module after the first call, as a tracer's wrapper is
+    built, ran = [], []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for name in ("first", "second"):
+            monkeypatch.setattr(cli, "cmd_run", lambda args, name=name: ran.append(name) or 0)
+            assert run_cli("run", "s.json", "--out-map", tmp_path / "m.json") == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1] and ran == ["first", "second"]
 
 
 class TestSweepCmd:
