@@ -15,6 +15,15 @@ BLAS pinned to one thread, writes under DIR/old and DIR/new:
     <workload>/scene_<seed>.eval.json       icmap eval --mot (completed runs)
     <workload>/scene_<seed>.sweep.tsv       icmap sweep-s --s-grid 1:1:1
     exit_codes.json                         exit code and error text per command
+    replay.json                             per completed run, whether its trace replays
+                                            into its map (null without apply_tracked)
+
+A tree whose `icmap.pipeline` has `apply_tracked` also replays the trace of
+every completed run: it merges each frame's tracked instances into an empty
+map through `apply_tracked`, with the fit the trace's config names, and
+checks that `save_map` writes the bytes of the map `run` wrote. Per tree
+and workload, the comparison prints `replay: N/M maps rebuilt byte for
+byte`, or that the replay is not available.
 
 The comparison then prints, per workload and file kind, how many files are
 byte-identical and how many have the same content: the same parsed JSON,
@@ -28,8 +37,8 @@ printed once per file kind, the shared keys are still compared, and the
 file counts as neither byte-identical nor of the same content. A file
 whose other structure or non-numeric content differs is listed by name.
 The last line says whether every file is byte-identical, or else has the
-same content. The exit code is 0 when every file is
-byte-identical, 1 otherwise.
+same content. The exit code is 0 when every file is byte-identical and
+every replay rebuilt its map, 1 otherwise.
 """
 import argparse
 import contextlib
@@ -88,9 +97,31 @@ def import_icmap(src: Path, prog: str):
     return cli, synth
 
 
+def replay_rebuilds(wdir: Path, stem: str) -> bool:
+    """Whether the trace of a completed run, replayed frame by frame through
+    `pipeline.apply_tracked`, gives the bytes of the map the run wrote."""
+    from icmap.curvefit import SmoothingFitParams
+    from icmap.instance import GlobalMap
+    from icmap.mapstore import save_map
+    from icmap.pipeline import apply_tracked, read_trace
+
+    trace = wdir / f"{stem}.trace.json"
+    fit = SmoothingFitParams(**json.loads(trace.read_text())["config"]["fit"])
+    scene_id, frames = read_trace(trace)
+    gmap = GlobalMap(scene_id)
+    for tracked in frames:
+        apply_tracked(gmap, tracked, fit)
+    replayed = wdir / f"{stem}.replay.json"
+    save_map(gmap, replayed)
+    same = replayed.read_bytes() == (wdir / f"{stem}.map.json").read_bytes()
+    replayed.unlink()
+    return same
+
+
 def worker(src: Path, out_dir: Path, seeds: range) -> None:
     cli, synth = import_icmap(src, "parity")
     codes = {}
+    replays = {} if hasattr(importlib.import_module("icmap.pipeline"), "apply_tracked") else None
     for name, wl in load_workloads().items():
         wdir = out_dir / name
         wdir.mkdir(parents=True)
@@ -104,11 +135,14 @@ def worker(src: Path, out_dir: Path, seeds: range) -> None:
                 rec["eval"] = call(cli, ["eval", "--scene", scene, "--pred-dir", wdir, "--mot",
                                          "--report", wdir / f"{scene.stem}.eval.json",
                                          "--jobs", 1], out_dir)
+                if replays is not None:
+                    replays[f"{name}/{seed}"] = replay_rebuilds(wdir, scene.stem)
             rec["sweep-s"] = call(cli, ["sweep-s", scene, "--s-grid", "1:1:1",
                                         "--out", wdir / f"{scene.stem}.sweep.tsv",
                                         "--jobs", 1], out_dir)
             codes[f"{name}/{seed}"] = rec
     (out_dir / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+    (out_dir / "replay.json").write_text(json.dumps(replays, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +257,22 @@ def compare(old_dir: Path, new_dir: Path, workloads, seeds: range) -> tuple[bool
     return same_bytes, same_content
 
 
+def report_replays(out: Path, workloads, seeds: range) -> bool:
+    """Print, per tree and workload, how many completed runs' traces replay
+    into their maps byte for byte; False when one does not."""
+    ok = True
+    for side in ("old", "new"):
+        replays = json.loads((out / side / "replay.json").read_text())
+        for name in workloads:
+            if replays is None:
+                print(f"{name}, {side} tree: replay not available (no pipeline.apply_tracked)")
+                continue
+            got = [replays[k] for k in (f"{name}/{s}" for s in seeds) if k in replays]
+            print(f"{name}, {side} tree: replay: {sum(got)}/{len(got)} maps rebuilt byte for byte")
+            ok &= all(got)
+    return ok
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src", type=Path)
@@ -246,11 +296,12 @@ def main(argv=None) -> int:
              for side, src in (("old", args.old_src), ("new", args.new_src))]
     if any(p.wait() != 0 for p in procs):
         raise SystemExit("parity: a worker failed")
-    same_bytes, same_content = compare(args.out / "old", args.out / "new", load_workloads(),
-                                       args.seeds)
+    workloads = load_workloads()
+    same_bytes, same_content = compare(args.out / "old", args.out / "new", workloads, args.seeds)
+    replays_ok = report_replays(args.out, workloads, args.seeds)
     print("all files byte-identical" if same_bytes else
           "all files have the same content" if same_content else "some files differ")
-    return 0 if same_bytes else 1
+    return 0 if same_bytes and replays_ok else 1
 
 
 if __name__ == "__main__":

@@ -15,9 +15,10 @@ penalty couples control points two apart, so the normal equations are
 banded. `_cubic_basis` computes each site's four basis values by de Boor's
 recurrence (de Boor, J. Approx. Theory 1972) with scipy's operations in
 scipy's order, so fits and curves have the bits `scipy.interpolate.BSpline`
-gave them; it serves both the normal equations and the evaluation of the
-fitted curve. The equations are assembled in banded form and solved by
-banded Cholesky (`_kernels.solveh_banded`, LAPACK's `dpbsv`, so the bits of
+gave them; one call, at the data sites and the dense output grid together,
+serves both the normal equations and the fitted curve. The equations are
+assembled in banded form and solved by banded Cholesky
+(`_kernels.solveh_banded`, LAPACK's `dpbsv`, so the bits of
 `scipy.linalg.solveh_banded`): a fixed number of numpy calls and O(n)
 arithmetic per fit, each quantity computed once. One diff of the chain
 gives both its dedupe and its chord lengths (`geometry.dedupe_chords`),
@@ -175,6 +176,18 @@ def _cubic_basis(t: np.ndarray, n_ctrl: int, x: np.ndarray) -> tuple[np.ndarray,
     return ell - k, h.T
 
 
+def _curve_at(c: np.ndarray, first: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The curve of control points `c` at the sites of basis values (first,
+    vals): each coordinate is 0.0 + c[first] * vals[:, 0] + ... + c[first +
+    3] * vals[:, 3], summed in that order, as `BSpline.__call__` sums."""
+    # terms[d, a, i] = c[first[i] + a, d] * vals[i, a]
+    terms = c.T.take(first + np.arange(DEGREE + 1)[:, None], axis=1) * vals.T
+    out = np.add(0.0, terms[:, 0])
+    for a in range(1, DEGREE + 1):
+        out += terms[:, a]
+    return np.ascontiguousarray(out.T)
+
+
 class Spline(NamedTuple):
     """A clamped cubic B-spline: knots `t` and (n_ctrl, 2) control points `c`."""
 
@@ -182,16 +195,8 @@ class Spline(NamedTuple):
     c: np.ndarray
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Points of the curve at parameters `x` in [t[0], t[-1]]; each
-        coordinate is 0.0 + c[first] * vals[:, 0] + ... + c[first + 3] *
-        vals[:, 3], summed in that order, as `BSpline.__call__` sums."""
-        first, vals = _cubic_basis(self.t, len(self.c), x)
-        # terms[d, a, i] = c[first[i] + a, d] * vals[i, a]
-        terms = self.c.T.take(first + np.arange(DEGREE + 1)[:, None], axis=1) * vals.T
-        out = np.add(0.0, terms[:, 0])
-        for a in range(1, DEGREE + 1):
-            out += terms[:, a]
-        return np.ascontiguousarray(out.T)
+        """Points of the curve at parameters `x` in [t[0], t[-1]]."""
+        return _curve_at(self.c, *_cubic_basis(self.t, len(self.c), x))
 
 
 # the pairs (a, b), a <= b, of a site's DEGREE + 1 basis values whose
@@ -215,7 +220,9 @@ def _penalty_band(n_ctrl: int) -> np.ndarray:
 
 
 def _solve_spline(points, params: SmoothingFitParams):
-    """Penalized least-squares solve; returns (spline, data sites, data).
+    """Penalized least-squares solve; returns (spline, data sites, data,
+    n_out, dense): the output point count and the curve at the dense grid
+    that `fit_smoothing_spline` resamples.
 
     The normal equations (BᵀB + s DᵀD) c = Bᵀp have bandwidth k; they are
     assembled in upper banded form and solved by banded Cholesky.
@@ -229,10 +236,21 @@ def _solve_spline(points, params: SmoothingFitParams):
     if len(pts) < k + 1:
         raise InsufficientPoints(f"need at least {k + 1} points, got {len(pts)}")
     u = np.concatenate([[0.0], np.cumsum(seg)])
-    n_ctrl = min(max(int(float(u[-1]) // CTRL_SPACING) + 1, k + 1), len(pts), MAX_CTRL_POINTS)
+    length = float(u[-1])
+    n_ctrl = min(max(int(length // CTRL_SPACING) + 1, k + 1), len(pts), MAX_CTRL_POINTS)
+    # bound output resolution by spatial extent, not chain length: unpenalized
+    # fits of noisy interleaved chains can oscillate, and resampling along
+    # that inflated arc would let the point count grow across repeated merges
+    diag = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
+    cap = min(int(4.0 * diag / OUT_SPACING) + 2, MAX_MERGE_POINTS)
+    n_out = max(MIN_OUT_POINTS, min(round(length / OUT_SPACING) + 1, cap))
     t = _clamped_knots(n_ctrl, u)
-    # site i touches basis functions first[i] .. first[i] + k
-    first, vals = _cubic_basis(t, n_ctrl, u)
+    # site i touches basis functions first[i] .. first[i] + k; the rows after
+    # the data sites' are the dense output grid's
+    first, vals = _cubic_basis(t, n_ctrl, np.concatenate(
+        [u, np.linspace(0.0, length, max(200, 8 * n_out))]))
+    grid = first[len(u):], vals[len(u):]
+    first, vals = first[:len(u)], vals[:len(u)]
 
     # BᵀB in upper banded form: ab[k - d, j] = A[j - d, j]
     lo, hi = _BASIS_PAIRS
@@ -257,20 +275,12 @@ def _solve_spline(points, params: SmoothingFitParams):
     coef[0] = pts[0]
     coef[-1] = pts[-1]
     coef[1:-1] = solveh_banded(ab, rhs)
-    return Spline(t, coef), u, pts
+    return Spline(t, coef), u, pts, n_out, _curve_at(coef, *grid)
 
 
 def fit_smoothing_spline(points, params: SmoothingFitParams) -> np.ndarray:
     """Fit the penalized spline to an ordered chain and resample it evenly."""
-    spline, u, pts = _solve_spline(points, params)
-    length = float(u[-1])
-    # bound output resolution by spatial extent, not chain length: unpenalized
-    # fits of noisy interleaved chains can oscillate, and resampling along
-    # that inflated arc would let the point count grow across repeated merges
-    diag = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
-    cap = min(int(4.0 * diag / OUT_SPACING) + 2, MAX_MERGE_POINTS)
-    n_out = max(MIN_OUT_POINTS, min(round(length / OUT_SPACING) + 1, cap))
-    dense = spline(np.linspace(0.0, length, max(200, 8 * n_out)))
+    *_, n_out, dense = _solve_spline(points, params)
     return resample_even(dense, n_out)
 
 

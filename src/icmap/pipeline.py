@@ -56,59 +56,69 @@ class PipelineParams:
             raise ValueError("fuse_weight must lie in [0, 1]")
 
 
-def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
-    """Stream the scene's frames through the full pipeline.
+@dataclass
+class MapState:
+    """What a run carries from one frame to the next."""
 
-    Each frame's detections are moved to the world frame once, as the
-    frame is pulled (`to_world`), and associated there. Returns the final
-    global map and a trace document holding, per frame, the detection
-    count, accepted matches with their affinity, freshly issued IDs, and
-    the tracked world-frame instances. A MapBuildError raised by a frame's
-    stages is raised again, of the same class, led by `frames[k]: ` and,
-    when a merge fails, by the merged instance's id.
-    """
-    gmap = GlobalMap(scene_id=scene.scene_id)
-    buffer = TrackBuffer()
+    buffer: TrackBuffer
+    gmap: GlobalMap
+
+
+def step(state: MapState, frame, range_lw, params: PipelineParams) -> dict:
+    """One frame through every stage, updating `state`: score filter, one
+    move to the world frame (`to_world`), association, history in the ego
+    patch, fusion and merges. Returns the frame's trace entry: detection
+    count, matches with their affinity, new IDs and tracked instances."""
+    dets = [d for d in frame.detections if d.score >= params.min_score]
+    result = associate_frame(state.buffer, to_world(frame.ego_pose, dets), params.assoc)
+    state.buffer = result.buffer
+    patch = Rect(frame.ego_pose, range_lw[0] / 2.0, range_lw[1] / 2.0)
+    ids = [d.id for d in result.dets]
+    history = sample_history(state.gmap, patch, params.expand, ids, params.n_sample)
+    tracked = [fuse_with_history(det, history.get(det.id), params.fuse_radius, params.fuse_weight)
+               for det in result.dets]
+    apply_tracked(state.gmap, tracked, params.fit)
+    return {
+        "t": frame.t,
+        "det_count": len(dets),
+        "matches": [[i, tid, aff] for i, tid, aff in result.matches],
+        "new_ids": list(result.new_ids),
+        "instances": [to_record(d, TRACE_KEYS) for d in tracked],
+    }
+
+
+def apply_tracked(gmap: GlobalMap, tracked, fit: SmoothingFitParams) -> None:
+    """Merge one frame's tracked world-frame instances into the map in order,
+    for a run and a trace replay alike. A merge's MapBuildError is raised
+    again, of the same class, led by `merging id N: `."""
+    for inst in tracked:
+        try:
+            merge_instance(gmap, inst, fit)
+        except MapBuildError as exc:
+            raise type(exc)(f"merging id {inst.id}: {exc}") from exc
+
+
+def run_scene(scene: Scene, params: PipelineParams) -> tuple[GlobalMap, dict]:
+    """Stream the scene's frames through `step`; returns the final map and
+    the trace document of their entries. A frame's MapBuildError is raised
+    again, of the same class, led by `frames[k]: `."""
+    state = MapState(TrackBuffer(), GlobalMap(scene_id=scene.scene_id))
     trace_frames = []
     prev_t = None
     for k, frame in enumerate(scene.frames):
         if prev_t is not None and frame.t <= prev_t:
             raise OrderingError(f"frame {frame.t} after frame {prev_t}")
         prev_t = frame.t
-        dets = [d for d in frame.detections if d.score >= params.min_score]
-        merging = None  # the instance being merged
         try:
-            result = associate_frame(buffer, to_world(frame.ego_pose, dets), params.assoc)
-            buffer = result.buffer
-            patch = Rect(frame.ego_pose, scene.range_lw[0] / 2.0, scene.range_lw[1] / 2.0)
-            ids = [d.id for d in result.dets]
-            history = sample_history(gmap, patch, params.expand, ids, params.n_sample)
-            outputs = [
-                fuse_with_history(det, history.get(det.id), params.fuse_radius,
-                                  params.fuse_weight)
-                for det in result.dets
-            ]
-            for merging in outputs:
-                merge_instance(gmap, merging, params.fit)
+            trace_frames.append(step(state, frame, scene.range_lw, params))
         except MapBuildError as exc:
-            where = f"frames[{k}]" if merging is None else f"frames[{k}]: merging id {merging.id}"
-            raise type(exc)(f"{where}: {exc}") from exc
-        trace_frames.append(
-            {
-                "t": frame.t,
-                "det_count": len(dets),
-                "matches": [[i, tid, aff] for i, tid, aff in result.matches],
-                "new_ids": list(result.new_ids),
-                "instances": [to_record(d, TRACE_KEYS) for d in outputs],
-            }
-        )
-    trace = {
+            raise type(exc)(f"frames[{k}]: {exc}") from exc
+    return state.gmap, {
         "format_version": TRACE_FORMAT_VERSION,
         "scene_id": scene.scene_id,
         "config": asdict(params),
         "frames": trace_frames,
     }
-    return gmap, trace
 
 
 def trace_pred_frames(trace: dict, where: str = "trace") -> list[list[MapInstance]]:

@@ -95,7 +95,7 @@ class TestFit:
         pts = np.column_stack([10 * np.cos(t), 10 * np.sin(t)])
         # sites 2.8 m apart ask for more control points than there are
         # sites, so n_ctrl clamps to n_data and the fit interpolates
-        spline, u, data = _solve_spline(pts, SmoothingFitParams(s=0.0))
+        spline, u, data = _solve_spline(pts, SmoothingFitParams(s=0.0))[:3]
         assert len(spline.c) == len(pts)
         residual = np.linalg.norm(spline(u) - data, axis=1).max()
         assert residual < 1e-6
@@ -105,7 +105,7 @@ class TestFit:
         xs = np.linspace(0, 50, 60)
         pts = np.column_stack([xs, 3 * np.sin(xs / 6)]) + rng.normal(0, 0.2, (60, 2))
         for s in (0.0, 0.5, 2.0):
-            spline, u, data = _solve_spline(pts, SmoothingFitParams(s=s))
+            spline, u, data = _solve_spline(pts, SmoothingFitParams(s=s))[:3]
             fit = spline(u)
             residual = np.linalg.norm(fit - data, axis=1).max()
             out = fit_smoothing_spline(pts, SmoothingFitParams(s=s))

@@ -45,3 +45,17 @@ def test_one_sided_key_counts_against_the_file(tmp_path, capsys):
     assert "trace.json   0/2 byte-identical, 0/2 same content" in out
     assert out.count("key in one tree only: config.fusion_enabled (old only)") == 1
     assert "scene.json   2/2 byte-identical" in out
+
+
+def test_replay_report(tmp_path, capsys):
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old" / "replay.json").write_text("null\n")
+    (tmp_path / "new" / "replay.json").write_text(json.dumps({"w/0": True, "w/1": True}))
+    assert parity.report_replays(tmp_path, ["w"], range(2)) is True
+    (tmp_path / "new" / "replay.json").write_text(json.dumps({"w/0": True, "w/1": False}))
+    assert parity.report_replays(tmp_path, ["w"], range(2)) is False
+    out = capsys.readouterr().out
+    assert "w, old tree: replay not available" in out
+    assert "w, new tree: replay: 2/2 maps rebuilt byte for byte" in out
+    assert "w, new tree: replay: 1/2 maps rebuilt byte for byte" in out
