@@ -13,7 +13,9 @@ script imports that tree's `icmap.cli` and prints:
   that the parser reads as a flag;
 - the number of config keys: `len(SCENE_KEYS)` and `len(PIPELINE_KEYS)`;
 - every function and method of SRC/icmap with a defaulted parameter,
-  found by `ast` in the source, and how many such parameters there are.
+  found by `ast` in the source, and how many such parameters there are;
+- each module's public module-level functions and classes (names without
+  a leading underscore, found by `ast` in the source), and their total.
 
 Run it on two trees (say, a `git archive` of a base commit and this
 checkout) to compare their surfaces line by line.
@@ -74,6 +76,15 @@ def defaulted_params(pkg: Path) -> list[tuple[str, list[str]]]:
     return found
 
 
+def public_names(pkg: Path) -> list[tuple[str, list[str]]]:
+    """(module, its public module-level functions and classes) for every
+    module of the package, in file order."""
+    return [(path.stem, [node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                         and not node.name.startswith("_")])
+            for path in sorted(pkg.glob("*.py"))]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src", type=Path, help="a src/ directory holding icmap/")
@@ -102,6 +113,11 @@ def main(argv=None) -> int:
           f"in {len(params)} functions")
     for func, names in params:
         print(f"  {func}: {', '.join(names)}")
+    modules = public_names(src / "icmap")
+    print(f"public functions and classes: {sum(len(names) for _, names in modules)} "
+          f"in {len(modules)} modules")
+    for module, names in modules:
+        print(f"  {module} ({len(names)}): {', '.join(names)}")
     return 0
 
 

@@ -5,10 +5,14 @@ where the buffer's tracks are stored, and outline them all in one pass; build
 detection/track affinities from a geometric branch (exp(-chamfer/tau)
 between outlines, class gated) and a feature branch (shifted cosine of
 embeddings), fuse them as a convex combination, keep same-class pairs above
-the threshold theta, solve the optimal one-to-one matching, inherit or
-issue IDs, and update the buffer (unmatched tracks age out after max_age
-missed frames). `w_feat` alone
-picks the branches: 0 is geometry alone, above 0 needs every embedding.
+the threshold theta and solve the optimal one-to-one matching. Then one
+pass over the frame decides every ID and rebuilds the buffer: a matched
+detection takes its track's ID and replaces that track, outline included;
+the others get fresh IDs from `next_id` on, in detection order, and join
+the buffer's end; an unmatched track ages, and leaves once it has missed
+more than max_age frames. `associate_frame` is the only place that issues
+an ID. `w_feat` alone picks the branches: 0 is geometry alone, above 0
+needs every embedding.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._kernels import linear_sum_assignment
-from .errors import DuplicateId, MissingEmbedding, ShapeMismatch
+from .errors import MissingEmbedding
 # chamfer_distance and densify are not called here, but pipebench/spans.py
 # wraps them as import sites of this module
 from .geometry import chamfer_distance, densify, densify_many  # noqa: F401
@@ -29,7 +33,7 @@ GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
 @dataclass
 class Track:
     instance: MapInstance  # world frame; id set once it is in the buffer
-    outline: np.ndarray  # the densified instance (`outlined`), the points it is scored by
+    outline: np.ndarray  # the densified instance (`outlined_frame`), the points it is scored by
     age_missed: int = 0
 
     @property
@@ -59,11 +63,6 @@ class AssocConfig:
             raise ValueError("w_feat must lie in [0, 1]")
         if self.max_age < 0:
             raise ValueError("max_age must be >= 0")
-
-
-def outlined(inst: MapInstance) -> Track:
-    """A track of `inst`, its closed points densified once at GEO_DENSIFY."""
-    return outlined_frame([inst])[0]
 
 
 def outlined_frame(insts) -> list[Track]:
@@ -100,13 +99,6 @@ def feature_affinity(dets, tracks) -> np.ndarray:
     return np.clip(h, 0.0, 1.0)
 
 
-def fuse_affinity(geo: np.ndarray, feat: np.ndarray, w_feat: float) -> np.ndarray:
-    """(1 - w_feat) * geo + w_feat * feat."""
-    if geo.shape != feat.shape:
-        raise ShapeMismatch(f"affinity shapes differ: {geo.shape} vs {feat.shape}")
-    return (1.0 - w_feat) * geo + w_feat * feat
-
-
 def threshold_filter(h: np.ndarray, theta: float) -> np.ndarray:
     """Eligibility mask: strictly above theta."""
     return h > theta
@@ -127,42 +119,6 @@ def optimal_match(h: np.ndarray, eligible: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in zip(rows, cols) if eligible[i, j]]
 
 
-def allocate_ids(dets, matching, buffer: TrackBuffer) -> tuple[list[MapInstance], int]:
-    """Matched detections inherit track IDs; the rest get fresh ones."""
-    track_ids = [t.instance.id for t in buffer.tracks]
-    by_det = {i: track_ids[j] for i, j in matching}
-    next_id = buffer.next_id
-    out = []
-    for i, det in enumerate(dets):
-        if i in by_det:
-            out.append(replace(det, id=by_det[i]))
-        else:
-            out.append(replace(det, id=next_id))
-            next_id += 1
-    return out, next_id
-
-
-def update_buffer(buffer: TrackBuffer, det_tracks, max_age: int, next_id: int) -> TrackBuffer:
-    """Refresh matched tracks, age and prune unmatched ones, append new.
-
-    `det_tracks` are the frame's detections as tracks with IDs set; each
-    replaces the stored track of its ID, outline included. `next_id` is the
-    first ID not yet issued, as `allocate_ids` returns it."""
-    ids = [d.instance.id for d in det_tracks]
-    if len(ids) != len(set(ids)):
-        raise DuplicateId("detections carry duplicate IDs")
-    by_id = dict(zip(ids, det_tracks))
-    tracks: list[Track] = []
-    for tr in buffer.tracks:
-        det = by_id.pop(tr.instance.id, None)
-        if det is not None:
-            tracks.append(det)
-        elif tr.age_missed < max_age:
-            tracks.append(replace(tr, age_missed=tr.age_missed + 1))
-    tracks.extend(by_id.values())
-    return TrackBuffer(tracks, next_id)
-
-
 @dataclass
 class AssociationResult:
     dets: list[MapInstance]  # world frame, ids set
@@ -179,16 +135,26 @@ def associate_frame(buffer: TrackBuffer, dets, config: AssocConfig) -> Associati
     stored = [t.instance for t in buffer.tracks]
     fused = geometric_affinity(scored, buffer.tracks, config.tau)
     if config.w_feat > 0:
-        fused = fuse_affinity(fused, feature_affinity(dets, stored), config.w_feat)
+        fused = (1.0 - config.w_feat) * fused + config.w_feat * feature_affinity(dets, stored)
     same_class = np.array(
         [[d.cls == t.cls for t in stored] for d in dets], dtype=bool
     ).reshape(fused.shape)
     matching = optimal_match(fused, threshold_filter(fused, config.theta) & same_class)
-    world_ids, next_id = allocate_ids(dets, matching, buffer)
-    det_tracks = [Track(d, s.outline) for d, s in zip(world_ids, scored)]
-    new_buffer = update_buffer(buffer, det_tracks, config.max_age, next_id)
-    track_ids = [t.instance.id for t in buffer.tracks]
-    matches = [(i, track_ids[j], float(fused[i, j])) for i, j in matching]
-    # allocate_ids issued these, in detection order, to the unmatched
-    new_ids = list(range(buffer.next_id, next_id))
-    return AssociationResult(world_ids, new_buffer, matches, new_ids)
+    track_of = dict(matching)  # det index -> track index
+    det_of = {j: i for i, j in matching}  # track index -> det index
+    new_ids = []
+    det_tracks = []
+    for i, (det, s) in enumerate(zip(dets, scored)):
+        if i in track_of:
+            det_id = stored[track_of[i]].id
+        else:
+            det_id = buffer.next_id + len(new_ids)
+            new_ids.append(det_id)
+        det_tracks.append(Track(replace(det, id=det_id), s.outline))
+    tracks = [det_tracks[det_of[j]] if j in det_of else replace(tr, age_missed=tr.age_missed + 1)
+              for j, tr in enumerate(buffer.tracks)
+              if j in det_of or tr.age_missed < config.max_age]
+    tracks += [t for i, t in enumerate(det_tracks) if i not in track_of]
+    matches = [(i, stored[j].id, float(fused[i, j])) for i, j in matching]
+    return AssociationResult([t.instance for t in det_tracks],
+                             TrackBuffer(tracks, buffer.next_id + len(new_ids)), matches, new_ids)

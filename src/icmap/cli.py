@@ -480,6 +480,26 @@ _OUTPUTS = {
     "render": ("--out",),
 }
 
+# each command's arguments that name a file it reads; eval --pred-dir reads
+# {stem}.map.json and {stem}.trace.json there for each scene
+_INPUTS = {
+    "synth": ("--config",),
+    "run": ("scene", "--config"),
+    "eval": ("--scene", "--pred-map", "--trace"),
+    "sweep-s": ("scene",),
+    "render": ("maps", "--gt"),
+}
+
+
+def _named_paths(args, flags) -> list[tuple[str, str]]:
+    """(argument, path) for each path that `flags` of `args` name."""
+    named = []
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        named += [(flag, path) for path in (value if isinstance(value, list) else [value])
+                  if path is not None]
+    return named
+
 
 def main(argv=None) -> int:
     parser = _parser()
@@ -502,14 +522,22 @@ def main(argv=None) -> int:
             parser.error("eval needs --pred-map (or --pred-dir)")
     if args.command == "render" and not args.maps and args.gt is None:
         parser.error("render needs a map file (the maps argument) or --gt")
-    for flag in _OUTPUTS[args.command]:
-        path = getattr(args, flag[2:].replace("-", "_"))
-        if path is None:
-            continue
+    # an output may not be a file the command reads or writes otherwise
+    seen = _named_paths(args, _INPUTS[args.command])
+    if args.command == "eval" and args.pred_dir:
+        seen += [("--pred-dir", Path(args.pred_dir) / f"{Path(scene).stem}{suffix}")
+                 for scene in args.scene for suffix in (".map.json", ".trace.json")]
+    seen = [(flag, os.path.realpath(path)) for flag, path in seen]
+    for flag, path in _named_paths(args, _OUTPUTS[args.command]):
         if not os.path.isdir(os.path.dirname(path) or "."):
             parser.error(f"argument {flag}: directory {os.path.dirname(path)!r} does not exist")
         if os.path.isdir(path):
             parser.error(f"argument {flag}: {path!r} is a directory")
+        real = os.path.realpath(path)
+        for other, other_real in seen:
+            if real == other_real:
+                parser.error(f"argument {flag}: {path!r} is also {other}")
+        seen.append((flag, real))
     # the command's function is looked up by name at each call, so that a
     # wrapper set on this module (a tracer's, a test's) is the one that runs
     command = globals()["cmd_" + args.command.replace("-", "_")]

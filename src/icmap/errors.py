@@ -17,14 +17,6 @@ class MissingEmbedding(MapBuildError):
     """Feature affinity (w_feat > 0) requires embeddings on every instance."""
 
 
-class ShapeMismatch(MapBuildError):
-    """Two matrices that must share a shape do not."""
-
-
-class DuplicateId(MapBuildError):
-    """Two instances in the same frame carry the same ID."""
-
-
 class ClassConflict(MapBuildError):
     """A detection's class disagrees with the stored instance of the same ID."""
 

@@ -13,19 +13,15 @@ from icmap.association import (
     GEO_DENSIFY,
     AssocConfig,
     TrackBuffer,
-    allocate_ids,
     associate_frame,
     feature_affinity,
-    fuse_affinity,
     geometric_affinity,
     optimal_match,
-    outlined,
     outlined_frame,
     threshold_filter,
-    update_buffer,
 )
 from icmap.cli import main
-from icmap.errors import DuplicateId, MissingEmbedding, ShapeMismatch
+from icmap.errors import MissingEmbedding
 from icmap.geometry import WORLD_TO_EGO, Pose2, densify, transform_points
 from icmap.instance import CLASSES, MapInstance, to_world
 from icmap.pipeline import PipelineParams, run_scene
@@ -68,20 +64,20 @@ def brute_force_best(scores, eligible):
 
 class TestGeometricAffinity:
     def test_identical_sets(self):
-        d = [outlined(line_instance())]
-        t = [outlined(line_instance())]
+        d = outlined_frame([line_instance()])
+        t = outlined_frame([line_instance()])
         assert geometric_affinity(d, t, tau=2.0)[0, 0] == pytest.approx(1.0)
 
     def test_class_gate(self):
-        d = [outlined(line_instance(cls="divider"))]
-        t = [outlined(line_instance(cls="boundary"))]
+        d = outlined_frame([line_instance(cls="divider")])
+        t = outlined_frame([line_instance(cls="boundary")])
         assert geometric_affinity(d, t, tau=2.0)[0, 0] == 0.0
 
     def test_value_at_tau(self):
         # parallel lines offset by exactly tau: chamfer = tau -> e^-1
         tau = 2.0
-        d = [outlined(line_instance(y=0.0))]
-        t = [outlined(line_instance(y=tau))]
+        d = outlined_frame([line_instance(y=0.0)])
+        t = outlined_frame([line_instance(y=tau)])
         h = geometric_affinity(d, t, tau=tau)
         assert h[0, 0] == pytest.approx(math.exp(-1), abs=1e-9)
 
@@ -89,10 +85,10 @@ class TestGeometricAffinity:
         rng = np.random.default_rng(0)
         d = [line_instance(y=0.3), line_instance(y=4.0, cls="boundary")]
         t = [line_instance(y=0.0), line_instance(y=3.5, cls="boundary")]
-        base = geometric_affinity([outlined(i) for i in d], [outlined(i) for i in t], tau=2.0)
+        base = geometric_affinity(outlined_frame(d), outlined_frame(t), tau=2.0)
         pose = Pose2(5.0, -2.0, 1.1)
-        dm = [outlined(i.with_points(transform_points(pose, i.points))) for i in d]
-        tm = [outlined(i.with_points(transform_points(pose, i.points))) for i in t]
+        dm = outlined_frame([i.with_points(transform_points(pose, i.points)) for i in d])
+        tm = outlined_frame([i.with_points(transform_points(pose, i.points)) for i in t])
         moved = geometric_affinity(dm, tm, tau=2.0)
         assert np.abs(moved - base).max() < 1e-9
 
@@ -152,25 +148,6 @@ class TestWFeatRule:
                      "--w-feat", "0"]) == 0
 
 
-class TestFuse:
-    def test_degenerate_weight(self):
-        geo = np.array([[0.4, 0.9]])
-        feat = np.array([[0.1, 0.1]])
-        assert np.allclose(fuse_affinity(geo, feat, 0.0), geo)
-
-    def test_arithmetic(self):
-        out = fuse_affinity(np.array([[0.8]]), np.array([[0.4]]), 0.5)
-        assert out[0, 0] == pytest.approx(0.6)
-
-    def test_idempotent_geo_only(self):
-        geo = np.array([[0.3, 0.7], [0.2, 0.9]])
-        assert np.allclose(fuse_affinity(geo, geo, 0.3), geo)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            fuse_affinity(np.zeros((2, 2)), np.zeros((2, 3)), 0.5)
-
-
 class TestThresholdAndMatch:
     def test_theta_zero_keeps_positive(self):
         h = np.array([[0.9, 0.0], [0.3, 0.2]])
@@ -216,71 +193,98 @@ class TestThresholdAndMatch:
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
-class TestIdsAndBuffer:
-    def make_buffer(self, ids):
-        tracks = [outlined(line_instance(y=float(i), id=i)) for i in ids]
-        return TrackBuffer(tracks, next_id=max(ids) + 1 if ids else 0)
+class TestOnePass:
+    """`associate_frame` decides a frame's IDs and rebuilds the buffer in one
+    pass. Tracks lie 50 m apart, so a detection matches only the track it
+    was drawn at (exp(-50/tau) is far below theta)."""
 
-    def test_all_matched_no_new(self):
-        buf = self.make_buffer([0, 1])
-        dets = [line_instance(y=0.0), line_instance(y=1.0)]
-        out, next_id = allocate_ids(dets, [(0, 0), (1, 1)], buf)
-        assert [d.id for d in out] == [0, 1]
-        assert next_id == buf.next_id
+    cfg = AssocConfig(w_feat=0.0, max_age=2)
 
-    def test_empty_buffer_fresh_ids(self):
+    def buffer(self, ids, next_id):
+        tracks = outlined_frame([line_instance(y=50.0 * k, id=i) for k, i in enumerate(ids)])
+        return TrackBuffer(tracks, next_id=next_id)
+
+    def test_matched_keep_id_and_replace_track(self):
+        buf = self.buffer([4, 9], next_id=12)
+        dets = [line_instance(y=50.2), line_instance(y=0.3)]
+        res = associate_frame(buf, dets, self.cfg)
+        assert [d.id for d in res.dets] == [9, 4]
+        assert [m[:2] for m in res.matches] == [(0, 9), (1, 4)]
+        assert res.new_ids == [] and res.buffer.next_id == 12
+        # each track, in its place, is now its detection, outline included
+        assert [t.instance for t in res.buffer.tracks] == [res.dets[1], res.dets[0]]
+        for track, det in zip(res.buffer.tracks, [dets[1], dets[0]]):
+            assert track.age_missed == 0
+            assert track.outline.tobytes() == outlined_frame([det])[0].outline.tobytes()
+
+    def test_unmatched_get_fresh_ids_in_detection_order(self):
         buf = TrackBuffer(next_id=5)
-        out, next_id = allocate_ids([line_instance()] * 3, [], buf)
-        assert [d.id for d in out] == [5, 6, 7]
-        assert next_id == 8
+        dets = [line_instance(y=50.0 * k) for k in range(3)]
+        res = associate_frame(buf, dets, self.cfg)
+        assert [d.id for d in res.dets] == [5, 6, 7]
+        assert res.new_ids == [5, 6, 7] and res.matches == []
+        assert res.buffer.next_id == 8
+        assert [t.instance.id for t in res.buffer.tracks] == [5, 6, 7]
 
-    def test_partial(self):
-        buf = self.make_buffer([0, 1])
-        dets = [line_instance()] * 3
-        out, next_id = allocate_ids(dets, [(0, 1), (2, 0)], buf)
-        assert [d.id for d in out] == [1, 2, 0]
-        assert next_id == 3
+    def test_partial_matching(self):
+        # tracks 0, 1, 2 at y = 0, 50, 100; track 1 goes unseen
+        buf = self.buffer([0, 1, 2], next_id=3)
+        dets = [line_instance(y=200.0), line_instance(y=100.1),
+                line_instance(y=300.0), line_instance(y=-0.1)]
+        res = associate_frame(buf, dets, self.cfg)
+        assert [d.id for d in res.dets] == [3, 2, 4, 0]
+        assert [m[:2] for m in res.matches] == [(1, 2), (3, 0)]
+        assert res.new_ids == [3, 4] and res.buffer.next_id == 5
+        # matched and aged tracks keep their places; new ones follow
+        assert [(t.instance.id, t.age_missed) for t in res.buffer.tracks] == \
+            [(0, 0), (1, 1), (2, 0), (3, 0), (4, 0)]
+        assert res.buffer.tracks[0].instance is res.dets[3]
+        assert res.buffer.tracks[3].instance is res.dets[0]
 
-    def test_unmatched_removed_at_zero_age(self):
-        buf = self.make_buffer([0, 1])
-        det = outlined(line_instance(y=0.0, id=0))
-        out = update_buffer(buf, [det], max_age=0, next_id=buf.next_id)
-        assert [t.instance.id for t in out.tracks] == [0]
+    def test_unmatched_track_ages_then_leaves(self):
+        # max_age = 2: missed twice it stays, a third miss drops it
+        buf = self.buffer([7], next_id=8)
+        for missed in (1, 2):
+            buf = associate_frame(buf, [], self.cfg).buffer
+            assert [(t.instance.id, t.age_missed) for t in buf.tracks] == [(7, missed)]
+        buf = associate_frame(buf, [], self.cfg).buffer
+        assert buf.tracks == [] and buf.next_id == 8
 
-    def test_all_matched_size_stable(self):
-        buf = self.make_buffer([0, 1, 2])
-        dets = [outlined(line_instance(y=float(i), id=i)) for i in range(3)]
-        out = update_buffer(buf, dets, max_age=0, next_id=buf.next_id)
-        assert len(out.tracks) == 3
+    def test_zero_max_age_drops_at_once(self):
+        res = associate_frame(self.buffer([0, 1], next_id=2), [line_instance(y=0.1)],
+                              replace(self.cfg, max_age=0))
+        assert [t.instance.id for t in res.buffer.tracks] == [0]
 
-    def test_missed_twice_then_rematched(self):
-        buf = self.make_buffer([7])
-        buf = update_buffer(buf, [], max_age=2, next_id=buf.next_id)
-        assert buf.tracks[0].age_missed == 1
-        buf = update_buffer(buf, [], max_age=2, next_id=buf.next_id)
+    def test_rematch_resets_age(self):
+        buf = self.buffer([7], next_id=8)
+        buf = associate_frame(buf, [], self.cfg).buffer
+        buf = associate_frame(buf, [], self.cfg).buffer
         assert buf.tracks[0].age_missed == 2
-        det = outlined(line_instance(y=0.0, id=7))
-        buf = update_buffer(buf, [det], max_age=2, next_id=buf.next_id)
-        assert [t.instance.id for t in buf.tracks] == [7]
-        assert buf.tracks[0].age_missed == 0
+        res = associate_frame(buf, [line_instance(y=0.2)], self.cfg)
+        assert [d.id for d in res.dets] == [7] and res.new_ids == []
+        assert [(t.instance.id, t.age_missed) for t in res.buffer.tracks] == [(7, 0)]
 
-    def test_aged_out(self):
-        buf = self.make_buffer([7])
-        buf = update_buffer(buf, [], max_age=1, next_id=buf.next_id)
-        buf = update_buffer(buf, [], max_age=1, next_id=buf.next_id)
-        assert buf.tracks == []
-
-    def test_duplicate_ids_rejected(self):
-        buf = self.make_buffer([0])
-        dets = [outlined(line_instance(id=3)), outlined(line_instance(id=3))]
-        with pytest.raises(DuplicateId):
-            update_buffer(buf, dets, max_age=0, next_id=buf.next_id)
+    @pytest.mark.parametrize("w_feat", [0.0, 0.3, 1.0])
+    def test_match_affinity_is_the_blend(self, w_feat):
+        rng = np.random.default_rng(5)
+        embs = [unit(rng.normal(size=8)) for _ in range(3)]
+        tracks = outlined_frame([line_instance(y=50.0 * k, id=k, emb=e)
+                                 for k, e in enumerate(embs)])
+        buf = TrackBuffer(tracks, next_id=3)
+        dets = [line_instance(y=50.0 * k + 0.4, emb=unit(embs[k] + rng.normal(0, 0.1, 8)))
+                for k in (2, 0, 1)]
+        res = associate_frame(buf, dets, replace(self.cfg, w_feat=w_feat))
+        geo = geometric_affinity(outlined_frame(dets), tracks, self.cfg.tau)
+        feat = feature_affinity(dets, [t.instance for t in tracks])
+        assert [m[:2] for m in res.matches] == [(0, 2), (1, 0), (2, 1)]
+        # track k carries ID k, so an ID is also a column of geo and feat
+        for i, track_id, affinity in res.matches:
+            assert affinity == (1 - w_feat) * geo[i, track_id] + w_feat * feat[i, track_id]
 
 
 class TestAssociateFrame:
     def test_empty_frame_ages_buffer(self):
-        tracks = [outlined(line_instance(y=0.0, id=0))]
-        buf = TrackBuffer(tracks, next_id=1)
+        buf = TrackBuffer(outlined_frame([line_instance(y=0.0, id=0)]), next_id=1)
         res = associate_frame(buf, [], AssocConfig(max_age=0))
         assert res.dets == []
         assert res.buffer.tracks == []
@@ -339,7 +343,7 @@ class TestAssociateFrame:
 
     def test_cross_class_never_matches(self):
         cfg = AssocConfig(theta=0.0, w_feat=0.0)
-        buf = TrackBuffer([outlined(line_instance(cls="boundary", id=0))], next_id=1)
+        buf = TrackBuffer(outlined_frame([line_instance(cls="boundary", id=0)]), next_id=1)
         res = associate_frame(buf, [line_instance(cls="divider")], cfg)
         assert res.matches == []
         assert res.dets[0].id == 1
@@ -373,7 +377,7 @@ def ego_frame(rng, world, pose):
 
 def moved_track(track, g):
     inst = track.instance
-    return replace(outlined(inst.with_points(transform_points(g, inst.points))),
+    return replace(outlined_frame([inst.with_points(transform_points(g, inst.points))])[0],
                    age_missed=track.age_missed)
 
 
@@ -386,7 +390,7 @@ def test_rigid_motion_of_the_world_changes_nothing(seed, theta, gx, gy):
     rng = np.random.default_rng(seed)
     g = Pose2(gx, gy, theta)
     world = random_world(rng)
-    start = [replace(outlined(w), age_missed=int(rng.integers(0, 2))) for w in world[::2]]
+    start = [replace(t, age_missed=int(rng.integers(0, 2))) for t in outlined_frame(world[::2])]
     buf = TrackBuffer(start, next_id=len(world))
     moved = TrackBuffer([moved_track(t, g) for t in start], next_id=len(world))
     cfg = AssocConfig(theta=0.3, w_feat=0.3, max_age=1)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from icmap._kernels import PAIR_STEP, chamfer_matrix, chamfer_pairs
-from icmap.association import GEO_DENSIFY, geometric_affinity, outlined
+from icmap.association import GEO_DENSIFY, geometric_affinity, outlined_frame
 from icmap.errors import EmptyPointSet
 from icmap.geometry import chamfer_distance
 from icmap.instance import (
@@ -275,7 +275,7 @@ def test_mot_equals_per_pair_loop(stream, gate):
 def test_affinity_equals_per_pair_loop(stream, tau):
     pred_frames, gt_frames = stream
     dets, tracks = pred_frames[0], gt_frames[-1]
-    got = geometric_affinity([outlined(d) for d in dets], [outlined(t) for t in tracks], tau)
+    got = geometric_affinity(outlined_frame(dets), outlined_frame(tracks), tau)
     assert np.array_equal(got, ref.geometric_affinity(dets, tracks, tau, GEO_DENSIFY))
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -505,6 +506,40 @@ def test_output_path_usage_error(scene_path, tmp_path, monkeypatch, capsys, argv
     message = capsys.readouterr().err.splitlines()[-1]
     assert message == f"icmap: error: argument {flag}: {want}"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+
+# an output may not name a file the command reads or another of its outputs
+# (compared by os.path.realpath): a usage error naming both arguments,
+# before any work, with every file left as it was
+@pytest.mark.parametrize("argv,message", [
+    (["run", "s.json", "--out-map", "m.json", "--trace", "m.json"],
+     "argument --trace: 'm.json' is also --out-map"),
+    (["run", "s.json", "--out-map", "s.json"], "argument --out-map: 's.json' is also scene"),
+    (["eval", "--scene", "s.json", "--pred-map", "m.json", "--trace", "t.json", "--mot",
+      "--report", "t.json"], "argument --report: 't.json' is also --trace"),
+    (["eval", "--scene", "s.json", "--pred-dir", "d", "--mot", "--report",
+      os.path.join("d", "..", "d", "s.trace.json")],
+     f"argument --report: {os.path.join('d', '..', 'd', 's.trace.json')!r} is also --pred-dir"),
+    (["sweep-s", "s.json", "--s-grid", "1:1:1", "--out", "o.tsv", "--plot", "./o.tsv"],
+     "argument --plot: './o.tsv' is also --out"),
+    (["render", "m.json", "--out", "m.json"], "argument --out: 'm.json' is also maps"),
+], ids=["run-map-trace", "run-map-scene", "eval-report-trace", "eval-report-pred-dir",
+        "sweep-plot-out", "render-out-map"])
+def test_output_clash_usage_error(scene_path, tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(scene_path, "s.json")
+    assert run_cli("run", "s.json", "--out-map", "m.json", "--trace", "t.json") == 0
+    os.mkdir("d")
+    shutil.copy("m.json", os.path.join("d", "s.map.json"))
+    shutil.copy("t.json", os.path.join("d", "s.trace.json"))
+    capsys.readouterr()
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"icmap: error: {message}"
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
 class TestEvalCmd:
