@@ -193,7 +193,54 @@ class TestThresholdAndMatch:
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
-class TestOnePass:
+class TestFuse:
+    """The affinity `associate_frame` reports for a match is the blend
+    (1 - w_feat) * geo + w_feat * feat of `geometric_affinity` and
+    `feature_affinity` on the same frame. Track k carries ID k and lies at
+    y = 50 k, so an ID is also a column of geo and feat."""
+
+    def frame(self):
+        rng = np.random.default_rng(5)
+        embs = [unit(rng.normal(size=8)) for _ in range(3)]
+        tracks = outlined_frame([line_instance(y=50.0 * k, id=k, emb=e)
+                                 for k, e in enumerate(embs)])
+        dets = [line_instance(y=50.0 * k + 0.4, emb=unit(embs[k] + rng.normal(0, 0.1, 8)))
+                for k in (2, 0, 1)]
+        geo = geometric_affinity(outlined_frame(dets), tracks, AssocConfig().tau)
+        feat = feature_affinity(dets, [t.instance for t in tracks])
+        return TrackBuffer(tracks, next_id=3), dets, geo, feat
+
+    def affinities(self, w_feat):
+        """(match affinity, geo, feat) of each match at `w_feat`."""
+        buf, dets, geo, feat = self.frame()
+        res = associate_frame(buf, dets, AssocConfig(w_feat=w_feat))
+        assert [m[:2] for m in res.matches] == [(0, 2), (1, 0), (2, 1)]
+        return [(a, geo[i, j], feat[i, j]) for i, j, a in res.matches]
+
+    def test_degenerate_weight(self):
+        # w_feat = 0 is geometry alone, w_feat = 1 the features alone
+        assert all(a == g for a, g, _ in self.affinities(0.0))
+        assert all(a == f for a, _, f in self.affinities(1.0))
+
+    def test_arithmetic(self):
+        for w in (0.3, 0.5):
+            for a, g, f in self.affinities(w):
+                assert a == (1 - w) * g + w * f
+
+    def test_idempotent_geo_only(self):
+        # at w_feat = 0 the embeddings take no part: without them the frame
+        # gets the same matches and affinities, which are geo's
+        buf, dets, geo, _ = self.frame()
+        cfg = AssocConfig(w_feat=0.0)
+        bare = TrackBuffer([replace(t, instance=replace(t.instance, embedding=None))
+                            for t in buf.tracks], next_id=buf.next_id)
+        res = associate_frame(buf, dets, cfg)
+        res_bare = associate_frame(bare, [replace(d, embedding=None) for d in dets], cfg)
+        assert res_bare.matches == res.matches
+        assert [a for _, _, a in res.matches] == [geo[i, j] for i, j, _ in res.matches]
+
+
+class TestIdsAndBuffer:
     """`associate_frame` decides a frame's IDs and rebuilds the buffer in one
     pass. Tracks lie 50 m apart, so a detection matches only the track it
     was drawn at (exp(-50/tau) is far below theta)."""
@@ -204,20 +251,25 @@ class TestOnePass:
         tracks = outlined_frame([line_instance(y=50.0 * k, id=i) for k, i in enumerate(ids)])
         return TrackBuffer(tracks, next_id=next_id)
 
-    def test_matched_keep_id_and_replace_track(self):
+    def test_all_matched_no_new(self):
         buf = self.buffer([4, 9], next_id=12)
         dets = [line_instance(y=50.2), line_instance(y=0.3)]
         res = associate_frame(buf, dets, self.cfg)
         assert [d.id for d in res.dets] == [9, 4]
         assert [m[:2] for m in res.matches] == [(0, 9), (1, 4)]
         assert res.new_ids == [] and res.buffer.next_id == 12
-        # each track, in its place, is now its detection, outline included
-        assert [t.instance for t in res.buffer.tracks] == [res.dets[1], res.dets[0]]
-        for track, det in zip(res.buffer.tracks, [dets[1], dets[0]]):
-            assert track.age_missed == 0
-            assert track.outline.tobytes() == outlined_frame([det])[0].outline.tobytes()
 
-    def test_unmatched_get_fresh_ids_in_detection_order(self):
+    def test_all_matched_size_stable(self):
+        buf = self.buffer([0, 1, 2], next_id=3)
+        dets = [line_instance(y=50.0 * k + 0.3) for k in (2, 0, 1)]
+        res = associate_frame(buf, dets, self.cfg)
+        assert len(res.buffer.tracks) == 3
+        # each track, in its place, is now its detection, outline included
+        for track, i in zip(res.buffer.tracks, (1, 2, 0)):
+            assert track.instance is res.dets[i] and track.age_missed == 0
+            assert track.outline.tobytes() == outlined_frame([dets[i]])[0].outline.tobytes()
+
+    def test_empty_buffer_fresh_ids(self):
         buf = TrackBuffer(next_id=5)
         dets = [line_instance(y=50.0 * k) for k in range(3)]
         res = associate_frame(buf, dets, self.cfg)
@@ -226,7 +278,7 @@ class TestOnePass:
         assert res.buffer.next_id == 8
         assert [t.instance.id for t in res.buffer.tracks] == [5, 6, 7]
 
-    def test_partial_matching(self):
+    def test_partial(self):
         # tracks 0, 1, 2 at y = 0, 50, 100; track 1 goes unseen
         buf = self.buffer([0, 1, 2], next_id=3)
         dets = [line_instance(y=200.0), line_instance(y=100.1),
@@ -241,45 +293,28 @@ class TestOnePass:
         assert res.buffer.tracks[0].instance is res.dets[3]
         assert res.buffer.tracks[3].instance is res.dets[0]
 
-    def test_unmatched_track_ages_then_leaves(self):
-        # max_age = 2: missed twice it stays, a third miss drops it
-        buf = self.buffer([7], next_id=8)
-        for missed in (1, 2):
-            buf = associate_frame(buf, [], self.cfg).buffer
-            assert [(t.instance.id, t.age_missed) for t in buf.tracks] == [(7, missed)]
-        buf = associate_frame(buf, [], self.cfg).buffer
-        assert buf.tracks == [] and buf.next_id == 8
-
-    def test_zero_max_age_drops_at_once(self):
+    def test_unmatched_removed_at_zero_age(self):
         res = associate_frame(self.buffer([0, 1], next_id=2), [line_instance(y=0.1)],
                               replace(self.cfg, max_age=0))
         assert [t.instance.id for t in res.buffer.tracks] == [0]
 
-    def test_rematch_resets_age(self):
+    def test_missed_twice_then_rematched(self):
         buf = self.buffer([7], next_id=8)
-        buf = associate_frame(buf, [], self.cfg).buffer
-        buf = associate_frame(buf, [], self.cfg).buffer
-        assert buf.tracks[0].age_missed == 2
+        for missed in (1, 2):
+            buf = associate_frame(buf, [], self.cfg).buffer
+            assert [(t.instance.id, t.age_missed) for t in buf.tracks] == [(7, missed)]
         res = associate_frame(buf, [line_instance(y=0.2)], self.cfg)
         assert [d.id for d in res.dets] == [7] and res.new_ids == []
         assert [(t.instance.id, t.age_missed) for t in res.buffer.tracks] == [(7, 0)]
 
-    @pytest.mark.parametrize("w_feat", [0.0, 0.3, 1.0])
-    def test_match_affinity_is_the_blend(self, w_feat):
-        rng = np.random.default_rng(5)
-        embs = [unit(rng.normal(size=8)) for _ in range(3)]
-        tracks = outlined_frame([line_instance(y=50.0 * k, id=k, emb=e)
-                                 for k, e in enumerate(embs)])
-        buf = TrackBuffer(tracks, next_id=3)
-        dets = [line_instance(y=50.0 * k + 0.4, emb=unit(embs[k] + rng.normal(0, 0.1, 8)))
-                for k in (2, 0, 1)]
-        res = associate_frame(buf, dets, replace(self.cfg, w_feat=w_feat))
-        geo = geometric_affinity(outlined_frame(dets), tracks, self.cfg.tau)
-        feat = feature_affinity(dets, [t.instance for t in tracks])
-        assert [m[:2] for m in res.matches] == [(0, 2), (1, 0), (2, 1)]
-        # track k carries ID k, so an ID is also a column of geo and feat
-        for i, track_id, affinity in res.matches:
-            assert affinity == (1 - w_feat) * geo[i, track_id] + w_feat * feat[i, track_id]
+    def test_aged_out(self):
+        # max_age = 2: missed twice it stays, a third miss drops it
+        buf = self.buffer([7], next_id=8)
+        for _ in range(2):
+            buf = associate_frame(buf, [], self.cfg).buffer
+        assert [t.instance.id for t in buf.tracks] == [7]
+        buf = associate_frame(buf, [], self.cfg).buffer
+        assert buf.tracks == [] and buf.next_id == 8
 
 
 class TestAssociateFrame:
