@@ -13,7 +13,7 @@ copied): a third process, of OLD_SRC, writes seeds 0, 1, ... and
 runs `icmap run` on each until SCENES of them have completed, and those
 scenes, with its map and trace, are the input of every timed command:
 
-    run    icmap run SCENE --out-map MAP --trace TRACE
+    run    icmap run SCENE --out-map MAP --trace TRACE, each frame timed too
     eval   icmap eval --scene SCENE --pred-dir DIR --mot --report REPORT --jobs 1
     sweep  icmap sweep-s SCENE --s-grid 1:1:1 --out TABLE --jobs 1
     setup  make_scene + write_scene of SCENE's seed, timed in the worker
@@ -31,6 +31,12 @@ bootstrap 95% interval and the number of pairs, and says whether the two
 trees wrote byte-identical outputs (map and trace, eval report, sweep table
 or scene, per scene) with the same exit codes and error text. It exits 1
 if they did not.
+
+A `run` worker also times each frame as pipebench does (its `RunProbe`,
+imported: the gaps between pulls of `scene.frames` inside `run_scene`), and
+beside the whole-run ratio the script prints each tree's 95th percentile
+of those frame times, pooled over every frame of the timed rounds: the
+benchmark's bounded `frame_p95_ms`, which a mean-frame ratio does not show.
 
 The interval comes from 2,000 seeded resamples of the scenes, each scene
 with all of its rounds: the rounds of one scene are correlated, so the
@@ -52,10 +58,11 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from parity import BLAS_PIN, call, import_icmap, load_workloads
+from parity import BLAS_PIN, call, import_icmap, load_pipebench
 
 BOOTSTRAP = 2000
 MAX_SEEDS_PER_SCENE = 4  # a workload that needs more seeds than this per completed scene is broken
+BENCH = load_pipebench()  # its WORKLOADS, RunProbe and percentile
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +72,23 @@ def worker(src: Path) -> None:
     """Answer each JSON request line on standard input with one JSON line:
     {"scene": [workload, seed, path]} writes a scene, {"argv": [...], "out":
     dir} runs one icmap command; either reports its exit code, its error
-    text (with `dir` written `<out>`) and its seconds."""
+    text (with `dir` written `<out>`) and its seconds, and `run` the
+    seconds of each of its frames."""
     cli, synth = import_icmap(src, "ab")
-    workloads = load_workloads()
     reply = sys.stdout
     for line in sys.stdin:
         req = json.loads(line)
         t0 = perf_counter()
         if "scene" in req:
             name, seed, path = req["scene"]
-            wl = workloads[name]
+            wl = BENCH.WORKLOADS[name]
             config = synth.SceneConfig(**wl.scene, noise=synth.NoiseConfig(**wl.noise), seed=seed)
             synth.write_scene(synth.make_scene(config), path)
             out = {"rc": 0, "error": ""}
+        elif req["argv"][0] == "run":
+            with BENCH.RunProbe(cli) as probe:
+                out = call(cli, req["argv"], Path(req["out"]))
+            out["frames"] = probe.latencies
         else:
             out = call(cli, req["argv"], Path(req["out"]))
         out["s"] = perf_counter() - t0
@@ -135,6 +146,13 @@ def bootstrap_interval(groups: list, rng: random.Random) -> tuple[float, float]:
     return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
 
 
+def pooled_p95(runs: list) -> float:
+    """pipebench's `frame_p95_ms`, in seconds, of the frame times of `runs`
+    (one list per run) pooled into one sample: not a mean of per-run
+    percentiles, so a run of many frames weighs more than one of few."""
+    return BENCH.percentile([s for run in runs for s in run], 95)
+
+
 def quartiles(values: list) -> str:
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
     return f"{q2 * 1e3:8.1f} ms (quartiles {q1 * 1e3:.1f}-{q3 * 1e3:.1f})"
@@ -158,15 +176,17 @@ def completed_scenes(old: "Worker", args, inputs: Path) -> tuple[list, int]:
 
 
 def paired_runs(workers: dict, name: str, workload: str, scenes: list, rounds: int, tmp: Path):
-    """Each side's times, its exit code and error text per scene, and per
-    scene the new/old ratio of each of its pairs, one per round; each side
-    writes under tmp/<side>."""
+    """Each side's times, its exit code and error text per scene, per scene
+    the new/old ratio of each of its pairs, one per round, and each side's
+    frame times, one list per timed command; each side writes under
+    tmp/<side>."""
     outs = {side: tmp / side for side in workers}
     for side, out in outs.items():
         out.mkdir()
         for scene in scenes:  # an untimed pass, so that both sides start as warm
             workers[side].ask(command(name, scene, out, workload))
     times = {side: [] for side in workers}
+    frames = {side: [] for side in workers}
     codes = {side: {} for side in workers}
     ratios = [[] for _ in scenes]
     for r in range(rounds):
@@ -175,9 +195,10 @@ def paired_runs(workers: dict, name: str, workload: str, scenes: list, rounds: i
             for side in ("old", "new") if (r * len(scenes) + i) % 2 == 0 else ("new", "old"):
                 got[side] = workers[side].ask(command(name, scene, outs[side], workload))
                 times[side].append(got[side]["s"])
+                frames[side].append(got[side].get("frames", []))
                 codes[side][scene.stem] = (got[side]["rc"], got[side]["error"])
             ratios[i].append(got["new"]["s"] / got["old"]["s"])
-    return times, codes, ratios
+    return times, codes, ratios, frames
 
 
 def differences(old: Path, new: Path, codes: dict) -> tuple[list, int]:
@@ -193,11 +214,10 @@ def differences(old: Path, new: Path, codes: dict) -> tuple[list, int]:
 
 
 def main(argv=None) -> int:
-    workloads = load_workloads()
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], allow_abbrev=False)
     ap.add_argument("old_src", type=Path)
     ap.add_argument("new_src", type=Path)
-    ap.add_argument("--workload", choices=sorted(workloads))
+    ap.add_argument("--workload", choices=sorted(BENCH.WORKLOADS))
     ap.add_argument("--command", choices=("run", "eval", "sweep", "setup"))
     ap.add_argument("--scenes", type=int, default=12, help="completed scenes to time")
     ap.add_argument("--rounds", type=int, default=4, help="passes over the scenes")
@@ -224,7 +244,7 @@ def main(argv=None) -> int:
         workers = {}
         try:
             workers = {side: Worker(src) for side, src in trees.items()}
-            times, codes, by_scene = paired_runs(workers, args.command, args.workload, scenes,
+            times, codes, by_scene, frames = paired_runs(workers, args.command, args.workload, scenes,
                                                  args.rounds, Path(tmp))
         finally:
             for w in workers.values():
@@ -240,6 +260,11 @@ def main(argv=None) -> int:
     print(f"  new/old  median {statistics.median(ratios):.3f}, 95% interval "
           f"{low:.3f}-{high:.3f} (scenes resampled), {len(ratios)} pairs; new faster in "
           f"{faster} of {len(ratios)}")
+    if args.command == "run":
+        p95 = {side: pooled_p95(frames[side]) for side in trees}
+        count = sum(map(len, frames["old"]))
+        print(f"  frame p95  old {p95['old'] * 1e3:.2f} ms, new {p95['new'] * 1e3:.2f} ms, "
+              f"new/old {p95['new'] / p95['old']:.3f} ({count} frames per tree, pooled)")
     if differ:
         print(f"  outputs differ: {', '.join(differ)}")
     else:

@@ -57,12 +57,17 @@ BLAS_PIN = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 KINDS = (".map.json", ".trace.json", ".eval.json", ".sweep.tsv")
 
 
-def load_workloads():
+def load_pipebench():
+    """pipebench/run.py as a module."""
     sys.path.insert(0, str(ROOT / "pipebench"))  # run.py imports its sibling spans.py
     spec = importlib.util.spec_from_file_location("pipebench_run", ROOT / "pipebench" / "run.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.WORKLOADS
+    return mod
+
+
+def load_workloads():
+    return load_pipebench().WORKLOADS
 
 
 def parse_seeds(text: str) -> range:

@@ -2,26 +2,25 @@
 even-odd rasterization, optimal assignment and a banded Cholesky solve.
 
 Every point-to-point distance here is sqrt(dx*dx + dy*dy), with the sum
-under the square root computed as `sq_dist_table` computes it. Three
-kernels find nearest neighbours with it: one for large sets, two for many
-small ones. `nearest_sq_dist` is an exact search: one uniform-grid pass
-scores each point against the points of its neighbouring cells only, and
-the exact table scores the few points that pass leaves unresolved; through
+under the square root computed as `sq_dist_table` computes it. Two kernels
+find nearest neighbours with it, one per input scale, and the rule between
+them is the number of pairs to score: one pair of large pooled sets goes to
+the grid search, many small same-class pairs go to `chamfer_pairs`.
+`nearest_sq_dist` is the exact grid search: one uniform-grid pass scores
+each point against the points of its neighbouring cells only, and the exact
+table scores the few points that pass leaves unresolved; through
 `nn_mean_dist` it serves `geometry.chamfer_distance`, which scores one pair
 of large sets: a class's pooled map points against its ground truth
 (`metrics.global_map_cd`) and a merged curve against its reference
-(`curvefit.sweep_smoothing`). The two kernels for small sets keep its
-arithmetic and summation order, so each value they give has the bits of
-the single-pair Chamfer distance.
-`chamfer_matrix` scores one frame: its sets, of any sizes, against each
-other in one `sq_dist_table` broadcast. It serves
-`instance.chamfer_by_class`, which association calls on detections against
-tracks; their 1 m outlines all differ in length, so grouping them by size
-would gain nothing. `chamfer_pairs` scores many frames: a list of pairs,
-grouped by their point counts. It serves `instance.frames_chamfer_by_class`,
-which scores a scene's frames in one pass: predictions against ground truth
-for AP and CLEAR-MOT (`metrics.frame_distances`), and detections against
-ground truth when `pipeline.scene_observations` picks sweep cases.
+(`curvefit.sweep_smoothing`). `chamfer_pairs` scores a list of pairs of
+small sets, grouped by their point counts, with the single-pair Chamfer
+distance's arithmetic and summation order, so each value it gives has that
+distance's bits. It serves `instance.frames_chamfer_by_class`, which scores
+frames of same-class instances in one pass: one frame's detection outlines
+against the track buffer's (`association.geometric_affinity`), a scene's
+predictions against ground truth for AP and CLEAR-MOT
+(`metrics.frame_distances`), and a scene's detections against ground truth
+when `pipeline.scene_observations` picks sweep cases.
 `mapstore.fuse_with_history` and `curvefit.reorder_concat` read
 `sq_dist_table` itself.
 
@@ -168,22 +167,6 @@ def _grid_search(q: np.ndarray, b: np.ndarray, lo: list, span: tuple, h: float):
     return d2, d2 <= reach * reach
 
 
-def _runs(sets) -> tuple[np.ndarray, np.ndarray]:
-    """Start offset and point count of each set once they are stacked."""
-    counts = np.array([len(p) for p in sets])
-    if counts.min() == 0:
-        raise EmptyPointSet("chamfer_matrix requires non-empty point sets")
-    return np.cumsum(counts) - counts, counts
-
-
-def _run_means(near: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean of each set's run of columns of `near`, one row per set. Each run
-    is summed by `.sum`, the pairwise order `nn_mean_dist` sums in;
-    `np.add.reduceat` would add in another order and change the last bits."""
-    sums = [near[:, s:s + n].sum(axis=1) for s, n in zip(starts.tolist(), counts.tolist())]
-    return np.array(sums) / counts[:, None]
-
-
 def sq_dist_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared distances dx*dx + dy*dy, built in place: two
     temporaries, not four. Every distance in this module is the square root
@@ -200,9 +183,13 @@ def chamfer_pairs(As, Bs, rows, cols) -> np.ndarray:
 
     The pairs are grouped by their point counts (m, n), and a group is
     scored PAIR_STEP point pairs at a time (one pair, if it alone holds
-    more) in an (m, n, pairs) table, so that a point's nearest distance is a
-    minimum over an outer axis. Every paired set must be non-empty; a set
-    no pair names may be empty.
+    more) in a table of pairs by m by n. numpy takes a minimum fast only
+    when the stored table's innermost axis is long (on a 2-CPU x86 host,
+    over the n of a (100, 80, 2) table it took 12 times as long as over a
+    (2, 100, 80) one), so the table is stored with the pairs innermost
+    when they outnumber b's points (many small pairs, as in eval) and with
+    b's points innermost otherwise (a few large pairs, as in association).
+    Every paired set must be non-empty; a set no pair names may be empty.
     """
     out = np.empty(len(rows))
     if not len(rows):
@@ -217,44 +204,34 @@ def chamfer_pairs(As, Bs, rows, cols) -> np.ndarray:
         raise EmptyPointSet("chamfer_pairs requires non-empty point sets")
     ax, ay = np.concatenate(As).T.copy()
     bx, by = np.concatenate(Bs).T.copy()
-    start_a = np.cumsum(count_a) - count_a
-    start_b = np.cumsum(count_b) - count_b
+    # each pair's first point in the stacked sets
+    first_a = (np.cumsum(count_a) - count_a)[rows]
+    first_b = (np.cumsum(count_b) - count_b)[cols]
     for (m, n), ks in groups.items():
         step = max(1, PAIR_STEP // (m * n))
+        ks = np.array(ks)
         for s in range(0, len(ks), step):
-            k = np.array(ks[s:s + step])
-            # (m, pairs) and (n, pairs): point i of each pair's set
-            ia = start_a[rows[k]] + np.arange(m)[:, None]
-            ib = start_b[cols[k]] + np.arange(n)[:, None]
-            # sq_dist_table's arithmetic, with pairs the innermost axis
-            dx = np.subtract(ax[ia][:, None], bx[ib])
-            dy = np.subtract(ay[ia][:, None], by[ib])
+            k = ks[s:s + step]
+            # the points of each pair's sets, indexed so that the table comes
+            # out (m, n, pairs) or (pairs, m, n)
+            pairs_inner = len(k) > n
+            if pairs_inner:
+                ia = first_a[k] + np.arange(m)[:, None, None]
+                ib = first_b[k] + np.arange(n)[:, None]
+            else:
+                ia = first_a[k, None, None] + np.arange(m)[:, None]
+                ib = first_b[k, None, None] + np.arange(n)
+            # sq_dist_table's arithmetic
+            dx = np.subtract(ax[ia], bx[ib])
+            dy = np.subtract(ay[ia], by[ib])
             d2 = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+            if pairs_inner:
+                d2 = d2.transpose(2, 0, 1)  # a view, (pairs, m, n)
             # each pair's roots in one contiguous row, summed as nn_mean_dist sums
-            a_to_b = np.ascontiguousarray(np.sqrt(d2.min(axis=1)).T).sum(axis=1) / m
-            b_to_a = np.ascontiguousarray(np.sqrt(d2.min(axis=0)).T).sum(axis=1) / n
+            a_to_b = np.ascontiguousarray(np.sqrt(d2.min(axis=2))).sum(axis=1) / m
+            b_to_a = np.ascontiguousarray(np.sqrt(d2.min(axis=1))).sum(axis=1) / n
             out[k] = 0.5 * (a_to_b + b_to_a)
     return out
-
-
-def chamfer_matrix(As, Bs) -> np.ndarray:
-    """(len(As), len(Bs)) symmetric Chamfer distances between two lists of
-    point sets; entry (i, j) has the bits of
-    `geometry.chamfer_distance(As[i], Bs[j])`.
-
-    Both lists and every set in them must be non-empty. All points meet in
-    one broadcast, so the lists should be small: the callers score one
-    frame's instances, a few hundred thousand point pairs at most.
-    """
-    start_a, count_a = _runs(As)
-    start_b, count_b = _runs(Bs)
-    d2 = sq_dist_table(np.concatenate(As), np.concatenate(Bs))
-    # nearest distance from each point of one side to each set of the other,
-    # one row per set of the other side
-    a_to_b = np.ascontiguousarray(np.sqrt(np.minimum.reduceat(d2, start_b, axis=1)).T)
-    b_to_a = np.sqrt(np.minimum.reduceat(d2, start_a, axis=0))
-    return 0.5 * (_run_means(a_to_b, start_a, count_a)
-                  + _run_means(b_to_a, start_b, count_b).T)
 
 
 def inside_mask(xs: np.ndarray, ys: np.ndarray, ring: np.ndarray) -> np.ndarray:

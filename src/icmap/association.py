@@ -25,7 +25,7 @@ from .errors import MissingEmbedding
 # chamfer_distance and densify are not called here, but pipebench/spans.py
 # wraps them as import sites of this module
 from .geometry import chamfer_distance, densify, densify_many  # noqa: F401
-from .instance import MapInstance, chamfer_by_class
+from .instance import MapInstance, frames_chamfer_by_class
 
 GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
 
@@ -78,8 +78,9 @@ def outlined_frame(insts) -> list[Track]:
 
 def geometric_affinity(dets, tracks, tau: float) -> np.ndarray:
     """exp(-chamfer/tau) between the outlines of two lists of tracks for
-    same-class pairs, 0 across classes. Each class is scored as one matrix."""
-    dist = chamfer_by_class(dets, tracks, lambda tr: tr.outline)
+    same-class pairs, 0 across classes: the frame's pairs scored in one
+    `frames_chamfer_by_class` pass."""
+    (dist,) = frames_chamfer_by_class([dets], [tracks], lambda tr: tr.outline)
     return np.exp(-dist / tau)
 
 

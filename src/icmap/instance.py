@@ -8,7 +8,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._kernels import chamfer_matrix, chamfer_pairs
+from ._kernels import chamfer_pairs
 from .geometry import EGO_TO_WORLD, Pose2, _rigid, as_points, transform_points
 
 DIVIDER = "divider"
@@ -107,29 +107,15 @@ def frames_to_world(poses, frames) -> list[list[MapInstance]]:
     return [moved[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def chamfer_by_class(a, b, points=lambda inst: inst.points) -> np.ndarray:
-    """(len(a), len(b)) Chamfer distances between same-class instances of
-    two lists, inf across classes.
+def frames_chamfer_by_class(a_frames, b_frames,
+                            points=lambda inst: inst.points) -> list[np.ndarray]:
+    """Per frame k, the (len(a_frames[k]), len(b_frames[k])) Chamfer
+    distances between the frame's same-class items, inf across classes;
+    each entry has the bits of `chamfer_distance`.
 
-    `points` gives the point set an instance is compared by. Each class is
-    one `chamfer_matrix` call, whose entries have the bits of
-    `chamfer_distance`.
-    """
-    out = np.full((len(a), len(b)), np.inf)
-    for cls in CLASSES:
-        rows = [i for i, inst in enumerate(a) if inst.cls == cls]
-        cols = [j for j, inst in enumerate(b) if inst.cls == cls]
-        if rows and cols:
-            out[np.ix_(rows, cols)] = chamfer_matrix([points(a[i]) for i in rows],
-                                                     [points(b[j]) for j in cols])
-    return out
-
-
-def frames_chamfer_by_class(a_frames, b_frames) -> list[np.ndarray]:
-    """Per frame k, `chamfer_by_class(a_frames[k], b_frames[k])`: the
-    Chamfer distances between the frame's same-class instances, inf across
-    classes. Every frame's pairs are listed in a few array passes and scored
-    in one `chamfer_pairs` call; an instance with no points raises
+    An item is anything with a `cls`; `points` gives the point set it is
+    compared by. Every frame's pairs are listed in a few array passes and
+    scored in one `chamfer_pairs` call; an item with no points raises
     EmptyPointSet only when it is paired.
     """
     n_a = np.array([len(frame) for frame in a_frames], dtype=np.intp)
@@ -154,14 +140,14 @@ def frames_chamfer_by_class(a_frames, b_frames) -> list[np.ndarray]:
     f = frame_a[rows]
     flat = np.full(sizes.sum(), np.inf)
     flat[starts[f] + local_a[rows] * n_b[f] + local_b[cols]] = chamfer_pairs(
-        [inst.points for frame in a_frames for inst in frame],
-        [inst.points for frame in b_frames for inst in frame], rows, cols)
+        [points(inst) for frame in a_frames for inst in frame],
+        [points(inst) for frame in b_frames for inst in frame], rows, cols)
     return [flat[s:s + m * n].reshape(m, n)
             for s, m, n in zip(starts.tolist(), n_a.tolist(), n_b.tolist())]
 
 
 def _frame_class_keys(frames, sizes) -> np.ndarray:
-    """Per instance of `frames`, in order: its frame's index times
+    """Per item of `frames`, in order: its frame's index times
     len(CLASSES), plus its class's index."""
     code = {cls: k for k, cls in enumerate(CLASSES)}
     classes = np.array([code[inst.cls] for frame in frames for inst in frame], dtype=np.intp)

@@ -4,6 +4,15 @@ import pytest
 from icmap.synth import NoiseConfig, SceneConfig, make_scene
 
 
+def pytest_runtest_teardown(item):
+    """Forget the falsifying examples hypothesis recorded on an xfail-marked
+    test, which fails by design: its pytest plugin would otherwise turn them
+    into a `.hypothesis/patches/` file (importing libcst to do so) at the
+    teardown report. The test still runs, strict, with its data."""
+    if item.get_closest_marker("xfail") is not None:
+        item.__dict__.pop("_hypothesis_failing_examples", None)
+
+
 def sine_curve(amp, wav, length, spacing):
     x = np.arange(0.0, length + 1e-9, spacing)
     return np.column_stack([x, amp * np.sin(2 * np.pi * x / wav)])

@@ -1,15 +1,14 @@
-"""`chamfer_matrix`, `chamfer_pairs` and the code that reads them, against
-per-pair oracles.
+"""`chamfer_pairs` and the code that reads it, against per-pair oracles.
 
-`_kernels.chamfer_matrix` scores two lists of point sets in one broadcast,
-and `_kernels.chamfer_pairs` scores a list of pairs of sets, grouped by
-their point counts; every entry of either must have the bits of
-`chamfer_distance`. `instance.frames_chamfer_by_class` scores every frame
-of two frame lists in one `chamfer_pairs` call and must return, frame by
-frame, the bits of `chamfer_by_class`, which calls `chamfer_matrix`. AP,
-CLEAR-MOT, the geometric affinity and the sweep's observation grouping
-read these matrices; each must give exactly what its per-pair loop version
-in tests/scalar_reference.py gives.
+`_kernels.chamfer_pairs` scores a list of pairs of sets, grouped by their
+point counts; every entry must have the bits of `chamfer_distance`, whether
+the pairs are every (i, j) of two lists or a random selection.
+`instance.frames_chamfer_by_class` scores every frame of two frame lists in
+one `chamfer_pairs` call and must return, frame by frame, `chamfer_distance`
+per same-class pair and inf across classes. AP, CLEAR-MOT, the geometric
+affinity and the sweep's observation grouping read these matrices; each
+must give exactly what its per-pair loop version in
+tests/scalar_reference.py gives.
 """
 import math
 import tracemalloc
@@ -20,14 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from icmap._kernels import PAIR_STEP, chamfer_matrix, chamfer_pairs
+from icmap._kernels import PAIR_STEP, chamfer_pairs
 from icmap.association import GEO_DENSIFY, geometric_affinity, outlined_frame
 from icmap.errors import EmptyPointSet
 from icmap.geometry import chamfer_distance
 from icmap.instance import (
     CLASSES,
     MapInstance,
-    chamfer_by_class,
     frames_chamfer_by_class,
     frames_to_world,
 )
@@ -56,8 +54,10 @@ def point_sets(rng, sizes, grid):
 
 
 def assert_entries_equal(As, Bs):
-    got = chamfer_matrix(As, Bs)
-    assert got.shape == (len(As), len(Bs))
+    """`chamfer_pairs` over every (i, j) of two lists, each entry against
+    its own `chamfer_distance`."""
+    rows, cols = np.divmod(np.arange(len(As) * len(Bs)), len(Bs))
+    got = chamfer_pairs(As, Bs, rows, cols).reshape(len(As), len(Bs))
     for i, a in enumerate(As):
         for j, b in enumerate(Bs):
             assert got[i, j] == chamfer_distance(a, b), (i, j, len(a), len(b))
@@ -83,7 +83,9 @@ def test_matrix_equals_single_pair(seed, sizes_a, sizes_b, grid):
 
 def test_empty_set_rejected():
     with pytest.raises(EmptyPointSet):
-        chamfer_matrix([np.zeros((3, 2))], [np.zeros((0, 2))])
+        chamfer_pairs([np.zeros((3, 2))], [np.zeros((0, 2))], [0], [0])
+    with pytest.raises(EmptyPointSet):
+        chamfer_pairs([np.zeros((0, 2))], [np.zeros((3, 2))], [0], [0])
 
 
 def assert_pairs_equal(As, Bs, rows, cols):
@@ -179,15 +181,27 @@ streams = st.builds(frame_stream, st.integers(0, 2**32 - 1), st.integers(1, 8),
                     st.sampled_from([0.1, 0.5, 1.0, 2.0]))
 
 
+def chamfer_by_class_loop(a, b) -> np.ndarray:
+    """One frame's (len(a), len(b)) Chamfer distances, one
+    `chamfer_distance` call per same-class pair, inf across classes."""
+    out = np.full((len(a), len(b)), np.inf)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            if p.cls == q.cls:
+                out[i, j] = chamfer_distance(p.points, q.points)
+    return out
+
+
 def assert_frames_equal(a_frames, b_frames):
-    """`frames_chamfer_by_class` gives each frame the bits, and the shape,
-    of that frame's own `chamfer_by_class`."""
+    """`frames_chamfer_by_class` gives each frame the bits and the shape of
+    the per-pair loop, and of its own one-frame call."""
     got = frames_chamfer_by_class(a_frames, b_frames)
     assert len(got) == len(a_frames)
     for k, (a, b) in enumerate(zip(a_frames, b_frames)):
-        want = chamfer_by_class(a, b)
+        want = chamfer_by_class_loop(a, b)
         assert got[k].shape == want.shape, k
         assert got[k].tobytes() == want.tobytes(), k
+        assert frames_chamfer_by_class([a], [b])[0].tobytes() == want.tobytes(), k
 
 
 @equivalence
@@ -277,6 +291,32 @@ def test_affinity_equals_per_pair_loop(stream, tau):
     dets, tracks = pred_frames[0], gt_frames[-1]
     got = geometric_affinity(outlined_frame(dets), outlined_frame(tracks), tau)
     assert np.array_equal(got, ref.geometric_affinity(dets, tracks, tau, GEO_DENSIFY))
+
+
+def line(length, y, cls="divider"):
+    return MapInstance(cls, [[0.0, y], [length, y + 0.3 * length / 10]])
+
+
+def test_affinity_scores_outlines_pair_by_pair():
+    """`geometric_affinity` gives each same-class pair of a frame
+    exp(-chamfer_distance / tau) of the two outlines, bit for bit, and 0.0
+    across classes, on outlines of many lengths, one pair of them past
+    PAIR_STEP point pairs."""
+    ring = MapInstance("ped_crossing", [[0.0, 0.0], [4.0, 0.0], [4.0, 7.0], [0.0, 7.0]])
+    dets = outlined_frame([line(150.0, 0.0), line(5.0, 1.0), line(12.0, 2.5),
+                           line(30.0, -3.0, "boundary"), line(47.0, 8.0, "boundary"), ring])
+    tracks = outlined_frame([line(160.0, 0.4), line(8.0, 1.2), line(33.0, -2.0, "boundary"),
+                             ring.with_points(ring.points + 0.5)])
+    lengths = [len(t.outline) for t in dets + tracks]
+    assert len(set(lengths)) >= 5
+    assert len(dets[0].outline) * len(tracks[0].outline) > PAIR_STEP
+    tau = 2.0
+    got = geometric_affinity(dets, tracks, tau)
+    assert got.shape == (len(dets), len(tracks))
+    for i, d in enumerate(dets):
+        for j, t in enumerate(tracks):
+            want = np.exp(-chamfer_distance(d.outline, t.outline) / tau) if d.cls == t.cls else 0.0
+            assert got[i, j] == want, (i, j)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

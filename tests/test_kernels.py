@@ -43,7 +43,7 @@ def test_nn_mean_dist_matches_brute_force(n, m):
 
 @pytest.mark.parametrize("n,m", [(3, 5), (60, 60), (400, 600)])
 def test_broadcast_and_tree_return_same_bits(n, m):
-    # chamfer_matrix broadcasts what nn_mean_dist's grid search finds; both
+    # chamfer_pairs broadcasts what nn_mean_dist's grid search finds; both
     # compute sqrt(dx*dx + dy*dy), as the k-d tree the search replaced did
     rng = np.random.default_rng(n + m)
     a = rng.uniform(-50, 50, (n, 2))
