@@ -16,6 +16,7 @@ needs every embedding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,6 +56,9 @@ class AssocConfig:
     max_age: int = 0
 
     def __post_init__(self):
+        for name in ("tau", "theta", "w_feat"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if not 0.0 <= self.theta < 1.0:

@@ -30,6 +30,7 @@ when all three are already chained.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
@@ -67,6 +68,8 @@ class SmoothingFitParams:
     s: float = 0.5
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError("s must be finite")
         if self.s < 0:
             raise ValueError("smoothing weight s must be >= 0")
 

@@ -5,6 +5,7 @@ the per-frame trace consumed by the tracking metrics.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -47,6 +48,9 @@ class PipelineParams:
     min_score: float = 0.55
 
     def __post_init__(self):
+        for name in ("expand", "fuse_radius", "fuse_weight", "min_score"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_sample < 2:
             raise ValueError("n_sample must be >= 2")
         for name in ("expand", "fuse_radius"):

@@ -16,14 +16,14 @@ edges of both rings at the nodes.
 from __future__ import annotations
 
 import logging
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from ._kernels import inside_mask
 from .errors import NonSimplePolygon
-from .geometry import (EGO_TO_WORLD, EPS, WORLD_TO_EGO, Rect, as_points, dedupe_points,
-                       transform_points)
+from .geometry import EGO_TO_WORLD, EPS, WORLD_TO_EGO, Rect, _rigid, as_points, dedupe_points
 
 log = logging.getLogger(__name__)
 
@@ -80,42 +80,124 @@ def ensure_ccw(ring) -> np.ndarray:
 
 
 def clip_polygon_to_rect(ring, rect: Rect) -> list[np.ndarray]:
-    """Sutherland-Hodgman intersection of a simple polygon with a rectangle.
+    """Sutherland-Hodgman intersection of a simple polygon with a rectangle:
+    `clip_rings_to_rects` of the one ring and the one rectangle.
 
     Returns a list with zero or one CCW rings (the clip window is convex;
     non-convex subjects may degenerate, which is fine for the small quads
     used here).
     """
-    # the loop runs on Python floats, which round as numpy's float64 does
-    poly = transform_points(rect.center, as_points(ring), WORLD_TO_EGO).tolist()
-    hl, hw = rect.half_length, rect.half_width
-    # half-planes as (a, b, c) with a*x + b*y <= c inside
-    planes = [(1.0, 0.0, hl), (-1.0, 0.0, hl), (0.0, 1.0, hw), (0.0, -1.0, hw)]
-    for a, b, c in planes:
-        if not poly:
-            break
-        out: list[list[float]] = []
-        n = len(poly)
-        for i in range(n):
-            (px, py), (qx, qy) = poly[i], poly[(i + 1) % n]
-            pin = a * px + b * py <= c
-            qin = a * qx + b * qy <= c
-            if pin:
-                out.append(poly[i])
-            if pin != qin:
-                dp = a * px + b * py - c
-                dq = a * qx + b * qy - c
-                t = dp / (dp - dq)
-                out.append([px + t * (qx - px), py + t * (qy - py)])
-        poly = out
-    if len(poly) < 3:
-        return []
-    result = dedupe_points(np.array(poly), EPS)
-    if len(result) >= 2 and np.hypot(*(result[0] - result[-1])) <= EPS:
-        result = result[:-1]
-    if len(result) < 3 or abs(polygon_area(result)) < 1e-12:
-        return []
-    return [transform_points(rect.center, ensure_ccw(result), EGO_TO_WORLD)]
+    rings, sizes, _ = clip_rings_to_rects([ring], [rect])
+    return [rings[0, :sizes[0]]] if len(sizes) else []
+
+
+# the four half-planes a*x + b*y <= c of a rectangle's frame, in clipping
+# order: (a, b, index of c among the half length and the half width)
+_PLANES = ((1.0, 0.0, 0), (-1.0, 0.0, 0), (0.0, 1.0, 1), (0.0, -1.0, 1))
+
+
+def clip_rings_to_rects(rings, rects):
+    """Clip each of `rings` to each of `rects` (Sutherland-Hodgman).
+
+    Returns (out, sizes, owner): out[k, :sizes[k]] is a CCW world-frame
+    ring, the clip of ring `owner[k] % len(rings)` by rectangle
+    `owner[k] // len(rings)`; rows run in rectangle order, then ring order,
+    and a pair whose clip is empty or degenerate has no row.
+
+    Per pair, the ring moves into the rectangle's frame and is cut by the
+    half-planes x <= hl, -x <= hl, y <= hw and -y <= hw in turn: each vertex
+    inside a half-plane is kept, and where the edge to its successor crosses
+    the boundary the crossing point follows it. The clip is deduped at
+    `EPS` (`dedupe_points`), loses a last point within `EPS` of its first,
+    and is dropped with fewer than 3 points or a shoelace area under 1e-12;
+    it is turned CCW and moved back to the world. Every pair is one row of
+    a zero-padded (pair, vertex) table and each step is one array pass over
+    the table, with the arithmetic of a loop over one pair's points, so
+    every coordinate has that loop's bits.
+    """
+    rings = [as_points(r) for r in rings]
+    # one row per rectangle: its pose, then its half extents
+    rows = np.array([[math.cos(r.center.theta), math.sin(r.center.theta), r.center.x,
+                      r.center.y, r.half_length, r.half_width] for r in rects]).reshape(-1, 6)
+    table, sizes = _padded(np.concatenate(rings) if rings else np.empty((0, 2)),
+                           np.array([len(r) for r in rings], dtype=np.intp))
+    pose = rows[:, None, None, :4]
+    pts = _rigid(*np.moveaxis(pose, -1, 0), table, WORLD_TO_EGO).reshape(-1, table.shape[1], 2)
+    rect_of = np.repeat(np.arange(len(rects)), len(rings))
+    n = np.tile(sizes, len(rects))
+    # a crossing point is meaningless (or nan) where the edge does not cross
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, b, k in _PLANES:
+            pts, n = _cut(pts, n, a, b, rows[rect_of, 4 + k, None])
+    step = pts[:, 1:] - pts[:, :-1]
+    keep = _held(pts, n)
+    keep[:, 1:] &= np.hypot(step[..., 0], step[..., 1]) > EPS
+    pts, n = _padded(pts[keep], np.count_nonzero(keep, axis=1))
+    at = np.arange(len(n))
+    gap = pts[:, 0] - pts[at, np.maximum(n - 1, 0)]
+    n = n - ((n >= 2) & (np.hypot(gap[:, 0], gap[:, 1]) <= EPS))
+    area = _shoelace_rows(pts, n)
+    good = (n >= 3) & ~(np.abs(area) < 1e-12)
+    # CCW: a ring of negative area is read backwards
+    j = np.arange(pts.shape[1])
+    flip = (area < 0)[:, None] & _held(pts, n)
+    pts = pts[at[:, None], np.where(flip, n[:, None] - 1 - j, j)]
+    owner = np.flatnonzero(good)
+    n = n[good]
+    pose = rows[rect_of[good], None, :4]
+    world = _rigid(*np.moveaxis(pose, -1, 0), pts[good], EGO_TO_WORLD)
+    return world, n, owner
+
+
+def _padded(flat: np.ndarray, n: np.ndarray):
+    """The zero-padded (row, vertex) table whose row k holds the next n[k]
+    points of `flat` in order, at least one column wide, and `n`."""
+    out = np.zeros((len(n), max(n.max(initial=0), 1), 2))
+    out[np.arange(out.shape[1]) < n[:, None]] = flat
+    return out, n
+
+
+def _held(pts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Where each row of the table `pts` holds one of its first n[k] points."""
+    return np.arange(pts.shape[1]) < n[:, None]
+
+
+def _successors(pts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Each point's successor around its row's ring of n[k] points."""
+    nxt = np.concatenate([pts[:, 1:], pts[:, :1]], axis=1)
+    nxt[np.arange(len(n)), n - 1] = pts[:, 0]
+    return nxt
+
+
+def _cut(pts: np.ndarray, n: np.ndarray, a: float, b: float, c: np.ndarray):
+    """One Sutherland-Hodgman step: each row's ring of n[k] points of `pts`
+    cut by the half-plane a*x + b*y <= c[k], as a table of the same kind."""
+    q = _successors(pts, n)
+    sp = a * pts[..., 0] + b * pts[..., 1]
+    sq = a * q[..., 0] + b * q[..., 1]
+    pin, qin = sp <= c, sq <= c
+    dp, dq = sp - c, sq - c
+    hit = pts + (dp / (dp - dq))[..., None] * (q - pts)
+    valid = _held(pts, n)
+    # each point, then its edge's crossing point
+    shape = (len(pts), 2 * pts.shape[1])
+    keep = np.stack([pin & valid, (pin != qin) & valid], axis=2).reshape(shape)
+    both = np.stack([pts, hit], axis=2).reshape(shape + (2,))
+    return _padded(both[keep], np.count_nonzero(keep, axis=1))
+
+
+def _shoelace_rows(pts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """`polygon_area` of each row's ring of n[k] points of the table `pts`,
+    with its bits. numpy sums a row of terms by blocks that depend on its
+    length, so the rows of each length are summed together by
+    `.sum(axis=1)`, which adds each row as `.sum()` adds it alone."""
+    nxt = _successors(pts, n)
+    terms = pts[..., 0] * nxt[..., 1] - pts[..., 1] * nxt[..., 0]
+    total = np.zeros(len(n))
+    for m in set(n.tolist()):
+        rows = n == m
+        total[rows] = terms[rows, :m].sum(axis=1)
+    return 0.5 * total
 
 
 class _Ring:

@@ -34,11 +34,10 @@ from .geometry import (
     densify,
     longest_pieces,
     resample_even,
-    transform_points,
     transform_stacked,
 )
 from .instance import BOUNDARY, CLASSES, DIVIDER, PED_CROSSING, Frame, GlobalMap, MapInstance, Scene
-from .polygon import clip_polygon_to_rect, ensure_ccw, polygon_area
+from .polygon import _shoelace_rows, clip_rings_to_rects, ensure_ccw
 
 SCENE_FORMAT_VERSION = "1"
 
@@ -65,6 +64,10 @@ class NoiseConfig:
     score_fp_std: float = 0.15
 
     def __post_init__(self):
+        for name in ("jitter_sigma", "dropout_prob", "fp_rate", "split_prob", "embedding_sigma",
+                     "score_tp_mean", "score_tp_std", "score_fp_mean", "score_fp_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("dropout_prob", "fp_rate", "split_prob"):
             if not 0.0 <= getattr(self, name):
                 raise ValueError(f"{name} must be >= 0")
@@ -98,6 +101,12 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("road_length", "lane_width", "radius", "frame_spacing"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for k, val in enumerate(self.range_lw):
+            if not math.isfinite(val):
+                raise ValueError(f"range_lw[{k}] must be finite")
         for name in ("road_length", "lane_width", "frame_spacing", "lane_count", "frame_count"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -209,17 +218,19 @@ def clip_gt_frames(gt: GlobalMap, poses, range_lw) -> list[list[MapInstance]]:
     polyline is clipped against every frame's range in one call
     (`longest_pieces`, which also picks each frame's longest piece and
     resamples the picks together), and the picks are moved into their
-    frames at once."""
+    frames at once; every crossing is clipped against every frame's range
+    in one call (`_clip_crossings`). Each frame lists its instances in ID
+    order."""
     rects = [Rect(pose, range_lw[0] / 2.0, range_lw[1] / 2.0) for pose in poses]
     frames: list[list[MapInstance]] = [[] for _ in poses]
-    for inst_id in sorted(gt.instances):
+    ids = sorted(gt.instances)
+    crossings = _clip_crossings([gt.instances[i] for i in ids if not gt.instances[i].is_polyline],
+                                poses, rects)
+    for inst_id in ids:
         inst = gt.instances[inst_id]
         if not inst.is_polyline:
-            for f, (pose, rect) in enumerate(zip(poses, rects)):
-                pieces = clip_polygon_to_rect(inst.points, rect)
-                if pieces and abs(polygon_area(pieces[0])) >= 0.25:
-                    local = transform_points(pose, pieces[0], WORLD_TO_EGO)
-                    frames[f].append(MapInstance(inst.cls, local, id=inst.id))
+            for f, local in crossings[inst_id]:
+                frames[f].append(MapInstance(inst.cls, local, id=inst.id))
             continue
         # one line, so each owner is a frame index
         shown, lines = longest_pieces([inst.points], rects, 0.5, N_POINTS)
@@ -227,6 +238,26 @@ def clip_gt_frames(gt: GlobalMap, poses, range_lw) -> list[list[MapInstance]]:
         for f, line in zip(shown, local):
             frames[f].append(MapInstance(inst.cls, line, id=inst.id))
     return frames
+
+
+def _clip_crossings(insts, poses, rects) -> dict:
+    """Per ID of the crossings `insts`, the (frame index, ego-frame ring) of
+    each frame of `poses` whose range `rects` leaves at least 0.25 m² of the
+    crossing, in frame order. One `clip_rings_to_rects` call clips every
+    crossing against every range; the area is the shoelace area of the
+    world-frame clip, and each kept clip moves from the world into its
+    frame, as one frame's clip did."""
+    shown: dict = {inst.id: [] for inst in insts}
+    if not insts:
+        return shown
+    rings, sizes, owner = clip_rings_to_rects([inst.points for inst in insts], rects)
+    big = np.abs(_shoelace_rows(rings, sizes)) >= 0.25
+    frame_of, ring_of = np.divmod(owner[big], len(insts))
+    frame_of = frame_of.tolist()
+    local = transform_stacked([poses[f] for f in frame_of], rings[big], WORLD_TO_EGO)
+    for f, k, ring, size in zip(frame_of, ring_of.tolist(), local, sizes[big].tolist()):
+        shown[insts[k].id].append((f, ring[:size]))
+    return shown
 
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -11,8 +11,9 @@ chain loop and dense normal-equation solve. `clip_polyline_to_rect_array`,
 per-frame ground-truth clip and the per-instance history sampling that one
 clip of many polylines against many rectangles replaced;
 `clip_polygon_to_rect` is the Sutherland-Hodgman loop on numpy scalars
-and 2-vectors that the loop on Python floats replaced, and the oracle's
-`clip_gt_frame` clips crossings with it. `centerline` is the road's
+and 2-vectors that a loop on Python floats and then the array pass of many
+rings against many rectangles replaced, and the oracle's `clip_gt_frame`
+clips crossings with it, one frame at a time. `centerline` is the road's
 centerline as synth wrote it before an s_curve reused the arc's formula
 for its first half.
 `_stitch` is the walk over (u, v) edge pairs, matching nodes by

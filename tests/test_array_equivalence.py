@@ -35,8 +35,15 @@ that frames hold several pieces; resampling many lines at once with
 runs of sub-eps steps, each line with a sample count of its own;
 densifying many lines at once with `densify` one line at a time, on runs of
 sub-eps steps that a second dedupe shortens again, one-point and empty
-lines and closed crossing rings; and the polygon clip on Python floats
-with the loop on numpy scalars it replaced, on rotated ranges. The one
+lines and closed crossing rings; and the polygon clip, one array pass of
+many rings against many rectangles, pair by pair with the loop on numpy
+scalars it replaced: on rotated ranges, on grid rings of 3 to 6 vertices,
+convex or not, against boxes in general poses, and on rings inside,
+outside, across corners (an 8-vertex clip, whose area numpy sums in its
+pairwise form), touching an edge or at the 1e-12 area gate. The ground
+truth's crossings, all clipped in one pass, are compared with the
+per-frame clip on every curvature with 0 to 3 crossings, with polylines
+and crossings interleaved in ID order and at the 0.25 m² gate. The one
 move of a frame's instances to the world (`to_world`, one transform per
 frame), which run's detections take, is compared bit for bit with one
 transform per instance, on detections with scores, embeddings and ids,
@@ -83,7 +90,8 @@ from icmap.instance import CLASSES, DIVIDER, PED_CROSSING, MapInstance, to_world
 from icmap.mapstore import GlobalMap, fuse_with_history, sample_history
 from icmap.pipeline import scene_gt_frames
 from icmap.polygon import (DISJOINT, classify_point, classify_points, clip_polygon_to_rect,
-                           is_simple, polygon_area, polygon_union, rasterize_area)
+                           clip_rings_to_rects, is_simple, polygon_area, polygon_union,
+                           rasterize_area)
 from icmap.synth import (ARC, CURVATURES, S_CURVE, Frame, NoiseConfig, Scene, SceneConfig,
                          _centerline, clip_gt_frames, generate_scene, make_scene)
 
@@ -320,6 +328,50 @@ class TestClipManyRects:
             assert len(frame) == len(want)
             for g, w in zip(frame, want):
                 assert np.array_equal(g.points, w.points)
+
+
+def assert_gt_frames_match(gt, poses, range_lw):
+    got = clip_gt_frames(gt, poses, range_lw)
+    assert len(got) == len(poses)
+    for frame, pose in zip(got, poses):
+        want = ref.clip_gt_frame(gt, pose, range_lw)
+        assert [(i.id, i.cls) for i in frame] == [(i.id, i.cls) for i in want]
+        for g, w in zip(frame, want):
+            assert g.points.shape == w.points.shape and np.array_equal(g.points, w.points)
+    return got
+
+
+class TestClipGtCrossings:
+    @pytest.mark.parametrize("crossings", [0, 1, 2, 3])
+    @pytest.mark.parametrize("curvature", CURVATURES)
+    def test_matches_per_frame_clip(self, curvature, crossings):
+        for range_lw in ((100.0, 50.0), (30.0, 15.0), (9.0, 5.0)):
+            config = SceneConfig(road_length=150.0, lane_count=2, curvature=curvature,
+                                 radius=60.0, crossing_count=crossings, frame_count=25,
+                                 frame_spacing=5.0, range_lw=range_lw)
+            got = assert_gt_frames_match(*generate_scene(config), range_lw)
+            shown = {i.id for frame in got for i in frame if i.cls == PED_CROSSING}
+            assert len(shown) == crossings
+
+    def test_polylines_and_crossings_in_id_order(self):
+        square = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+        line = np.array([(-9.0, 0.5), (9.0, 0.5)])
+        gt = GlobalMap("g", {k: MapInstance(cls, pts + 0.25 * k, id=k) for k, (cls, pts) in
+                             enumerate([(PED_CROSSING, square), (DIVIDER, line),
+                                        (PED_CROSSING, square[::-1]), (DIVIDER, line),
+                                        (PED_CROSSING, square)])})
+        poses = [Pose2(0.0, 0.0, 0.0), Pose2(0.7, -0.3, 2.0), Pose2(40.0, 0.0, 0.0)]
+        got = assert_gt_frames_match(gt, poses, (10.0, 6.0))
+        assert [[i.id for i in frame] for frame in got] == [[0, 1, 2, 3, 4]] * 2 + [[]]
+
+    @pytest.mark.parametrize("x0,shown", [(1.75, True), (1.76, False)])
+    def test_area_gate(self, x0, shown):
+        # the range (4, 4) keeps [x0, 2] x [0, 1] of the crossing: 0.25 m²
+        # passes the gate, 0.24 m² does not
+        ring = np.array([(x0, 0.0), (3.0, 0.0), (3.0, 1.0), (x0, 1.0)])
+        gt = GlobalMap("g", {0: MapInstance(PED_CROSSING, ring, id=0)})
+        got = assert_gt_frames_match(gt, [Pose2(0.0, 0.0, 0.0), Pose2(0.5, 0.2, 0.3)], (4.0, 4.0))
+        assert bool(got[0]) == shown
 
 
 class TestCenterline:
@@ -583,6 +635,79 @@ class TestClipPolygonFloats:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g, w)
+
+
+# quarter-metre grid rings of 3 to 6 vertices: rectangles (convex), rings
+# sorted about their mean (mostly simple, often not convex) and rings as
+# drawn (often self-crossing)
+small_ring = st.lists(point, min_size=3, max_size=6).map(lambda p: np.array(p, float))
+small_polygon = st.one_of(rectangle(), star_ring().filter(lambda r: len(r) <= 6), small_ring)
+# grid boxes at the origin, whose edges run along grid lines, and boxes in
+# general poses, whose crossing points are general floats
+any_rect = st.one_of(
+    clip_box,
+    st.builds(lambda x, y, theta, hl, hw: Rect(Pose2(x, y, theta), hl, hw),
+              st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(-3.2, 3.2),
+              st.floats(0.25, 6.0), st.floats(0.25, 6.0)),
+)
+
+
+def assert_pairwise_clips(rings, rects):
+    """`clip_rings_to_rects(rings, rects)` holds the bits of the scalar
+    loop's clip of each (rectangle, ring) pair that has one, in rectangle,
+    then ring order; returns each row's vertex count."""
+    out, sizes, owner = clip_rings_to_rects(rings, rects)
+    want = [(r * len(rings) + k, clip[0])
+            for r, rect in enumerate(rects) for k, ring in enumerate(rings)
+            for clip in [ref.clip_polygon_to_rect(ring, rect)] if clip]
+    assert owner.tolist() == [o for o, _ in want]
+    for k, (_, w) in enumerate(want):
+        got = out[k, :sizes[k]]
+        assert got.shape == w.shape and np.array_equal(got, w)
+    return sizes.tolist()
+
+
+class TestClipRingsToRects:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(small_polygon, min_size=1, max_size=5), st.lists(any_rect, min_size=1, max_size=5))
+    def test_many_rings_many_rects_match_scalar_loop(self, rings, rects):
+        assert_pairwise_clips(rings, rects)
+
+    BOX = Rect(Pose2(0.0, 0.0, 0.0), 2.0, 1.0)
+
+    @pytest.mark.parametrize("ring,sizes", [
+        # inside: the ring itself
+        ([(-1.0, -0.5), (1.0, -0.5), (1.0, 0.5), (-1.0, 0.5)], [4]),
+        # outside
+        ([(8.0, 8.0), (9.0, 8.0), (9.0, 9.0), (8.0, 9.0)], []),
+        # a diamond across all four corners: an 8-vertex clip, whose area
+        # numpy sums in its pairwise form
+        ([(2.5, 0.0), (0.0, 2.5), (-2.5, 0.0), (0.0, -2.5)], [8]),
+        # across one corner
+        ([(1.5, 0.5), (3.0, 0.5), (3.0, 2.0), (1.5, 2.0)], [4]),
+        # touching the edge x = 2 from outside: a segment, dropped
+        ([(2.0, -0.5), (3.0, -0.5), (3.0, 0.5), (2.0, 0.5)], []),
+        # touching it from inside: kept whole
+        ([(1.0, -0.5), (2.0, -0.5), (2.0, 0.5), (1.0, 0.5)], [4]),
+        # clockwise: turned CCW
+        ([(-1.0, -0.5), (-1.0, 0.5), (1.0, 0.5), (1.0, -0.5)], [4]),
+        # slivers of area 1.1e-12 and 0.9e-12 about the 1e-12 gate
+        ([(0.0, 0.0), (1.0, 0.0), (0.5, 2.2e-12)], [3]),
+        ([(0.0, 0.0), (1.0, 0.0), (0.5, 1.8e-12)], []),
+        # a closing point within EPS of the first is dropped
+        ([(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.0, 0.5e-9)], [3]),
+    ], ids=["inside", "outside", "corners", "corner", "touch-out", "touch-in", "clockwise",
+            "sliver-kept", "sliver-dropped", "closing"])
+    def test_fixed_cases(self, ring, sizes):
+        assert assert_pairwise_clips([np.array(ring)], [self.BOX]) == sizes
+        for clip in clip_polygon_to_rect(ring, self.BOX):
+            assert polygon_area(clip) > 0
+
+    def test_nothing_to_clip(self):
+        for rings, rects in (([], [self.BOX]), ([[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]], []),
+                             ([np.empty((0, 2))], [self.BOX])):
+            out, sizes, owner = clip_rings_to_rects(rings, rects)
+            assert len(out) == len(sizes) == len(owner) == 0
 
 
 class TestPolygonPredicates:

@@ -10,7 +10,9 @@ from icmap.curvefit import SmoothingFitParams
 from icmap.errors import InfeasibleScene, MapFormatError, UnsupportedVersion
 from icmap.geometry import EGO_TO_WORLD, chamfer_distance, densify
 from icmap.instance import BOUNDARY, DIVIDER
+from icmap import synth
 from icmap.mapstore import GlobalMap, merge_instance
+from icmap.polygon import clip_rings_to_rects
 from icmap.synth import (
     NoiseConfig,
     SceneConfig,
@@ -131,6 +133,21 @@ class TestClipGt:
             got = rebuilt.instances[iid].points
             got = got if inst.is_polyline else np.vstack([got, got[:1]])
             assert chamfer_distance(densify(got, 0.25), densify(pts, 0.25)) < 0.1
+
+
+    @pytest.mark.parametrize("crossings", [0, 3])
+    def test_crossings_clipped_in_one_call(self, monkeypatch, crossings):
+        # a scene without crossings (merge_clean's) never calls the ring
+        # clip; one with crossings clips them all against every frame at once
+        calls = []
+
+        def counted(rings, rects):
+            calls.append((len(rings), len(rects)))
+            return clip_rings_to_rects(rings, rects)
+
+        monkeypatch.setattr(synth, "clip_rings_to_rects", counted)
+        make_scene(SceneConfig(crossing_count=crossings, frame_count=12, seed=4))
+        assert calls == ([(crossings, 12)] if crossings else [])
 
 
 RANGE_LW = SceneConfig().range_lw
