@@ -21,7 +21,8 @@ assembled in banded form and solved by banded Cholesky
 (`_kernels.solveh_banded`, LAPACK's `dpbsv`, so the bits of
 `scipy.linalg.solveh_banded`): a fixed number of numpy calls and O(n)
 arithmetic per fit, each quantity computed once. One diff of the chain
-gives both its dedupe and its chord lengths (`geometry.dedupe_chords`),
+gives both its dedupe and its chord lengths (`geometry._dedupe_steps`,
+the pass every resample and densify dedupes with),
 the penalty band is built once per control-point count, and the
 right-hand side is one `bincount`. The greedy chain before it reads one
 distance table (`_kernels.sq_dist_table`, then its square root): it ranks
@@ -41,7 +42,7 @@ from ._kernels import solveh_banded, sq_dist_table
 from .errors import InsufficientPoints
 # dedupe_points is not called here, but pipebench/spans.py wraps it as an
 # import site of this module
-from .geometry import (as_points, chamfer_distance, dedupe_chords, dedupe_points,  # noqa: F401
+from .geometry import (_dedupe_steps, as_points, chamfer_distance, dedupe_points,  # noqa: F401
                        densify, resample_even)
 
 # resolution bounds, far beyond any desk-scale road; they keep degenerate
@@ -234,7 +235,7 @@ def _solve_spline(points, params: SmoothingFitParams):
     otherwise the roughness penalty pushes them past the data extent and
     repeated merges would creep outward.
     """
-    pts, seg = dedupe_chords(points)
+    pts, _, seg = _dedupe_steps([points])
     k = DEGREE
     if len(pts) < k + 1:
         raise InsufficientPoints(f"need at least {k + 1} points, got {len(pts)}")

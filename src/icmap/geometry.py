@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -106,46 +107,43 @@ def dedupe_points(points, eps: float = EPS) -> np.ndarray:
     than `eps`.
     """
     pts = as_points(points)
-    return pts[_dedupe_mask(pts, eps, [])]
+    return pts[_dedupe_mask(pts, eps, [])[0]]
 
 
-def _dedupe_mask(pts: np.ndarray, eps: float, starts) -> np.ndarray:
+def _dedupe_mask(pts: np.ndarray, eps: float, starts) -> tuple[np.ndarray, np.ndarray]:
     """The points that `dedupe_points` keeps of each line of `pts`, where
     a line begins at index 0 and at each of `starts`: each line's first
-    point, and every point more than `eps` from its input predecessor."""
+    point, and every point more than `eps` from its input predecessor.
+    Also returns the diff of `pts` that the mask read."""
     step = np.diff(pts, axis=0)
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.hypot(step[:, 0], step[:, 1]) > eps
     keep[starts] = True
-    return keep
+    return keep, step
 
 
-def dedupe_chords(points) -> tuple[np.ndarray, np.ndarray]:
-    """`dedupe_points(points)` and the length of each step between the
-    points it keeps, sqrt(dx*dx + dy*dy) (the bits of `np.linalg.norm(...,
-    axis=1)`).
+def _dedupe_steps(lines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`dedupe_points` of each of `lines`, in one pass: (pts, sizes, steps),
+    the kept points concatenated, each line's count of them, and the length
+    of each step between consecutive kept points, sqrt(dx*dx + dy*dy) (the
+    bits of `np.linalg.norm(..., axis=1)`). A step from one line's last
+    point into the next line is meaningless.
 
-    The dedupe and the lengths read one diff of the points; only where the
-    dedupe drops a point are the kept points differenced again.
+    The dedupe and the lengths read one diff; only where the dedupe drops a
+    point are the kept points differenced again.
     """
-    pts = as_points(points)
-    step = np.diff(pts, axis=0)
-    keep = np.hypot(step[:, 0], step[:, 1]) > EPS
+    lines = [as_points(line) for line in lines]
+    sizes = [len(line) for line in lines]
+    ends = list(accumulate(sizes))
+    pts = lines[0] if len(lines) == 1 else np.concatenate(lines or [np.empty((0, 2))])
+    keep, step = _dedupe_mask(pts, EPS, [e for e, m in zip(ends, sizes[1:]) if m])
     if not keep.all():
-        pts = pts[np.append(True, keep)]
+        kept = np.append(0, np.cumsum(keep))
+        sizes = np.diff(kept[[0, *ends]]).tolist()
+        pts = pts[keep]
         step = np.diff(pts, axis=0)
     dx, dy = step[:, 0], step[:, 1]
-    return pts, np.sqrt(dx * dx + dy * dy)
-
-
-def _dedupe_lines(lines) -> tuple[np.ndarray, np.ndarray]:
-    """`dedupe_points` of each of `lines`, concatenated, and the index of
-    the line that each kept point belongs to."""
-    lines = [as_points(line) for line in lines]
-    sizes = np.array([len(line) for line in lines], dtype=np.intp)
-    pts = np.concatenate(lines) if lines else np.empty((0, 2))
-    keep = _dedupe_mask(pts, EPS, np.cumsum(sizes)[:-1][sizes[1:] > 0])
-    return pts[keep], np.repeat(np.arange(len(lines)), sizes)[keep]
+    return pts, sizes, np.sqrt(dx * dx + dy * dy)
 
 
 def polyline_length(points) -> float:
@@ -169,74 +167,56 @@ def chamfer_distance(p, q) -> float:
 
 
 def resample_even(points, n: int) -> np.ndarray:
-    """Resample a polyline to `n` points at equal arc-length spacing.
+    """Resample a polyline to `n` points at equal arc-length spacing, after
+    `dedupe_points`.
 
-    The first and last output points coincide exactly with the input
-    endpoints.
+    The first and last output points coincide exactly with the deduped
+    line's endpoints.
     """
-    if n < 2:
-        raise InvalidSampleCount(f"need at least 2 sample points, got {n}")
-    pts, seg = dedupe_chords(points)
-    if len(pts) < 2:
-        raise EmptyPointSet("resample_even requires a polyline with positive length")
-    return _resample_chords(pts, seg, n)
-
-
-def _resample_chords(pts: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
-    """`resample_even` of a deduped line `pts` of at least 2 points, whose
-    steps are `seg` long."""
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, s[-1], n)
-    out = np.column_stack([np.interp(targets, s, pts[:, 0]), np.interp(targets, s, pts[:, 1])])
-    out[0] = pts[0]
-    out[-1] = pts[-1]
-    return out
+    return resample_even_many([points], [n])
 
 
 def resample_even_many(lines, counts) -> np.ndarray:
     """`resample_even(line, n)` of each of `lines` and its count `n` in
-    `counts`, with the same bits, concatenated as one (sum(counts), 2)
-    array.
+    `counts`, concatenated as one (sum(counts), 2) array.
 
-    The dedupe and the segment lengths run once over all lines; the
-    arc-length sums are one `cumsum` along the rows of a zero-padded
-    (line, segment) table, which adds in the same order as the 1-D one,
-    and every line's targets are one product, as `np.linspace` forms them.
-    Only `np.interp` runs per line.
+    One pass dedupes every line and measures its steps (`_dedupe_steps`);
+    then each line takes one `cumsum` and two `np.interp` calls.
     """
-    counts = np.asarray(counts, dtype=np.intp)
-    if len(counts) and counts.min() < 2:
-        raise InvalidSampleCount(f"need at least 2 sample points, got {counts.min()}")
-    pts, line_of = _dedupe_lines(lines)
-    sizes = np.bincount(line_of, minlength=len(lines))
-    if not len(sizes):
-        return np.empty((0, 2))
-    if sizes.min() < 2:
+    if len(counts) != len(lines):
+        raise ValueError(f"resample_even_many: {len(counts)} counts for {len(lines)} lines")
+    if min(counts, default=2) < 2:
+        raise InvalidSampleCount(f"need at least 2 sample points, got {min(counts)}")
+    pts, sizes, steps = _dedupe_steps(lines)
+    if min(sizes, default=2) < 2:
         raise EmptyPointSet("resample_even requires a polyline with positive length")
-    # arc length at each point: row l holds line l's, then zeros
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    first = np.append(0, np.cumsum(sizes)[:-1])
-    own = np.ones(len(seg), dtype=bool)  # not the step from one line into the next
-    own[first[1:] - 1] = False
-    table = np.zeros((len(lines), sizes.max()))
-    table[:, 1:][np.arange(sizes.max() - 1) < (sizes - 1)[:, None]] = seg[own]
-    s = np.cumsum(table, axis=1)
-    last = first + sizes - 1
-    # np.linspace(0.0, total, n): k * (total / (n - 1)), then `total` itself last
-    total = s[np.arange(len(lines)), sizes - 1]
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    targets = (np.arange(ends[-1]) - np.repeat(starts, counts)) * np.repeat(
-        total / (counts - 1), counts)
-    targets[ends - 1] = total
-    out = np.empty((ends[-1], 2))
-    for k, (lo, m, a, b) in enumerate(zip(first.tolist(), sizes.tolist(), starts.tolist(),
-                                          ends.tolist())):
-        xp = s[k, :m]
-        out[a:b, 0] = np.interp(targets[a:b], xp, pts[lo:lo + m, 0])
-        out[a:b, 1] = np.interp(targets[a:b], xp, pts[lo:lo + m, 1])
-    out[starts] = pts[first]
-    out[ends - 1] = pts[last]
+    return _resample_lines(pts, sizes, steps, counts)
+
+
+def _resample_lines(pts: np.ndarray, sizes, steps: np.ndarray, counts) -> np.ndarray:
+    """Each deduped line of `pts` (`_dedupe_steps`) resampled to its count
+    of points; a line of fewer than 2 points, whose count must be its size,
+    is copied as it is."""
+    out = np.empty((sum(counts), 2))
+    lo = a = 0
+    for m, n in zip(sizes, counts):
+        line = pts[lo:lo + m]
+        if m < 2:
+            out[a:a + m] = line
+        else:
+            # arc length at each point, and np.linspace(0.0, total, n):
+            # k * (total / (n - 1)), then `total` itself last
+            s = np.empty(m)
+            s[0] = 0.0
+            np.cumsum(steps[lo:lo + m - 1], out=s[1:])
+            targets = np.arange(n) * (s[-1] / (n - 1))
+            targets[-1] = s[-1]
+            out[a:a + n, 0] = np.interp(targets, s, line[:, 0])
+            out[a:a + n, 1] = np.interp(targets, s, line[:, 1])
+            out[a] = line[0]
+            out[a + n - 1] = line[-1]
+        lo += m
+        a += n
     return out
 
 
@@ -247,50 +227,36 @@ def _sample_count(length: float, spacing: float) -> int:
 
 
 def densify(points, spacing: float) -> np.ndarray:
-    """Resample a polyline to approximately `spacing` meters between points.
+    """Resample a deduped polyline (`dedupe_points`) to approximately
+    `spacing` meters between points, with `resample_even`, which dedupes it
+    again.
 
-    A line that its dedupe, or the second dedupe `resample_even` makes of
-    the result, leaves with fewer than 2 points is returned as that dedupe
-    leaves it. The second one can drop more: of x = 0, 0.6e-9 and -0.5e-9,
-    the first keeps 0 and -0.5e-9, each point being compared with its input
-    predecessor, and the second keeps 0 alone.
+    A line that either dedupe leaves with fewer than 2 points is returned as
+    the second one leaves it. The second one can drop more: of x = 0,
+    0.6e-9 and -0.5e-9, the first keeps 0 and -0.5e-9, each point being
+    compared with its input predecessor, and the second keeps 0 alone.
     """
-    pts = dedupe_points(points)
-    if len(pts) < 2:
-        return pts
-    line, seg = dedupe_chords(pts)
-    if len(line) < 2:
-        return line
-    return _resample_chords(line, seg, _sample_count(polyline_length(pts), spacing))
+    return densify_many([points], spacing)[0]
 
 
 def densify_many(lines, spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    """`densify(line, spacing)` of each of `lines`, with the same bits, as
-    (pts, bounds): line k's points are pts[bounds[k]:bounds[k + 1]].
+    """`densify(line, spacing)` of each of `lines`, as (pts, bounds): line
+    k's points are pts[bounds[k]:bounds[k + 1]].
 
-    One dedupe and one `resample_even_many` serve every line; a line's
-    length is the sum of its own slice of the segment lengths, which adds
-    as `polyline_length` does. The second dedupe, `resample_even`'s, is one
-    mask over every line, and a line it leaves with fewer than 2 points is
-    kept as it leaves it.
+    A line's sample count comes from its length after the first dedupe,
+    summed over its own slice of the steps, as `polyline_length` sums it;
+    the second dedupe is one more `_dedupe_steps` pass over every line,
+    needed only where the first one dropped a point.
     """
-    pts, line_of = _dedupe_lines(lines)
-    sizes = np.bincount(line_of, minlength=len(lines))
-    bounds = np.append(0, np.cumsum(sizes))
-    again = _dedupe_mask(pts, EPS, bounds[1:-1][sizes[1:] > 0])
-    out_sizes = np.bincount(line_of[again], minlength=len(lines))
-    long = out_sizes >= 2
-    starts, ends = bounds[:-1][long].tolist(), bounds[1:][long].tolist()
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    counts = [_sample_count(float(seg[lo:hi - 1].sum()), spacing)
-              for lo, hi in zip(starts, ends)]
-    pieces = [pts[lo:hi] for lo, hi in zip(starts, ends)]
-    out_sizes[long] = counts
-    out = np.empty((out_sizes.sum(), 2))
-    resampled = np.repeat(long, out_sizes)
-    out[resampled] = resample_even_many(pieces, counts)
-    out[~resampled] = pts[again & np.repeat(~long, sizes)]
-    return out, np.append(0, np.cumsum(out_sizes))
+    pts, sizes, steps = _dedupe_steps(lines)
+    bounds = [0, *accumulate(sizes)]
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    counts = [_sample_count(float(steps[lo:hi - 1].sum()), spacing) if hi - lo > 1 else 0
+              for lo, hi in spans]
+    if len(pts) < sum(map(len, lines)):  # what the first dedupe kept may lose more
+        pts, sizes, steps = _dedupe_steps([pts[lo:hi] for lo, hi in spans])
+    counts = [n if m >= 2 else m for n, m in zip(counts, sizes)]
+    return _resample_lines(pts, sizes, steps, counts), np.array([0, *accumulate(counts)])
 
 
 @dataclass(frozen=True)
@@ -370,7 +336,8 @@ def clip_polyline_to_rect(lines, rects):
     The joining of segments into pieces, the piece dedupe and the
     transform back to the world run once over the whole table.
     """
-    src, line_of = _dedupe_lines(lines)
+    src, sizes, _ = _dedupe_steps(lines)
+    line_of = np.repeat(np.arange(len(lines)), sizes)
     if len(src) < 2 or not rects:
         return np.empty((0, 2)), np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp)
     # one row per rectangle: its pose, then its half extents
@@ -395,7 +362,7 @@ def clip_polyline_to_rect(lines, rects):
     piece[at_a] = a.reshape(-1, 2)[kept[starts]]
     first = np.zeros(len(piece), dtype=bool)
     first[at_a] = True
-    keep_pt = _dedupe_mask(piece, 1e-12, at_a)
+    keep_pt, _ = _dedupe_mask(piece, 1e-12, at_a)
     piece, first = piece[keep_pt], first[keep_pt]
     bounds = np.append(np.flatnonzero(first), len(piece))
     sizes = np.diff(bounds)

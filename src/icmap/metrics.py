@@ -226,10 +226,13 @@ def clear_mot(pred_frames, gt_frames):
 # ---------------------------------------------------------------------------
 # global-map Chamfer distance
 
-def _pooled_points(gmap: GlobalMap, cls: str) -> np.ndarray:
-    """Every `cls` instance of `gmap`, in ID order, densified and pooled."""
-    return densify_many([gmap.instances[i].closed_points for i in sorted(gmap.instances)
-                         if gmap.instances[i].cls == cls], MAP_CD_SPACING)[0]
+def _pooled_points(gmap: GlobalMap) -> list[np.ndarray]:
+    """Every instance of `gmap`, densified in one call, pooled per class in
+    `CLASSES` order, each in ID order."""
+    insts = [gmap.instances[i] for i in sorted(gmap.instances)]
+    pts, bounds = densify_many([inst.closed_points for inst in insts], MAP_CD_SPACING)
+    code = np.repeat([CLASSES.index(inst.cls) for inst in insts], np.diff(bounds))
+    return [pts[code == k] for k in range(len(CLASSES))]
 
 
 def global_map_cd(pred: GlobalMap, gt: GlobalMap):
@@ -240,11 +243,9 @@ def global_map_cd(pred: GlobalMap, gt: GlobalMap):
     mean over GT classes.
     """
     cd: dict[str, float] = {}
-    for cls in CLASSES:
-        gt_pts = _pooled_points(gt, cls)
+    for cls, pred_pts, gt_pts in zip(CLASSES, _pooled_points(pred), _pooled_points(gt)):
         if len(gt_pts) == 0:
             continue
-        pred_pts = _pooled_points(pred, cls)
         if len(pred_pts) == 0:
             cd[cls] = MISSING_CLASS_CD
         else:

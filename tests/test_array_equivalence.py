@@ -31,11 +31,15 @@ minimum length, which only `longest_pieces` applies. The ground truth of all
 frames at once is compared with the per-frame clip on every curvature,
 and on tight curves where a lane leaves the range and re-enters it, so
 that frames hold several pieces; resampling many lines at once with
-`resample_even` one line at a time, on lines with repeated points and
-runs of sub-eps steps, each line with a sample count of its own;
-densifying many lines at once with `densify` one line at a time, on runs of
-sub-eps steps that a second dedupe shortens again, one-point and empty
-lines and closed crossing rings; and the polygon clip, one array pass of
+the scalar `ref.resample_even` one line at a time, on lines with repeated
+points and runs of sub-eps steps at either end, each line with a sample
+count of its own; densifying many lines at once with the scalar
+`ref.densify` one line at a time (a line it raises on, which a second
+dedupe leaves with under 2 points, returned as that dedupe leaves it), on
+runs of sub-eps steps that a second dedupe shortens again, one-point and
+empty lines and closed crossing rings; both with consecutive lines that
+start on the previous line's last point or a sub-eps step from it, whose
+first point is kept all the same; and the polygon clip, one array pass of
 many rings against many rectangles, pair by pair with the loop on numpy
 scalars it replaced: on rotated ranges, on grid rings of 3 to 6 vertices,
 convex or not, against boxes in general poses, and on rings inside,
@@ -388,23 +392,41 @@ class TestCenterline:
 
 # lines of a few points each: grid points with exact repeats, runs of steps
 # below resample_even's 1e-9 dedupe distance (every point after the first
-# of a run is dropped, although the run spans more), two-point lines, and
-# off-grid arcs
+# of a run is dropped, although the run spans more) at a line's start or its
+# end, two-point lines, and off-grid arcs
 sub_eps_run = st.builds(
     lambda p, k, tail: np.vstack([np.array(p) + np.outer(np.arange(k), [4e-10, -3e-10]),
                                   np.array(tail, float).reshape(-1, 2)]),
     point, st.integers(2, 6), st.lists(point, max_size=3))
-resample_line = st.one_of(with_duplicates(polyline), sub_eps_run, st.lists(
+sub_eps_end = st.builds(
+    lambda head, p, k: np.vstack([np.array(head, float).reshape(-1, 2),
+                                  np.array(p) + np.outer(np.arange(k), [4e-10, -3e-10])]),
+    st.lists(point, max_size=3), point, st.integers(2, 6))
+resample_line = st.one_of(with_duplicates(polyline), sub_eps_run, sub_eps_end, st.lists(
     point, min_size=2, max_size=2).map(lambda p: np.array(p, float)), arc_polyline)
+
+
+@st.composite
+def joined_lines(draw, line, min_size):
+    """Consecutive lines of which each may start on the previous one's last
+    point or within a sub-eps step of it: a line's first point is kept
+    whatever the point before it in the concatenation."""
+    lines = draw(st.lists(line, min_size=min_size, max_size=6))
+    for k in range(1, len(lines)):
+        if len(lines[k - 1]) and draw(st.booleans()):
+            start = lines[k - 1][-1] + draw(st.sampled_from([(0.0, 0.0), (4e-10, -3e-10)]))
+            lines[k] = np.vstack([start, lines[k]])
+    return lines
 
 
 class TestResampleMany:
     @equivalence
-    @given(st.lists(st.tuples(resample_line, st.integers(2, 40)), min_size=1, max_size=6))
-    def test_matches_resample_even(self, lines_counts):
-        lines, counts = zip(*lines_counts)
+    @given(joined_lines(resample_line, 1), st.data())
+    def test_matches_resample_even(self, lines, data):
+        counts = data.draw(st.lists(st.integers(2, 40), min_size=len(lines),
+                                    max_size=len(lines)))
         try:
-            want = [resample_even(line, n) for line, n in lines_counts]
+            want = [ref.resample_even(line, n) for line, n in zip(lines, counts)]
         except EmptyPointSet:
             with pytest.raises(EmptyPointSet):
                 resample_even_many(lines, counts)
@@ -415,6 +437,15 @@ class TestResampleMany:
 
     def test_no_lines(self):
         assert resample_even_many([], []).shape == (0, 2)
+
+    def test_counts_must_match_lines(self):
+        # more counts than lines once read memory no line was resampled
+        # into; fewer failed in a numpy broadcast
+        line = [(0.0, 0.0), (4.0, 0.0)]
+        with pytest.raises(ValueError, match="2 counts for 1 lines"):
+            resample_even_many([line], [5, 5])
+        with pytest.raises(ValueError, match="1 counts for 2 lines"):
+            resample_even_many([line, line], [5])
 
     @equivalence
     @given(resample_line, st.integers(2, 40))
@@ -437,11 +468,23 @@ densify_line = st.one_of(
     ring.map(lambda r: MapInstance(PED_CROSSING, r).closed_points))  # a closed, crossing ring
 
 
+def densify_oracle(line, spacing):
+    """`ref.densify`, except that a line it raises on, one that the second
+    dedupe leaves with fewer than 2 points, is returned as that dedupe
+    leaves it."""
+    try:
+        return ref.densify(line, spacing)
+    except EmptyPointSet:
+        want = dedupe_points(dedupe_points(line))
+        assert len(want) < 2
+        return want
+
+
 class TestDensifyMany:
     @equivalence
-    @given(st.lists(densify_line, max_size=6), st.sampled_from([0.25, 0.3, 0.5, 1.0]))
+    @given(joined_lines(densify_line, 0), st.sampled_from([0.25, 0.3, 0.5, 1.0]))
     def test_matches_densify(self, lines, spacing):
-        want = [densify(line, spacing) for line in lines]
+        want = [densify_oracle(line, spacing) for line in lines]
         got, bounds = densify_many(lines, spacing)
         assert bounds.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
         want = np.concatenate(want) if want else np.empty((0, 2))
@@ -452,13 +495,13 @@ class TestDensifyMany:
     def test_densify_keeps_what_succeeded(self, line, spacing):
         # a line that densified before keeps its bits; one that raised is
         # returned as the second dedupe leaves it, with fewer than 2 points
-        try:
-            want = ref.densify(line, spacing)
-        except EmptyPointSet:
-            want = dedupe_points(dedupe_points(line))
-            assert len(want) < 2
+        want = densify_oracle(line, spacing)
         got = densify(line, spacing)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_no_lines(self):
+        pts, bounds = densify_many([], 0.5)
+        assert pts.shape == (0, 2) and bounds.tolist() == [0] and bounds.dtype == np.intp
 
     def test_length_summed_as_polyline_length(self):
         # this line's length, summed pairwise as `polyline_length` sums it,
