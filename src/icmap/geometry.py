@@ -329,15 +329,17 @@ def clip_polyline_to_rect(lines, rects):
     dedupe against each point's predecessor in its piece is returned; the
     kernel measures no lengths (`longest_pieces` does).
 
-    The lines are concatenated and deduped at `EPS` (`dedupe_points`,
-    starting over at each line's first point), transformed into every
+    Each line is deduped at `EPS` by `dedupe_points`, the one call of it on
+    a polygon-free run, which pipebench's `geometry.dedupe_points` span
+    requires. The lines are concatenated, transformed into every
     rectangle's frame at once, and clipped as one (rectangle, segment)
     table in which a segment from one line into the next is never kept.
     The joining of segments into pieces, the piece dedupe and the
     transform back to the world run once over the whole table.
     """
-    src, sizes, _ = _dedupe_steps(lines)
-    line_of = np.repeat(np.arange(len(lines)), sizes)
+    kept = [dedupe_points(line) for line in lines]
+    src = np.concatenate(kept or [np.empty((0, 2))])
+    line_of = np.repeat(np.arange(len(lines)), [len(line) for line in kept])
     if len(src) < 2 or not rects:
         return np.empty((0, 2)), np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp)
     # one row per rectangle: its pose, then its half extents

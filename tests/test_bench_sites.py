@@ -42,14 +42,15 @@ def test_install_wraps_required_sites_and_undo_restores():
             assert getattr(mod, attr) is val, f"{mod.__name__}.{attr} not restored"
 
 
-def test_traced_commands_call_every_span(tmp_path):
+def traced_calls(tmp_path, config):
+    """Calls per span of `run`, `eval --mot` and `sweep-s` on one scene,
+    through the module attributes that install() wrapped."""
     spans = load_spans()
     tracer = spans.Tracer()
     undo = spans.install(tracer)
     try:
-        # through the module attributes, which install() wrapped
         scene = tmp_path / "scene.json"
-        synth.write_scene(synth.make_scene(SCENES["merge_noisy"]), scene)
+        synth.write_scene(synth.make_scene(config), scene)
         argv = [["run", scene, "--out-map", tmp_path / "scene.map.json",
                  "--trace", tmp_path / "scene.trace.json"],
                 ["eval", "--scene", scene, "--pred-dir", tmp_path, "--mot"],
@@ -59,4 +60,16 @@ def test_traced_commands_call_every_span(tmp_path):
         tracer.count_metrics()
     finally:
         undo()
-    assert [name for name in spans.SPANS if tracer.calls[name] == 0] == []
+    return {name: tracer.calls[name] for name in spans.SPANS}
+
+
+def test_traced_commands_call_every_span(tmp_path):
+    calls = traced_calls(tmp_path, SCENES["merge_noisy"])
+    assert [name for name, n in calls.items() if n == 0] == []
+
+
+def test_traced_polygon_free_scene_calls_every_span_but_the_union(tmp_path):
+    # pipebench's --trace 1 pass fails a merge_clean run on any other span
+    # that records no calls, such as a dedupe that no polyline path reaches
+    calls = traced_calls(tmp_path, SCENES["merge_clean"])
+    assert [name for name, n in calls.items() if n == 0] == ["polygon.polygon_union"]
