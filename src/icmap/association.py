@@ -1,18 +1,19 @@
 """Temporal association of per-frame detections against a track buffer.
 
-Per frame: take the detections in the world frame (`instance.to_world`),
-where the buffer's tracks are stored, and outline them all in one pass; build
-detection/track affinities from a geometric branch (exp(-chamfer/tau)
-between outlines, class gated) and a feature branch (shifted cosine of
-embeddings), fuse them as a convex combination, keep same-class pairs above
-the threshold theta and solve the optimal one-to-one matching. Then one
-pass over the frame decides every ID and rebuilds the buffer: a matched
-detection takes its track's ID and replaces that track, outline included;
-the others get fresh IDs from `next_id` on, in detection order, and join
-the buffer's end; an unmatched track ages, and leaves once it has missed
-more than max_age frames. `associate_frame` is the only place that issues
-an ID. `w_feat` alone picks the branches: 0 is geometry alone, above 0
-needs every embedding.
+Per frame: take the detections in the world frame
+(`instance.frames_to_world`), where the buffer's tracks are stored, and
+outline them all in one pass; build detection/track affinities from a
+geometric branch (exp(-chamfer/tau) between outlines, class gated) and a
+feature branch (shifted cosine of embeddings), fuse them as a convex
+combination, keep same-class pairs (`instance._same_class`, the one class
+gate) above the threshold theta and solve the optimal one-to-one matching.
+Then one pass over the frame decides every ID and rebuilds the buffer: a
+matched detection takes its track's ID and replaces that track, outline
+included; the others get fresh IDs from `next_id` on, in detection order,
+and join the buffer's end; an unmatched track ages, and leaves once it has
+missed more than max_age frames. `associate_frame` is the only place that
+issues an ID. `w_feat` alone picks the branches: 0 is geometry alone,
+above 0 needs every embedding.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .errors import MissingEmbedding
 # chamfer_distance and densify are not called here, but pipebench/spans.py
 # wraps them as import sites of this module
 from .geometry import chamfer_distance, densify, densify_many  # noqa: F401
-from .instance import MapInstance, frames_chamfer_by_class
+from .instance import MapInstance, _same_class, frames_chamfer_by_class
 
 GEO_DENSIFY = 1.0  # meters between the points the Chamfer metric compares
 
@@ -141,10 +142,8 @@ def associate_frame(buffer: TrackBuffer, dets, config: AssocConfig) -> Associati
     fused = geometric_affinity(scored, buffer.tracks, config.tau)
     if config.w_feat > 0:
         fused = (1.0 - config.w_feat) * fused + config.w_feat * feature_affinity(dets, stored)
-    same_class = np.array(
-        [[d.cls == t.cls for t in stored] for d in dets], dtype=bool
-    ).reshape(fused.shape)
-    matching = optimal_match(fused, threshold_filter(fused, config.theta) & same_class)
+    eligible = threshold_filter(fused, config.theta) & _same_class([dets], [stored])[0]
+    matching = optimal_match(fused, eligible)
     track_of = dict(matching)  # det index -> track index
     det_of = {j: i for i, j in matching}  # track index -> det index
     new_ids = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -82,12 +82,6 @@ class Scene:
     missing_embedding: str | None = None
 
 
-def to_world(pose: Pose2, insts) -> list[MapInstance]:
-    """Copies of one frame's ego-frame `insts` in the world frame, ids,
-    scores and embeddings kept: `frames_to_world` of the one frame."""
-    return frames_to_world([pose], [insts])[0]
-
-
 def frames_to_world(poses, frames) -> list[list[MapInstance]]:
     """Copies of each frame's ego-frame instances in the world frame, ids,
     scores and embeddings kept, frame k moved by `poses[k]`. The points of
@@ -110,45 +104,38 @@ def frames_to_world(poses, frames) -> list[list[MapInstance]]:
 def frames_chamfer_by_class(a_frames, b_frames,
                             points=lambda inst: inst.points) -> list[np.ndarray]:
     """Per frame k, the (len(a_frames[k]), len(b_frames[k])) Chamfer
-    distances between the frame's same-class items, inf across classes;
-    each entry has the bits of `chamfer_distance`.
+    distances between the frame's same-class items (`_same_class`), inf
+    across classes; each entry has the bits of `chamfer_distance`.
 
     An item is anything with a `cls`; `points` gives the point set it is
-    compared by. Every frame's pairs are listed in a few array passes and
-    scored in one `chamfer_pairs` call; an item with no points raises
-    EmptyPointSet only when it is paired.
+    compared by. Every frame's pairs are scored in one `chamfer_pairs` call;
+    an item with no points raises EmptyPointSet only when it is paired.
     """
-    n_a = np.array([len(frame) for frame in a_frames], dtype=np.intp)
-    n_b = np.array([len(frame) for frame in b_frames], dtype=np.intp)
-    key_a, key_b = _frame_class_keys(a_frames, n_a), _frame_class_keys(b_frames, n_b)
-    # b's instances sorted by key, so that each key's are one run of them
-    by_key = np.argsort(key_b)
-    count_b = np.bincount(key_b, minlength=len(n_b) * len(CLASSES))
-    # row i pairs with the run of its key: reps[i] instances from first[i] on,
-    # its k-th pair with the run's k-th
-    reps = count_b[key_a]
-    first = (np.cumsum(count_b) - count_b)[key_a]
-    rows = np.repeat(np.arange(len(key_a)), reps)
-    ends = np.cumsum(reps)
-    cols = by_key[np.arange(reps.sum()) + np.repeat(first - ends + reps, reps)]
-    # each pair's place in its frame's matrix, the frames' matrices laid end to end
-    frame_a = np.repeat(np.arange(len(n_a)), n_a)
-    local_a = np.arange(len(key_a)) - np.repeat(np.cumsum(n_a) - n_a, n_a)
-    local_b = np.arange(len(key_b)) - np.repeat(np.cumsum(n_b) - n_b, n_b)
-    sizes = n_a * n_b
-    starts = np.cumsum(sizes) - sizes
-    f = frame_a[rows]
-    flat = np.full(sizes.sum(), np.inf)
-    flat[starts[f] + local_a[rows] * n_b[f] + local_b[cols]] = chamfer_pairs(
-        [points(inst) for frame in a_frames for inst in frame],
-        [points(inst) for frame in b_frames for inst in frame], rows, cols)
-    return [flat[s:s + m * n].reshape(m, n)
-            for s, m, n in zip(starts.tolist(), n_a.tolist(), n_b.tolist())]
+    masks = _same_class(a_frames, b_frames)
+    pairs = [np.nonzero(mask) for mask in masks]
+    counts = [len(i) for i, _ in pairs]
+    # each pair's two items, indexed among the items of all frames
+    rows = np.concatenate([np.empty(0, np.intp), *(i for i, _ in pairs)])
+    cols = np.concatenate([np.empty(0, np.intp), *(j for _, j in pairs)])
+    rows += np.repeat(np.cumsum([0, *map(len, a_frames)])[:-1], counts)
+    cols += np.repeat(np.cumsum([0, *map(len, b_frames)])[:-1], counts)
+    dist = chamfer_pairs([points(inst) for frame in a_frames for inst in frame],
+                         [points(inst) for frame in b_frames for inst in frame], rows, cols)
+    tables = [np.full(mask.shape, np.inf) for mask in masks]
+    for table, (i, j), lo, hi in zip(tables, pairs, [0, *accumulate(counts)], accumulate(counts)):
+        table[i, j] = dist[lo:hi]
+    return tables
 
 
-def _frame_class_keys(frames, sizes) -> np.ndarray:
-    """Per item of `frames`, in order: its frame's index times
-    len(CLASSES), plus its class's index."""
+def _same_class(a_frames, b_frames) -> list[np.ndarray]:
+    """Per frame k, the (len(a_frames[k]), len(b_frames[k])) mask of the
+    pairs of the frame's items with the same class: the one class gate,
+    read by association's matching and by every per-frame Chamfer table.
+    Each item's class code is looked up once."""
     code = {cls: k for k, cls in enumerate(CLASSES)}
-    classes = np.array([code[inst.cls] for frame in frames for inst in frame], dtype=np.intp)
-    return np.repeat(np.arange(len(frames)) * len(CLASSES), sizes) + classes
+    code_a = np.array([code[inst.cls] for frame in a_frames for inst in frame], dtype=np.intp)
+    code_b = np.array([code[inst.cls] for frame in b_frames for inst in frame], dtype=np.intp)
+    ends_a = pairwise([0, *accumulate(map(len, a_frames))])
+    ends_b = pairwise([0, *accumulate(map(len, b_frames))])
+    return [code_a[lo_a:hi_a, None] == code_b[lo_b:hi_b]
+            for (lo_a, hi_a), (lo_b, hi_b) in zip(ends_a, ends_b, strict=True)]

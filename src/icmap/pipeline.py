@@ -30,7 +30,6 @@ from .instance import (
     Scene,
     frames_chamfer_by_class,
     frames_to_world,
-    to_world,
 )
 from .mapstore import fuse_with_history, merge_instance, sample_history
 
@@ -70,11 +69,12 @@ class MapState:
 
 def step(state: MapState, frame, range_lw, params: PipelineParams) -> dict:
     """One frame through every stage, updating `state`: score filter, one
-    move to the world frame (`to_world`), association, history in the ego
-    patch, fusion and merges. Returns the frame's trace entry: detection
+    move to the world frame (`frames_to_world`), association, history in the
+    ego patch, fusion and merges. Returns the frame's trace entry: detection
     count, matches with their affinity, new IDs and tracked instances."""
     dets = [d for d in frame.detections if d.score >= params.min_score]
-    result = associate_frame(state.buffer, to_world(frame.ego_pose, dets), params.assoc)
+    result = associate_frame(state.buffer, frames_to_world([frame.ego_pose], [dets])[0],
+                             params.assoc)
     state.buffer = result.buffer
     patch = Rect(frame.ego_pose, range_lw[0] / 2.0, range_lw[1] / 2.0)
     ids = [d.id for d in result.dets]

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._kernels import inside_mask
 from .errors import NonSimplePolygon
-from .geometry import EGO_TO_WORLD, EPS, WORLD_TO_EGO, Rect, _rigid, as_points, dedupe_points
+from .geometry import EGO_TO_WORLD, EPS, WORLD_TO_EGO, _rigid, as_points, dedupe_points
 
 log = logging.getLogger(__name__)
 
@@ -77,18 +77,6 @@ def polygon_area(ring) -> float:
 
 def ensure_ccw(ring) -> np.ndarray:
     return _ccw_edges(as_points(ring))[0]
-
-
-def clip_polygon_to_rect(ring, rect: Rect) -> list[np.ndarray]:
-    """Sutherland-Hodgman intersection of a simple polygon with a rectangle:
-    `clip_rings_to_rects` of the one ring and the one rectangle.
-
-    Returns a list with zero or one CCW rings (the clip window is convex;
-    non-convex subjects may degenerate, which is fine for the small quads
-    used here).
-    """
-    rings, sizes, _ = clip_rings_to_rects([ring], [rect])
-    return [rings[0, :sizes[0]]] if len(sizes) else []
 
 
 # the four half-planes a*x + b*y <= c of a rectangle's frame, in clipping
@@ -338,11 +326,6 @@ def _classify(pts, ring: _Ring) -> np.ndarray:
 def classify_points(pts, ring) -> np.ndarray:
     """Per point: +1 strictly inside, 0 on the boundary (within EPS), -1 outside."""
     return _classify(as_points(pts), _Ring(as_points(ring)))
-
-
-def classify_point(pt, ring) -> int:
-    """+1 strictly inside, 0 on the boundary (within EPS), -1 outside."""
-    return int(classify_points(np.reshape(pt, (1, 2)), ring)[0])
 
 
 def _contained(a: _Ring, b: _Ring, a_on_b) -> bool:

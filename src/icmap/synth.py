@@ -262,7 +262,7 @@ def _clip_crossings(insts, poses, rects) -> dict:
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))
 
 
 def _embedding_base(embed_seed: int, inst_id: int, dim: int) -> np.ndarray:
@@ -271,7 +271,7 @@ def _embedding_base(embed_seed: int, inst_id: int, dim: int) -> np.ndarray:
 
 def _score(rng, mean, std):
     val = rng.normal(mean, std) if std > 0 else mean
-    return float(np.clip(val, 0.05, 1.0))
+    return float(min(max(val, 0.05), 1.0))
 
 
 def corrupt_frame(gt_frame, noise: NoiseConfig, seed, range_lw, bases) -> list[MapInstance]:
@@ -307,7 +307,7 @@ def corrupt_frame(gt_frame, noise: NoiseConfig, seed, range_lw, bases) -> list[M
             base = bases[inst.id]
             if noise.embedding_sigma > 0:
                 emb = base + rng.normal(0.0, noise.embedding_sigma, noise.embed_dim)
-                emb /= np.linalg.norm(emb)
+                emb /= math.sqrt(emb.dot(emb))
             else:
                 emb = base
             dets.append(

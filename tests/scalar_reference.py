@@ -12,8 +12,12 @@ per-frame ground-truth clip and the per-instance history sampling that one
 clip of many polylines against many rectangles replaced;
 `clip_polygon_to_rect` is the Sutherland-Hodgman loop on numpy scalars
 and 2-vectors that a loop on Python floats and then the array pass of many
-rings against many rectangles replaced, and the oracle's `clip_gt_frame`
-clips crossings with it, one frame at a time. `centerline` is the road's
+rings against many rectangles (`polygon.clip_rings_to_rects`) replaced; the
+library keeps no one-ring clip, so each (rectangle, ring) pair of the array
+pass is checked against it, and the oracle's `clip_gt_frame` clips
+crossings with it, one frame at a time. `classify_point` is the one-point
+loop that `polygon.classify_points` is checked against; the library keeps
+no one-point version either. `centerline` is the road's
 centerline as synth wrote it before an s_curve reused the arc's formula
 for its first half.
 `_stitch` is the walk over (u, v) edge pairs, matching nodes by

@@ -48,11 +48,11 @@ pairwise form), touching an edge or at the 1e-12 area gate. The ground
 truth's crossings, all clipped in one pass, are compared with the
 per-frame clip on every curvature with 0 to 3 crossings, with polylines
 and crossings interleaved in ID order and at the 0.25 m² gate. The one
-move of a frame's instances to the world (`to_world`, one transform per
-frame), which run's detections take, is compared bit for bit with one
-transform per instance, on detections with scores, embeddings and ids,
-1-point instances and empty frames; eval's ground truth, all frames moved
-at once (`frames_to_world`), with `to_world` frame by frame. The road's
+move of every frame's instances to the world (`frames_to_world`), which
+run's detections take one frame at a time and eval's ground truth all
+frames at once, is compared bit for bit with one `transform_points` per
+instance, on detections with scores, embeddings and ids, 1-point
+instances, empty frames and whole scenes. The road's
 centerline, which writes the arc once, is compared bit for bit with the
 version that wrote it for each curvature, over road lengths, radii and all
 three curvatures.
@@ -90,12 +90,11 @@ from icmap.errors import EmptyPointSet, NonSimplePolygon
 from icmap.geometry import (EGO_TO_WORLD, WORLD_TO_EGO, Pose2, Rect, clip_polyline_to_rect,
                             dedupe_points, densify, densify_many, polyline_length, resample_even,
                             resample_even_many, transform_points, transform_stacked)
-from icmap.instance import CLASSES, DIVIDER, PED_CROSSING, MapInstance, to_world
+from icmap.instance import CLASSES, DIVIDER, PED_CROSSING, MapInstance, frames_to_world
 from icmap.mapstore import GlobalMap, fuse_with_history, sample_history
 from icmap.pipeline import scene_gt_frames
-from icmap.polygon import (DISJOINT, classify_point, classify_points, clip_polygon_to_rect,
-                           clip_rings_to_rects, is_simple, polygon_area, polygon_union,
-                           rasterize_area)
+from icmap.polygon import (DISJOINT, classify_points, clip_rings_to_rects, is_simple,
+                           polygon_area, polygon_union, rasterize_area)
 from icmap.synth import (ARC, CURVATURES, S_CURVE, Frame, NoiseConfig, Scene, SceneConfig,
                          _centerline, clip_gt_frames, generate_scene, make_scene)
 
@@ -619,7 +618,7 @@ class TestSceneGtFrames:
     def test_detections_keep_their_fields(self, frame):
         pose, dets = frame
         before = [d.points.tobytes() for d in dets]
-        self.assert_moved_bits(to_world(pose, dets), pose, dets)
+        self.assert_moved_bits(frames_to_world([pose], [dets])[0], pose, dets)
         assert [d.points.tobytes() for d in dets] == before
 
     def test_one_point_instances(self):
@@ -627,15 +626,16 @@ class TestSceneGtFrames:
         dets = [MapInstance(DIVIDER, [[1.5, -2.25]], score=0.8, id=4),
                 MapInstance(PED_CROSSING, [[0.0, 0.0]], embedding=[0.6, 0.8]),
                 MapInstance(DIVIDER, [[-7.0, 3.0]])]
-        self.assert_moved_bits(to_world(pose, dets), pose, dets)
+        self.assert_moved_bits(frames_to_world([pose], [dets])[0], pose, dets)
 
     @equivalence
     @given(gt_scene())
     def test_matches_one_move_per_frame(self, scene):
         got = scene_gt_frames(scene)
-        want = [to_world(f.ego_pose, f.gt_local) for f in scene.frames]
+        want = [[(g.cls, g.id, transform_points(f.ego_pose, g.points, EGO_TO_WORLD))
+                 for g in f.gt_local] for f in scene.frames]
         assert [[(g.cls, g.id, g.points.shape, g.points.tobytes()) for g in fr] for fr in got] == \
-            [[(w.cls, w.id, w.points.shape, w.points.tobytes()) for w in fr] for fr in want]
+            [[(c, i, p.shape, p.tobytes()) for c, i, p in fr] for fr in want]
 
     def test_empty_frame_among_others(self):
         inst = MapInstance(DIVIDER, [[1.0, 2.0], [3.5, -1.25]], id=7)
@@ -647,7 +647,7 @@ class TestSceneGtFrames:
             self.assert_moved_bits(fr, f.ego_pose, f.gt_local)
 
     def test_empty_frame(self):
-        assert to_world(Pose2(1.0, 2.0, 0.3), []) == []
+        assert frames_to_world([Pose2(1.0, 2.0, 0.3)], [[]]) == [[]]
         scene = Scene("s", (100.0, 50.0), GlobalMap("s"),
                       [Frame(0, Pose2(0.0, 0.0, 0.0), [], [])])
         assert scene_gt_frames(scene) == [[]]
@@ -673,11 +673,7 @@ class TestClipPolygonFloats:
     @equivalence
     @given(crossing_case())
     def test_matches_numpy_scalar_loop(self, case):
-        ring, rect = case
-        got, want = clip_polygon_to_rect(ring, rect), ref.clip_polygon_to_rect(ring, rect)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w)
+        assert_pairwise_clips([case[0]], [case[1]])
 
 
 # quarter-metre grid rings of 3 to 6 vertices: rectangles (convex), rings
@@ -743,8 +739,9 @@ class TestClipRingsToRects:
             "sliver-kept", "sliver-dropped", "closing"])
     def test_fixed_cases(self, ring, sizes):
         assert assert_pairwise_clips([np.array(ring)], [self.BOX]) == sizes
-        for clip in clip_polygon_to_rect(ring, self.BOX):
-            assert polygon_area(clip) > 0
+        out, counts, _ = clip_rings_to_rects([ring], [self.BOX])
+        for clip, n in zip(out, counts):
+            assert polygon_area(clip[:n]) > 0
 
     def test_nothing_to_clip(self):
         for rings, rects in (([], [self.BOX]), ([[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]], []),
@@ -763,9 +760,7 @@ class TestPolygonPredicates:
     @given(polygon, st.lists(point, min_size=1, max_size=12))
     def test_classify_matches_loop(self, r, pts):
         pts = np.array(pts, float)
-        want = [ref.classify_point(p, r) for p in pts]
-        assert [classify_point(p, r) for p in pts] == want
-        assert classify_points(pts, r).tolist() == want
+        assert classify_points(pts, r).tolist() == [ref.classify_point(p, r) for p in pts]
 
     @pytest.mark.parametrize("r", [
         # pinched at a repeated vertex

@@ -23,7 +23,7 @@ from icmap.association import (
 from icmap.cli import main
 from icmap.errors import MissingEmbedding
 from icmap.geometry import WORLD_TO_EGO, Pose2, densify, transform_points
-from icmap.instance import CLASSES, MapInstance, to_world
+from icmap.instance import CLASSES, MapInstance, frames_to_world
 from icmap.pipeline import PipelineParams, run_scene
 from icmap.synth import make_scene, write_scene
 
@@ -370,7 +370,7 @@ class TestAssociateFrame:
                 xs = np.linspace(-20, 20, 20)
                 pts = np.column_stack([xs, np.full(20, y)]) + rng.normal(0, 0.1, (20, 2))
                 dets.append(MapInstance("divider" if k == 1 else "boundary", pts))
-            res = associate_frame(buf, to_world(pose, dets), cfg)
+            res = associate_frame(buf, frames_to_world([pose], [dets])[0], cfg)
             buf = res.buffer
             history.append([d.id for d in res.dets])
         first = history[0]
@@ -382,6 +382,14 @@ class TestAssociateFrame:
         res = associate_frame(buf, [line_instance(cls="divider")], cfg)
         assert res.matches == []
         assert res.dets[0].id == 1
+        # equal embeddings give a feature affinity of 1: only the class gate
+        # keeps the pair out
+        emb = unit([1.0, 0.0])
+        buf = TrackBuffer(outlined_frame([line_instance(cls="boundary", emb=emb, id=0)]),
+                          next_id=1)
+        res = associate_frame(buf, [line_instance(cls="divider", emb=emb)],
+                              AssocConfig(theta=0.5, w_feat=1.0))
+        assert res.matches == [] and res.dets[0].id == 1
 
 
 def random_world(rng):
@@ -432,8 +440,8 @@ def test_rigid_motion_of_the_world_changes_nothing(seed, theta, gx, gy):
     for _ in range(3):
         pose = Pose2(*rng.uniform(-5, 5, 2), rng.uniform(-0.3, 0.3))
         dets = ego_frame(rng, world, pose)
-        res = associate_frame(buf, to_world(pose, dets), cfg)
-        res_m = associate_frame(moved, to_world(g.compose(pose), dets), cfg)
+        res = associate_frame(buf, frames_to_world([pose], [dets])[0], cfg)
+        res_m = associate_frame(moved, frames_to_world([g.compose(pose)], [dets])[0], cfg)
         assert res_m.new_ids == res.new_ids
         assert [m[:2] for m in res_m.matches] == [m[:2] for m in res.matches]
         for m, mm in zip(res.matches, res_m.matches):
@@ -461,7 +469,7 @@ def assert_frame_outlines(dets):
 def test_frame_outlines_match_densify_per_detection():
     # every frame of a scene with crossings (closed rings) and polylines
     scene = make_scene(SCENES["merge_noisy"])
-    frames = [to_world(f.ego_pose, f.detections) for f in scene.frames]
+    frames = frames_to_world([f.ego_pose for f in scene.frames], [f.detections for f in scene.frames])
     classes = {d.cls for dets in frames for d in dets}
     assert "ped_crossing" in classes and len(classes) > 1
     for dets in frames:

@@ -237,6 +237,24 @@ def test_frame_list_pass_edge_cases():
     got = frames_chamfer_by_class([[div, div]], [[bnd]])
     assert got[0].tolist() == [[math.inf], [math.inf]]
     assert_frames_equal([[div, div], [div]], [[bnd], [bnd, bnd]])
+    # in one list: empty on both sides and on either side, dividers alone on
+    # both sides, no same-class pair, and every class on both sides
+    rng = np.random.default_rng(8)
+
+    def insts(cls, sizes):
+        return [MapInstance(cls, pts) for pts in point_sets(rng, sizes, False)]
+
+    a_frames = [[], [], insts("divider", [4]), insts("divider", [3, 20, 1]),
+                insts("boundary", [5, 7]) + insts("ped_crossing", [4]),
+                insts("ped_crossing", [4]) + insts("divider", [9]) + insts("boundary", [2])]
+    b_frames = [[], insts("boundary", [6]), [], insts("divider", [20, 2]),
+                insts("divider", [5, 5]),
+                insts("boundary", [3]) + insts("ped_crossing", [5, 4]) + insts("divider", [9])]
+    assert_frames_equal(a_frames, b_frames)
+    got = frames_chamfer_by_class(a_frames, b_frames)
+    assert [d.shape for d in got] == [(0, 0), (0, 1), (1, 0), (3, 2), (3, 2), (3, 4)]
+    assert np.isfinite(got[3]).all() and np.isinf(got[4]).all()
+    assert np.isfinite(got[5]).sum() == 4
 
 
 # tracemalloc's peak of `frame_distances` on the merge_noisy golden scene,

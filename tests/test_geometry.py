@@ -21,7 +21,7 @@ from icmap.geometry import (
     transform_points,
     wrap_angle,
 )
-from icmap.polygon import clip_polygon_to_rect, polygon_area
+from icmap.polygon import clip_rings_to_rects, polygon_area
 
 
 def rand_pose(rng):
@@ -314,22 +314,28 @@ class TestLongestPieces:
         assert owners == [] and samples.shape == (0, 3, 2)
 
 
+def clip_ring(ring, rect):
+    """The clip of one ring by one rectangle: an empty list or one ring."""
+    out, sizes, _ = clip_rings_to_rects([ring], [rect])
+    return [row[:n] for row, n in zip(out, sizes.tolist())]
+
+
 class TestClipPolygon:
     def test_inside_unchanged(self):
         ring = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-        out = clip_polygon_to_rect(ring, axis_rect())
+        out = clip_ring(ring, axis_rect())
         assert len(out) == 1
         assert polygon_area(out[0]) == pytest.approx(4.0)
 
     def test_corner_quarter(self):
         ring = np.array([[4.5, 4.5], [5.5, 4.5], [5.5, 5.5], [4.5, 5.5]])
-        out = clip_polygon_to_rect(ring, axis_rect())
+        out = clip_ring(ring, axis_rect())
         assert len(out) == 1
         assert polygon_area(out[0]) == pytest.approx(0.25)
 
     def test_outside_empty(self):
         ring = np.array([[8.0, 8.0], [9.0, 8.0], [9.0, 9.0], [8.0, 9.0]])
-        assert clip_polygon_to_rect(ring, axis_rect()) == []
+        assert clip_ring(ring, axis_rect()) == []
 
     def test_random_quad_vs_raster(self):
         rng = np.random.default_rng(5)
@@ -338,7 +344,7 @@ class TestClipPolygon:
             pts = rng.uniform(-6, 6, (4, 2))
             c = pts.mean(axis=0)
             ring = pts[np.argsort(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]))]
-            out = clip_polygon_to_rect(ring, rect)
+            out = clip_ring(ring, rect)
             area = sum(abs(polygon_area(r)) for r in out)
             # rasterize the intersection predicate directly
             res = 1000

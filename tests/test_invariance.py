@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from icmap.curvefit import SmoothingFitParams, merge_polylines
 from icmap.geometry import EGO_TO_WORLD, Pose2, transform_points
-from icmap.instance import GlobalMap, MapInstance, to_world
+from icmap.instance import GlobalMap, MapInstance, frames_to_world
 from icmap.metrics import global_map_cd
 from icmap.pipeline import PipelineParams, run_scene
 from icmap.synth import make_scene
@@ -135,7 +135,8 @@ def test_far_detection(workload):
     got, _ = run_scene(replace(sc, frames=frames), PipelineParams())
     extra = geometry(got) - geometry(gmap)
     assert geometry(gmap) - geometry(got) == Counter()
-    assert extra == Counter({("divider", to_world(frame.ego_pose, [far])[0].points.tobytes()): 1})
+    (moved,), = frames_to_world([frame.ego_pose], [[far]])
+    assert extra == Counter({("divider", moved.points.tobytes()): 1})
 
 
 

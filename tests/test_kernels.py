@@ -116,6 +116,26 @@ def test_nearest_matches_table_and_tree(case, chunk):
     assert mean == float(tree.sum() / len(a))
 
 
+@pytest.mark.parametrize("far_in", ["a", "b"])
+def test_far_point_collapses_the_grid(far_in):
+    # one point at (1e5, -1e5) stretches the cell side to the whole road, so
+    # the grid search leaves nearly every point to the chunked table
+    s = np.linspace(0.0, 140.0, 400)
+    road = np.column_stack([s, 3.0 * np.sin(s / 20.0)])
+    a, b = road[::2], road[1::2] + (0.0, 0.25)
+    if far_in == "a":
+        a = far = np.vstack([a, (1e5, -1e5)])
+    else:
+        b = far = np.vstack([b, (1e5, -1e5)])
+    assert _cell_side(tuple(np.ptp(far, axis=0).tolist()), len(far)) > 140.0
+    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2 + (a[:, None, 1] - b[None, :, 1]) ** 2
+    assert np.array_equal(nearest_sq_dist(a, b), d2.min(axis=1))
+    assert np.array_equal(nearest_sq_dist(b, a), d2.min(axis=0))
+    want = 0.5 * (float(np.sqrt(d2.min(axis=1)).sum() / len(a))
+                  + float(np.sqrt(d2.min(axis=0)).sum() / len(b)))
+    assert chamfer_distance(a, b) == want
+
+
 coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 point_set = st.lists(st.tuples(coord, coord), min_size=1, max_size=200).map(
     lambda p: np.array(p, float))

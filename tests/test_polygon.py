@@ -5,7 +5,7 @@ from icmap.errors import NonSimplePolygon
 from icmap.polygon import (
     DISJOINT,
     Disjoint,
-    classify_point,
+    classify_points,
     ensure_ccw,
     is_simple,
     polygon_area,
@@ -157,6 +157,5 @@ class TestUnion:
 class TestClassify:
     def test_inside_on_outside(self):
         ring = square(0, 0, 2.0)
-        assert classify_point(np.array([1.0, 1.0]), ring) == 1
-        assert classify_point(np.array([0.0, 1.0]), ring) == 0
-        assert classify_point(np.array([3.0, 1.0]), ring) == -1
+        pts = np.array([[1.0, 1.0], [0.0, 1.0], [3.0, 1.0]])
+        assert classify_points(pts, ring).tolist() == [1, 0, -1]
